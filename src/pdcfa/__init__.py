@@ -12,7 +12,7 @@ from .reach import (  # noqa: F401
     analyze_pushdown,
     reconstruct_path,
 )
-from .eps import discover_entry_points, saturate_app, saturate_unit  # noqa: F401
+from .eps import discover_entry_points, saturate_app  # noqa: F401
 from .taint import (  # noqa: F401
     SummaryTable,
     TaintStore,
@@ -48,6 +48,5 @@ __all__ = [
     "reconstruct_path",
     "run_concrete",
     "saturate_app",
-    "saturate_unit",
     "seed_entry_bindings",
 ]

@@ -20,11 +20,9 @@ from pathlib import Path
 
 from . import __version__, eps, permissions as perms_mod, report as report_mod
 from .ir import ParseError, Program, parse_program
-from .machine import MalformedState
+from .machine import INT_CONSTANT_BUDGET, MalformedState
 from .reach import AnalysisConfig, FINITE, PUSHDOWN
 from .taint import SummaryFormatError, SummaryTable, extract_findings, load_summaries
-
-log = logging.getLogger("pdcfa.cli")
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -93,10 +91,11 @@ def _meta(bundle: AppBundle, cfg: AnalysisConfig, predicate) -> dict:
             "mode": cfg.mode,
             "k": cfg.k,
             "heapContext": cfg.heap_context,
-            "intConstantBudget": cfg.int_constant_budget,
+            # fixed values, echoed so that report bytes stay unchanged
+            "intConstantBudget": INT_CONSTANT_BUDGET,
             "maxStates": cfg.max_states,
             "maxSeconds": cfg.max_seconds,
-            "jobs": cfg.jobs,
+            "jobs": 1,
             "predicate": predicate.text() if predicate is not None else None,
         },
         "inputs": {
@@ -120,9 +119,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="call-site context depth, 0..4 (default: 1)")
     p.add_argument("--heap-context", action="store_true",
                    help="pair allocation sites with the allocating context")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worklist workers; any schedule yields the same "
-                        "fixpoint, and 1 keeps runs byte-reproducible")
     p.add_argument("--max-states", type=int, default=500_000, metavar="N")
     p.add_argument("--max-seconds", type=float, default=300.0, metavar="N")
     p.add_argument("--where", metavar="PRED", default=None,
@@ -153,17 +149,13 @@ def main(argv=None) -> int:
         predicate = report_mod.conjoin(bundle.predicates + [where])
         cfg = AnalysisConfig(
             mode=args.mode, k=args.k, heap_context=args.heap_context,
-            max_states=args.max_states, max_seconds=args.max_seconds,
-            jobs=args.jobs, predicate=predicate)
+            max_states=args.max_states, max_seconds=args.max_seconds)
         units = eps.discover_entry_points(bundle, bundle.program)
     except (BundleError, ParseError, SummaryFormatError,
             report_mod.PredicateError, eps.UnknownMethod, eps.EmptyUnit,
             ValueError) as exc:
         print(f"pdcfa: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.jobs > 1:
-        log.info("jobs=%d requested; running the sequential schedule", args.jobs)
 
     try:
         _store, _taint, trace = eps.saturate_app(
@@ -172,7 +164,7 @@ def main(argv=None) -> int:
         print(f"pdcfa: malformed program state: {exc}", file=sys.stderr)
         return EXIT_USAGE
     results = trace.final_results()
-    findings = extract_findings(results, bundle.summaries, units)
+    findings = extract_findings(results)
     collected = perms_mod.collect_permissions(results)
     preport = perms_mod.build_permission_report(
         bundle.requested_permissions, collected,

@@ -1,22 +1,20 @@
 """Entry-point saturation: cover all orderings of asynchronous entry points.
 
 Each declared entry point is analyzed with the widened store pair inherited
-from the previous one; passes repeat within a unit, and rounds repeat across
-units, until a full pass adds nothing. The saturated store then models every
-interleaving of entry points without enumerating orderings.
+from the previous one. A sweep runs every entry point of every unit in
+declared order; sweeps repeat until one adds nothing. The result is the least
+fixpoint, which does not depend on the schedule, so the saturated store
+models every interleaving of entry points without enumerating orderings.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from . import machine, reach
 from .ir import MethodRef, Program
 from .machine import Store
 from .taint import SummaryTable, TaintStore, TriggerContext
-
-log = logging.getLogger("pdcfa.eps")
 
 UNIT_KINDS = ("activity", "service", "receiver", "provider", "background",
               "other")
@@ -51,11 +49,8 @@ class Unit:
 
 @dataclass
 class SaturationTrace:
-    results: dict  # (unit name, entry label) -> final-round AnalysisResult
-    rounds_per_unit: dict
-    global_rounds: int
-    final_store: Store
-    final_taint: TaintStore
+    results: dict  # (unit name, entry label) -> last-sweep AnalysisResult
+    global_rounds: int  # sweeps run, the last one adding nothing
     complete: bool = True
     limit_reason: str | None = None
 
@@ -96,90 +91,47 @@ def discover_entry_points(bundle, program: Program) -> list:
     return units
 
 
-def _run_entry(program: Program, unit: Unit, ep: EntryPoint, store: Store,
-               taint: TaintStore, cfg: reach.AnalysisConfig,
-               summaries: SummaryTable, shared) -> reach.AnalysisResult:
-    seeded = store.copy()
-    seeded_taint = taint.copy()
-    machine.seed_entry_bindings(program, ep.method_ref, seeded, seeded_taint)
-    result = reach.analyze(program, ep.method_ref, seeded, seeded_taint, cfg,
-                           summaries, shared)
-    result.trigger = TriggerContext(unit.name, ep.label())
-    return result
-
-
-def saturate_unit(program: Program, unit: Unit, in_store: Store,
-                  in_taint: TaintStore, cfg: reach.AnalysisConfig,
-                  summaries: SummaryTable | None = None,
-                  shared=None) -> tuple:
-    """Analyze each entry point with the inherited store pair; repeat full
-    passes until one adds nothing. Returns (store, taint, trace)."""
-    summaries = summaries or SummaryTable([])
-    store, taint = in_store, in_taint
-    results: dict = {}
-    rounds = 0
-    while True:
-        rounds += 1
-        before = (store.fingerprint(), taint.fingerprint(),
-                  shared.fingerprint() if shared is not None else 0)
-        for ep in unit.entry_points:
-            result = _run_entry(program, unit, ep, store, taint, cfg,
-                                summaries, shared)
-            results[(unit.name, ep.label())] = result
-            store = result.final_store
-            taint = result.final_taint
-            if not result.complete:
-                trace = SaturationTrace(results, {unit.name: rounds}, rounds,
-                                        store, taint, complete=False,
-                                        limit_reason=result.limit_reason)
-                return store, taint, trace
-        after = (store.fingerprint(), taint.fingerprint(),
-                 shared.fingerprint() if shared is not None else 0)
-        if after == before:
-            break
-    trace = SaturationTrace(results, {unit.name: rounds}, rounds, store, taint)
-    return store, taint, trace
-
-
 def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                  summaries: SummaryTable | None = None,
                  init_store: Store | None = None,
                  init_taint: TaintStore | None = None) -> tuple:
-    """Round-robin unit saturation to a global fixpoint.
+    """Sweep every entry point of every unit until a sweep adds nothing.
 
     Returns (store, taint, trace); the trace holds every entry point's
-    final-round analysis result. Optional seeds support re-running
+    last-sweep analysis result. Optional seeds support re-running
     saturation from its own output (a fixpoint check).
     """
     if not units:
         raise EmptyUnit("no units declared")
     summaries = summaries or SummaryTable([])
-    store = init_store.copy() if init_store is not None \
-        else Store(cfg.int_constant_budget)
+    store = init_store.copy() if init_store is not None else Store()
     taint = init_taint.copy() if init_taint is not None else TaintStore()
     shared = reach.FiniteShared() if cfg.mode == reach.FINITE else None
+
+    def fingerprint():
+        return (store.fingerprint(), taint.fingerprint(),
+                shared.fingerprint() if shared is not None else 0)
+
     results: dict = {}
-    rounds_per_unit: dict = {}
-    global_rounds = 0
+    sweeps = 0
+    before = fingerprint()
     while True:
-        global_rounds += 1
-        before = (store.fingerprint(), taint.fingerprint(),
-                  shared.fingerprint() if shared is not None else 0)
+        sweeps += 1
         for unit in units:
-            store, taint, unit_trace = saturate_unit(
-                program, unit, store, taint, cfg, summaries, shared)
-            results.update(unit_trace.results)
-            rounds_per_unit[unit.name] = unit_trace.rounds_per_unit[unit.name]
-            if not unit_trace.complete:
-                trace = SaturationTrace(results, rounds_per_unit,
-                                        global_rounds, store, taint,
-                                        complete=False,
-                                        limit_reason=unit_trace.limit_reason)
-                return store, taint, trace
-        after = (store.fingerprint(), taint.fingerprint(),
-                 shared.fingerprint() if shared is not None else 0)
+            for ep in unit.entry_points:
+                seeded, seeded_taint = store.copy(), taint.copy()
+                machine.seed_entry_bindings(program, ep.method_ref, seeded,
+                                            seeded_taint)
+                result = reach.analyze(program, ep.method_ref, seeded,
+                                       seeded_taint, cfg, summaries, shared)
+                result.trigger = TriggerContext(unit.name, ep.label())
+                results[(unit.name, ep.label())] = result
+                store, taint = result.final_store, result.final_taint
+                if not result.complete:
+                    return store, taint, SaturationTrace(
+                        results, sweeps, complete=False,
+                        limit_reason=result.limit_reason)
+        after = fingerprint()
         if after == before:
-            break
-    trace = SaturationTrace(results, rounds_per_unit, global_rounds,
-                            store, taint)
-    return store, taint, trace
+            return store, taint, SaturationTrace(results, sweeps)
+        before = after

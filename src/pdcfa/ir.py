@@ -890,21 +890,6 @@ def parse_program(text: str) -> Program:
     return program
 
 
-def statements_at(program: Program, m: MethodRef, label: str) -> tuple:
-    return program.statements_at(m, label)
-
-
-def resolve_method(program: Program, static_class: str, name: str,
-                   param_types, kind: str) -> MethodDef:
-    return program.resolve_method(static_class, name, tuple(param_types), kind)
-
-
-def is_subclass(program: Program, c1: str, c2: str) -> bool:
-    if not program.is_declared(c1):
-        raise UnknownClass(c1)
-    return program.is_subclass(c1, c2)
-
-
 # ---------------------------------------------------------------------------
 # Printer (round-trips through parse_program)
 # ---------------------------------------------------------------------------

@@ -217,7 +217,11 @@ def value_sort_key(v):
     return v.sort_key()
 
 
-def normalize_vals(values, int_budget: int) -> frozenset:
+# Exact int (and string) constants kept per address before widening to Any.
+INT_CONSTANT_BUDGET = 8
+
+
+def normalize_vals(values) -> frozenset:
     """Apply the flat-lattice absorption: AnyInt/AnyString swallow exact
     constants once present or once the per-address constant budget is hit."""
     values = frozenset(values)
@@ -225,70 +229,21 @@ def normalize_vals(values, int_budget: int) -> frozenset:
     strs = [v for v in values
             if isinstance(v, AbstractString) and v.value is not None]
     out = set(values)
-    if ANY_INT in values or len(ints) > int_budget:
+    if ANY_INT in values or len(ints) > INT_CONSTANT_BUDGET:
         out.difference_update(ints)
         if ints:
             out.add(ANY_INT)
-    if ANY_STRING in values or len(strs) > int_budget:
+    if ANY_STRING in values or len(strs) > INT_CONSTANT_BUDGET:
         out.difference_update(strs)
         if strs:
             out.add(ANY_STRING)
     return frozenset(out)
 
 
-class Store:
-    """Addr -> set(AbstractValue); lookups of absent addresses are empty."""
+class Store(taint_mod.MonotoneStore):
+    """Addr -> set(AbstractValue), normalized by ``normalize_vals``."""
 
-    def __init__(self, int_budget: int = 8):
-        self._data: dict = {}
-        self.int_budget = int_budget
-        self.version = 0
-        self.on_read = None
-        self.on_grow = None
-
-    def lookup(self, addr) -> frozenset:
-        if self.on_read is not None:
-            self.on_read(addr)
-        return self._data.get(addr, frozenset())
-
-    def join(self, addr, values) -> bool:
-        values = frozenset(values)
-        if not values:
-            return False
-        old = self._data.get(addr, frozenset())
-        new = normalize_vals(old | values, self.int_budget)
-        if new == old:
-            return False
-        self._data[addr] = new
-        self.version += 1
-        if self.on_grow is not None:
-            self.on_grow(addr)
-        return True
-
-    def items(self):
-        return self._data.items()
-
-    def copy(self) -> "Store":
-        other = Store(self.int_budget)
-        other._data = dict(self._data)
-        other.version = self.version
-        return other
-
-    def join_store(self, other: "Store") -> bool:
-        grew = False
-        for addr, vals in other._data.items():
-            grew |= self.join(addr, vals)
-        return grew
-
-    def canonical_text(self) -> str:
-        lines = []
-        for addr in sorted(self._data, key=lambda a: a.sort_key()):
-            vals = ",".join(sorted(v.canonical() for v in self._data[addr]))
-            lines.append(f"{addr.canonical()} -> {{{vals}}}")
-        return "\n".join(lines) + "\n"
-
-    def fingerprint(self):
-        return self.canonical_text()
+    _normalize = staticmethod(normalize_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +255,6 @@ class Store:
 class AllocPolicy:
     k: int = 1
     heap_context: bool = False
-    int_budget: int = 8
 
 
 def frame_pointer_zero(entry: MethodRef) -> FramePointer:
@@ -441,7 +395,7 @@ def eval_atomic(program: Program, ae, fp: FramePointer, store: Store) -> frozens
                 for a in vals[0]:
                     for b in vals[1]:
                         out |= _pair_op(program, op, a, b)
-            return normalize_vals(out, store.int_budget)
+            return normalize_vals(out)
         case InstanceOf(inner, cls):
             vals = eval_atomic(program, inner, fp, store)
             out = set()
@@ -483,7 +437,7 @@ def eval_field(program: Program, ae_o, fp: FramePointer, store: Store,
     for v in eval_atomic(program, ae_o, fp, store):
         if isinstance(v, ObjectValue):
             out |= store.lookup(FieldAddr(v.op, field_name))
-    return normalize_vals(out, store.int_budget)
+    return normalize_vals(out)
 
 
 def eval_field_taint(program: Program, ae_o, fp: FramePointer, store: Store,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .reach import AnalysisResult
+from .reach import _result_items
 
 
 @dataclass(frozen=True)
@@ -17,13 +17,7 @@ class PermissionReport:
     lower_bound: bool = False  # analysis hit a budget; reached is partial
 
 
-def _result_items(results):
-    if isinstance(results, AnalysisResult):
-        return [results]
-    return list(results)
-
-
-def collect_permissions(results, summaries=None) -> list:
+def collect_permissions(results) -> list:
     """Permissions attached to every summary application reached during
     analysis, paired with the applying control state."""
     seen = set()

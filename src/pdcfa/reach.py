@@ -22,7 +22,6 @@ used here is one valid schedule.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, replace
 
@@ -53,14 +52,8 @@ from .machine import (
 )
 from .taint import SummaryTable, TaintStore, TriggerContext
 
-log = logging.getLogger("pdcfa.reach")
-
 PUSHDOWN = "pushdown"
 FINITE = "finite"
-
-
-class ResourceLimit(Exception):
-    """Raised only by callers that insist on complete results."""
 
 
 @dataclass(frozen=True)
@@ -148,11 +141,8 @@ class AnalysisConfig:
     mode: str = PUSHDOWN
     k: int = 1
     heap_context: bool = False
-    int_constant_budget: int = 8
     max_states: int = 500_000
     max_seconds: float = 300.0
-    jobs: int = 1
-    predicate: object = None
 
     def __post_init__(self):
         if self.mode not in (PUSHDOWN, FINITE):
@@ -163,7 +153,7 @@ class AnalysisConfig:
             raise ValueError("budgets must be positive")
 
     def policy(self) -> AllocPolicy:
-        return AllocPolicy(self.k, self.heap_context, self.int_constant_budget)
+        return AllocPolicy(self.k, self.heap_context)
 
 
 @dataclass
@@ -176,7 +166,6 @@ class AnalysisResult:
     final_taint: TaintStore
     visit_counts: dict
     terminals: dict  # ControlState -> tuple of terminal kinds
-    tracebacks: dict  # ControlState -> discovering Edge
     complete: bool
     limit_reason: str | None
     applications: list
@@ -193,6 +182,13 @@ class AnalysisResult:
     def sink_applications(self) -> list:
         return sorted((a for a in self.applications if a.sink_hits),
                       key=lambda a: a.sort_key())
+
+
+def _result_items(results) -> list:
+    """Normalize one AnalysisResult or an iterable of them to a list."""
+    if isinstance(results, AnalysisResult):
+        return [results]
+    return list(results)
 
 
 class _Recorder:
@@ -251,7 +247,7 @@ class _BaseEngine:
         self.cfg = cfg
         self.policy = cfg.policy()
         self.summaries = summaries
-        self.store = Store(cfg.int_constant_budget)
+        self.store = Store()
         self.store.join_store(init_store)
         self.taint = TaintStore()
         self.taint.join_store(init_taint)
@@ -260,7 +256,6 @@ class _BaseEngine:
         self.dsg = DyckStateGraph()
         self.visit_counts: dict = {}
         self.terminals: dict = {}
-        self.tracebacks: dict = {}
         self.recorder = _Recorder(program)
         self.worklist: list = []
         self.pending: set = set()
@@ -320,7 +315,6 @@ class _BaseEngine:
             final_taint=self.taint,
             visit_counts=dict(self.visit_counts),
             terminals=dict(self.terminals),
-            tracebacks=dict(self.tracebacks),
             complete=self.complete,
             limit_reason=self.limit_reason,
             applications=self.recorder.applications(),
@@ -346,7 +340,7 @@ class _PushdownEngine(_BaseEngine):
     def run(self) -> AnalysisResult:
         t0 = time.monotonic()
         self.eb.add(self.init_state)
-        self._ensure_node(self.init_state, None)
+        self._ensure_node(self.init_state)
         if self.dependent[self.init_state]:
             self._enqueue((self.init_state, _HYP_EMPTY))
         while self.worklist:
@@ -359,11 +353,9 @@ class _PushdownEngine(_BaseEngine):
 
     # graph construction ---------------------------------------------------
 
-    def _ensure_node(self, state: ControlState, via: Edge | None):
+    def _ensure_node(self, state: ControlState):
         if not self.dsg.add_node(state):
             return
-        if via is not None:
-            self.tracebacks[state] = via
         self.visit_counts.setdefault(state, 0)
         dep = machine.is_stack_dependent(self.program, state.pos)
         self.dependent[state] = dep
@@ -377,13 +369,13 @@ class _PushdownEngine(_BaseEngine):
 
     def _add_noop(self, src, dst):
         edge = Edge(src, NOOP, None, dst)
-        self._ensure_node(dst, edge)
+        self._ensure_node(dst)
         self.dsg.add_edge(edge)
         self._add_pair(src, dst)
 
     def _add_push(self, src, frame, dst):
         edge = Edge(src, PUSH, frame, dst)
-        self._ensure_node(dst, edge)
+        self._ensure_node(dst)
         if not self.dsg.add_edge(edge):
             return
         self.push_into.setdefault(dst, []).append((src, frame))
@@ -393,7 +385,7 @@ class _PushdownEngine(_BaseEngine):
 
     def _add_pop(self, src, frame, dst):
         edge = Edge(src, POP, frame, dst)
-        self._ensure_node(dst, edge)
+        self._ensure_node(dst)
         self.dsg.add_edge(edge)
         targets = self.pops_at.setdefault((src, frame), {})
         if dst in targets:
@@ -553,7 +545,7 @@ class _FiniteEngine(_BaseEngine):
 
     def run(self) -> AnalysisResult:
         t0 = time.monotonic()
-        self._ensure_node(self.init_state, None)
+        self._ensure_node(self.init_state)
         while self.worklist:
             if self._budget_exceeded(t0):
                 break
@@ -562,11 +554,9 @@ class _FiniteEngine(_BaseEngine):
             self._process(item)
         return self._result(FINITE)
 
-    def _ensure_node(self, state: ControlState, via: Edge | None):
+    def _ensure_node(self, state: ControlState):
         if not self.dsg.add_node(state):
             return
-        if via is not None:
-            self.tracebacks[state] = via
         self.visit_counts.setdefault(state, 0)
         self._enqueue((state, _HYP_ANY))
 
@@ -626,7 +616,7 @@ class _FiniteEngine(_BaseEngine):
                 for e in edges:
                     dst = ControlState(e.pos, e.fp)
                     edge = Edge(state, e.kind, e.frame, dst)
-                    self._ensure_node(dst, edge)
+                    self._ensure_node(dst)
                     self.dsg.add_edge(edge)
                     if e.kind == PUSH:
                         if isinstance(e.frame, FunFrame):
@@ -673,7 +663,7 @@ class _FiniteEngine(_BaseEngine):
             self.taint.join(RegAddr(frame.fp, machine.RET_REG), taints)
             dst = ControlState(frame.ret_pos, frame.fp)
             edge = Edge(state, POP, frame, dst)
-            self._ensure_node(dst, edge)
+            self._ensure_node(dst)
             self.dsg.add_edge(edge)
 
     def _process_throw(self, state: ControlState):
@@ -699,7 +689,7 @@ class _FiniteEngine(_BaseEngine):
             hpos = program.pos_of_label(rec.frame.owner, rec.frame.label)
             dst = ControlState(hpos, state.fp)
             edge = Edge(state, POP, rec.frame, dst)
-            self._ensure_node(dst, edge)
+            self._ensure_node(dst)
             self.dsg.add_edge(edge)
 
     def _process_pop_handler(self, state: ControlState):
@@ -714,7 +704,7 @@ class _FiniteEngine(_BaseEngine):
                              state.pos.method)
         dst = ControlState(self.program.advance(state.pos), state.fp)
         edge = Edge(state, POP, frame, dst)
-        self._ensure_node(dst, edge)
+        self._ensure_node(dst)
         self.dsg.add_edge(edge)
 
 

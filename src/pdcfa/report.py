@@ -17,7 +17,7 @@ from importlib import resources
 
 from .ir import StmtPos
 from .permissions import PermissionReport
-from .reach import AnalysisResult, NOOP, POP, PUSH
+from .reach import NOOP, POP, PUSH, _result_items
 from .taint import TaintVal
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z]+)\s*\(\s*([^()]*)\s*\)\s*")
@@ -191,12 +191,6 @@ def emit_permission_report(preport: PermissionReport, program,
     }
     doc.update(meta)
     return doc
-
-
-def _result_items(results):
-    if isinstance(results, AnalysisResult):
-        return [results]
-    return list(results)
 
 
 def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:

@@ -35,6 +35,9 @@ class TaintVal(enum.Enum):
     ACCOUNT = "Account"
     MEDIA = "Media"
 
+    def canonical(self) -> str:
+        return self.value
+
 
 _CATEGORY_BY_NAME = {t.value: t for t in TaintVal}
 
@@ -46,30 +49,37 @@ class SummaryFormatError(Exception):
     pass
 
 
-class TaintStore:
-    """Addr -> set of TaintVal; a join-semilattice under pointwise union."""
+class MonotoneStore:
+    """Addr -> frozenset of lattice elements; only ever grows under join.
+
+    Lookups of absent addresses are empty. ``on_read``/``on_grow`` hooks let
+    an engine track which worklist items read an address and revisit them
+    when it grows. Subclasses differ only in ``_normalize``, applied to
+    every joined set.
+    """
 
     def __init__(self):
         self._data: dict = {}
-        self.version = 0
         self.on_read = None
         self.on_grow = None
+
+    def _normalize(self, values: frozenset) -> frozenset:
+        return values
 
     def lookup(self, addr) -> frozenset:
         if self.on_read is not None:
             self.on_read(addr)
         return self._data.get(addr, frozenset())
 
-    def join(self, addr, taints) -> bool:
-        taints = frozenset(taints)
-        if not taints:
+    def join(self, addr, values) -> bool:
+        values = frozenset(values)
+        if not values:
             return False
         old = self._data.get(addr, frozenset())
-        new = old | taints
+        new = self._normalize(old | values)
         if new == old:
             return False
         self._data[addr] = new
-        self.version += 1
         if self.on_grow is not None:
             self.on_grow(addr)
         return True
@@ -77,27 +87,30 @@ class TaintStore:
     def items(self):
         return self._data.items()
 
-    def copy(self) -> "TaintStore":
-        other = TaintStore()
+    def copy(self):
+        other = type(self)()
         other._data = dict(self._data)
-        other.version = self.version
         return other
 
-    def join_store(self, other: "TaintStore") -> bool:
+    def join_store(self, other) -> bool:
         grew = False
-        for addr, taints in other._data.items():
-            grew |= self.join(addr, taints)
+        for addr, values in other._data.items():
+            grew |= self.join(addr, values)
         return grew
 
     def canonical_text(self) -> str:
         lines = []
         for addr in sorted(self._data, key=lambda a: a.sort_key()):
-            cats = ",".join(sorted(t.value for t in self._data[addr]))
-            lines.append(f"{addr.canonical()} -> {{{cats}}}")
+            vals = ",".join(sorted(v.canonical() for v in self._data[addr]))
+            lines.append(f"{addr.canonical()} -> {{{vals}}}")
         return "\n".join(lines) + "\n"
 
     def fingerprint(self):
         return self.canonical_text()
+
+
+class TaintStore(MonotoneStore):
+    """Addr -> set of TaintVal; a join-semilattice under pointwise union."""
 
     def all_categories(self) -> frozenset:
         out = set()
@@ -291,16 +304,7 @@ class TaintFinding:
                 self.sink_state.pos.sort_key())
 
 
-def _result_items(results):
-    """Normalize one AnalysisResult or an iterable of them to a list."""
-    from .reach import AnalysisResult
-
-    if isinstance(results, AnalysisResult):
-        return [results]
-    return list(results)
-
-
-def extract_findings(results, summaries=None, units=None) -> list:
+def extract_findings(results) -> list:
     """Build deduplicated, deterministically ordered findings.
 
     ``results`` is one AnalysisResult or the final-round result collection
@@ -310,6 +314,8 @@ def extract_findings(results, summaries=None, units=None) -> list:
     stack-respecting path from source to sink; for cross-entry flows it is
     the entry-to-source path followed by the entry-to-sink path.
     """
+    from .reach import _result_items
+
     items = _result_items(results)
     sources = []  # (category, state, line, result)
     seen_sources = set()

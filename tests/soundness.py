@@ -15,7 +15,7 @@ from pdcfa.taint import SummaryTable, TaintStore, parse_summaries
 
 def analyze_seeded(program: Program, entry: MethodRef, cfg: AnalysisConfig,
                    summaries: SummaryTable | None = None) -> AnalysisResult:
-    store, taint = Store(cfg.int_constant_budget), TaintStore()
+    store, taint = Store(), TaintStore()
     seed_entry_bindings(program, entry, store, taint)
     return analyze_pushdown(program, entry, store, taint, cfg,
                             summaries or SummaryTable([]))

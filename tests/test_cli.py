@@ -116,11 +116,6 @@ def test_load_bundle_resolves_paths(bundles_dir):
     assert bundle.requested_permissions == frozenset()
 
 
-def test_jobs_flag_accepted(bundles_dir, tmp_path):
-    code, _out = _run(bundles_dir, tmp_path, "perm_over", "--jobs", "4")
-    assert code == EXIT_CLEAN
-
-
 def test_log_env_var(bundles_dir, tmp_path):
     import os
     import subprocess

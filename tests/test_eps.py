@@ -12,18 +12,12 @@ from pdcfa.eps import (
     UnknownMethod,
     discover_entry_points,
     saturate_app,
-    saturate_unit,
 )
 from pdcfa.ir import MethodRef, parse_program
-from pdcfa.machine import (
-    AbstractInt,
-    AmbientSite,
-    FieldAddr,
-    ObjectPointer,
-    Store,
-)
+from pdcfa import reach
+from pdcfa.machine import AbstractInt, AmbientSite, FieldAddr, ObjectPointer
 from pdcfa.reach import AnalysisConfig
-from pdcfa.taint import TaintStore, TaintVal, parse_summaries, extract_findings
+from pdcfa.taint import TaintVal, parse_summaries, extract_findings
 
 SUMMARIES = parse_summaries("""
 summary test/Api getSecret role=source:Location ret=any-string perms=
@@ -88,18 +82,16 @@ def test_single_entry_point_reaches_fixpoint_in_one_extra_pass():
     program = parse_program(SHARED_FIELD)
     unit = _unit("U", "writeOne")
     cfg = AnalysisConfig(k=1)
-    store, taint, trace = saturate_unit(program, unit, Store(), TaintStore(),
-                                        cfg, SUMMARIES)
+    store, _taint, trace = saturate_app(program, [unit], cfg, SUMMARIES)
     assert AbstractInt(1) in store.lookup(_field_addr("f"))
-    assert trace.rounds_per_unit["U"] == 2  # second pass adds nothing
+    assert trace.global_rounds == 2  # second sweep adds nothing
 
 
 def test_two_writers_join():
     program = parse_program(SHARED_FIELD)
     unit = _unit("U", "writeOne", "writeTwo")
     cfg = AnalysisConfig(k=1)
-    store, _taint, _trace = saturate_unit(program, unit, Store(), TaintStore(),
-                                          cfg, SUMMARIES)
+    store, _taint, _trace = saturate_app(program, [unit], cfg, SUMMARIES)
     assert store.lookup(_field_addr("f")) >= {AbstractInt(1), AbstractInt(2)}
 
 
@@ -115,15 +107,27 @@ def test_reader_before_writer_still_sees_taint():
     assert {f.trigger.entry_point for f in findings} == {"leakIt"}
 
 
-def test_single_unit_app_equals_unit_saturation():
+def test_every_entry_point_runs_once_per_sweep(monkeypatch):
+    """One flat schedule: each sweep runs each entry point exactly once, so
+    no entry point runs more often than the sweep count."""
     program = parse_program(SHARED_FIELD)
     cfg = AnalysisConfig(k=1)
-    unit = _unit("U", "writeOne", "writeTwo")
-    s1, t1, _ = saturate_unit(program, unit, Store(), TaintStore(), cfg,
-                              SUMMARIES)
-    s2, t2, _ = saturate_app(program, [unit], cfg, SUMMARIES)
-    assert s1.canonical_text() == s2.canonical_text()
-    assert t1.canonical_text() == t2.canonical_text()
+    runs: dict = {}
+    analyze = reach.analyze
+
+    def counted(program, entry, *args, **kwargs):
+        runs[entry.method_name] = runs.get(entry.method_name, 0) + 1
+        return analyze(program, entry, *args, **kwargs)
+
+    monkeypatch.setattr(reach, "analyze", counted)
+    units = [_unit("R", "leakIt", "writeOne"), _unit("W", "writeTwo",
+                                                     "taintIt")]
+    _s, _t, trace = saturate_app(program, units, cfg, SUMMARIES)
+    assert trace.global_rounds >= 3  # the reader sees taint one sweep late
+    assert runs == {m: trace.global_rounds for m in
+                    ("leakIt", "writeOne", "writeTwo", "taintIt")}
+    findings = extract_findings(trace.final_results())
+    assert {f.trigger.entry_point for f in findings} == {"leakIt"}
 
 
 def test_cross_unit_flow_in_both_orders():

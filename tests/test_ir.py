@@ -174,7 +174,7 @@ def test_statements_at_suffix():
      (return void))))
 """)
     m = MethodRef("A", "m", ())
-    suffix = ir.statements_at(p, m, "x")
+    suffix = p.statements_at(m, "x")
     assert isinstance(suffix[0], Nop)
     assert isinstance(suffix[1], Return)
 
@@ -185,7 +185,7 @@ def test_statements_at_unknown_label():
   ((method public m () void (throws) (limit 1) (return void))))
 """)
     with pytest.raises(UnknownLabel):
-        ir.statements_at(p, MethodRef("C", "m", ()), "absent")
+        p.statements_at(MethodRef("C", "m", ()), "absent")
 
 
 def test_statements_at_self_loop():
@@ -196,7 +196,7 @@ def test_statements_at_self_loop():
      (label y)
      (goto y))))
 """)
-    suffix = ir.statements_at(p, MethodRef("A", "m", ()), "y")
+    suffix = p.statements_at(MethodRef("A", "m", ()), "y")
     assert len(suffix) == 1
     assert suffix[0].label == "y"
 
@@ -206,42 +206,42 @@ def test_statements_at_self_loop():
 
 def test_resolve_override_wins():
     p = parse_program(HIER)
-    assert ir.resolve_method(p, "B", "m", (), "virtual").ref.class_name == "B"
+    assert p.resolve_method("B", "m", (), "virtual").ref.class_name == "B"
 
 
 def test_resolve_inherited():
     p = parse_program(HIER)
-    assert ir.resolve_method(p, "B", "only_a", (), "virtual").ref.class_name == "A"
+    assert p.resolve_method("B", "only_a", (), "virtual").ref.class_name == "A"
 
 
 def test_resolve_super_skips_self():
     p = parse_program(HIER)
-    assert ir.resolve_method(p, "B", "m", (), "super").ref.class_name == "A"
+    assert p.resolve_method("B", "m", (), "super").ref.class_name == "A"
 
 
 def test_resolve_missing():
     p = parse_program(HIER)
     with pytest.raises(ResolveError):
-        ir.resolve_method(p, "B", "ghost", (), "virtual")
+        p.resolve_method("B", "ghost", (), "virtual")
 
 
 def test_is_subclass_reflexive_and_directed():
     p = parse_program(HIER)
-    assert ir.is_subclass(p, "A", "A")
-    assert ir.is_subclass(p, "B", "A")
-    assert not ir.is_subclass(p, "A", "B")
+    assert p.is_subclass("A", "A")
+    assert p.is_subclass("B", "A")
+    assert not p.is_subclass("A", "B")
 
 
 def test_is_subclass_root():
     p = parse_program(HIER)
-    assert ir.is_subclass(p, "A", "java/lang/Object")
-    assert ir.is_subclass(p, "B", "java/lang/Object")
+    assert p.is_subclass("A", "java/lang/Object")
+    assert p.is_subclass("B", "java/lang/Object")
 
 
 def test_is_subclass_unknown_class():
     p = parse_program(HIER)
     with pytest.raises(ir.UnknownClass):
-        ir.is_subclass(p, "Nope", "A")
+        p.is_subclass("Nope", "A")
 
 
 def test_is_subclass_partial_order():
@@ -250,13 +250,13 @@ def test_is_subclass_partial_order():
 """)
     names = ["A", "B", "C", "java/lang/Object"]
     for x in names:
-        assert ir.is_subclass(p, x, x)
+        assert p.is_subclass(x, x)
         for y in names:
             for z in names:
-                if ir.is_subclass(p, x, y) and ir.is_subclass(p, y, z):
-                    assert ir.is_subclass(p, x, z)
+                if p.is_subclass(x, y) and p.is_subclass(y, z):
+                    assert p.is_subclass(x, z)
             if x != y:
-                assert not (ir.is_subclass(p, x, y) and ir.is_subclass(p, y, x))
+                assert not (p.is_subclass(x, y) and p.is_subclass(y, x))
 
 
 # -- round trip ---------------------------------------------------------------

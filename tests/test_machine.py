@@ -28,6 +28,7 @@ from pdcfa.machine import (
     FramePointer,
     FunFrame,
     HandlerFrame,
+    INT_CONSTANT_BUDGET,
     MalformedState,
     NULL,
     ObjectPointer,
@@ -429,13 +430,14 @@ def test_store_join_idempotent(ca):
 
 
 def test_int_budget_absorbs_constants():
+    assert INT_CONSTANT_BUDGET == 8
     vals = {AbstractInt(i) for i in range(9)}
-    out = normalize_vals(vals, 8)
+    out = normalize_vals(vals)
     assert out == {ANY_INT}
-    kept = normalize_vals({AbstractInt(i) for i in range(8)}, 8)
+    kept = normalize_vals({AbstractInt(i) for i in range(8)})
     assert kept == {AbstractInt(i) for i in range(8)}
-    assert normalize_vals({ANY_INT, AbstractInt(1)}, 8) == {ANY_INT}
-    assert normalize_vals({ANY_STRING, AbstractString("x")}, 8) == {ANY_STRING}
+    assert normalize_vals({ANY_INT, AbstractInt(1)}) == {ANY_INT}
+    assert normalize_vals({ANY_STRING, AbstractString("x")}) == {ANY_STRING}
 
 
 @settings(max_examples=100, deadline=None)

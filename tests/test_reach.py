@@ -28,7 +28,7 @@ EMPTY = SummaryTable([])
 
 
 def _seeded(program, entry, cfg):
-    store, taint = Store(cfg.int_constant_budget), TaintStore()
+    store, taint = Store(), TaintStore()
     seed_entry_bindings(program, entry, store, taint)
     return store, taint
 
