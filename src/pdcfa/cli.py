@@ -1,9 +1,9 @@
 """Command-line front-end: load a bundle, saturate, analyze, write reports.
 
 Exit codes: 0 completed with no findings, 1 completed with findings,
-2 usage or input error, 3 resource limit hit. ``PDCFA_LOG`` selects the log
-level. ``--mode`` is the only difference between the two engines'
-invocations; every other knob is shared.
+2 usage or input error, 3 resource limit hit, 4 internal error (no reports
+written). ``PDCFA_LOG`` selects the log level. ``--mode`` is the only
+difference between the two engines' invocations; every other knob is shared.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 class BundleError(Exception):
@@ -158,11 +159,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        _store, _taint, trace = eps.saturate_app(
-            bundle.program, units, cfg, bundle.summaries)
+        return _analyze(bundle, cfg, predicate, units, Path(args.out), t0)
     except MalformedState as exc:
         print(f"pdcfa: malformed program state: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a defect, not a verdict: exit 1 would read as "findings"
+        logging.getLogger(__name__).debug("internal error", exc_info=True)
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"pdcfa: internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _analyze(bundle: AppBundle, cfg: AnalysisConfig, predicate, units,
+             outdir: Path, t0: float) -> int:
+    """Saturate, extract findings and write the reports; the output
+    directory is made only once every report is built."""
+    _store, _taint, trace = eps.saturate_app(
+        bundle.program, units, cfg, bundle.summaries)
     results = trace.final_results()
     findings = extract_findings(results)
     collected = perms_mod.collect_permissions(results)
@@ -171,13 +185,12 @@ def main(argv=None) -> int:
         lower_bound=not trace.complete)
 
     meta = _meta(bundle, cfg, predicate)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     flow_doc = report_mod.emit_flow_report(findings, predicate,
                                            bundle.program, meta)
     perm_doc = report_mod.emit_permission_report(preport, bundle.program, meta)
     heat_doc = report_mod.emit_heat_map(results, bundle.program, meta)
     dot_text = report_mod.export_graph(results, findings, bundle.program)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "flow_report.json").write_bytes(report_mod.to_json_bytes(flow_doc))
     (outdir / "permissions_report.json").write_bytes(
         report_mod.to_json_bytes(perm_doc))

@@ -100,6 +100,11 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
     Returns (store, taint, trace); the trace holds every entry point's
     last-sweep analysis result. Optional seeds support re-running
     saturation from its own output (a fixpoint check).
+
+    ``cfg.max_seconds`` and ``cfg.max_states`` bound the whole saturation:
+    every engine run shares one deadline and one running count of the
+    states built, and the first run to pass either ends saturation with
+    ``complete=False``.
     """
     if not units:
         raise EmptyUnit("no units declared")
@@ -107,6 +112,7 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
     store = init_store.copy() if init_store is not None else Store()
     taint = init_taint.copy() if init_taint is not None else TaintStore()
     shared = reach.FiniteShared() if cfg.mode == reach.FINITE else None
+    budget = reach.Budget(cfg)  # bounds the whole saturation, not one run
 
     def fingerprint():
         return (store.fingerprint(), taint.fingerprint(),
@@ -123,7 +129,8 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                 machine.seed_entry_bindings(program, ep.method_ref, seeded,
                                             seeded_taint)
                 result = reach.analyze(program, ep.method_ref, seeded,
-                                       seeded_taint, cfg, summaries, shared)
+                                       seeded_taint, cfg, summaries, shared,
+                                       budget)
                 result.trigger = TriggerContext(unit.name, ep.label())
                 results[(unit.name, ep.label())] = result
                 store, taint = result.final_store, result.final_taint

@@ -757,15 +757,18 @@ def _parse_class(node) -> ClassDef:
 # ---------------------------------------------------------------------------
 
 
-def _collect_registers(exp, out: set):
+def _collect_names(exp, regs: set, classes: list):
+    """Registers and ``instance-of`` classes named anywhere in an atomic
+    expression, however deeply nested."""
     match exp:
         case Name(reg):
-            out.add(reg)
+            regs.add(reg)
         case AtomicOp(_, args):
             for a in args:
-                _collect_registers(a, out)
-        case InstanceOf(inner, _):
-            _collect_registers(inner, out)
+                _collect_names(a, regs, classes)
+        case InstanceOf(inner, cls):
+            classes.append(cls)
+            _collect_names(inner, regs, classes)
         case _:
             pass
 
@@ -836,42 +839,38 @@ def _validate_method(program: Program, cdef: ClassDef, mdef: MethodDef) -> None:
         if target is not None and target not in labels:
             raise ParseError(f"dangling label {target} in {where}",
                              st.pos.line, st.pos.col)
-        clsref = None
+        classes: list = []  # classes the statement names
         match st:
             case PushHandler(cls, _):
-                clsref = cls
-            case AssignComplex(_, New(cls)):
-                clsref = cls
-            case AssignAtomic(_, InstanceOf(_, cls)) | If(InstanceOf(_, cls), _):
-                clsref = cls
-            case _:
-                pass
-        if clsref is not None and not program.is_declared(clsref):
-            raise ParseError(f"undeclared class {clsref} in {where}",
-                             st.pos.line, st.pos.col)
-        match st:
+                classes.append(cls)
             case If(cond, _):
-                _collect_registers(cond, regs)
+                _collect_names(cond, regs, classes)
             case AssignAtomic(name, exp):
                 regs.add(name)
-                _collect_registers(exp, regs)
+                _collect_names(exp, regs, classes)
             case AssignComplex(name, exp):
                 regs.add(name)
-                if isinstance(exp, Invoke):
+                if isinstance(exp, New):
+                    classes.append(exp.class_name)
+                else:
                     for a in exp.args:
-                        _collect_registers(a, regs)
+                        _collect_names(a, regs, classes)
             case FieldPut(obj, _, value):
-                _collect_registers(obj, regs)
-                _collect_registers(value, regs)
+                _collect_names(obj, regs, classes)
+                _collect_names(value, regs, classes)
             case FieldGet(name, obj, _):
                 regs.add(name)
-                _collect_registers(obj, regs)
+                _collect_names(obj, regs, classes)
             case Throw(exp) | Return(exp):
-                _collect_registers(exp, regs)
+                _collect_names(exp, regs, classes)
             case MoveFromRet(_):
                 raise ParseError(f"move-from-ret cannot appear in source ({where})")
             case _:
                 pass
+        for cls in classes:
+            if not program.is_declared(cls):
+                raise ParseError(f"undeclared class {cls} in {where}",
+                                 st.pos.line, st.pos.col)
     for r in regs:
         if not _NAME_RE.fullmatch(r):
             raise ParseError(f"ill-formed register {r!r} in {where}")

@@ -14,15 +14,13 @@ continuation stack is treated:
 
 Both run a worklist to a simultaneous fixpoint of the node set, edge set,
 summaries, and one global widened store pair. Worklist order is LIFO with
-deterministic tie-breaking, so results are identical across runs. The
-worklist may be drained by several workers as long as store joins stay
-atomic and node/edge insertion stays idempotent; the sequential schedule
-used here is one valid schedule.
+deterministic tie-breaking, so results are identical across runs.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 from . import machine
@@ -184,6 +182,20 @@ class AnalysisResult:
                       key=lambda a: a.sort_key())
 
 
+class Budget:
+    """Resource limits shared by every engine run of one analysis.
+
+    One deadline, fixed when the budget is made, and one running count of
+    the states that finished runs built; a run stops once that count plus
+    its own states passes ``max_states`` or the deadline passes.
+    """
+
+    def __init__(self, cfg: AnalysisConfig):
+        self.deadline = time.monotonic() + cfg.max_seconds
+        self.max_states = cfg.max_states
+        self.states_used = 0
+
+
 def _result_items(results) -> list:
     """Normalize one AnalysisResult or an iterable of them to a list."""
     if isinstance(results, AnalysisResult):
@@ -239,7 +251,7 @@ def _item_key(item):
 class _BaseEngine:
     def __init__(self, program: Program, entry: MethodRef, init_store: Store,
                  init_taint: TaintStore, cfg: AnalysisConfig,
-                 summaries: SummaryTable):
+                 summaries: SummaryTable, budget: Budget | None):
         if entry not in program.methods:
             raise machine.ResolveError(f"unknown entry {entry.sig()}")
         self.program = program
@@ -247,6 +259,7 @@ class _BaseEngine:
         self.cfg = cfg
         self.policy = cfg.policy()
         self.summaries = summaries
+        self.budget = budget if budget is not None else Budget(cfg)
         self.store = Store()
         self.store.join_store(init_store)
         self.taint = TaintStore()
@@ -287,12 +300,13 @@ class _BaseEngine:
         for item in sorted(items, key=_item_key):
             self._enqueue(item)
 
-    def _budget_exceeded(self, t0: float) -> bool:
-        if len(self.dsg.nodes) > self.cfg.max_states:
+    def _budget_exceeded(self) -> bool:
+        budget = self.budget
+        if budget.states_used + len(self.dsg.nodes) > budget.max_states:
             self.complete = False
             self.limit_reason = "max-states"
             return True
-        if time.monotonic() - t0 > self.cfg.max_seconds:
+        if time.monotonic() > budget.deadline:
             self.complete = False
             self.limit_reason = "max-seconds"
             return True
@@ -306,6 +320,7 @@ class _BaseEngine:
     def _result(self, mode: str) -> AnalysisResult:
         self.store.on_read = self.store.on_grow = None
         self.taint.on_read = self.taint.on_grow = None
+        self.budget.states_used += len(self.dsg.nodes)
         return AnalysisResult(
             mode=mode,
             entry=self.entry,
@@ -338,13 +353,12 @@ class _PushdownEngine(_BaseEngine):
         self.dependent: dict = {}
 
     def run(self) -> AnalysisResult:
-        t0 = time.monotonic()
         self.eb.add(self.init_state)
         self._ensure_node(self.init_state)
         if self.dependent[self.init_state]:
             self._enqueue((self.init_state, _HYP_EMPTY))
         while self.worklist:
-            if self._budget_exceeded(t0):
+            if self._budget_exceeded():
                 break
             item = self.worklist.pop()
             self.pending.discard(item)
@@ -534,8 +548,9 @@ def handler_regions(program: Program, method: MethodRef) -> dict:
 
 class _FiniteEngine(_BaseEngine):
     def __init__(self, program, entry, init_store, init_taint, cfg, summaries,
-                 shared: FiniteShared | None):
-        super().__init__(program, entry, init_store, init_taint, cfg, summaries)
+                 shared: FiniteShared | None, budget: Budget | None):
+        super().__init__(program, entry, init_store, init_taint, cfg, summaries,
+                         budget)
         self.shared = shared if shared is not None else FiniteShared()
         self._regions_cache: dict = {}
         self._return_deps: dict = {}  # fp -> {state: None}
@@ -544,10 +559,9 @@ class _FiniteEngine(_BaseEngine):
         self._callgraph: dict = {}
 
     def run(self) -> AnalysisResult:
-        t0 = time.monotonic()
         self._ensure_node(self.init_state)
         while self.worklist:
-            if self._budget_exceeded(t0):
+            if self._budget_exceeded():
                 break
             item = self.worklist.pop()
             self.pending.discard(item)
@@ -715,32 +729,37 @@ class _FiniteEngine(_BaseEngine):
 
 def analyze_pushdown(program: Program, entry: MethodRef, init_store: Store,
                      init_taint: TaintStore, cfg: AnalysisConfig,
-                     summaries: SummaryTable | None = None) -> AnalysisResult:
+                     summaries: SummaryTable | None = None,
+                     budget: Budget | None = None) -> AnalysisResult:
     cfg = replace(cfg, mode=PUSHDOWN)
     engine = _PushdownEngine(program, entry, init_store, init_taint, cfg,
-                             summaries or SummaryTable([]))
+                             summaries or SummaryTable([]), budget)
     return engine.run()
 
 
 def analyze_finite(program: Program, entry: MethodRef, init_store: Store,
                    init_taint: TaintStore, cfg: AnalysisConfig,
                    summaries: SummaryTable | None = None,
-                   shared: FiniteShared | None = None) -> AnalysisResult:
+                   shared: FiniteShared | None = None,
+                   budget: Budget | None = None) -> AnalysisResult:
     cfg = replace(cfg, mode=FINITE)
     engine = _FiniteEngine(program, entry, init_store, init_taint, cfg,
-                           summaries or SummaryTable([]), shared)
+                           summaries or SummaryTable([]), shared, budget)
     return engine.run()
 
 
 def analyze(program: Program, entry: MethodRef, init_store: Store,
             init_taint: TaintStore, cfg: AnalysisConfig,
             summaries: SummaryTable | None = None,
-            shared: FiniteShared | None = None) -> AnalysisResult:
+            shared: FiniteShared | None = None,
+            budget: Budget | None = None) -> AnalysisResult:
+    """Run the engine ``cfg.mode`` names. Without a ``budget`` the run
+    gets its own, so ``cfg``'s limits bound this run alone."""
     if cfg.mode == FINITE:
         return analyze_finite(program, entry, init_store, init_taint, cfg,
-                              summaries, shared)
+                              summaries, shared, budget)
     return analyze_pushdown(program, entry, init_store, init_taint, cfg,
-                            summaries)
+                            summaries, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -757,21 +776,30 @@ class PathStep:
 
 
 def reconstruct_path_steps(result: AnalysisResult, frm: ControlState,
-                           to: ControlState) -> list | None:
+                           to: ControlState, trees: dict | None = None
+                           ) -> list | None:
     """Shortest edge-count witness path; None when unreachable.
 
     Pushdown results respect stack balance: a path is pops of the
     pre-existing stack (with balanced segments riding epsilon summaries)
     followed by pushes; finite results use plain graph search, which is
     exactly where their spurious flows become visible.
+
+    The path is read from one BFS tree rooted at ``frm``. A caller asking
+    for many paths passes the same ``trees`` dict to every call; it keeps
+    one tree per (result, source) for as long as the caller holds it.
     """
     if frm not in result.dsg.nodes or to not in result.dsg.nodes:
         return None
     if frm == to:
         return []
-    if result.mode == FINITE:
-        return _bfs_plain(result.dsg, frm, to)
-    return _bfs_balanced(result.dsg, frm, to)
+    key = (id(result), frm)
+    tree = trees.get(key) if trees is not None else None
+    if tree is None:
+        tree = _Tree(result, frm)
+        if trees is not None:
+            trees[key] = tree
+    return tree.steps_to(to)
 
 
 def reconstruct_path(result: AnalysisResult, frm: ControlState,
@@ -782,64 +810,89 @@ def reconstruct_path(result: AnalysisResult, frm: ControlState,
     return [frm] + [s.dst for s in steps]
 
 
-def _bfs_plain(dsg: DyckStateGraph, frm, to):
-    from collections import deque
+class _Tree:
+    """The BFS tree of one (result, source state), grown only as far as the
+    paths asked of it need: the first path costs what a search for it alone
+    costs, and later paths reuse that work instead of searching again.
 
-    parent: dict = {frm: None}
+    Keys are nodes in a plain tree and (node, phase) in a balanced one.
+    """
+
+    def __init__(self, result: AnalysisResult, frm: ControlState):
+        self.parent: dict = {}  # key -> (previous key, step kind, frame)
+        self.first: dict = {}  # node -> first key discovered for it
+        if result.mode == FINITE:
+            self._node_of = lambda key: key
+            self._keys = _tree_plain(result.dsg, frm, self.parent)
+        else:
+            self._node_of = lambda key: key[0]
+            self._keys = _tree_balanced(result.dsg, frm, self.parent)
+
+    def steps_to(self, to: ControlState) -> list | None:
+        node_of = self._node_of
+        while to not in self.first:
+            key = next(self._keys, None)
+            if key is None:
+                return None
+            self.first.setdefault(node_of(key), key)
+        key = self.first[to]
+        steps = []
+        while self.parent[key] is not None:
+            prev, kind, frame = self.parent[key]
+            steps.append(PathStep(kind, frame, node_of(prev), node_of(key)))
+            key = prev
+        steps.reverse()
+        return steps
+
+
+def _tree_plain(dsg: DyckStateGraph, frm, parent: dict):
+    """BFS over every edge from ``frm``, out-edges in sorted order.
+
+    Fills ``parent`` with each node's (previous node, edge kind, frame) as
+    first discovered, ``frm`` with None, and yields each node as it is
+    discovered.
+    """
+    parent[frm] = None
     queue = deque([frm])
     while queue:
         node = queue.popleft()
-        for e in sorted(dsg.out_edges(node), key=lambda e: e.sort_key()):
-            if e.dst in parent:
-                continue
-            parent[e.dst] = (node, PathStep(e.kind, e.frame, node, e.dst))
-            if e.dst == to:
-                return _unwind_parents(parent, e.dst)
-            queue.append(e.dst)
-    return None
+        for e in sorted(dsg.out_edges(node), key=Edge.sort_key):
+            if e.dst not in parent:
+                parent[e.dst] = (node, e.kind, e.frame)
+                queue.append(e.dst)
+                yield e.dst
 
 
-def _bfs_balanced(dsg: DyckStateGraph, frm, to):
-    from collections import deque
+def _tree_balanced(dsg: DyckStateGraph, frm, parent: dict):
+    """Stack-respecting BFS from ``frm`` over (node, phase) keys.
 
+    Phase DOWN may pop the pre-existing stack; a push moves to phase UP,
+    where pops are only crossed by epsilon summaries. Fills ``parent`` with
+    each key's (previous key, step kind, frame) as first discovered and
+    yields each key as it is discovered.
+    """
     DOWN, UP = 0, 1
     start = (frm, DOWN)
-    parent: dict = {start: None}
+    parent[start] = None
     queue = deque([start])
     while queue:
         key = queue.popleft()
         node, phase = key
         moves = []
-        for e in sorted(dsg.out_edges(node), key=lambda e: e.sort_key()):
+        for e in sorted(dsg.out_edges(node), key=Edge.sort_key):
             if e.kind == NOOP:
-                moves.append(((e.dst, phase),
-                              PathStep(NOOP, None, node, e.dst)))
+                moves.append(((e.dst, phase), NOOP, None))
             elif e.kind == PUSH:
-                moves.append(((e.dst, UP),
-                              PathStep(PUSH, e.frame, node, e.dst)))
+                moves.append(((e.dst, UP), PUSH, e.frame))
             elif e.kind == POP and phase == DOWN:
-                moves.append(((e.dst, DOWN),
-                              PathStep(POP, e.frame, node, e.dst)))
-        for dst in sorted(dsg.summaries_from(node), key=lambda s: s.sort_key()):
-            moves.append(((dst, phase), PathStep("summary", None, node, dst)))
-        for nkey, step in moves:
-            if nkey in parent:
-                continue
-            parent[nkey] = (key, step)
-            if nkey[0] == to:
-                return _unwind_parents(parent, nkey)
-            queue.append(nkey)
-    return None
-
-
-def _unwind_parents(parent: dict, key):
-    steps = []
-    while parent[key] is not None:
-        prev, step = parent[key]
-        steps.append(step)
-        key = prev
-    steps.reverse()
-    return steps
+                moves.append(((e.dst, DOWN), POP, e.frame))
+        for dst in sorted(dsg.summaries_from(node), key=ControlState.sort_key):
+            moves.append(((dst, phase), "summary", None))
+        for nkey, kind, frame in moves:
+            if nkey not in parent:
+                parent[nkey] = (key, kind, frame)
+                queue.append(nkey)
+                yield nkey
 
 
 def replay_stack_actions(steps) -> bool:

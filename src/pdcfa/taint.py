@@ -293,11 +293,6 @@ class TaintFinding:
     sink_permissions: tuple = ()
     witness_steps: tuple = ()  # PathSteps backing the witness
 
-    def dedup_key(self):
-        return (self.trigger, self.category.value,
-                self.source_state.pos.sort_key(),
-                self.sink_state.pos.sort_key())
-
     def sort_key(self):
         return (self.trigger.unit, self.source_line, self.sink_line,
                 self.category.value, self.trigger.entry_point,
@@ -313,6 +308,11 @@ def extract_findings(results) -> list:
     still name their introducing source. A within-result witness is the
     stack-respecting path from source to sink; for cross-entry flows it is
     the entry-to-source path followed by the entry-to-sink path.
+
+    Findings with the same trigger, category, source and sink position are
+    one finding; the first is kept, and no witness is searched for the
+    rest. Witness paths are read from one BFS tree per (result, source
+    state), shared by every finding and dropped on return.
     """
     from .reach import _result_items
 
@@ -330,16 +330,23 @@ def extract_findings(results) -> list:
     sources.sort(key=lambda s: (s[0].value, s[1].sort_key()))
 
     findings: dict = {}
+    trees: dict = {}  # one BFS tree per (result, source state)
     for res in items:
         trigger = res.trigger
         for app in res.sink_applications():
+            sink_pos = app.state.pos.sort_key()
             for cat, kind in sorted(app.sink_hits,
                                     key=lambda h: (h[0].value, h[1])):
                 for src_cat, src_state, src_line, src_res in sources:
                     if src_cat is not cat:
                         continue
-                    states, steps = _witness(src_res, src_state, res, app.state)
-                    finding = TaintFinding(
+                    key = (trigger, cat.value, src_state.pos.sort_key(),
+                           sink_pos)
+                    if key in findings:
+                        continue
+                    states, steps = _witness(src_res, src_state, res,
+                                             app.state, trees)
+                    findings[key] = TaintFinding(
                         category=cat,
                         source_state=src_state,
                         source_line=src_line,
@@ -351,28 +358,29 @@ def extract_findings(results) -> list:
                         sink_permissions=app.permissions,
                         witness_steps=steps,
                     )
-                    findings.setdefault(finding.dedup_key(), finding)
     return sorted(findings.values(), key=lambda f: f.sort_key())
 
 
-def _segment(res, frm, to):
-    from .reach import reconstruct_path_steps
+def _segment(res, frm, to, trees):
+    from . import reach
 
-    steps = reconstruct_path_steps(res, frm, to)
+    # looked up on the module at call time, so wrappers installed there see
+    # every witness search
+    steps = reach.reconstruct_path_steps(res, frm, to, trees)
     if steps is None:
         return None, None
     return (frm,) + tuple(s.dst for s in steps), tuple(steps)
 
 
-def _witness(src_res, src_state, sink_res, sink_state):
+def _witness(src_res, src_state, sink_res, sink_state, trees):
     if src_res is sink_res:
-        states, steps = _segment(sink_res, src_state, sink_state)
+        states, steps = _segment(sink_res, src_state, sink_state, trees)
         if states is not None:
             return states, steps
     head_states, head_steps = _segment(src_res, src_res.initial_state,
-                                       src_state)
+                                       src_state, trees)
     tail_states, tail_steps = _segment(sink_res, sink_res.initial_state,
-                                       sink_state)
+                                       sink_state, trees)
     states = (head_states or ()) + (tail_states or ())
     steps = (head_steps or ()) + (tail_steps or ())
     return states, steps

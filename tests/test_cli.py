@@ -1,10 +1,14 @@
 """Command-line front-end tests: exit codes, outputs, flags."""
 
 import json
+import shutil
+from types import SimpleNamespace
 
+from pdcfa import cli, reach
 from pdcfa.cli import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
+    EXIT_INTERNAL,
     EXIT_RESOURCE_LIMIT,
     EXIT_USAGE,
     load_bundle,
@@ -86,6 +90,94 @@ def test_resource_limit_exit_three(bundles_dir, tmp_path):
     assert meta["limitReason"] == "max-states"
     perm = json.loads((out / "permissions_report.json").read_text())
     assert perm["lowerBound"] is True
+
+
+def _assert_partial(out, reason):
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["complete"] is False
+    assert meta["limitReason"] == reason
+    perm = json.loads((out / "permissions_report.json").read_text())
+    assert perm["lowerBound"] is True
+
+
+def _count_runs(monkeypatch, before_run=None):
+    """Wrap the engine entry point; return the list of each run's state
+    count, filled in as runs finish."""
+    sizes = []
+    analyze = reach.analyze
+
+    def counted(*args, **kwargs):
+        if before_run is not None:
+            before_run()
+        result = analyze(*args, **kwargs)
+        sizes.append(len(result.dsg.nodes))
+        return result
+
+    monkeypatch.setattr(reach, "analyze", counted)
+    return sizes
+
+
+def test_max_states_bounds_the_whole_saturation(bundles_dir, tmp_path,
+                                                monkeypatch):
+    sizes = _count_runs(monkeypatch)
+    code, _ = _run(bundles_dir, tmp_path / "full", "photoquote_exception")
+    assert code == EXIT_FINDINGS
+    limit = max(sizes)  # every run fits, the runs together do not
+    assert sum(sizes) > limit
+    sizes.clear()
+    code, out = _run(bundles_dir, tmp_path, "photoquote_exception",
+                     "--max-states", str(limit))
+    assert code == EXIT_RESOURCE_LIMIT
+    _assert_partial(out, "max-states")
+    assert sum(sizes[:-1]) <= limit < sum(sizes)
+
+
+def test_max_seconds_bounds_the_whole_saturation(bundles_dir, tmp_path,
+                                                 monkeypatch):
+    """Each engine run starts one second after the one before it on a
+    patched clock; a 2.5 s budget stops the third run."""
+    now = [0.0]
+
+    def tick():
+        now[0] += 1.0
+
+    monkeypatch.setattr(reach, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    sizes = _count_runs(monkeypatch, before_run=tick)
+    code, out = _run(bundles_dir, tmp_path, "photoquote_exception",
+                     "--max-seconds", "2.5")
+    assert code == EXIT_RESOURCE_LIMIT
+    _assert_partial(out, "max-seconds")
+    assert len(sizes) == 3
+
+
+def test_internal_error_exits_four_without_reports(bundles_dir, tmp_path,
+                                                   monkeypatch, capsys):
+    def broken(results):
+        raise RuntimeError("broken\nextraction")
+
+    monkeypatch.setattr(cli, "extract_findings", broken)
+    code, out = _run(bundles_dir, tmp_path, "photoquote_exception")
+    assert code == EXIT_INTERNAL
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "pdcfa: internal error: RuntimeError: broken extraction\n"
+
+
+def test_nested_unknown_class_exits_two_at_parse_time(bundles_dir, tmp_path,
+                                                      capsys):
+    bundle = tmp_path / "ghost"
+    shutil.copytree(bundles_dir / "perm_zero", bundle)
+    program = bundle / "app.sdex"
+    program.write_text(program.read_text().replace(
+        "     (return void))))",
+        "     (assign o (new java/lang/String))\n"
+        "     (assign b (and (instance-of o app/Ghost) true))\n"
+        "     (return void))))"))
+    code = main(["--bundle", str(bundle), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "undeclared class app/Ghost in pz/App.onStart at 11:6" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_where_filter_applies(bundles_dir, tmp_path):

@@ -1,17 +1,21 @@
-"""Golden report bytes: every shipped bundle under both engines at k = 0..2.
+"""Golden report bytes: every shipped bundle under both engines at k = 0..2,
+and the two generated benchmark bundles at their pinned seed.
 
-The pinned SHA-256 digests live in the ``corpus`` section of
-``bench/reference.json``, which the benchmark checks as well; this test only
-reads that file.
+The pinned SHA-256 digests live in ``bench/reference.json``, which the
+benchmark checks as well; the generated bundles come from
+``bench/synth.py``. These tests only read those files.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-from pdcfa.cli import main
+import pytest
 
-REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+from pdcfa.cli import EXIT_FINDINGS, main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+REFERENCE = BENCH / "reference.json"
 REPORTS = ("flow_report.json", "permissions_report.json", "heatmap.json",
            "state_graph.dot")
 
@@ -32,3 +36,20 @@ def test_corpus_reports_match_pinned_digests(bundles_dir, tmp_path):
             if digest != ref["digests"][report]:
                 failures.append(f"{name}: {report} differs")
     assert not failures, failures
+
+
+@pytest.mark.parametrize("workload", ["finite-witness", "wide-pushdown"])
+def test_synth_reports_match_pinned_digests(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))[workload]
+    bundle = synth.generate(synth.Shape.parse(ref["shape"]),
+                            ref["seed"]).write(tmp_path / "bundle")
+    out = tmp_path / "out"
+    code = main(["--bundle", str(bundle), "--mode", ref["mode"],
+                 "--k", str(ref["k"]), "--out", str(out)])
+    assert code == EXIT_FINDINGS
+    for report in REPORTS:
+        digest = hashlib.sha256((out / report).read_bytes()).hexdigest()
+        assert digest == ref["digests"][report], report

@@ -1,10 +1,18 @@
 """Reachability-engine tests: pushdown vs finite, summaries, paths."""
 
+from collections import deque
+from types import SimpleNamespace
+
 import pytest
 
 from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, RUN, STRICT_PROGRAMS
+from pdcfa import eps, reach
+from pdcfa.cli import load_bundle
 from pdcfa.ir import MethodRef, StmtPos, parse_program
 from pdcfa.machine import (
+    NOOP,
+    POP,
+    PUSH,
     RegAddr,
     Store,
     VOID,
@@ -15,13 +23,21 @@ from pdcfa.machine import (
 from pdcfa.reach import (
     AnalysisConfig,
     ControlState,
+    DyckStateGraph,
+    Edge,
+    PathStep,
     analyze_finite,
     analyze_pushdown,
     reconstruct_path,
     reconstruct_path_steps,
     replay_stack_actions,
 )
-from pdcfa.taint import SummaryTable, TaintStore, parse_summaries
+from pdcfa.taint import (
+    SummaryTable,
+    TaintStore,
+    extract_findings,
+    parse_summaries,
+)
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
 EMPTY = SummaryTable([])
@@ -306,3 +322,144 @@ def test_balanced_paths_replay():
             steps = reconstruct_path_steps(res, start, node)
             if steps is not None:
                 assert replay_stack_actions(steps), (name, node.describe())
+
+
+# -- witness trees against a per-pair search ----------------------------------
+#
+# The reference below is the per-(source, target) BFS the analyzer used
+# before witnesses were read from one tree per source: it stops at the first
+# discovery of the target. Reading the same path from an exhaustive tree must
+# give the same steps.
+
+
+def _ref_unwind(parent, key):
+    steps = []
+    while parent[key] is not None:
+        prev, step = parent[key]
+        steps.append(step)
+        key = prev
+    steps.reverse()
+    return steps
+
+
+def _ref_bfs_plain(dsg, frm, to):
+    parent = {frm: None}
+    queue = deque([frm])
+    while queue:
+        node = queue.popleft()
+        for e in sorted(dsg.out_edges(node), key=lambda e: e.sort_key()):
+            if e.dst in parent:
+                continue
+            parent[e.dst] = (node, PathStep(e.kind, e.frame, node, e.dst))
+            if e.dst == to:
+                return _ref_unwind(parent, e.dst)
+            queue.append(e.dst)
+    return None
+
+
+def _ref_bfs_balanced(dsg, frm, to):
+    DOWN, UP = 0, 1
+    start = (frm, DOWN)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        node, phase = key
+        moves = []
+        for e in sorted(dsg.out_edges(node), key=lambda e: e.sort_key()):
+            if e.kind == NOOP:
+                moves.append(((e.dst, phase),
+                              PathStep(NOOP, None, node, e.dst)))
+            elif e.kind == PUSH:
+                moves.append(((e.dst, UP),
+                              PathStep(PUSH, e.frame, node, e.dst)))
+            elif e.kind == POP and phase == DOWN:
+                moves.append(((e.dst, DOWN),
+                              PathStep(POP, e.frame, node, e.dst)))
+        for dst in sorted(dsg.summaries_from(node), key=lambda s: s.sort_key()):
+            moves.append(((dst, phase), PathStep("summary", None, node, dst)))
+        for nkey, step in moves:
+            if nkey in parent:
+                continue
+            parent[nkey] = (key, step)
+            if nkey[0] == to:
+                return _ref_unwind(parent, nkey)
+            queue.append(nkey)
+    return None
+
+
+def _ref_path_steps(res, frm, to):
+    if frm == to:
+        return []
+    if res.mode == "finite":
+        return _ref_bfs_plain(res.dsg, frm, to)
+    return _ref_bfs_balanced(res.dsg, frm, to)
+
+
+BUNDLE_NAMES = ("perm_over", "perm_zero", "photoquote_exception",
+                "photoquote_full", "three_unit_relay")
+
+
+def _saturated_results(bundles_dir, name, mode):
+    bundle = load_bundle(bundles_dir / name)
+    units = eps.discover_entry_points(bundle, bundle.program)
+    _s, _t, trace = eps.saturate_app(bundle.program, units,
+                                     AnalysisConfig(mode=mode, k=1),
+                                     bundle.summaries)
+    return trace.final_results()
+
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_tree_paths_equal_per_pair_search(bundles_dir, name, mode):
+    """The path between every pair of nodes (a superset of the initial and
+    source-application states witnesses start from) equals the per-pair
+    search, with and without shared trees."""
+    trees = {}
+    for res in _saturated_results(bundles_dir, name, mode):
+        nodes = sorted(res.dsg.nodes, key=lambda n: n.sort_key())
+        for frm in nodes:
+            for to in nodes:
+                want = _ref_path_steps(res, frm, to)
+                assert reconstruct_path_steps(res, frm, to) == want
+                assert reconstruct_path_steps(res, frm, to, trees) == want
+
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+def test_tree_breaks_ties_by_sorted_edges(mode):
+    """Two shortest paths lead to the last node; the one through the edge
+    that sorts first wins, whatever order the edges were added in."""
+    a, b, c, d = (ControlState(StmtPos(RUN, i), frame_pointer_zero(RUN))
+                  for i in range(4))
+    dsg = DyckStateGraph()
+    for n in (a, b, c, d):
+        dsg.add_node(n)
+    for src, dst in ((a, c), (a, b), (c, d), (b, d)):
+        dsg.add_edge(Edge(src, NOOP, None, dst))
+    res = SimpleNamespace(dsg=dsg, mode=mode)
+    steps = reconstruct_path_steps(res, a, d)
+    assert [s.dst for s in steps] == [b, d]
+    assert steps == _ref_path_steps(res, a, d)
+
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+def test_findings_build_one_tree_per_result_and_source(bundles_dir,
+                                                       monkeypatch, mode):
+    built = []
+
+    def counted(build):
+        def wrapped(dsg, frm, parent):
+            built.append((id(dsg), frm))
+            return build(dsg, frm, parent)
+        return wrapped
+
+    monkeypatch.setattr(reach, "_tree_plain", counted(reach._tree_plain))
+    monkeypatch.setattr(reach, "_tree_balanced",
+                        counted(reach._tree_balanced))
+    for name in BUNDLE_NAMES:
+        results = _saturated_results(bundles_dir, name, mode)
+        built.clear()
+        findings = extract_findings(results)
+        assert len(built) == len(set(built)), name
+        if findings:
+            assert built, name
