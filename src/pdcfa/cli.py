@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__, eps, permissions as perms_mod, report as report_mod
 from .ir import ParseError, Program, parse_program
 from .machine import INT_CONSTANT_BUDGET, MalformedState
-from .reach import AnalysisConfig, FINITE, PUSHDOWN
+from .reach import AnalysisConfig, Budget, FINITE, PUSHDOWN
 from .taint import SummaryFormatError, SummaryTable, extract_findings, load_summaries
 
 EXIT_CLEAN = 0
@@ -145,12 +145,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_CLEAN
     t0 = time.monotonic()
     try:
-        bundle = load_bundle(args.bundle)
-        where = report_mod.parse_predicate(args.where) if args.where else None
-        predicate = report_mod.conjoin(bundle.predicates + [where])
         cfg = AnalysisConfig(
             mode=args.mode, k=args.k, heap_context=args.heap_context,
             max_states=args.max_states, max_seconds=args.max_seconds)
+        budget = Budget(cfg)  # the deadline counts parsing too
+        bundle = load_bundle(args.bundle)
+        where = report_mod.parse_predicate(args.where) if args.where else None
+        predicate = report_mod.conjoin(bundle.predicates + [where])
         units = eps.discover_entry_points(bundle, bundle.program)
     except (BundleError, ParseError, SummaryFormatError,
             report_mod.PredicateError, eps.UnknownMethod, eps.EmptyUnit,
@@ -159,7 +160,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        return _analyze(bundle, cfg, predicate, units, Path(args.out), t0)
+        return _analyze(bundle, cfg, budget, predicate, units, Path(args.out),
+                        t0)
     except MalformedState as exc:
         print(f"pdcfa: malformed program state: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -171,12 +173,12 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _analyze(bundle: AppBundle, cfg: AnalysisConfig, predicate, units,
-             outdir: Path, t0: float) -> int:
+def _analyze(bundle: AppBundle, cfg: AnalysisConfig, budget: Budget,
+             predicate, units, outdir: Path, t0: float) -> int:
     """Saturate, extract findings and write the reports; the output
     directory is made only once every report is built."""
     _store, _taint, trace = eps.saturate_app(
-        bundle.program, units, cfg, bundle.summaries)
+        bundle.program, units, cfg, bundle.summaries, budget=budget)
     results = trace.final_results()
     findings = extract_findings(results)
     collected = perms_mod.collect_permissions(results)

@@ -94,7 +94,8 @@ def discover_entry_points(bundle, program: Program) -> list:
 def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                  summaries: SummaryTable | None = None,
                  init_store: Store | None = None,
-                 init_taint: TaintStore | None = None) -> tuple:
+                 init_taint: TaintStore | None = None,
+                 budget: reach.Budget | None = None) -> tuple:
     """Sweep every entry point of every unit until a sweep adds nothing.
 
     Returns (store, taint, trace); the trace holds every entry point's
@@ -104,7 +105,8 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
     ``cfg.max_seconds`` and ``cfg.max_states`` bound the whole saturation:
     every engine run shares one deadline and one running count of the
     states built, and the first run to pass either ends saturation with
-    ``complete=False``.
+    ``complete=False``. A caller that passes its own ``budget`` (made
+    before parsing, say) bounds its earlier work with the same deadline.
     """
     if not units:
         raise EmptyUnit("no units declared")
@@ -112,7 +114,8 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
     store = init_store.copy() if init_store is not None else Store()
     taint = init_taint.copy() if init_taint is not None else TaintStore()
     shared = reach.FiniteShared() if cfg.mode == reach.FINITE else None
-    budget = reach.Budget(cfg)  # bounds the whole saturation, not one run
+    if budget is None:
+        budget = reach.Budget(cfg)  # bounds the whole saturation, not one run
 
     def fingerprint():
         return (store.fingerprint(), taint.fingerprint(),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 ROOT_CLASS = "java/lang/Object"
 
@@ -49,6 +50,30 @@ class UnknownClass(Exception):
 
 class ResolveError(Exception):
     pass
+
+
+def key_type(cls):
+    """Make ``cls`` a frozen, slotted dataclass that hashes once.
+
+    Control states, frames and addresses are nested dataclasses used as dict
+    and set keys on every engine step; a generated ``__hash__`` rehashes the
+    whole nest on each lookup. Here the hash of the field values is computed
+    once, at construction (``__post_init__``, so ``dataclasses.replace``
+    recomputes it), and ``__hash__`` returns it. Equality is unchanged.
+    """
+    field_values = attrgetter(*cls.__annotations__)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(field_values(self)))
+
+    def __hash__(self):
+        return self._hash
+
+    cls.__annotations__["_hash"] = "int"
+    cls._hash = field(init=False, compare=False, repr=False)
+    cls.__post_init__ = __post_init__
+    cls.__hash__ = __hash__
+    return dataclass(frozen=True, slots=True)(cls)
 
 
 @dataclass(frozen=True)
@@ -220,7 +245,7 @@ class MoveFromRet(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@key_type
 class MethodRef:
     class_name: str
     method_name: str
@@ -265,7 +290,7 @@ class ClassDef:
     methods: tuple
 
 
-@dataclass(frozen=True)
+@key_type
 class StmtPos:
     """A position in a method body.
 

@@ -47,6 +47,7 @@ from .ir import (
     This,
     Throw,
     VoidLit,
+    key_type,
 )
 
 log = logging.getLogger("pdcfa.machine")
@@ -64,7 +65,7 @@ class MalformedState(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@key_type
 class FramePointer:
     method: MethodRef
     context: tuple = ()  # call-site positions, length <= k
@@ -78,7 +79,7 @@ class FramePointer:
         return f"{self.method.sig()}[{ctx}]"
 
 
-@dataclass(frozen=True)
+@key_type
 class AmbientSite:
     """Allocation site of a framework-supplied object (entry receiver/arg)."""
 
@@ -91,7 +92,7 @@ class AmbientSite:
         return f"<ambient:{self.class_name}>"
 
 
-@dataclass(frozen=True)
+@key_type
 class ObjectPointer:
     site: object  # StmtPos | AmbientSite
     context: tuple = ()
@@ -112,7 +113,7 @@ class ObjectPointer:
         return text
 
 
-@dataclass(frozen=True)
+@key_type
 class RegAddr:
     fp: FramePointer
     reg: str
@@ -124,7 +125,7 @@ class RegAddr:
         return f"reg:{self.fp.canonical()}:{self.reg}"
 
 
-@dataclass(frozen=True)
+@key_type
 class FieldAddr:
     op: ObjectPointer
     field_name: str
@@ -141,7 +142,7 @@ class FieldAddr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@key_type
 class ObjectValue:
     op: ObjectPointer
     class_name: str
@@ -471,7 +472,7 @@ def init_object(program: Program, store: Store, op: ObjectPointer,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@key_type
 class FunFrame:
     fp: FramePointer
     ret_pos: StmtPos  # the MoveFromRet slot of the calling assign
@@ -484,7 +485,7 @@ class FunFrame:
                 f"{self.ret_pos.method.sig()}@{self.ret_pos.index})")
 
 
-@dataclass(frozen=True)
+@key_type
 class HandlerFrame:
     class_name: str
     label: str

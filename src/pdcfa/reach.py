@@ -32,6 +32,7 @@ from .ir import (
     Return,
     StmtPos,
     Throw,
+    key_type,
 )
 from .machine import (
     AllocPolicy,
@@ -54,7 +55,7 @@ PUSHDOWN = "pushdown"
 FINITE = "finite"
 
 
-@dataclass(frozen=True)
+@key_type
 class ControlState:
     pos: StmtPos
     fp: FramePointer
@@ -68,7 +69,7 @@ class ControlState:
                 f"{self.fp.canonical()}")
 
 
-@dataclass(frozen=True)
+@key_type
 class Edge:
     src: ControlState
     kind: str  # noop | push | pop
@@ -260,10 +261,8 @@ class _BaseEngine:
         self.policy = cfg.policy()
         self.summaries = summaries
         self.budget = budget if budget is not None else Budget(cfg)
-        self.store = Store()
-        self.store.join_store(init_store)
-        self.taint = TaintStore()
-        self.taint.join_store(init_taint)
+        self.store = init_store.copy()
+        self.taint = init_taint.copy()
         self.fp0 = frame_pointer_zero(entry)
         self.init_state = ControlState(StmtPos(entry, 0), self.fp0)
         self.dsg = DyckStateGraph()

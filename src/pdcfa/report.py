@@ -9,6 +9,7 @@ and permission gaps; the tool never rules on maliciousness by itself.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -319,10 +320,24 @@ def load_schema(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def validate_document(doc: dict, schema_name: str) -> None:
-    import jsonschema
+@functools.cache
+def _validator(schema_name: str):
+    """One checked validator per schema, built on first use."""
+    from jsonschema.validators import validator_for
 
-    jsonschema.validate(doc, load_schema(schema_name))
+    schema = load_schema(schema_name)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_document(doc: dict, schema_name: str) -> None:
+    """Raise what ``jsonschema.validate`` raises: the best-matching error."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------

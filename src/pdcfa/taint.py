@@ -73,9 +73,9 @@ class MonotoneStore:
 
     def join(self, addr, values) -> bool:
         values = frozenset(values)
-        if not values:
-            return False
         old = self._data.get(addr, frozenset())
+        if values <= old:  # old is normalised, and normalising it is a no-op
+            return False
         new = self._normalize(old | values)
         if new == old:
             return False

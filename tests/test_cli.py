@@ -1,8 +1,14 @@
 """Command-line front-end tests: exit codes, outputs, flags."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 from pdcfa import cli, reach
 from pdcfa.cli import (
@@ -150,6 +156,30 @@ def test_max_seconds_bounds_the_whole_saturation(bundles_dir, tmp_path,
     assert len(sizes) == 3
 
 
+
+def test_max_seconds_counts_parsing(bundles_dir, tmp_path, monkeypatch):
+    """The deadline starts before the bundle is parsed: on a patched clock,
+    parsing that outlasts the budget stops the first engine run."""
+    now = [0.0]
+    parse = cli.parse_program
+
+    def slow_parse(text):
+        now[0] += 10.0
+        return parse(text)
+
+    monkeypatch.setattr(reach, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(cli, "parse_program", slow_parse)
+    sizes = _count_runs(monkeypatch)
+    code, _ = _run(bundles_dir, tmp_path / "roomy", "photoquote_exception",
+                   "--max-seconds", "20")
+    assert code == EXIT_FINDINGS
+    sizes.clear()
+    code, out = _run(bundles_dir, tmp_path, "photoquote_exception",
+                     "--max-seconds", "5")
+    assert code == EXIT_RESOURCE_LIMIT
+    _assert_partial(out, "max-seconds")
+    assert len(sizes) == 1
+
 def test_internal_error_exits_four_without_reports(bundles_dir, tmp_path,
                                                    monkeypatch, capsys):
     def broken(results):
@@ -221,3 +251,25 @@ def test_log_env_var(bundles_dir, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_CLEAN
     assert (out / "flow_report.json").is_file()
+
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+def test_reports_byte_equal_across_hash_seeds(bundles_dir, tmp_path, mode):
+    """Key types cache their hash; nothing that reaches a report may depend
+    on hash values, which change with PYTHONHASHSEED."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdcfa.cli",
+             "--bundle", str(bundles_dir / "three_unit_relay"),
+             "--mode", mode, "--k", "1", "--out", str(out)],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode in (EXIT_CLEAN, EXIT_FINDINGS), proc.stderr
+        runs.append((proc.returncode, proc.stdout,
+                     [(out / name).read_bytes() for name in REPORT_FILES]))
+    assert runs[0] == runs[1]

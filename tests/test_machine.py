@@ -1,5 +1,7 @@
 """Abstract-domain and transition-rule tests."""
 
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from pdcfa.machine import (
     ANY_INT,
     ANY_STRING,
     AbstractBool,
+    AmbientSite,
     AbstractInt,
     AbstractString,
     AllocPolicy,
@@ -33,6 +36,7 @@ from pdcfa.machine import (
     NULL,
     ObjectPointer,
     ObjectValue,
+    PUSH,
     RegAddr,
     Store,
     TRUE,
@@ -47,7 +51,8 @@ from pdcfa.machine import (
     seed_entry_bindings,
     step,
 )
-from pdcfa.taint import SummaryTable, TaintStore
+from pdcfa.reach import ControlState, Edge
+from pdcfa.taint import SummaryTable, TaintStore, TaintVal
 
 EMPTY = SummaryTable([])
 
@@ -458,3 +463,83 @@ def test_taint_join_laws(a, b):
     s2.join(addr, ta)
     assert s1.canonical_text() == s2.canonical_text()
     assert not s1.join(addr, ta)  # idempotent
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.frozensets(_VALUES, max_size=12))
+def test_normalize_vals_is_idempotent(vals):
+    once = normalize_vals(vals)
+    assert normalize_vals(once) == once
+
+
+@settings(max_examples=150, deadline=None)
+@given(_STORE_CONTENT, st.randoms(use_true_random=False))
+def test_join_of_a_subset_returns_false_without_on_grow(content, rnd):
+    store = _mk_store(content)
+    before = store.canonical_text()
+    grown = []
+    store.on_grow = grown.append
+    for addr, vals in store.items():
+        subset = frozenset(v for v in vals if rnd.random() < 0.5)
+        assert not store.join(addr, subset)
+    assert grown == []
+    assert store.canonical_text() == before
+
+
+def test_taint_join_of_a_subset_returns_false_without_on_grow():
+    store, addr = TaintStore(), RegAddr(fp(), "r")
+    assert store.join(addr, {TaintVal.LOCATION, TaintVal.SMS})
+    grown = []
+    store.on_grow = grown.append
+    assert not store.join(addr, {TaintVal.SMS})
+    assert not store.join(addr, set())
+    assert grown == []
+
+
+# -- key types --------------------------------------------------------------------
+
+
+KEY_TYPES = (MethodRef, StmtPos, FramePointer, AmbientSite, ObjectPointer,
+             RegAddr, FieldAddr, ObjectValue, FunFrame, HandlerFrame,
+             ControlState, Edge)
+
+
+def _keys(cls="app/A"):
+    """One instance of every key type, each nested part built afresh."""
+    m = MethodRef(cls, "run", ("int",))
+    pos = StmtPos(m, 3)
+    fp1 = FramePointer(m, (StmtPos(m, 1),))
+    amb = AmbientSite(cls)
+    op = ObjectPointer(StmtPos(m, 2), (StmtPos(m, 1),))
+    frame = FunFrame(fp1, StmtPos(m, 4, at_move=True))
+    state = ControlState(pos, fp1)
+    return [m, pos, fp1, amb, op, RegAddr(fp1, "x"), FieldAddr(op, "f"),
+            ObjectValue(op, cls), frame,
+            HandlerFrame("java/lang/Exception", "L", m), state,
+            Edge(state, PUSH, frame, ControlState(StmtPos(m, 0), fp1))]
+
+
+def test_key_types_equal_and_hash_alike_when_built_apart():
+    a, b = _keys(), _keys()
+    assert [type(x) for x in a] == list(KEY_TYPES)
+    for x, y in zip(a, b):
+        assert x is not y
+        assert x == y and hash(x) == hash(y), type(x).__name__
+    assert len(set(a) | set(b)) == len(KEY_TYPES)
+
+
+def test_replace_hashes_like_a_fresh_build():
+    for x, other in zip(_keys("app/A"), _keys("app/B")):
+        args = {f.name: getattr(x, f.name) for f in fields(x) if f.init}
+        for name in args:
+            changes = {name: getattr(other, name)}
+            moved = replace(x, **changes)
+            fresh = type(x)(**(args | changes))
+            assert moved == fresh, (type(x).__name__, name)
+            assert hash(moved) == hash(fresh), (type(x).__name__, name)
+
+
+def test_key_types_are_slotted():
+    for x in _keys():
+        assert not hasattr(x, "__dict__"), type(x).__name__
+        assert "_hash" in type(x).__slots__

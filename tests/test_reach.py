@@ -237,6 +237,19 @@ def test_fixpoint_rerun_is_stable():
     assert first.node_set() == second.node_set()
 
 
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+def test_analyze_copies_the_callers_store_pair(mode):
+    src, _o, _r = MICRO_PROGRAMS["taint_chain"]
+    program = parse_program(src)
+    cfg = AnalysisConfig(mode=mode, k=1)
+    store, taint = _seeded(program, RUN, cfg)
+    before = store.canonical_text(), taint.canonical_text()
+    res = reach.analyze(program, RUN, store, taint, cfg, TABLE)
+    assert res.final_store is not store and res.final_taint is not taint
+    assert (store.canonical_text(), taint.canonical_text()) == before
+    assert res.final_store.canonical_text() != before[0]  # the copy grew
+
 def test_deterministic_across_runs():
     src, _o, _r = MICRO_PROGRAMS["try_nested"]
     results = [_pushdown(src)[1] for _ in range(2)]
