@@ -846,15 +846,27 @@ def _validate_method(program: Program, cdef: ClassDef, mdef: MethodDef) -> None:
     rt = mdef.return_type
     if rt != "void" and rt not in PRIMITIVE_TYPES and not program.is_declared(rt):
         raise ParseError(f"method {where} has undeclared return type {rt}")
-    labels = set()
-    for st in mdef.body:
+    labels: dict = {}  # label -> index
+    # index -> index of the innermost open push-handler, or None; bracketed
+    # as reach.handler_regions does, a pop-handler inside the region it closes
+    regions: list = []
+    open_pushes: list = []
+    for i, st in enumerate(mdef.body):
         if isinstance(st, Label):
             if st.name in labels:
                 raise ParseError(f"duplicate label {st.name} in {where}",
                                  st.pos.line, st.pos.col)
-            labels.add(st.name)
+            labels[st.name] = i
+        regions.append(open_pushes[-1] if open_pushes else None)
+        if isinstance(st, PushHandler):
+            open_pushes.append(i)
+        elif isinstance(st, PopHandler):
+            if not open_pushes:
+                raise ParseError(f"pop-handler without an open push-handler "
+                                 f"in {where}", st.pos.line, st.pos.col)
+            open_pushes.pop()
     regs: set[str] = set()
-    for st in mdef.body:
+    for i, st in enumerate(mdef.body):
         target = None
         match st:
             case Goto(label) | If(_, label) | PushHandler(_, label):
@@ -864,6 +876,9 @@ def _validate_method(program: Program, cdef: ClassDef, mdef: MethodDef) -> None:
         if target is not None and target not in labels:
             raise ParseError(f"dangling label {target} in {where}",
                              st.pos.line, st.pos.col)
+        if isinstance(st, (Goto, If)) and regions[labels[target]] != regions[i]:
+            raise ParseError(f"branch to {target} enters or leaves a handler "
+                             f"region in {where}", st.pos.line, st.pos.col)
         classes: list = []  # classes the statement names
         match st:
             case PushHandler(cls, _):

@@ -338,24 +338,34 @@ class _BaseEngine:
 
 
 class _PushdownEngine(_BaseEngine):
-    """Dyck-state-graph construction with epsilon summarization."""
+    """Dyck-state-graph construction with epsilon summarization.
+
+    Each control state gets a dense int id, in discovery order, when it
+    first becomes a node. The summary bookkeeping and the worklist items
+    ``(id, hyp)`` are keyed by id, so their hashing and equality are int
+    operations; the graph and the result stay keyed by ``ControlState``.
+    """
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.rfwd: dict = {}
-        self.rbwd: dict = {}
-        self.tops: dict = {}
-        self.eb: set = set()
-        self.push_into: dict = {}
-        self.pushes_by_frame: dict = {}
-        self.pops_at: dict = {}
-        self.dependent: dict = {}
+        self.ids: dict = {}  # ControlState -> id
+        self.states: list = []  # id -> ControlState
+        self.visits: list = []  # id -> worklist pops
+        self.dependent: list = []  # id -> is the statement stack dependent
+        self.init_id = None
+        self.rfwd: dict = {}  # id -> {id with a balanced path from it: None}
+        self.rbwd: dict = {}  # id -> {id with a balanced path to it: None}
+        self.tops: dict = {}  # id -> {frame that may top its stack: None}
+        self.eb: set = set()  # ids with a balanced path from the initial one
+        self.push_into: dict = {}  # id -> [(push source id, frame)]
+        self.pushes_by_frame: dict = {}  # frame -> [(source id, target id)]
+        self.pops_at: dict = {}  # (source id, frame) -> {target id: None}
 
     def run(self) -> AnalysisResult:
-        self.eb.add(self.init_state)
-        self._ensure_node(self.init_state)
-        if self.dependent[self.init_state]:
-            self._enqueue((self.init_state, _HYP_EMPTY))
+        self.init_id = self._ensure_node(self.init_state)
+        self.eb.add(self.init_id)
+        if self.dependent[self.init_id]:
+            self._enqueue((self.init_id, _HYP_EMPTY))
         while self.worklist:
             if self._budget_exceeded():
                 break
@@ -364,90 +374,101 @@ class _PushdownEngine(_BaseEngine):
             self._process(item)
         return self._result(PUSHDOWN)
 
+    def _result(self, mode: str) -> AnalysisResult:
+        self.visit_counts = dict(zip(self.states, self.visits))
+        return super()._result(mode)
+
     # graph construction ---------------------------------------------------
 
-    def _ensure_node(self, state: ControlState):
-        if not self.dsg.add_node(state):
-            return
-        self.visit_counts.setdefault(state, 0)
+    def _ensure_node(self, state: ControlState) -> int:
+        """The id of ``state``, making it a node on first sight. A new node
+        has no tops and is not in ``eb`` yet: both are only ever set on
+        nodes."""
+        sid = self.ids.get(state)
+        if sid is not None:
+            return sid
+        sid = len(self.states)
+        self.ids[state] = sid
+        self.states.append(state)
+        self.visits.append(0)
+        self.dsg.add_node(state)
         dep = machine.is_stack_dependent(self.program, state.pos)
-        self.dependent[state] = dep
+        self.dependent.append(dep)
         if not dep:
-            self._enqueue((state, _HYP_ANY))
-        else:
-            for frame in self.tops.get(state, {}):
-                self._enqueue((state, frame))
-            if state in self.eb:
-                self._enqueue((state, _HYP_EMPTY))
+            self._enqueue((sid, _HYP_ANY))
+        return sid
 
-    def _add_noop(self, src, dst):
-        edge = Edge(src, NOOP, None, dst)
-        self._ensure_node(dst)
-        self.dsg.add_edge(edge)
+    def _add_noop(self, src, dst_state):
+        dst = self._ensure_node(dst_state)
+        states = self.states
+        self.dsg.add_edge(Edge(states[src], NOOP, None, states[dst]))
         self._add_pair(src, dst)
 
-    def _add_push(self, src, frame, dst):
-        edge = Edge(src, PUSH, frame, dst)
-        self._ensure_node(dst)
-        if not self.dsg.add_edge(edge):
+    def _add_push(self, src, frame, dst_state):
+        dst = self._ensure_node(dst_state)
+        states = self.states
+        if not self.dsg.add_edge(Edge(states[src], PUSH, frame, states[dst])):
             return
         self.push_into.setdefault(dst, []).append((src, frame))
         self.pushes_by_frame.setdefault(frame, []).append((src, dst))
-        for y in [dst] + list(self.rfwd.get(dst, {})):
+        for y in [dst, *self.rfwd.get(dst, ())]:
             self._add_top(y, frame, src)
 
-    def _add_pop(self, src, frame, dst):
-        edge = Edge(src, POP, frame, dst)
-        self._ensure_node(dst)
-        self.dsg.add_edge(edge)
+    def _add_pop(self, src, frame, dst_state):
+        dst = self._ensure_node(dst_state)
+        states = self.states
+        self.dsg.add_edge(Edge(states[src], POP, frame, states[dst]))
         targets = self.pops_at.setdefault((src, frame), {})
         if dst in targets:
             return
         targets[dst] = None
-        for psrc, psucc in self.pushes_by_frame.get(frame, []):
-            if psucc == src or src in self.rfwd.get(psucc, {}):
+        for psrc, psucc in self.pushes_by_frame.get(frame, ()):
+            if psucc == src or src in self.rfwd.get(psucc, ()):
                 self._add_summary(psrc, dst)
 
-    def _add_top(self, state, frame, push_src):
-        known = self.tops.setdefault(state, {})
+    def _add_top(self, sid, frame, push_src):
+        known = self.tops.setdefault(sid, {})
         if frame not in known:
             known[frame] = None
-            if self.dependent.get(state):
-                self._enqueue((state, frame))
-        for tgt in self.pops_at.get((state, frame), {}):
+            if self.dependent[sid]:
+                self._enqueue((sid, frame))
+        for tgt in self.pops_at.get((sid, frame), ()):
             self._add_summary(push_src, tgt)
 
     def _add_summary(self, a, b):
-        if self.dsg.add_summary(a, b):
+        if self.dsg.add_summary(self.states[a], self.states[b]):
             self._add_pair(a, b)
 
     def _add_pair(self, a, b):
         """Extend the balanced-reachability relation and its closure."""
-        if a == b or b in self.rfwd.get(a, {}):
+        rfwd, rbwd = self.rfwd, self.rbwd
+        if a == b or b in rfwd.get(a, ()):
             return
-        xs = [a] + list(self.rbwd.get(a, {}))
-        ys = [b] + list(self.rfwd.get(b, {}))
+        xs = [a, *rbwd.get(a, ())]
+        ys = [b, *rfwd.get(b, ())]
         for x in xs:
+            fwd = rfwd.setdefault(x, {})
             for y in ys:
-                if x == y or y in self.rfwd.get(x, {}):
+                if x == y or y in fwd:
                     continue
-                self.rfwd.setdefault(x, {})[y] = None
-                self.rbwd.setdefault(y, {})[x] = None
+                fwd[y] = None
+                rbwd.setdefault(y, {})[x] = None
                 self._on_new_pair(x, y)
 
     def _on_new_pair(self, x, y):
-        for psrc, frame in self.push_into.get(x, []):
+        for psrc, frame in self.push_into.get(x, ()):
             self._add_top(y, frame, psrc)
-        if x == self.init_state and y not in self.eb:
+        if x == self.init_id and y not in self.eb:
             self.eb.add(y)
-            if self.dependent.get(y):
+            if self.dependent[y]:
                 self._enqueue((y, _HYP_EMPTY))
 
     # transition dispatch ---------------------------------------------------
 
     def _process(self, item):
-        state, hyp = item
-        self.visit_counts[state] = self.visit_counts.get(state, 0) + 1
+        sid, hyp = item
+        state = self.states[sid]
+        self.visits[sid] += 1
         self.current_item = item
         try:
             if hyp is _HYP_ANY:
@@ -458,9 +479,9 @@ class _PushdownEngine(_BaseEngine):
                 for e in edges:
                     dst = ControlState(e.pos, e.fp)
                     if e.kind == NOOP:
-                        self._add_noop(state, dst)
+                        self._add_noop(sid, dst)
                     else:
-                        self._add_push(state, e.frame, dst)
+                        self._add_push(sid, e.frame, dst)
             else:
                 top = None if hyp is _HYP_EMPTY else hyp
                 edges, terminals = machine.step_dependent(
@@ -469,7 +490,7 @@ class _PushdownEngine(_BaseEngine):
                 for kind in terminals:
                     self._terminal(state, kind)
                 for e in edges:
-                    self._add_pop(state, e.frame, ControlState(e.pos, e.fp))
+                    self._add_pop(sid, e.frame, ControlState(e.pos, e.fp))
         finally:
             self.current_item = None
 
@@ -527,8 +548,8 @@ def handler_regions(program: Program, method: MethodRef) -> dict:
     """Statically bracket push-handler/pop-handler pairs within a body.
 
     Returns push index -> (push index, matching pop index or body end).
-    Assumes handler regions are not entered or left via goto; the analyses
-    rely on that discipline holding for their inputs.
+    The analyses rely on no branch entering or leaving a region;
+    ``ir.parse_program`` rejects programs where one does.
     """
     body = program.methods[method].body
     regions: dict = {}

@@ -60,6 +60,7 @@ class MonotoneStore:
 
     def __init__(self):
         self._data: dict = {}
+        self._grows = 0  # joins that grew the store, carried over by copy()
         self.on_read = None
         self.on_grow = None
 
@@ -80,6 +81,7 @@ class MonotoneStore:
         if new == old:
             return False
         self._data[addr] = new
+        self._grows += 1
         if self.on_grow is not None:
             self.on_grow(addr)
         return True
@@ -90,6 +92,7 @@ class MonotoneStore:
     def copy(self):
         other = type(self)()
         other._data = dict(self._data)
+        other._grows = self._grows
         return other
 
     def join_store(self, other) -> bool:
@@ -105,8 +108,11 @@ class MonotoneStore:
             lines.append(f"{addr.canonical()} -> {{{vals}}}")
         return "\n".join(lines) + "\n"
 
-    def fingerprint(self):
-        return self.canonical_text()
+    def fingerprint(self) -> int:
+        """The number of growing joins into this store and the stores it
+        was copied from. A store only grows, so along one chain of copies
+        it is unchanged exactly when this number is."""
+        return self._grows
 
 
 class TaintStore(MonotoneStore):

@@ -210,6 +210,42 @@ def test_nested_unknown_class_exits_two_at_parse_time(bundles_dir, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+GOTO_INTO_REGION = (
+    "     (goto inside)\n"
+    "     (push-handler java/lang/Exception catch)\n"
+    "     (label inside)\n"
+    "     (assign a 1)\n"
+    "     (pop-handler)\n"
+    "     (return void)\n"
+    "     (label catch)\n"
+    "     (return void))))",
+    "branch to inside enters or leaves a handler region in pz/App.onStart "
+    "at 10:6")
+UNMATCHED_POP = (
+    "     (assign a 1)\n"
+    "     (pop-handler)\n"
+    "     (return void))))",
+    "pop-handler without an open push-handler in pz/App.onStart at 11:6")
+
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+@pytest.mark.parametrize("body,message", [GOTO_INTO_REGION, UNMATCHED_POP],
+                         ids=["goto-into-region", "unmatched-pop-handler"])
+def test_handler_bracketing_errors_exit_two_at_parse_time(
+        bundles_dir, tmp_path, capsys, mode, body, message):
+    bundle = tmp_path / "bracket"
+    shutil.copytree(bundles_dir / "perm_zero", bundle)
+    program = bundle / "app.sdex"
+    program.write_text(
+        program.read_text().replace("     (return void))))", body)
+        + "\n(public class java/lang/Exception extends java/lang/Object () ())\n")
+    code = main(["--bundle", str(bundle), "--mode", mode,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_where_filter_applies(bundles_dir, tmp_path):
     code, out = _run(bundles_dir, tmp_path, "photoquote_exception",
                      "--where", "sinkKindIs(network)")

@@ -1,9 +1,13 @@
 """Golden report bytes: every shipped bundle under both engines at k = 0..2,
-and the two generated benchmark bundles at their pinned seed.
+the two generated benchmark bundles at their pinned seed, and the
+wide-pushdown shape at other seeds and ``k``.
 
-The pinned SHA-256 digests live in ``bench/reference.json``, which the
-benchmark checks as well; the generated bundles come from
-``bench/synth.py``. These tests only read those files.
+The SHA-256 digests of the shipped and benchmark bundles live in
+``bench/reference.json``, which the benchmark checks as well; the generated
+bundles come from ``bench/synth.py``. These tests only read those files. The
+digests of the other wide-pushdown configurations are pinned here:
+``heatmap.json`` sums ``visit_counts``, so they change with any change in
+the pushdown engine's enqueue order.
 """
 
 import hashlib
@@ -38,18 +42,56 @@ def test_corpus_reports_match_pinned_digests(bundles_dir, tmp_path):
     assert not failures, failures
 
 
-@pytest.mark.parametrize("workload", ["finite-witness", "wide-pushdown"])
-def test_synth_reports_match_pinned_digests(workload, tmp_path, monkeypatch):
+def _synth_run(shape, seed, mode, k, tmp_path, monkeypatch) -> tuple:
+    """Exit code and report digests of one run on a generated bundle."""
     monkeypatch.syspath_prepend(str(BENCH))
     import synth
 
-    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))[workload]
-    bundle = synth.generate(synth.Shape.parse(ref["shape"]),
-                            ref["seed"]).write(tmp_path / "bundle")
+    bundle = synth.generate(synth.Shape.parse(shape),
+                            seed).write(tmp_path / "bundle")
     out = tmp_path / "out"
-    code = main(["--bundle", str(bundle), "--mode", ref["mode"],
-                 "--k", str(ref["k"]), "--out", str(out)])
+    code = main(["--bundle", str(bundle), "--mode", mode, "--k", str(k),
+                 "--out", str(out)])
+    return code, {report: hashlib.sha256((out / report).read_bytes())
+                  .hexdigest() for report in REPORTS}
+
+
+@pytest.mark.parametrize("workload", ["finite-witness", "wide-pushdown"])
+def test_synth_reports_match_pinned_digests(workload, tmp_path, monkeypatch):
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))[workload]
+    code, digests = _synth_run(ref["shape"], ref["seed"], ref["mode"],
+                               ref["k"], tmp_path, monkeypatch)
     assert code == EXIT_FINDINGS
-    for report in REPORTS:
-        digest = hashlib.sha256((out / report).read_bytes()).hexdigest()
-        assert digest == ref["digests"][report], report
+    assert digests == ref["digests"]
+
+
+# (seed, k) -> report digests of synth 6x8x3x2 under pushdown
+PUSHDOWN_PINS = {
+    (7, 1): {
+        "flow_report.json": "12cd2e5c0634bb222fb36681e1f33c159f85e9802395c6b3b270ae6c6039ab75",
+        "permissions_report.json": "6ef45ad861088b13f05c0c5fb5e5c968043316938784e39218d2a2e988b4b560",
+        "heatmap.json": "56b9772ec8911afe2e9642d89ad07fcd90d5777bcbb4f062761fccb0318632f7",
+        "state_graph.dot": "87271a62b7979eac4b05f498f74179f888c168c15b69bb988ee1eaec0de9b971",
+    },
+    (1, 0): {
+        "flow_report.json": "b0dbd4b08e847b44823673acab2f1b45c50f57f9d434b95aec7a3697de7dea80",
+        "permissions_report.json": "e4690d5cd42797f99f0e3432803c05982e9912d1306da5c759200fbb82e3e54e",
+        "heatmap.json": "294e1a15ba3f48359812dcbb2ec191c255ef14d1059442c8085a317a1adcc0a7",
+        "state_graph.dot": "8c9e98586ace2c466c37ed014df0e8d04e2b2e902ceb6d3d615c8c1e3dd30c2f",
+    },
+    (1, 2): {
+        "flow_report.json": "41667fc3992b1acda27f0d26df0ca97b0497f5d235778daa63d4aee0b1993b5f",
+        "permissions_report.json": "82c4b2572011ec596b58361f1f0edb894afa53d32bfcb2e801f20bd9d44eeca7",
+        "heatmap.json": "aae9d2f33e0bedf6ca77ca99a0d7d0971f04543fa98ba06776740473e74223a3",
+        "state_graph.dot": "b6f16fbcc65012097bddb60d2078e7d80796dca132e4e2c3227659a1281e5dbe",
+    },
+}
+
+
+@pytest.mark.parametrize("seed,k", sorted(PUSHDOWN_PINS))
+def test_wide_pushdown_reports_match_pins_at_other_seeds_and_k(
+        seed, k, tmp_path, monkeypatch):
+    code, digests = _synth_run("6x8x3x2", seed, "pushdown", k, tmp_path,
+                               monkeypatch)
+    assert code == EXIT_FINDINGS
+    assert digests == PUSHDOWN_PINS[(seed, k)]

@@ -334,19 +334,23 @@ def test_step_uncatchable_class_keeps_unwinding():
 
 def test_step_pop_handler_over_fun_frame_is_malformed():
     p = parse_program("""
+(public class java/lang/Exception extends java/lang/Object () ())
 (public class Main extends java/lang/Object ()
   ((method public run () void (throws) (limit 1)
+     (push-handler java/lang/Exception h)
      (pop-handler)
+     (return void)
+     (label h)
      (return void))))
 """)
     run = MethodRef("Main", "run", ())
     fun = FunFrame(frame_pointer_zero(run), StmtPos(run, 0, at_move=True))
-    cfg = AbstractConfig(StmtPos(run, 0), frame_pointer_zero(run),
+    cfg = AbstractConfig(StmtPos(run, 1), frame_pointer_zero(run),
                          Store(), TaintStore(), (fun,))
     with pytest.raises(MalformedState):
         step(p, cfg, EMPTY)
     with pytest.raises(MalformedState):
-        step(p, AbstractConfig(StmtPos(run, 0), frame_pointer_zero(run),
+        step(p, AbstractConfig(StmtPos(run, 1), frame_pointer_zero(run),
                                Store(), TaintStore(), ()), EMPTY)
 
 
@@ -484,6 +488,19 @@ def test_join_of_a_subset_returns_false_without_on_grow(content, rnd):
         assert not store.join(addr, subset)
     assert grown == []
     assert store.canonical_text() == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(_STORE_CONTENT, _STORE_CONTENT, _STORE_CONTENT)
+def test_fingerprint_changes_exactly_when_a_copy_chain_grows(ca, cb, cc):
+    first = _mk_store(ca)
+    second = first.copy()
+    second.join_store(_mk_store(cb))
+    third = second.copy()
+    third.join_store(_mk_store(cc))
+    for old, new in ((first, second), (second, third), (first, third)):
+        assert (new.fingerprint() == old.fingerprint()) == \
+            (new.canonical_text() == old.canonical_text())
 
 
 def test_taint_join_of_a_subset_returns_false_without_on_grow():

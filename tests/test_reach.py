@@ -18,7 +18,9 @@ from pdcfa.machine import (
     VOID,
     AbstractInt,
     frame_pointer_zero,
+    is_stack_dependent,
     seed_entry_bindings,
+    step_dependent,
 )
 from pdcfa.reach import (
     AnalysisConfig,
@@ -413,13 +415,84 @@ BUNDLE_NAMES = ("perm_over", "perm_zero", "photoquote_exception",
                 "photoquote_full", "three_unit_relay")
 
 
-def _saturated_results(bundles_dir, name, mode):
+def _saturated_results(bundles_dir, name, mode, k=1):
     bundle = load_bundle(bundles_dir / name)
     units = eps.discover_entry_points(bundle, bundle.program)
     _s, _t, trace = eps.saturate_app(bundle.program, units,
-                                     AnalysisConfig(mode=mode, k=1),
+                                     AnalysisConfig(mode=mode, k=k),
                                      bundle.summaries)
     return trace.final_results()
+
+
+def _naive_closure(dsg) -> tuple:
+    """Recomputed over ``dsg``'s own edges alone: the least set of summaries
+    (p, t) such that a push p -> q with frame f, a path q ~> r over noop
+    edges and summaries, and a pop r -> t with frame f exist; and for each
+    state r, the frames f of the pushes p -> q with such a path q ~> r."""
+    noop, pops, pushes = {}, {}, []
+    for e in dsg.edges:
+        if e.kind == NOOP:
+            noop.setdefault(e.src, set()).add(e.dst)
+        elif e.kind == PUSH:
+            pushes.append(e)
+        else:
+            pops.setdefault((e.src, e.frame), set()).add(e.dst)
+    summaries: set = set()
+    while True:
+        succ = {n: set(dsts) for n, dsts in noop.items()}
+        for a, b in summaries:
+            succ.setdefault(a, set()).add(b)
+        found, tops = set(), {}
+        for push in pushes:
+            seen, todo = {push.dst}, [push.dst]
+            while todo:
+                r = todo.pop()
+                tops.setdefault(r, set()).add(push.frame)
+                found.update((push.src, t)
+                             for t in pops.get((r, push.frame), ()))
+                for n in succ.get(r, ()):
+                    if n not in seen:
+                        seen.add(n)
+                        todo.append(n)
+        if found <= summaries:
+            return summaries, tops
+        summaries |= found
+
+
+def test_summaries_equal_naive_recomputation(bundles_dir):
+    """The engine's incrementally closed summaries equal a fixpoint
+    recomputed over each final result's own edges, and its pop edges are
+    exactly the machine's steps under the frames that fixpoint puts on top
+    of each stack-dependent state."""
+    results = []
+    for name in BUNDLE_NAMES:
+        program = load_bundle(bundles_dir / name).program
+        for k in (0, 1, 2):
+            results += [(f"{name} k={k}", program, res) for res in
+                        _saturated_results(bundles_dir, name, "pushdown", k)]
+    for name, src in sorted({**STRICT_PROGRAMS, **{
+            n: v[0] for n, v in MICRO_PROGRAMS.items()}}.items()):
+        results.append((name, *_pushdown(src)))
+    mismatches = []
+    for label, program, res in results:
+        summaries, tops = _naive_closure(res.dsg)
+        if set(res.dsg.epsilon_summaries) != summaries:
+            mismatches.append(f"{label}: summaries")
+        store, taint = res.final_store.copy(), res.final_taint.copy()
+        pops = set()
+        for r, frames in tops.items():
+            if not is_stack_dependent(program, r.pos):
+                continue
+            for frame in frames:
+                edges, _terminals = step_dependent(
+                    program, r.pos, r.fp, frame, store, taint,
+                    res.config.policy())
+                pops.update(Edge(r, POP, e.frame, ControlState(e.pos, e.fp))
+                            for e in edges)
+        if {e for e in res.dsg.edges if e.kind == POP} != pops:
+            mismatches.append(f"{label}: pop edges")
+    assert not mismatches
+    assert any(res.dsg.epsilon_summaries for _l, _p, res in results)
 
 
 @pytest.mark.parametrize("mode", ["pushdown", "finite"])
