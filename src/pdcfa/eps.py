@@ -1,10 +1,15 @@
 """Entry-point saturation: cover all orderings of asynchronous entry points.
 
-Each declared entry point is analyzed with the widened store pair inherited
-from the previous one. A sweep runs every entry point of every unit in
-declared order; sweeps repeat until one adds nothing. The result is the least
-fixpoint, which does not depend on the schedule, so the saturated store
-models every interleaving of entry points without enumerating orderings.
+Saturation needs the least store pair that every entry point's run leaves
+unchanged. One app-wide fixpoint run finds it: every entry's bindings are
+seeded into one store pair, and one engine run has every entry's initial
+state as a root (a global store, as in Van Horn and Might, "Abstracting
+Abstract Machines", ICFP 2010). That fixpoint depends on no schedule, so
+the saturated store models every interleaving of entry points without
+enumerating orderings. Then each entry point gets one reporting run from
+the saturated pair, in declared order. The pair cannot grow in them, so
+they share a memo of each worklist item's effects; a reporting run that
+grows it anyway is an internal error.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ class Unit:
 
 @dataclass
 class SaturationTrace:
-    results: dict  # (unit name, entry label) -> last-sweep AnalysisResult
-    global_rounds: int  # sweeps run, the last one adding nothing
+    results: dict  # (unit name, entry label) -> reporting-run AnalysisResult
+    # 2 when the fixpoint run grew the seeded store pair, 1 when it did not
+    global_rounds: int
     complete: bool = True
     limit_reason: str | None = None
 
@@ -96,17 +102,18 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                  init_store: Store | None = None,
                  init_taint: TaintStore | None = None,
                  budget: reach.Budget | None = None) -> tuple:
-    """Sweep every entry point of every unit until a sweep adds nothing.
+    """One app-wide fixpoint run, then one reporting run per entry point.
 
-    Returns (store, taint, trace); the trace holds every entry point's
-    last-sweep analysis result. Optional seeds support re-running
+    Returns (store, taint, trace): the saturated store pair, and each entry
+    point's reporting-run result. Optional seeds support re-running
     saturation from its own output (a fixpoint check).
 
     ``cfg.max_seconds`` and ``cfg.max_states`` bound the whole saturation:
     every engine run shares one deadline and one running count of the
     states built, and the first run to pass either ends saturation with
-    ``complete=False``. A caller that passes its own ``budget`` (made
-    before parsing, say) bounds its earlier work with the same deadline.
+    ``complete=False``; a fixpoint run that does so leaves no entry results.
+    A caller that passes its own ``budget`` (made before parsing, say)
+    bounds its earlier work with the same deadline.
     """
     if not units:
         raise EmptyUnit("no units declared")
@@ -116,32 +123,33 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
     shared = reach.FiniteShared() if cfg.mode == reach.FINITE else None
     if budget is None:
         budget = reach.Budget(cfg)  # bounds the whole saturation, not one run
+    entries = [(unit, ep) for unit in units for ep in unit.entry_points]
+    for _unit, ep in entries:
+        machine.seed_entry_bindings(program, ep.method_ref, store, taint)
+    seeded = (store.fingerprint(), taint.fingerprint())
+    fixpoint = reach.analyze(program,
+                             tuple(ep.method_ref for _unit, ep in entries),
+                             store, taint, cfg, summaries, shared, budget)
+    store, taint = fixpoint.final_store, fixpoint.final_taint
+    saturated = (store.fingerprint(), taint.fingerprint())
+    rounds = 1 if saturated == seeded else 2
+    if not fixpoint.complete:
+        return store, taint, SaturationTrace(
+            {}, rounds, complete=False, limit_reason=fixpoint.limit_reason)
 
-    def fingerprint():
-        return (store.fingerprint(), taint.fingerprint(),
-                shared.fingerprint() if shared is not None else 0)
-
+    memo: dict = {}  # worklist item -> its effects, for this saturation only
     results: dict = {}
-    sweeps = 0
-    before = fingerprint()
-    while True:
-        sweeps += 1
-        for unit in units:
-            for ep in unit.entry_points:
-                seeded, seeded_taint = store.copy(), taint.copy()
-                machine.seed_entry_bindings(program, ep.method_ref, seeded,
-                                            seeded_taint)
-                result = reach.analyze(program, ep.method_ref, seeded,
-                                       seeded_taint, cfg, summaries, shared,
-                                       budget)
-                result.trigger = TriggerContext(unit.name, ep.label())
-                results[(unit.name, ep.label())] = result
-                store, taint = result.final_store, result.final_taint
-                if not result.complete:
-                    return store, taint, SaturationTrace(
-                        results, sweeps, complete=False,
-                        limit_reason=result.limit_reason)
-        after = fingerprint()
-        if after == before:
-            return store, taint, SaturationTrace(results, sweeps)
-        before = after
+    for unit, ep in entries:
+        result = reach.analyze(program, ep.method_ref, store, taint, cfg,
+                               summaries, shared, budget, memo)
+        result.trigger = TriggerContext(unit.name, ep.label())
+        results[(unit.name, ep.label())] = result
+        if (result.final_store.fingerprint(),
+                result.final_taint.fingerprint()) != saturated:
+            raise RuntimeError(f"the reporting run of {unit.name}."
+                               f"{ep.label()} grew the saturated store")
+        if not result.complete:
+            return store, taint, SaturationTrace(
+                results, rounds, complete=False,
+                limit_reason=result.limit_reason)
+    return store, taint, SaturationTrace(results, rounds)

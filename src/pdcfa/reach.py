@@ -14,7 +14,10 @@ continuation stack is treated:
 
 Both run a worklist to a simultaneous fixpoint of the node set, edge set,
 summaries, and one global widened store pair. Worklist order is LIFO with
-deterministic tie-breaking, so results are identical across runs.
+deterministic tie-breaking, so results are identical across runs. A run may
+start from several entry methods at once, each initial state a root with an
+empty stack; entry-point saturation makes one such app-wide run, then one
+memoised reporting run per entry point.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .machine import (
     FramePointer,
     FunFrame,
     HandlerFrame,
-    MalformedState,
     NOOP,
     POP,
     PUSH,
@@ -249,22 +251,44 @@ def _item_key(item):
     return (state.sort_key(), _hyp_key(hyp))
 
 
+class _CallLog:
+    """A recorder that keeps its calls, to be replayed on another one."""
+
+    def __init__(self):
+        self.calls: list = []
+
+    def summary_applied(self, *args):
+        self.calls.append(args)
+
+
 class _BaseEngine:
-    def __init__(self, program: Program, entry: MethodRef, init_store: Store,
+    """One run from the initial states of ``entries``, its roots.
+
+    With a ``memo`` the run is a reporting run: its store pair must not
+    grow, so it tracks no readers, and each worklist item's effects (the
+    recorder's calls, terminal kinds and edges) are taken from the memo,
+    which runs from the same pair share, or stepped once and put there.
+    """
+
+    def __init__(self, program: Program, entries: tuple, init_store: Store,
                  init_taint: TaintStore, cfg: AnalysisConfig,
-                 summaries: SummaryTable, budget: Budget | None):
-        if entry not in program.methods:
-            raise machine.ResolveError(f"unknown entry {entry.sig()}")
+                 summaries: SummaryTable, budget: Budget | None,
+                 memo: dict | None):
+        for entry in entries:
+            if entry not in program.methods:
+                raise machine.ResolveError(f"unknown entry {entry.sig()}")
         self.program = program
-        self.entry = entry
+        self.entry = entries[0]
         self.cfg = cfg
         self.policy = cfg.policy()
         self.summaries = summaries
         self.budget = budget if budget is not None else Budget(cfg)
+        self.memo = memo
         self.store = init_store.copy()
         self.taint = init_taint.copy()
-        self.fp0 = frame_pointer_zero(entry)
-        self.init_state = ControlState(StmtPos(entry, 0), self.fp0)
+        self.roots = [ControlState(StmtPos(e, 0), frame_pointer_zero(e))
+                      for e in entries]
+        self.init_state = self.roots[0]
         self.dsg = DyckStateGraph()
         self.visit_counts: dict = {}
         self.terminals: dict = {}
@@ -275,10 +299,11 @@ class _BaseEngine:
         self.current_item = None
         self.complete = True
         self.limit_reason: str | None = None
-        self.store.on_read = self._on_read
-        self.store.on_grow = self._on_grow
-        self.taint.on_read = self._on_read
-        self.taint.on_grow = self._on_grow
+        if memo is None:
+            self.store.on_read = self._on_read
+            self.store.on_grow = self._on_grow
+            self.taint.on_read = self._on_read
+            self.taint.on_grow = self._on_grow
 
     # dependency tracking -------------------------------------------------
 
@@ -310,6 +335,29 @@ class _BaseEngine:
             self.limit_reason = "max-seconds"
             return True
         return False
+
+    def _effects(self, item, state: ControlState, hyp, key) -> tuple:
+        """(terminal kinds, edges) of one worklist item, stepped or, in a
+        reporting run, replayed from the memo under ``key``."""
+        memo = self.memo
+        if memo is None:
+            self.current_item = item
+            try:
+                return self._step(state, hyp, self.recorder)
+            finally:
+                self.current_item = None
+        effects = memo.get(key)
+        if effects is None:
+            log = _CallLog()
+            effects = memo[key] = (log.calls, *self._step(state, hyp, log))
+        calls, terminals, edges = effects
+        for args in calls:
+            self.recorder.summary_applied(*args)
+        return terminals, edges
+
+    def _edges(self, state: ControlState, steps) -> list:
+        return [Edge(state, e.kind, e.frame, ControlState(e.pos, e.fp))
+                for e in steps]
 
     def _terminal(self, state: ControlState, kind: str):
         kinds = set(self.terminals.get(state, ()))
@@ -344,6 +392,8 @@ class _PushdownEngine(_BaseEngine):
     first becomes a node. The summary bookkeeping and the worklist items
     ``(id, hyp)`` are keyed by id, so their hashing and equality are int
     operations; the graph and the result stay keyed by ``ControlState``.
+    Every root starts with an empty stack, so ``eb`` holds the ids with a
+    balanced path from any root.
     """
 
     def __init__(self, *args):
@@ -352,20 +402,22 @@ class _PushdownEngine(_BaseEngine):
         self.states: list = []  # id -> ControlState
         self.visits: list = []  # id -> worklist pops
         self.dependent: list = []  # id -> is the statement stack dependent
-        self.init_id = None
+        self.root_ids: set = set()
         self.rfwd: dict = {}  # id -> {id with a balanced path from it: None}
         self.rbwd: dict = {}  # id -> {id with a balanced path to it: None}
         self.tops: dict = {}  # id -> {frame that may top its stack: None}
-        self.eb: set = set()  # ids with a balanced path from the initial one
+        self.eb: set = set()  # ids with a balanced path from a root
         self.push_into: dict = {}  # id -> [(push source id, frame)]
         self.pushes_by_frame: dict = {}  # frame -> [(source id, target id)]
         self.pops_at: dict = {}  # (source id, frame) -> {target id: None}
 
     def run(self) -> AnalysisResult:
-        self.init_id = self._ensure_node(self.init_state)
-        self.eb.add(self.init_id)
-        if self.dependent[self.init_id]:
-            self._enqueue((self.init_id, _HYP_EMPTY))
+        for root in self.roots:
+            rid = self._ensure_node(root)
+            self.root_ids.add(rid)
+            self.eb.add(rid)
+            if self.dependent[rid]:
+                self._enqueue((rid, _HYP_EMPTY))
         while self.worklist:
             if self._budget_exceeded():
                 break
@@ -398,26 +450,25 @@ class _PushdownEngine(_BaseEngine):
             self._enqueue((sid, _HYP_ANY))
         return sid
 
-    def _add_noop(self, src, dst_state):
-        dst = self._ensure_node(dst_state)
-        states = self.states
-        self.dsg.add_edge(Edge(states[src], NOOP, None, states[dst]))
+    def _add_noop(self, src, edge):
+        dst = self._ensure_node(edge.dst)
+        self.dsg.add_edge(edge)
         self._add_pair(src, dst)
 
-    def _add_push(self, src, frame, dst_state):
-        dst = self._ensure_node(dst_state)
-        states = self.states
-        if not self.dsg.add_edge(Edge(states[src], PUSH, frame, states[dst])):
+    def _add_push(self, src, edge):
+        dst = self._ensure_node(edge.dst)
+        if not self.dsg.add_edge(edge):
             return
+        frame = edge.frame
         self.push_into.setdefault(dst, []).append((src, frame))
         self.pushes_by_frame.setdefault(frame, []).append((src, dst))
         for y in [dst, *self.rfwd.get(dst, ())]:
             self._add_top(y, frame, src)
 
-    def _add_pop(self, src, frame, dst_state):
-        dst = self._ensure_node(dst_state)
-        states = self.states
-        self.dsg.add_edge(Edge(states[src], POP, frame, states[dst]))
+    def _add_pop(self, src, edge):
+        dst = self._ensure_node(edge.dst)
+        self.dsg.add_edge(edge)
+        frame = edge.frame
         targets = self.pops_at.setdefault((src, frame), {})
         if dst in targets:
             return
@@ -458,7 +509,7 @@ class _PushdownEngine(_BaseEngine):
     def _on_new_pair(self, x, y):
         for psrc, frame in self.push_into.get(x, ()):
             self._add_top(y, frame, psrc)
-        if x == self.init_id and y not in self.eb:
+        if x in self.root_ids and y not in self.eb:
             self.eb.add(y)
             if self.dependent[y]:
                 self._enqueue((y, _HYP_EMPTY))
@@ -469,30 +520,29 @@ class _PushdownEngine(_BaseEngine):
         sid, hyp = item
         state = self.states[sid]
         self.visits[sid] += 1
-        self.current_item = item
-        try:
-            if hyp is _HYP_ANY:
-                edges = machine.step_independent(
-                    self.program, state.pos, state.fp, self.store, self.taint,
-                    self.summaries, self.policy, self.recorder)
-                assert edges is not None
-                for e in edges:
-                    dst = ControlState(e.pos, e.fp)
-                    if e.kind == NOOP:
-                        self._add_noop(sid, dst)
-                    else:
-                        self._add_push(sid, e.frame, dst)
+        terminals, edges = self._effects(item, state, hyp, (state, hyp))
+        for kind in terminals:
+            self._terminal(state, kind)
+        for edge in edges:
+            if edge.kind == NOOP:
+                self._add_noop(sid, edge)
+            elif edge.kind == PUSH:
+                self._add_push(sid, edge)
             else:
-                top = None if hyp is _HYP_EMPTY else hyp
-                edges, terminals = machine.step_dependent(
-                    self.program, state.pos, state.fp, top,
-                    self.store, self.taint, self.policy)
-                for kind in terminals:
-                    self._terminal(state, kind)
-                for e in edges:
-                    self._add_pop(sid, e.frame, ControlState(e.pos, e.fp))
-        finally:
-            self.current_item = None
+                self._add_pop(sid, edge)
+
+    def _step(self, state: ControlState, hyp, recorder) -> tuple:
+        if hyp is _HYP_ANY:
+            steps = machine.step_independent(
+                self.program, state.pos, state.fp, self.store, self.taint,
+                self.summaries, self.policy, recorder)
+            assert steps is not None
+            return (), self._edges(state, steps)
+        top = None if hyp is _HYP_EMPTY else hyp
+        steps, terminals = machine.step_dependent(
+            self.program, state.pos, state.fp, top, self.store, self.taint,
+            self.policy)
+        return terminals, self._edges(state, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +590,6 @@ class FiniteShared:
         self.version += 1
         return True
 
-    def fingerprint(self) -> int:
-        return self.version
-
 
 def handler_regions(program: Program, method: MethodRef) -> dict:
     """Statically bracket push-handler/pop-handler pairs within a body.
@@ -557,7 +604,7 @@ def handler_regions(program: Program, method: MethodRef) -> dict:
     for i, st in enumerate(body):
         if isinstance(st, PushHandler):
             stack.append(i)
-        elif isinstance(st, PopHandler) and stack:
+        elif isinstance(st, PopHandler):
             lo = stack.pop()
             regions[i] = lo  # pop index -> push index
             regions[lo] = (lo, i)
@@ -567,11 +614,16 @@ def handler_regions(program: Program, method: MethodRef) -> dict:
 
 
 class _FiniteEngine(_BaseEngine):
-    def __init__(self, program, entry, init_store, init_taint, cfg, summaries,
-                 shared: FiniteShared | None, budget: Budget | None):
-        super().__init__(program, entry, init_store, init_taint, cfg, summaries,
-                         budget)
+    """Returns flow to every call edge recorded at the callee frame pointer;
+    a return in a root's frame is also a terminal one."""
+
+    def __init__(self, program, entries, init_store, init_taint, cfg,
+                 summaries, shared: FiniteShared | None, budget: Budget | None,
+                 memo: dict | None):
+        super().__init__(program, entries, init_store, init_taint, cfg,
+                         summaries, budget, memo)
         self.shared = shared if shared is not None else FiniteShared()
+        self.entry_fps = {root.fp for root in self.roots}
         self._regions_cache: dict = {}
         self._return_deps: dict = {}  # fp -> {state: None}
         self._throw_states: dict = {}
@@ -579,7 +631,8 @@ class _FiniteEngine(_BaseEngine):
         self._callgraph: dict = {}
 
     def run(self) -> AnalysisResult:
-        self._ensure_node(self.init_state)
+        for root in self.roots:
+            self._ensure_node(root)
         while self.worklist:
             if self._budget_exceeded():
                 break
@@ -631,42 +684,42 @@ class _FiniteEngine(_BaseEngine):
         return False
 
     def _process(self, item):
-        state, _hyp = item
+        state, hyp = item
         self.visit_counts[state] = self.visit_counts.get(state, 0) + 1
-        self.current_item = item
-        try:
-            st = self.program.stmt_at(state.pos)
-            if isinstance(st, Return):
-                self._process_return(state)
-            elif isinstance(st, Throw):
-                self._process_throw(state)
-            elif isinstance(st, PopHandler):
-                self._process_pop_handler(state)
-            else:
-                edges = machine.step_independent(
-                    self.program, state.pos, state.fp, self.store, self.taint,
-                    self.summaries, self.policy, self.recorder)
-                assert edges is not None
-                for e in edges:
-                    dst = ControlState(e.pos, e.fp)
-                    edge = Edge(state, e.kind, e.frame, dst)
-                    self._ensure_node(dst)
-                    self.dsg.add_edge(edge)
-                    if e.kind == PUSH:
-                        if isinstance(e.frame, FunFrame):
-                            if self.shared.add_call(dst.fp, state, e.frame):
-                                self._on_shared_growth(callee_fp=dst.fp)
-                        else:
-                            regions = self._regions(state.pos.method)
-                            region = regions.get(state.pos.index,
-                                                 (state.pos.index,
-                                                  len(self.program.methods[
-                                                      state.pos.method].body)))
-                            rec = HandlerRecord(e.frame, state, region)
-                            if self.shared.add_handler(rec):
-                                self._on_shared_growth()
-        finally:
-            self.current_item = None
+        terminals, edges = self._effects(
+            item, state, hyp, (state, state.fp in self.entry_fps))
+        for kind in terminals:
+            self._terminal(state, kind)
+        for edge in edges:
+            self._ensure_node(edge.dst)
+            self.dsg.add_edge(edge)
+            if edge.kind == PUSH and self.memo is None:
+                self._record_push(state, edge)
+
+    def _step(self, state: ControlState, hyp, recorder) -> tuple:
+        st = self.program.stmt_at(state.pos)
+        if isinstance(st, Return):
+            return self._step_return(state, st)
+        if isinstance(st, Throw):
+            return self._step_throw(state, st)
+        if isinstance(st, PopHandler):
+            return (), [self._pop_handler_edge(state)]
+        steps = machine.step_independent(
+            self.program, state.pos, state.fp, self.store, self.taint,
+            self.summaries, self.policy, recorder)
+        assert steps is not None
+        return (), self._edges(state, steps)
+
+    def _record_push(self, state: ControlState, edge: Edge):
+        """Add a call edge or handler record to ``shared``; a reporting
+        run reads them frozen."""
+        if isinstance(edge.frame, FunFrame):
+            if self.shared.add_call(edge.dst.fp, state, edge.frame):
+                self._on_shared_growth(callee_fp=edge.dst.fp)
+            return
+        region = self._regions(state.pos.method)[state.pos.index]
+        if self.shared.add_handler(HandlerRecord(edge.frame, state, region)):
+            self._on_shared_growth()
 
     def _on_shared_growth(self, callee_fp: FramePointer | None = None):
         # new call edges affect matching returns and every throw's scope;
@@ -678,41 +731,40 @@ class _FiniteEngine(_BaseEngine):
         items.extend((s, _HYP_ANY) for s in self._throw_states)
         self._enqueue_sorted(items)
 
-    def _process_return(self, state: ControlState):
+    def _step_return(self, state: ControlState, st: Return) -> tuple:
         self._return_deps.setdefault(state.fp, {})[state] = None
         program = self.program
-        st = program.stmt_at(state.pos)
         vals = machine.eval_atomic(program, st.exp, state.fp, self.store)
         if not vals:
-            return
+            return (), []
         taints = machine.eval_atomic_taint(st.exp, state.fp, self.taint)
-        if state.fp == self.fp0:
+        terminals = ()
+        if state.fp in self.entry_fps:
             self.store.join(RegAddr(state.fp, machine.RET_REG), vals)
             self.taint.join(RegAddr(state.fp, machine.RET_REG), taints)
-            self._terminal(state, TERMINAL_RETURN)
+            terminals = (TERMINAL_RETURN,)
         entries = sorted(self.shared.call_edges.get(state.fp, {}),
                          key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+        edges = []
         for _caller_state, frame in entries:
             self.store.join(RegAddr(frame.fp, machine.RET_REG), vals)
             self.taint.join(RegAddr(frame.fp, machine.RET_REG), taints)
-            dst = ControlState(frame.ret_pos, frame.fp)
-            edge = Edge(state, POP, frame, dst)
-            self._ensure_node(dst)
-            self.dsg.add_edge(edge)
+            edges.append(Edge(state, POP, frame,
+                              ControlState(frame.ret_pos, frame.fp)))
+        return terminals, edges
 
-    def _process_throw(self, state: ControlState):
+    def _step_throw(self, state: ControlState, st: Throw) -> tuple:
         self._throw_states[state] = None
         program = self.program
-        st = program.stmt_at(state.pos)
         vals = machine.eval_atomic(program, st.exp, state.fp, self.store)
         thrown = [v for v in vals if isinstance(v, machine.ObjectValue)]
         if not thrown:
-            return
+            return (), []
         taints = machine.eval_atomic_taint(st.exp, state.fp, self.taint)
         # without a stack the unwind may always escape
         self.store.join(RegAddr(state.fp, machine.EXN_REG), frozenset(thrown))
         self.taint.join(RegAddr(state.fp, machine.EXN_REG), taints)
-        self._terminal(state, TERMINAL_UNCAUGHT)
+        edges = []
         for rec in sorted(self.shared.handler_records,
                           key=lambda r: r.sort_key()):
             catchable = [v for v in thrown
@@ -721,25 +773,17 @@ class _FiniteEngine(_BaseEngine):
             if not catchable or not self._scope_allows(rec, state):
                 continue
             hpos = program.pos_of_label(rec.frame.owner, rec.frame.label)
-            dst = ControlState(hpos, state.fp)
-            edge = Edge(state, POP, rec.frame, dst)
-            self._ensure_node(dst)
-            self.dsg.add_edge(edge)
+            edges.append(Edge(state, POP, rec.frame,
+                              ControlState(hpos, state.fp)))
+        return (TERMINAL_UNCAUGHT,), edges
 
-    def _process_pop_handler(self, state: ControlState):
-        regions = self._regions(state.pos.method)
-        push_idx = regions.get(state.pos.index)
-        if not isinstance(push_idx, int):
-            raise MalformedState(
-                f"unmatched pop-handler at {state.pos.method.sig()}"
-                f"@{state.pos.index}")
+    def _pop_handler_edge(self, state: ControlState) -> Edge:
+        push_idx = self._regions(state.pos.method)[state.pos.index]
         push_stmt = self.program.methods[state.pos.method].body[push_idx]
         frame = HandlerFrame(push_stmt.class_name, push_stmt.label,
                              state.pos.method)
-        dst = ControlState(self.program.advance(state.pos), state.fp)
-        edge = Edge(state, POP, frame, dst)
-        self._ensure_node(dst)
-        self.dsg.add_edge(edge)
+        return Edge(state, POP, frame,
+                    ControlState(self.program.advance(state.pos), state.fp))
 
 
 # ---------------------------------------------------------------------------
@@ -747,39 +791,54 @@ class _FiniteEngine(_BaseEngine):
 # ---------------------------------------------------------------------------
 
 
-def analyze_pushdown(program: Program, entry: MethodRef, init_store: Store,
+def _entries(entry) -> tuple:
+    return entry if isinstance(entry, tuple) else (entry,)
+
+
+def analyze_pushdown(program: Program, entry, init_store: Store,
                      init_taint: TaintStore, cfg: AnalysisConfig,
                      summaries: SummaryTable | None = None,
-                     budget: Budget | None = None) -> AnalysisResult:
+                     budget: Budget | None = None,
+                     memo: dict | None = None) -> AnalysisResult:
     cfg = replace(cfg, mode=PUSHDOWN)
-    engine = _PushdownEngine(program, entry, init_store, init_taint, cfg,
-                             summaries or SummaryTable([]), budget)
+    engine = _PushdownEngine(program, _entries(entry), init_store, init_taint,
+                             cfg, summaries or SummaryTable([]), budget, memo)
     return engine.run()
 
 
-def analyze_finite(program: Program, entry: MethodRef, init_store: Store,
+def analyze_finite(program: Program, entry, init_store: Store,
                    init_taint: TaintStore, cfg: AnalysisConfig,
                    summaries: SummaryTable | None = None,
                    shared: FiniteShared | None = None,
-                   budget: Budget | None = None) -> AnalysisResult:
+                   budget: Budget | None = None,
+                   memo: dict | None = None) -> AnalysisResult:
     cfg = replace(cfg, mode=FINITE)
-    engine = _FiniteEngine(program, entry, init_store, init_taint, cfg,
-                           summaries or SummaryTable([]), shared, budget)
+    engine = _FiniteEngine(program, _entries(entry), init_store, init_taint,
+                           cfg, summaries or SummaryTable([]), shared, budget,
+                           memo)
     return engine.run()
 
 
-def analyze(program: Program, entry: MethodRef, init_store: Store,
+def analyze(program: Program, entry, init_store: Store,
             init_taint: TaintStore, cfg: AnalysisConfig,
             summaries: SummaryTable | None = None,
             shared: FiniteShared | None = None,
-            budget: Budget | None = None) -> AnalysisResult:
-    """Run the engine ``cfg.mode`` names. Without a ``budget`` the run
-    gets its own, so ``cfg``'s limits bound this run alone."""
+            budget: Budget | None = None,
+            memo: dict | None = None) -> AnalysisResult:
+    """Run the engine ``cfg.mode`` names from ``entry``, a method or a
+    tuple of methods.
+
+    A tuple makes one run whose roots are every method's initial state; its
+    result's ``entry`` and ``initial_state`` are the first root's. Without
+    a ``budget`` the run gets its own, so ``cfg``'s limits bound this run
+    alone. A ``memo`` dict makes a reporting run (see ``_BaseEngine``):
+    share one only between runs from one store pair that no run grows.
+    """
     if cfg.mode == FINITE:
         return analyze_finite(program, entry, init_store, init_taint, cfg,
-                              summaries, shared, budget)
+                              summaries, shared, budget, memo)
     return analyze_pushdown(program, entry, init_store, init_taint, cfg,
-                            summaries, budget)
+                            summaries, budget, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Entry-point discovery and saturation tests."""
 
+import inspect
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +17,22 @@ from pdcfa.eps import (
     saturate_app,
 )
 from pdcfa.ir import MethodRef, parse_program
-from pdcfa import reach
-from pdcfa.machine import AbstractInt, AmbientSite, FieldAddr, ObjectPointer
+from pdcfa import machine, reach
+from pdcfa.machine import (
+    AbstractInt,
+    AmbientSite,
+    FieldAddr,
+    ObjectPointer,
+    RegAddr,
+    Store,
+)
 from pdcfa.reach import AnalysisConfig
-from pdcfa.taint import TaintVal, parse_summaries, extract_findings
+from pdcfa.taint import TaintStore, TaintVal, parse_summaries, extract_findings
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SHIPPED = sorted(p.name for p in (Path(__file__).parent / "corpus" /
+                                  "bundles").iterdir()
+                 if (p / "manifest.json").is_file())
 
 SUMMARIES = parse_summaries("""
 summary test/Api getSecret role=source:Location ret=any-string perms=
@@ -107,25 +122,26 @@ def test_reader_before_writer_still_sees_taint():
     assert {f.trigger.entry_point for f in findings} == {"leakIt"}
 
 
-def test_every_entry_point_runs_once_per_sweep(monkeypatch):
-    """One flat schedule: each sweep runs each entry point exactly once, so
-    no entry point runs more often than the sweep count."""
+def test_one_fixpoint_run_then_each_entry_point_once(monkeypatch):
+    """One app-wide run with every entry point as a root, then one
+    reporting run per entry point, in declared order."""
     program = parse_program(SHARED_FIELD)
     cfg = AnalysisConfig(k=1)
-    runs: dict = {}
+    runs: list = []
     analyze = reach.analyze
 
     def counted(program, entry, *args, **kwargs):
-        runs[entry.method_name] = runs.get(entry.method_name, 0) + 1
+        entries = entry if isinstance(entry, tuple) else (entry,)
+        runs.append(tuple(e.method_name for e in entries))
         return analyze(program, entry, *args, **kwargs)
 
     monkeypatch.setattr(reach, "analyze", counted)
     units = [_unit("R", "leakIt", "writeOne"), _unit("W", "writeTwo",
                                                      "taintIt")]
+    order = ("leakIt", "writeOne", "writeTwo", "taintIt")
     _s, _t, trace = saturate_app(program, units, cfg, SUMMARIES)
-    assert trace.global_rounds >= 3  # the reader sees taint one sweep late
-    assert runs == {m: trace.global_rounds for m in
-                    ("leakIt", "writeOne", "writeTwo", "taintIt")}
+    assert runs == [order] + [(m,) for m in order]
+    assert trace.global_rounds == 2
     findings = extract_findings(trace.final_results())
     assert {f.trigger.entry_point for f in findings} == {"leakIt"}
 
@@ -192,3 +208,122 @@ def test_empty_units_rejected():
     program = parse_program(SHARED_FIELD)
     with pytest.raises(EmptyUnit):
         saturate_app(program, [], AnalysisConfig(k=1), SUMMARIES)
+
+
+def test_reporting_run_that_grows_the_store_is_an_internal_error(
+        monkeypatch):
+    program = parse_program(SHARED_FIELD)
+    analyze = reach.analyze
+
+    def growing(*args, **kwargs):
+        result = analyze(*args, **kwargs)
+        if inspect.signature(analyze).bind(*args, **kwargs).arguments.get(
+                "memo") is not None:
+            result.final_store.join(RegAddr(result.initial_state.fp, "extra"),
+                                    {AbstractInt(3)})
+        return result
+
+    monkeypatch.setattr(reach, "analyze", growing)
+    with pytest.raises(RuntimeError, match="grew the saturated store"):
+        saturate_app(program, [_unit("U", "writeOne")], AnalysisConfig(k=1),
+                     SUMMARIES)
+
+
+# -- the app-wide fixpoint run and the memoised reporting runs ---------------
+
+
+def _sweep_reference(program, units, cfg, summaries) -> tuple:
+    """The store pair of a schedule: run every entry point in declared
+    order, each from the pair the previous run left, until a sweep of them
+    grows nothing."""
+    store, taint = Store(), TaintStore()
+    shared = reach.FiniteShared() if cfg.mode == reach.FINITE else None
+
+    def size():
+        return (store.fingerprint(), taint.fingerprint(),
+                shared.version if shared is not None else 0)
+
+    while True:
+        before = size()
+        for unit in units:
+            for ep in unit.entry_points:
+                machine.seed_entry_bindings(program, ep.method_ref, store,
+                                            taint)
+                result = reach.analyze(program, ep.method_ref, store, taint,
+                                       cfg, summaries, shared)
+                store, taint = result.final_store, result.final_taint
+        if size() == before:
+            return store, taint
+
+
+def _result_parts(result) -> tuple:
+    dsg = result.dsg
+    return (list(dsg.nodes), list(dsg.edges), list(dsg.epsilon_summaries),
+            list(result.visit_counts.items()), list(result.terminals.items()),
+            result.applications)
+
+
+def _check_saturation(monkeypatch, program, units, cfg, summaries):
+    calls = []  # (bound arguments, result) of every engine run
+    analyze = reach.analyze
+
+    def recorded(*args, **kwargs):
+        result = analyze(*args, **kwargs)
+        bound = inspect.signature(analyze).bind(*args, **kwargs)
+        calls.append((bound.arguments, result))
+        return result
+
+    monkeypatch.setattr(reach, "analyze", recorded)
+    store, taint, trace = saturate_app(program, units, cfg, summaries)
+    monkeypatch.setattr(reach, "analyze", analyze)
+    assert trace.complete
+
+    (_fix_args, fixpoint), reporting = calls[0], calls[1:]
+    ref_store, ref_taint = _sweep_reference(program, units, cfg, summaries)
+    assert fixpoint.final_store.canonical_text() == ref_store.canonical_text()
+    assert fixpoint.final_taint.canonical_text() == ref_taint.canonical_text()
+
+    saturated = (fixpoint.final_store.fingerprint(),
+                 fixpoint.final_taint.fingerprint())
+    assert (store.fingerprint(), taint.fingerprint()) == saturated
+    assert len(reporting) == sum(len(u.entry_points) for u in units)
+    for args, result in reporting:
+        assert args["memo"] is not None
+        assert (result.final_store.fingerprint(),
+                result.final_taint.fingerprint()) == saturated
+        plain = analyze(args["program"], args["entry"], args["init_store"],
+                        args["init_taint"], args["cfg"], args["summaries"],
+                        args.get("shared"))
+        assert _result_parts(result) == _result_parts(plain), \
+            args["entry"].sig()
+    assert trace.final_results() == [r for _a, r in reporting]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_saturation_equals_sweeps_and_memo_equals_plain_runs(
+        bundles_dir, monkeypatch, name, mode, k):
+    """The fixpoint run's store pair equals the one repeated sweeps reach;
+    each memoised reporting run equals a plain run from the same pair; no
+    reporting run grows the pair."""
+    bundle = load_bundle(bundles_dir / name)
+    units = discover_entry_points(bundle, bundle.program)
+    _check_saturation(monkeypatch, bundle.program, units,
+                      AnalysisConfig(mode=mode, k=k), bundle.summaries)
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+def test_saturation_equals_sweeps_on_generated_bundle(tmp_path, monkeypatch,
+                                                      mode):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    ref = json.loads((BENCH / "reference.json").read_text(
+        encoding="utf-8"))["finite-witness"]
+    root = synth.generate(synth.Shape.parse(ref["shape"]),
+                          ref["seed"]).write(tmp_path / "bundle")
+    bundle = load_bundle(root)
+    units = discover_entry_points(bundle, bundle.program)
+    _check_saturation(monkeypatch, bundle.program, units,
+                      AnalysisConfig(mode=mode, k=ref["k"]), bundle.summaries)
