@@ -10,7 +10,7 @@ Run:  python3 demos/engine_precision.py
 
 from pdcfa.ir import MethodRef, parse_program
 from pdcfa.machine import Store, seed_entry_bindings
-from pdcfa.reach import AnalysisConfig, analyze_finite, analyze_pushdown
+from pdcfa.reach import AnalysisConfig, analyze
 from pdcfa.taint import TaintStore, parse_summaries
 
 SOURCE = """
@@ -45,13 +45,12 @@ SUMMARIES = parse_summaries(
 ENTRY = MethodRef("Main", "run", ())
 
 
-def analyze(mode: str):
+def run(mode: str):
     program = parse_program(SOURCE)
     cfg = AnalysisConfig(mode=mode, k=1)
     store, taint = Store(), TaintStore()
     seed_entry_bindings(program, ENTRY, store, taint)
-    runner = analyze_pushdown if mode == "pushdown" else analyze_finite
-    return program, runner(program, ENTRY, store, taint, cfg, SUMMARIES)
+    return program, analyze(program, ENTRY, store, taint, cfg, SUMMARIES)
 
 
 def handler_states(program, result, label):
@@ -61,7 +60,7 @@ def handler_states(program, result, label):
 
 if __name__ == "__main__":
     for mode in ("pushdown", "finite"):
-        program, result = analyze(mode)
+        program, result = run(mode)
         print(f"== {mode} engine (k=1) ==")
         print(f"  control states: {len(result.dsg.nodes)}")
         for label in ("first-catch", "second-catch"):

@@ -8,9 +8,7 @@ from .machine import AllocPolicy, Store, seed_entry_bindings  # noqa: F401
 from .reach import (  # noqa: F401
     AnalysisConfig,
     AnalysisResult,
-    analyze_finite,
-    analyze_pushdown,
-    reconstruct_path,
+    analyze,
 )
 from .eps import discover_entry_points, saturate_app  # noqa: F401
 from .taint import (  # noqa: F401
@@ -36,8 +34,7 @@ __all__ = [
     "SummaryTable",
     "TaintStore",
     "TaintVal",
-    "analyze_finite",
-    "analyze_pushdown",
+    "analyze",
     "build_permission_report",
     "collect_permissions",
     "discover_entry_points",
@@ -45,7 +42,6 @@ __all__ = [
     "load_summaries",
     "parse_program",
     "parse_summaries",
-    "reconstruct_path",
     "run_concrete",
     "saturate_app",
     "seed_entry_bindings",

@@ -179,7 +179,7 @@ def _analyze(bundle: AppBundle, cfg: AnalysisConfig, budget: Budget,
     directory is made only once every report is built."""
     _store, _taint, trace = eps.saturate_app(
         bundle.program, units, cfg, bundle.summaries, budget=budget)
-    results = trace.final_results()
+    results = trace.results
     findings = extract_findings(results)
     collected = perms_mod.collect_permissions(results)
     preport = perms_mod.build_permission_report(

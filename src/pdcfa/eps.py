@@ -54,21 +54,19 @@ class Unit:
 
 @dataclass
 class SaturationTrace:
-    results: dict  # (unit name, entry label) -> reporting-run AnalysisResult
+    results: list  # reporting-run AnalysisResults, in declared entry order
     # 2 when the fixpoint run grew the seeded store pair, 1 when it did not
     global_rounds: int
     complete: bool = True
     limit_reason: str | None = None
-
-    def final_results(self) -> list:
-        return list(self.results.values())
 
 
 def discover_entry_points(bundle, program: Program) -> list:
     """Units and entry points exactly as the bundle manifest declares them.
 
     The manifest stands in for layout/bytecode scanning; declarations are
-    validated against the parsed program.
+    validated against the parsed program. Entry points of one unit may share
+    a method name, in different classes, but not repeat a method.
     """
     units = []
     for u in bundle.manifest["units"]:
@@ -78,6 +76,9 @@ def discover_entry_points(bundle, program: Program) -> list:
                             tuple(e.get("paramTypes", [])))
             if ref not in program.methods:
                 raise UnknownMethod(f"entry point {ref.sig()} not in program")
+            if any(ep.method_ref == ref for ep in eps):
+                raise ValueError(f"unit {u['name']} declares entry point "
+                                 f"{ref.sig()} twice")
             category = e.get("category", "ui-handler")
             source = e.get("registrationSource", "manifest")
             if category not in ENTRY_CATEGORIES:
@@ -105,8 +106,8 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
     """One app-wide fixpoint run, then one reporting run per entry point.
 
     Returns (store, taint, trace): the saturated store pair, and each entry
-    point's reporting-run result. Optional seeds support re-running
-    saturation from its own output (a fixpoint check).
+    point's reporting-run result, in declared order. Optional seeds support
+    re-running saturation from its own output (a fixpoint check).
 
     ``cfg.max_seconds`` and ``cfg.max_states`` bound the whole saturation:
     every engine run shares one deadline and one running count of the
@@ -135,15 +136,15 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
     rounds = 1 if saturated == seeded else 2
     if not fixpoint.complete:
         return store, taint, SaturationTrace(
-            {}, rounds, complete=False, limit_reason=fixpoint.limit_reason)
+            [], rounds, complete=False, limit_reason=fixpoint.limit_reason)
 
     memo: dict = {}  # worklist item -> its effects, for this saturation only
-    results: dict = {}
+    results: list = []
     for unit, ep in entries:
         result = reach.analyze(program, ep.method_ref, store, taint, cfg,
                                summaries, shared, budget, memo)
         result.trigger = TriggerContext(unit.name, ep.label())
-        results[(unit.name, ep.label())] = result
+        results.append(result)
         if (result.final_store.fingerprint(),
                 result.final_taint.fingerprint()) != saturated:
             raise RuntimeError(f"the reporting run of {unit.name}."

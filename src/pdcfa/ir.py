@@ -314,13 +314,26 @@ class Program:
         self.classes: dict[str, ClassDef] = classes
         self.methods: dict[MethodRef, MethodDef] = {}
         self.label_table: dict[tuple, int] = {}
+        # method -> {push-handler or pop-handler index: (push index, index of
+        # the matching pop-handler or the body's length)}; a pop-handler with
+        # no open push-handler is left out, and the validator rejects it
+        self.handler_spans: dict[MethodRef, dict[int, tuple]] = {}
         self._line_cache: dict[tuple, int] = {}
         for cdef in classes.values():
             for mdef in cdef.methods:
                 self.methods[mdef.ref] = mdef
+                spans = self.handler_spans[mdef.ref] = {}
+                open_pushes: list[int] = []
                 for i, st in enumerate(mdef.body):
                     if isinstance(st, Label):
                         self.label_table[(mdef.ref, st.name)] = i + 1
+                    elif isinstance(st, PushHandler):
+                        open_pushes.append(i)
+                    elif isinstance(st, PopHandler) and open_pushes:
+                        lo = open_pushes.pop()
+                        spans[lo] = spans[i] = (lo, i)
+                for lo in open_pushes:
+                    spans[lo] = (lo, len(mdef.body))
 
     # -- hierarchy ---------------------------------------------------------
 
@@ -376,21 +389,11 @@ class Program:
 
     # -- statement addressing -------------------------------------------------
 
-    def statements_at(self, m: MethodRef, label: str) -> tuple:
-        """Suffix of m's body beginning at the statement following Label(label)."""
-        key = (m, label)
-        if key not in self.label_table:
-            raise UnknownLabel(f"{m.sig()}:{label}")
-        return self.methods[m].body[self.label_table[key]:]
-
     def pos_of_label(self, m: MethodRef, label: str) -> StmtPos:
         key = (m, label)
         if key not in self.label_table:
             raise UnknownLabel(f"{m.sig()}:{label}")
         return StmtPos(m, self.label_table[key])
-
-    def entry_pos(self, m: MethodRef) -> StmtPos:
-        return StmtPos(m, 0)
 
     def stmt_at(self, pos: StmtPos):
         """Statement at pos, or None past the end of the body.
@@ -847,24 +850,23 @@ def _validate_method(program: Program, cdef: ClassDef, mdef: MethodDef) -> None:
     if rt != "void" and rt not in PRIMITIVE_TYPES and not program.is_declared(rt):
         raise ParseError(f"method {where} has undeclared return type {rt}")
     labels: dict = {}  # label -> index
-    # index -> index of the innermost open push-handler, or None; bracketed
-    # as reach.handler_regions does, a pop-handler inside the region it closes
-    regions: list = []
-    open_pushes: list = []
+    spans = program.handler_spans[mdef.ref]
     for i, st in enumerate(mdef.body):
         if isinstance(st, Label):
             if st.name in labels:
                 raise ParseError(f"duplicate label {st.name} in {where}",
                                  st.pos.line, st.pos.col)
             labels[st.name] = i
-        regions.append(open_pushes[-1] if open_pushes else None)
-        if isinstance(st, PushHandler):
-            open_pushes.append(i)
-        elif isinstance(st, PopHandler):
-            if not open_pushes:
-                raise ParseError(f"pop-handler without an open push-handler "
-                                 f"in {where}", st.pos.line, st.pos.col)
-            open_pushes.pop()
+        elif isinstance(st, PopHandler) and i not in spans:
+            raise ParseError(f"pop-handler without an open push-handler "
+                             f"in {where}", st.pos.line, st.pos.col)
+
+    def region(i):
+        """The push index of the innermost handler region holding index i
+        (a pop-handler lies in the region it closes), or None."""
+        return max((lo for lo, hi in spans.values() if lo < i <= hi),
+                   default=None)
+
     regs: set[str] = set()
     for i, st in enumerate(mdef.body):
         target = None
@@ -876,7 +878,7 @@ def _validate_method(program: Program, cdef: ClassDef, mdef: MethodDef) -> None:
         if target is not None and target not in labels:
             raise ParseError(f"dangling label {target} in {where}",
                              st.pos.line, st.pos.col)
-        if isinstance(st, (Goto, If)) and regions[labels[target]] != regions[i]:
+        if isinstance(st, (Goto, If)) and region(labels[target]) != region(i):
             raise ParseError(f"branch to {target} enters or leaves a handler "
                              f"region in {where}", st.pos.line, st.pos.col)
         classes: list = []  # classes the statement names

@@ -3,9 +3,10 @@
 States pair a statement position with a frame pointer; the value and taint
 stores are global join-semilattices that only ever grow (no strong updates).
 The continuation stack is left unbounded; the reachability engines decide how
-to treat it. ``step`` transitions a configuration carrying an explicit stack,
-while the engine-facing ``step_independent``/``step_dependent`` split exposes
-each rule as stack actions (noop / push / pop) against a top-frame hypothesis.
+to treat it. No state carries a stack: ``step_independent`` steps the
+statements that ignore it, and ``step_dependent`` steps return, throw and
+pop-handler against a hypothesis about the top frame (a frame, or an empty
+stack). Both give their successors as stack actions (noop / push / pop).
 
 All step functions are pure apart from joins into the supplied stores; joins
 are commutative and idempotent, so evaluating disjoint worklist items in any
@@ -515,14 +516,6 @@ TERMINAL_RETURN = "return"
 TERMINAL_UNCAUGHT = "uncaught-exception"
 
 
-class NullRecorder:
-    def summary_applied(self, pos, fp, summary, sink_hits, arg_taint):
-        pass
-
-
-_NULL_RECORDER = NullRecorder()
-
-
 def _summary_chain(program: Program, class_name: str):
     if program.is_declared(class_name):
         return list(program.superclass_chain(class_name))
@@ -653,12 +646,12 @@ def _invoke_edges(program, pos, fp, inv: Invoke, store, taint_store,
 def step_independent(program: Program, pos: StmtPos, fp: FramePointer,
                      store: Store, taint_store: taint_mod.TaintStore,
                      summaries: taint_mod.SummaryTable,
-                     policy: AllocPolicy,
-                     recorder=_NULL_RECORDER) -> list | None:
+                     policy: AllocPolicy, recorder) -> list | None:
     """Successor edges for statements whose behavior ignores the stack.
 
     Returns None for Return/Throw/PopHandler, which need a top-frame
     hypothesis (see step_dependent). An empty list means the path is stuck.
+    ``recorder.summary_applied`` is called for each API summary applied.
     """
     st = program.stmt_at(pos)
     if st is None:
@@ -795,57 +788,6 @@ def step_dependent(program: Program, pos: StmtPos, fp: FramePointer,
                     f"pop-handler over {what} at {pos.method.sig()}@{pos.index}")
             return [StepEdge(POP, top, program.advance(pos), fp)], []
     raise TypeError(f"not a stack-dependent statement: {st!r}")
-
-
-# ---------------------------------------------------------------------------
-# Explicit-stack configurations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AbstractConfig:
-    pos: StmtPos
-    fp: FramePointer
-    store: Store
-    taint_store: taint_mod.TaintStore
-    kont: tuple = ()
-
-
-def inject(program: Program, entry: MethodRef, store: Store,
-           taint_store: taint_mod.TaintStore) -> AbstractConfig:
-    """Inject a method entry into a configuration with an empty stack."""
-    if entry not in program.methods:
-        raise ResolveError(f"unknown entry {entry.sig()}")
-    return AbstractConfig(StmtPos(entry, 0), frame_pointer_zero(entry),
-                          store, taint_store, ())
-
-
-def step(program: Program, config: AbstractConfig,
-         summaries: taint_mod.SummaryTable,
-         policy: AllocPolicy = AllocPolicy(),
-         recorder=_NULL_RECORDER) -> list:
-    """One transition of an explicit-stack configuration.
-
-    Terminal configurations (empty-stack return, uncaught throw) have no
-    successors. The value/taint stores are mutated by joins only.
-    """
-    store, taints = config.store, config.taint_store
-    edges = step_independent(program, config.pos, config.fp, store, taints,
-                             summaries, policy, recorder)
-    if edges is None:
-        top = config.kont[0] if config.kont else None
-        edges, _terminals = step_dependent(program, config.pos, config.fp,
-                                           top, store, taints, policy)
-    out = []
-    for e in edges:
-        if e.kind == PUSH:
-            kont = (e.frame,) + config.kont
-        elif e.kind == POP:
-            kont = config.kont[1:]
-        else:
-            kont = config.kont
-        out.append(AbstractConfig(e.pos, e.fp, store, taints, kont))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .reach import _result_items
-
 
 @dataclass(frozen=True)
 class PermissionReport:
@@ -18,11 +16,11 @@ class PermissionReport:
 
 
 def collect_permissions(results) -> list:
-    """Permissions attached to every summary application reached during
-    analysis, paired with the applying control state."""
+    """Permissions attached to every summary application in a list of
+    results, paired with the applying control state."""
     seen = set()
     out = []
-    for res in _result_items(results):
+    for res in results:
         for app in res.applications:
             for perm in app.permissions:
                 key = (perm, app.state)

@@ -1,12 +1,13 @@
 """Reachability engines over the abstract machine.
 
-Two engines share the machine's transition rules and differ only in how the
-continuation stack is treated:
+``analyze`` starts every engine run; ``AnalysisConfig.mode`` picks the
+engine. The two engines share the machine's transition rules and differ only
+in how the continuation stack is treated:
 
-* ``analyze_pushdown`` keeps the stack exact: it builds a Dyck state graph
+* ``pushdown`` keeps the stack exact: it builds a Dyck state graph
   whose edges carry stack actions, maintaining epsilon summaries so a pop is
   propagated to exactly the push sites with a balanced path to it.
-* ``analyze_finite`` finitizes the stack in the traditional way: returns flow
+* ``finite`` finitizes the stack in the traditional way: returns flow
   to every continuation merged at the same context key (the callee frame
   pointer), and throws link to every recorded handler whose guarded region
   can reach the throwing method, so it computes a superset of the pushdown
@@ -24,14 +25,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import machine
 from .ir import (
     MethodRef,
     PopHandler,
     Program,
-    PushHandler,
     Return,
     StmtPos,
     Throw,
@@ -199,13 +199,6 @@ class Budget:
         self.states_used = 0
 
 
-def _result_items(results) -> list:
-    """Normalize one AnalysisResult or an iterable of them to a list."""
-    if isinstance(results, AnalysisResult):
-        return [results]
-    return list(results)
-
-
 class _Recorder:
     def __init__(self, program: Program):
         self.program = program
@@ -236,19 +229,6 @@ class _Recorder:
 
 _HYP_ANY = "<any>"
 _HYP_EMPTY = "<empty>"
-
-
-def _hyp_key(hyp):
-    if hyp is _HYP_ANY:
-        return (0,)
-    if hyp is _HYP_EMPTY:
-        return (1,)
-    return (2, hyp.sort_key())
-
-
-def _item_key(item):
-    state, hyp = item
-    return (state.sort_key(), _hyp_key(hyp))
 
 
 class _CallLog:
@@ -320,10 +300,6 @@ class _BaseEngine:
             self.pending.add(item)
             self.worklist.append(item)
 
-    def _enqueue_sorted(self, items):
-        for item in sorted(items, key=_item_key):
-            self._enqueue(item)
-
     def _budget_exceeded(self) -> bool:
         budget = self.budget
         if budget.states_used + len(self.dsg.nodes) > budget.max_states:
@@ -336,20 +312,20 @@ class _BaseEngine:
             return True
         return False
 
-    def _effects(self, item, state: ControlState, hyp, key) -> tuple:
+    def _effects(self, item, key) -> tuple:
         """(terminal kinds, edges) of one worklist item, stepped or, in a
         reporting run, replayed from the memo under ``key``."""
         memo = self.memo
         if memo is None:
             self.current_item = item
             try:
-                return self._step(state, hyp, self.recorder)
+                return self._step(item, self.recorder)
             finally:
                 self.current_item = None
         effects = memo.get(key)
         if effects is None:
             log = _CallLog()
-            effects = memo[key] = (log.calls, *self._step(state, hyp, log))
+            effects = memo[key] = (log.calls, *self._step(item, log))
         calls, terminals, edges = effects
         for args in calls:
             self.recorder.summary_applied(*args)
@@ -364,12 +340,12 @@ class _BaseEngine:
         kinds.add(kind)
         self.terminals[state] = tuple(sorted(kinds))
 
-    def _result(self, mode: str) -> AnalysisResult:
+    def _result(self) -> AnalysisResult:
         self.store.on_read = self.store.on_grow = None
         self.taint.on_read = self.taint.on_grow = None
         self.budget.states_used += len(self.dsg.nodes)
         return AnalysisResult(
-            mode=mode,
+            mode=self.cfg.mode,
             entry=self.entry,
             initial_state=self.init_state,
             dsg=self.dsg,
@@ -424,11 +400,11 @@ class _PushdownEngine(_BaseEngine):
             item = self.worklist.pop()
             self.pending.discard(item)
             self._process(item)
-        return self._result(PUSHDOWN)
+        return self._result()
 
-    def _result(self, mode: str) -> AnalysisResult:
+    def _result(self) -> AnalysisResult:
         self.visit_counts = dict(zip(self.states, self.visits))
-        return super()._result(mode)
+        return super()._result()
 
     # graph construction ---------------------------------------------------
 
@@ -520,7 +496,7 @@ class _PushdownEngine(_BaseEngine):
         sid, hyp = item
         state = self.states[sid]
         self.visits[sid] += 1
-        terminals, edges = self._effects(item, state, hyp, (state, hyp))
+        terminals, edges = self._effects(item, (state, hyp))
         for kind in terminals:
             self._terminal(state, kind)
         for edge in edges:
@@ -531,7 +507,9 @@ class _PushdownEngine(_BaseEngine):
             else:
                 self._add_pop(sid, edge)
 
-    def _step(self, state: ControlState, hyp, recorder) -> tuple:
+    def _step(self, item, recorder) -> tuple:
+        sid, hyp = item
+        state = self.states[sid]
         if hyp is _HYP_ANY:
             steps = machine.step_independent(
                 self.program, state.pos, state.fp, self.store, self.taint,
@@ -561,11 +539,11 @@ class HandlerRecord:
 
 
 class FiniteShared:
-    """Flow facts of the finite engine, threaded across saturation runs.
+    """Flow facts of the finite engine: call edges and handler records.
 
-    A finite-state analyzer keeps one application-wide flow graph; threading
-    call edges and handler records through saturation the same way the store
-    is threaded reproduces that regime.
+    A finite-state analyzer keeps one application-wide flow graph. The
+    app-wide fixpoint run of saturation builds these facts, as it builds the
+    store pair; the reporting runs read them frozen.
     """
 
     def __init__(self):
@@ -591,31 +569,10 @@ class FiniteShared:
         return True
 
 
-def handler_regions(program: Program, method: MethodRef) -> dict:
-    """Statically bracket push-handler/pop-handler pairs within a body.
-
-    Returns push index -> (push index, matching pop index or body end).
-    The analyses rely on no branch entering or leaving a region;
-    ``ir.parse_program`` rejects programs where one does.
-    """
-    body = program.methods[method].body
-    regions: dict = {}
-    stack: list[int] = []
-    for i, st in enumerate(body):
-        if isinstance(st, PushHandler):
-            stack.append(i)
-        elif isinstance(st, PopHandler):
-            lo = stack.pop()
-            regions[i] = lo  # pop index -> push index
-            regions[lo] = (lo, i)
-    for lo in stack:
-        regions[lo] = (lo, len(body))
-    return regions
-
-
 class _FiniteEngine(_BaseEngine):
     """Returns flow to every call edge recorded at the callee frame pointer;
-    a return in a root's frame is also a terminal one."""
+    a return in a root's frame is also a terminal one. Worklist items are
+    bare control states: no step needs a stack hypothesis."""
 
     def __init__(self, program, entries, init_store, init_taint, cfg,
                  summaries, shared: FiniteShared | None, budget: Budget | None,
@@ -624,7 +581,6 @@ class _FiniteEngine(_BaseEngine):
                          summaries, budget, memo)
         self.shared = shared if shared is not None else FiniteShared()
         self.entry_fps = {root.fp for root in self.roots}
-        self._regions_cache: dict = {}
         self._return_deps: dict = {}  # fp -> {state: None}
         self._throw_states: dict = {}
         self._callgraph_version = -1
@@ -639,18 +595,13 @@ class _FiniteEngine(_BaseEngine):
             item = self.worklist.pop()
             self.pending.discard(item)
             self._process(item)
-        return self._result(FINITE)
+        return self._result()
 
     def _ensure_node(self, state: ControlState):
         if not self.dsg.add_node(state):
             return
         self.visit_counts.setdefault(state, 0)
-        self._enqueue((state, _HYP_ANY))
-
-    def _regions(self, method: MethodRef) -> dict:
-        if method not in self._regions_cache:
-            self._regions_cache[method] = handler_regions(self.program, method)
-        return self._regions_cache[method]
+        self._enqueue(state)
 
     def _callees_by_method(self) -> dict:
         if self._callgraph_version == self.shared.version:
@@ -683,11 +634,10 @@ class _FiniteEngine(_BaseEngine):
             frontier.extend(callee for _idx, callee in graph.get(m, []))
         return False
 
-    def _process(self, item):
-        state, hyp = item
+    def _process(self, state: ControlState):
         self.visit_counts[state] = self.visit_counts.get(state, 0) + 1
         terminals, edges = self._effects(
-            item, state, hyp, (state, state.fp in self.entry_fps))
+            state, (state, state.fp in self.entry_fps))
         for kind in terminals:
             self._terminal(state, kind)
         for edge in edges:
@@ -696,7 +646,7 @@ class _FiniteEngine(_BaseEngine):
             if edge.kind == PUSH and self.memo is None:
                 self._record_push(state, edge)
 
-    def _step(self, state: ControlState, hyp, recorder) -> tuple:
+    def _step(self, state: ControlState, recorder) -> tuple:
         st = self.program.stmt_at(state.pos)
         if isinstance(st, Return):
             return self._step_return(state, st)
@@ -717,19 +667,19 @@ class _FiniteEngine(_BaseEngine):
             if self.shared.add_call(edge.dst.fp, state, edge.frame):
                 self._on_shared_growth(callee_fp=edge.dst.fp)
             return
-        region = self._regions(state.pos.method)[state.pos.index]
+        region = self.program.handler_spans[state.pos.method][state.pos.index]
         if self.shared.add_handler(HandlerRecord(edge.frame, state, region)):
             self._on_shared_growth()
 
     def _on_shared_growth(self, callee_fp: FramePointer | None = None):
         # new call edges affect matching returns and every throw's scope;
         # new handler records affect every throw
-        items = []
+        states = []
         if callee_fp is not None:
-            items.extend((s, _HYP_ANY) for s in
-                         self._return_deps.get(callee_fp, {}))
-        items.extend((s, _HYP_ANY) for s in self._throw_states)
-        self._enqueue_sorted(items)
+            states.extend(self._return_deps.get(callee_fp, {}))
+        states.extend(self._throw_states)
+        for state in sorted(states, key=ControlState.sort_key):
+            self._enqueue(state)
 
     def _step_return(self, state: ControlState, st: Return) -> tuple:
         self._return_deps.setdefault(state.fp, {})[state] = None
@@ -778,45 +728,17 @@ class _FiniteEngine(_BaseEngine):
         return (TERMINAL_UNCAUGHT,), edges
 
     def _pop_handler_edge(self, state: ControlState) -> Edge:
-        push_idx = self._regions(state.pos.method)[state.pos.index]
-        push_stmt = self.program.methods[state.pos.method].body[push_idx]
-        frame = HandlerFrame(push_stmt.class_name, push_stmt.label,
-                             state.pos.method)
+        method, program = state.pos.method, self.program
+        push_idx, _ = program.handler_spans[method][state.pos.index]
+        push_stmt = program.methods[method].body[push_idx]
+        frame = HandlerFrame(push_stmt.class_name, push_stmt.label, method)
         return Edge(state, POP, frame,
-                    ControlState(self.program.advance(state.pos), state.fp))
+                    ControlState(program.advance(state.pos), state.fp))
 
 
 # ---------------------------------------------------------------------------
-# Public entry points
+# Public entry point
 # ---------------------------------------------------------------------------
-
-
-def _entries(entry) -> tuple:
-    return entry if isinstance(entry, tuple) else (entry,)
-
-
-def analyze_pushdown(program: Program, entry, init_store: Store,
-                     init_taint: TaintStore, cfg: AnalysisConfig,
-                     summaries: SummaryTable | None = None,
-                     budget: Budget | None = None,
-                     memo: dict | None = None) -> AnalysisResult:
-    cfg = replace(cfg, mode=PUSHDOWN)
-    engine = _PushdownEngine(program, _entries(entry), init_store, init_taint,
-                             cfg, summaries or SummaryTable([]), budget, memo)
-    return engine.run()
-
-
-def analyze_finite(program: Program, entry, init_store: Store,
-                   init_taint: TaintStore, cfg: AnalysisConfig,
-                   summaries: SummaryTable | None = None,
-                   shared: FiniteShared | None = None,
-                   budget: Budget | None = None,
-                   memo: dict | None = None) -> AnalysisResult:
-    cfg = replace(cfg, mode=FINITE)
-    engine = _FiniteEngine(program, _entries(entry), init_store, init_taint,
-                           cfg, summaries or SummaryTable([]), shared, budget,
-                           memo)
-    return engine.run()
 
 
 def analyze(program: Program, entry, init_store: Store,
@@ -833,12 +755,18 @@ def analyze(program: Program, entry, init_store: Store,
     a ``budget`` the run gets its own, so ``cfg``'s limits bound this run
     alone. A ``memo`` dict makes a reporting run (see ``_BaseEngine``):
     share one only between runs from one store pair that no run grows.
+    ``shared`` carries the finite engine's flow facts between runs; the
+    pushdown engine needs none.
     """
+    entries = entry if isinstance(entry, tuple) else (entry,)
+    summaries = summaries or SummaryTable([])
     if cfg.mode == FINITE:
-        return analyze_finite(program, entry, init_store, init_taint, cfg,
-                              summaries, shared, budget, memo)
-    return analyze_pushdown(program, entry, init_store, init_taint, cfg,
-                            summaries, budget, memo)
+        engine = _FiniteEngine(program, entries, init_store, init_taint, cfg,
+                               summaries, shared, budget, memo)
+    else:
+        engine = _PushdownEngine(program, entries, init_store, init_taint,
+                                 cfg, summaries, budget, memo)
+    return engine.run()
 
 
 # ---------------------------------------------------------------------------
@@ -879,14 +807,6 @@ def reconstruct_path_steps(result: AnalysisResult, frm: ControlState,
         if trees is not None:
             trees[key] = tree
     return tree.steps_to(to)
-
-
-def reconstruct_path(result: AnalysisResult, frm: ControlState,
-                     to: ControlState) -> list | None:
-    steps = reconstruct_path_steps(result, frm, to)
-    if steps is None:
-        return None
-    return [frm] + [s.dst for s in steps]
 
 
 class _Tree:

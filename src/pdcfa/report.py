@@ -18,7 +18,7 @@ from importlib import resources
 
 from .ir import StmtPos
 from .permissions import PermissionReport
-from .reach import NOOP, POP, PUSH, _result_items
+from .reach import NOOP, POP, PUSH
 from .taint import TaintVal
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z]+)\s*\(\s*([^()]*)\s*\)\s*")
@@ -195,11 +195,12 @@ def emit_permission_report(preport: PermissionReport, program,
 
 
 def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:
-    """Visit counts aggregated per method and per statement, descending."""
+    """Visit counts over a list of results, aggregated per method and per
+    statement, descending."""
     meta = meta or {}
     per_stmt: dict = {}
     per_method: dict = {}
-    for res in _result_items(results):
+    for res in results:
         for state, count in res.visit_counts.items():
             if count == 0:  # discovered but unprocessed (budget break)
                 continue
@@ -235,7 +236,7 @@ def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:
 def _merge_graph(results):
     nodes: dict = {}
     edges: dict = {}
-    for res in _result_items(results):
+    for res in results:
         for n in res.dsg.nodes:
             nodes[n] = None
         for e in res.dsg.edges:
@@ -248,12 +249,13 @@ def _dot_quote(text: str) -> str:
 
 
 def export_graph(results, findings, program) -> str:
-    """The reachable control-state graph in DOT, sources/sinks and witness
-    paths highlighted; stack actions label the edges (push / pop / ε)."""
+    """The reachable control-state graph of a list of results in DOT,
+    sources/sinks and witness paths highlighted; stack actions label the
+    edges (push / pop / ε)."""
     nodes, edges = _merge_graph(results)
     source_states = set()
     sink_states = set()
-    for res in _result_items(results):
+    for res in results:
         for app in res.applications:
             if app.source_categories:
                 source_states.add(app.state)

@@ -308,8 +308,8 @@ class TaintFinding:
 def extract_findings(results) -> list:
     """Build deduplicated, deterministically ordered findings.
 
-    ``results`` is one AnalysisResult or the final-round result collection
-    from saturation. Source applications are pooled across all results so
+    ``results`` is a list of AnalysisResults, such as saturation's
+    reporting-run results. Source applications are pooled across all results so
     that flows crossing entry points (through saturated field addresses)
     still name their introducing source. A within-result witness is the
     stack-respecting path from source to sink; for cross-entry flows it is
@@ -320,12 +320,9 @@ def extract_findings(results) -> list:
     rest. Witness paths are read from one BFS tree per (result, source
     state), shared by every finding and dropped on return.
     """
-    from .reach import _result_items
-
-    items = _result_items(results)
     sources = []  # (category, state, line, result)
     seen_sources = set()
-    for res in items:
+    for res in results:
         for app in res.source_applications():
             for cat in app.source_categories:
                 key = (cat, app.state)
@@ -337,7 +334,7 @@ def extract_findings(results) -> list:
 
     findings: dict = {}
     trees: dict = {}  # one BFS tree per (result, source state)
-    for res in items:
+    for res in results:
         trigger = res.trigger
         for app in res.sink_applications():
             sink_pos = app.state.pos.sort_key()

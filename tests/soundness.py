@@ -9,7 +9,7 @@ from pdcfa.concrete import (
 )
 from pdcfa.ir import MethodRef, Program, parse_program
 from pdcfa.machine import Store, seed_entry_bindings
-from pdcfa.reach import AnalysisConfig, AnalysisResult, ControlState, analyze_pushdown
+from pdcfa.reach import AnalysisConfig, AnalysisResult, ControlState, analyze
 from pdcfa.taint import SummaryTable, TaintStore, parse_summaries
 
 
@@ -17,8 +17,8 @@ def analyze_seeded(program: Program, entry: MethodRef, cfg: AnalysisConfig,
                    summaries: SummaryTable | None = None) -> AnalysisResult:
     store, taint = Store(), TaintStore()
     seed_entry_bindings(program, entry, store, taint)
-    return analyze_pushdown(program, entry, store, taint, cfg,
-                            summaries or SummaryTable([]))
+    return analyze(program, entry, store, taint, cfg,
+                   summaries or SummaryTable([]))
 
 
 def check_containment(program: Program, run: ConcreteRun,

@@ -17,8 +17,7 @@ from pdcfa.ir import parse_program
 from pdcfa.machine import Store, seed_entry_bindings
 from pdcfa.reach import (
     AnalysisConfig,
-    analyze_finite,
-    analyze_pushdown,
+    analyze,
     replay_stack_actions,
 )
 from pdcfa.taint import TaintStore, TaintVal, extract_findings, parse_summaries
@@ -39,7 +38,7 @@ def _saturate_bundle(bundles_dir, name, mode, k):
     cfg = AnalysisConfig(mode=mode, k=k)
     store, taint, trace = saturate_app(bundle.program, units, cfg,
                                        bundle.summaries)
-    return bundle, trace, extract_findings(trace.final_results())
+    return bundle, trace, extract_findings(trace.results)
 
 
 def test_criterion_1_exception_precision(bundles_dir):
@@ -128,11 +127,11 @@ def test_criterion_3_pushdown_subset_of_finite():
         cfg_p = AnalysisConfig(k=k)
         store, taint = Store(), TaintStore()
         seed_entry_bindings(program, RUN, store, taint)
-        push = analyze_pushdown(program, RUN, store, taint, cfg_p, TABLE)
+        push = analyze(program, RUN, store, taint, cfg_p, TABLE)
         store2, taint2 = Store(), TaintStore()
         seed_entry_bindings(program, RUN, store2, taint2)
-        fin = analyze_finite(program, RUN, store2, taint2,
-                             AnalysisConfig(mode="finite", k=k), TABLE)
+        fin = analyze(program, RUN, store2, taint2,
+                      AnalysisConfig(mode="finite", k=k), TABLE)
         return push.node_set(), fin.node_set()
 
     for name, (src, _o, _r) in sorted(MICRO_PROGRAMS.items()):
@@ -170,7 +169,7 @@ def test_criterion_4_eps_order_insensitivity(bundles_dir):
             store, taint, trace = saturate_app(
                 bundle.program, list(perm), cfg, bundle.summaries)
             runs += 1
-            findings = extract_findings(trace.final_results())
+            findings = extract_findings(trace.results)
             hit = any(f.category is TaintVal.LOCATION
                       and f.sink_kind == "network"
                       and f.sink_state.pos.method.method_name == "onMessage"
@@ -252,12 +251,7 @@ def test_criterion_6_lattice_and_instrumentation():
                 cfg = AnalysisConfig(mode=mode, k=1)
                 store, taint = Store(), TaintStore()
                 seed_entry_bindings(program, RUN, store, taint)
-                if mode == "pushdown":
-                    res = analyze_pushdown(program, RUN, store, taint, cfg,
-                                           TABLE)
-                else:
-                    res = analyze_finite(program, RUN, store, taint, cfg,
-                                         TABLE)
+                res = analyze(program, RUN, store, taint, cfg, TABLE)
                 if not res.complete:
                     failures.append(f"{name} ({mode}): hit budget")
                 applied = set()

@@ -210,6 +210,21 @@ def test_nested_unknown_class_exits_two_at_parse_time(bundles_dir, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_entry_point_declared_twice_in_one_unit_exits_two(
+        bundles_dir, tmp_path, capsys):
+    bundle = tmp_path / "twice"
+    shutil.copytree(bundles_dir / "perm_over", bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    (unit,) = manifest["units"]
+    unit["entryPoints"] *= 2
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["--bundle", str(bundle), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert ("unit AppUnit declares entry point po/App.onStart() twice"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 GOTO_INTO_REGION = (
     "     (goto inside)\n"
     "     (push-handler java/lang/Exception catch)\n"

@@ -117,7 +117,7 @@ def test_reader_before_writer_still_sees_taint():
     cfg = AnalysisConfig(k=1)
     unit = _unit("U", "leakIt", "taintIt")
     _store, _taint, trace = saturate_app(program, [unit], cfg, SUMMARIES)
-    findings = extract_findings(trace.final_results())
+    findings = extract_findings(trace.results)
     assert any(f.category == TaintVal.LOCATION for f in findings)
     assert {f.trigger.entry_point for f in findings} == {"leakIt"}
 
@@ -142,7 +142,7 @@ def test_one_fixpoint_run_then_each_entry_point_once(monkeypatch):
     _s, _t, trace = saturate_app(program, units, cfg, SUMMARIES)
     assert runs == [order] + [(m,) for m in order]
     assert trace.global_rounds == 2
-    findings = extract_findings(trace.final_results())
+    findings = extract_findings(trace.results)
     assert {f.trigger.entry_point for f in findings} == {"leakIt"}
 
 
@@ -153,7 +153,7 @@ def test_cross_unit_flow_in_both_orders():
     reader = _unit("R", "leakIt")
     for units in ([writer, reader], [reader, writer]):
         _s, _t, trace = saturate_app(program, list(units), cfg, SUMMARIES)
-        findings = extract_findings(trace.final_results())
+        findings = extract_findings(trace.results)
         assert any(f.category == TaintVal.LOCATION
                    and f.sink_kind == "network" for f in findings), \
             [u.name for u in units]
@@ -196,12 +196,48 @@ def test_coverage_superset_of_single_entry_point():
     both = _unit("U", "taintIt", "leakIt")
     _s, _t, trace = saturate_app(program, [both], cfg, SUMMARIES)
     all_findings = {(f.category, f.sink_state.pos) for f in
-                    extract_findings(trace.final_results())}
+                    extract_findings(trace.results)}
     solo = _unit("U", "leakIt")
     _s2, _t2, solo_trace = saturate_app(program, [solo], cfg, SUMMARIES)
     solo_findings = {(f.category, f.sink_state.pos) for f in
-                     extract_findings(solo_trace.final_results())}
+                     extract_findings(solo_trace.results)}
     assert solo_findings <= all_findings
+
+
+SAME_NAME = """
+(public class java/lang/String extends java/lang/Object () ())
+(public class app/A extends java/lang/Object ()
+  ((method public onClick () void (throws) (limit 3)
+     (assign v (invoke-static test/Api->getSecret () ()))
+     (assign r (invoke-static test/Api->send (v) (java/lang/String)))
+     (return void))))
+(public class app/B extends java/lang/Object ()
+  ((method public onClick () void (throws) (limit 3)
+     (assign v (invoke-static test/Api->getDeviceId () ()))
+     (assign r (invoke-static test/Api->send (v) (java/lang/String)))
+     (return void))))
+"""
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+def test_entry_points_sharing_a_method_name_in_one_unit_both_report(mode):
+    program = parse_program(SAME_NAME)
+    summaries = parse_summaries("""
+summary test/Api getSecret role=source:Location ret=any-string perms=
+summary test/Api getDeviceId role=source:DeviceID ret=any-string perms=
+summary test/Api send role=sink:network ret=void perms=INTERNET
+""")
+    refs = (MethodRef("app/A", "onClick", ()),
+            MethodRef("app/B", "onClick", ()))
+    unit = Unit("U", "activity", tuple(EntryPoint(r, "ui-handler", "layout")
+                                       for r in refs))
+    _s, _t, trace = saturate_app(program, [unit],
+                                 AnalysisConfig(mode=mode, k=1), summaries)
+    assert [r.entry for r in trace.results] == list(refs)
+    flows = {(f.category, f.sink_state.pos.method.class_name)
+             for f in extract_findings(trace.results)}
+    assert flows == {(TaintVal.LOCATION, "app/A"),
+                     (TaintVal.DEVICE_ID, "app/B")}
 
 
 def test_empty_units_rejected():
@@ -296,7 +332,7 @@ def _check_saturation(monkeypatch, program, units, cfg, summaries):
                         args.get("shared"))
         assert _result_parts(result) == _result_parts(plain), \
             args["entry"].sig()
-    assert trace.final_results() == [r for _a, r in reporting]
+    assert trace.results == [r for _a, r in reporting]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

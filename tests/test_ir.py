@@ -9,7 +9,6 @@ from pdcfa.ir import (
     ParseError,
     ResolveError,
     Return,
-    UnknownLabel,
     parse_program,
     program_to_text,
 )
@@ -162,43 +161,27 @@ def test_comments_and_positions():
     assert ret.pos.line == 5
 
 
-# -- statement addressing ---------------------------------------------------
+# -- handler regions ----------------------------------------------------------
 
 
-def test_statements_at_suffix():
+def test_handler_spans_bracket_nested_and_open_regions():
     p = parse_program("""
+(public class java/lang/Exception extends java/lang/Object () ())
 (public class A extends java/lang/Object ()
   ((method public m () void (throws) (limit 1)
-     (label x)
+     (push-handler java/lang/Exception h)
+     (push-handler java/lang/Exception h)
      (nop)
+     (pop-handler)
+     (pop-handler)
+     (push-handler java/lang/Exception h)
+     (return void)
+     (label h)
      (return void))))
 """)
-    m = MethodRef("A", "m", ())
-    suffix = p.statements_at(m, "x")
-    assert isinstance(suffix[0], Nop)
-    assert isinstance(suffix[1], Return)
-
-
-def test_statements_at_unknown_label():
-    p = parse_program(MINI + """
-(public class C extends java/lang/Object ()
-  ((method public m () void (throws) (limit 1) (return void))))
-""")
-    with pytest.raises(UnknownLabel):
-        p.statements_at(MethodRef("C", "m", ()), "absent")
-
-
-def test_statements_at_self_loop():
-    p = parse_program("""
-(public class A extends java/lang/Object ()
-  ((method public m () void (throws) (limit 1)
-     (nop)
-     (label y)
-     (goto y))))
-""")
-    suffix = p.statements_at(MethodRef("A", "m", ()), "y")
-    assert len(suffix) == 1
-    assert suffix[0].label == "y"
+    # each push maps to (push, its pop or the body end); each pop to its push
+    assert p.handler_spans[MethodRef("A", "m", ())] == {
+        0: (0, 4), 4: (0, 4), 1: (1, 3), 3: (1, 3), 5: (5, 9)}
 
 
 # -- resolution and subtyping -------------------------------------------------

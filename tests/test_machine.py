@@ -13,7 +13,6 @@ from pdcfa.ir import (
     MethodRef,
     Name,
     NullLit,
-    ResolveError,
     StmtPos,
     parse_program,
 )
@@ -25,7 +24,6 @@ from pdcfa.machine import (
     AbstractInt,
     AbstractString,
     AllocPolicy,
-    AbstractConfig,
     FALSE,
     FieldAddr,
     FramePointer,
@@ -36,6 +34,7 @@ from pdcfa.machine import (
     NULL,
     ObjectPointer,
     ObjectValue,
+    POP,
     PUSH,
     RegAddr,
     Store,
@@ -46,10 +45,9 @@ from pdcfa.machine import (
     eval_atomic,
     eval_field,
     frame_pointer_zero,
-    inject,
     normalize_vals,
     seed_entry_bindings,
-    step,
+    step_dependent,
 )
 from pdcfa.reach import ControlState, Edge
 from pdcfa.taint import SummaryTable, TaintStore, TaintVal
@@ -164,34 +162,6 @@ def test_eval_field_null_receiver_is_stuck():
     assert eval_field(p, Name("o"), f, store, "f") == frozenset()
 
 
-# -- inject -------------------------------------------------------------------
-
-
-def test_inject_empty_store():
-    p = parse_program(HIER)
-    entry = MethodRef("Main", "run", ())
-    cfg = inject(p, entry, Store(), TaintStore())
-    assert cfg.pos == StmtPos(entry, 0)
-    assert cfg.fp == frame_pointer_zero(entry)
-    assert cfg.kont == ()
-    assert dict(cfg.store.items()) == {}
-
-
-def test_inject_preserves_given_store():
-    p = parse_program(HIER)
-    entry = MethodRef("Main", "run", ())
-    store = Store()
-    store.join(RegAddr(fp(), "x"), {AbstractInt(3)})
-    cfg = inject(p, entry, store, TaintStore())
-    assert cfg.store.lookup(RegAddr(fp(), "x")) == {AbstractInt(3)}
-
-
-def test_inject_unknown_entry():
-    p = parse_program(HIER)
-    with pytest.raises(ResolveError):
-        inject(p, MethodRef("Main", "ghost", ()), Store(), TaintStore())
-
-
 # -- allocation policies --------------------------------------------------------
 
 
@@ -238,7 +208,7 @@ def test_alloc_op_heap_context():
         == (StmtPos(m, 3),)
 
 
-# -- explicit-stack stepping ---------------------------------------------------
+# -- stack-dependent stepping -------------------------------------------------
 
 
 THROWY = """
@@ -256,34 +226,35 @@ THROWY = """
 """
 
 
-def _config_at(p, method, index, kont=()):
-    entry = MethodRef("Main", method, ())
-    store, taint = Store(), TaintStore()
-    return AbstractConfig(StmtPos(entry, index), frame_pointer_zero(entry),
-                          store, taint, kont)
+def _step(p, pos, f, top, store=None):
+    """step_dependent with ``top`` on the stack, in fresh stores unless
+    ``store`` is given; returns the successor edges."""
+    edges, _terminals = step_dependent(p, pos, f, top, store or Store(),
+                                       TaintStore(), AllocPolicy())
+    return edges
 
 
 def test_step_return_under_handler_pops_and_retries():
     p = parse_program(THROWY)
-    m = MethodRef("Main", "give", ())
+    give = MethodRef("Main", "give", ())
     h = HandlerFrame("Fault", "h", MethodRef("Main", "run", ()))
-    cfg = _config_at(p, "give", 0, kont=(h,))
-    (succ,) = step(p, cfg, EMPTY)
-    assert succ.pos == cfg.pos  # same return statement
-    assert succ.kont == ()
+    pos = StmtPos(give, 0)
+    (succ,) = _step(p, pos, frame_pointer_zero(give), h)
+    assert succ.pos == pos  # same return statement
+    assert succ.kind == POP and succ.frame == h
 
 
 def test_step_throw_matching_handler_by_subclass():
     p = parse_program(THROWY)
     run = MethodRef("Main", "run", ())
-    store, taint = Store(), TaintStore()
+    store = Store()
     f = frame_pointer_zero(run)
     op = ObjectPointer(StmtPos(run, 0))
     store.join(RegAddr(f, "e"), {ObjectValue(op, "Fault")})
     h = HandlerFrame("java/lang/Exception", "h", run)
-    cfg = AbstractConfig(StmtPos(run, 1), f, store, taint, (h,))
-    (succ,) = step(p, cfg, EMPTY)
+    (succ,) = _step(p, StmtPos(run, 1), f, h, store)
     assert succ.pos == p.pos_of_label(run, "h")
+    assert succ.kind == POP and succ.frame == h
     assert store.lookup(RegAddr(f, "exn")) == {ObjectValue(op, "Fault")}
 
 
@@ -301,19 +272,20 @@ def test_step_throw_two_frame_unwind_matches_oracle():
 
     run = MethodRef("Main", "run", ())
     boom = MethodRef("Main", "boom", ())
-    store, taint = Store(), TaintStore()
+    store = Store()
     f_boom = FramePointer(boom, (StmtPos(run, 1),))
     op = ObjectPointer(StmtPos(boom, 0))
     store.join(RegAddr(f_boom, "e"), {ObjectValue(op, "Fault")})
     fun = FunFrame(frame_pointer_zero(run), StmtPos(run, 1, at_move=True))
     handler = HandlerFrame("java/lang/Exception", "catch", run)
-    cfg = AbstractConfig(StmtPos(boom, 1), f_boom, store, taint,
-                         (fun, handler))
-    (after_fun,) = step(p, cfg, EMPTY)
-    assert after_fun.pos == cfg.pos and after_fun.kont == (handler,)
-    (after_handler,) = step(p, after_fun, EMPTY)
+    # the stack is (fun, handler), fun on top
+    pos = StmtPos(boom, 1)
+    (after_fun,) = _step(p, pos, f_boom, fun, store)
+    assert after_fun.pos == pos
+    assert after_fun.kind == POP and after_fun.frame == fun
+    (after_handler,) = _step(p, after_fun.pos, after_fun.fp, handler, store)
     assert after_handler.pos == p.pos_of_label(run, "catch")
-    assert after_handler.kont == ()
+    assert after_handler.kind == POP and after_handler.frame == handler
 
 
 def test_step_uncatchable_class_keeps_unwinding():
@@ -321,15 +293,15 @@ def test_step_uncatchable_class_keeps_unwinding():
 (public class Unrelated extends java/lang/Object () ())
 """)
     run = MethodRef("Main", "run", ())
-    store, taint = Store(), TaintStore()
+    store = Store()
     f = frame_pointer_zero(run)
     op = ObjectPointer(StmtPos(run, 0))
     store.join(RegAddr(f, "e"), {ObjectValue(op, "Fault")})
     h = HandlerFrame("Unrelated", "h", run)
-    cfg = AbstractConfig(StmtPos(run, 1), f, store, taint, (h,))
-    (succ,) = step(p, cfg, EMPTY)
-    assert succ.pos == cfg.pos  # still throwing
-    assert succ.kont == ()
+    pos = StmtPos(run, 1)
+    (succ,) = _step(p, pos, f, h, store)
+    assert succ.pos == pos  # still throwing
+    assert succ.kind == POP and succ.frame == h
 
 
 def test_step_pop_handler_over_fun_frame_is_malformed():
@@ -345,13 +317,11 @@ def test_step_pop_handler_over_fun_frame_is_malformed():
 """)
     run = MethodRef("Main", "run", ())
     fun = FunFrame(frame_pointer_zero(run), StmtPos(run, 0, at_move=True))
-    cfg = AbstractConfig(StmtPos(run, 1), frame_pointer_zero(run),
-                         Store(), TaintStore(), (fun,))
+    pos = StmtPos(run, 1)
     with pytest.raises(MalformedState):
-        step(p, cfg, EMPTY)
+        _step(p, pos, frame_pointer_zero(run), fun)
     with pytest.raises(MalformedState):
-        step(p, AbstractConfig(StmtPos(run, 1), frame_pointer_zero(run),
-                               Store(), TaintStore(), ()), EMPTY)
+        _step(p, pos, frame_pointer_zero(run), None)
 
 
 def test_seed_entry_bindings_shares_per_class_receiver():

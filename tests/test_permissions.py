@@ -25,7 +25,7 @@ def test_no_api_calls_collects_nothing():
   ((method public run () int (throws) (limit 1)
      (return 0))))
 """)
-    assert collect_permissions(res) == []
+    assert collect_permissions([res]) == []
 
 
 def test_reachable_api_collects_its_permission():
@@ -36,7 +36,7 @@ def test_reachable_api_collects_its_permission():
      (assign c (invoke-static net/Http->open () ()))
      (return 0))))
 """)
-    collected = collect_permissions(res)
+    collected = collect_permissions([res])
     assert [(p, line) for p, _s, line in collected] == [("INTERNET", 3)]
 
 
@@ -55,7 +55,7 @@ def test_api_in_unreachable_code_not_collected():
 """)
     dead = MethodRef("Main", "deadCode", ())
     assert all(s.pos.method != dead for s in res.dsg.nodes)
-    perms = {p for p, _s, _l in collect_permissions(res)}
+    perms = {p for p, _s, _l in collect_permissions([res])}
     assert perms == {"INTERNET"}
 
 
@@ -91,7 +91,7 @@ def test_every_reached_permission_has_evidence():
      (assign z (invoke-static tel/Sms->send () ()))
      (return 0))))
 """)
-    report = build_permission_report({"INTERNET"}, collect_permissions(res))
+    report = build_permission_report({"INTERNET"}, collect_permissions([res]))
     for perm in report.reached:
         assert report.evidence[perm]
 
@@ -104,7 +104,7 @@ def _evidence():
      (assign c (invoke-static net/Http->open () ()))
      (return 0))))
 """)
-    return [(s, line) for _p, s, line in collect_permissions(res)]
+    return [(s, line) for _p, s, line in collect_permissions([res])]
 
 
 def test_monotone_in_analysis_result():
@@ -121,6 +121,6 @@ def test_monotone_in_analysis_result():
     res_small = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
     res_more = analyze_seeded(program, MethodRef("Main", "more", ()),
                               AnalysisConfig(k=1), TABLE)
-    small = {p for p, _s, _l in collect_permissions(res_small)}
+    small = {p for p, _s, _l in collect_permissions([res_small])}
     both = {p for p, _s, _l in collect_permissions([res_small, res_more])}
     assert small <= both

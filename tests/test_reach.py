@@ -28,9 +28,7 @@ from pdcfa.reach import (
     DyckStateGraph,
     Edge,
     PathStep,
-    analyze_finite,
-    analyze_pushdown,
-    reconstruct_path,
+    analyze,
     reconstruct_path_steps,
     replay_stack_actions,
 )
@@ -55,14 +53,14 @@ def _pushdown(src, entry=RUN, k=1, table=TABLE):
     program = parse_program(src)
     cfg = AnalysisConfig(k=k)
     store, taint = _seeded(program, entry, cfg)
-    return program, analyze_pushdown(program, entry, store, taint, cfg, table)
+    return program, analyze(program, entry, store, taint, cfg, table)
 
 
 def _finite(src, entry=RUN, k=1, table=TABLE):
     program = parse_program(src)
     cfg = AnalysisConfig(mode="finite", k=k)
     store, taint = _seeded(program, entry, cfg)
-    return program, analyze_finite(program, entry, store, taint, cfg, table)
+    return program, analyze(program, entry, store, taint, cfg, table)
 
 
 def test_single_return_terminal():
@@ -231,9 +229,9 @@ def test_fixpoint_rerun_is_stable():
     program = parse_program(src)
     cfg = AnalysisConfig(k=1)
     store, taint = _seeded(program, RUN, cfg)
-    first = analyze_pushdown(program, RUN, store, taint, cfg, TABLE)
-    second = analyze_pushdown(program, RUN, first.final_store,
-                              first.final_taint, cfg, TABLE)
+    first = analyze(program, RUN, store, taint, cfg, TABLE)
+    second = analyze(program, RUN, first.final_store,
+                     first.final_taint, cfg, TABLE)
     assert first.final_store.canonical_text() \
         == second.final_store.canonical_text()
     assert first.node_set() == second.node_set()
@@ -267,7 +265,7 @@ def test_resource_limit_flags_incomplete():
     program = parse_program(src)
     cfg = AnalysisConfig(k=1, max_states=3)
     store, taint = _seeded(program, RUN, cfg)
-    res = analyze_pushdown(program, RUN, store, taint, cfg, EMPTY)
+    res = analyze(program, RUN, store, taint, cfg, EMPTY)
     assert not res.complete
     assert res.limit_reason == "max-states"
 
@@ -278,7 +276,7 @@ def test_resource_limit_flags_incomplete():
 def test_path_from_equals_to():
     _p, res = _pushdown(MICRO_PROGRAMS["arith_add"][0], table=EMPTY)
     s = res.initial_state
-    assert reconstruct_path(res, s, s) == [s]
+    assert reconstruct_path_steps(res, s, s) == []
 
 
 def test_path_simple_noop_chain():
@@ -286,8 +284,9 @@ def test_path_simple_noop_chain():
     nodes = sorted(res.dsg.nodes, key=lambda n: n.sort_key())
     start = res.initial_state
     end = [n for n in nodes if n.pos.index == 3][0]
-    path = reconstruct_path(res, start, end)
-    assert path is not None
+    steps = reconstruct_path_steps(res, start, end)
+    assert steps is not None
+    path = [start, *(step.dst for step in steps)]
     assert path[0] == start and path[-1] == end
     assert len(path) == 4
 
@@ -297,7 +296,7 @@ def test_path_unreachable_is_none():
     start = res.initial_state
     dead = ControlState(StmtPos(RUN, 2), frame_pointer_zero(RUN))
     assert dead not in res.dsg.nodes                 # dead code never explored
-    assert reconstruct_path(res, start, dead) is None
+    assert reconstruct_path_steps(res, start, dead) is None
 
 
 def test_path_through_push_and_callee_summary():
@@ -421,7 +420,7 @@ def _saturated_results(bundles_dir, name, mode, k=1):
     _s, _t, trace = eps.saturate_app(bundle.program, units,
                                      AnalysisConfig(mode=mode, k=k),
                                      bundle.summaries)
-    return trace.final_results()
+    return trace.results
 
 
 def _naive_closure(dsg) -> tuple:

@@ -44,7 +44,7 @@ FLOWY = """
 def _findings_and_result():
     program = parse_program(FLOWY)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    return program, res, extract_findings(res)
+    return program, res, extract_findings([res])
 
 
 # -- predicates ---------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_flow_report_schema_and_hints():
 
 def test_permission_report_schema():
     program, res, _f = _findings_and_result()
-    report = build_permission_report({"SEND_SMS"}, collect_permissions(res))
+    report = build_permission_report({"SEND_SMS"}, collect_permissions([res]))
     doc = emit_permission_report(report, program, META)
     validate_document(doc, "permissions_report")
     assert doc["overPrivileged"] == ["SEND_SMS"]
@@ -125,7 +125,7 @@ def test_heat_map_straight_line_counts_once():
     src, _o, _r = MICRO_PROGRAMS["arith_add"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    doc = emit_heat_map(res, program, META)
+    doc = emit_heat_map([res], program, META)
     validate_document(doc, "heatmap")
     counts = {(s["method"], s["index"]): s["visits"]
               for s in doc["statements"]}
@@ -136,7 +136,7 @@ def test_heat_map_loop_body_hotter_than_exit():
     src, _o, _r = MICRO_PROGRAMS["loop_counted"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    doc = emit_heat_map(res, program, META)
+    doc = emit_heat_map([res], program, META)
     by_index = {s["index"]: s["visits"] for s in doc["statements"]}
     # body: indexes 1-3 (label, add, if); exit: index 4 (return)
     assert by_index[2] > by_index[4]
@@ -150,7 +150,7 @@ def test_heat_map_excludes_unreachable_method():
      (return 1))""")
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    doc = emit_heat_map(res, program, META)
+    doc = emit_heat_map([res], program, META)
     assert all(m["method"] != "unreached" for m in doc["methods"])
 
 
@@ -158,7 +158,7 @@ def test_heat_map_top_n():
     src, _o, _r = MICRO_PROGRAMS["call_depth4"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    doc = emit_heat_map(res, program, META, top_n=3)
+    doc = emit_heat_map([res], program, META, top_n=3)
     assert len(doc["statements"]) == 3
 
 
@@ -169,7 +169,7 @@ def test_graph_plain_when_no_findings():
     src, _o, _r = MICRO_PROGRAMS["arith_add"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    dot = export_graph(res, [], program)
+    dot = export_graph([res], [], program)
     assert dot.startswith("digraph reachable_states {")
     assert 'witness="1"' not in dot
     assert dot.count("[label=") >= len(res.dsg.nodes)
@@ -177,7 +177,7 @@ def test_graph_plain_when_no_findings():
 
 def test_graph_node_count_matches():
     program, res, findings = _findings_and_result()
-    dot = export_graph(res, findings, program)
+    dot = export_graph([res], findings, program)
     node_lines = [l for l in dot.splitlines()
                   if re.match(r"  n\d+ \[label=", l)]
     assert len(node_lines) == len(res.dsg.nodes)
@@ -185,7 +185,7 @@ def test_graph_node_count_matches():
 
 def test_graph_highlights_exactly_witness_edges():
     program, res, findings = _findings_and_result()
-    dot = export_graph(res, findings, program)
+    dot = export_graph([res], findings, program)
     highlighted = [l for l in dot.splitlines() if 'witness="1"' in l]
     expected = set()
     for f in findings:
@@ -202,7 +202,7 @@ def test_graph_highlights_exactly_witness_edges():
 
 def test_graph_marks_sources_and_sinks():
     program, res, findings = _findings_and_result()
-    dot = export_graph(res, findings, program)
+    dot = export_graph([res], findings, program)
     assert "palegreen" in dot  # source style
     assert "lightcoral" in dot or "orange" in dot  # sink style
     assert "push" in dot or "ε" in dot

@@ -6,7 +6,7 @@ from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, PRELUDE, RUN
 from pdcfa.concrete import run_concrete
 from pdcfa.ir import parse_program
 from pdcfa.machine import ANY_INT, ANY_STRING, NULL, VOID
-from pdcfa.reach import AnalysisConfig, analyze_pushdown
+from pdcfa.reach import AnalysisConfig, analyze
 from pdcfa.taint import (
     ApiSummary,
     SummaryFormatError,
@@ -103,7 +103,7 @@ def test_no_sources_means_no_findings():
      (return 0))))
 """
     res = analyze_seeded(parse_program(src), RUN, AnalysisConfig(k=1), TABLE)
-    assert extract_findings(res) == []
+    assert extract_findings([res]) == []
 
 
 def test_finding_for_direct_flow():
@@ -117,7 +117,7 @@ def test_finding_for_direct_flow():
      (return 0))))
 """
     res = analyze_seeded(parse_program(src), RUN, AnalysisConfig(k=1), TABLE)
-    findings = extract_findings(res)
+    findings = extract_findings([res])
     assert len(findings) == 1
     f = findings[0]
     assert f.category == TaintVal.LOCATION
@@ -146,7 +146,7 @@ def test_taint_through_catch_of_tainted_exception_register():
      (return 0))))
 """
     res = analyze_seeded(parse_program(src), RUN, AnalysisConfig(k=1), TABLE)
-    findings = extract_findings(res)
+    findings = extract_findings([res])
     assert any(f.category == TaintVal.LOCATION and f.sink_kind == "log"
                for f in findings)
 
@@ -166,8 +166,8 @@ def test_taint_monotone_along_saturating_reruns():
     src, _o, _r = MICRO_PROGRAMS["taint_chain"]
     program = parse_program(src)
     res1 = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    res2 = analyze_pushdown(program, RUN, res1.final_store, res1.final_taint,
-                            AnalysisConfig(k=1), TABLE)
+    res2 = analyze(program, RUN, res1.final_store, res1.final_taint,
+                   AnalysisConfig(k=1), TABLE)
     before = dict(res1.final_taint.items())
     after = dict(res2.final_taint.items())
     for addr, taints in before.items():
@@ -181,7 +181,7 @@ def test_explicit_flow_completeness_against_oracle():
     program = parse_program(src)
     crun = run_concrete(program, RUN, fuel=5000, summaries=TABLE)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    findings = extract_findings(res)
+    findings = extract_findings([res])
     for app in crun.sink_hits:
         for cat, kind in app.sink_hits:
             assert any(f.category == cat and f.sink_kind == kind
@@ -195,7 +195,7 @@ def test_witnesses_are_stack_balanced():
     src, _o, _r = MICRO_PROGRAMS["taint_chain"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    findings = extract_findings(res)
+    findings = extract_findings([res])
     assert findings
     for f in findings:
         assert replay_stack_actions(f.witness_steps)
