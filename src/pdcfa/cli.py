@@ -2,8 +2,9 @@
 
 Exit codes: 0 completed with no findings, 1 completed with findings,
 2 usage or input error, 3 resource limit hit, 4 internal error (no reports
-written). ``PDCFA_LOG`` selects the log level. ``--mode`` is the only
-difference between the two engines' invocations; every other knob is shared.
+written); a stdout closed by its reader does not change them. ``PDCFA_LOG``
+selects the log level. ``--mode`` is the only difference between the two
+engines' invocations; every other knob is shared.
 """
 
 from __future__ import annotations
@@ -209,13 +210,28 @@ def _analyze(bundle: AppBundle, cfg: AnalysisConfig, budget: Budget,
     }
     (outdir / "run_meta.json").write_bytes(report_mod.to_json_bytes(run_meta))
 
-    print(report_mod.render_flow_report_text(flow_doc), end="")
-    print(report_mod.render_permissions_text(perm_doc), end="")
+    _print_summaries(report_mod.render_flow_report_text(flow_doc),
+                     report_mod.render_permissions_text(perm_doc))
     if not trace.complete:
         print(f"pdcfa: resource limit hit ({trace.limit_reason}); "
               "results are partial", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
     return EXIT_FINDINGS if flow_doc["findingCount"] else EXIT_CLEAN
+
+
+def _print_summaries(*texts: str) -> None:
+    """Print the text reports. A reader that closed stdout early (``pdcfa
+    ... | head``) loses the rest of them, but the verdict stands: the report
+    files are written. stdout is then pointed at devnull, so the flush at
+    exit does not raise again."""
+    try:
+        for text in texts:
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def run() -> None:

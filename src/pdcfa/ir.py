@@ -53,15 +53,24 @@ class ResolveError(Exception):
 
 
 def key_type(cls):
-    """Make ``cls`` a frozen, slotted dataclass that hashes once.
+    """Make ``cls`` a frozen, slotted dataclass that hashes once and builds
+    its sort key once.
 
     Control states, frames and addresses are nested dataclasses used as dict
     and set keys on every engine step; a generated ``__hash__`` rehashes the
     whole nest on each lookup. Here the hash of the field values is computed
     once, at construction (``__post_init__``, so ``dataclasses.replace``
-    recomputes it), and ``__hash__`` returns it. Equality is unchanged.
+    recomputes it), and ``__hash__`` returns it.
+
+    The class's ``sort_key`` method builds a nested tuple from its fields'
+    keys; every report and worklist order sorts by it. It is wrapped to
+    build the tuple on the first call and keep it in a slot, so a sort reuses
+    the keys of earlier sorts. The uncached builder stays reachable as
+    ``sort_key.__wrapped__``. Neither slot takes part in equality, and a
+    ``dataclasses.replace`` copy starts with no key.
     """
     field_values = attrgetter(*cls.__annotations__)
+    build_key = cls.sort_key
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(field_values(self)))
@@ -69,10 +78,21 @@ def key_type(cls):
     def __hash__(self):
         return self._hash
 
+    def sort_key(self):
+        key = self._sort_key
+        if key is None:
+            key = build_key(self)
+            object.__setattr__(self, "_sort_key", key)
+        return key
+
+    sort_key.__wrapped__ = build_key
     cls.__annotations__["_hash"] = "int"
     cls._hash = field(init=False, compare=False, repr=False)
+    cls.__annotations__["_sort_key"] = "tuple | None"
+    cls._sort_key = field(init=False, compare=False, repr=False, default=None)
     cls.__post_init__ = __post_init__
     cls.__hash__ = __hash__
+    cls.sort_key = sort_key
     return dataclass(frozen=True, slots=True)(cls)
 
 
@@ -319,6 +339,7 @@ class Program:
         # no open push-handler is left out, and the validator rejects it
         self.handler_spans: dict[MethodRef, dict[int, tuple]] = {}
         self._line_cache: dict[tuple, int] = {}
+        self._subclass_cache: dict[tuple, bool] = {}
         for cdef in classes.values():
             for mdef in cdef.methods:
                 self.methods[mdef.ref] = mdef
@@ -355,10 +376,18 @@ class Program:
             cur = cdef.super_name
 
     def is_subclass(self, c1: str, c2: str) -> bool:
-        """True iff c2 is reachable from c1 via zero or more extends edges."""
-        if not self.is_declared(c2):
-            raise UnknownClass(c2)
-        return any(c == c2 for c in self.superclass_chain(c1))
+        """True iff c2 is reachable from c1 via zero or more extends edges.
+
+        Answers are memoised per pair; an undeclared class raises
+        ``UnknownClass`` on every call."""
+        key = (c1, c2)
+        answer = self._subclass_cache.get(key)
+        if answer is None:
+            if not self.is_declared(c2):
+                raise UnknownClass(c2)
+            answer = self._subclass_cache[key] = any(
+                c == c2 for c in self.superclass_chain(c1))
+        return answer
 
     # -- method resolution ---------------------------------------------------
 

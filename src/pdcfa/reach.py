@@ -84,7 +84,12 @@ class Edge:
 
 
 class DyckStateGraph:
-    """Reachable control states with stack-action edges and summaries."""
+    """Reachable control states with stack-action edges and summaries.
+
+    ``out_edges`` and ``summaries_from`` give a node's adjacency in sort
+    order, sorted on first use and kept until the node gains an edge or a
+    summary, so every witness tree over one result shares one sort.
+    """
 
     def __init__(self):
         self.nodes: dict = {}
@@ -92,6 +97,8 @@ class DyckStateGraph:
         self.epsilon_summaries: dict = {}
         self._out: dict = {}
         self._sum_from: dict = {}
+        self._sorted_out: dict = {}
+        self._sorted_sum_from: dict = {}
 
     def add_node(self, s: ControlState) -> bool:
         if s in self.nodes:
@@ -104,6 +111,7 @@ class DyckStateGraph:
             return False
         self.edges[e] = None
         self._out.setdefault(e.src, []).append(e)
+        self._sorted_out.pop(e.src, None)
         return True
 
     def add_summary(self, a: ControlState, b: ControlState) -> bool:
@@ -111,13 +119,22 @@ class DyckStateGraph:
             return False
         self.epsilon_summaries[(a, b)] = None
         self._sum_from.setdefault(a, []).append(b)
+        self._sorted_sum_from.pop(a, None)
         return True
 
     def out_edges(self, s: ControlState) -> list:
-        return self._out.get(s, [])
+        edges = self._sorted_out.get(s)
+        if edges is None:
+            edges = self._sorted_out[s] = sorted(self._out.get(s, ()),
+                                                 key=Edge.sort_key)
+        return edges
 
     def summaries_from(self, s: ControlState) -> list:
-        return self._sum_from.get(s, [])
+        dsts = self._sorted_sum_from.get(s)
+        if dsts is None:
+            dsts = self._sorted_sum_from[s] = sorted(
+                self._sum_from.get(s, ()), key=ControlState.sort_key)
+        return dsts
 
 
 @dataclass(frozen=True)
@@ -178,11 +195,11 @@ class AnalysisResult:
 
     def source_applications(self) -> list:
         return sorted((a for a in self.applications if a.source_categories),
-                      key=lambda a: a.sort_key())
+                      key=SummaryApplication.sort_key)
 
     def sink_applications(self) -> list:
         return sorted((a for a in self.applications if a.sink_hits),
-                      key=lambda a: a.sort_key())
+                      key=SummaryApplication.sort_key)
 
 
 class Budget:
@@ -224,7 +241,7 @@ class _Recorder:
         )
 
     def applications(self) -> list:
-        return sorted(self._apps.values(), key=lambda a: a.sort_key())
+        return sorted(self._apps.values(), key=SummaryApplication.sort_key)
 
 
 _HYP_ANY = "<any>"
@@ -583,8 +600,8 @@ class _FiniteEngine(_BaseEngine):
         self.entry_fps = {root.fp for root in self.roots}
         self._return_deps: dict = {}  # fp -> {state: None}
         self._throw_states: dict = {}
-        self._callgraph_version = -1
-        self._callgraph: dict = {}
+        self._index_version = -1
+        self._index: list = []
 
     def run(self) -> AnalysisResult:
         for root in self.roots:
@@ -603,36 +620,35 @@ class _FiniteEngine(_BaseEngine):
         self.visit_counts.setdefault(state, 0)
         self._enqueue(state)
 
-    def _callees_by_method(self) -> dict:
-        if self._callgraph_version == self.shared.version:
-            return self._callgraph
-        graph: dict = {}
+    def _handler_index(self) -> list:
+        """Every handler record in sorted order, as ``(frame, handler
+        position, region lo, region hi, methods reachable through calls
+        inside the region)``; rebuilt only when ``shared`` has grown."""
+        if self._index_version == self.shared.version:
+            return self._index
+        callees: dict = {}  # method -> {(call index, callee method): None}
         for callee_fp, entries in self.shared.call_edges.items():
             for caller_state, _frame in entries:
-                graph.setdefault(caller_state.pos.method, []).append(
-                    (caller_state.pos.index, callee_fp.method))
-        self._callgraph = graph
-        self._callgraph_version = self.shared.version
-        return graph
-
-    def _scope_allows(self, rec: HandlerRecord, throw_state: ControlState) -> bool:
-        lo, hi = rec.region
-        owner = rec.frame.owner
-        if throw_state.pos.method == owner and lo < throw_state.pos.index < hi:
-            return True
-        graph = self._callees_by_method()
-        frontier = [callee for idx, callee in graph.get(owner, [])
-                    if lo < idx < hi]
-        seen: set = set()
-        while frontier:
-            m = frontier.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            if m == throw_state.pos.method:
-                return True
-            frontier.extend(callee for _idx, callee in graph.get(m, []))
-        return False
+                callees.setdefault(caller_state.pos.method, {})[
+                    (caller_state.pos.index, callee_fp.method)] = None
+        index = []
+        for rec in sorted(self.shared.handler_records,
+                          key=HandlerRecord.sort_key):
+            frame = rec.frame
+            lo, hi = rec.region
+            frontier = [m for idx, m in callees.get(frame.owner, ())
+                        if lo < idx < hi]
+            reachable: set = set()
+            while frontier:
+                m = frontier.pop()
+                if m not in reachable:
+                    reachable.add(m)
+                    frontier.extend(c for _idx, c in callees.get(m, ()))
+            hpos = self.program.pos_of_label(frame.owner, frame.label)
+            index.append((frame, hpos, lo, hi, reachable))
+        self._index = index
+        self._index_version = self.shared.version
+        return index
 
     def _process(self, state: ControlState):
         self.visit_counts[state] = self.visit_counts.get(state, 0) + 1
@@ -714,17 +730,15 @@ class _FiniteEngine(_BaseEngine):
         # without a stack the unwind may always escape
         self.store.join(RegAddr(state.fp, machine.EXN_REG), frozenset(thrown))
         self.taint.join(RegAddr(state.fp, machine.EXN_REG), taints)
+        method, idx = state.pos.method, state.pos.index
         edges = []
-        for rec in sorted(self.shared.handler_records,
-                          key=lambda r: r.sort_key()):
+        for frame, hpos, lo, hi, reachable in self._handler_index():
             catchable = [v for v in thrown
-                         if program.is_subclass(v.class_name,
-                                                rec.frame.class_name)]
-            if not catchable or not self._scope_allows(rec, state):
-                continue
-            hpos = program.pos_of_label(rec.frame.owner, rec.frame.label)
-            edges.append(Edge(state, POP, rec.frame,
-                              ControlState(hpos, state.fp)))
+                         if program.is_subclass(v.class_name, frame.class_name)]
+            if catchable and (method in reachable
+                              or (method == frame.owner and lo < idx < hi)):
+                edges.append(Edge(state, POP, frame,
+                                  ControlState(hpos, state.fp)))
         return (TERMINAL_UNCAUGHT,), edges
 
     def _pop_handler_edge(self, state: ControlState) -> Edge:
@@ -855,7 +869,7 @@ def _tree_plain(dsg: DyckStateGraph, frm, parent: dict):
     queue = deque([frm])
     while queue:
         node = queue.popleft()
-        for e in sorted(dsg.out_edges(node), key=Edge.sort_key):
+        for e in dsg.out_edges(node):
             if e.dst not in parent:
                 parent[e.dst] = (node, e.kind, e.frame)
                 queue.append(e.dst)
@@ -878,14 +892,14 @@ def _tree_balanced(dsg: DyckStateGraph, frm, parent: dict):
         key = queue.popleft()
         node, phase = key
         moves = []
-        for e in sorted(dsg.out_edges(node), key=Edge.sort_key):
+        for e in dsg.out_edges(node):
             if e.kind == NOOP:
                 moves.append(((e.dst, phase), NOOP, None))
             elif e.kind == PUSH:
                 moves.append(((e.dst, UP), PUSH, e.frame))
             elif e.kind == POP and phase == DOWN:
                 moves.append(((e.dst, DOWN), POP, e.frame))
-        for dst in sorted(dsg.summaries_from(node), key=ControlState.sort_key):
+        for dst in dsg.summaries_from(node):
             moves.append(((dst, phase), "summary", None))
         for nkey, kind, frame in moves:
             if nkey not in parent:

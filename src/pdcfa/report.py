@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .ir import StmtPos
 from .permissions import PermissionReport
-from .reach import NOOP, POP, PUSH
+from .reach import NOOP, POP, PUSH, ControlState, Edge
 from .taint import TaintVal
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z]+)\s*\(\s*([^()]*)\s*\)\s*")
@@ -134,6 +136,14 @@ def emit_flow_report(findings, predicate, program, meta=None) -> dict:
     """Findings filtered by the predicate (all pass when absent)."""
     meta = meta or {}
     kept = [f for f in findings if predicate is None or predicate.matches(f)]
+    refs: dict = {}  # state -> its _state_ref, shared by every mention
+
+    def ref(state) -> dict:
+        r = refs.get(state)
+        if r is None:
+            r = refs[state] = _state_ref(program, state)
+        return r
+
     entries = []
     for f in kept:
         entries.append({
@@ -141,11 +151,11 @@ def emit_flow_report(findings, predicate, program, meta=None) -> dict:
             "trigger": {"unit": f.trigger.unit,
                         "entryPoint": f.trigger.entry_point},
             "category": f.category.value,
-            "source": _state_ref(program, f.source_state),
-            "sink": {**_state_ref(program, f.sink_state),
+            "source": ref(f.source_state),
+            "sink": {**ref(f.sink_state),
                      "kind": f.sink_kind,
                      "permissions": sorted(f.sink_permissions)},
-            "witness": [_state_ref(program, s) for s in f.witness],
+            "witness": [ref(s) for s in f.witness],
         })
     hints = []
     if kept:
@@ -270,7 +280,7 @@ def export_graph(results, findings, program) -> str:
             else:
                 witness_edges.add((step.src, step.kind, step.frame, step.dst))
 
-    ordered = sorted(nodes, key=lambda n: n.sort_key())
+    ordered = sorted(nodes, key=ControlState.sort_key)
     ids = {n: f"n{i}" for i, n in enumerate(ordered)}
     lines = ["digraph reachable_states {",
              "  rankdir=LR;",
@@ -288,7 +298,7 @@ def export_graph(results, findings, program) -> str:
         elif n in sink_states:
             style = ', style=filled, fillcolor="lightcoral"'
         lines.append(f'  {ids[n]} [label="{label}"{style}];')
-    for e in sorted(edges, key=lambda e: e.sort_key()):
+    for e in sorted(edges, key=Edge.sort_key):
         label = {NOOP: "ε", PUSH: "push", POP: "pop"}[e.kind]
         if e.frame is not None:
             label += f" {_dot_quote(e.frame.canonical())}"
@@ -313,8 +323,97 @@ def export_graph(results, findings, program) -> str:
 # ---------------------------------------------------------------------------
 
 
-def to_json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+def to_json_bytes(doc) -> bytes:
+    """``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
+    newline, in UTF-8, byte for byte.
+
+    ``json.dumps`` cannot use its C encoder once ``indent`` is set, so this
+    writer walks the document itself: containers recursively, strings
+    through the encoder's own ``encode_basestring_ascii``, and the other
+    scalars as ``json`` spells them. What ``json.dumps`` rejects (a set, a
+    tuple key) raises the same ``TypeError``; circular documents are not
+    detected.
+    """
+    out: list = []
+    _write_json(doc, out, "\n")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return _json_scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_scalar(o) -> str:
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _write_json(o, out: list, newline: str) -> None:
+    """Append the chunks of ``o`` to ``out``; ``newline`` is a newline
+    followed by the indent of the line ``o`` starts on."""
+    t = type(o)
+    if t is str:
+        out.append(_encode_str(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is dict or (t is not list and t is not tuple
+                       and isinstance(o, dict)):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            if type(key) is not str:
+                key = _json_key(key)
+            if type(value) is str:  # the common leaf, written inline
+                out.append(f"{sep}{_encode_str(key)}: {_encode_str(value)}")
+            else:
+                out.append(f"{sep}{_encode_str(key)}: ")
+                _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_json_scalar(o))
 
 
 def load_schema(name: str) -> dict:

@@ -324,3 +324,52 @@ def test_reports_byte_equal_across_hash_seeds(bundles_dir, tmp_path, mode):
         runs.append((proc.returncode, proc.stdout,
                      [(out / name).read_bytes() for name in REPORT_FILES]))
     assert runs[0] == runs[1]
+
+
+def test_closed_stdout_pipe_keeps_the_verdict_exit_code(bundles_dir, tmp_path):
+    """``pdcfa ... | head`` closes the pipe before the text summaries are
+    printed; every report is already written, so the exit code is the
+    verdict's, not an internal error's."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pdcfa.cli",
+         "--bundle", str(bundles_dir / "photoquote_full"), "--out", str(out)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader goes away before anything is printed
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_FINDINGS, err
+    assert b"internal error" not in err
+    for name in (*REPORT_FILES, "run_meta.json"):
+        assert (out / name).is_file()
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_while_printing_exits_with_the_verdict(
+        bundles_dir, tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "stdout", "wb") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(target.fileno()))
+        code, out = _run(bundles_dir, tmp_path, "photoquote_full")
+        monkeypatch.undo()
+    assert code == EXIT_FINDINGS
+    assert "internal error" not in capsys.readouterr().err
+    for name in REPORT_FILES:
+        assert (out / name).is_file()

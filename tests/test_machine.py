@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdcfa import eps
+from pdcfa.cli import load_bundle
 from pdcfa.concrete import CRegAddr, run_concrete
 from pdcfa.ir import (
     AtomicOp,
@@ -49,7 +51,7 @@ from pdcfa.machine import (
     seed_entry_bindings,
     step_dependent,
 )
-from pdcfa.reach import ControlState, Edge
+from pdcfa.reach import AnalysisConfig, ControlState, Edge
 from pdcfa.taint import SummaryTable, TaintStore, TaintVal
 
 EMPTY = SummaryTable([])
@@ -530,3 +532,99 @@ def test_key_types_are_slotted():
     for x in _keys():
         assert not hasattr(x, "__dict__"), type(x).__name__
         assert "_hash" in type(x).__slots__
+
+
+def _naive_sort_key(x):
+    """The sort key of ``x`` rebuilt from its fields, with no cache."""
+    def ctx(context):
+        return tuple(_naive_sort_key(s) for s in context)
+
+    match x:
+        case MethodRef():
+            return (x.class_name, x.method_name, x.param_types)
+        case StmtPos():
+            return (*_naive_sort_key(x.method), x.index, int(x.at_move))
+        case FramePointer():
+            return (_naive_sort_key(x.method), ctx(x.context))
+        case AmbientSite():
+            return ("<ambient>", x.class_name, -1)
+        case ObjectPointer():
+            site = _naive_sort_key(x.site)
+            if not isinstance(x.site, AmbientSite):
+                site = ("stmt", *site)
+            return (site, ctx(x.context))
+        case RegAddr():
+            return (0, _naive_sort_key(x.fp), x.reg)
+        case FieldAddr():
+            return (1, _naive_sort_key(x.op), x.field_name)
+        case ObjectValue():
+            return (4, x.class_name, _naive_sort_key(x.op))
+        case FunFrame():
+            return (0, _naive_sort_key(x.fp), _naive_sort_key(x.ret_pos))
+        case HandlerFrame():
+            return (1, x.class_name, x.label, _naive_sort_key(x.owner))
+        case ControlState():
+            return (_naive_sort_key(x.pos), _naive_sort_key(x.fp))
+        case Edge():
+            frame = _naive_sort_key(x.frame) if x.frame is not None else ()
+            return (_naive_sort_key(x.src), x.kind, frame,
+                    _naive_sort_key(x.dst))
+    raise AssertionError(type(x).__name__)
+
+
+def _key_instances(res):
+    """Every key-type instance a result holds: states, edges and their
+    frames, store addresses and object values."""
+    yield from res.dsg.nodes
+    for e in res.dsg.edges:
+        yield e
+        if e.frame is not None:
+            yield e.frame
+    for addr, vals in res.final_store.items():
+        yield addr
+        yield from (v for v in vals if isinstance(v, ObjectValue))
+
+
+def test_cached_sort_key_equals_the_uncached_tuple(bundles_dir):
+    for x in _keys():
+        key = x.sort_key()
+        assert key == _naive_sort_key(x), type(x).__name__
+        assert key == type(x).sort_key.__wrapped__(x)
+        assert x.sort_key() is key  # built once, then reused
+    seen = set()
+    bundle = load_bundle(bundles_dir / "photoquote_exception")
+    for mode in ("pushdown", "finite"):
+        units = eps.discover_entry_points(bundle, bundle.program)
+        _s, _t, trace = eps.saturate_app(
+            bundle.program, units, AnalysisConfig(mode=mode, k=1),
+            bundle.summaries)
+        for res in trace.results:
+            for x in _key_instances(res):
+                assert x.sort_key() == _naive_sort_key(x), repr(x)
+                seen.add(type(x))
+    assert seen >= {ControlState, Edge, FunFrame, HandlerFrame, RegAddr,
+                    FieldAddr, ObjectValue}
+
+
+def test_replace_copy_builds_its_own_sort_key():
+    for x, other in zip(_keys("app/A"), _keys("app/B")):
+        before = x.sort_key()
+        args = {f.name: getattr(x, f.name) for f in fields(x) if f.init}
+        for name in args:
+            moved = replace(x, **{name: getattr(other, name)})
+            assert moved.sort_key() == _naive_sort_key(moved), \
+                (type(x).__name__, name)
+            if moved != x:
+                assert moved.sort_key() != before, (type(x).__name__, name)
+        assert x.sort_key() is before
+
+
+def test_equality_and_hash_ignore_the_sort_key_slot():
+    cached, fresh = _keys(), _keys()
+    for x in cached:
+        x.sort_key()
+    for x, y in zip(cached, fresh):
+        assert "_sort_key" in type(x).__slots__
+        assert y._sort_key is None and x._sort_key is not None
+        assert x == y and hash(x) == hash(y), type(x).__name__
+        assert not {f.name: f for f in fields(x)}["_sort_key"].compare

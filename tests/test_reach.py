@@ -1,12 +1,13 @@
 """Reachability-engine tests: pushdown vs finite, summaries, paths."""
 
 from collections import deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, RUN, STRICT_PROGRAMS
-from pdcfa import eps, reach
+from pdcfa import eps, machine, reach
 from pdcfa.cli import load_bundle
 from pdcfa.ir import MethodRef, StmtPos, parse_program
 from pdcfa.machine import (
@@ -40,6 +41,7 @@ from pdcfa.taint import (
 )
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 EMPTY = SummaryTable([])
 
 
@@ -548,3 +550,123 @@ def test_findings_build_one_tree_per_result_and_source(bundles_dir,
         assert len(built) == len(set(built)), name
         if findings:
             assert built, name
+
+
+# -- finite throw step against a naive scan -------------------------------------
+
+
+def _naive_throw_edges(engine, state, st):
+    """The throw step's edges by a scan of every handler record in sorted
+    order: its class tested by walking the thrown classes' superclass
+    chains, its scope by walking the call graph from the calls inside its
+    region."""
+    program = engine.program
+    vals = machine.eval_atomic(program, st.exp, state.fp, engine.store)
+    thrown = [v for v in vals if isinstance(v, machine.ObjectValue)]
+    if not thrown:
+        return []
+    graph: dict = {}
+    for callee_fp, entries in engine.shared.call_edges.items():
+        for caller_state, _frame in entries:
+            graph.setdefault(caller_state.pos.method, []).append(
+                (caller_state.pos.index, callee_fp.method))
+
+    def scope_allows(rec):
+        lo, hi = rec.region
+        owner = rec.frame.owner
+        if state.pos.method == owner and lo < state.pos.index < hi:
+            return True
+        frontier = [m for idx, m in graph.get(owner, []) if lo < idx < hi]
+        seen: set = set()
+        while frontier:
+            m = frontier.pop()
+            if m in seen:
+                continue
+            seen.add(m)
+            if m == state.pos.method:
+                return True
+            frontier.extend(m2 for _idx, m2 in graph.get(m, []))
+        return False
+
+    edges = []
+    for rec in sorted(engine.shared.handler_records,
+                      key=lambda r: (r.frame.sort_key(),
+                                     r.push_state.sort_key())):
+        catchable = [v for v in thrown
+                     if any(c == rec.frame.class_name for c in
+                            program.superclass_chain(v.class_name))]
+        if not catchable or not scope_allows(rec):
+            continue
+        hpos = program.pos_of_label(rec.frame.owner, rec.frame.label)
+        edges.append(Edge(state, POP, rec.frame, ControlState(hpos, state.fp)))
+    return edges
+
+
+@pytest.fixture
+def checked_throw_steps(monkeypatch):
+    """Compare every finite throw step's edges with the naive scan; yields
+    a list that gets one entry per compared step, its edge count."""
+    steps = []
+    original = reach._FiniteEngine._step_throw
+
+    def step_throw(engine, state, st):
+        expected = _naive_throw_edges(engine, state, st)
+        terminals, edges = original(engine, state, st)
+        assert edges == expected, state.describe()
+        steps.append(len(edges))
+        return terminals, edges
+
+    monkeypatch.setattr(reach._FiniteEngine, "_step_throw", step_throw)
+    return steps
+
+
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_throw_step_matches_naive_scan_on_bundles(bundles_dir, name,
+                                                  checked_throw_steps):
+    for k in (0, 1, 2):
+        _saturated_results(bundles_dir, name, "finite", k)
+    if name.startswith("photoquote"):
+        assert any(checked_throw_steps)
+
+
+def test_throw_step_matches_naive_scan_on_micro_programs(checked_throw_steps):
+    sources = [src for src, _o, _r in MICRO_PROGRAMS.values()]
+    sources += list(STRICT_PROGRAMS.values())
+    throwing = [src for src in sources if "(throw " in src]
+    assert len(throwing) >= 8
+    for src in throwing:
+        for k in (0, 1):
+            _finite(src, k=k)
+    assert sum(1 for n in checked_throw_steps if n) >= len(throwing)
+
+
+def test_throw_step_matches_naive_scan_on_synth(tmp_path, monkeypatch,
+                                                checked_throw_steps):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    root = synth.generate(synth.Shape.parse("2x4x3x2"), 1).write(
+        tmp_path / "bundle")
+    bundle = load_bundle(root)
+    units = eps.discover_entry_points(bundle, bundle.program)
+    eps.saturate_app(bundle.program, units, AnalysisConfig(mode="finite"),
+                     bundle.summaries)
+    assert len(checked_throw_steps) > 100 and sum(checked_throw_steps) > 1000
+
+
+def test_adjacency_is_sorted_once_and_kept_until_the_node_grows():
+    m = MethodRef("Main", "run", ())
+    fp = frame_pointer_zero(m)
+    a, b, c = (ControlState(StmtPos(m, i), fp) for i in range(3))
+    dsg = DyckStateGraph()
+    dsg.add_edge(Edge(a, NOOP, None, c))
+    first = dsg.out_edges(a)
+    assert dsg.out_edges(a) is first
+    dsg.add_edge(Edge(a, NOOP, None, b))
+    assert dsg.out_edges(a) == [Edge(a, NOOP, None, b),
+                                       Edge(a, NOOP, None, c)]
+    dsg.add_summary(a, c)
+    assert dsg.summaries_from(a) == [c]
+    dsg.add_summary(a, b)
+    assert dsg.summaries_from(a) == [b, c]
+    assert dsg.out_edges(b) == [] and dsg.summaries_from(b) == []

@@ -1,10 +1,14 @@
 """Report emission: predicates, documents, schemas, and DOT export."""
 
+import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, RUN
+from pdcfa.cli import main
 from pdcfa.ir import parse_program
 from pdcfa.permissions import build_permission_report, collect_permissions
 from pdcfa.reach import AnalysisConfig, replay_stack_actions
@@ -213,3 +217,76 @@ def test_json_bytes_deterministic():
     doc = emit_flow_report(findings, None, program, META)
     assert to_json_bytes(doc) == to_json_bytes(
         emit_flow_report(findings, None, program, META))
+
+
+# -- the JSON writer ----------------------------------------------------------
+
+
+def _stdlib_json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-10**60, max_value=10**60) | _FLOATS
+            | st.text() | st.text(st.characters(max_codepoint=0x1f)))
+_KEYS = st.text() | st.text(st.characters(min_codepoint=0x80))
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=25)
+# dicts keyed by one non-str scalar type, which json writes as strings
+_SCALAR_KEYED = st.one_of(
+    *(st.dictionaries(keys, _SCALARS, min_size=1, max_size=4)
+      for keys in (st.integers(), _FLOATS, st.booleans(), st.none())))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(_DOCS)
+def test_json_writer_matches_stdlib_bytes(doc):
+    assert to_json_bytes(doc) == _stdlib_json_bytes(doc)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_SCALAR_KEYED)
+def test_json_writer_matches_stdlib_on_scalar_keys(doc):
+    assert to_json_bytes(doc) == _stdlib_json_bytes(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": {1, 2}},
+    [object()],
+    {("a", 1): 2},
+    {"a": 1, 2: "b"},  # keys json.dumps cannot sort
+    {b"bytes": 1},
+])
+def test_json_writer_rejects_what_stdlib_rejects(doc):
+    with pytest.raises(TypeError):
+        _stdlib_json_bytes(doc)
+    with pytest.raises(TypeError):
+        to_json_bytes(doc)
+
+
+def test_json_writer_matches_stdlib_on_every_shipped_report(
+        bundles_dir, tmp_path, monkeypatch):
+    from pdcfa import report
+
+    docs = []
+    writer = report.to_json_bytes
+
+    def recording(doc):
+        docs.append(doc)
+        return writer(doc)
+
+    monkeypatch.setattr(report, "to_json_bytes", recording)
+    for bundle in sorted(p.name for p in bundles_dir.iterdir()):
+        for mode in ("pushdown", "finite"):
+            for k in ("0", "1", "2"):
+                main(["--bundle", str(bundles_dir / bundle), "--mode", mode,
+                      "--k", k, "--out", str(tmp_path / f"{bundle}{mode}{k}")])
+    assert len(docs) == 5 * 2 * 3 * 4
+    for doc in docs:
+        assert writer(doc) == _stdlib_json_bytes(doc)
