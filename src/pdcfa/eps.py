@@ -6,10 +6,11 @@ seeded into one store pair, and one engine run has every entry's initial
 state as a root (a global store, as in Van Horn and Might, "Abstracting
 Abstract Machines", ICFP 2010). That fixpoint depends on no schedule, so
 the saturated store models every interleaving of entry points without
-enumerating orderings. Then each entry point gets one reporting run from
-the saturated pair, in declared order. The pair cannot grow in them, so
-they share a memo of each worklist item's effects; a reporting run that
-grows it anyway is an internal error.
+enumerating orderings. Then each entry point gets one reporting run, in
+declared order, that replays the fixpoint run: it shares the saturated pair
+and builds its own graph, but reads each worklist item's effects from the
+fixpoint run's table of last steps instead of stepping the machine. A
+reporting run that reaches an item the table lacks is an internal error.
 """
 
 from __future__ import annotations
@@ -132,23 +133,17 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                              tuple(ep.method_ref for _unit, ep in entries),
                              store, taint, cfg, summaries, shared, budget)
     store, taint = fixpoint.final_store, fixpoint.final_taint
-    saturated = (store.fingerprint(), taint.fingerprint())
-    rounds = 1 if saturated == seeded else 2
+    rounds = 1 if (store.fingerprint(), taint.fingerprint()) == seeded else 2
     if not fixpoint.complete:
         return store, taint, SaturationTrace(
             [], rounds, complete=False, limit_reason=fixpoint.limit_reason)
 
-    memo: dict = {}  # worklist item -> its effects, for this saturation only
     results: list = []
     for unit, ep in entries:
         result = reach.analyze(program, ep.method_ref, store, taint, cfg,
-                               summaries, shared, budget, memo)
+                               summaries, shared, budget, fixpoint)
         result.trigger = TriggerContext(unit.name, ep.label())
         results.append(result)
-        if (result.final_store.fingerprint(),
-                result.final_taint.fingerprint()) != saturated:
-            raise RuntimeError(f"the reporting run of {unit.name}."
-                               f"{ep.label()} grew the saturated store")
         if not result.complete:
             return store, taint, SaturationTrace(
                 results, rounds, complete=False,

@@ -725,35 +725,24 @@ def _parse_stmt(node) -> Stmt:
     raise ParseError(f"unknown statement head {head!r}", s.line, s.col)
 
 
-def _parse_attrs(items, stop_token: str, where) -> tuple:
+def _parse_attrs(items, i: int) -> tuple:
+    """The attributes that start at ``items[i]``, and the index after them."""
     attrs = set()
-    i = 0
-    while i < len(items):
-        node = items[i]
-        if isinstance(node, _Atom) and node.text in ATTRIBUTES:
-            attrs.add(node.text)
-            i += 1
-            continue
-        break
-    if i >= len(items) or not isinstance(items[i], _Atom) \
-            or items[i].text != stop_token:
-        raise ParseError(f"expected '{stop_token}'", where.line, where.col)
-    return frozenset(attrs), i + 1
+    while i < len(items) and isinstance(items[i], _Atom) \
+            and items[i].text in ATTRIBUTES:
+        attrs.add(items[i].text)
+        i += 1
+    return frozenset(attrs), i
 
 
 def _parse_field(node) -> FieldDef:
     s = _expect_list(node, "field definition")
     if not s.items or _expect_atom(s.items[0], "field") != "field":
         raise ParseError("expected (field ...)", s.line, s.col)
-    attrs = set()
-    i = 1
-    while i < len(s.items) and isinstance(s.items[i], _Atom) \
-            and s.items[i].text in ATTRIBUTES:
-        attrs.add(s.items[i].text)
-        i += 1
+    attrs, i = _parse_attrs(s.items, 1)
     if len(s.items) - i != 2:
         raise ParseError("field needs a name and a type", s.line, s.col)
-    return FieldDef(frozenset(attrs),
+    return FieldDef(attrs,
                     _expect_atom(s.items[i], "field name"),
                     _parse_type(s.items[i + 1]))
 
@@ -762,12 +751,7 @@ def _parse_method(node, class_name: str) -> MethodDef:
     s = _expect_list(node, "method definition")
     if not s.items or _expect_atom(s.items[0], "method") != "method":
         raise ParseError("expected (method ...)", s.line, s.col)
-    attrs = set()
-    i = 1
-    while i < len(s.items) and isinstance(s.items[i], _Atom) \
-            and s.items[i].text in ATTRIBUTES:
-        attrs.add(s.items[i].text)
-        i += 1
+    attrs, i = _parse_attrs(s.items, 1)
     if len(s.items) - i < 4:
         raise ParseError("method needs name, params, return type, throws, limit",
                          s.line, s.col)
@@ -786,13 +770,16 @@ def _parse_method(node, class_name: str) -> MethodDef:
     limit = int(_expect_atom(limit_node.items[1], "limit"))
     body = tuple(_parse_stmt(st) for st in s.items[i + 5:])
     ref = MethodRef(class_name, name, params)
-    return MethodDef(frozenset(attrs), name, params, ret_type, throws,
-                     limit, body, ref)
+    return MethodDef(attrs, name, params, ret_type, throws, limit, body, ref)
 
 
 def _parse_class(node) -> ClassDef:
     s = _expect_list(node, "class definition")
-    attrs, i = _parse_attrs(s.items, "class", s)
+    attrs, i = _parse_attrs(s.items, 0)
+    if i >= len(s.items) or not isinstance(s.items[i], _Atom) \
+            or s.items[i].text != "class":
+        raise ParseError("expected 'class'", s.line, s.col)
+    i += 1
     if len(s.items) - i != 5:
         raise ParseError("class needs name, extends, superclass, fields, methods",
                          s.line, s.col)

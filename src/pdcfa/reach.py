@@ -18,7 +18,9 @@ summaries, and one global widened store pair. Worklist order is LIFO with
 deterministic tie-breaking, so results are identical across runs. A run may
 start from several entry methods at once, each initial state a root with an
 empty stack; entry-point saturation makes one such app-wide run, then one
-memoised reporting run per entry point.
+reporting run per entry point that replays it: it runs the same worklist
+and closure, but reads each item's effects from the app-wide run's table
+instead of stepping the machine.
 """
 
 from __future__ import annotations
@@ -186,20 +188,21 @@ class AnalysisResult:
     terminals: dict  # ControlState -> tuple of terminal kinds
     complete: bool
     limit_reason: str | None
-    applications: list
+    applications: list  # sorted by SummaryApplication.sort_key
     config: AnalysisConfig
     trigger: TriggerContext
+    # worklist key -> (terminal kinds, edges) of the item's last step; None
+    # for a run that replays another
+    effects: dict | None = None
 
     def node_set(self) -> frozenset:
         return frozenset(self.dsg.nodes)
 
     def source_applications(self) -> list:
-        return sorted((a for a in self.applications if a.source_categories),
-                      key=SummaryApplication.sort_key)
+        return [a for a in self.applications if a.source_categories]
 
     def sink_applications(self) -> list:
-        return sorted((a for a in self.applications if a.sink_hits),
-                      key=SummaryApplication.sort_key)
+        return [a for a in self.applications if a.sink_hits]
 
 
 class Budget:
@@ -248,29 +251,21 @@ _HYP_ANY = "<any>"
 _HYP_EMPTY = "<empty>"
 
 
-class _CallLog:
-    """A recorder that keeps its calls, to be replayed on another one."""
-
-    def __init__(self):
-        self.calls: list = []
-
-    def summary_applied(self, *args):
-        self.calls.append(args)
-
-
 class _BaseEngine:
     """One run from the initial states of ``entries``, its roots.
 
-    With a ``memo`` the run is a reporting run: its store pair must not
-    grow, so it tracks no readers, and each worklist item's effects (the
-    recorder's calls, terminal kinds and edges) are taken from the memo,
-    which runs from the same pair share, or stepped once and put there.
+    A plain run steps each worklist item under the store pair it grows and
+    keeps the item's last effects (terminal kinds and edges) under its key.
+    A run that replays such a run (``replay``, its result) shares its final
+    pair, grows nothing and steps nothing: it reads each item's effects from
+    that table. Readers tracking re-steps an item whenever an address it read
+    grows, so each item's last step is its step under the final pair.
     """
 
     def __init__(self, program: Program, entries: tuple, init_store: Store,
                  init_taint: TaintStore, cfg: AnalysisConfig,
                  summaries: SummaryTable, budget: Budget | None,
-                 memo: dict | None):
+                 replay: AnalysisResult | None):
         for entry in entries:
             if entry not in program.methods:
                 raise machine.ResolveError(f"unknown entry {entry.sig()}")
@@ -280,27 +275,40 @@ class _BaseEngine:
         self.policy = cfg.policy()
         self.summaries = summaries
         self.budget = budget if budget is not None else Budget(cfg)
-        self.memo = memo
-        self.store = init_store.copy()
-        self.taint = init_taint.copy()
+        self.replay = replay
         self.roots = [ControlState(StmtPos(e, 0), frame_pointer_zero(e))
                       for e in entries]
         self.init_state = self.roots[0]
         self.dsg = DyckStateGraph()
         self.visit_counts: dict = {}
         self.terminals: dict = {}
-        self.recorder = _Recorder(program)
         self.worklist: list = []
         self.pending: set = set()
-        self.readers: dict = {}
-        self.current_item = None
         self.complete = True
         self.limit_reason: str | None = None
-        if memo is None:
-            self.store.on_read = self._on_read
-            self.store.on_grow = self._on_grow
-            self.taint.on_read = self._on_read
-            self.taint.on_grow = self._on_grow
+        if replay is not None:
+            self.store, self.taint = replay.final_store, replay.final_taint
+            self.effects = None
+            return
+        self.store = init_store.copy()
+        self.taint = init_taint.copy()
+        self.effects = {}
+        self.recorder = _Recorder(program)
+        self.readers: dict = {}
+        self.current_item = None
+        self.store.on_read = self.taint.on_read = self._on_read
+        self.store.on_grow = self.taint.on_grow = self._on_grow
+
+    def run(self) -> AnalysisResult:
+        for root in self.roots:
+            self._add_root(root)
+        while self.worklist:
+            if self._budget_exceeded():
+                break
+            item = self.worklist.pop()
+            self.pending.discard(item)
+            self._process(item)
+        return self._result()
 
     # dependency tracking -------------------------------------------------
 
@@ -330,23 +338,22 @@ class _BaseEngine:
         return False
 
     def _effects(self, item, key) -> tuple:
-        """(terminal kinds, edges) of one worklist item, stepped or, in a
-        reporting run, replayed from the memo under ``key``."""
-        memo = self.memo
-        if memo is None:
-            self.current_item = item
-            try:
-                return self._step(item, self.recorder)
-            finally:
-                self.current_item = None
-        effects = memo.get(key)
-        if effects is None:
-            log = _CallLog()
-            effects = memo[key] = (log.calls, *self._step(item, log))
-        calls, terminals, edges = effects
-        for args in calls:
-            self.recorder.summary_applied(*args)
-        return terminals, edges
+        """(terminal kinds, edges) of one worklist item: stepped and kept
+        under ``key``, or read from the replayed run's table."""
+        if self.replay is not None:
+            effects = self.replay.effects.get(key)
+            if effects is None:
+                raise RuntimeError(
+                    f"the run from {self.entry.sig()} reached "
+                    f"{_describe_key(key)}, which the run it replays never "
+                    f"stepped")
+            return effects
+        self.current_item = item
+        try:
+            effects = self.effects[key] = self._step(item)
+        finally:
+            self.current_item = None
+        return effects
 
     def _edges(self, state: ControlState, steps) -> list:
         return [Edge(state, e.kind, e.frame, ControlState(e.pos, e.fp))
@@ -356,6 +363,14 @@ class _BaseEngine:
         kinds = set(self.terminals.get(state, ()))
         kinds.add(kind)
         self.terminals[state] = tuple(sorted(kinds))
+
+    def _applications(self) -> list:
+        if self.replay is None:
+            return self.recorder.applications()
+        # an application is recorded where a step applies a summary: keep
+        # the replayed run's at the states this run stepped
+        visits = self.visit_counts
+        return [a for a in self.replay.applications if visits.get(a.state)]
 
     def _result(self) -> AnalysisResult:
         self.store.on_read = self.store.on_grow = None
@@ -372,10 +387,21 @@ class _BaseEngine:
             terminals=dict(self.terminals),
             complete=self.complete,
             limit_reason=self.limit_reason,
-            applications=self.recorder.applications(),
+            applications=self._applications(),
             config=self.cfg,
             trigger=TriggerContext("<direct>", self.entry.sig()),
+            effects=self.effects,
         )
+
+
+def _describe_key(key) -> str:
+    """A worklist key for messages: a control state, or a pushdown
+    (control state, stack hypothesis) pair."""
+    if isinstance(key, ControlState):
+        return key.describe()
+    state, hyp = key
+    top = hyp if isinstance(hyp, str) else hyp.canonical()
+    return f"{state.describe()} under top {top}"
 
 
 class _PushdownEngine(_BaseEngine):
@@ -404,20 +430,12 @@ class _PushdownEngine(_BaseEngine):
         self.pushes_by_frame: dict = {}  # frame -> [(source id, target id)]
         self.pops_at: dict = {}  # (source id, frame) -> {target id: None}
 
-    def run(self) -> AnalysisResult:
-        for root in self.roots:
-            rid = self._ensure_node(root)
-            self.root_ids.add(rid)
-            self.eb.add(rid)
-            if self.dependent[rid]:
-                self._enqueue((rid, _HYP_EMPTY))
-        while self.worklist:
-            if self._budget_exceeded():
-                break
-            item = self.worklist.pop()
-            self.pending.discard(item)
-            self._process(item)
-        return self._result()
+    def _add_root(self, root: ControlState):
+        rid = self._ensure_node(root)
+        self.root_ids.add(rid)
+        self.eb.add(rid)
+        if self.dependent[rid]:
+            self._enqueue((rid, _HYP_EMPTY))
 
     def _result(self) -> AnalysisResult:
         self.visit_counts = dict(zip(self.states, self.visits))
@@ -524,13 +542,13 @@ class _PushdownEngine(_BaseEngine):
             else:
                 self._add_pop(sid, edge)
 
-    def _step(self, item, recorder) -> tuple:
+    def _step(self, item) -> tuple:
         sid, hyp = item
         state = self.states[sid]
         if hyp is _HYP_ANY:
             steps = machine.step_independent(
                 self.program, state.pos, state.fp, self.store, self.taint,
-                self.summaries, self.policy, recorder)
+                self.summaries, self.policy, self.recorder)
             assert steps is not None
             return (), self._edges(state, steps)
         top = None if hyp is _HYP_EMPTY else hyp
@@ -588,14 +606,15 @@ class FiniteShared:
 
 class _FiniteEngine(_BaseEngine):
     """Returns flow to every call edge recorded at the callee frame pointer;
-    a return in a root's frame is also a terminal one. Worklist items are
-    bare control states: no step needs a stack hypothesis."""
+    a return in a root's frame is also a terminal one. Worklist items, and
+    their keys, are bare control states: no step needs a stack hypothesis,
+    and none depends on the run's roots."""
 
     def __init__(self, program, entries, init_store, init_taint, cfg,
                  summaries, shared: FiniteShared | None, budget: Budget | None,
-                 memo: dict | None):
+                 replay: AnalysisResult | None):
         super().__init__(program, entries, init_store, init_taint, cfg,
-                         summaries, budget, memo)
+                         summaries, budget, replay)
         self.shared = shared if shared is not None else FiniteShared()
         self.entry_fps = {root.fp for root in self.roots}
         self._return_deps: dict = {}  # fp -> {state: None}
@@ -603,16 +622,8 @@ class _FiniteEngine(_BaseEngine):
         self._index_version = -1
         self._index: list = []
 
-    def run(self) -> AnalysisResult:
-        for root in self.roots:
-            self._ensure_node(root)
-        while self.worklist:
-            if self._budget_exceeded():
-                break
-            item = self.worklist.pop()
-            self.pending.discard(item)
-            self._process(item)
-        return self._result()
+    def _add_root(self, root: ControlState):
+        self._ensure_node(root)
 
     def _ensure_node(self, state: ControlState):
         if not self.dsg.add_node(state):
@@ -652,17 +663,18 @@ class _FiniteEngine(_BaseEngine):
 
     def _process(self, state: ControlState):
         self.visit_counts[state] = self.visit_counts.get(state, 0) + 1
-        terminals, edges = self._effects(
-            state, (state, state.fp in self.entry_fps))
+        terminals, edges = self._effects(state, state)
         for kind in terminals:
-            self._terminal(state, kind)
+            # a return's value reaches the caller only in a root's frame
+            if kind != TERMINAL_RETURN or state.fp in self.entry_fps:
+                self._terminal(state, kind)
         for edge in edges:
             self._ensure_node(edge.dst)
             self.dsg.add_edge(edge)
-            if edge.kind == PUSH and self.memo is None:
+            if edge.kind == PUSH and self.replay is None:
                 self._record_push(state, edge)
 
-    def _step(self, state: ControlState, recorder) -> tuple:
+    def _step(self, state: ControlState) -> tuple:
         st = self.program.stmt_at(state.pos)
         if isinstance(st, Return):
             return self._step_return(state, st)
@@ -672,7 +684,7 @@ class _FiniteEngine(_BaseEngine):
             return (), [self._pop_handler_edge(state)]
         steps = machine.step_independent(
             self.program, state.pos, state.fp, self.store, self.taint,
-            self.summaries, self.policy, recorder)
+            self.summaries, self.policy, self.recorder)
         assert steps is not None
         return (), self._edges(state, steps)
 
@@ -704,11 +716,9 @@ class _FiniteEngine(_BaseEngine):
         if not vals:
             return (), []
         taints = machine.eval_atomic_taint(st.exp, state.fp, self.taint)
-        terminals = ()
         if state.fp in self.entry_fps:
             self.store.join(RegAddr(state.fp, machine.RET_REG), vals)
             self.taint.join(RegAddr(state.fp, machine.RET_REG), taints)
-            terminals = (TERMINAL_RETURN,)
         entries = sorted(self.shared.call_edges.get(state.fp, {}),
                          key=lambda e: (e[0].sort_key(), e[1].sort_key()))
         edges = []
@@ -717,7 +727,7 @@ class _FiniteEngine(_BaseEngine):
             self.taint.join(RegAddr(frame.fp, machine.RET_REG), taints)
             edges.append(Edge(state, POP, frame,
                               ControlState(frame.ret_pos, frame.fp)))
-        return terminals, edges
+        return (TERMINAL_RETURN,), edges
 
     def _step_throw(self, state: ControlState, st: Throw) -> tuple:
         self._throw_states[state] = None
@@ -760,15 +770,16 @@ def analyze(program: Program, entry, init_store: Store,
             summaries: SummaryTable | None = None,
             shared: FiniteShared | None = None,
             budget: Budget | None = None,
-            memo: dict | None = None) -> AnalysisResult:
+            replay: AnalysisResult | None = None) -> AnalysisResult:
     """Run the engine ``cfg.mode`` names from ``entry``, a method or a
     tuple of methods.
 
     A tuple makes one run whose roots are every method's initial state; its
     result's ``entry`` and ``initial_state`` are the first root's. Without
     a ``budget`` the run gets its own, so ``cfg``'s limits bound this run
-    alone. A ``memo`` dict makes a reporting run (see ``_BaseEngine``):
-    share one only between runs from one store pair that no run grows.
+    alone. With ``replay``, the result of a plain run whose roots include
+    this run's, the run replays it (see ``_BaseEngine``): it shares that
+    run's final store pair in place of ``init_store``/``init_taint``.
     ``shared`` carries the finite engine's flow facts between runs; the
     pushdown engine needs none.
     """
@@ -776,10 +787,10 @@ def analyze(program: Program, entry, init_store: Store,
     summaries = summaries or SummaryTable([])
     if cfg.mode == FINITE:
         engine = _FiniteEngine(program, entries, init_store, init_taint, cfg,
-                               summaries, shared, budget, memo)
+                               summaries, shared, budget, replay)
     else:
         engine = _PushdownEngine(program, entries, init_store, init_taint,
-                                 cfg, summaries, budget, memo)
+                                 cfg, summaries, budget, replay)
     return engine.run()
 
 

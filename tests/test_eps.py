@@ -17,13 +17,12 @@ from pdcfa.eps import (
     saturate_app,
 )
 from pdcfa.ir import MethodRef, parse_program
-from pdcfa import machine, reach
+from pdcfa import cli, machine, reach
 from pdcfa.machine import (
     AbstractInt,
     AmbientSite,
     FieldAddr,
     ObjectPointer,
-    RegAddr,
     Store,
 )
 from pdcfa.reach import AnalysisConfig
@@ -246,26 +245,50 @@ def test_empty_units_rejected():
         saturate_app(program, [], AnalysisConfig(k=1), SUMMARIES)
 
 
-def test_reporting_run_that_grows_the_store_is_an_internal_error(
-        monkeypatch):
-    program = parse_program(SHARED_FIELD)
-    analyze = reach.analyze
+def _drop_one_effect(monkeypatch) -> list:
+    """Make saturation's fixpoint run lose one entry of its effects table;
+    the returned list gets the dropped key."""
+    analyze, dropped = reach.analyze, []
 
-    def growing(*args, **kwargs):
+    def dropping(*args, **kwargs):
         result = analyze(*args, **kwargs)
-        if inspect.signature(analyze).bind(*args, **kwargs).arguments.get(
-                "memo") is not None:
-            result.final_store.join(RegAddr(result.initial_state.fp, "extra"),
-                                    {AbstractInt(3)})
+        if result.effects is not None and not dropped:
+            key = next(iter(result.effects))
+            del result.effects[key]
+            dropped.append(key)
         return result
 
-    monkeypatch.setattr(reach, "analyze", growing)
-    with pytest.raises(RuntimeError, match="grew the saturated store"):
+    monkeypatch.setattr(reach, "analyze", dropping)
+    return dropped
+
+
+def test_reporting_run_missing_an_effect_is_an_internal_error(monkeypatch):
+    program = parse_program(SHARED_FIELD)
+    dropped = _drop_one_effect(monkeypatch)
+    with pytest.raises(RuntimeError) as err:
         saturate_app(program, [_unit("U", "writeOne")], AnalysisConfig(k=1),
                      SUMMARIES)
+    state, hyp = dropped[0]
+    assert f"reached {state.describe()} under top {hyp}," in str(err.value)
 
 
-# -- the app-wide fixpoint run and the memoised reporting runs ---------------
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+def test_reporting_run_missing_an_effect_exits_four_without_reports(
+        bundles_dir, tmp_path, monkeypatch, capsys, mode):
+    dropped = _drop_one_effect(monkeypatch)
+    out = tmp_path / "out"
+    code = cli.main(["--bundle", str(bundles_dir / "photoquote_exception"),
+                     "--out", str(out), "--mode", mode])
+    assert code == cli.EXIT_INTERNAL
+    assert not out.exists()
+    key = dropped[0]
+    state = key if mode == reach.FINITE else key[0]
+    err = capsys.readouterr().err
+    assert err.startswith("pdcfa: internal error: RuntimeError: ")
+    assert f"reached {state.describe()}" in err
+
+
+# -- the app-wide fixpoint run and the reporting runs that replay it --------
 
 
 def _sweep_reference(program, units, cfg, summaries) -> tuple:
@@ -324,7 +347,7 @@ def _check_saturation(monkeypatch, program, units, cfg, summaries):
     assert (store.fingerprint(), taint.fingerprint()) == saturated
     assert len(reporting) == sum(len(u.entry_points) for u in units)
     for args, result in reporting:
-        assert args["memo"] is not None
+        assert args["replay"] is not None
         assert (result.final_store.fingerprint(),
                 result.final_taint.fingerprint()) == saturated
         plain = analyze(args["program"], args["entry"], args["init_store"],
@@ -341,8 +364,8 @@ def _check_saturation(monkeypatch, program, units, cfg, summaries):
 def test_saturation_equals_sweeps_and_memo_equals_plain_runs(
         bundles_dir, monkeypatch, name, mode, k):
     """The fixpoint run's store pair equals the one repeated sweeps reach;
-    each memoised reporting run equals a plain run from the same pair; no
-    reporting run grows the pair."""
+    each reporting run, which replays the fixpoint run, equals a plain run
+    from the same pair; no reporting run grows the pair."""
     bundle = load_bundle(bundles_dir / name)
     units = discover_entry_points(bundle, bundle.program)
     _check_saturation(monkeypatch, bundle.program, units,
@@ -363,3 +386,42 @@ def test_saturation_equals_sweeps_on_generated_bundle(tmp_path, monkeypatch,
     units = discover_entry_points(bundle, bundle.program)
     _check_saturation(monkeypatch, bundle.program, units,
                       AnalysisConfig(mode=mode, k=ref["k"]), bundle.summaries)
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_reporting_runs_step_nothing_and_share_the_saturated_pair(
+        bundles_dir, monkeypatch, name, mode):
+    """After the fixpoint run returns, no machine step and no expression
+    evaluation runs: each reporting run reads the fixpoint run's effects and
+    returns its store pair itself."""
+    bundle = load_bundle(bundles_dir / name)
+    units = discover_entry_points(bundle, bundle.program)
+    analyze, runs, late_calls = reach.analyze, [], []
+
+    def recorded(*args, **kwargs):
+        runs.append(analyze(*args, **kwargs))
+        return runs[-1]
+
+    def counted(fname):
+        fn = getattr(machine, fname)
+
+        def wrapper(*args, **kwargs):
+            if runs:
+                late_calls.append(fname)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reach, "analyze", recorded)
+    for fname in ("step_independent", "step_dependent", "eval_atomic"):
+        monkeypatch.setattr(machine, fname, counted(fname))
+    _s, _t, trace = saturate_app(bundle.program, units,
+                                 AnalysisConfig(mode=mode, k=1),
+                                 bundle.summaries)
+    assert trace.complete and trace.results
+    assert late_calls == []
+    fixpoint = runs[0]
+    for result in trace.results:
+        assert result.final_store is fixpoint.final_store
+        assert result.final_taint is fixpoint.final_taint
+        assert result.effects is None
