@@ -8,9 +8,10 @@ Abstract Machines", ICFP 2010). That fixpoint depends on no schedule, so
 the saturated store models every interleaving of entry points without
 enumerating orderings. Then each entry point gets one reporting run, in
 declared order, that replays the fixpoint run: it shares the saturated pair
-and builds its own graph, but reads each worklist item's effects from the
+and builds its own graph, but reads each worklist item's edges from the
 fixpoint run's table of last steps instead of stepping the machine. A
 reporting run that reaches an item the table lacks is an internal error.
+Findings name the entry point that triggers them (``Unit.label``).
 """
 
 from __future__ import annotations
@@ -42,15 +43,21 @@ class EntryPoint:
     category: str
     registration_source: str
 
-    def label(self) -> str:
-        return self.method_ref.method_name
-
 
 @dataclass(frozen=True)
 class Unit:
     name: str
     kind: str
     entry_points: tuple
+
+    def label(self, ep: EntryPoint) -> str:
+        """``ep``'s name in reports: its method name, or its signature when
+        another entry point of this unit shares that name."""
+        name = ep.method_ref.method_name
+        if sum(e.method_ref.method_name == name
+               for e in self.entry_points) > 1:
+            return ep.method_ref.sig()
+        return name
 
 
 @dataclass
@@ -142,7 +149,7 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
     for unit, ep in entries:
         result = reach.analyze(program, ep.method_ref, store, taint, cfg,
                                summaries, shared, budget, fixpoint)
-        result.trigger = TriggerContext(unit.name, ep.label())
+        result.trigger = TriggerContext(unit.name, unit.label(ep))
         results.append(result)
         if not result.complete:
             return store, taint, SaturationTrace(

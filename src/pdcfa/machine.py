@@ -1,12 +1,14 @@
 """Abstract machine: value domains, monotone stores, and transition rules.
 
-States pair a statement position with a frame pointer; the value and taint
-stores are global join-semilattices that only ever grow (no strong updates).
-The continuation stack is left unbounded; the reachability engines decide how
-to treat it. No state carries a stack: ``step_independent`` steps the
-statements that ignore it, and ``step_dependent`` steps return, throw and
+Control states pair a statement position with a frame pointer; the value
+and taint stores are global join-semilattices that only ever grow (no strong
+updates). The continuation stack is left unbounded; the reachability engines
+decide how to treat it. No state carries a stack: ``step_independent`` steps
+the statements that ignore it, and ``step_dependent`` steps return, throw and
 pop-handler against a hypothesis about the top frame (a frame, or an empty
-stack). Both give their successors as stack actions (noop / push / pop).
+stack). Both return the Dyck state graph's edges from the stepped state,
+each labelled with its stack action (noop / push / pop), so both engines
+read one transition relation.
 
 All step functions are pure apart from joins into the supplied stores; joins
 are commutative and idempotent, so evaluating disjoint worklist items in any
@@ -469,8 +471,22 @@ def init_object(program: Program, store: Store, op: ObjectPointer,
 
 
 # ---------------------------------------------------------------------------
-# Frames and step edges
+# Control states, frames and edges
 # ---------------------------------------------------------------------------
+
+
+@key_type
+class ControlState:
+    pos: StmtPos
+    fp: FramePointer
+
+    def sort_key(self):
+        return (self.pos.sort_key(), self.fp.sort_key())
+
+    def describe(self) -> str:
+        move = "+move" if self.pos.at_move else ""
+        return (f"{self.pos.method.sig()}@{self.pos.index}{move} "
+                f"{self.fp.canonical()}")
 
 
 @key_type
@@ -504,16 +520,20 @@ PUSH = "push"
 POP = "pop"
 
 
-@dataclass(frozen=True)
-class StepEdge:
+@key_type
+class Edge:
+    src: ControlState
     kind: str  # noop | push | pop
     frame: object  # FunFrame | HandlerFrame | None
-    pos: StmtPos
-    fp: FramePointer
+    dst: ControlState
+
+    def sort_key(self):
+        fkey = self.frame.sort_key() if self.frame is not None else ()
+        return (self.src.sort_key(), self.kind, fkey, self.dst.sort_key())
 
 
-TERMINAL_RETURN = "return"
-TERMINAL_UNCAUGHT = "uncaught-exception"
+def _noop(state: ControlState, pos: StmtPos) -> Edge:
+    return Edge(state, NOOP, None, ControlState(pos, state.fp))
 
 
 def _summary_chain(program: Program, class_name: str):
@@ -522,20 +542,20 @@ def _summary_chain(program: Program, class_name: str):
     return [class_name]
 
 
-def _apply_summary_here(program, pos, fp, rec, arg_vals, arg_taints,
-                        store, taint_store, recorder) -> StepEdge:
+def _apply_summary_here(state, rec, arg_vals, arg_taints, store, taint_store,
+                        recorder) -> Edge:
     ret_val, ret_taint, sink_hits = taint_mod.apply_summary(
         rec, arg_vals, arg_taints)
-    store.join(RegAddr(fp, RET_REG), ret_val)
-    taint_store.join(RegAddr(fp, RET_REG), ret_taint)
-    all_taint = frozenset().union(*arg_taints) if arg_taints else frozenset()
-    recorder.summary_applied(pos, fp, rec, sink_hits, all_taint)
-    move_pos = StmtPos(pos.method, pos.index, at_move=True)
-    return StepEdge(NOOP, None, move_pos, fp)
+    store.join(RegAddr(state.fp, RET_REG), ret_val)
+    taint_store.join(RegAddr(state.fp, RET_REG), ret_taint)
+    recorder.summary_applied(state, rec, sink_hits)
+    pos = state.pos
+    return _noop(state, StmtPos(pos.method, pos.index, at_move=True))
 
 
-def _push_call(program, pos, fp, mdef, receivers, arg_vals, arg_taints,
-               is_static, store, taint_store, policy) -> StepEdge:
+def _push_call(state, mdef, receivers, arg_vals, arg_taints, is_static,
+               store, taint_store, policy) -> Edge:
+    pos, fp = state.pos, state.fp
     call_site = StmtPos(pos.method, pos.index)
     fp2 = alloc_fp(fp, call_site, mdef.ref, policy)
     if is_static:
@@ -550,25 +570,25 @@ def _push_call(program, pos, fp, mdef, receivers, arg_vals, arg_taints,
             taint_store.join(RegAddr(fp2, f"param{i}"), arg_taints[i + 1])
     move_pos = StmtPos(pos.method, pos.index, at_move=True)
     frame = FunFrame(fp, move_pos)
-    return StepEdge(PUSH, frame, StmtPos(mdef.ref, 0), fp2)
+    return Edge(state, PUSH, frame, ControlState(StmtPos(mdef.ref, 0), fp2))
 
 
-def _invoke_edges(program, pos, fp, inv: Invoke, store, taint_store,
-                  summaries, policy, recorder) -> list:
+def _step_invoke(program, state, inv: Invoke, store, taint_store,
+                 summaries, policy, recorder) -> list:
+    pos, fp = state.pos, state.fp
     arg_vals = [eval_atomic(program, a, fp, store) for a in inv.args]
     arg_taints = [eval_atomic_taint(a, fp, taint_store) for a in inv.args]
     if any(not v for v in arg_vals):
         log.debug("stuck invoke at %s: unbound argument", pos)
         return []
-    edges: list[StepEdge] = []
+    edges: list[Edge] = []
 
     if inv.kind == "static":
         rec = summaries.match(_summary_chain(program, inv.class_name),
                               inv.method_name)
         if rec is not None:
-            edges.append(_apply_summary_here(program, pos, fp, rec, arg_vals,
-                                             arg_taints, store, taint_store,
-                                             recorder))
+            edges.append(_apply_summary_here(state, rec, arg_vals, arg_taints,
+                                             store, taint_store, recorder))
             return edges
         if program.is_declared(inv.class_name):
             try:
@@ -577,9 +597,9 @@ def _invoke_edges(program, pos, fp, inv: Invoke, store, taint_store,
             except ResolveError:
                 log.debug("stuck invoke-static at %s: unresolved", pos)
                 return edges
-            edges.append(_push_call(program, pos, fp, mdef, frozenset(),
-                                    arg_vals, arg_taints, True,
-                                    store, taint_store, policy))
+            edges.append(_push_call(state, mdef, frozenset(), arg_vals,
+                                    arg_taints, True, store, taint_store,
+                                    policy))
         else:
             log.debug("stuck invoke-static at %s: unknown class %s",
                       pos, inv.class_name)
@@ -599,9 +619,8 @@ def _invoke_edges(program, pos, fp, inv: Invoke, store, taint_store,
         rec = summaries.match(_summary_chain(program, lookup_start),
                               inv.method_name)
         if rec is not None:
-            edges.append(_apply_summary_here(program, pos, fp, rec, arg_vals,
-                                             arg_taints, store, taint_store,
-                                             recorder))
+            edges.append(_apply_summary_here(state, rec, arg_vals, arg_taints,
+                                             store, taint_store, recorder))
             return edges
         try:
             mdef = program.resolve_method(
@@ -609,9 +628,8 @@ def _invoke_edges(program, pos, fp, inv: Invoke, store, taint_store,
                 "super" if inv.kind == "super" else "direct")
         except ResolveError:
             return edges
-        edges.append(_push_call(program, pos, fp, mdef, frozenset(receivers),
-                                arg_vals, arg_taints, False,
-                                store, taint_store, policy))
+        edges.append(_push_call(state, mdef, frozenset(receivers), arg_vals,
+                                arg_taints, False, store, taint_store, policy))
         return edges
 
     # virtual / interface / unqualified direct: dispatch on the dynamic class
@@ -632,48 +650,44 @@ def _invoke_edges(program, pos, fp, inv: Invoke, store, taint_store,
             continue
         resolved_groups.setdefault(mdef.ref, (mdef, []))[1].append(ov)
     for _, (rec, _) in sorted(summary_groups.items()):
-        edges.append(_apply_summary_here(program, pos, fp, rec, arg_vals,
-                                         arg_taints, store, taint_store,
-                                         recorder))
+        edges.append(_apply_summary_here(state, rec, arg_vals, arg_taints,
+                                         store, taint_store, recorder))
     for ref in sorted(resolved_groups, key=lambda r: r.sort_key()):
         mdef, group = resolved_groups[ref]
-        edges.append(_push_call(program, pos, fp, mdef, frozenset(group),
-                                arg_vals, arg_taints, False,
-                                store, taint_store, policy))
+        edges.append(_push_call(state, mdef, frozenset(group), arg_vals,
+                                arg_taints, False, store, taint_store, policy))
     return edges
 
 
-def step_independent(program: Program, pos: StmtPos, fp: FramePointer,
-                     store: Store, taint_store: taint_mod.TaintStore,
+def step_independent(program: Program, state: ControlState, store: Store,
+                     taint_store: taint_mod.TaintStore,
                      summaries: taint_mod.SummaryTable,
-                     policy: AllocPolicy, recorder) -> list | None:
-    """Successor edges for statements whose behavior ignores the stack.
-
-    Returns None for Return/Throw/PopHandler, which need a top-frame
-    hypothesis (see step_dependent). An empty list means the path is stuck.
+                     policy: AllocPolicy, recorder) -> list:
+    """Edges from ``state`` for a statement whose behavior ignores the
+    stack; an empty list means the path is stuck. Return, throw and
+    pop-handler need a top-frame hypothesis (see step_dependent).
     ``recorder.summary_applied`` is called for each API summary applied.
     """
+    pos, fp = state.pos, state.fp
     st = program.stmt_at(pos)
     if st is None:
         return []
     nxt = program.advance(pos)
     match st:
         case Label(_) | Nop() | Line(_):
-            return [StepEdge(NOOP, None, nxt, fp)]
+            return [_noop(state, nxt)]
         case Goto(label):
-            return [StepEdge(NOOP, None,
-                             program.pos_of_label(pos.method, label), fp)]
+            return [_noop(state, program.pos_of_label(pos.method, label))]
         case If(cond, label):
             vals = eval_atomic(program, cond, fp, store)
             if not vals:
                 return []
             target = program.pos_of_label(pos.method, label)
             if vals == frozenset({TRUE}):
-                return [StepEdge(NOOP, None, target, fp)]
+                return [_noop(state, target)]
             if vals == frozenset({FALSE}):
-                return [StepEdge(NOOP, None, nxt, fp)]
-            return [StepEdge(NOOP, None, nxt, fp),
-                    StepEdge(NOOP, None, target, fp)]
+                return [_noop(state, nxt)]
+            return [_noop(state, nxt), _noop(state, target)]
         case AssignAtomic(name, exp):
             vals = eval_atomic(program, exp, fp, store)
             if not vals:
@@ -681,15 +695,15 @@ def step_independent(program: Program, pos: StmtPos, fp: FramePointer,
             store.join(RegAddr(fp, name), vals)
             taint_store.join(RegAddr(fp, name),
                              eval_atomic_taint(exp, fp, taint_store))
-            return [StepEdge(NOOP, None, nxt, fp)]
+            return [_noop(state, nxt)]
         case AssignComplex(name, New(class_name)):
             op = alloc_op(StmtPos(pos.method, pos.index), fp, policy)
             store.join(RegAddr(fp, name),
                        frozenset({ObjectValue(op, class_name)}))
             init_object(program, store, op, class_name)
-            return [StepEdge(NOOP, None, nxt, fp)]
+            return [_noop(state, nxt)]
         case AssignComplex(_, Invoke() as inv):
-            return _invoke_edges(program, pos, fp, inv, store, taint_store,
+            return _step_invoke(program, state, inv, store, taint_store,
                                  summaries, policy, recorder)
         case MoveFromRet(name):
             vals = store.lookup(RegAddr(fp, RET_REG))
@@ -698,7 +712,7 @@ def step_independent(program: Program, pos: StmtPos, fp: FramePointer,
             store.join(RegAddr(fp, name), vals)
             taint_store.join(RegAddr(fp, name),
                              taint_store.lookup(RegAddr(fp, RET_REG)))
-            return [StepEdge(NOOP, None, nxt, fp)]
+            return [_noop(state, nxt)]
         case FieldPut(obj, field_name, value):
             receivers = [v for v in eval_atomic(program, obj, fp, store)
                          if isinstance(v, ObjectValue)]
@@ -709,7 +723,7 @@ def step_independent(program: Program, pos: StmtPos, fp: FramePointer,
             for ov in sorted(receivers, key=value_sort_key):
                 store.join(FieldAddr(ov.op, field_name), vals)
                 taint_store.join(FieldAddr(ov.op, field_name), taints)
-            return [StepEdge(NOOP, None, nxt, fp)]
+            return [_noop(state, nxt)]
         case FieldGet(name, obj, field_name):
             vals = eval_field(program, obj, fp, store, field_name)
             if not vals:
@@ -719,12 +733,10 @@ def step_independent(program: Program, pos: StmtPos, fp: FramePointer,
                 RegAddr(fp, name),
                 eval_field_taint(program, obj, fp, store, taint_store,
                                  field_name))
-            return [StepEdge(NOOP, None, nxt, fp)]
+            return [_noop(state, nxt)]
         case PushHandler(class_name, label):
             frame = HandlerFrame(class_name, label, pos.method)
-            return [StepEdge(PUSH, frame, nxt, fp)]
-        case Return(_) | Throw(_) | PopHandler():
-            return None
+            return [Edge(state, PUSH, frame, ControlState(nxt, fp))]
     raise TypeError(f"unhandled statement {st!r}")
 
 
@@ -733,43 +745,45 @@ def is_stack_dependent(program: Program, pos: StmtPos) -> bool:
     return isinstance(st, (Return, Throw, PopHandler))
 
 
-def step_dependent(program: Program, pos: StmtPos, fp: FramePointer,
-                   top, store: Store, taint_store: taint_mod.TaintStore,
-                   policy: AllocPolicy) -> tuple:
-    """Successors of Return/Throw/PopHandler under a top-frame hypothesis.
+def step_dependent(program: Program, state: ControlState, top, store: Store,
+                   taint_store: taint_mod.TaintStore,
+                   policy: AllocPolicy) -> list:
+    """Edges from ``state``, at a return, throw or pop-handler, when ``top``
+    is on top of the stack: a frame, or None for an empty stack.
 
-    ``top`` is a frame or None (empty stack). Returns (edges, terminals)
-    where terminals name terminal outcomes reached under this hypothesis.
+    Under an empty stack a return joins ``ret`` and an uncaught throw joins
+    ``exn`` in the state's own frame; neither has a successor.
     """
+    pos, fp = state.pos, state.fp
     st = program.stmt_at(pos)
     match st:
         case Return(exp):
             vals = eval_atomic(program, exp, fp, store)
             if not vals:
-                return [], []
+                return []
             taints = eval_atomic_taint(exp, fp, taint_store)
             if top is None:
                 store.join(RegAddr(fp, RET_REG), vals)
                 taint_store.join(RegAddr(fp, RET_REG), taints)
-                return [], [TERMINAL_RETURN]
+                return []
             if isinstance(top, HandlerFrame):
                 # handler-skipping: pop until a call frame is on top
-                return [StepEdge(POP, top, pos, fp)], []
+                return [Edge(state, POP, top, state)]
             store.join(RegAddr(top.fp, RET_REG), vals)
             taint_store.join(RegAddr(top.fp, RET_REG), taints)
-            return [StepEdge(POP, top, top.ret_pos, top.fp)], []
+            return [Edge(state, POP, top, ControlState(top.ret_pos, top.fp))]
         case Throw(exp):
             vals = eval_atomic(program, exp, fp, store)
             thrown = [v for v in vals if isinstance(v, ObjectValue)]
             if not thrown:
-                return [], []
+                return []
             taints = eval_atomic_taint(exp, fp, taint_store)
             if top is None:
                 store.join(RegAddr(fp, EXN_REG), frozenset(thrown))
                 taint_store.join(RegAddr(fp, EXN_REG), taints)
-                return [], [TERMINAL_UNCAUGHT]
+                return []
             if isinstance(top, FunFrame):
-                return [StepEdge(POP, top, pos, fp)], []
+                return [Edge(state, POP, top, state)]
             catchable = [v for v in thrown
                          if program.is_subclass(v.class_name, top.class_name)]
             edges = []
@@ -777,16 +791,17 @@ def step_dependent(program: Program, pos: StmtPos, fp: FramePointer,
                 store.join(RegAddr(fp, EXN_REG), frozenset(catchable))
                 taint_store.join(RegAddr(fp, EXN_REG), taints)
                 hpos = program.pos_of_label(top.owner, top.label)
-                edges.append(StepEdge(POP, top, hpos, fp))
+                edges.append(Edge(state, POP, top, ControlState(hpos, fp)))
             if len(catchable) < len(thrown):
-                edges.append(StepEdge(POP, top, pos, fp))
-            return edges, []
+                edges.append(Edge(state, POP, top, state))
+            return edges
         case PopHandler():
             if not isinstance(top, HandlerFrame):
                 what = top.canonical() if top is not None else "an empty stack"
                 raise MalformedState(
                     f"pop-handler over {what} at {pos.method.sig()}@{pos.index}")
-            return [StepEdge(POP, top, program.advance(pos), fp)], []
+            return [Edge(state, POP, top,
+                         ControlState(program.advance(pos), fp))]
     raise TypeError(f"not a stack-dependent statement: {st!r}")
 
 

@@ -1,17 +1,19 @@
 """Reachability engines over the abstract machine.
 
 ``analyze`` starts every engine run; ``AnalysisConfig.mode`` picks the
-engine. The two engines share the machine's transition rules and differ only
-in how the continuation stack is treated:
+engine. Both engines read one transition relation, the machine's step
+functions, whose output is already the Dyck state graph's edges; they differ
+only in which frames they let top the continuation stack:
 
-* ``pushdown`` keeps the stack exact: it builds a Dyck state graph
-  whose edges carry stack actions, maintaining epsilon summaries so a pop is
-  propagated to exactly the push sites with a balanced path to it.
+* ``pushdown`` keeps the stack exact: it maintains epsilon summaries so a
+  pop is propagated to exactly the push sites with a balanced path to it,
+  and steps a stack-dependent state under each frame that can top it.
 * ``finite`` finitizes the stack in the traditional way: returns flow
   to every continuation merged at the same context key (the callee frame
   pointer), and throws link to every recorded handler whose guarded region
   can reach the throwing method, so it computes a superset of the pushdown
-  result.
+  result. The throw rule is its own: no single top-frame hypothesis
+  expresses it.
 
 Both run a worklist to a simultaneous fixpoint of the node set, edge set,
 summaries, and one global widened store pair. Worklist order is LIFO with
@@ -19,8 +21,8 @@ deterministic tie-breaking, so results are identical across runs. A run may
 start from several entry methods at once, each initial state a root with an
 empty stack; entry-point saturation makes one such app-wide run, then one
 reporting run per entry point that replays it: it runs the same worklist
-and closure, but reads each item's effects from the app-wide run's table
-instead of stepping the machine.
+and closure, but reads each item's effects, the edges of its last step, from
+the app-wide run's table instead of stepping the machine.
 """
 
 from __future__ import annotations
@@ -30,17 +32,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import machine
-from .ir import (
-    MethodRef,
-    PopHandler,
-    Program,
-    Return,
-    StmtPos,
-    Throw,
-    key_type,
-)
+from .ir import MethodRef, PopHandler, Program, Return, StmtPos, Throw
 from .machine import (
     AllocPolicy,
+    ControlState,
+    Edge,
     FramePointer,
     FunFrame,
     HandlerFrame,
@@ -49,40 +45,12 @@ from .machine import (
     PUSH,
     RegAddr,
     Store,
-    TERMINAL_RETURN,
-    TERMINAL_UNCAUGHT,
     frame_pointer_zero,
 )
 from .taint import SummaryTable, TaintStore, TriggerContext
 
 PUSHDOWN = "pushdown"
 FINITE = "finite"
-
-
-@key_type
-class ControlState:
-    pos: StmtPos
-    fp: FramePointer
-
-    def sort_key(self):
-        return (self.pos.sort_key(), self.fp.sort_key())
-
-    def describe(self) -> str:
-        move = "+move" if self.pos.at_move else ""
-        return (f"{self.pos.method.sig()}@{self.pos.index}{move} "
-                f"{self.fp.canonical()}")
-
-
-@key_type
-class Edge:
-    src: ControlState
-    kind: str  # noop | push | pop
-    frame: object  # FunFrame | HandlerFrame | None
-    dst: ControlState
-
-    def sort_key(self):
-        fkey = self.frame.sort_key() if self.frame is not None else ()
-        return (self.src.sort_key(), self.kind, fkey, self.dst.sort_key())
 
 
 class DyckStateGraph:
@@ -185,14 +153,13 @@ class AnalysisResult:
     final_store: Store
     final_taint: TaintStore
     visit_counts: dict
-    terminals: dict  # ControlState -> tuple of terminal kinds
     complete: bool
     limit_reason: str | None
     applications: list  # sorted by SummaryApplication.sort_key
     config: AnalysisConfig
     trigger: TriggerContext
-    # worklist key -> (terminal kinds, edges) of the item's last step; None
-    # for a run that replays another
+    # worklist key -> edges of the item's last step; None for a run that
+    # replays another
     effects: dict | None = None
 
     def node_set(self) -> frozenset:
@@ -224,8 +191,7 @@ class _Recorder:
         self.program = program
         self._apps: dict = {}
 
-    def summary_applied(self, pos, fp, rec, sink_hits, arg_taint):
-        state = ControlState(pos, fp)
+    def summary_applied(self, state, rec, sink_hits):
         key = (state, rec.key())
         hits = frozenset(sink_hits)
         old = self._apps.get(key)
@@ -233,7 +199,7 @@ class _Recorder:
             hits |= old.sink_hits
         self._apps[key] = SummaryApplication(
             state=state,
-            line=self.program.line_of(pos),
+            line=self.program.line_of(state.pos),
             summary_key=rec.key(),
             role=rec.role,
             sink_kind=rec.sink_kind,
@@ -255,9 +221,9 @@ class _BaseEngine:
     """One run from the initial states of ``entries``, its roots.
 
     A plain run steps each worklist item under the store pair it grows and
-    keeps the item's last effects (terminal kinds and edges) under its key.
-    A run that replays such a run (``replay``, its result) shares its final
-    pair, grows nothing and steps nothing: it reads each item's effects from
+    keeps the edges of the item's last step, its effects, under its key. A
+    run that replays such a run (``replay``, its result) shares its final
+    pair, grows nothing and steps nothing: it reads each item's edges from
     that table. Readers tracking re-steps an item whenever an address it read
     grows, so each item's last step is its step under the final pair.
     """
@@ -281,7 +247,6 @@ class _BaseEngine:
         self.init_state = self.roots[0]
         self.dsg = DyckStateGraph()
         self.visit_counts: dict = {}
-        self.terminals: dict = {}
         self.worklist: list = []
         self.pending: set = set()
         self.complete = True
@@ -337,9 +302,9 @@ class _BaseEngine:
             return True
         return False
 
-    def _effects(self, item, key) -> tuple:
-        """(terminal kinds, edges) of one worklist item: stepped and kept
-        under ``key``, or read from the replayed run's table."""
+    def _effects(self, item, key) -> list:
+        """The edges of one worklist item: stepped and kept under ``key``,
+        or read from the replayed run's table."""
         if self.replay is not None:
             effects = self.replay.effects.get(key)
             if effects is None:
@@ -354,15 +319,6 @@ class _BaseEngine:
         finally:
             self.current_item = None
         return effects
-
-    def _edges(self, state: ControlState, steps) -> list:
-        return [Edge(state, e.kind, e.frame, ControlState(e.pos, e.fp))
-                for e in steps]
-
-    def _terminal(self, state: ControlState, kind: str):
-        kinds = set(self.terminals.get(state, ()))
-        kinds.add(kind)
-        self.terminals[state] = tuple(sorted(kinds))
 
     def _applications(self) -> list:
         if self.replay is None:
@@ -384,7 +340,6 @@ class _BaseEngine:
             final_store=self.store,
             final_taint=self.taint,
             visit_counts=dict(self.visit_counts),
-            terminals=dict(self.terminals),
             complete=self.complete,
             limit_reason=self.limit_reason,
             applications=self._applications(),
@@ -531,10 +486,7 @@ class _PushdownEngine(_BaseEngine):
         sid, hyp = item
         state = self.states[sid]
         self.visits[sid] += 1
-        terminals, edges = self._effects(item, (state, hyp))
-        for kind in terminals:
-            self._terminal(state, kind)
-        for edge in edges:
+        for edge in self._effects(item, (state, hyp)):
             if edge.kind == NOOP:
                 self._add_noop(sid, edge)
             elif edge.kind == PUSH:
@@ -542,20 +494,16 @@ class _PushdownEngine(_BaseEngine):
             else:
                 self._add_pop(sid, edge)
 
-    def _step(self, item) -> tuple:
+    def _step(self, item) -> list:
         sid, hyp = item
         state = self.states[sid]
         if hyp is _HYP_ANY:
-            steps = machine.step_independent(
-                self.program, state.pos, state.fp, self.store, self.taint,
-                self.summaries, self.policy, self.recorder)
-            assert steps is not None
-            return (), self._edges(state, steps)
-        top = None if hyp is _HYP_EMPTY else hyp
-        steps, terminals = machine.step_dependent(
-            self.program, state.pos, state.fp, top, self.store, self.taint,
-            self.policy)
-        return terminals, self._edges(state, steps)
+            return machine.step_independent(
+                self.program, state, self.store, self.taint, self.summaries,
+                self.policy, self.recorder)
+        return machine.step_dependent(
+            self.program, state, None if hyp is _HYP_EMPTY else hyp,
+            self.store, self.taint, self.policy)
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +553,11 @@ class FiniteShared:
 
 
 class _FiniteEngine(_BaseEngine):
-    """Returns flow to every call edge recorded at the callee frame pointer;
-    a return in a root's frame is also a terminal one. Worklist items, and
-    their keys, are bare control states: no step needs a stack hypothesis,
-    and none depends on the run's roots."""
+    """Steps each return and pop-handler with the machine once per frame the
+    flow facts allow on top of the stack (see ``_tops``): a return flows to
+    every call edge recorded at its frame pointer. Worklist items, and their
+    keys, are bare control states: no item needs a stack hypothesis, and no
+    item's edges depend on the run's roots."""
 
     def __init__(self, program, entries, init_store, init_taint, cfg,
                  summaries, shared: FiniteShared | None, budget: Budget | None,
@@ -663,30 +612,41 @@ class _FiniteEngine(_BaseEngine):
 
     def _process(self, state: ControlState):
         self.visit_counts[state] = self.visit_counts.get(state, 0) + 1
-        terminals, edges = self._effects(state, state)
-        for kind in terminals:
-            # a return's value reaches the caller only in a root's frame
-            if kind != TERMINAL_RETURN or state.fp in self.entry_fps:
-                self._terminal(state, kind)
-        for edge in edges:
+        for edge in self._effects(state, state):
             self._ensure_node(edge.dst)
             self.dsg.add_edge(edge)
             if edge.kind == PUSH and self.replay is None:
                 self._record_push(state, edge)
 
-    def _step(self, state: ControlState) -> tuple:
+    def _step(self, state: ControlState) -> list:
         st = self.program.stmt_at(state.pos)
-        if isinstance(st, Return):
-            return self._step_return(state, st)
         if isinstance(st, Throw):
             return self._step_throw(state, st)
+        if isinstance(st, (Return, PopHandler)):
+            return [edge for top in self._tops(state, st)
+                    for edge in machine.step_dependent(
+                        self.program, state, top, self.store, self.taint,
+                        self.policy)]
+        return machine.step_independent(
+            self.program, state, self.store, self.taint, self.summaries,
+            self.policy, self.recorder)
+
+    def _tops(self, state: ControlState, st) -> list:
+        """The frames that may top the stack at a return or pop-handler,
+        None for the empty stack. At a pop-handler, the handler its matching
+        push-handler installed. At a return, the empty stack in a root's
+        frame, then every call frame recorded at the return's frame pointer,
+        by caller state."""
+        program, method = self.program, state.pos.method
         if isinstance(st, PopHandler):
-            return (), [self._pop_handler_edge(state)]
-        steps = machine.step_independent(
-            self.program, state.pos, state.fp, self.store, self.taint,
-            self.summaries, self.policy, self.recorder)
-        assert steps is not None
-        return (), self._edges(state, steps)
+            push_idx, _ = program.handler_spans[method][state.pos.index]
+            push = program.methods[method].body[push_idx]
+            return [HandlerFrame(push.class_name, push.label, method)]
+        self._return_deps.setdefault(state.fp, {})[state] = None
+        tops = [None] if state.fp in self.entry_fps else []
+        calls = sorted(self.shared.call_edges.get(state.fp, {}),
+                       key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+        return tops + [frame for _caller_state, frame in calls]
 
     def _record_push(self, state: ControlState, edge: Edge):
         """Add a call edge or handler record to ``shared``; a reporting
@@ -709,33 +669,13 @@ class _FiniteEngine(_BaseEngine):
         for state in sorted(states, key=ControlState.sort_key):
             self._enqueue(state)
 
-    def _step_return(self, state: ControlState, st: Return) -> tuple:
-        self._return_deps.setdefault(state.fp, {})[state] = None
-        program = self.program
-        vals = machine.eval_atomic(program, st.exp, state.fp, self.store)
-        if not vals:
-            return (), []
-        taints = machine.eval_atomic_taint(st.exp, state.fp, self.taint)
-        if state.fp in self.entry_fps:
-            self.store.join(RegAddr(state.fp, machine.RET_REG), vals)
-            self.taint.join(RegAddr(state.fp, machine.RET_REG), taints)
-        entries = sorted(self.shared.call_edges.get(state.fp, {}),
-                         key=lambda e: (e[0].sort_key(), e[1].sort_key()))
-        edges = []
-        for _caller_state, frame in entries:
-            self.store.join(RegAddr(frame.fp, machine.RET_REG), vals)
-            self.taint.join(RegAddr(frame.fp, machine.RET_REG), taints)
-            edges.append(Edge(state, POP, frame,
-                              ControlState(frame.ret_pos, frame.fp)))
-        return (TERMINAL_RETURN,), edges
-
-    def _step_throw(self, state: ControlState, st: Throw) -> tuple:
+    def _step_throw(self, state: ControlState, st: Throw) -> list:
         self._throw_states[state] = None
         program = self.program
         vals = machine.eval_atomic(program, st.exp, state.fp, self.store)
         thrown = [v for v in vals if isinstance(v, machine.ObjectValue)]
         if not thrown:
-            return (), []
+            return []
         taints = machine.eval_atomic_taint(st.exp, state.fp, self.taint)
         # without a stack the unwind may always escape
         self.store.join(RegAddr(state.fp, machine.EXN_REG), frozenset(thrown))
@@ -749,15 +689,7 @@ class _FiniteEngine(_BaseEngine):
                               or (method == frame.owner and lo < idx < hi)):
                 edges.append(Edge(state, POP, frame,
                                   ControlState(hpos, state.fp)))
-        return (TERMINAL_UNCAUGHT,), edges
-
-    def _pop_handler_edge(self, state: ControlState) -> Edge:
-        method, program = state.pos.method, self.program
-        push_idx, _ = program.handler_spans[method][state.pos.index]
-        push_stmt = program.methods[method].body[push_idx]
-        frame = HandlerFrame(push_stmt.class_name, push_stmt.label, method)
-        return Edge(state, POP, frame,
-                    ControlState(program.advance(state.pos), state.fp))
+        return edges
 
 
 # ---------------------------------------------------------------------------

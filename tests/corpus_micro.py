@@ -302,6 +302,66 @@ MICRO_PROGRAMS = {
      (label same)
      (return 1)"""), "completed", 1),
 
+    "bitwise_ints": (_main("""
+     (assign a 12)
+     (assign b 10)
+     (assign c (and a b))
+     (assign d (or a b))
+     (assign e (xor a b))
+     (assign n (invoke-static test/Api->getNumber () ()))
+     (assign f (xor (and n a) (or n 1)))
+     (return (add (add c d) (add e f)))"""), "completed", 29),
+
+    "eq_bools_ne": (_main("""
+     (assign t true)
+     (assign f (not t))
+     (if (eq t f) (goto bad))
+     (if (ne t true) (goto bad))
+     (if (ne f f) (goto bad))
+     (if (ne 3 4) (goto good))
+     (return 0)
+     (label good)
+     (assign r (eq f false))
+     (if r (goto done))
+     (goto bad)
+     (label done)
+     (return 1)
+     (label bad)
+     (return 2)"""), "completed", 1),
+
+    "eq_null_void_mixed": (_main("""
+     (assign z null)
+     (assign v void)
+     (assign o (new Box))
+     (if (ne z null) (goto bad))
+     (if (ne v void) (goto bad))
+     (if (eq z 0) (goto bad))
+     (if (eq true 1) (goto bad))
+     (if (eq v z) (goto bad))
+     (if (eq o z) (goto bad))
+     (if (ne o 0) (goto good))
+     (return 0)
+     (label good)
+     (return 1)
+     (label bad)
+     (return 2)"""), "completed", 1),
+
+    "instance_of_null_and_string": (_main("""
+     (assign z null)
+     (if (instance-of z java/lang/Object) (goto bad))
+     (assign s (invoke-static test/Api->getSecret () ()))
+     (assign b (instance-of s Box))
+     (if b (goto bad))
+     (if (instance-of s java/lang/String) (goto good))
+     (return 0)
+     (label good)
+     (if (instance-of s java/lang/Object) (goto done))
+     (goto bad)
+     (label done)
+     (return 1)
+     (label bad)
+     (return 2)"""), "completed", 1),
+
     "uncaught_throw": (_main("""
      (assign e (new Fault))
      (throw e)"""), "uncaught-exception", None),

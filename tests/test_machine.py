@@ -231,9 +231,8 @@ THROWY = """
 def _step(p, pos, f, top, store=None):
     """step_dependent with ``top`` on the stack, in fresh stores unless
     ``store`` is given; returns the successor edges."""
-    edges, _terminals = step_dependent(p, pos, f, top, store or Store(),
-                                       TaintStore(), AllocPolicy())
-    return edges
+    return step_dependent(p, ControlState(pos, f), top, store or Store(),
+                          TaintStore(), AllocPolicy())
 
 
 def test_step_return_under_handler_pops_and_retries():
@@ -242,7 +241,7 @@ def test_step_return_under_handler_pops_and_retries():
     h = HandlerFrame("Fault", "h", MethodRef("Main", "run", ()))
     pos = StmtPos(give, 0)
     (succ,) = _step(p, pos, frame_pointer_zero(give), h)
-    assert succ.pos == pos  # same return statement
+    assert succ.dst.pos == pos  # same return statement
     assert succ.kind == POP and succ.frame == h
 
 
@@ -255,7 +254,7 @@ def test_step_throw_matching_handler_by_subclass():
     store.join(RegAddr(f, "e"), {ObjectValue(op, "Fault")})
     h = HandlerFrame("java/lang/Exception", "h", run)
     (succ,) = _step(p, StmtPos(run, 1), f, h, store)
-    assert succ.pos == p.pos_of_label(run, "h")
+    assert succ.dst.pos == p.pos_of_label(run, "h")
     assert succ.kind == POP and succ.frame == h
     assert store.lookup(RegAddr(f, "exn")) == {ObjectValue(op, "Fault")}
 
@@ -283,10 +282,11 @@ def test_step_throw_two_frame_unwind_matches_oracle():
     # the stack is (fun, handler), fun on top
     pos = StmtPos(boom, 1)
     (after_fun,) = _step(p, pos, f_boom, fun, store)
-    assert after_fun.pos == pos
+    assert after_fun.dst.pos == pos
     assert after_fun.kind == POP and after_fun.frame == fun
-    (after_handler,) = _step(p, after_fun.pos, after_fun.fp, handler, store)
-    assert after_handler.pos == p.pos_of_label(run, "catch")
+    (after_handler,) = _step(p, after_fun.dst.pos, after_fun.dst.fp, handler,
+                             store)
+    assert after_handler.dst.pos == p.pos_of_label(run, "catch")
     assert after_handler.kind == POP and after_handler.frame == handler
 
 
@@ -302,7 +302,7 @@ def test_step_uncatchable_class_keeps_unwinding():
     h = HandlerFrame("Unrelated", "h", run)
     pos = StmtPos(run, 1)
     (succ,) = _step(p, pos, f, h, store)
-    assert succ.pos == pos  # still throwing
+    assert succ.dst.pos == pos  # still throwing
     assert succ.kind == POP and succ.frame == h
 
 

@@ -11,6 +11,8 @@ from pdcfa import eps, machine, reach
 from pdcfa.cli import load_bundle
 from pdcfa.ir import MethodRef, StmtPos, parse_program
 from pdcfa.machine import (
+    FunFrame,
+    HandlerFrame,
     NOOP,
     POP,
     PUSH,
@@ -65,15 +67,18 @@ def _finite(src, entry=RUN, k=1, table=TABLE):
     return program, analyze(program, entry, store, taint, cfg, table)
 
 
-def test_single_return_terminal():
+@pytest.mark.parametrize("engine", [_pushdown, _finite],
+                         ids=["pushdown", "finite"])
+def test_single_return_joins_ret_in_the_root_frame(engine):
+    """A return under the root's empty stack joins its value into the root
+    frame's ``ret``; under both engines."""
     src = """
 (public class Main extends java/lang/Object ()
   ((method public run () void (throws) (limit 1)
      (return void))))
 """
-    program, res = _pushdown(src, table=EMPTY)
+    program, res = engine(src, table=EMPTY)
     assert 1 <= len(res.dsg.nodes) <= 2
-    assert any("return" in kinds for kinds in res.terminals.values())
     fp0 = frame_pointer_zero(RUN)
     ret_vals = res.final_store.lookup(RegAddr(fp0, "ret"))
     assert ret_vals == {VOID}
@@ -91,7 +96,6 @@ def test_call_and_return_with_one_summary():
     program, res = _pushdown(src, table=EMPTY)
     fp0 = frame_pointer_zero(RUN)
     assert AbstractInt(1) in res.final_store.lookup(RegAddr(fp0, "ret"))
-    assert any("return" in kinds for kinds in res.terminals.values())
     # exactly one generated epsilon summary: over f's balanced body
     assert len(res.dsg.epsilon_summaries) == 1
     ((a, b),) = res.dsg.epsilon_summaries
@@ -340,6 +344,30 @@ def test_balanced_paths_replay():
                 assert replay_stack_actions(steps), (name, node.describe())
 
 
+def test_replay_stack_actions_matches_pops_against_pushed_frames():
+    """A pop replays when it matches the frame last pushed on the path, or
+    when nothing the path pushed is left (it pops the stack the path started
+    under); a pop of a different frame than the one pushed does not."""
+    states = [ControlState(StmtPos(RUN, i), frame_pointer_zero(RUN))
+              for i in range(4)]
+    call = FunFrame(frame_pointer_zero(RUN), StmtPos(RUN, 0, at_move=True))
+    handler = HandlerFrame("Fault", "h", RUN)
+
+    def path(*actions):
+        return [PathStep(kind, frame, states[i], states[i + 1])
+                for i, (kind, frame) in enumerate(actions)]
+
+    assert replay_stack_actions(path((PUSH, call), (POP, call)))
+    assert replay_stack_actions(path((PUSH, handler), (PUSH, call),
+                                     (POP, call)))
+    assert not replay_stack_actions(path((PUSH, handler), (POP, call)))
+    assert not replay_stack_actions(path((PUSH, call), (PUSH, handler),
+                                         (POP, call)))
+    assert replay_stack_actions(path((POP, call)))
+    assert replay_stack_actions(path((PUSH, call), (POP, call),
+                                     (POP, handler)))
+
+
 # -- witness trees against a per-pair search ----------------------------------
 #
 # The reference below is the per-(source, target) BFS the analyzer used
@@ -485,11 +513,8 @@ def test_summaries_equal_naive_recomputation(bundles_dir):
             if not is_stack_dependent(program, r.pos):
                 continue
             for frame in frames:
-                edges, _terminals = step_dependent(
-                    program, r.pos, r.fp, frame, store, taint,
-                    res.config.policy())
-                pops.update(Edge(r, POP, e.frame, ControlState(e.pos, e.fp))
-                            for e in edges)
+                pops.update(step_dependent(program, r, frame, store, taint,
+                                           res.config.policy()))
         if {e for e in res.dsg.edges if e.kind == POP} != pops:
             mismatches.append(f"{label}: pop edges")
     assert not mismatches
@@ -611,10 +636,10 @@ def checked_throw_steps(monkeypatch):
 
     def step_throw(engine, state, st):
         expected = _naive_throw_edges(engine, state, st)
-        terminals, edges = original(engine, state, st)
+        edges = original(engine, state, st)
         assert edges == expected, state.describe()
         steps.append(len(edges))
-        return terminals, edges
+        return edges
 
     monkeypatch.setattr(reach._FiniteEngine, "_step_throw", step_throw)
     return steps
