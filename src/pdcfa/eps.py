@@ -6,12 +6,11 @@ seeded into one store pair, and one engine run has every entry's initial
 state as a root (a global store, as in Van Horn and Might, "Abstracting
 Abstract Machines", ICFP 2010). That fixpoint depends on no schedule, so
 the saturated store models every interleaving of entry points without
-enumerating orderings. Then each entry point gets one reporting run, in
-declared order, that replays the fixpoint run: it shares the saturated pair
-and builds its own graph, but reads each worklist item's edges from the
-fixpoint run's table of last steps instead of stepping the machine. A
-reporting run that reaches an item the table lacks is an internal error.
-Findings name the entry point that triggers them (``Unit.label``).
+enumerating orderings. Then each entry point, in declared order, gets its
+result as a view of the fixpoint run's graph (``reach.entry_view``): the
+part of it a run from that entry alone would build over the saturated pair,
+read out without stepping the machine. Findings name the entry point that
+triggers them (``Unit.label``).
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class Unit:
 
 @dataclass
 class SaturationTrace:
-    results: list  # reporting-run AnalysisResults, in declared entry order
+    results: list  # entry-point views (AnalysisResults), in declared order
     # 2 when the fixpoint run grew the seeded store pair, 1 when it did not
     global_rounds: int
     complete: bool = True
@@ -111,18 +110,20 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                  init_store: Store | None = None,
                  init_taint: TaintStore | None = None,
                  budget: reach.Budget | None = None) -> tuple:
-    """One app-wide fixpoint run, then one reporting run per entry point.
+    """One app-wide fixpoint run, then one view of it per entry point.
 
     Returns (store, taint, trace): the saturated store pair, and each entry
-    point's reporting-run result, in declared order. Optional seeds support
-    re-running saturation from its own output (a fixpoint check).
+    point's view, in declared order. Optional seeds support re-running
+    saturation from its own output (a fixpoint check).
 
     ``cfg.max_seconds`` and ``cfg.max_states`` bound the whole saturation:
-    every engine run shares one deadline and one running count of the
-    states built, and the first run to pass either ends saturation with
-    ``complete=False``; a fixpoint run that does so leaves no entry results.
-    A caller that passes its own ``budget`` (made before parsing, say)
-    bounds its earlier work with the same deadline.
+    the fixpoint run and the views share one deadline and one running count
+    of the states they hold. A fixpoint run that passes either ends
+    saturation with ``complete=False`` and no entry results. Each view is
+    checked against both limits before it is built and once it is: a view
+    that passes either is not emitted, and saturation ends with the views
+    before it. A caller that passes its own ``budget`` (made before parsing,
+    say) bounds its earlier work with the same deadline.
     """
     if not units:
         raise EmptyUnit("no units declared")
@@ -147,12 +148,14 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
 
     results: list = []
     for unit, ep in entries:
-        result = reach.analyze(program, ep.method_ref, store, taint, cfg,
-                               summaries, shared, budget, fixpoint)
+        reason = budget.limit_hit(0)
+        if reason is None:
+            result = reach.entry_view(fixpoint, ep.method_ref)
+            reason = budget.limit_hit(len(result.dsg.nodes))
+        if reason is not None:
+            return store, taint, SaturationTrace(
+                results, rounds, complete=False, limit_reason=reason)
+        budget.states_used += len(result.dsg.nodes)
         result.trigger = TriggerContext(unit.name, unit.label(ep))
         results.append(result)
-        if not result.complete:
-            return store, taint, SaturationTrace(
-                results, rounds, complete=False,
-                limit_reason=result.limit_reason)
     return store, taint, SaturationTrace(results, rounds)

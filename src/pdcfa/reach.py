@@ -19,10 +19,11 @@ Both run a worklist to a simultaneous fixpoint of the node set, edge set,
 summaries, and one global widened store pair. Worklist order is LIFO with
 deterministic tie-breaking, so results are identical across runs. A run may
 start from several entry methods at once, each initial state a root with an
-empty stack; entry-point saturation makes one such app-wide run, then one
-reporting run per entry point that replays it: it runs the same worklist
-and closure, but reads each item's effects, the edges of its last step, from
-the app-wide run's table instead of stepping the machine.
+empty stack; entry-point saturation makes one such app-wide run. Each entry
+point's result is then ``entry_view`` of that run's graph: the part a run
+from that entry alone would build over the same store pair, read out of the
+graph without stepping the machine (tabulation with one fact per root, as
+in Reps, Horwitz and Sagiv, POPL 1995).
 """
 
 from __future__ import annotations
@@ -158,9 +159,10 @@ class AnalysisResult:
     applications: list  # sorted by SummaryApplication.sort_key
     config: AnalysisConfig
     trigger: TriggerContext
-    # worklist key -> edges of the item's last step; None for a run that
-    # replays another
-    effects: dict | None = None
+    # pushdown run: push target or root -> the stack-dependent states with
+    # a balanced path from it, itself included (what ``entry_view`` reads);
+    # None otherwise
+    closure: dict | None = None
 
     def node_set(self) -> frozenset:
         return frozenset(self.dsg.nodes)
@@ -173,17 +175,27 @@ class AnalysisResult:
 
 
 class Budget:
-    """Resource limits shared by every engine run of one analysis.
+    """Resource limits shared by every engine run and view of one analysis.
 
     One deadline, fixed when the budget is made, and one running count of
-    the states that finished runs built; a run stops once that count plus
-    its own states passes ``max_states`` or the deadline passes.
+    the states that finished runs and emitted views hold; a run stops once
+    that count plus its own states passes ``max_states`` or the deadline
+    passes.
     """
 
     def __init__(self, cfg: AnalysisConfig):
         self.deadline = time.monotonic() + cfg.max_seconds
         self.max_states = cfg.max_states
         self.states_used = 0
+
+    def limit_hit(self, states: int) -> str | None:
+        """The limit passed by ``states`` more states, or by the clock now;
+        None when neither is."""
+        if self.states_used + states > self.max_states:
+            return "max-states"
+        if time.monotonic() > self.deadline:
+            return "max-seconds"
+        return None
 
 
 class _Recorder:
@@ -220,18 +232,14 @@ _HYP_EMPTY = "<empty>"
 class _BaseEngine:
     """One run from the initial states of ``entries``, its roots.
 
-    A plain run steps each worklist item under the store pair it grows and
-    keeps the edges of the item's last step, its effects, under its key. A
-    run that replays such a run (``replay``, its result) shares its final
-    pair, grows nothing and steps nothing: it reads each item's edges from
-    that table. Readers tracking re-steps an item whenever an address it read
-    grows, so each item's last step is its step under the final pair.
+    The run steps each worklist item under the store pair it grows. Readers
+    tracking re-steps an item whenever an address it read grows, so the
+    graph ends up holding each item's edges under the final pair.
     """
 
     def __init__(self, program: Program, entries: tuple, init_store: Store,
                  init_taint: TaintStore, cfg: AnalysisConfig,
-                 summaries: SummaryTable, budget: Budget | None,
-                 replay: AnalysisResult | None):
+                 summaries: SummaryTable, budget: Budget | None):
         for entry in entries:
             if entry not in program.methods:
                 raise machine.ResolveError(f"unknown entry {entry.sig()}")
@@ -241,7 +249,6 @@ class _BaseEngine:
         self.policy = cfg.policy()
         self.summaries = summaries
         self.budget = budget if budget is not None else Budget(cfg)
-        self.replay = replay
         self.roots = [ControlState(StmtPos(e, 0), frame_pointer_zero(e))
                       for e in entries]
         self.init_state = self.roots[0]
@@ -249,15 +256,9 @@ class _BaseEngine:
         self.visit_counts: dict = {}
         self.worklist: list = []
         self.pending: set = set()
-        self.complete = True
         self.limit_reason: str | None = None
-        if replay is not None:
-            self.store, self.taint = replay.final_store, replay.final_taint
-            self.effects = None
-            return
         self.store = init_store.copy()
         self.taint = init_taint.copy()
-        self.effects = {}
         self.recorder = _Recorder(program)
         self.readers: dict = {}
         self.current_item = None
@@ -268,7 +269,8 @@ class _BaseEngine:
         for root in self.roots:
             self._add_root(root)
         while self.worklist:
-            if self._budget_exceeded():
+            self.limit_reason = self.budget.limit_hit(len(self.dsg.nodes))
+            if self.limit_reason is not None:
                 break
             item = self.worklist.pop()
             self.pending.discard(item)
@@ -290,45 +292,16 @@ class _BaseEngine:
             self.pending.add(item)
             self.worklist.append(item)
 
-    def _budget_exceeded(self) -> bool:
-        budget = self.budget
-        if budget.states_used + len(self.dsg.nodes) > budget.max_states:
-            self.complete = False
-            self.limit_reason = "max-states"
-            return True
-        if time.monotonic() > budget.deadline:
-            self.complete = False
-            self.limit_reason = "max-seconds"
-            return True
-        return False
-
-    def _effects(self, item, key) -> list:
-        """The edges of one worklist item: stepped and kept under ``key``,
-        or read from the replayed run's table."""
-        if self.replay is not None:
-            effects = self.replay.effects.get(key)
-            if effects is None:
-                raise RuntimeError(
-                    f"the run from {self.entry.sig()} reached "
-                    f"{_describe_key(key)}, which the run it replays never "
-                    f"stepped")
-            return effects
+    def _stepped(self, item) -> list:
+        """The edges of one worklist item's step; every address the step
+        reads gets the item as a reader."""
         self.current_item = item
         try:
-            effects = self.effects[key] = self._step(item)
+            return self._step(item)
         finally:
             self.current_item = None
-        return effects
 
-    def _applications(self) -> list:
-        if self.replay is None:
-            return self.recorder.applications()
-        # an application is recorded where a step applies a summary: keep
-        # the replayed run's at the states this run stepped
-        visits = self.visit_counts
-        return [a for a in self.replay.applications if visits.get(a.state)]
-
-    def _result(self) -> AnalysisResult:
+    def _result(self, closure: dict | None = None) -> AnalysisResult:
         self.store.on_read = self.store.on_grow = None
         self.taint.on_read = self.taint.on_grow = None
         self.budget.states_used += len(self.dsg.nodes)
@@ -340,23 +313,13 @@ class _BaseEngine:
             final_store=self.store,
             final_taint=self.taint,
             visit_counts=dict(self.visit_counts),
-            complete=self.complete,
+            complete=self.limit_reason is None,
             limit_reason=self.limit_reason,
-            applications=self._applications(),
+            applications=self.recorder.applications(),
             config=self.cfg,
             trigger=TriggerContext("<direct>", self.entry.sig()),
-            effects=self.effects,
+            closure=closure,
         )
-
-
-def _describe_key(key) -> str:
-    """A worklist key for messages: a control state, or a pushdown
-    (control state, stack hypothesis) pair."""
-    if isinstance(key, ControlState):
-        return key.describe()
-    state, hyp = key
-    top = hyp if isinstance(hyp, str) else hyp.canonical()
-    return f"{state.describe()} under top {top}"
 
 
 class _PushdownEngine(_BaseEngine):
@@ -394,7 +357,12 @@ class _PushdownEngine(_BaseEngine):
 
     def _result(self) -> AnalysisResult:
         self.visit_counts = dict(zip(self.states, self.visits))
-        return super()._result()
+        states, dependent, rfwd = self.states, self.dependent, self.rfwd
+        closure = {
+            states[h]: [states[s] for s in (h, *rfwd.get(h, ()))
+                        if dependent[s]]
+            for h in self.root_ids | self.push_into.keys()}
+        return super()._result(closure)
 
     # graph construction ---------------------------------------------------
 
@@ -486,7 +454,7 @@ class _PushdownEngine(_BaseEngine):
         sid, hyp = item
         state = self.states[sid]
         self.visits[sid] += 1
-        for edge in self._effects(item, (state, hyp)):
+        for edge in self._stepped(item):
             if edge.kind == NOOP:
                 self._add_noop(sid, edge)
             elif edge.kind == PUSH:
@@ -526,7 +494,8 @@ class FiniteShared:
 
     A finite-state analyzer keeps one application-wide flow graph. The
     app-wide fixpoint run of saturation builds these facts, as it builds the
-    store pair; the reporting runs read them frozen.
+    store pair; a run given the facts of an earlier run (``analyze``'s
+    ``shared``) starts from them and adds to them.
     """
 
     def __init__(self):
@@ -560,10 +529,10 @@ class _FiniteEngine(_BaseEngine):
     item's edges depend on the run's roots."""
 
     def __init__(self, program, entries, init_store, init_taint, cfg,
-                 summaries, shared: FiniteShared | None, budget: Budget | None,
-                 replay: AnalysisResult | None):
+                 summaries, shared: FiniteShared | None,
+                 budget: Budget | None):
         super().__init__(program, entries, init_store, init_taint, cfg,
-                         summaries, budget, replay)
+                         summaries, budget)
         self.shared = shared if shared is not None else FiniteShared()
         self.entry_fps = {root.fp for root in self.roots}
         self._return_deps: dict = {}  # fp -> {state: None}
@@ -581,9 +550,12 @@ class _FiniteEngine(_BaseEngine):
         self._enqueue(state)
 
     def _handler_index(self) -> list:
-        """Every handler record in sorted order, as ``(frame, handler
-        position, region lo, region hi, methods reachable through calls
-        inside the region)``; rebuilt only when ``shared`` has grown."""
+        """One entry per distinct ``(frame, region)`` of the handler records,
+        in sorted order, as ``(frame, handler position, region lo, region
+        hi, methods reachable through calls inside the region)``; rebuilt
+        only when ``shared`` has grown. Records that differ only in their
+        push state would give equal entries: what the region reaches depends
+        on its owner and bounds alone."""
         if self._index_version == self.shared.version:
             return self._index
         callees: dict = {}  # method -> {(call index, callee method): None}
@@ -591,10 +563,13 @@ class _FiniteEngine(_BaseEngine):
             for caller_state, _frame in entries:
                 callees.setdefault(caller_state.pos.method, {})[
                     (caller_state.pos.index, callee_fp.method)] = None
-        index = []
+        index, seen = [], set()
         for rec in sorted(self.shared.handler_records,
                           key=HandlerRecord.sort_key):
             frame = rec.frame
+            if (frame, rec.region) in seen:
+                continue
+            seen.add((frame, rec.region))
             lo, hi = rec.region
             frontier = [m for idx, m in callees.get(frame.owner, ())
                         if lo < idx < hi]
@@ -612,10 +587,10 @@ class _FiniteEngine(_BaseEngine):
 
     def _process(self, state: ControlState):
         self.visit_counts[state] = self.visit_counts.get(state, 0) + 1
-        for edge in self._effects(state, state):
+        for edge in self._stepped(state):
             self._ensure_node(edge.dst)
             self.dsg.add_edge(edge)
-            if edge.kind == PUSH and self.replay is None:
+            if edge.kind == PUSH:
                 self._record_push(state, edge)
 
     def _step(self, state: ControlState) -> list:
@@ -649,8 +624,7 @@ class _FiniteEngine(_BaseEngine):
         return tops + [frame for _caller_state, frame in calls]
 
     def _record_push(self, state: ControlState, edge: Edge):
-        """Add a call edge or handler record to ``shared``; a reporting
-        run reads them frozen."""
+        """Add a call edge or handler record to ``shared``."""
         if isinstance(edge.frame, FunFrame):
             if self.shared.add_call(edge.dst.fp, state, edge.frame):
                 self._on_shared_growth(callee_fp=edge.dst.fp)
@@ -683,6 +657,8 @@ class _FiniteEngine(_BaseEngine):
         method, idx = state.pos.method, state.pos.index
         edges = []
         for frame, hpos, lo, hi, reachable in self._handler_index():
+            if edges and edges[-1].frame == frame:
+                continue  # a frame's entries are adjacent; one edge each
             catchable = [v for v in thrown
                          if program.is_subclass(v.class_name, frame.class_name)]
             if catchable and (method in reachable
@@ -701,29 +677,75 @@ def analyze(program: Program, entry, init_store: Store,
             init_taint: TaintStore, cfg: AnalysisConfig,
             summaries: SummaryTable | None = None,
             shared: FiniteShared | None = None,
-            budget: Budget | None = None,
-            replay: AnalysisResult | None = None) -> AnalysisResult:
+            budget: Budget | None = None) -> AnalysisResult:
     """Run the engine ``cfg.mode`` names from ``entry``, a method or a
     tuple of methods.
 
     A tuple makes one run whose roots are every method's initial state; its
     result's ``entry`` and ``initial_state`` are the first root's. Without
     a ``budget`` the run gets its own, so ``cfg``'s limits bound this run
-    alone. With ``replay``, the result of a plain run whose roots include
-    this run's, the run replays it (see ``_BaseEngine``): it shares that
-    run's final store pair in place of ``init_store``/``init_taint``.
-    ``shared`` carries the finite engine's flow facts between runs; the
+    alone. ``shared`` carries the finite engine's flow facts between runs; the
     pushdown engine needs none.
     """
     entries = entry if isinstance(entry, tuple) else (entry,)
     summaries = summaries or SummaryTable([])
     if cfg.mode == FINITE:
         engine = _FiniteEngine(program, entries, init_store, init_taint, cfg,
-                               summaries, shared, budget, replay)
+                               summaries, shared, budget)
     else:
         engine = _PushdownEngine(program, entries, init_store, init_taint,
-                                 cfg, summaries, budget, replay)
+                                 cfg, summaries, budget)
     return engine.run()
+
+
+def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
+    """The result of a run from ``entry``, one of ``run``'s roots, alone
+    over ``run``'s final store pair, read out of ``run``'s graph without
+    stepping. A finite view is the part of the graph the root reaches. A
+    pushdown view's nodes are those the root reaches over no-op and push
+    edges and ε-summaries; of the pop edges it keeps those whose frame may
+    top the popping node: a push of it from a view node leads to that node
+    on a balanced path (``run.closure``).
+    """
+    root = ControlState(StmtPos(entry, 0), frame_pointer_zero(entry))
+    graph = run.dsg
+    if root not in graph.nodes:
+        raise ValueError(f"{entry.sig()} is not a root of the viewed run")
+    pushdown = run.mode == PUSHDOWN
+    dsg = DyckStateGraph()
+    dsg.add_node(root)
+    tops: dict = {}  # stack-dependent node -> {frame that may top it: None}
+    stack = [root]
+    while stack:
+        s = stack.pop()
+        succs = list(graph._sum_from.get(s, ()))
+        for e in graph._out.get(s, ()):
+            if pushdown and e.kind == PUSH:
+                for t in run.closure[e.dst]:
+                    tops.setdefault(t, {})[e.frame] = None
+            if not pushdown or e.kind != POP:
+                succs.append(e.dst)
+        stack.extend(t for t in succs if dsg.add_node(t))
+    balanced = set(run.closure[root]) if pushdown else ()
+    visits = {}
+    for s in dsg.nodes:
+        top = tops.get(s, ())
+        for e in graph._out.get(s, ()):
+            if not pushdown or e.kind != POP or e.frame in top:
+                dsg.add_edge(e)
+        for t in graph._sum_from.get(s, ()):
+            dsg.add_summary(s, t)
+        # a stack-dependent node is stepped under each frame that may top
+        # it, and under the empty stack when the root reaches it balanced;
+        # each one is in ``tops`` or ``balanced``, so any other node, stepped
+        # once, is in neither
+        visits[s] = len(top) + (s in balanced) or 1
+    return AnalysisResult(
+        mode=run.mode, entry=entry, initial_state=root, dsg=dsg,
+        final_store=run.final_store, final_taint=run.final_taint,
+        visit_counts=visits, complete=True, limit_reason=None,
+        applications=[a for a in run.applications if a.state in dsg.nodes],
+        config=run.config, trigger=TriggerContext("<direct>", entry.sig()))
 
 
 # ---------------------------------------------------------------------------

@@ -107,19 +107,22 @@ def _assert_partial(out, reason):
 
 
 def _count_runs(monkeypatch, before_run=None):
-    """Wrap the engine entry point; return the list of each run's state
-    count, filled in as runs finish."""
+    """Wrap the engine entry point and the entry-point view; return the
+    list of the state count of each fixpoint run and view, filled in as
+    they finish."""
     sizes = []
-    analyze = reach.analyze
 
-    def counted(*args, **kwargs):
-        if before_run is not None:
-            before_run()
-        result = analyze(*args, **kwargs)
-        sizes.append(len(result.dsg.nodes))
-        return result
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if before_run is not None:
+                before_run()
+            result = fn(*args, **kwargs)
+            sizes.append(len(result.dsg.nodes))
+            return result
+        return wrapper
 
-    monkeypatch.setattr(reach, "analyze", counted)
+    monkeypatch.setattr(reach, "analyze", counted(reach.analyze))
+    monkeypatch.setattr(reach, "entry_view", counted(reach.entry_view))
     return sizes
 
 
@@ -140,8 +143,9 @@ def test_max_states_bounds_the_whole_saturation(bundles_dir, tmp_path,
 
 def test_max_seconds_bounds_the_whole_saturation(bundles_dir, tmp_path,
                                                  monkeypatch):
-    """Each engine run starts one second after the one before it on a
-    patched clock; a 2.5 s budget stops the third run."""
+    """The fixpoint run and each view start one second after the one
+    before on a patched clock; a 2.5 s budget runs out during the third,
+    whose view is not emitted."""
     now = [0.0]
 
     def tick():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, STRICT_PROGRAMS
 from pdcfa.cli import load_bundle
 from pdcfa.eps import (
     EmptyUnit,
@@ -122,19 +123,23 @@ def test_reader_before_writer_still_sees_taint():
 
 
 def test_one_fixpoint_run_then_each_entry_point_once(monkeypatch):
-    """One app-wide run with every entry point as a root, then one
-    reporting run per entry point, in declared order."""
+    """One app-wide run with every entry point as a root, then one view of
+    it per entry point, in declared order."""
     program = parse_program(SHARED_FIELD)
     cfg = AnalysisConfig(k=1)
     runs: list = []
-    analyze = reach.analyze
+    analyze, entry_view = reach.analyze, reach.entry_view
 
     def counted(program, entry, *args, **kwargs):
-        entries = entry if isinstance(entry, tuple) else (entry,)
-        runs.append(tuple(e.method_name for e in entries))
+        runs.append(tuple(e.method_name for e in entry))
         return analyze(program, entry, *args, **kwargs)
 
+    def viewed(run, entry):
+        runs.append((entry.method_name,))
+        return entry_view(run, entry)
+
     monkeypatch.setattr(reach, "analyze", counted)
+    monkeypatch.setattr(reach, "entry_view", viewed)
     units = [_unit("R", "leakIt", "writeOne"), _unit("W", "writeTwo",
                                                      "taintIt")]
     order = ("leakIt", "writeOne", "writeTwo", "taintIt")
@@ -272,50 +277,7 @@ def test_empty_units_rejected():
         saturate_app(program, [], AnalysisConfig(k=1), SUMMARIES)
 
 
-def _drop_one_effect(monkeypatch) -> list:
-    """Make saturation's fixpoint run lose one entry of its effects table;
-    the returned list gets the dropped key."""
-    analyze, dropped = reach.analyze, []
-
-    def dropping(*args, **kwargs):
-        result = analyze(*args, **kwargs)
-        if result.effects is not None and not dropped:
-            key = next(iter(result.effects))
-            del result.effects[key]
-            dropped.append(key)
-        return result
-
-    monkeypatch.setattr(reach, "analyze", dropping)
-    return dropped
-
-
-def test_reporting_run_missing_an_effect_is_an_internal_error(monkeypatch):
-    program = parse_program(SHARED_FIELD)
-    dropped = _drop_one_effect(monkeypatch)
-    with pytest.raises(RuntimeError) as err:
-        saturate_app(program, [_unit("U", "writeOne")], AnalysisConfig(k=1),
-                     SUMMARIES)
-    state, hyp = dropped[0]
-    assert f"reached {state.describe()} under top {hyp}," in str(err.value)
-
-
-@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
-def test_reporting_run_missing_an_effect_exits_four_without_reports(
-        bundles_dir, tmp_path, monkeypatch, capsys, mode):
-    dropped = _drop_one_effect(monkeypatch)
-    out = tmp_path / "out"
-    code = cli.main(["--bundle", str(bundles_dir / "photoquote_exception"),
-                     "--out", str(out), "--mode", mode])
-    assert code == cli.EXIT_INTERNAL
-    assert not out.exists()
-    key = dropped[0]
-    state = key if mode == reach.FINITE else key[0]
-    err = capsys.readouterr().err
-    assert err.startswith("pdcfa: internal error: RuntimeError: ")
-    assert f"reached {state.describe()}" in err
-
-
-# -- the app-wide fixpoint run and the reporting runs that replay it --------
+# -- the app-wide fixpoint run and the entry-point views of its graph --------
 
 
 def _sweep_reference(program, units, cfg, summaries) -> tuple:
@@ -343,26 +305,51 @@ def _sweep_reference(program, units, cfg, summaries) -> tuple:
 
 
 def _result_parts(result) -> tuple:
+    """What a result reports, as sets: node order is not observable in any
+    report (reversing it in every entry result moves no report byte)."""
     dsg = result.dsg
-    return (list(dsg.nodes), list(dsg.edges), list(dsg.epsilon_summaries),
-            list(result.visit_counts.items()), result.applications)
+    return (set(dsg.nodes), set(dsg.edges), set(dsg.epsilon_summaries),
+            result.visit_counts, result.applications)
+
+
+def _saturate_recorded(monkeypatch, program, units, cfg, summaries) -> tuple:
+    """Saturate, recording every engine run and view. Returns the store, the
+    taint store, the trace, and each call's (bound arguments, result), the
+    fixpoint run's first."""
+    calls = []
+    analyze, entry_view = reach.analyze, reach.entry_view
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            calls.append((bound.arguments, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(reach, "analyze", recorded(analyze))
+    monkeypatch.setattr(reach, "entry_view", recorded(entry_view))
+    store, taint, trace = saturate_app(program, units, cfg, summaries)
+    monkeypatch.setattr(reach, "analyze", analyze)
+    monkeypatch.setattr(reach, "entry_view", entry_view)
+    assert trace.complete
+    return store, taint, trace, calls
+
+
+def _assert_views_equal_plain_runs(program, calls, cfg, summaries):
+    """Each entry point's view equals a plain run from that entry alone over
+    the saturated pair (and, finite, the saturated flow facts)."""
+    (fix_args, fixpoint), views = calls[0], calls[1:]
+    for _args, view in views:
+        plain = reach.analyze(program, view.entry, fixpoint.final_store,
+                              fixpoint.final_taint, cfg, summaries,
+                              fix_args.get("shared"))
+        assert _result_parts(view) == _result_parts(plain), view.entry.sig()
 
 
 def _check_saturation(monkeypatch, program, units, cfg, summaries):
-    calls = []  # (bound arguments, result) of every engine run
-    analyze = reach.analyze
-
-    def recorded(*args, **kwargs):
-        result = analyze(*args, **kwargs)
-        bound = inspect.signature(analyze).bind(*args, **kwargs)
-        calls.append((bound.arguments, result))
-        return result
-
-    monkeypatch.setattr(reach, "analyze", recorded)
-    store, taint, trace = saturate_app(program, units, cfg, summaries)
-    monkeypatch.setattr(reach, "analyze", analyze)
-    assert trace.complete
-
+    store, taint, trace, calls = _saturate_recorded(monkeypatch, program,
+                                                    units, cfg, summaries)
     (_fix_args, fixpoint), reporting = calls[0], calls[1:]
     ref_store, ref_taint = _sweep_reference(program, units, cfg, summaries)
     assert fixpoint.final_store.canonical_text() == ref_store.canonical_text()
@@ -373,14 +360,10 @@ def _check_saturation(monkeypatch, program, units, cfg, summaries):
     assert (store.fingerprint(), taint.fingerprint()) == saturated
     assert len(reporting) == sum(len(u.entry_points) for u in units)
     for args, result in reporting:
-        assert args["replay"] is not None
+        assert args["run"] is fixpoint
         assert (result.final_store.fingerprint(),
                 result.final_taint.fingerprint()) == saturated
-        plain = analyze(args["program"], args["entry"], args["init_store"],
-                        args["init_taint"], args["cfg"], args["summaries"],
-                        args.get("shared"))
-        assert _result_parts(result) == _result_parts(plain), \
-            args["entry"].sig()
+    _assert_views_equal_plain_runs(program, calls, cfg, summaries)
     assert trace.results == [r for _a, r in reporting]
 
 
@@ -390,28 +373,76 @@ def _check_saturation(monkeypatch, program, units, cfg, summaries):
 def test_saturation_equals_sweeps_and_memo_equals_plain_runs(
         bundles_dir, monkeypatch, name, mode, k):
     """The fixpoint run's store pair equals the one repeated sweeps reach;
-    each reporting run, which replays the fixpoint run, equals a plain run
-    from the same pair; no reporting run grows the pair."""
+    each entry point's view of the fixpoint graph equals a plain run from
+    the same pair; no view grows the pair."""
     bundle = load_bundle(bundles_dir / name)
     units = discover_entry_points(bundle, bundle.program)
     _check_saturation(monkeypatch, bundle.program, units,
                       AnalysisConfig(mode=mode, k=k), bundle.summaries)
 
 
-@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
-def test_saturation_equals_sweeps_on_generated_bundle(tmp_path, monkeypatch,
-                                                      mode):
+def _generated_bundle(tmp_path, monkeypatch, workload) -> tuple:
+    """The synthetic bundle of a ``bench/reference.json`` workload, its
+    units and its ``k``."""
     monkeypatch.syspath_prepend(str(BENCH))
     import synth
 
     ref = json.loads((BENCH / "reference.json").read_text(
-        encoding="utf-8"))["finite-witness"]
+        encoding="utf-8"))[workload]
     root = synth.generate(synth.Shape.parse(ref["shape"]),
                           ref["seed"]).write(tmp_path / "bundle")
     bundle = load_bundle(root)
-    units = discover_entry_points(bundle, bundle.program)
+    return bundle, discover_entry_points(bundle, bundle.program), ref["k"]
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+def test_saturation_equals_sweeps_on_generated_bundle(tmp_path, monkeypatch,
+                                                      mode):
+    bundle, units, k = _generated_bundle(tmp_path, monkeypatch,
+                                         "finite-witness")
     _check_saturation(monkeypatch, bundle.program, units,
-                      AnalysisConfig(mode=mode, k=ref["k"]), bundle.summaries)
+                      AnalysisConfig(mode=mode, k=k), bundle.summaries)
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+@pytest.mark.parametrize("workload", ["wide-pushdown", "finite-witness"])
+def test_views_equal_plain_runs_on_generated_bundles(tmp_path, monkeypatch,
+                                                     workload, mode):
+    """Each entry point's view of the fixpoint graph equals a plain run from
+    that entry alone over the saturated pair: nodes, edges, ε-summaries,
+    per-state visit counts and applications. The shipped bundles get the
+    same check, at every k, through ``_check_saturation``."""
+    bundle, units, k = _generated_bundle(tmp_path, monkeypatch, workload)
+    cfg = AnalysisConfig(mode=mode, k=k)
+    _s, _t, trace, calls = _saturate_recorded(
+        monkeypatch, bundle.program, units, cfg, bundle.summaries)
+    assert len(trace.results) == sum(len(u.entry_points) for u in units)
+    _assert_views_equal_plain_runs(bundle.program, calls, cfg,
+                                   bundle.summaries)
+
+
+MICRO = {**{name: src for name, (src, _o, _r) in MICRO_PROGRAMS.items()},
+         **STRICT_PROGRAMS}
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+@pytest.mark.parametrize("name", sorted(MICRO))
+def test_views_equal_plain_runs_with_every_method_an_entry_point(
+        monkeypatch, name, mode):
+    """Callees become roots too. A stack-dependent state of a root's method
+    can then have a balanced path from the root and a pushed frame on top,
+    as a return inside a handler region does, so both terms of its visit
+    count show."""
+    program = parse_program(MICRO[name])
+    refs = sorted((m for m in program.methods if m.class_name == "Main"),
+                  key=MethodRef.sort_key)
+    unit = Unit("U", "activity", tuple(EntryPoint(r, "ui-handler", "layout")
+                                       for r in refs))
+    cfg, summaries = AnalysisConfig(mode=mode, k=0), parse_summaries(
+        MICRO_SUMMARIES)
+    _s, _t, _trace, calls = _saturate_recorded(monkeypatch, program, [unit],
+                                               cfg, summaries)
+    _assert_views_equal_plain_runs(program, calls, cfg, summaries)
 
 
 @pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
@@ -419,8 +450,8 @@ def test_saturation_equals_sweeps_on_generated_bundle(tmp_path, monkeypatch,
 def test_reporting_runs_step_nothing_and_share_the_saturated_pair(
         bundles_dir, monkeypatch, name, mode):
     """After the fixpoint run returns, no machine step and no expression
-    evaluation runs: each reporting run reads the fixpoint run's effects and
-    returns its store pair itself."""
+    evaluation runs: each entry point's view reads the fixpoint run's graph
+    and returns its store pair itself."""
     bundle = load_bundle(bundles_dir / name)
     units = discover_entry_points(bundle, bundle.program)
     analyze, runs, late_calls = reach.analyze, [], []
@@ -450,4 +481,3 @@ def test_reporting_runs_step_nothing_and_share_the_saturated_pair(
     for result in trace.results:
         assert result.final_store is fixpoint.final_store
         assert result.final_taint is fixpoint.final_taint
-        assert result.effects is None

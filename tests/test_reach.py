@@ -613,7 +613,7 @@ def _naive_throw_edges(engine, state, st):
             frontier.extend(m2 for _idx, m2 in graph.get(m, []))
         return False
 
-    edges = []
+    edges = {}  # one edge per frame, however many of its records catch
     for rec in sorted(engine.shared.handler_records,
                       key=lambda r: (r.frame.sort_key(),
                                      r.push_state.sort_key())):
@@ -623,8 +623,8 @@ def _naive_throw_edges(engine, state, st):
         if not catchable or not scope_allows(rec):
             continue
         hpos = program.pos_of_label(rec.frame.owner, rec.frame.label)
-        edges.append(Edge(state, POP, rec.frame, ControlState(hpos, state.fp)))
-    return edges
+        edges[Edge(state, POP, rec.frame, ControlState(hpos, state.fp))] = None
+    return list(edges)
 
 
 @pytest.fixture
