@@ -897,6 +897,13 @@ def _validate_method(program: Program, cdef: ClassDef, mdef: MethodDef) -> None:
         if isinstance(st, (Goto, If)) and region(labels[target]) != region(i):
             raise ParseError(f"branch to {target} enters or leaves a handler "
                              f"region in {where}", st.pos.line, st.pos.col)
+        # a catch that lands inside a region a pop-handler closes would run
+        # that pop-handler without the region's frame on the stack
+        if isinstance(st, PushHandler) and any(
+                lo < labels[target] < hi and not lo < i < hi
+                for lo, hi in spans.values() if hi in spans):
+            raise ParseError(f"catch label {target} enters a closed handler "
+                             f"region in {where}", st.pos.line, st.pos.col)
         classes: list = []  # classes the statement names
         match st:
             case PushHandler(cls, _):

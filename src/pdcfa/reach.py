@@ -28,6 +28,7 @@ in Reps, Horwitz and Sagiv, POPL 1995).
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -138,8 +139,9 @@ class AnalysisConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.k <= 4:
             raise ValueError("k must be between 0 and 4")
-        if self.max_states <= 0 or self.max_seconds <= 0:
-            raise ValueError("budgets must be positive")
+        # NaN fails every comparison, so a NaN deadline would never trip
+        if self.max_states <= 0 or not 0 < self.max_seconds < math.inf:
+            raise ValueError("budgets must be finite and positive")
 
     def policy(self) -> AllocPolicy:
         return AllocPolicy(self.k, self.heap_context)
@@ -159,10 +161,10 @@ class AnalysisResult:
     applications: list  # sorted by SummaryApplication.sort_key
     config: AnalysisConfig
     trigger: TriggerContext
-    # pushdown run: push target or root -> the stack-dependent states with
-    # a balanced path from it, itself included (what ``entry_view`` reads);
-    # None otherwise
-    closure: dict | None = None
+    # pushdown run: push source or root -> [(frame, stack-dependent state
+    # it may top)], the frame None, for the empty stack, only from a root
+    # (what ``entry_view`` reads); None otherwise
+    tops: dict | None = None
 
     def node_set(self) -> frozenset:
         return frozenset(self.dsg.nodes)
@@ -226,7 +228,6 @@ class _Recorder:
 
 
 _HYP_ANY = "<any>"
-_HYP_EMPTY = "<empty>"
 
 
 class _BaseEngine:
@@ -301,7 +302,7 @@ class _BaseEngine:
         finally:
             self.current_item = None
 
-    def _result(self, closure: dict | None = None) -> AnalysisResult:
+    def _result(self, tops: dict | None = None) -> AnalysisResult:
         self.store.on_read = self.store.on_grow = None
         self.taint.on_read = self.taint.on_grow = None
         self.budget.states_used += len(self.dsg.nodes)
@@ -318,7 +319,7 @@ class _BaseEngine:
             applications=self.recorder.applications(),
             config=self.cfg,
             trigger=TriggerContext("<direct>", self.entry.sig()),
-            closure=closure,
+            tops=tops,
         )
 
 
@@ -327,10 +328,17 @@ class _PushdownEngine(_BaseEngine):
 
     Each control state gets a dense int id, in discovery order, when it
     first becomes a node. The summary bookkeeping and the worklist items
-    ``(id, hyp)`` are keyed by id, so their hashing and equality are int
+    ``(id, top)`` are keyed by id, so their hashing and equality are int
     operations; the graph and the result stay keyed by ``ControlState``.
-    Every root starts with an empty stack, so ``eb`` holds the ids with a
-    balanced path from any root.
+
+    ``tops`` records, for each node, every frame that may be on top of its
+    stack, with the push sources that put it there; a root puts the empty
+    stack, None, on itself. No-op edges and ε-summaries carry these records
+    to their targets, so a node holds (f, p) exactly when a push of f from
+    p leads to it on a balanced path (the path edges of Reps, Horwitz and
+    Sagiv, POPL 1995). A stack-dependent node is stepped once per frame it
+    holds, and a pop of f from it makes a summary from each push source
+    recorded with f.
     """
 
     def __init__(self, *args):
@@ -339,37 +347,29 @@ class _PushdownEngine(_BaseEngine):
         self.states: list = []  # id -> ControlState
         self.visits: list = []  # id -> worklist pops
         self.dependent: list = []  # id -> is the statement stack dependent
-        self.root_ids: set = set()
-        self.rfwd: dict = {}  # id -> {id with a balanced path from it: None}
-        self.rbwd: dict = {}  # id -> {id with a balanced path to it: None}
-        self.tops: dict = {}  # id -> {frame that may top its stack: None}
-        self.eb: set = set()  # ids with a balanced path from a root
-        self.push_into: dict = {}  # id -> [(push source id, frame)]
-        self.pushes_by_frame: dict = {}  # frame -> [(source id, target id)]
-        self.pops_at: dict = {}  # (source id, frame) -> {target id: None}
+        self.tops: dict = {}  # id -> {frame or None: {push source id: None}}
+        self.succ: dict = {}  # id -> [id]: its no-op edges and summaries
+        self.pops_at: dict = {}  # (source id, frame) -> [target id]
 
     def _add_root(self, root: ControlState):
         rid = self._ensure_node(root)
-        self.root_ids.add(rid)
-        self.eb.add(rid)
-        if self.dependent[rid]:
-            self._enqueue((rid, _HYP_EMPTY))
+        self._add_tops([(rid, [(None, rid)])])
 
     def _result(self) -> AnalysisResult:
         self.visit_counts = dict(zip(self.states, self.visits))
-        states, dependent, rfwd = self.states, self.dependent, self.rfwd
-        closure = {
-            states[h]: [states[s] for s in (h, *rfwd.get(h, ()))
-                        if dependent[s]]
-            for h in self.root_ids | self.push_into.keys()}
-        return super()._result(closure)
+        states, tops = self.states, {}
+        for sid, frames in self.tops.items():
+            if self.dependent[sid]:
+                for frame, sources in frames.items():
+                    for src in sources:
+                        tops.setdefault(states[src], []).append(
+                            (frame, states[sid]))
+        return super()._result(tops)
 
     # graph construction ---------------------------------------------------
 
     def _ensure_node(self, state: ControlState) -> int:
-        """The id of ``state``, making it a node on first sight. A new node
-        has no tops and is not in ``eb`` yet: both are only ever set on
-        nodes."""
+        """The id of ``state``, making it a node on first sight."""
         sid = self.ids.get(state)
         if sid is not None:
             return sid
@@ -384,94 +384,71 @@ class _PushdownEngine(_BaseEngine):
             self._enqueue((sid, _HYP_ANY))
         return sid
 
-    def _add_noop(self, src, edge):
-        dst = self._ensure_node(edge.dst)
-        self.dsg.add_edge(edge)
-        self._add_pair(src, dst)
+    def _add_summary(self, src, dst) -> list:
+        """The work items of the summary src -> dst: none unless it is new."""
+        if not self.dsg.add_summary(self.states[src], self.states[dst]):
+            return []
+        return [self._add_succ(src, dst)]
 
-    def _add_push(self, src, edge):
-        dst = self._ensure_node(edge.dst)
-        if not self.dsg.add_edge(edge):
-            return
-        frame = edge.frame
-        self.push_into.setdefault(dst, []).append((src, frame))
-        self.pushes_by_frame.setdefault(frame, []).append((src, dst))
-        for y in [dst, *self.rfwd.get(dst, ())]:
-            self._add_top(y, frame, src)
+    def _add_succ(self, a, b) -> tuple:
+        """Record the no-op edge or summary a -> b; returns the work item
+        that gives b every entry of a."""
+        self.succ.setdefault(a, []).append(b)
+        return b, [(frame, src) for frame, sources in
+                   self.tops.get(a, {}).items() for src in sources]
 
-    def _add_pop(self, src, edge):
-        dst = self._ensure_node(edge.dst)
-        self.dsg.add_edge(edge)
-        frame = edge.frame
-        targets = self.pops_at.setdefault((src, frame), {})
-        if dst in targets:
-            return
-        targets[dst] = None
-        for psrc, psucc in self.pushes_by_frame.get(frame, ()):
-            if psucc == src or src in self.rfwd.get(psucc, ()):
-                self._add_summary(psrc, dst)
-
-    def _add_top(self, sid, frame, push_src):
-        known = self.tops.setdefault(sid, {})
-        if frame not in known:
-            known[frame] = None
-            if self.dependent[sid]:
-                self._enqueue((sid, frame))
-        for tgt in self.pops_at.get((sid, frame), ()):
-            self._add_summary(push_src, tgt)
-
-    def _add_summary(self, a, b):
-        if self.dsg.add_summary(self.states[a], self.states[b]):
-            self._add_pair(a, b)
-
-    def _add_pair(self, a, b):
-        """Extend the balanced-reachability relation and its closure."""
-        rfwd, rbwd = self.rfwd, self.rbwd
-        if a == b or b in rfwd.get(a, ()):
-            return
-        xs = [a, *rbwd.get(a, ())]
-        ys = [b, *rfwd.get(b, ())]
-        for x in xs:
-            fwd = rfwd.setdefault(x, {})
-            for y in ys:
-                if x == y or y in fwd:
+    def _add_tops(self, work: list):
+        """Give each node of ``work``'s ``(id, [(frame, push source)])``
+        items those entries, and carry every new one on along no-op edges
+        and summaries, the summaries it makes included."""
+        dependent, pops_at = self.dependent, self.pops_at
+        while work:
+            sid, entries = work.pop()
+            known = self.tops.setdefault(sid, {})
+            new = []
+            for frame, src in entries:
+                sources = known.get(frame)
+                if sources is None:
+                    sources = known[frame] = {}
+                    if dependent[sid]:
+                        self._enqueue((sid, frame))
+                elif src in sources:
                     continue
-                fwd[y] = None
-                rbwd.setdefault(y, {})[x] = None
-                self._on_new_pair(x, y)
-
-    def _on_new_pair(self, x, y):
-        for psrc, frame in self.push_into.get(x, ()):
-            self._add_top(y, frame, psrc)
-        if x in self.root_ids and y not in self.eb:
-            self.eb.add(y)
-            if self.dependent[y]:
-                self._enqueue((y, _HYP_EMPTY))
+                sources[src] = None
+                new.append((frame, src))
+                for tgt in pops_at.get((sid, frame), ()):
+                    work.extend(self._add_summary(src, tgt))
+            if new:
+                work.extend((b, new) for b in self.succ.get(sid, ()))
 
     # transition dispatch ---------------------------------------------------
 
     def _process(self, item):
-        sid, hyp = item
-        state = self.states[sid]
+        sid = item[0]
         self.visits[sid] += 1
         for edge in self._stepped(item):
+            dst = self._ensure_node(edge.dst)
+            if not self.dsg.add_edge(edge):
+                continue
             if edge.kind == NOOP:
-                self._add_noop(sid, edge)
+                work = [self._add_succ(sid, dst)]
             elif edge.kind == PUSH:
-                self._add_push(sid, edge)
+                work = [(dst, [(edge.frame, sid)])]
             else:
-                self._add_pop(sid, edge)
+                self.pops_at.setdefault((sid, edge.frame), []).append(dst)
+                work = [w for src in self.tops[sid][edge.frame]
+                         for w in self._add_summary(src, dst)]
+            self._add_tops(work)
 
     def _step(self, item) -> list:
-        sid, hyp = item
+        sid, top = item
         state = self.states[sid]
-        if hyp is _HYP_ANY:
+        if top is _HYP_ANY:
             return machine.step_independent(
                 self.program, state, self.store, self.taint, self.summaries,
                 self.policy, self.recorder)
-        return machine.step_dependent(
-            self.program, state, None if hyp is _HYP_EMPTY else hyp,
-            self.store, self.taint, self.policy)
+        return machine.step_dependent(self.program, state, top, self.store,
+                                      self.taint, self.policy)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +682,7 @@ def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
     pushdown view's nodes are those the root reaches over no-op and push
     edges and ε-summaries; of the pop edges it keeps those whose frame may
     top the popping node: a push of it from a view node leads to that node
-    on a balanced path (``run.closure``).
+    on a balanced path (``run.tops``).
     """
     root = ControlState(StmtPos(entry, 0), frame_pointer_zero(entry))
     graph = run.dsg
@@ -714,19 +691,20 @@ def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
     pushdown = run.mode == PUSHDOWN
     dsg = DyckStateGraph()
     dsg.add_node(root)
-    tops: dict = {}  # stack-dependent node -> {frame that may top it: None}
+    tops: dict = {}  # stack-dependent node -> {frame or None: None}
     stack = [root]
     while stack:
         s = stack.pop()
         succs = list(graph._sum_from.get(s, ()))
         for e in graph._out.get(s, ()):
-            if pushdown and e.kind == PUSH:
-                for t in run.closure[e.dst]:
-                    tops.setdefault(t, {})[e.frame] = None
             if not pushdown or e.kind != POP:
                 succs.append(e.dst)
         stack.extend(t for t in succs if dsg.add_node(t))
-    balanced = set(run.closure[root]) if pushdown else ()
+        # another root can be a view node: only this root's empty stack
+        # tops a state of this view
+        for frame, t in run.tops.get(s, ()) if pushdown else ():
+            if frame is not None or s == root:
+                tops.setdefault(t, {})[frame] = None
     visits = {}
     for s in dsg.nodes:
         top = tops.get(s, ())
@@ -735,11 +713,9 @@ def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
                 dsg.add_edge(e)
         for t in graph._sum_from.get(s, ()):
             dsg.add_summary(s, t)
-        # a stack-dependent node is stepped under each frame that may top
-        # it, and under the empty stack when the root reaches it balanced;
-        # each one is in ``tops`` or ``balanced``, so any other node, stepped
-        # once, is in neither
-        visits[s] = len(top) + (s in balanced) or 1
+        # a stack-dependent node is stepped under each frame, or empty
+        # stack, that may top it; any other node, stepped once, has none
+        visits[s] = len(top) or 1
     return AnalysisResult(
         mode=run.mode, entry=entry, initial_state=root, dsg=dsg,
         final_store=run.final_store, final_taint=run.final_taint,

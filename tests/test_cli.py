@@ -87,6 +87,18 @@ def test_invalid_k_exit_two(bundles_dir, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf", "1e400"])
+def test_non_finite_max_seconds_exit_two(bundles_dir, tmp_path, capsys,
+                                         seconds):
+    """A NaN deadline never trips, and neither value is JSON for the
+    reports' config echo."""
+    code, out = _run(bundles_dir, tmp_path, "perm_over",
+                     "--max-seconds", seconds)
+    assert code == EXIT_USAGE
+    assert "budgets must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resource_limit_exit_three(bundles_dir, tmp_path):
     code, out = _run(bundles_dir, tmp_path, "photoquote_exception",
                      "--max-states", "2")
@@ -245,11 +257,36 @@ UNMATCHED_POP = (
     "     (pop-handler)\n"
     "     (return void))))",
     "pop-handler without an open push-handler in pz/App.onStart at 11:6")
+CATCH_INTO_REGION = (
+    "     (push-handler java/lang/Exception h)\n"
+    "     (assign e (new java/lang/Exception))\n"
+    "     (throw e)\n"
+    "     (label h)\n"
+    "     (pop-handler)\n"
+    "     (return void))))",
+    "catch label h enters a closed handler region in pz/App.onStart at 10:6")
+CATCH_INTO_NESTED_REGION = (
+    "     (push-handler java/lang/Exception out)\n"
+    "     (push-handler java/lang/Exception h)\n"
+    "     (assign e (new java/lang/Exception))\n"
+    "     (throw e)\n"
+    "     (pop-handler)\n"
+    "     (push-handler java/lang/Exception out)\n"
+    "     (label h)\n"
+    "     (pop-handler)\n"
+    "     (pop-handler)\n"
+    "     (return void)\n"
+    "     (label out)\n"
+    "     (return void))))",
+    "catch label h enters a closed handler region in pz/App.onStart at 11:6")
 
 
 @pytest.mark.parametrize("mode", ["pushdown", "finite"])
-@pytest.mark.parametrize("body,message", [GOTO_INTO_REGION, UNMATCHED_POP],
-                         ids=["goto-into-region", "unmatched-pop-handler"])
+@pytest.mark.parametrize("body,message", [
+    GOTO_INTO_REGION, UNMATCHED_POP, CATCH_INTO_REGION,
+    CATCH_INTO_NESTED_REGION], ids=[
+    "goto-into-region", "unmatched-pop-handler", "catch-into-region",
+    "catch-into-nested-region"])
 def test_handler_bracketing_errors_exit_two_at_parse_time(
         bundles_dir, tmp_path, capsys, mode, body, message):
     bundle = tmp_path / "bracket"

@@ -184,6 +184,49 @@ def test_handler_spans_bracket_nested_and_open_regions():
         0: (0, 4), 4: (0, 4), 1: (1, 3), 3: (1, 3), 5: (5, 9)}
 
 
+CATCH_INTO_CLOSED_REGION = """
+(public class Fault extends java/lang/Object () ())
+(public class A extends java/lang/Object ()
+  ((method public m () int (throws) (limit 1)
+     (push-handler Fault h)
+     (assign e (new Fault))
+     (throw e)
+     (label h)
+     (pop-handler)
+     (return 0))))
+"""
+CATCH_INTO_NESTED_CLOSED_REGION = """
+(public class Fault extends java/lang/Object () ())
+(public class A extends java/lang/Object ()
+  ((method public m () int (throws) (limit 1)
+     (push-handler Fault out)
+     (push-handler Fault h)
+     (assign e (new Fault))
+     (throw e)
+     (pop-handler)
+     (push-handler Fault out)
+     (label h)
+     (pop-handler)
+     (pop-handler)
+     (return 0)
+     (label out)
+     (return 1))))
+"""
+
+
+@pytest.mark.parametrize("src,line", [(CATCH_INTO_CLOSED_REGION, 5),
+                                      (CATCH_INTO_NESTED_CLOSED_REGION, 6)],
+                         ids=["region", "nested-region"])
+def test_catch_label_inside_a_closed_region_without_its_push_is_rejected(
+        src, line):
+    """The catch would run the region's pop-handler with no frame of that
+    region on the stack. The error points at the push-handler."""
+    with pytest.raises(ParseError, match="catch label h enters a closed "
+                                         "handler region") as exc:
+        parse_program(src)
+    assert (exc.value.line, exc.value.col) == (line, 6)
+
+
 # -- resolution and subtyping -------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Reachability-engine tests: pushdown vs finite, summaries, paths."""
 
+import json
 from collections import deque
 from pathlib import Path
 from types import SimpleNamespace
@@ -453,11 +454,37 @@ def _saturated_results(bundles_dir, name, mode, k=1):
     return trace.results
 
 
-def _naive_closure(dsg) -> tuple:
+def _fixpoint_run(program, units, k, summaries) -> tuple:
+    """The app-wide pushdown fixpoint run ``eps.saturate_app`` makes, every
+    entry point's bindings seeded into one store pair and every entry point
+    a root; returns the run and its roots."""
+    refs = tuple(ep.method_ref for unit in units for ep in unit.entry_points)
+    store, taint = Store(), TaintStore()
+    for ref in refs:
+        seed_entry_bindings(program, ref, store, taint)
+    return (analyze(program, refs, store, taint, AnalysisConfig(k=k),
+                    summaries),
+            [ControlState(StmtPos(ref, 0), frame_pointer_zero(ref))
+             for ref in refs])
+
+
+def _reached(start, succ) -> set:
+    seen, todo = {start}, [start]
+    while todo:
+        for n in succ.get(todo.pop(), ()):
+            if n not in seen:
+                seen.add(n)
+                todo.append(n)
+    return seen
+
+
+def _naive_closure(dsg, roots=()) -> tuple:
     """Recomputed over ``dsg``'s own edges alone: the least set of summaries
     (p, t) such that a push p -> q with frame f, a path q ~> r over noop
-    edges and summaries, and a pop r -> t with frame f exist; and for each
-    state r, the frames f of the pushes p -> q with such a path q ~> r."""
+    edges and summaries, and a pop r -> t with frame f exist; for each
+    state r, the (frame f, push source p) of the pushes p -> q with such a
+    path q ~> r; and for each of ``roots``, the states such a path from it
+    reaches, itself included."""
     noop, pops, pushes = {}, {}, []
     for e in dsg.edges:
         if e.kind == NOOP:
@@ -473,52 +500,99 @@ def _naive_closure(dsg) -> tuple:
             succ.setdefault(a, set()).add(b)
         found, tops = set(), {}
         for push in pushes:
-            seen, todo = {push.dst}, [push.dst]
-            while todo:
-                r = todo.pop()
-                tops.setdefault(r, set()).add(push.frame)
+            for r in _reached(push.dst, succ):
+                tops.setdefault(r, set()).add((push.frame, push.src))
                 found.update((push.src, t)
                              for t in pops.get((r, push.frame), ()))
-                for n in succ.get(r, ()):
-                    if n not in seen:
-                        seen.add(n)
-                        todo.append(n)
         if found <= summaries:
-            return summaries, tops
+            return summaries, tops, {r: _reached(r, succ) for r in roots}
         summaries |= found
 
 
-def test_summaries_equal_naive_recomputation(bundles_dir):
+def _naive_exported_tops(program, tops, balanced) -> dict:
+    """What an engine run exports as ``AnalysisResult.tops``, from
+    ``_naive_closure``'s tops and balanced sets: each push source or root
+    -> {(frame, or None from a root, stack-dependent state it tops)}."""
+    want: dict = {}
+    entries = [(src, frame, r) for r, pairs in tops.items()
+               for frame, src in pairs]
+    entries += [(root, None, r) for root, reached in balanced.items()
+                for r in reached]
+    for src, frame, r in entries:
+        if is_stack_dependent(program, r.pos):
+            want.setdefault(src, set()).add((frame, r))
+    return want
+
+
+def _generated_fixpoint_runs(tmp_path, monkeypatch) -> list:
+    """The pushdown fixpoint runs of the wide-pushdown and finite-witness
+    bundles of ``bench/reference.json``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    refs = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+    runs = []
+    for workload in ("wide-pushdown", "finite-witness"):
+        ref = refs[workload]
+        bundle = load_bundle(synth.generate(
+            synth.Shape.parse(ref["shape"]), ref["seed"]).write(
+                tmp_path / workload))
+        units = eps.discover_entry_points(bundle, bundle.program)
+        runs.append((f"{workload} fixpoint", bundle.program, *_fixpoint_run(
+            bundle.program, units, ref["k"], bundle.summaries)))
+    return runs
+
+
+def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
+                                             monkeypatch):
     """The engine's incrementally closed summaries equal a fixpoint
     recomputed over each final result's own edges, and its pop edges are
     exactly the machine's steps under the frames that fixpoint puts on top
-    of each stack-dependent state."""
-    results = []
+    of each stack-dependent state. An engine run's exported tops are that
+    recomputation's (frame, push source) pairs and its roots' balanced
+    sets, at stack-dependent states; views export none."""
+    results = []  # (label, program, result, its roots or None for a view)
     for name in BUNDLE_NAMES:
-        program = load_bundle(bundles_dir / name).program
+        bundle = load_bundle(bundles_dir / name)
+        units = eps.discover_entry_points(bundle, bundle.program)
         for k in (0, 1, 2):
-            results += [(f"{name} k={k}", program, res) for res in
-                        _saturated_results(bundles_dir, name, "pushdown", k)]
+            results += [(f"{name} k={k}", bundle.program, res, None) for res
+                        in _saturated_results(bundles_dir, name, "pushdown",
+                                              k)]
+            results.append((f"{name} k={k} fixpoint", bundle.program,
+                            *_fixpoint_run(bundle.program, units, k,
+                                           bundle.summaries)))
+    results += _generated_fixpoint_runs(tmp_path, monkeypatch)
     for name, src in sorted({**STRICT_PROGRAMS, **{
             n: v[0] for n, v in MICRO_PROGRAMS.items()}}.items()):
-        results.append((name, *_pushdown(src)))
+        program, res = _pushdown(src)
+        results.append((name, program, res, [res.initial_state]))
     mismatches = []
-    for label, program, res in results:
-        summaries, tops = _naive_closure(res.dsg)
+    for label, program, res, roots in results:
+        summaries, tops, balanced = _naive_closure(res.dsg, roots or ())
         if set(res.dsg.epsilon_summaries) != summaries:
             mismatches.append(f"{label}: summaries")
+        if roots is None:
+            assert res.tops is None
+        elif ({src: set(pairs) for src, pairs in res.tops.items()}
+              != _naive_exported_tops(program, tops, balanced)
+              or any(len(set(pairs)) != len(pairs)
+                     for pairs in res.tops.values())):
+            mismatches.append(f"{label}: exported tops")
         store, taint = res.final_store.copy(), res.final_taint.copy()
         pops = set()
-        for r, frames in tops.items():
+        for r, pairs in tops.items():
             if not is_stack_dependent(program, r.pos):
                 continue
-            for frame in frames:
+            for frame in {frame for frame, _src in pairs}:
                 pops.update(step_dependent(program, r, frame, store, taint,
                                            res.config.policy()))
         if {e for e in res.dsg.edges if e.kind == POP} != pops:
             mismatches.append(f"{label}: pop edges")
     assert not mismatches
-    assert any(res.dsg.epsilon_summaries for _l, _p, res in results)
+    assert sum(roots is not None for *_r, roots in results) > 3 * len(
+        BUNDLE_NAMES) + 2
+    assert any(res.dsg.epsilon_summaries for _l, _p, res, _r in results)
 
 
 @pytest.mark.parametrize("mode", ["pushdown", "finite"])
