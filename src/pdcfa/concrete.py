@@ -49,6 +49,9 @@ from .machine import (
     AbstractBool,
     AbstractInt,
     AbstractString,
+    COMPARE_OPS,
+    EXACT_OPS,
+    LOGIC_OPS,
     AllocPolicy,
     AmbientSite,
     FieldAddr,
@@ -58,8 +61,6 @@ from .machine import (
     ObjectValue,
     RegAddr,
     VOID,
-    truncated_div,
-    truncated_rem,
 )
 
 COMPLETED = "completed"
@@ -289,34 +290,19 @@ def _apply_op(op: str, vals: list):
             return CBool(not a.value)
         raise ConcreteError(f"ill-typed {op} on {a!r}")
     a, b = vals
-    if op in ("add", "sub", "mul", "div", "rem"):
-        if not (isinstance(a, CInt) and isinstance(b, CInt)):
-            raise ConcreteError(f"ill-typed {op} on {a!r}, {b!r}")
-        if op in ("div", "rem") and b.value == 0:
-            raise ConcreteError("division by zero")
-        return CInt({"add": a.value + b.value, "sub": a.value - b.value,
-                     "mul": a.value * b.value,
-                     "div": truncated_div(a.value, b.value) if b.value else 0,
-                     "rem": truncated_rem(a.value, b.value) if b.value else 0,
-                     }[op])
-    if op in ("lt", "le", "gt", "ge"):
-        if not (isinstance(a, CInt) and isinstance(b, CInt)):
-            raise ConcreteError(f"ill-typed {op} on {a!r}, {b!r}")
-        return CBool({"lt": a.value < b.value, "le": a.value <= b.value,
-                      "gt": a.value > b.value, "ge": a.value >= b.value}[op])
     if op in ("eq", "ne"):
         r = _concrete_eq(a, b)
         return CBool(r if op == "eq" else not r)
-    if op in ("and", "or", "xor"):
-        if isinstance(a, CBool) and isinstance(b, CBool):
-            return CBool({"and": a.value and b.value,
-                          "or": a.value or b.value,
-                          "xor": a.value != b.value}[op])
-        if isinstance(a, CInt) and isinstance(b, CInt):
-            return CInt({"and": a.value & b.value, "or": a.value | b.value,
-                         "xor": a.value ^ b.value}[op])
+    fn = EXACT_OPS.get(op)
+    if fn is None:
+        raise ConcreteError(f"unknown operator {op}")
+    if op in LOGIC_OPS and isinstance(a, CBool) and isinstance(b, CBool):
+        return CBool(fn(a.value, b.value))
+    if not (isinstance(a, CInt) and isinstance(b, CInt)):
         raise ConcreteError(f"ill-typed {op} on {a!r}, {b!r}")
-    raise ConcreteError(f"unknown operator {op}")
+    if op in ("div", "rem") and b.value == 0:
+        raise ConcreteError("division by zero")
+    return (CBool if op in COMPARE_OPS else CInt)(fn(a.value, b.value))
 
 
 def _concrete_eq(a, b) -> bool:

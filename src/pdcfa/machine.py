@@ -18,6 +18,7 @@ order (or concurrently, with atomic joins) yields the same fixpoint.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 
 from . import taint as taint_mod
@@ -294,48 +295,34 @@ def truncated_rem(a: int, b: int) -> int:
     return a - b * truncated_div(a, b)
 
 
+# Each binary operator but eq and ne on exact operands: and, or and xor
+# are bitwise on ints and logical on bools (a bool result for bools).
+EXACT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+             "div": truncated_div, "rem": truncated_rem,
+             "and": operator.and_, "or": operator.or_, "xor": operator.xor,
+             "lt": operator.lt, "le": operator.le, "gt": operator.gt,
+             "ge": operator.ge}
+COMPARE_OPS = frozenset({"lt", "le", "gt", "ge"})
+LOGIC_OPS = frozenset({"and", "or", "xor"})
+
+
 def _pair_op(program: Program, op: str, a, b) -> frozenset:
-    both_ints = isinstance(a, AbstractInt) and isinstance(b, AbstractInt)
-    both_bools = isinstance(a, AbstractBool) and isinstance(b, AbstractBool)
-    if op in ("add", "sub", "mul", "div", "rem"):
-        if not both_ints:
-            return frozenset()
-        if a.value is None or b.value is None:
-            return frozenset({ANY_INT})
-        if op in ("div", "rem") and b.value == 0:
-            return frozenset()
-        n = {"add": a.value + b.value, "sub": a.value - b.value,
-             "mul": a.value * b.value,
-             "div": truncated_div(a.value, b.value) if b.value else 0,
-             "rem": truncated_rem(a.value, b.value) if b.value else 0,
-             }[op]
-        return frozenset({AbstractInt(n)})
-    if op in ("lt", "le", "gt", "ge"):
-        if not both_ints:
-            return frozenset()
-        if a.value is None or b.value is None:
-            return BOTH_BOOLS
-        r = {"lt": a.value < b.value, "le": a.value <= b.value,
-             "gt": a.value > b.value, "ge": a.value >= b.value}[op]
-        return frozenset({AbstractBool(r)})
     if op in ("eq", "ne"):
         res = _abstract_eq(a, b)
         if op == "ne":
             res = frozenset({AbstractBool(not v.value) for v in res})
         return res
-    if op in ("and", "or", "xor"):
-        if both_bools:
-            r = {"and": a.value and b.value, "or": a.value or b.value,
-                 "xor": a.value != b.value}[op]
-            return frozenset({AbstractBool(r)})
-        if both_ints:
-            if a.value is None or b.value is None:
-                return frozenset({ANY_INT})
-            r = {"and": a.value & b.value, "or": a.value | b.value,
-                 "xor": a.value ^ b.value}[op]
-            return frozenset({AbstractInt(r)})
+    fn = EXACT_OPS[op]
+    if op in LOGIC_OPS and type(a) is type(b) is AbstractBool:
+        return frozenset({AbstractBool(fn(a.value, b.value))})
+    if not (isinstance(a, AbstractInt) and isinstance(b, AbstractInt)):
         return frozenset()
-    raise AssertionError(op)
+    if a.value is None or b.value is None:
+        return BOTH_BOOLS if op in COMPARE_OPS else frozenset({ANY_INT})
+    if op in ("div", "rem") and b.value == 0:
+        return frozenset()
+    wrap = AbstractBool if op in COMPARE_OPS else AbstractInt
+    return frozenset({wrap(fn(a.value, b.value))})
 
 
 def _abstract_eq(a, b) -> frozenset:

@@ -28,6 +28,8 @@ in Reps, Horwitz and Sagiv, POPL 1995).
 
 from __future__ import annotations
 
+import bisect
+import copy
 import math
 import time
 from collections import deque
@@ -56,21 +58,45 @@ FINITE = "finite"
 
 
 class DyckStateGraph:
-    """Reachable control states with stack-action edges and summaries.
+    """Reachable control states with stack-action edges and summaries,
+    indexed by source node (``edges`` and ``epsilon_summaries`` are built
+    when asked for); ``out_edges`` and ``summaries_from`` sort a node's
+    adjacency once, until the node gains an edge or summary. A ``window``
+    onto a graph shares its indexes and sorts, and holds its own nodes and,
+    unless None, each node's ``pop_frames``, the frames (None for the empty
+    stack) that may top it: it keeps the node's pop edges of those frames."""
 
-    ``out_edges`` and ``summaries_from`` give a node's adjacency in sort
-    order, sorted on first use and kept until the node gains an edge or a
-    summary, so every witness tree over one result shares one sort.
-    """
+    pop_frames = None
+    _base = None  # a window's graph; a graph keeps no cycle to itself
 
     def __init__(self):
         self.nodes: dict = {}
-        self.edges: dict = {}
-        self.epsilon_summaries: dict = {}
-        self._out: dict = {}
-        self._sum_from: dict = {}
+        self._edge_set: dict = {}  # every edge, for add_edge alone
+        self._out: dict = {}  # src -> [edge]
+        self._sum_from: dict = {}  # a -> {b: None}, one per summary a -> b
         self._sorted_out: dict = {}
         self._sorted_sum_from: dict = {}
+
+    @property
+    def graph(self) -> DyckStateGraph:
+        return self if self._base is None else self._base
+
+    def window(self, nodes: dict, pop_frames: dict | None) -> DyckStateGraph:
+        view = copy.copy(self)
+        view._base, view.nodes, view.pop_frames = self.graph, nodes, pop_frames
+        return view
+
+    @property
+    def edges(self) -> dict:
+        frames = self.pop_frames
+        return {e: None for s in self.nodes for e in self._out.get(s, ())
+                if frames is None or e.kind != POP
+                or e.frame in frames.get(s, ())}
+
+    @property
+    def epsilon_summaries(self) -> frozenset:
+        return frozenset((a, b) for a in self.nodes
+                         for b in self._sum_from.get(a, ()))
 
     def add_node(self, s: ControlState) -> bool:
         if s in self.nodes:
@@ -79,18 +105,18 @@ class DyckStateGraph:
         return True
 
     def add_edge(self, e: Edge) -> bool:
-        if e in self.edges:
+        if e in self._edge_set:
             return False
-        self.edges[e] = None
+        self._edge_set[e] = None
         self._out.setdefault(e.src, []).append(e)
         self._sorted_out.pop(e.src, None)
         return True
 
     def add_summary(self, a: ControlState, b: ControlState) -> bool:
-        if (a, b) in self.epsilon_summaries:
+        dsts = self._sum_from.setdefault(a, {})
+        if b in dsts:
             return False
-        self.epsilon_summaries[(a, b)] = None
-        self._sum_from.setdefault(a, []).append(b)
+        dsts[b] = None
         self._sorted_sum_from.pop(a, None)
         return True
 
@@ -99,7 +125,10 @@ class DyckStateGraph:
         if edges is None:
             edges = self._sorted_out[s] = sorted(self._out.get(s, ()),
                                                  key=Edge.sort_key)
-        return edges
+        if self.pop_frames is None:
+            return edges
+        frames = self.pop_frames.get(s, ())
+        return [e for e in edges if e.kind != POP or e.frame in frames]
 
     def summaries_from(self, s: ControlState) -> list:
         dsts = self._sorted_sum_from.get(s)
@@ -462,9 +491,6 @@ class HandlerRecord:
     push_state: ControlState
     region: tuple  # (lo, hi) indexes in frame.owner's body
 
-    def sort_key(self):
-        return (self.frame.sort_key(), self.push_state.sort_key())
-
 
 class FiniteShared:
     """Flow facts of the finite engine: call edges and handler records.
@@ -503,7 +529,9 @@ class _FiniteEngine(_BaseEngine):
     flow facts allow on top of the stack (see ``_tops``): a return flows to
     every call edge recorded at its frame pointer. Worklist items, and their
     keys, are bare control states: no item needs a stack hypothesis, and no
-    item's edges depend on the run's roots."""
+    item's edges depend on the run's roots. A throw links to the handlers
+    whose scope covers it (``_index``, grown with the flow facts), and their
+    growth re-steps it only when its catching frames change."""
 
     def __init__(self, program, entries, init_store, init_taint, cfg,
                  summaries, shared: FiniteShared | None,
@@ -513,12 +541,16 @@ class _FiniteEngine(_BaseEngine):
         self.shared = shared if shared is not None else FiniteShared()
         self.entry_fps = {root.fp for root in self.roots}
         self._return_deps: dict = {}  # fp -> {state: None}
-        self._throw_states: dict = {}
-        self._index_version = -1
+        self._callees: dict = {}  # method -> {(call index, callee): None}
+        # (frame, handler position, region lo, region hi, methods reached by
+        # calls in the region), frames in sort order, per (frame, region)
         self._index: list = []
-
-    def _add_root(self, root: ControlState):
-        self._ensure_node(root)
+        self._throws: dict = {}  # throw state -> frames catching at its step
+        for callee_fp, calls in self.shared.call_edges.items():
+            for caller_state, _frame in calls:
+                self._add_call(caller_state.pos, callee_fp.method)
+        for rec in self.shared.handler_records:
+            self._add_scope(rec.frame, rec.region)
 
     def _ensure_node(self, state: ControlState):
         if not self.dsg.add_node(state):
@@ -526,41 +558,7 @@ class _FiniteEngine(_BaseEngine):
         self.visit_counts.setdefault(state, 0)
         self._enqueue(state)
 
-    def _handler_index(self) -> list:
-        """One entry per distinct ``(frame, region)`` of the handler records,
-        in sorted order, as ``(frame, handler position, region lo, region
-        hi, methods reachable through calls inside the region)``; rebuilt
-        only when ``shared`` has grown. Records that differ only in their
-        push state would give equal entries: what the region reaches depends
-        on its owner and bounds alone."""
-        if self._index_version == self.shared.version:
-            return self._index
-        callees: dict = {}  # method -> {(call index, callee method): None}
-        for callee_fp, entries in self.shared.call_edges.items():
-            for caller_state, _frame in entries:
-                callees.setdefault(caller_state.pos.method, {})[
-                    (caller_state.pos.index, callee_fp.method)] = None
-        index, seen = [], set()
-        for rec in sorted(self.shared.handler_records,
-                          key=HandlerRecord.sort_key):
-            frame = rec.frame
-            if (frame, rec.region) in seen:
-                continue
-            seen.add((frame, rec.region))
-            lo, hi = rec.region
-            frontier = [m for idx, m in callees.get(frame.owner, ())
-                        if lo < idx < hi]
-            reachable: set = set()
-            while frontier:
-                m = frontier.pop()
-                if m not in reachable:
-                    reachable.add(m)
-                    frontier.extend(c for _idx, c in callees.get(m, ()))
-            hpos = self.program.pos_of_label(frame.owner, frame.label)
-            index.append((frame, hpos, lo, hi, reachable))
-        self._index = index
-        self._index_version = self.shared.version
-        return index
+    _add_root = _ensure_node
 
     def _process(self, state: ControlState):
         self.visit_counts[state] = self.visit_counts.get(state, 0) + 1
@@ -600,28 +598,65 @@ class _FiniteEngine(_BaseEngine):
                        key=lambda e: (e[0].sort_key(), e[1].sort_key()))
         return tops + [frame for _caller_state, frame in calls]
 
+    # flow facts -----------------------------------------------------------
+
     def _record_push(self, state: ControlState, edge: Edge):
         """Add a call edge or handler record to ``shared``."""
         if isinstance(edge.frame, FunFrame):
-            if self.shared.add_call(edge.dst.fp, state, edge.frame):
-                self._on_shared_growth(callee_fp=edge.dst.fp)
+            fp = edge.dst.fp
+            if self.shared.add_call(fp, state, edge.frame):
+                self._add_call(state.pos, fp.method)
+                self._on_shared_growth([*self._return_deps.get(fp, ())])
             return
         region = self.program.handler_spans[state.pos.method][state.pos.index]
         if self.shared.add_handler(HandlerRecord(edge.frame, state, region)):
-            self._on_shared_growth()
+            self._add_scope(edge.frame, region)
+            self._on_shared_growth([])
 
-    def _on_shared_growth(self, callee_fp: FramePointer | None = None):
-        # new call edges affect matching returns and every throw's scope;
-        # new handler records affect every throw
-        states = []
-        if callee_fp is not None:
-            states.extend(self._return_deps.get(callee_fp, {}))
-        states.extend(self._throw_states)
+    def _on_shared_growth(self, states: list):
+        """Re-step ``states`` and each throw whose catching frames changed."""
+        states += [s for s, frames in self._throws.items()
+                   if self._catching(s) != frames]
         for state in sorted(states, key=ControlState.sort_key):
             self._enqueue(state)
 
+    def _add_call(self, pos: StmtPos, callee: MethodRef):
+        """Record a call; the index entries whose scope holds it reach on."""
+        self._callees.setdefault(pos.method, {})[(pos.index, callee)] = None
+        for frame, _hpos, lo, hi, reachable in self._index:
+            if pos.method in reachable or (pos.method == frame.owner
+                                           and lo < pos.index < hi):
+                self._reach([callee], reachable)
+
+    def _add_scope(self, frame: HandlerFrame, region: tuple):
+        """Index a handler record, next to its frame's other entries."""
+        if any(e[0] == frame and e[2:4] == region for e in self._index):
+            return
+        lo, hi = region
+        reachable: set = set()
+        self._reach([m for idx, m in self._callees.get(frame.owner, ())
+                     if lo < idx < hi], reachable)
+        hpos = self.program.pos_of_label(frame.owner, frame.label)
+        bisect.insort(self._index, (frame, hpos, lo, hi, reachable),
+                      key=lambda e: e[0].sort_key())
+
+    def _reach(self, frontier: list, reachable: set):
+        """Add to ``reachable`` what recorded calls reach from ``frontier``."""
+        while frontier:
+            m = frontier.pop()
+            if m not in reachable:
+                reachable.add(m)
+                frontier.extend(c for _idx, c in self._callees.get(m, ()))
+
+    def _catching(self, state: ControlState) -> set:
+        """The frames of the index entries whose scope covers ``state``."""
+        method, idx = state.pos.method, state.pos.index
+        return {frame for frame, _hpos, lo, hi, reachable in self._index
+                if method in reachable
+                or (method == frame.owner and lo < idx < hi)}
+
     def _step_throw(self, state: ControlState, st: Throw) -> list:
-        self._throw_states[state] = None
+        catching = self._throws[state] = self._catching(state)
         program = self.program
         vals = machine.eval_atomic(program, st.exp, state.fp, self.store)
         thrown = [v for v in vals if isinstance(v, machine.ObjectValue)]
@@ -631,15 +666,12 @@ class _FiniteEngine(_BaseEngine):
         # without a stack the unwind may always escape
         self.store.join(RegAddr(state.fp, machine.EXN_REG), frozenset(thrown))
         self.taint.join(RegAddr(state.fp, machine.EXN_REG), taints)
-        method, idx = state.pos.method, state.pos.index
         edges = []
-        for frame, hpos, lo, hi, reachable in self._handler_index():
-            if edges and edges[-1].frame == frame:
+        for frame, hpos, *_scope in self._index:
+            if frame not in catching or (edges and edges[-1].frame == frame):
                 continue  # a frame's entries are adjacent; one edge each
-            catchable = [v for v in thrown
-                         if program.is_subclass(v.class_name, frame.class_name)]
-            if catchable and (method in reachable
-                              or (method == frame.owner and lo < idx < hi)):
+            if any(program.is_subclass(v.class_name, frame.class_name)
+                   for v in thrown):
                 edges.append(Edge(state, POP, frame,
                                   ControlState(hpos, state.fp)))
         return edges
@@ -677,50 +709,43 @@ def analyze(program: Program, entry, init_store: Store,
 
 def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
     """The result of a run from ``entry``, one of ``run``'s roots, alone
-    over ``run``'s final store pair, read out of ``run``'s graph without
-    stepping. A finite view is the part of the graph the root reaches. A
-    pushdown view's nodes are those the root reaches over no-op and push
-    edges and ε-summaries; of the pop edges it keeps those whose frame may
-    top the popping node: a push of it from a view node leads to that node
-    on a balanced path (``run.tops``).
+    over ``run``'s final store pair: a window onto ``run``'s graph, read
+    without stepping. A finite view is the part of the graph the root
+    reaches. A pushdown view's nodes are those the root reaches over no-op
+    and push edges and ε-summaries; of the pop edges it keeps those whose
+    frame may top the popping node: a push of it from a view node leads to
+    that node on a balanced path (``run.tops``).
     """
     root = ControlState(StmtPos(entry, 0), frame_pointer_zero(entry))
     graph = run.dsg
     if root not in graph.nodes:
         raise ValueError(f"{entry.sig()} is not a root of the viewed run")
     pushdown = run.mode == PUSHDOWN
-    dsg = DyckStateGraph()
-    dsg.add_node(root)
+    nodes = {root: None}
     tops: dict = {}  # stack-dependent node -> {frame or None: None}
     stack = [root]
     while stack:
         s = stack.pop()
-        succs = list(graph._sum_from.get(s, ()))
-        for e in graph._out.get(s, ()):
-            if not pushdown or e.kind != POP:
-                succs.append(e.dst)
-        stack.extend(t for t in succs if dsg.add_node(t))
+        for t in (*graph._sum_from.get(s, ()), *(
+                e.dst for e in graph._out.get(s, ())
+                if not pushdown or e.kind != POP)):
+            if t not in nodes:
+                nodes[t] = None
+                stack.append(t)
         # another root can be a view node: only this root's empty stack
         # tops a state of this view
         for frame, t in run.tops.get(s, ()) if pushdown else ():
             if frame is not None or s == root:
                 tops.setdefault(t, {})[frame] = None
-    visits = {}
-    for s in dsg.nodes:
-        top = tops.get(s, ())
-        for e in graph._out.get(s, ()):
-            if not pushdown or e.kind != POP or e.frame in top:
-                dsg.add_edge(e)
-        for t in graph._sum_from.get(s, ()):
-            dsg.add_summary(s, t)
-        # a stack-dependent node is stepped under each frame, or empty
-        # stack, that may top it; any other node, stepped once, has none
-        visits[s] = len(top) or 1
+    # a stack-dependent node is stepped under each frame, or empty stack,
+    # that may top it; any other node, stepped once, has none
+    visits = {s: len(tops.get(s, ())) or 1 for s in nodes}
     return AnalysisResult(
-        mode=run.mode, entry=entry, initial_state=root, dsg=dsg,
+        mode=run.mode, entry=entry, initial_state=root,
+        dsg=graph.window(nodes, tops if pushdown else None),
         final_store=run.final_store, final_taint=run.final_taint,
         visit_counts=visits, complete=True, limit_reason=None,
-        applications=[a for a in run.applications if a.state in dsg.nodes],
+        applications=[a for a in run.applications if a.state in nodes],
         config=run.config, trigger=TriggerContext("<direct>", entry.sig()))
 
 

@@ -243,15 +243,29 @@ def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _merge_graph(results):
-    nodes: dict = {}
-    edges: dict = {}
+def _graph_union(results) -> tuple:
+    """``results``' nodes and edges, the windows onto one graph read as one."""
+    union: dict = {}  # graph -> (nodes, pop frames or None)
     for res in results:
-        for n in res.dsg.nodes:
-            nodes[n] = None
-        for e in res.dsg.edges:
-            edges[e] = None
+        dsg = res.dsg
+        nodes, frames = union.get(dsg.graph, ({}, {}))
+        nodes.update(dsg.nodes)
+        if dsg.pop_frames is None or frames is None:
+            frames = None
+        else:
+            for n, top in dsg.pop_frames.items():
+                frames.setdefault(n, {}).update(top)
+        union[dsg.graph] = nodes, frames
+    nodes, edges = {}, {}
+    for graph, (held, frames) in union.items():
+        nodes.update(held)
+        edges.update(graph.window(held, frames).edges)
     return nodes, edges
+
+
+# (a source state, a sink state) -> fill colour
+_NODE_FILL = {(True, True): "orange", (True, False): "palegreen",
+              (False, True): "lightcoral"}
 
 
 def _dot_quote(text: str) -> str:
@@ -262,15 +276,10 @@ def export_graph(results, findings, program) -> str:
     """The reachable control-state graph of a list of results in DOT,
     sources/sinks and witness paths highlighted; stack actions label the
     edges (push / pop / ε)."""
-    nodes, edges = _merge_graph(results)
-    source_states = set()
-    sink_states = set()
-    for res in results:
-        for app in res.applications:
-            if app.source_categories:
-                source_states.add(app.state)
-            if app.sink_hits:
-                sink_states.add(app.state)
+    nodes, edges = _graph_union(results)
+    apps = [a for res in results for a in res.applications]
+    source_states = {a.state for a in apps if a.source_categories}
+    sink_states = {a.state for a in apps if a.sink_hits}
     witness_edges = set()
     witness_summaries = set()
     for f in findings:
@@ -290,13 +299,8 @@ def export_graph(results, findings, program) -> str:
             f"{n.pos.method.class_name}.{n.pos.method.method_name}"
             f":{program.line_of(n.pos)}\\n@{n.pos.index}"
             f"{'+move' if n.pos.at_move else ''} {n.fp.canonical()}")
-        style = ""
-        if n in source_states and n in sink_states:
-            style = ', style=filled, fillcolor="orange"'
-        elif n in source_states:
-            style = ', style=filled, fillcolor="palegreen"'
-        elif n in sink_states:
-            style = ', style=filled, fillcolor="lightcoral"'
+        fill = _NODE_FILL.get((n in source_states, n in sink_states))
+        style = f', style=filled, fillcolor="{fill}"' if fill else ""
         lines.append(f'  {ids[n]} [label="{label}"{style}];')
     for e in sorted(edges, key=Edge.sort_key):
         label = {NOOP: "ε", PUSH: "push", POP: "pop"}[e.kind]
@@ -304,9 +308,7 @@ def export_graph(results, findings, program) -> str:
             label += f" {_dot_quote(e.frame.canonical())}"
         attrs = [f'label="{label}"']
         if (e.src, e.kind, e.frame, e.dst) in witness_edges:
-            attrs.append('color="red"')
-            attrs.append("penwidth=2")
-            attrs.append('witness="1"')
+            attrs += ['color="red"', "penwidth=2", 'witness="1"']
         lines.append(f"  {ids[e.src]} -> {ids[e.dst]} [{', '.join(attrs)}];")
     for src, dst in sorted(witness_summaries,
                            key=lambda p: (p[0].sort_key(), p[1].sort_key())):

@@ -1,5 +1,6 @@
 """Command-line front-end tests: exit codes, outputs, flags."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -151,6 +152,34 @@ def test_max_states_bounds_the_whole_saturation(bundles_dir, tmp_path,
     assert code == EXIT_RESOURCE_LIMIT
     _assert_partial(out, "max-states")
     assert sum(sizes[:-1]) <= limit < sum(sizes)
+
+
+@pytest.mark.parametrize("mode, limit, views, witness, digest", [
+    ("pushdown", 101, 3, False,
+     "3a7371d235400d8bb568c57971f26fdca18995f232c3c8ac65b64a4ffed38d7a"),
+    ("pushdown", 134, 5, True,
+     "9d6c62a11172d9215ba7998c05528e8bab693492c5933a623ee2451ddbf4dbbb"),
+    ("finite", 145, 3, True,
+     "46618cf37ea4f84b82a2f718b55cc80b7aee5c1c17341322e843d3d08969b74d"),
+])
+def test_dot_of_a_saturation_stopped_between_views_is_pinned(
+        bundles_dir, tmp_path, monkeypatch, mode, limit, views, witness,
+        digest):
+    """The budget admits the fixpoint run and the first ``views`` of the six
+    views; the next one passes it and is not emitted. The DOT of those
+    views keeps the bytes pinned before views became windows onto the
+    fixpoint graph. In the first case some view nodes pop to nodes outside
+    every emitted view, so only the views' pop frames keep those edges out;
+    in the others a witness is highlighted."""
+    sizes = _count_runs(monkeypatch)
+    code, out = _run(bundles_dir, tmp_path, "photoquote_full", "--mode",
+                     mode, "--k", "1", "--max-states", str(limit))
+    assert code == EXIT_RESOURCE_LIMIT
+    _assert_partial(out, "max-states")
+    assert len(sizes) == 1 + views + 1
+    dot = (out / "state_graph.dot").read_bytes()
+    assert (b'witness="1"' in dot) is witness
+    assert hashlib.sha256(dot).hexdigest() == digest
 
 
 def test_max_seconds_bounds_the_whole_saturation(bundles_dir, tmp_path,

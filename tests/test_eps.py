@@ -27,6 +27,7 @@ from pdcfa.machine import (
     Store,
 )
 from pdcfa.reach import AnalysisConfig
+from pdcfa.report import export_graph
 from pdcfa.taint import TaintStore, TaintVal, parse_summaries, extract_findings
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -419,6 +420,46 @@ def test_views_equal_plain_runs_on_generated_bundles(tmp_path, monkeypatch,
     assert len(trace.results) == sum(len(u.entry_points) for u in units)
     _assert_views_equal_plain_runs(bundle.program, calls, cfg,
                                    bundle.summaries)
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+@pytest.mark.parametrize("source",
+                         ["shipped", "wide-pushdown", "finite-witness"])
+def test_views_together_are_the_fixpoint_graph(bundles_dir, tmp_path,
+                                               monkeypatch, source, mode):
+    """On a complete saturation the emitted views' nodes and edges together
+    are the fixpoint run's graph, so the DOT of the views is the DOT of the
+    fixpoint run itself. A view's adjacency (``out_edges``,
+    ``summaries_from``) holds its ``edges`` and ``epsilon_summaries``.
+    Shipped bundles at k 0-2, synth bundles at their ``bench/reference.json``
+    k."""
+    if source == "shipped":
+        cases = []
+        for name in SHIPPED:
+            bundle = load_bundle(bundles_dir / name)
+            units = discover_entry_points(bundle, bundle.program)
+            cases += [(f"{name} k={k}", bundle, units, k) for k in (0, 1, 2)]
+    else:
+        bundle, units, k = _generated_bundle(tmp_path, monkeypatch, source)
+        cases = [(source, bundle, units, k)]
+    for label, bundle, units, k in cases:
+        _s, _t, trace, calls = _saturate_recorded(
+            monkeypatch, bundle.program, units,
+            AnalysisConfig(mode=mode, k=k), bundle.summaries)
+        fixpoint = calls[0][1]
+        views = trace.results
+        for view in views:
+            dsg = view.dsg
+            assert ({e for s in dsg.nodes for e in dsg.out_edges(s)}
+                    == set(dsg.edges)), label
+            assert ({(s, t) for s in dsg.nodes for t in dsg.summaries_from(s)}
+                    == dsg.epsilon_summaries), label
+        assert (set().union(*(v.dsg.nodes for v in views))
+                == set(fixpoint.dsg.nodes)), label
+        assert (set().union(*(v.dsg.edges for v in views))
+                == set(fixpoint.dsg.edges)), label
+        assert (export_graph(views, [], bundle.program)
+                == export_graph([fixpoint], [], bundle.program)), label
 
 
 MICRO = {**{name: src for name, (src, _o, _r) in MICRO_PROGRAMS.items()},

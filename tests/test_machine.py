@@ -7,8 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from pdcfa import eps
 from pdcfa.cli import load_bundle
-from pdcfa.concrete import CRegAddr, run_concrete
+from pdcfa.concrete import (
+    CBool,
+    CInt,
+    ConcreteError,
+    CRegAddr,
+    _apply_op,
+    run_concrete,
+)
 from pdcfa.ir import (
+    BINARY_OPS,
     AtomicOp,
     InstanceOf,
     IntLit,
@@ -42,6 +50,7 @@ from pdcfa.machine import (
     Store,
     TRUE,
     VOID,
+    _pair_op,
     alloc_fp,
     alloc_op,
     eval_atomic,
@@ -106,6 +115,78 @@ def test_eval_any_int_widens():
     assert eval_atomic(p, AtomicOp("lt", (Name("a"), Name("b"))), f, store) \
         == {TRUE, FALSE}
 
+
+# Each binary op over a grid of operand pairs: exact ints, Any (?), zero
+# divisors, equal ints, bools and an int with a bool. A cell is the result
+# set: an int, ? for Any, T and F for the bools, TF for both, - for none.
+BINARY_OP_PAIRS = ((7, 2), (7, -2), (7, 0), (7, "?"), (-7, 2), (-7, -2),
+                   (-7, 0), (-7, "?"), ("?", 2), ("?", 0), ("?", "?"),
+                   (2, 2), (True, True), (True, False), (False, True),
+                   (False, False), (7, True))
+BINARY_OP_TABLE = """
+add   9   5   7  ?  -5  -9  -7  ?  ?  ?  ?  4  -  -  -  -  -
+sub   5   9   7  ?  -9  -5  -7  ?  ?  ?  ?  0  -  -  -  -  -
+mul  14 -14   0  ? -14  14   0  ?  ?  ?  ?  4  -  -  -  -  -
+div   3  -3   -  ?  -3   3   -  ?  ?  ?  ?  1  -  -  -  -  -
+rem   1   1   -  ?  -1  -1   -  ?  ?  ?  ?  0  -  -  -  -  -
+and   2   6   0  ?   0  -8   0  ?  ?  ?  ?  2  T  F  F  F  -
+or    7  -1   7  ?  -5  -1  -7  ?  ?  ?  ?  2  T  T  T  F  -
+xor   5  -7   7  ?  -5   7  -7  ?  ?  ?  ?  0  F  T  T  F  -
+lt    F   F   F TF   T   T   T TF TF TF TF  F  -  -  -  -  -
+le    F   F   F TF   T   T   T TF TF TF TF  T  -  -  -  -  -
+gt    T   T   T TF   F   F   F TF TF TF TF  F  -  -  -  -  -
+ge    T   T   T TF   F   F   F TF TF TF TF  T  -  -  -  -  -
+eq    F   F   F TF   F   F   F TF TF TF TF  T  T  F  F  T  F
+ne    T   T   T TF   T   T   T TF TF TF TF  F  F  T  T  F  T
+"""
+
+
+def _abstract_operand(v):
+    if v == "?":
+        return ANY_INT
+    return AbstractBool(v) if isinstance(v, bool) else AbstractInt(v)
+
+
+def _abstract_cell(cell) -> frozenset:
+    named = {"?": {ANY_INT}, "T": {TRUE}, "F": {FALSE}, "TF": {TRUE, FALSE},
+             "-": set()}
+    if cell in named:
+        return frozenset(named[cell])
+    return frozenset({AbstractInt(int(cell))})
+
+
+def test_binary_ops_match_the_written_table():
+    rows = [line.split() for line in BINARY_OP_TABLE.strip().splitlines()]
+    assert {row[0] for row in rows} == BINARY_OPS
+    for op, *cells in rows:
+        assert len(cells) == len(BINARY_OP_PAIRS), op
+        for (a, b), cell in zip(BINARY_OP_PAIRS, cells):
+            got = _pair_op(None, op, _abstract_operand(a),
+                           _abstract_operand(b))
+            assert got == _abstract_cell(cell), (op, a, b)
+            assert all(type(v.value) is type(w.value) for v in got
+                       for w in _abstract_cell(cell)), (op, a, b)
+
+
+
+def test_concrete_binary_ops_match_the_written_table():
+    """The concrete interpreter agrees on every cell with exact operands;
+    an empty cell is an ill-typed operation or a zero divisor there."""
+    rows = [line.split() for line in BINARY_OP_TABLE.strip().splitlines()]
+    for op, *cells in rows:
+        for (a, b), cell in zip(BINARY_OP_PAIRS, cells):
+            if "?" in (a, b):
+                continue
+            args = [CBool(v) if isinstance(v, bool) else CInt(v)
+                    for v in (a, b)]
+            if cell == "-":
+                with pytest.raises(ConcreteError):
+                    _apply_op(op, args)
+                continue
+            got = _apply_op(op, args)
+            wrap = AbstractBool if isinstance(got, CBool) else AbstractInt
+            assert {wrap(got.value)} == _abstract_cell(cell), (op, a, b)
+            assert type(got.value) is (bool if cell in "TF" else int)
 
 def test_eval_unbound_register_is_empty():
     p = parse_program(HIER)

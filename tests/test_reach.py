@@ -10,7 +10,7 @@ import pytest
 from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, RUN, STRICT_PROGRAMS
 from pdcfa import eps, machine, reach
 from pdcfa.cli import load_bundle
-from pdcfa.ir import MethodRef, StmtPos, parse_program
+from pdcfa.ir import MethodRef, StmtPos, Throw, parse_program
 from pdcfa.machine import (
     FunFrame,
     HandlerFrame,
@@ -741,6 +741,9 @@ def test_throw_step_matches_naive_scan_on_micro_programs(checked_throw_steps):
 
 def test_throw_step_matches_naive_scan_on_synth(tmp_path, monkeypatch,
                                                 checked_throw_steps):
+    """Every throw step matches the naive scan; every throw state of the run
+    is compared, and its last step, which its edges in the graph come from,
+    builds what the naive scan finds under the final flow facts and store."""
     monkeypatch.syspath_prepend(str(BENCH))
     import synth
 
@@ -748,9 +751,94 @@ def test_throw_step_matches_naive_scan_on_synth(tmp_path, monkeypatch,
         tmp_path / "bundle")
     bundle = load_bundle(root)
     units = eps.discover_entry_points(bundle, bundle.program)
+    last = {}  # throw state -> (engine, statement, edges) of its last step
+    checked = reach._FiniteEngine._step_throw
+
+    def step_throw(engine, state, st):
+        last[state] = (engine, st, checked(engine, state, st))
+        return last[state][2]
+
+    monkeypatch.setattr(reach._FiniteEngine, "_step_throw", step_throw)
     eps.saturate_app(bundle.program, units, AnalysisConfig(mode="finite"),
                      bundle.summaries)
-    assert len(checked_throw_steps) > 100 and sum(checked_throw_steps) > 1000
+    (engine,) = {id(e): e for e, _st, _edges in last.values()}.values()
+    throws = {s for s in engine.dsg.nodes
+              if isinstance(bundle.program.stmt_at(s.pos), Throw)}
+    assert throws and set(last) == throws
+    for state, (_engine, st, edges) in last.items():
+        assert edges == _naive_throw_edges(engine, state, st), \
+            state.describe()
+    assert sum(checked_throw_steps) > 0
+
+
+def _finite_fixpoint(program, refs, k, summaries) -> tuple:
+    """The finite engine's run rooted at every method of ``refs``, their
+    bindings seeded into one store pair, and the flow facts it built."""
+    store, taint = Store(), TaintStore()
+    for ref in refs:
+        seed_entry_bindings(program, ref, store, taint)
+    shared = reach.FiniteShared()
+    return analyze(program, tuple(refs), store, taint,
+                   AnalysisConfig(mode="finite", k=k), summaries,
+                   shared), shared
+
+
+def test_throw_resteps_on_catcher_growth_reach_the_every_throw_fixpoint(
+        bundles_dir, tmp_path, monkeypatch):
+    """Re-stepping a throw only when the frames that catch there grow
+    reaches the fixpoint that re-stepping every throw on every growth of
+    the flow facts reaches: the same nodes, edges, store pair and facts."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    cases = []  # (label, program, root methods, k, summaries)
+    for name in BUNDLE_NAMES:
+        bundle = load_bundle(bundles_dir / name)
+        refs = [ep.method_ref for unit in eps.discover_entry_points(
+            bundle, bundle.program) for ep in unit.entry_points]
+        cases += [(f"{name} k={k}", bundle.program, refs, k,
+                   bundle.summaries) for k in (0, 1, 2)]
+    sources = [src for src, _o, _r in MICRO_PROGRAMS.values()]
+    sources += list(STRICT_PROGRAMS.values())
+    for i, src in enumerate(s for s in sources if "(throw " in s):
+        cases += [(f"micro {i} k={k}", parse_program(src), [RUN], k, TABLE)
+                  for k in (0, 1)]
+    for seed in (1, 2):
+        bundle = load_bundle(synth.generate(
+            synth.Shape.parse("2x4x3x2"), seed).write(tmp_path / str(seed)))
+        refs = [ep.method_ref for unit in eps.discover_entry_points(
+            bundle, bundle.program) for ep in unit.entry_points]
+        cases.append((f"synth seed {seed}", bundle.program, refs, 1,
+                      bundle.summaries))
+
+    def fixpoints():
+        return [_finite_fixpoint(program, refs, k, summaries)
+                for _label, program, refs, k, summaries in cases]
+
+    def throw_steps(program, res):
+        return sum(n for s, n in res.visit_counts.items()
+                   if isinstance(program.stmt_at(s.pos), Throw))
+
+    precise = fixpoints()
+    growth = reach._FiniteEngine._on_shared_growth
+
+    def every_throw(engine, states):
+        growth(engine, [*states, *engine._throws])
+
+    monkeypatch.setattr(reach._FiniteEngine, "_on_shared_growth", every_throw)
+    every = fixpoints()
+    for (label, *_), (res, shared), (want, want_shared) in zip(
+            cases, precise, every):
+        assert set(res.dsg.nodes) == set(want.dsg.nodes), label
+        assert set(res.dsg.edges) == set(want.dsg.edges), label
+        assert (res.final_store.canonical_text()
+                == want.final_store.canonical_text()), label
+        assert (res.final_taint.canonical_text()
+                == want.final_taint.canonical_text()), label
+        assert shared.call_edges == want_shared.call_edges, label
+        assert shared.handler_records == want_shared.handler_records, label
+    assert sum(throw_steps(c[1], r) for c, (r, _s) in zip(cases, precise)) \
+        < sum(throw_steps(c[1], r) for c, (r, _s) in zip(cases, every))
 
 
 def test_adjacency_is_sorted_once_and_kept_until_the_node_grows():
