@@ -506,6 +506,11 @@ def _enter(program, m: _Machine, pos, fpid, kont, mdef, recv,
     return StmtPos(mdef.ref, 0), fp2
 
 
+# a summary's return abstraction -> the value its call returns; an
+# any-string value names its summary, so it is built per call
+_STUBS = {"any-int": CInt(0), "null": CNull(), "void": CVoid()}
+
+
 def _apply_concrete_summary(program, m: _Machine, pos, fpid, rec,
                             arg_vals, arg_taints):
     all_taint = frozenset().union(*arg_taints) if arg_taints else frozenset()
@@ -520,12 +525,9 @@ def _apply_concrete_summary(program, m: _Machine, pos, fpid, rec,
         if rec.sink_categories is not None:
             flowing = flowing & frozenset(rec.sink_categories)
         sink_hits = frozenset((t, rec.sink_kind) for t in flowing)
-    stub = {
-        "any-string": CStr(f"<api:{rec.class_pattern}.{rec.method_name}>"),
-        "any-int": CInt(0),
-        "null": CNull(),
-        "void": CVoid(),
-    }[rec.return_abstraction]
+    ret = rec.return_abstraction
+    stub = CStr(f"<api:{rec.class_pattern}.{rec.method_name}>") \
+        if ret == "any-string" else _STUBS[ret]
     m.write(CRegAddr(fpid, "ret"), stub, ret_taint)
     m.summary_apps.append(ConcreteSummaryApp(
         pos, fpid, rec, sink_hits, program.line_of(pos)))

@@ -2,15 +2,17 @@
 
 The input language is an object-oriented register bytecode written as
 S-expressions (file extension ``.sdex``, ``;`` starts a line comment).
-A parsed :class:`Program` is immutable after construction and safe to
-share across concurrent analysis runs; the parser itself is single-threaded.
+A parsed :class:`Program` holds one compiled record per statement position
+(:class:`Code`). Its statements never change after construction; the key
+tables analyses fill in it only grow, and an entry built twice by a race is
+equal to the first, so a program is safe to share across concurrent analysis
+runs. The parser itself is single-threaded.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import MISSING, dataclass, field, fields
 
 ROOT_CLASS = "java/lang/Object"
 
@@ -59,8 +61,11 @@ def key_type(cls):
     Control states, frames and addresses are nested dataclasses used as dict
     and set keys on every engine step; a generated ``__hash__`` rehashes the
     whole nest on each lookup. Here the hash of the field values is computed
-    once, at construction (``__post_init__``, so ``dataclasses.replace``
-    recomputes it), and ``__hash__`` returns it.
+    once, at construction, and ``__hash__`` returns it. The ``__init__``
+    that does so (``_key_init``, which ``dataclasses.replace`` calls too)
+    sets the slots through their descriptors, as a frozen dataclass's own
+    ``__init__`` does through ``object.__setattr__``, at about a third of
+    its cost.
 
     The class's ``sort_key`` method builds a nested tuple from its fields'
     keys; every report and worklist order sorts by it. It is wrapped to
@@ -69,11 +74,8 @@ def key_type(cls):
     ``sort_key.__wrapped__``. Neither slot takes part in equality, and a
     ``dataclasses.replace`` copy starts with no key.
     """
-    field_values = attrgetter(*cls.__annotations__)
+    names = tuple(cls.__annotations__)
     build_key = cls.sort_key
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(field_values(self)))
 
     def __hash__(self):
         return self._hash
@@ -90,10 +92,39 @@ def key_type(cls):
     cls._hash = field(init=False, compare=False, repr=False)
     cls.__annotations__["_sort_key"] = "tuple | None"
     cls._sort_key = field(init=False, compare=False, repr=False, default=None)
-    cls.__post_init__ = __post_init__
     cls.__hash__ = __hash__
     cls.sort_key = sort_key
-    return dataclass(frozen=True, slots=True)(cls)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__init__ = _key_init(cls, names)
+    return cls
+
+
+def _key_init(cls, names: tuple):
+    """An ``__init__`` for the key type ``cls`` whose fields are ``names``:
+    it sets each field's slot, an empty sort key, and the hash of the
+    tuple of field values (of the value alone for a one-field type)."""
+    env: dict = {}
+    params = []
+    for f in fields(cls):
+        if f.init:
+            env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+            if f.default is MISSING:
+                params.append(f.name)
+            else:
+                env[f"_default_{f.name}"] = f.default
+                params.append(f"{f.name}=_default_{f.name}")
+    env["_set_sort_key"] = cls._sort_key.__set__
+    env["_set_hash"] = cls._hash.__set__
+    values = names[0] if len(names) == 1 else f"({', '.join(names)})"
+    source = "\n".join([
+        f"def __init__(self, {', '.join(params)}):",
+        *(f"    _set_{name}(self, {name})" for name in names),
+        "    _set_sort_key(self, None)",
+        f"    _set_hash(self, hash({values}))"])
+    exec(source, env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 @dataclass(frozen=True)
@@ -327,34 +358,121 @@ class StmtPos:
         return (*self.method.sort_key(), self.index, int(self.at_move))
 
 
+@key_type
+class HandlerFrame:
+    class_name: str
+    label: str
+    owner: MethodRef
+
+    def sort_key(self):
+        return (1, self.class_name, self.label, self.owner.sort_key())
+
+    def canonical(self) -> str:
+        return f"handle({self.class_name}, {self.owner.sig()}:{self.label})"
+
+
+class Code:
+    """One position of a method body, compiled once when its program is
+    built (abstract compilation, Boucher and Feeley, CC 1996): what every
+    machine step at the position would otherwise work out again.
+
+    ``stmt`` is None past the end of the body; at an ``at_move`` slot it
+    is the slot's :class:`MoveFromRet`, made here once. ``next`` is the
+    successor's record and ``target`` the record a ``goto`` or ``if``
+    branches to. ``dependent`` says whether a step needs the top of the
+    stack (return, throw, pop-handler). ``line`` is what
+    :meth:`Program.line_of` reports. ``frame`` is the
+    :class:`HandlerFrame` a push-handler pushes, or the one a pop-handler
+    pops. An assign-of-invoke's ``move`` is the record of the
+    ``MoveFromRet`` slot after it, and ``callees`` memoises its dispatch
+    per summary table and receiver class. ``states`` holds the control
+    states at the position, by frame pointer. The machine fills
+    ``callees`` and ``states`` as analyses of the program run.
+    """
+
+    __slots__ = ("pos", "stmt", "next", "target", "dependent", "line",
+                 "frame", "move", "callees", "states")
+
+    def __init__(self, pos: StmtPos, stmt, line: int):
+        self.pos = pos
+        self.stmt = stmt
+        self.next: Code | None = None
+        self.target: Code | None = None
+        self.dependent = isinstance(stmt, (Return, Throw, PopHandler))
+        self.line = line
+        self.frame: HandlerFrame | None = None
+        self.move: Code | None = None
+        self.callees: dict | None = None
+        self.states: dict = {}
+
+
 class Program:
-    """A validated program: class table plus label and method indexes."""
+    """A validated program: class table, method and label indexes, and one
+    compiled record per statement position."""
 
     def __init__(self, classes: dict):
         self.classes: dict[str, ClassDef] = classes
         self.methods: dict[MethodRef, MethodDef] = {}
-        self.label_table: dict[tuple, int] = {}
         # method -> {push-handler or pop-handler index: (push index, index of
         # the matching pop-handler or the body's length)}; a pop-handler with
         # no open push-handler is left out, and the validator rejects it
         self.handler_spans: dict[MethodRef, dict[int, tuple]] = {}
-        self._line_cache: dict[tuple, int] = {}
+        self.code: dict[StmtPos, Code] = {}  # at_move slots included
+        self.starts: dict[MethodRef, Code] = {}  # each body's first record
+        self.labels: dict[tuple, Code] = {}  # (method, label) -> its record
+        # the analyses' other key objects, each built once and then looked
+        # up by its fields (machine.reg_addr, machine.edge_of)
+        self.reg_addrs: dict = {}  # FramePointer -> {register: RegAddr}
+        self.edge_table: dict = {}  # (src, kind, frame, dst) -> Edge
         self._subclass_cache: dict[tuple, bool] = {}
         for cdef in classes.values():
             for mdef in cdef.methods:
                 self.methods[mdef.ref] = mdef
-                spans = self.handler_spans[mdef.ref] = {}
-                open_pushes: list[int] = []
-                for i, st in enumerate(mdef.body):
-                    if isinstance(st, Label):
-                        self.label_table[(mdef.ref, st.name)] = i + 1
-                    elif isinstance(st, PushHandler):
-                        open_pushes.append(i)
-                    elif isinstance(st, PopHandler) and open_pushes:
-                        lo = open_pushes.pop()
-                        spans[lo] = spans[i] = (lo, i)
-                for lo in open_pushes:
-                    spans[lo] = (lo, len(mdef.body))
+                self._compile(mdef)
+
+    def _compile(self, mdef: MethodDef):
+        """Index ``mdef``'s labels and handler regions, and make the
+        records of its positions: one per statement, one past the end,
+        and one per assign-of-invoke's ``MoveFromRet`` slot."""
+        ref, body = mdef.ref, mdef.body
+        spans = self.handler_spans[ref] = {}
+        open_pushes: list[int] = []
+        labels: dict[str, int] = {}  # label -> index of the position after it
+        codes = []
+        line = 0  # the most recent (line n)
+        for i, st in enumerate(body):
+            if isinstance(st, Line):
+                line = st.number
+            code = Code(StmtPos(ref, i), st, line or st.pos.line)
+            codes.append(code)
+            if isinstance(st, Label):
+                labels[st.name] = i + 1
+            elif isinstance(st, PushHandler):
+                open_pushes.append(i)
+                code.frame = HandlerFrame(st.class_name, st.label, ref)
+            elif isinstance(st, PopHandler) and open_pushes:
+                lo = open_pushes.pop()
+                spans[lo] = spans[i] = (lo, i)
+                code.frame = codes[lo].frame
+            elif isinstance(st, AssignComplex) and isinstance(st.exp, Invoke):
+                code.move = Code(StmtPos(ref, i, at_move=True),
+                                 MoveFromRet(st.name, pos=st.pos), code.line)
+                code.callees = {}
+        for lo in open_pushes:
+            spans[lo] = (lo, len(body))
+        codes.append(Code(StmtPos(ref, len(body)), None, line))
+        for name, index in labels.items():
+            self.labels[(ref, name)] = codes[index]
+        for code, nxt in zip(codes, codes[1:] + [None]):
+            code.next = nxt
+            self.code[code.pos] = code
+            if isinstance(code.stmt, (Goto, If)):
+                # a dangling label is left None; the validator rejects it
+                code.target = self.labels.get((ref, code.stmt.label))
+            elif code.move is not None:
+                code.move.next = nxt
+                self.code[code.move.pos] = code.move
+        self.starts[ref] = codes[0]
 
     # -- hierarchy ---------------------------------------------------------
 
@@ -419,45 +537,23 @@ class Program:
     # -- statement addressing -------------------------------------------------
 
     def pos_of_label(self, m: MethodRef, label: str) -> StmtPos:
-        key = (m, label)
-        if key not in self.label_table:
+        code = self.labels.get((m, label))
+        if code is None:
             raise UnknownLabel(f"{m.sig()}:{label}")
-        return StmtPos(m, self.label_table[key])
+        return code.pos
 
     def stmt_at(self, pos: StmtPos):
-        """Statement at pos, or None past the end of the body.
-
-        For ``at_move`` positions this synthesizes the MoveFromRet for the
-        assign-of-invoke at ``pos.index``.
-        """
-        body = self.methods[pos.method].body
-        if pos.index >= len(body):
-            return None
-        st = body[pos.index]
-        if pos.at_move:
-            assert isinstance(st, AssignComplex) and isinstance(st.exp, Invoke)
-            return MoveFromRet(st.name, pos=st.pos)
-        return st
+        """Statement at pos, or None past the end of the body; at an
+        ``at_move`` position, the MoveFromRet of the assign-of-invoke at
+        ``pos.index``."""
+        return self.code[pos].stmt
 
     def advance(self, pos: StmtPos) -> StmtPos:
-        return StmtPos(pos.method, pos.index + 1)
+        return self.code[pos].next.pos
 
     def line_of(self, pos: StmtPos) -> int:
         """Most recent (line n) at or before pos; falls back to source line."""
-        key = (pos.method, pos.index)
-        if key in self._line_cache:
-            return self._line_cache[key]
-        body = self.methods[pos.method].body
-        line = 0
-        for i in range(min(pos.index, len(body) - 1), -1, -1):
-            st = body[i]
-            if isinstance(st, Line):
-                line = st.number
-                break
-        if line == 0 and pos.index < len(body):
-            line = body[pos.index].pos.line
-        self._line_cache[key] = line
-        return line
+        return self.code[pos].line
 
 
 # ---------------------------------------------------------------------------

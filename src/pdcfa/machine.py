@@ -8,11 +8,16 @@ the statements that ignore it, and ``step_dependent`` steps return, throw and
 pop-handler against a hypothesis about the top frame (a frame, or an empty
 stack). Both return the Dyck state graph's edges from the stepped state,
 each labelled with its stack action (noop / push / pop), so both engines
-read one transition relation.
+read one transition relation. A step reads its statement's compiled
+record (``ir.Code``), and looks the control states, register addresses and
+edges it needs up in its program's tables (``state_at``, ``reg_addr``,
+``edge_of``), so one analysis builds each of them once.
 
-All step functions are pure apart from joins into the supplied stores; joins
-are commutative and idempotent, so evaluating disjoint worklist items in any
-order (or concurrently, with atomic joins) yields the same fixpoint.
+All step functions are pure apart from joins into the supplied stores and
+the entries they add to those tables and to the invoke memos, each equal to
+what building it afresh would give; joins are commutative and idempotent, so
+evaluating disjoint worklist items in any order (or concurrently, with
+atomic joins) yields the same fixpoint.
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ from .ir import (
     AssignComplex,
     AtomicOp,
     BoolLit,
+    Code,
     FieldGet,
     FieldPut,
     Goto,
+    HandlerFrame,
     If,
     InstanceOf,
     IntLit,
@@ -129,6 +136,18 @@ class RegAddr:
         return f"reg:{self.fp.canonical()}:{self.reg}"
 
 
+def reg_addr(program: Program, fp: FramePointer, reg: str) -> RegAddr:
+    """The address of register ``reg`` in frame ``fp``: built the first
+    time an analysis of ``program`` asks for it, then looked up."""
+    regs = program.reg_addrs.get(fp)
+    if regs is None:
+        regs = program.reg_addrs[fp] = {}
+    addr = regs.get(reg)
+    if addr is None:
+        addr = regs[reg] = RegAddr(fp, reg)
+    return addr
+
+
 @key_type
 class FieldAddr:
     op: ObjectPointer
@@ -217,6 +236,14 @@ NULL = NullVal()
 VOID = VoidVal()
 BOTH_BOOLS = frozenset({TRUE, FALSE})
 
+# an API summary's return abstraction -> the values its call returns
+SUMMARY_RETURNS = {
+    "any-string": frozenset({ANY_STRING}),
+    "any-int": frozenset({ANY_INT}),
+    "null": frozenset({NULL}),
+    "void": frozenset({VOID}),
+}
+
 
 def value_sort_key(v):
     return v.sort_key()
@@ -233,15 +260,19 @@ def normalize_vals(values) -> frozenset:
     ints = [v for v in values if isinstance(v, AbstractInt) and v.value is not None]
     strs = [v for v in values
             if isinstance(v, AbstractString) and v.value is not None]
+    widen_ints = ints and (ANY_INT in values
+                           or len(ints) > INT_CONSTANT_BUDGET)
+    widen_strs = strs and (ANY_STRING in values
+                           or len(strs) > INT_CONSTANT_BUDGET)
+    if not (widen_ints or widen_strs):
+        return values
     out = set(values)
-    if ANY_INT in values or len(ints) > INT_CONSTANT_BUDGET:
+    if widen_ints:
         out.difference_update(ints)
-        if ints:
-            out.add(ANY_INT)
-    if ANY_STRING in values or len(strs) > INT_CONSTANT_BUDGET:
+        out.add(ANY_INT)
+    if widen_strs:
         out.difference_update(strs)
-        if strs:
-            out.add(ANY_STRING)
+        out.add(ANY_STRING)
     return frozenset(out)
 
 
@@ -361,13 +392,13 @@ def _unary_op(op: str, a) -> frozenset:
 
 def eval_atomic(program: Program, ae, fp: FramePointer, store: Store) -> frozenset:
     """Evaluate an atomic expression to a value set; unbound names are empty."""
-    match ae:
-        case This():
-            return store.lookup(RegAddr(fp, "this"))
+    match ae:  # the commonest forms first
         case Name(reg):
-            return store.lookup(RegAddr(fp, reg))
+            return store.lookup(reg_addr(program, fp, reg))
         case IntLit(n):
             return frozenset({AbstractInt(n)})
+        case This():
+            return store.lookup(reg_addr(program, fp, "this"))
         case BoolLit(v):
             return frozenset({AbstractBool(v)})
         case NullLit():
@@ -402,21 +433,21 @@ def eval_atomic(program: Program, ae, fp: FramePointer, store: Store) -> frozens
     raise TypeError(f"not an atomic expression: {ae!r}")
 
 
-def eval_atomic_taint(ae, fp: FramePointer,
+def eval_atomic_taint(program: Program, ae, fp: FramePointer,
                       taint_store: taint_mod.TaintStore) -> frozenset:
     """Taint carried by an atomic expression: the union over registers read."""
     match ae:
-        case This():
-            return taint_store.lookup(RegAddr(fp, "this"))
         case Name(reg):
-            return taint_store.lookup(RegAddr(fp, reg))
+            return taint_store.lookup(reg_addr(program, fp, reg))
+        case This():
+            return taint_store.lookup(reg_addr(program, fp, "this"))
         case AtomicOp(_, args):
             out: frozenset = frozenset()
             for a in args:
-                out |= eval_atomic_taint(a, fp, taint_store)
+                out |= eval_atomic_taint(program, a, fp, taint_store)
             return out
         case InstanceOf(inner, _):
-            return eval_atomic_taint(inner, fp, taint_store)
+            return eval_atomic_taint(program, inner, fp, taint_store)
         case _:
             return frozenset()
 
@@ -489,19 +520,6 @@ class FunFrame:
                 f"{self.ret_pos.method.sig()}@{self.ret_pos.index})")
 
 
-@key_type
-class HandlerFrame:
-    class_name: str
-    label: str
-    owner: MethodRef
-
-    def sort_key(self):
-        return (1, self.class_name, self.label, self.owner.sort_key())
-
-    def canonical(self) -> str:
-        return f"handle({self.class_name}, {self.owner.sig()}:{self.label})"
-
-
 NOOP = "noop"
 PUSH = "push"
 POP = "pop"
@@ -519,8 +537,28 @@ class Edge:
         return (self.src.sort_key(), self.kind, fkey, self.dst.sort_key())
 
 
-def _noop(state: ControlState, pos: StmtPos) -> Edge:
-    return Edge(state, NOOP, None, ControlState(pos, state.fp))
+def state_at(code: Code, fp: FramePointer) -> ControlState:
+    """The control state at ``code``'s position in frame ``fp``: built the
+    first time an analysis asks for it, then looked up."""
+    state = code.states.get(fp)
+    if state is None:
+        state = code.states[fp] = ControlState(code.pos, fp)
+    return state
+
+
+def edge_of(program: Program, src: ControlState, kind: str, frame,
+            dst: ControlState) -> Edge:
+    """The edge with these fields: built the first time an analysis of
+    ``program`` asks for it, then looked up."""
+    key = (src, kind, frame, dst)
+    edge = program.edge_table.get(key)
+    if edge is None:
+        edge = program.edge_table[key] = Edge(src, kind, frame, dst)
+    return edge
+
+
+def _noop(program: Program, state: ControlState, code: Code) -> Edge:
+    return edge_of(program, state, NOOP, None, state_at(code, state.fp))
 
 
 def _summary_chain(program: Program, class_name: str):
@@ -529,121 +567,117 @@ def _summary_chain(program: Program, class_name: str):
     return [class_name]
 
 
-def _apply_summary_here(state, rec, arg_vals, arg_taints, store, taint_store,
-                        recorder) -> Edge:
-    ret_val, ret_taint, sink_hits = taint_mod.apply_summary(
-        rec, arg_vals, arg_taints)
-    store.join(RegAddr(state.fp, RET_REG), ret_val)
-    taint_store.join(RegAddr(state.fp, RET_REG), ret_taint)
-    recorder.summary_applied(state, rec, sink_hits)
-    pos = state.pos
-    return _noop(state, StmtPos(pos.method, pos.index, at_move=True))
-
-
-def _push_call(state, mdef, receivers, arg_vals, arg_taints, is_static,
-               store, taint_store, policy) -> Edge:
-    pos, fp = state.pos, state.fp
-    call_site = StmtPos(pos.method, pos.index)
-    fp2 = alloc_fp(fp, call_site, mdef.ref, policy)
-    if is_static:
-        for i, vals in enumerate(arg_vals):
-            store.join(RegAddr(fp2, f"param{i}"), vals)
-            taint_store.join(RegAddr(fp2, f"param{i}"), arg_taints[i])
+def _callee(program: Program, code: Code, summaries, class_name):
+    """What the invoke at ``code`` runs on a receiver of ``class_name``,
+    or, for None, on the class its kind fixes (static, super, or a direct
+    invoke naming a class): an API summary, the record of the callee's
+    first position, or None when nothing resolves. Worked out once per
+    summary table and class, then read from the record."""
+    key = (summaries, class_name)
+    callees = code.callees
+    if key in callees:
+        return callees[key]
+    inv = code.stmt.exp
+    if inv.kind == "super":
+        resolve_from = code.pos.method.class_name
+        lookup_start = program.classes[resolve_from].super_name
     else:
-        store.join(RegAddr(fp2, "this"), receivers)
-        taint_store.join(RegAddr(fp2, "this"), arg_taints[0])
-        for i, vals in enumerate(arg_vals[1:]):
-            store.join(RegAddr(fp2, f"param{i}"), vals)
-            taint_store.join(RegAddr(fp2, f"param{i}"), arg_taints[i + 1])
-    move_pos = StmtPos(pos.method, pos.index, at_move=True)
-    frame = FunFrame(fp, move_pos)
-    return Edge(state, PUSH, frame, ControlState(StmtPos(mdef.ref, 0), fp2))
+        resolve_from = lookup_start = class_name or inv.class_name
+    callee = summaries.match(_summary_chain(program, lookup_start),
+                             inv.method_name)
+    if callee is None and (inv.kind != "static"
+                           or program.is_declared(resolve_from)):
+        try:
+            mdef = program.resolve_method(resolve_from, inv.method_name,
+                                          inv.arg_types, inv.kind)
+        except ResolveError:
+            pass
+        else:
+            callee = program.starts[mdef.ref]
+    callees[key] = callee
+    return callee
 
 
-def _step_invoke(program, state, inv: Invoke, store, taint_store,
+def _call(program, code, state, callee, receivers, arg_vals, arg_taints,
+          store, taint_store, policy, recorder) -> Edge:
+    """The edge of running ``callee`` (see ``_callee``) at ``state``: an
+    API summary's no-op edge to the move slot, or the push of a call to a
+    method, binding ``receivers`` (None for a static call) and the
+    arguments in the callee's frame."""
+    fp = state.fp
+    if not isinstance(callee, Code):
+        ret_val, ret_taint, sink_hits = taint_mod.apply_summary(
+            callee, arg_vals, arg_taints)
+        ret = reg_addr(program, fp, RET_REG)
+        store.join(ret, ret_val)
+        taint_store.join(ret, ret_taint)
+        recorder.summary_applied(state, callee, sink_hits)
+        return _noop(program, state, code.move)
+    fp2 = alloc_fp(fp, code.pos, callee.pos.method, policy)
+    if receivers is None:
+        params = enumerate(zip(arg_vals, arg_taints))
+    else:
+        this = reg_addr(program, fp2, "this")
+        store.join(this, receivers)
+        taint_store.join(this, arg_taints[0])
+        params = enumerate(zip(arg_vals[1:], arg_taints[1:]))
+    for i, (vals, taints) in params:
+        param = reg_addr(program, fp2, f"param{i}")
+        store.join(param, vals)
+        taint_store.join(param, taints)
+    return edge_of(program, state, PUSH, FunFrame(fp, code.move.pos),
+                   state_at(callee, fp2))
+
+
+def _step_invoke(program, code, state, inv: Invoke, store, taint_store,
                  summaries, policy, recorder) -> list:
     pos, fp = state.pos, state.fp
     arg_vals = [eval_atomic(program, a, fp, store) for a in inv.args]
-    arg_taints = [eval_atomic_taint(a, fp, taint_store) for a in inv.args]
+    arg_taints = [eval_atomic_taint(program, a, fp, taint_store)
+                  for a in inv.args]
     if any(not v for v in arg_vals):
         log.debug("stuck invoke at %s: unbound argument", pos)
         return []
-    edges: list[Edge] = []
+    args = (arg_vals, arg_taints, store, taint_store, policy, recorder)
 
-    if inv.kind == "static":
-        rec = summaries.match(_summary_chain(program, inv.class_name),
-                              inv.method_name)
-        if rec is not None:
-            edges.append(_apply_summary_here(state, rec, arg_vals, arg_taints,
-                                             store, taint_store, recorder))
-            return edges
-        if program.is_declared(inv.class_name):
-            try:
-                mdef = program.resolve_method(inv.class_name, inv.method_name,
-                                              inv.arg_types, "static")
-            except ResolveError:
-                log.debug("stuck invoke-static at %s: unresolved", pos)
-                return edges
-            edges.append(_push_call(state, mdef, frozenset(), arg_vals,
-                                    arg_taints, True, store, taint_store,
-                                    policy))
-        else:
-            log.debug("stuck invoke-static at %s: unknown class %s",
-                      pos, inv.class_name)
-        return edges
-
-    receivers = [v for v in arg_vals[0] if isinstance(v, ObjectValue)]
-    if not receivers:
-        log.debug("stuck invoke at %s: no object receiver", pos)
-        return edges
-
-    if inv.kind == "super" or (inv.kind == "direct" and inv.class_name):
-        if inv.kind == "super":
-            resolve_from = pos.method.class_name
-            lookup_start = program.classes[resolve_from].super_name
-        else:
-            resolve_from = lookup_start = inv.class_name
-        rec = summaries.match(_summary_chain(program, lookup_start),
-                              inv.method_name)
-        if rec is not None:
-            edges.append(_apply_summary_here(state, rec, arg_vals, arg_taints,
-                                             store, taint_store, recorder))
-            return edges
-        try:
-            mdef = program.resolve_method(
-                resolve_from, inv.method_name, inv.arg_types,
-                "super" if inv.kind == "super" else "direct")
-        except ResolveError:
-            return edges
-        edges.append(_push_call(state, mdef, frozenset(receivers), arg_vals,
-                                arg_taints, False, store, taint_store, policy))
-        return edges
+    receivers = None
+    if inv.kind != "static":
+        receivers = [v for v in arg_vals[0] if isinstance(v, ObjectValue)]
+        if not receivers:
+            log.debug("stuck invoke at %s: no object receiver", pos)
+            return []
+    if receivers is None or inv.kind == "super" or (
+            inv.kind == "direct" and inv.class_name):
+        callee = _callee(program, code, summaries, None)
+        if callee is None:
+            log.debug("stuck invoke at %s: unresolved", pos)
+            return []
+        if receivers is not None:
+            receivers = frozenset(receivers)
+        return [_call(program, code, state, callee, receivers, *args)]
 
     # virtual / interface / unqualified direct: dispatch on the dynamic class
-    summary_groups: dict = {}
-    resolved_groups: dict = {}
+    applied: dict = {}  # summary key -> the first summary with that key
+    calls: dict = {}  # callee record -> its receivers
     for ov in sorted(receivers, key=value_sort_key):
-        rec = summaries.match(_summary_chain(program, ov.class_name),
-                              inv.method_name)
-        if rec is not None:
-            summary_groups.setdefault(rec.key(), (rec, []))[1].append(ov)
-            continue
-        try:
-            mdef = program.resolve_method(ov.class_name, inv.method_name,
-                                          inv.arg_types, inv.kind)
-        except ResolveError:
+        callee = _callee(program, code, summaries, ov.class_name)
+        if callee is None:
             log.debug("unresolved %s.%s at %s", ov.class_name,
                       inv.method_name, pos)
-            continue
-        resolved_groups.setdefault(mdef.ref, (mdef, []))[1].append(ov)
-    for _, (rec, _) in sorted(summary_groups.items()):
-        edges.append(_apply_summary_here(state, rec, arg_vals, arg_taints,
-                                         store, taint_store, recorder))
-    for ref in sorted(resolved_groups, key=lambda r: r.sort_key()):
-        mdef, group = resolved_groups[ref]
-        edges.append(_push_call(state, mdef, frozenset(group), arg_vals,
-                                arg_taints, False, store, taint_store, policy))
+        elif isinstance(callee, Code):
+            calls.setdefault(callee, []).append(ov)
+        else:
+            applied.setdefault(callee.key(), callee)
+    edges = [_call(program, code, state, rec, None, *args)
+             for _key, rec in sorted(applied.items())]
+    for callee in sorted(calls, key=lambda c: c.pos.method.sort_key()):
+        edges.append(_call(program, code, state, callee,
+                           frozenset(calls[callee]), *args))
     return edges
+
+
+ONLY_TRUE = frozenset({TRUE})
+ONLY_FALSE = frozenset({FALSE})
 
 
 def step_independent(program: Program, state: ControlState, store: Store,
@@ -655,81 +689,82 @@ def step_independent(program: Program, state: ControlState, store: Store,
     pop-handler need a top-frame hypothesis (see step_dependent).
     ``recorder.summary_applied`` is called for each API summary applied.
     """
-    pos, fp = state.pos, state.fp
-    st = program.stmt_at(pos)
-    if st is None:
-        return []
-    nxt = program.advance(pos)
-    match st:
+    code = program.code[state.pos]
+    fp = state.fp
+    match code.stmt:
+        case None:
+            return []
         case Label(_) | Nop() | Line(_):
-            return [_noop(state, nxt)]
-        case Goto(label):
-            return [_noop(state, program.pos_of_label(pos.method, label))]
-        case If(cond, label):
+            return [_noop(program, state, code.next)]
+        case Goto(_):
+            return [_noop(program, state, code.target)]
+        case If(cond, _):
             vals = eval_atomic(program, cond, fp, store)
             if not vals:
                 return []
-            target = program.pos_of_label(pos.method, label)
-            if vals == frozenset({TRUE}):
-                return [_noop(state, target)]
-            if vals == frozenset({FALSE}):
-                return [_noop(state, nxt)]
-            return [_noop(state, nxt), _noop(state, target)]
+            if vals == ONLY_TRUE:
+                return [_noop(program, state, code.target)]
+            if vals == ONLY_FALSE:
+                return [_noop(program, state, code.next)]
+            return [_noop(program, state, code.next),
+                    _noop(program, state, code.target)]
         case AssignAtomic(name, exp):
             vals = eval_atomic(program, exp, fp, store)
             if not vals:
                 return []
-            store.join(RegAddr(fp, name), vals)
-            taint_store.join(RegAddr(fp, name),
-                             eval_atomic_taint(exp, fp, taint_store))
-            return [_noop(state, nxt)]
+            addr = reg_addr(program, fp, name)
+            store.join(addr, vals)
+            taint_store.join(addr, eval_atomic_taint(program, exp, fp,
+                                                     taint_store))
+            return [_noop(program, state, code.next)]
         case AssignComplex(name, New(class_name)):
-            op = alloc_op(StmtPos(pos.method, pos.index), fp, policy)
-            store.join(RegAddr(fp, name),
+            op = alloc_op(code.pos, fp, policy)
+            store.join(reg_addr(program, fp, name),
                        frozenset({ObjectValue(op, class_name)}))
             init_object(program, store, op, class_name)
-            return [_noop(state, nxt)]
+            return [_noop(program, state, code.next)]
         case AssignComplex(_, Invoke() as inv):
-            return _step_invoke(program, state, inv, store, taint_store,
-                                 summaries, policy, recorder)
+            return _step_invoke(program, code, state, inv, store,
+                                taint_store, summaries, policy, recorder)
         case MoveFromRet(name):
-            vals = store.lookup(RegAddr(fp, RET_REG))
+            ret = reg_addr(program, fp, RET_REG)
+            vals = store.lookup(ret)
             if not vals:
                 return []
-            store.join(RegAddr(fp, name), vals)
-            taint_store.join(RegAddr(fp, name),
-                             taint_store.lookup(RegAddr(fp, RET_REG)))
-            return [_noop(state, nxt)]
+            addr = reg_addr(program, fp, name)
+            store.join(addr, vals)
+            taint_store.join(addr, taint_store.lookup(ret))
+            return [_noop(program, state, code.next)]
         case FieldPut(obj, field_name, value):
             receivers = [v for v in eval_atomic(program, obj, fp, store)
                          if isinstance(v, ObjectValue)]
             vals = eval_atomic(program, value, fp, store)
             if not receivers or not vals:
                 return []
-            taints = eval_atomic_taint(value, fp, taint_store)
+            taints = eval_atomic_taint(program, value, fp, taint_store)
             for ov in sorted(receivers, key=value_sort_key):
-                store.join(FieldAddr(ov.op, field_name), vals)
-                taint_store.join(FieldAddr(ov.op, field_name), taints)
-            return [_noop(state, nxt)]
+                addr = FieldAddr(ov.op, field_name)
+                store.join(addr, vals)
+                taint_store.join(addr, taints)
+            return [_noop(program, state, code.next)]
         case FieldGet(name, obj, field_name):
             vals = eval_field(program, obj, fp, store, field_name)
             if not vals:
                 return []
-            store.join(RegAddr(fp, name), vals)
+            addr = reg_addr(program, fp, name)
+            store.join(addr, vals)
             taint_store.join(
-                RegAddr(fp, name),
-                eval_field_taint(program, obj, fp, store, taint_store,
-                                 field_name))
-            return [_noop(state, nxt)]
-        case PushHandler(class_name, label):
-            frame = HandlerFrame(class_name, label, pos.method)
-            return [Edge(state, PUSH, frame, ControlState(nxt, fp))]
-    raise TypeError(f"unhandled statement {st!r}")
+                addr, eval_field_taint(program, obj, fp, store, taint_store,
+                                       field_name))
+            return [_noop(program, state, code.next)]
+        case PushHandler():
+            return [edge_of(program, state, PUSH, code.frame,
+                            state_at(code.next, fp))]
+    raise TypeError(f"unhandled statement {code.stmt!r}")
 
 
 def is_stack_dependent(program: Program, pos: StmtPos) -> bool:
-    st = program.stmt_at(pos)
-    return isinstance(st, (Return, Throw, PopHandler))
+    return program.code[pos].dependent
 
 
 def step_dependent(program: Program, state: ControlState, top, store: Store,
@@ -741,55 +776,61 @@ def step_dependent(program: Program, state: ControlState, top, store: Store,
     Under an empty stack a return joins ``ret`` and an uncaught throw joins
     ``exn`` in the state's own frame; neither has a successor.
     """
-    pos, fp = state.pos, state.fp
-    st = program.stmt_at(pos)
-    match st:
+    code = program.code[state.pos]
+    fp = state.fp
+    match code.stmt:
         case Return(exp):
             vals = eval_atomic(program, exp, fp, store)
             if not vals:
                 return []
-            taints = eval_atomic_taint(exp, fp, taint_store)
+            taints = eval_atomic_taint(program, exp, fp, taint_store)
             if top is None:
-                store.join(RegAddr(fp, RET_REG), vals)
-                taint_store.join(RegAddr(fp, RET_REG), taints)
+                ret = reg_addr(program, fp, RET_REG)
+                store.join(ret, vals)
+                taint_store.join(ret, taints)
                 return []
             if isinstance(top, HandlerFrame):
                 # handler-skipping: pop until a call frame is on top
-                return [Edge(state, POP, top, state)]
-            store.join(RegAddr(top.fp, RET_REG), vals)
-            taint_store.join(RegAddr(top.fp, RET_REG), taints)
-            return [Edge(state, POP, top, ControlState(top.ret_pos, top.fp))]
+                return [edge_of(program, state, POP, top, state)]
+            ret = reg_addr(program, top.fp, RET_REG)
+            store.join(ret, vals)
+            taint_store.join(ret, taints)
+            return [edge_of(program, state, POP, top,
+                            state_at(program.code[top.ret_pos], top.fp))]
         case Throw(exp):
             vals = eval_atomic(program, exp, fp, store)
             thrown = [v for v in vals if isinstance(v, ObjectValue)]
             if not thrown:
                 return []
-            taints = eval_atomic_taint(exp, fp, taint_store)
+            taints = eval_atomic_taint(program, exp, fp, taint_store)
+            exn = reg_addr(program, fp, EXN_REG)
             if top is None:
-                store.join(RegAddr(fp, EXN_REG), frozenset(thrown))
-                taint_store.join(RegAddr(fp, EXN_REG), taints)
+                store.join(exn, frozenset(thrown))
+                taint_store.join(exn, taints)
                 return []
             if isinstance(top, FunFrame):
-                return [Edge(state, POP, top, state)]
+                return [edge_of(program, state, POP, top, state)]
             catchable = [v for v in thrown
                          if program.is_subclass(v.class_name, top.class_name)]
             edges = []
             if catchable:
-                store.join(RegAddr(fp, EXN_REG), frozenset(catchable))
-                taint_store.join(RegAddr(fp, EXN_REG), taints)
-                hpos = program.pos_of_label(top.owner, top.label)
-                edges.append(Edge(state, POP, top, ControlState(hpos, fp)))
+                store.join(exn, frozenset(catchable))
+                taint_store.join(exn, taints)
+                handler = program.labels[(top.owner, top.label)]
+                edges.append(edge_of(program, state, POP, top,
+                                     state_at(handler, fp)))
             if len(catchable) < len(thrown):
-                edges.append(Edge(state, POP, top, state))
+                edges.append(edge_of(program, state, POP, top, state))
             return edges
         case PopHandler():
             if not isinstance(top, HandlerFrame):
                 what = top.canonical() if top is not None else "an empty stack"
                 raise MalformedState(
-                    f"pop-handler over {what} at {pos.method.sig()}@{pos.index}")
-            return [Edge(state, POP, top,
-                         ControlState(program.advance(pos), fp))]
-    raise TypeError(f"not a stack-dependent statement: {st!r}")
+                    f"pop-handler over {what} at "
+                    f"{state.pos.method.sig()}@{state.pos.index}")
+            return [edge_of(program, state, POP, top,
+                            state_at(code.next, fp))]
+    raise TypeError(f"not a stack-dependent statement: {code.stmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -812,10 +853,10 @@ def seed_entry_bindings(program: Program, entry: MethodRef, store: Store,
     fp0 = frame_pointer_zero(entry)
     mdef = program.methods[entry]
     recv = ambient_object(entry.class_name)
-    store.join(RegAddr(fp0, "this"), frozenset({recv}))
+    store.join(reg_addr(program, fp0, "this"), frozenset({recv}))
     init_object(program, store, recv.op, entry.class_name)
     for i, ptype in enumerate(mdef.param_types):
-        addr = RegAddr(fp0, f"param{i}")
+        addr = reg_addr(program, fp0, f"param{i}")
         if ptype in ("int", "byte", "char"):
             store.join(addr, frozenset({ANY_INT}))
         elif ptype == "boolean":

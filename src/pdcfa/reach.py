@@ -47,7 +47,6 @@ from .machine import (
     NOOP,
     POP,
     PUSH,
-    RegAddr,
     Store,
     frame_pointer_zero,
 )
@@ -279,7 +278,8 @@ class _BaseEngine:
         self.policy = cfg.policy()
         self.summaries = summaries
         self.budget = budget if budget is not None else Budget(cfg)
-        self.roots = [ControlState(StmtPos(e, 0), frame_pointer_zero(e))
+        self.roots = [machine.state_at(program.starts[e],
+                                       frame_pointer_zero(e))
                       for e in entries]
         self.init_state = self.roots[0]
         self.dsg = DyckStateGraph()
@@ -311,7 +311,10 @@ class _BaseEngine:
 
     def _on_read(self, addr):
         if self.current_item is not None:
-            self.readers.setdefault(addr, {})[self.current_item] = None
+            readers = self.readers.get(addr)
+            if readers is None:
+                readers = self.readers[addr] = {}
+            readers[self.current_item] = None
 
     def _on_grow(self, addr):
         for item in list(self.readers.get(addr, {})):
@@ -542,7 +545,7 @@ class _FiniteEngine(_BaseEngine):
         self.entry_fps = {root.fp for root in self.roots}
         self._return_deps: dict = {}  # fp -> {state: None}
         self._callees: dict = {}  # method -> {(call index, callee): None}
-        # (frame, handler position, region lo, region hi, methods reached by
+        # (frame, handler's record, region lo, region hi, methods reached by
         # calls in the region), frames in sort order, per (frame, region)
         self._index: list = []
         self._throws: dict = {}  # throw state -> frames catching at its step
@@ -569,11 +572,11 @@ class _FiniteEngine(_BaseEngine):
                 self._record_push(state, edge)
 
     def _step(self, state: ControlState) -> list:
-        st = self.program.stmt_at(state.pos)
-        if isinstance(st, Throw):
-            return self._step_throw(state, st)
-        if isinstance(st, (Return, PopHandler)):
-            return [edge for top in self._tops(state, st)
+        code = self.program.code[state.pos]
+        if isinstance(code.stmt, Throw):
+            return self._step_throw(state, code.stmt)
+        if isinstance(code.stmt, (Return, PopHandler)):
+            return [edge for top in self._tops(state, code)
                     for edge in machine.step_dependent(
                         self.program, state, top, self.store, self.taint,
                         self.policy)]
@@ -581,17 +584,14 @@ class _FiniteEngine(_BaseEngine):
             self.program, state, self.store, self.taint, self.summaries,
             self.policy, self.recorder)
 
-    def _tops(self, state: ControlState, st) -> list:
+    def _tops(self, state: ControlState, code) -> list:
         """The frames that may top the stack at a return or pop-handler,
         None for the empty stack. At a pop-handler, the handler its matching
         push-handler installed. At a return, the empty stack in a root's
         frame, then every call frame recorded at the return's frame pointer,
         by caller state."""
-        program, method = self.program, state.pos.method
-        if isinstance(st, PopHandler):
-            push_idx, _ = program.handler_spans[method][state.pos.index]
-            push = program.methods[method].body[push_idx]
-            return [HandlerFrame(push.class_name, push.label, method)]
+        if isinstance(code.stmt, PopHandler):
+            return [code.frame]
         self._return_deps.setdefault(state.fp, {})[state] = None
         tops = [None] if state.fp in self.entry_fps else []
         calls = sorted(self.shared.call_edges.get(state.fp, {}),
@@ -623,7 +623,7 @@ class _FiniteEngine(_BaseEngine):
     def _add_call(self, pos: StmtPos, callee: MethodRef):
         """Record a call; the index entries whose scope holds it reach on."""
         self._callees.setdefault(pos.method, {})[(pos.index, callee)] = None
-        for frame, _hpos, lo, hi, reachable in self._index:
+        for frame, _handler, lo, hi, reachable in self._index:
             if pos.method in reachable or (pos.method == frame.owner
                                            and lo < pos.index < hi):
                 self._reach([callee], reachable)
@@ -636,8 +636,8 @@ class _FiniteEngine(_BaseEngine):
         reachable: set = set()
         self._reach([m for idx, m in self._callees.get(frame.owner, ())
                      if lo < idx < hi], reachable)
-        hpos = self.program.pos_of_label(frame.owner, frame.label)
-        bisect.insort(self._index, (frame, hpos, lo, hi, reachable),
+        handler = self.program.labels[(frame.owner, frame.label)]
+        bisect.insort(self._index, (frame, handler, lo, hi, reachable),
                       key=lambda e: e[0].sort_key())
 
     def _reach(self, frontier: list, reachable: set):
@@ -651,7 +651,7 @@ class _FiniteEngine(_BaseEngine):
     def _catching(self, state: ControlState) -> set:
         """The frames of the index entries whose scope covers ``state``."""
         method, idx = state.pos.method, state.pos.index
-        return {frame for frame, _hpos, lo, hi, reachable in self._index
+        return {frame for frame, _handler, lo, hi, reachable in self._index
                 if method in reachable
                 or (method == frame.owner and lo < idx < hi)}
 
@@ -662,18 +662,21 @@ class _FiniteEngine(_BaseEngine):
         thrown = [v for v in vals if isinstance(v, machine.ObjectValue)]
         if not thrown:
             return []
-        taints = machine.eval_atomic_taint(st.exp, state.fp, self.taint)
+        taints = machine.eval_atomic_taint(program, st.exp, state.fp,
+                                           self.taint)
         # without a stack the unwind may always escape
-        self.store.join(RegAddr(state.fp, machine.EXN_REG), frozenset(thrown))
-        self.taint.join(RegAddr(state.fp, machine.EXN_REG), taints)
+        exn = machine.reg_addr(program, state.fp, machine.EXN_REG)
+        self.store.join(exn, frozenset(thrown))
+        self.taint.join(exn, taints)
         edges = []
-        for frame, hpos, *_scope in self._index:
+        for frame, handler, *_scope in self._index:
             if frame not in catching or (edges and edges[-1].frame == frame):
                 continue  # a frame's entries are adjacent; one edge each
             if any(program.is_subclass(v.class_name, frame.class_name)
                    for v in thrown):
-                edges.append(Edge(state, POP, frame,
-                                  ControlState(hpos, state.fp)))
+                edges.append(machine.edge_of(
+                    program, state, POP, frame,
+                    machine.state_at(handler, state.fp)))
         return edges
 
 

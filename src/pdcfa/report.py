@@ -244,7 +244,10 @@ def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:
 
 
 def _graph_union(results) -> tuple:
-    """``results``' nodes and edges, the windows onto one graph read as one."""
+    """``results``' nodes and edges, the windows onto one graph read as one.
+
+    A node's pop frames are merged into one dict per node, made when a
+    window first holds the node; the windows' own dicts are only read."""
     union: dict = {}  # graph -> (nodes, pop frames or None)
     for res in results:
         dsg = res.dsg
@@ -254,7 +257,11 @@ def _graph_union(results) -> tuple:
             frames = None
         else:
             for n, top in dsg.pop_frames.items():
-                frames.setdefault(n, {}).update(top)
+                merged = frames.get(n)
+                if merged is None:
+                    frames[n] = dict(top)
+                else:
+                    merged.update(top)
         union[dsg.graph] = nodes, frames
     nodes, edges = {}, {}
     for graph, (held, frames) in union.items():
@@ -262,6 +269,9 @@ def _graph_union(results) -> tuple:
         edges.update(graph.window(held, frames).edges)
     return nodes, edges
 
+
+# stack action -> DOT edge label
+_EDGE_LABELS = {NOOP: "ε", PUSH: "push", POP: "pop"}
 
 # (a source state, a sink state) -> fill colour
 _NODE_FILL = {(True, True): "orange", (True, False): "palegreen",
@@ -303,7 +313,7 @@ def export_graph(results, findings, program) -> str:
         style = f', style=filled, fillcolor="{fill}"' if fill else ""
         lines.append(f'  {ids[n]} [label="{label}"{style}];')
     for e in sorted(edges, key=Edge.sort_key):
-        label = {NOOP: "ε", PUSH: "push", POP: "pop"}[e.kind]
+        label = _EDGE_LABELS[e.kind]
         if e.frame is not None:
             label += f" {_dot_quote(e.frame.canonical())}"
         attrs = [f'label="{label}"']

@@ -252,7 +252,7 @@ def apply_summary(summary: ApiSummary, arg_vals, arg_taints):
     ``ret_val`` is a frozenset of abstract values per the record's return
     abstraction; sink hits pair each flowing category with the sink kind.
     """
-    from . import machine
+    from .machine import SUMMARY_RETURNS  # machine imports this module
 
     all_arg_taint = frozenset().union(*arg_taints) if arg_taints else frozenset()
     ret_taint: frozenset = frozenset()
@@ -266,13 +266,7 @@ def apply_summary(summary: ApiSummary, arg_vals, arg_taints):
         if summary.sink_categories is not None:
             flowing = flowing & frozenset(summary.sink_categories)
         sink_hits = frozenset((t, summary.sink_kind) for t in flowing)
-    ret_val = {
-        "any-string": frozenset({machine.ANY_STRING}),
-        "any-int": frozenset({machine.ANY_INT}),
-        "null": frozenset({machine.NULL}),
-        "void": frozenset({machine.VOID}),
-    }[summary.return_abstraction]
-    return ret_val, ret_taint, sink_hits
+    return SUMMARY_RETURNS[summary.return_abstraction], ret_taint, sink_hits
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Parser, validation, and hierarchy-query tests."""
+"""Parser, validation, hierarchy-query and compiled-record tests."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +312,152 @@ def test_line_of_prefers_line_statements():
     m = MethodRef("A", "m", ())
     assert p.line_of(ir.StmtPos(m, 1)) == 41
     assert p.line_of(ir.StmtPos(m, 3)) == 99
+
+
+# -- compiled records -------------------------------------------------------------
+
+
+BUNDLES = Path(__file__).parent / "corpus" / "bundles"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _naive_line(body, i) -> int:
+    """The most recent (line n) at or before index ``i``, found by scanning
+    back; else the statement's source line (0 past the end)."""
+    for j in range(min(i, len(body) - 1), -1, -1):
+        if isinstance(body[j], ir.Line):
+            if body[j].number:
+                return body[j].number
+            break
+    return body[i].pos.line if i < len(body) else 0
+
+
+def _naive_frame(ref, body, i):
+    """The handler frame a push-handler at ``i`` pushes, or the one a
+    pop-handler there pops: its push found by scanning back over nested
+    regions."""
+    st = body[i] if i < len(body) else None
+    if isinstance(st, ir.PushHandler):
+        return ir.HandlerFrame(st.class_name, st.label, ref)
+    if isinstance(st, ir.PopHandler):
+        depth = 0
+        for j in range(i - 1, -1, -1):
+            if isinstance(body[j], ir.PopHandler):
+                depth += 1
+            elif isinstance(body[j], ir.PushHandler):
+                if depth == 0:
+                    return ir.HandlerFrame(body[j].class_name, body[j].label,
+                                           ref)
+                depth -= 1
+    return None
+
+
+def _check_records(program):
+    """Every record of ``program`` against a naive reading of its method
+    body: statement, successor, branch target, stack dependence, line,
+    handler frame and move slot; and the positions recorded are exactly
+    each body's indexes, one past its end, and its move slots."""
+    positions = set()
+    for ref, mdef in program.methods.items():
+        body, n = mdef.body, len(mdef.body)
+        labels = {st.name: i + 1 for i, st in enumerate(body)
+                  if isinstance(st, ir.Label)}
+        assert program.starts[ref] is program.code[ir.StmtPos(ref, 0)]
+        for i in range(n + 1):
+            pos = ir.StmtPos(ref, i)
+            positions.add(pos)
+            code = program.code[pos]
+            st = body[i] if i < n else None
+            assert code.pos == pos and code.stmt is st
+            assert program.stmt_at(pos) is st
+            assert code.line == program.line_of(pos) == _naive_line(body, i)
+            assert code.dependent == isinstance(
+                st, (ir.Return, ir.Throw, ir.PopHandler))
+            assert code.frame == _naive_frame(ref, body, i)
+            if i < n:
+                assert code.next.pos == program.advance(pos) \
+                    == ir.StmtPos(ref, i + 1)
+            else:
+                assert code.next is None
+            if isinstance(st, (ir.Goto, ir.If)):
+                assert code.target.pos == ir.StmtPos(ref, labels[st.label])
+                assert program.pos_of_label(ref, st.label) == code.target.pos
+            else:
+                assert code.target is None
+            invoke = isinstance(st, ir.AssignComplex) \
+                and isinstance(st.exp, ir.Invoke)
+            if not invoke:
+                assert code.move is None
+                continue
+            move_pos = ir.StmtPos(ref, i, at_move=True)
+            positions.add(move_pos)
+            move = program.code[move_pos]
+            assert code.move is move and move.pos == move_pos
+            assert move.stmt == ir.MoveFromRet(st.name)
+            assert move.stmt.pos == st.pos
+            assert program.stmt_at(move_pos) is move.stmt
+            assert move.next is code.next
+            assert move.line == program.line_of(move_pos) == code.line
+            assert not move.dependent
+            assert move.target is move.frame is move.move is None
+    assert set(program.code) == positions
+
+
+def test_records_match_the_method_bodies_of_the_shipped_bundles():
+    from pdcfa.cli import load_bundle
+
+    names = sorted(p.name for p in BUNDLES.iterdir())
+    assert names
+    for name in names:
+        _check_records(load_bundle(BUNDLES / name).program)
+
+
+def test_records_match_the_method_bodies_of_the_micro_corpus():
+    from corpus_micro import MICRO_PROGRAMS
+
+    for src, _outcome, _ret in MICRO_PROGRAMS.values():
+        _check_records(parse_program(src))
+
+
+@pytest.mark.parametrize("workload", ["wide-pushdown", "finite-witness"])
+def test_records_match_the_method_bodies_of_the_synth_bundles(
+        tmp_path, monkeypatch, workload):
+    from pdcfa.cli import load_bundle
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    ref = json.loads((BENCH / "reference.json").read_text(
+        encoding="utf-8"))[workload]
+    root = synth.generate(synth.Shape.parse(ref["shape"]),
+                          ref["seed"]).write(tmp_path / "bundle")
+    _check_records(load_bundle(root).program)
+
+
+def test_records_of_nested_handlers_branches_and_a_body_without_return():
+    p = parse_program("""
+(public class A extends java/lang/Object ()
+  ((method public m () void (throws) (limit 2)
+     (push-handler java/lang/Object outer)
+     (line 7)
+     (push-handler A inner)
+     (assign r (invoke-static A->m () ()))
+     (label again)
+     (if r (goto again))
+     (pop-handler)
+     (pop-handler)
+     (label inner)
+     (label outer)
+     (goto inner))))
+""")
+    _check_records(p)
+    m = MethodRef("A", "m", ())
+    code = p.code
+    assert code[ir.StmtPos(m, 6)].frame == ir.HandlerFrame("A", "inner", m)
+    assert code[ir.StmtPos(m, 7)].frame \
+        == ir.HandlerFrame("java/lang/Object", "outer", m)
+    assert code[ir.StmtPos(m, 5)].target is code[ir.StmtPos(m, 5)]
+    assert code[ir.StmtPos(m, 10)].target is code[ir.StmtPos(m, 9)]
+    assert code[ir.StmtPos(m, 3)].move.line == 7
+    end = code[ir.StmtPos(m, 11)]
+    assert end.stmt is None and end.next is None and end.line == 7

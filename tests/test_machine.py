@@ -1,11 +1,14 @@
 """Abstract-domain and transition-rule tests."""
 
+import json
+from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdcfa import eps
+from pdcfa import eps, machine, reach
 from pdcfa.cli import load_bundle
 from pdcfa.concrete import (
     CBool,
@@ -61,7 +64,7 @@ from pdcfa.machine import (
     step_dependent,
 )
 from pdcfa.reach import AnalysisConfig, ControlState, Edge
-from pdcfa.taint import SummaryTable, TaintStore, TaintVal
+from pdcfa.taint import SummaryTable, TaintStore, TaintVal, parse_summaries
 
 EMPTY = SummaryTable([])
 
@@ -709,3 +712,193 @@ def test_equality_and_hash_ignore_the_sort_key_slot():
         assert y._sort_key is None and x._sort_key is not None
         assert x == y and hash(x) == hash(y), type(x).__name__
         assert not {f.name: f for f in fields(x)}["_sort_key"].compare
+
+
+# -- compiled invokes and per-analysis keys ------------------------------------
+
+
+DISPATCH = """
+(public class A extends java/lang/Object ()
+  ((method public m () int (throws) (limit 1)
+     (return 1))))
+(public class B extends A ()
+  ((method public m () int (throws) (limit 1)
+     (return 2))))
+(public class C extends A () ())
+(public class api/Y extends A () ())
+(public class api/Z extends A () ())
+(public class Main extends java/lang/Object ()
+  ((method public run (A) int (throws) (limit 2)
+     (assign r (invoke-virtual m (param0) ()))
+     (return r))))
+"""
+
+DISPATCH_SUMMARIES = """
+summary api/Z m role=neutral ret=any-int perms=
+summary api/Y m role=source:Location ret=any-string perms=
+"""
+
+
+class _Applied:
+    def __init__(self):
+        self.keys = []
+
+    def summary_applied(self, state, rec, sink_hits):
+        self.keys.append(rec.key())
+
+
+def _step_dispatch(p, summaries, classes):
+    """The edges of Main.run's virtual invoke over receivers of
+    ``classes``, and the keys of the summaries it applied, in order."""
+    run = MethodRef("Main", "run", ("A",))
+    f = frame_pointer_zero(run)
+    store = Store()
+    store.join(RegAddr(f, "param0"),
+               {machine.ambient_object(c) for c in classes})
+    applied = _Applied()
+    edges = machine.step_independent(
+        p, ControlState(StmtPos(run, 0), f), store, TaintStore(), summaries,
+        AllocPolicy(k=1), applied)
+    return edges, applied.keys, store
+
+
+def test_virtual_invoke_edges_in_summary_then_method_order():
+    """Receivers that share a callee share its push; summaries are applied
+    in key order, then calls are pushed in method order, whatever the
+    receivers' hashes (CI runs this under two hash seeds)."""
+    p = parse_program(DISPATCH)
+    summaries = parse_summaries(DISPATCH_SUMMARIES)
+    run = MethodRef("Main", "run", ("A",))
+    for classes in (["B", "C", "A", "api/Z", "api/Y"],
+                    ["api/Y", "A", "api/Z", "C", "B"]):
+        edges, applied, store = _step_dispatch(p, summaries, classes)
+        move = ControlState(StmtPos(run, 0, at_move=True),
+                            frame_pointer_zero(run))
+        assert applied == ["api/Y.m", "api/Z.m"]
+        assert [(e.kind, e.dst) for e in edges[:2]] == [("noop", move)] * 2
+        pushes = edges[2:]
+        assert [e.dst.pos for e in pushes] == [
+            StmtPos(MethodRef("A", "m", ()), 0),
+            StmtPos(MethodRef("B", "m", ()), 0)]
+        assert all(e.kind == PUSH and e.frame == FunFrame(
+            frame_pointer_zero(run), move.pos) for e in pushes)
+        assert [{v.class_name for v in store.lookup(RegAddr(e.dst.fp, "this"))}
+                for e in pushes] == [{"A", "C"}, {"B"}]
+
+
+def test_invoke_memo_is_kept_per_summary_table():
+    """A record's dispatch memo answers for the summary table it was made
+    with: the same invoke under another table resolves afresh."""
+    p = parse_program(DISPATCH)
+    edges, applied, _ = _step_dispatch(p, EMPTY, ["api/Y"])
+    assert applied == [] and [e.kind for e in edges] == [PUSH]
+    edges, applied, _ = _step_dispatch(
+        p, parse_summaries(DISPATCH_SUMMARIES), ["api/Y"])
+    assert applied == ["api/Y.m"] and [e.kind for e in edges] == ["noop"]
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _wide_pushdown(tmp_path, monkeypatch):
+    """The bundle of the bench's wide-pushdown workload (synth 6x8x3x2,
+    seed 1), and its pushdown k=1 config."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    ref = json.loads((BENCH / "reference.json").read_text(
+        encoding="utf-8"))["wide-pushdown"]
+    root = synth.generate(synth.Shape.parse(ref["shape"]),
+                          ref["seed"]).write(tmp_path / "bundle")
+    return load_bundle(root), AnalysisConfig(mode=ref["mode"], k=ref["k"])
+
+
+def _saturate_recording(monkeypatch, bundle, cfg) -> list:
+    """Saturate ``bundle``; returns the results of its engine runs."""
+    runs, analyze = [], reach.analyze
+
+    def recorded(*args, **kwargs):
+        runs.append(analyze(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(reach, "analyze", recorded)
+    units = eps.discover_entry_points(bundle, bundle.program)
+    eps.saturate_app(bundle.program, units, cfg, bundle.summaries)
+    return runs
+
+
+def test_tracer_wrappers_see_every_step_and_join(tmp_path, monkeypatch):
+    """``bench/tracing.py`` wraps ``machine.step_independent``,
+    ``machine.step_dependent`` and ``machine.Store.join``: the engines
+    still step through those attributes once per worklist pop, and every
+    value-store join goes through ``Store.join``."""
+    bundle, cfg = _wide_pushdown(tmp_path, monkeypatch)
+    counts = Counter()
+    for name in ("step_independent", "step_dependent"):
+        def counted(*args, fn=getattr(machine, name), **kwargs):
+            counts["steps"] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(machine, name, counted)
+    join = machine.Store.join
+
+    def counted_join(store, addr, values):
+        counts["joins"] += 1
+        return join(store, addr, values)
+
+    monkeypatch.setattr(machine.Store, "join", counted_join)
+    (run,) = _saturate_recording(monkeypatch, bundle, cfg)
+    assert counts["steps"] == sum(run.visit_counts.values()) == 2624
+    assert counts["joins"] == 2094
+
+
+def test_fixpoint_run_builds_each_state_edge_and_address_once(
+        tmp_path, monkeypatch):
+    """Control states, edges and register addresses are looked up before
+    they are built: no two built during the fixpoint run are equal."""
+    bundle, cfg = _wide_pushdown(tmp_path, monkeypatch)
+    built: dict = {cls: [] for cls in (ControlState, Edge, RegAddr)}
+    running = []
+    for cls, objs in built.items():
+        def counting(self, *args, init=cls.__init__, objs=objs, **kwargs):
+            init(self, *args, **kwargs)
+            if running:
+                objs.append(self)
+        monkeypatch.setattr(cls, "__init__", counting)
+    analyze = reach.analyze
+
+    def flagged(*args, **kwargs):
+        running.append(True)
+        try:
+            return analyze(*args, **kwargs)
+        finally:
+            running.clear()
+
+    monkeypatch.setattr(reach, "analyze", flagged)
+    (run,) = _saturate_recording(monkeypatch, bundle, cfg)
+    for cls, objs in built.items():
+        assert len(set(objs)) == len(objs), cls.__name__
+    assert len(built[ControlState]) == len(run.dsg.nodes) == 1588
+    assert len(built[Edge]) == len(run.dsg.edges) == 1972
+    assert built[RegAddr]
+
+
+def test_separately_loaded_copies_share_no_keys(bundles_dir):
+    """The key tables belong to a program, so to one analysis: analyses of
+    two separately loaded copies of a bundle build equal control states
+    and register addresses, but share no object."""
+    held = []
+    for _ in range(2):
+        bundle = load_bundle(bundles_dir / "photoquote_full")
+        units = eps.discover_entry_points(bundle, bundle.program)
+        store, _t, trace = eps.saturate_app(
+            bundle.program, units, AnalysisConfig(mode="pushdown", k=1),
+            bundle.summaries)
+        states = {id(s): s for res in trace.results for s in res.dsg.nodes}
+        regs = {id(a): a for a, _v in store.items() if isinstance(a, RegAddr)}
+        held.append((states, regs))
+    (states1, regs1), (states2, regs2) = held
+    assert states1 and regs1
+    assert set(states1.values()) == set(states2.values())
+    assert set(regs1.values()) == set(regs2.values())
+    assert not states1.keys() & states2.keys()
+    assert not regs1.keys() & regs2.keys()
