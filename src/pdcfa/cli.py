@@ -23,7 +23,8 @@ from . import __version__, eps, permissions as perms_mod, report as report_mod
 from .ir import ParseError, Program, parse_program
 from .machine import INT_CONSTANT_BUDGET, MalformedState
 from .reach import AnalysisConfig, Budget, FINITE, PUSHDOWN
-from .taint import SummaryFormatError, SummaryTable, extract_findings, load_summaries
+from .taint import (SummaryFormatError, SummaryTable, extract_findings,
+                    parse_summaries)
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -45,6 +46,7 @@ class AppBundle:
     program: Program
     summaries: SummaryTable
     predicates: list
+    input_digests: dict  # report key -> SHA-256 of the bytes analysed
 
     @property
     def app_name(self) -> str:
@@ -55,13 +57,23 @@ class AppBundle:
         return frozenset(self.manifest.get("requestedPermissions", []))
 
 
+def _read_text(path: Path) -> tuple:
+    """The text of ``path`` as ``Path.read_text`` decodes it and the SHA-256
+    of the bytes it came from, from one read: the digest describes the
+    bytes that are analysed, even if the file changes later."""
+    data = path.read_bytes()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return text, hashlib.sha256(data).hexdigest()
+
+
 def load_bundle(root) -> AppBundle:
     root = Path(root)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise BundleError(f"no manifest.json in {root}")
+    manifest_text, manifest_sha = _read_text(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(manifest_text)
     except json.JSONDecodeError as exc:
         raise BundleError(f"malformed manifest: {exc}") from exc
     try:
@@ -73,16 +85,17 @@ def load_bundle(root) -> AppBundle:
     for p in (program_path, summaries_path):
         if not p.is_file():
             raise BundleError(f"missing bundle file {p}")
-    program = parse_program(program_path.read_text(encoding="utf-8"))
-    summaries = load_summaries(summaries_path)
+    program_text, program_sha = _read_text(program_path)
+    program = parse_program(program_text)
+    summaries_text, summaries_sha = _read_text(summaries_path)
+    summaries = parse_summaries(summaries_text)
     predicates = [report_mod.parse_predicate(p)
                   for p in manifest.get("predicates", [])]
+    digests = {"programSha256": program_sha,
+               "manifestSha256": manifest_sha,
+               "summariesSha256": summaries_sha}
     return AppBundle(root, manifest, program_path, summaries_path,
-                     program, summaries, predicates)
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+                     program, summaries, predicates, digests)
 
 
 def _meta(bundle: AppBundle, cfg: AnalysisConfig, predicate) -> dict:
@@ -100,11 +113,7 @@ def _meta(bundle: AppBundle, cfg: AnalysisConfig, predicate) -> dict:
             "jobs": 1,
             "predicate": predicate.text() if predicate is not None else None,
         },
-        "inputs": {
-            "programSha256": _sha256(bundle.program_path),
-            "manifestSha256": _sha256(bundle.root / "manifest.json"),
-            "summariesSha256": _sha256(bundle.summaries_path),
-        },
+        "inputs": bundle.input_digests,
     }
 
 

@@ -345,9 +345,14 @@ def to_json_bytes(doc) -> bytes:
     scalars as ``json`` spells them. What ``json.dumps`` rejects (a set, a
     tuple key) raises the same ``TypeError``; circular documents are not
     detected.
+
+    A dict met again at the same indent, such as a state reference shared
+    by many findings, is encoded once per call: its text is joined from
+    the chunks its first mention wrote. The memo is keyed by ``id`` and so
+    dies with the call, while the document keeps every id alive.
     """
     out: list = []
-    _write_json(doc, out, "\n")
+    _write_json(doc, out, "\n", {})
     out.append("\n")
     return "".join(out).encode("utf-8")
 
@@ -388,9 +393,11 @@ def _json_scalar(o) -> str:
                     f"is not JSON serializable")
 
 
-def _write_json(o, out: list, newline: str) -> None:
+def _write_json(o, out: list, newline: str, memo: dict) -> None:
     """Append the chunks of ``o`` to ``out``; ``newline`` is a newline
-    followed by the indent of the line ``o`` starts on."""
+    followed by the indent of the line ``o`` starts on. ``memo`` maps the
+    (id, indent) of each dict written so far to the span of ``out`` that
+    holds its chunks, or, once it is met again, to their joined text."""
     t = type(o)
     if t is str:
         out.append(_encode_str(o))
@@ -401,6 +408,14 @@ def _write_json(o, out: list, newline: str) -> None:
         if not o:
             out.append("{}")
             return
+        slot = (id(o), len(newline))
+        seen = memo.get(slot)
+        if seen is not None:
+            if type(seen) is not str:  # the second mention joins the first
+                seen = memo[slot] = "".join(out[seen[0]:seen[1]])
+            out.append(seen)
+            return
+        start = len(out)
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(o.items()):
@@ -410,9 +425,10 @@ def _write_json(o, out: list, newline: str) -> None:
                 out.append(f"{sep}{_encode_str(key)}: {_encode_str(value)}")
             else:
                 out.append(f"{sep}{_encode_str(key)}: ")
-                _write_json(value, out, inner)
+                _write_json(value, out, inner, memo)
             sep = "," + inner
         out.append(newline + "}")
+        memo[slot] = start, len(out)
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -421,7 +437,7 @@ def _write_json(o, out: list, newline: str) -> None:
         sep = "[" + inner
         for value in o:
             out.append(sep)
-            _write_json(value, out, inner)
+            _write_json(value, out, inner, memo)
             sep = "," + inner
         out.append(newline + "]")
     else:

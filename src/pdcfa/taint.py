@@ -312,7 +312,8 @@ def extract_findings(results) -> list:
     Findings with the same trigger, category, source and sink position are
     one finding; the first is kept, and no witness is searched for the
     rest. Witness paths are read from one BFS tree per (result, source
-    state), shared by every finding and dropped on return.
+    state), and each (result, from, to) segment is built once; both are
+    shared by every finding and dropped on return.
     """
     sources = []  # (category, state, line, result)
     seen_sources = set()
@@ -327,7 +328,7 @@ def extract_findings(results) -> list:
     sources.sort(key=lambda s: (s[0].value, s[1].sort_key()))
 
     findings: dict = {}
-    trees: dict = {}  # one BFS tree per (result, source state)
+    trees: dict = {}  # BFS trees and witness segments, see _segment
     for res in results:
         trigger = res.trigger
         for app in res.sink_applications():
@@ -359,14 +360,23 @@ def extract_findings(results) -> list:
 
 
 def _segment(res, frm, to, trees):
-    from . import reach
+    """The (states, steps) of the path from ``frm`` to ``to`` in ``res``,
+    or (None, None); each segment is searched for once and kept in
+    ``trees`` beside the BFS trees, for as long as the caller holds it."""
+    key = (id(res), frm, to)
+    seg = trees.get(key)
+    if seg is None:
+        from . import reach
 
-    # looked up on the module at call time, so wrappers installed there see
-    # every witness search
-    steps = reach.reconstruct_path_steps(res, frm, to, trees)
-    if steps is None:
-        return None, None
-    return (frm,) + tuple(s.dst for s in steps), tuple(steps)
+        # looked up on the module at call time, so wrappers installed there
+        # see every witness search
+        steps = reach.reconstruct_path_steps(res, frm, to, trees)
+        if steps is None:
+            seg = None, None
+        else:
+            seg = (frm,) + tuple(s.dst for s in steps), tuple(steps)
+        trees[key] = seg
+    return seg
 
 
 def _witness(src_res, src_state, sink_res, sink_state, trees):

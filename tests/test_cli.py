@@ -443,3 +443,59 @@ def test_broken_pipe_while_printing_exits_with_the_verdict(
     assert "internal error" not in capsys.readouterr().err
     for name in REPORT_FILES:
         assert (out / name).is_file()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_input_digests_are_of_the_bytes_analysed(bundles_dir, tmp_path,
+                                                 newline):
+    """Each report's ``inputs`` digests are the SHA-256 of the files as they
+    lie on disk, and a bundle written with CRLF line ends is analysed as
+    the LF one: its reports differ from the shipped bundle's in those
+    digests alone."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles_dir / "photoquote_full", bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    names = {"manifestSha256": "manifest.json",
+             "programSha256": manifest["program"],
+             "summariesSha256": manifest["summaries"]}
+    for name in names.values():
+        text = (bundle / name).read_text()
+        (bundle / name).write_bytes(text.replace("\n", newline).encode())
+    expected = {key: hashlib.sha256((bundle / name).read_bytes()).hexdigest()
+                for key, name in names.items()}
+    code, shipped = _run(bundles_dir, tmp_path / "shipped", "photoquote_full")
+    assert code == EXIT_FINDINGS
+    assert main(["--bundle", str(bundle),
+                 "--out", str(tmp_path / "out")]) == EXIT_FINDINGS
+    for report in ("flow_report.json", "permissions_report.json",
+                   "heatmap.json", "run_meta.json"):
+        doc = json.loads((tmp_path / "out" / report).read_text())
+        assert doc.pop("inputs") == expected, report
+        shipped_doc = json.loads((shipped / report).read_text())
+        shipped_doc.pop("inputs")
+        if report == "run_meta.json":
+            doc.pop("elapsedSeconds")
+            shipped_doc.pop("elapsedSeconds")
+        assert doc == shipped_doc, report
+    assert (tmp_path / "out" / "state_graph.dot").read_bytes() \
+        == (shipped / "state_graph.dot").read_bytes()
+
+
+def test_input_digests_are_taken_before_a_file_changes_mid_run(
+        bundles_dir, tmp_path, monkeypatch):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles_dir / "perm_zero", bundle)
+    program = bundle / json.loads(
+        (bundle / "manifest.json").read_text())["program"]
+    analysed = hashlib.sha256(program.read_bytes()).hexdigest()
+    parse = cli.parse_program
+
+    def parse_then_edit(text):
+        program.write_text(text + "; edited after parsing\n")
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_program", parse_then_edit)
+    out = tmp_path / "out"
+    assert main(["--bundle", str(bundle), "--out", str(out)]) == EXIT_CLEAN
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["inputs"]["programSha256"] == analysed

@@ -1,13 +1,13 @@
 """Golden report bytes: every shipped bundle under both engines at k = 0..2,
-the two generated benchmark bundles at their pinned seed, and the
-wide-pushdown shape at other seeds and ``k``.
+the two generated benchmark bundles at their pinned seed, the wide-pushdown
+shape at other seeds and ``k``, and one finite bundle with many findings.
 
 The SHA-256 digests of the shipped and benchmark bundles live in
 ``bench/reference.json``, which the benchmark checks as well; the generated
 bundles come from ``bench/synth.py``. These tests only read those files. The
-digests of the other wide-pushdown configurations are pinned here:
-``heatmap.json`` sums ``visit_counts``, so they change with any change in
-the pushdown engine's enqueue order.
+digests of the other configurations are pinned here: ``heatmap.json`` sums
+``visit_counts``, so they change with any change in the pushdown engine's
+enqueue order.
 """
 
 import hashlib
@@ -95,3 +95,21 @@ def test_wide_pushdown_reports_match_pins_at_other_seeds_and_k(
                                monkeypatch)
     assert code == EXIT_FINDINGS
     assert digests == PUSHDOWN_PINS[(seed, k)]
+
+
+# report digests of synth 4x6x3x2 under finite, k=1, seed 1: 4,096 findings
+# whose witnesses share segments, and a 16.7 MB flow report full of shared
+# state references
+FINITE_MANY_FINDINGS_PIN = {
+    "flow_report.json": "c38f1c7ffdbd52e93c4008029f418a5c491912ebc14b0a451ac51b2646c443c4",
+    "permissions_report.json": "047b69d18554f32eeb0afb173bd1998fbfefe4fd4cb969cdf272733daadae1a9",
+    "heatmap.json": "cb00ef55d620c5fb80bc78835d1dc5b956c09795049daa68ddb9fffe9c8cdc43",
+    "state_graph.dot": "1a9b2861c3e7139dfc9b2fb358cae52abea07d469d53aeb177cd7d463bc53a06",
+}
+
+
+def test_finite_bundle_with_many_findings_matches_pin(tmp_path, monkeypatch):
+    code, digests = _synth_run("4x6x3x2", 1, "finite", 1, tmp_path,
+                               monkeypatch)
+    assert code == EXIT_FINDINGS
+    assert digests == FINITE_MANY_FINDINGS_PIN

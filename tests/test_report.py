@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, RUN
 from pdcfa.cli import main
@@ -254,6 +254,44 @@ def test_json_writer_matches_stdlib_bytes(doc):
 @given(_SCALAR_KEYED)
 def test_json_writer_matches_stdlib_on_scalar_keys(doc):
     assert to_json_bytes(doc) == _stdlib_json_bytes(doc)
+
+
+@st.composite
+def _aliased_docs(draw):
+    """A document in which one dict or list, and a dict holding it, each
+    sit at several places and depths: the same object, not a copy."""
+    shared = draw(st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=4)
+                  | st.dictionaries(_KEYS, _DOCS, min_size=1, max_size=3)
+                  | st.lists(_DOCS, min_size=1, max_size=3))
+    holder = draw(st.dictionaries(
+        _KEYS, st.just(shared) | _SCALARS, min_size=1, max_size=4))
+    return draw(st.recursive(
+        st.just(shared) | st.just(holder) | _SCALARS,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(_KEYS, inner, max_size=4)),
+        max_leaves=25))
+
+
+_REF = {"class": "A", "line": 3}
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(_aliased_docs())
+@example({"a": _REF, "b": [_REF, {"c": _REF}, _REF], "d": {"e": _REF},
+          "f": _REF})
+def test_json_writer_matches_stdlib_on_shared_objects(doc):
+    assert to_json_bytes(doc) == _stdlib_json_bytes(doc)
+
+
+def test_json_writer_memo_does_not_outlive_a_call():
+    ref = {"class": "A", "line": 3}
+    doc = {"source": ref, "witness": [ref, ref], "sink": {"at": ref}}
+    first = to_json_bytes(doc)
+    ref["line"] = 4
+    second = to_json_bytes(doc)
+    assert second != first
+    assert second == _stdlib_json_bytes(doc)
+    assert first == to_json_bytes(json.loads(first))
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,16 +1,29 @@
 """Taint propagation, summaries, and finding extraction."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, PRELUDE, RUN
+from pdcfa.cli import load_bundle
 from pdcfa.concrete import run_concrete
+from pdcfa.eps import discover_entry_points, saturate_app
 from pdcfa.ir import parse_program
 from pdcfa.machine import ANY_INT, ANY_STRING, NULL, VOID
-from pdcfa.reach import AnalysisConfig, analyze
+from pdcfa.reach import (
+    FINITE,
+    PUSHDOWN,
+    AnalysisConfig,
+    analyze,
+    replay_stack_actions,
+)
 from pdcfa.taint import (
     ApiSummary,
     SummaryFormatError,
     TaintVal,
+    _segment,
+    _witness,
     apply_summary,
     extract_findings,
     parse_summaries,
@@ -190,8 +203,6 @@ def test_explicit_flow_completeness_against_oracle():
 
 
 def test_witnesses_are_stack_balanced():
-    from pdcfa.reach import replay_stack_actions
-
     src, _o, _r = MICRO_PROGRAMS["taint_chain"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
@@ -203,3 +214,85 @@ def test_witnesses_are_stack_balanced():
         src_i = f.witness.index(f.source_state)
         snk_i = len(f.witness) - 1 - f.witness[::-1].index(f.sink_state)
         assert src_i <= snk_i
+
+
+# -- witness segments ---------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SHIPPED = sorted(p.name for p in (Path(__file__).parent / "corpus" /
+                                  "bundles").iterdir()
+                 if (p / "manifest.json").is_file())
+
+
+def _saturated_results(bundle, mode, k) -> list:
+    units = discover_entry_points(bundle, bundle.program)
+    _store, _taint, trace = saturate_app(
+        bundle.program, units, AnalysisConfig(mode=mode, k=k),
+        bundle.summaries)
+    return trace.results
+
+
+def _check_witnesses_against_fresh_searches(results) -> int:
+    """Each finding's witness is what a search for that finding alone, with
+    no tree or segment shared with any other finding, gives; a second
+    extraction gives the same findings. Pushdown witnesses replay as stack
+    evolutions; finite ones are plain graph paths, which need not. Returns
+    the number of findings."""
+    findings = extract_findings(results)
+    assert findings == extract_findings(results)
+    for f in findings:
+        src_res = next(res for res in results
+                       for app in res.source_applications()
+                       if app.state == f.source_state
+                       and f.category in app.source_categories)
+        sink_res = next(res for res in results if res.trigger == f.trigger
+                        for app in res.sink_applications()
+                        if app.state == f.sink_state
+                        and (f.category, f.sink_kind) in app.sink_hits)
+        states, steps = _witness(src_res, f.source_state, sink_res,
+                                 f.sink_state, {})
+        assert f.witness == states
+        assert f.witness_steps == steps
+        if src_res.mode == PUSHDOWN:
+            assert replay_stack_actions(f.witness_steps)
+    return len(findings)
+
+
+@pytest.mark.parametrize("mode", [PUSHDOWN, FINITE])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_witnesses_equal_fresh_searches_on_shipped_bundles(bundles_dir, name,
+                                                           mode):
+    bundle = load_bundle(bundles_dir / name)
+    _check_witnesses_against_fresh_searches(
+        _saturated_results(bundle, mode, 1))
+
+
+def test_witnesses_equal_fresh_searches_on_finite_witness_bundle(
+        tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    ref = json.loads((BENCH / "reference.json").read_text(
+        encoding="utf-8"))["finite-witness"]
+    root = synth.generate(synth.Shape.parse(ref["shape"]),
+                          ref["seed"]).write(tmp_path / "bundle")
+    results = _saturated_results(load_bundle(root), ref["mode"], ref["k"])
+    assert _check_witnesses_against_fresh_searches(results) > 0
+
+
+def test_segments_are_kept_per_result(bundles_dir):
+    """One ``trees`` dict shared by a pushdown and a finite result of one
+    program, whose paths between the same two states differ, gives each
+    result its own segment."""
+    bundle = load_bundle(bundles_dir / "photoquote_exception")
+    results = [res for mode in (PUSHDOWN, FINITE)
+               for res in _saturated_results(bundle, mode, 1)]
+    trees: dict = {}
+    segments: dict = {}  # (from, to) -> the segments results give for it
+    for res in results:
+        frm = res.initial_state
+        for to in sorted(res.dsg.nodes, key=lambda s: s.sort_key()):
+            seg = _segment(res, frm, to, trees)
+            assert seg == _segment(res, frm, to, {})
+            segments.setdefault((frm, to), set()).add(seg)
+    assert any(len(segs) > 1 for segs in segments.values())
