@@ -20,7 +20,6 @@ from .taint import (  # noqa: F401
     parse_summaries,
 )
 from .permissions import build_permission_report, collect_permissions  # noqa: F401
-from .concrete import run_concrete  # noqa: F401
 
 __all__ = [
     "__version__",
@@ -42,7 +41,6 @@ __all__ = [
     "load_summaries",
     "parse_program",
     "parse_summaries",
-    "run_concrete",
     "saturate_app",
     "seed_entry_bindings",
 ]

@@ -66,6 +66,91 @@ def _read_text(path: Path) -> tuple:
     return text, hashlib.sha256(data).hexdigest()
 
 
+def check_manifest(manifest) -> None:
+    """Accept exactly what ``schemas/manifest.schema.json`` accepts: its
+    required keys and JSON types, non-empty ``units`` and ``entryPoints``,
+    and its three enums; other keys are allowed. The first violation raises
+    ``BundleError`` naming its key path, e.g.
+    ``units[0].entryPoints[1].category``."""
+    _object(manifest, "", ("appName", "program", "summaries",
+                           "requestedPermissions", "units"))
+    for key in ("appName", "program", "summaries"):
+        _string(manifest, key, "")
+    for key in ("requestedPermissions", "predicates"):
+        _strings(manifest, key, "")
+    for i, unit in enumerate(_array(manifest, "units", "")):
+        at = f"units[{i}]"
+        _object(unit, at, ("name", "kind", "entryPoints"))
+        _string(unit, "name", at)
+        _enum(unit, "kind", at, eps.UNIT_KINDS)
+        for j, entry in enumerate(_array(unit, "entryPoints", at)):
+            where = f"{at}.entryPoints[{j}]"
+            _object(entry, where, ("class", "method"))
+            _string(entry, "class", where)
+            _string(entry, "method", where)
+            _strings(entry, "paramTypes", where)
+            _enum(entry, "category", where, eps.ENTRY_CATEGORIES)
+            _enum(entry, "registrationSource", where,
+                  eps.REGISTRATION_SOURCES)
+
+
+# bool before int: True is an int to isinstance, a boolean to JSON
+_TYPE_NAMES = {bool: "a boolean", str: "a string", int: "an integer",
+               float: "a number", list: "an array", dict: "an object"}
+
+
+def _invalid(path: str, problem: str) -> BundleError:
+    return BundleError(
+        f"manifest does not validate: {path or 'top level'}: {problem}")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _expect(value, kind: type, path: str) -> None:
+    if not isinstance(value, kind):
+        got = next((name for t, name in _TYPE_NAMES.items()
+                    if isinstance(value, t)), "null")
+        raise _invalid(path, f"expected {_TYPE_NAMES[kind]}, got {got}")
+
+
+def _object(value, path: str, required: tuple) -> None:
+    _expect(value, dict, path)
+    for key in required:
+        if key not in value:
+            raise _invalid(_join(path, key), "required key is missing")
+
+
+def _string(obj: dict, key: str, path: str) -> None:
+    if key in obj:
+        _expect(obj[key], str, _join(path, key))
+
+
+def _strings(obj: dict, key: str, path: str) -> None:
+    if key in obj:
+        items = obj[key]
+        _expect(items, list, _join(path, key))
+        for i, item in enumerate(items):
+            _expect(item, str, f"{_join(path, key)}[{i}]")
+
+
+def _array(obj: dict, key: str, path: str) -> list:
+    """A required array with at least one item."""
+    items = obj[key]
+    _expect(items, list, _join(path, key))
+    if not items:
+        raise _invalid(_join(path, key), "must not be empty")
+    return items
+
+
+def _enum(obj: dict, key: str, path: str, allowed: tuple) -> None:
+    if key in obj and not (isinstance(obj[key], str)
+                           and obj[key] in allowed):
+        raise _invalid(_join(path, key),
+                       f"{obj[key]!r} is not one of {', '.join(allowed)}")
+
+
 def load_bundle(root) -> AppBundle:
     root = Path(root)
     manifest_path = root / "manifest.json"
@@ -76,10 +161,7 @@ def load_bundle(root) -> AppBundle:
         manifest = json.loads(manifest_text)
     except json.JSONDecodeError as exc:
         raise BundleError(f"malformed manifest: {exc}") from exc
-    try:
-        report_mod.validate_document(manifest, "manifest")
-    except Exception as exc:
-        raise BundleError(f"manifest does not validate: {exc}") from exc
+    check_manifest(manifest)
     program_path = root / manifest["program"]
     summaries_path = root / manifest["summaries"]
     for p in (program_path, summaries_path):

@@ -561,74 +561,54 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Atom:
-    text: str
-    line: int
-    col: int
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
 class _SList:
-    items: tuple
-    line: int
-    col: int
+    __slots__ = ("items", "line", "col")
+
+    def __init__(self, items: tuple, line: int, col: int):
+        self.items = items
+        self.line = line
+        self.col = col
+
+
+# One token per match: a paren, a comment to the end of the line, or an
+# atom (a run of characters that are not whitespace, parens or ';'). What
+# no alternative matches is whitespace; ``\s`` is ``str.isspace``.
+_TOKEN_RE = re.compile(r"[()]|;.*|[^\s();]+")
 
 
 def _read_sexprs(text: str) -> list:
+    r"""The S-expressions of ``text``, each node at its line:col (both
+    from 1; a line ends only at ``\n``, and every other character, a tab
+    or ``\r`` too, is one column)."""
     exprs = []
-    stack: list[list] = []
-    positions: list[tuple] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "(":
-            stack.append([])
-            positions.append((line, col))
-            col += 1
-            i += 1
-            continue
-        if ch == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", line, col)
-            items = stack.pop()
-            lpos = positions.pop()
-            node = _SList(tuple(items), lpos[0], lpos[1])
-            if stack:
-                stack[-1].append(node)
-            else:
-                exprs.append(node)
-            col += 1
-            i += 1
-            continue
-        start_line, start_col = line, col
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "();":
-            j += 1
-        atom = _Atom(text[i:j], start_line, start_col)
-        if stack:
-            stack[-1].append(atom)
-        else:
-            exprs.append(atom)
-        col += j - i
-        i = j
-    if stack:
-        lpos = positions[-1]
-        raise ParseError("unclosed '('", lpos[0], lpos[1])
+    items = exprs  # the innermost open list, or the top level
+    open_: list[tuple] = []  # (enclosing items, line, col) per open '('
+    for line, source in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(source):
+            tok = m.group()
+            if tok == "(":
+                open_.append((items, line, m.start() + 1))
+                items = []
+            elif tok == ")":
+                if not open_:
+                    raise ParseError("unbalanced ')'", line, m.start() + 1)
+                outer, lline, lcol = open_.pop()
+                outer.append(_SList(tuple(items), lline, lcol))
+                items = outer
+            elif tok[0] != ";":
+                items.append(_Atom(tok, line, m.start() + 1))
+    if open_:
+        _, lline, lcol = open_[-1]
+        raise ParseError("unclosed '('", lline, lcol)
     return exprs
 
 

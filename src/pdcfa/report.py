@@ -9,13 +9,10 @@ and permission gaps; the tool never rules on maliciousness by itself.
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .ir import StmtPos
@@ -144,17 +141,29 @@ def emit_flow_report(findings, predicate, program, meta=None) -> dict:
             r = refs[state] = _state_ref(program, state)
         return r
 
+    # one trigger dict per trigger and one sink dict per (state, kind,
+    # permissions), shared like the state refs: the JSON writer encodes
+    # each once
+    triggers: dict = {}
+    sinks: dict = {}
     entries = []
     for f in kept:
+        trigger = triggers.get(f.trigger)
+        if trigger is None:
+            trigger = triggers[f.trigger] = {
+                "unit": f.trigger.unit, "entryPoint": f.trigger.entry_point}
+        sink_key = (f.sink_state, f.sink_kind, f.sink_permissions)
+        sink = sinks.get(sink_key)
+        if sink is None:
+            sink = sinks[sink_key] = {**ref(f.sink_state),
+                                      "kind": f.sink_kind,
+                                      "permissions": sorted(f.sink_permissions)}
         entries.append({
             "unit": f.trigger.unit,
-            "trigger": {"unit": f.trigger.unit,
-                        "entryPoint": f.trigger.entry_point},
+            "trigger": trigger,
             "category": f.category.value,
             "source": ref(f.source_state),
-            "sink": {**ref(f.sink_state),
-                     "kind": f.sink_kind,
-                     "permissions": sorted(f.sink_permissions)},
+            "sink": sink,
             "witness": [ref(s) for s in f.witness],
         })
     hints = []
@@ -442,31 +451,6 @@ def _write_json(o, out: list, newline: str, memo: dict) -> None:
         out.append(newline + "]")
     else:
         out.append(_json_scalar(o))
-
-
-def load_schema(name: str) -> dict:
-    ref = resources.files("pdcfa").joinpath("schemas", f"{name}.schema.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
-
-
-@functools.cache
-def _validator(schema_name: str):
-    """One checked validator per schema, built on first use."""
-    from jsonschema.validators import validator_for
-
-    schema = load_schema(schema_name)
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def validate_document(doc: dict, schema_name: str) -> None:
-    """Raise what ``jsonschema.validate`` raises: the best-matching error."""
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator(schema_name).iter_errors(doc))
-    if error is not None:
-        raise error
 
 
 # ---------------------------------------------------------------------------

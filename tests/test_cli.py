@@ -1,8 +1,10 @@
 """Command-line front-end tests: exit codes, outputs, flags."""
 
+import copy
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from jsonschema import ValidationError
 
 from pdcfa import cli, reach
 from pdcfa.cli import (
@@ -21,7 +25,7 @@ from pdcfa.cli import (
     load_bundle,
     main,
 )
-from pdcfa.report import validate_document
+from schemas import validate_document
 
 REPORT_FILES = ("flow_report.json", "permissions_report.json",
                 "heatmap.json", "state_graph.dot")
@@ -75,6 +79,202 @@ def test_bad_manifest_exit_two(tmp_path):
     (bundle / "manifest.json").write_text("{}")
     assert main(["--bundle", str(bundle),
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+
+# -- the manifest check: exactly what manifest.schema.json accepts -----------
+
+_DROP = object()  # an edit that removes the key or item at its path
+
+
+def _edited(manifest, path: tuple, value):
+    """A deep copy of ``manifest`` with ``value`` at ``path`` (the whole
+    document when ``path`` is empty), or that key or item removed."""
+    if not path:
+        return copy.deepcopy(value)
+    manifest = copy.deepcopy(manifest)
+    *outer, last = path
+    parent = manifest
+    for key in outer:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(value)
+    return manifest
+
+
+def _hand_accepts(manifest) -> bool:
+    try:
+        cli.check_manifest(manifest)
+    except cli.BundleError:
+        return False
+    return True
+
+
+def _schema_accepts(manifest) -> bool:
+    try:
+        validate_document(manifest, "manifest")
+    except ValidationError:
+        return False
+    return True
+
+
+# read-only: every edit below works on a deep copy
+SHIPPED_MANIFESTS = [
+    json.loads((bundle / "manifest.json").read_text())
+    for bundle in sorted((Path(__file__).parent / "corpus" / "bundles").iterdir())]
+
+
+# values put in place of a field, an item or the whole document: every JSON
+# type, the empty ones, and the enums' values, each also where it does not
+# belong
+_VALUES = (True, False, 0, 3, 2.5, None, "", "x", [], ["x"], [1], {},
+           {"x": "y"}, "activity", "other", "lifecycle-callback",
+           "ui-handler", "manifest", "layout")
+# keys added to an object: unknown ones, and optional ones of other levels
+_KEYS = ("extra", "predicates", "paramTypes", "category",
+         "registrationSource", "kind")
+
+
+def _nodes(value, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, path + (i,))
+
+
+@st.composite
+def _mutated_manifests(draw):
+    """A shipped manifest after one to three edits, each at a random node:
+    drop a key or an item, replace a value (a wrong type, an out-of-list
+    enum value, an empty array, a non-object document), or add a key or
+    an item."""
+    manifest = draw(st.sampled_from(SHIPPED_MANIFESTS))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(manifest))
+        path, node = nodes[draw(st.integers(0, len(nodes) - 1))]
+        edits = ["replace"]
+        if isinstance(node, (dict, list)) and node:
+            edits.append("drop")
+        if isinstance(node, (dict, list)):
+            edits.append("add")
+        edit = draw(st.sampled_from(edits))
+        if edit == "replace":
+            manifest = _edited(manifest, path, draw(st.sampled_from(_VALUES)))
+        elif edit == "drop":
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            manifest = _edited(manifest, path + (draw(st.sampled_from(keys)),),
+                               _DROP)
+        elif isinstance(node, dict):
+            manifest = _edited(manifest, path + (draw(st.sampled_from(_KEYS)),),
+                               draw(st.sampled_from(_VALUES)))
+        else:
+            extra = draw(st.sampled_from(_VALUES + tuple(node)))
+            manifest = _edited(manifest, path, [*node, extra])
+    return manifest
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_mutated_manifests())
+def test_manifest_check_agrees_with_the_schema(manifest):
+    assert _hand_accepts(manifest) == _schema_accepts(manifest)
+
+
+def test_manifest_check_accepts_every_shipped_manifest():
+    for manifest in SHIPPED_MANIFESTS:
+        assert _hand_accepts(manifest) and _schema_accepts(manifest)
+
+
+# one edit of three_unit_relay's manifest per rule of the schema, and the key
+# path the check names (None: the edited manifest is accepted)
+MANIFEST_RULES = {
+    "required key": (("appName",), _DROP, "appName"),
+    "required key of an entry point": (
+        ("units", 1, "entryPoints", 0, "method"), _DROP,
+        "units[1].entryPoints[0].method"),
+    "optional key dropped": (("units", 0, "entryPoints", 0, "category"),
+                             _DROP, None),
+    "string, not a boolean": (("program",), True, "program"),
+    "string, not an integer": (("units", 2, "name"), 7, "units[2].name"),
+    "string, not null": (("summaries",), None, "summaries"),
+    "string, not an object": (("units", 0, "entryPoints", 1, "class"), {},
+                              "units[0].entryPoints[1].class"),
+    "string item": (("requestedPermissions",), ["INTERNET", 1],
+                    "requestedPermissions[1]"),
+    "array": (("predicates",), "taintHas(Location)", "predicates"),
+    "object": (("units", 1), ["UploaderUnit"], "units[1]"),
+    "units not empty": (("units",), [], "units"),
+    "entry points not empty": (("units", 2, "entryPoints"), [],
+                               "units[2].entryPoints"),
+    "unit kind": (("units", 0, "kind"), "fragment", "units[0].kind"),
+    "entry category": (("units", 0, "entryPoints", 1, "category"), "layout",
+                       "units[0].entryPoints[1].category"),
+    "registration source": (
+        ("units", 1, "entryPoints", 0, "registrationSource"), "code",
+        "units[1].entryPoints[0].registrationSource"),
+    "enum value from its list": (
+        ("units", 1, "entryPoints", 0, "category"), "ui-handler", None),
+    "extra keys": (("units", 0, "entryPoints", 0, "note"), {"any": [1]},
+                   None),
+    "object document": ((), ["three-unit-relay"], "top level"),
+}
+
+
+@pytest.mark.parametrize("rule", MANIFEST_RULES)
+def test_manifest_rule(bundles_dir, rule):
+    path, value, where = MANIFEST_RULES[rule]
+    manifest = _edited(json.loads(
+        (bundles_dir / "three_unit_relay" / "manifest.json").read_text()),
+        path, value)
+    assert _schema_accepts(manifest) == (where is None)
+    if where is None:
+        cli.check_manifest(manifest)
+    else:
+        with pytest.raises(cli.BundleError,
+                           match=re.escape(f"does not validate: {where}: ")):
+            cli.check_manifest(manifest)
+
+
+def test_malformed_manifest_exits_two_naming_the_key_path(
+        bundles_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles_dir / "three_unit_relay", bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["units"][0]["entryPoints"][1]["category"] = "layout"
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["--bundle", str(bundle),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert ("manifest does not validate: units[0].entryPoints[1].category: "
+            "'layout' is not one of lifecycle-callback, async-operation, "
+            "ui-handler") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_imports_neither_jsonschema_nor_the_oracle(bundles_dir, tmp_path):
+    """A fresh ``pdcfa`` process checks its manifest by hand and never runs
+    the concrete oracle: neither module may be imported by the package or
+    by a whole run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, pdcfa.cli\n"
+            "unwanted = {'jsonschema', 'pdcfa.concrete'}\n"
+            "print(sorted(unwanted & set(sys.modules)))\n"
+            "pdcfa.cli.main(sys.argv[1:])\n"
+            "print(sorted(unwanted & set(sys.modules)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         "--bundle", str(bundles_dir / "photoquote_full"),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]"), proc.stdout
+    assert (tmp_path / "out" / "flow_report.json").is_file()
 
 
 def test_bad_predicate_exit_two(bundles_dir, tmp_path):

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pdcfa import ir
 from pdcfa.ir import (
@@ -461,3 +462,124 @@ def test_records_of_nested_handlers_branches_and_a_body_without_return():
     assert code[ir.StmtPos(m, 3)].move.line == 7
     end = code[ir.StmtPos(m, 11)]
     assert end.stmt is None and end.next is None and end.line == 7
+
+
+# -- the reader against the character-at-a-time reader it replaced -----------
+
+
+def _reference_read_sexprs(text: str) -> list:
+    """The S-expression reader as it was before the one-regex tokenizer,
+    kept as the reference the tokenizer must match."""
+    exprs = []
+    stack: list[list] = []
+    positions: list[tuple] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == "(":
+            stack.append([])
+            positions.append((line, col))
+            col += 1
+            i += 1
+            continue
+        if ch == ")":
+            if not stack:
+                raise ParseError("unbalanced ')'", line, col)
+            items = stack.pop()
+            lpos = positions.pop()
+            node = ir._SList(tuple(items), lpos[0], lpos[1])
+            if stack:
+                stack[-1].append(node)
+            else:
+                exprs.append(node)
+            col += 1
+            i += 1
+            continue
+        start_line, start_col = line, col
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in "();":
+            j += 1
+        atom = ir._Atom(text[i:j], start_line, start_col)
+        if stack:
+            stack[-1].append(atom)
+        else:
+            exprs.append(atom)
+        col += j - i
+        i = j
+    if stack:
+        lpos = positions[-1]
+        raise ParseError("unclosed '('", lpos[0], lpos[1])
+    return exprs
+
+
+def _tree(node):
+    if isinstance(node, ir._Atom):
+        return (node.text, node.line, node.col)
+    assert isinstance(node, ir._SList)
+    return (tuple(_tree(item) for item in node.items), node.line, node.col)
+
+
+def _read_both(text: str) -> tuple:
+    """Each reader's trees (text or items, line, col at every node), or its
+    ParseError (message, line, col)."""
+    out = []
+    for read in (ir._read_sexprs, _reference_read_sexprs):
+        try:
+            out.append([_tree(node) for node in read(text)])
+        except ParseError as exc:
+            out.append((exc.message, exc.line, exc.col))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("path", sorted(BUNDLES.glob("*/*.sdex")),
+                         ids=lambda p: p.parent.name)
+def test_reader_matches_the_reference_on_shipped_programs(path):
+    text = path.read_text(encoding="utf-8")
+    new, old = _read_both(text)
+    assert new == old and isinstance(new, list) and new
+
+
+@pytest.mark.parametrize("workload", ["wide-pushdown", "finite-witness"])
+def test_reader_matches_the_reference_on_synth_programs(
+        tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    ref = json.loads((BENCH / "reference.json").read_text(
+        encoding="utf-8"))[workload]
+    assert ref["shape"] in ("6x8x3x2", "2x4x3x2")
+    app = synth.generate(synth.Shape.parse(ref["shape"]), ref["seed"])
+    root = app.write(tmp_path / "bundle")
+    program = json.loads((root / "manifest.json").read_text())["program"]
+    new, old = _read_both((root / program).read_text(encoding="utf-8"))
+    assert new == old and isinstance(new, list) and new
+
+
+# every character the readers treat apart: parens, comments, line ends,
+# other whitespace (a line break to str.splitlines but not to the reader),
+# and atom characters
+_READER_ALPHABET = "();\n\r\t \x0b\x0c\x1c\x85 　ab0-/>$_é"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.text(alphabet=_READER_ALPHABET, max_size=80))
+@example("(a (b\r c)\t; d)\n e)\x85(f")
+@example("(a\n  (b ; (\n c　d))) ")
+@example("  (\n(a) ; x\n")
+def test_reader_matches_the_reference_on_generated_text(text):
+    new, old = _read_both(text)
+    assert new == old

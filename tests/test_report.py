@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,9 +22,9 @@ from pdcfa.report import (
     export_graph,
     parse_predicate,
     to_json_bytes,
-    validate_document,
 )
 from pdcfa.taint import extract_findings, parse_summaries
+from schemas import validate_document
 from soundness import analyze_seeded
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
@@ -217,6 +218,29 @@ def test_json_bytes_deterministic():
     doc = emit_flow_report(findings, None, program, META)
     assert to_json_bytes(doc) == to_json_bytes(
         emit_flow_report(findings, None, program, META))
+
+
+def test_findings_share_one_trigger_and_one_sink_dict():
+    program, res, findings = _findings_and_result()
+    send, log = sorted(findings, key=lambda f: f.sink_line)
+    assert send.trigger == log.trigger and send.sink_state != log.sink_state
+    # a copy of ``send`` with another source line: same trigger, same sink
+    again = replace(send, source_line=send.source_line + 1)
+    # and one at the same sink state with another kind: its own sink dict
+    relabelled = replace(send, sink_kind="relabelled")
+    doc = emit_flow_report([send, log, again, relabelled], None, program,
+                           META)
+    first, second, third, fourth = doc["findings"]
+    assert fourth["sink"]["kind"] == "relabelled"
+    assert first["sink"]["kind"] == send.sink_kind != "relabelled"
+    assert first["trigger"] is second["trigger"] is third["trigger"]
+    assert first["trigger"] == {"unit": send.trigger.unit,
+                                "entryPoint": send.trigger.entry_point}
+    assert first["sink"] is third["sink"]
+    assert first["sink"] is not second["sink"]
+    assert first["sink"] == {**first["source"], "line": send.sink_line,
+                             "kind": send.sink_kind,
+                             "permissions": sorted(send.sink_permissions)}
 
 
 # -- the JSON writer ----------------------------------------------------------
