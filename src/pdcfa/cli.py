@@ -284,6 +284,7 @@ def _analyze(bundle: AppBundle, cfg: AnalysisConfig, budget: Budget,
     perm_doc = report_mod.emit_permission_report(preport, bundle.program, meta)
     heat_doc = report_mod.emit_heat_map(results, bundle.program, meta)
     dot_text = report_mod.export_graph(results, findings, bundle.program)
+    results = trace.results = None  # the JSON writer need not hold the views
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "flow_report.json").write_bytes(report_mod.to_json_bytes(flow_doc))
     (outdir / "permissions_report.json").write_bytes(

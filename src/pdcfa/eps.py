@@ -15,6 +15,7 @@ triggers them (``Unit.label``).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 from . import machine, reach
@@ -26,6 +27,8 @@ UNIT_KINDS = ("activity", "service", "receiver", "provider", "background",
               "other")
 ENTRY_CATEGORIES = ("lifecycle-callback", "async-operation", "ui-handler")
 REGISTRATION_SOURCES = ("manifest", "layout")
+
+log = logging.getLogger("pdcfa.eps")
 
 
 class UnknownMethod(Exception):
@@ -142,20 +145,29 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                              store, taint, cfg, summaries, shared, budget)
     store, taint = fixpoint.final_store, fixpoint.final_taint
     rounds = 1 if (store.fingerprint(), taint.fingerprint()) == seeded else 2
+    if log.isEnabledFor(logging.INFO):
+        dsg = fixpoint.dsg
+        log.info("fixpoint run: %d states, %d edges, %d epsilon summaries, "
+                 "globalRounds %d", len(dsg.nodes), len(dsg.edges),
+                 len(dsg.epsilon_summaries), rounds)
     if not fixpoint.complete:
         return store, taint, SaturationTrace(
             [], rounds, complete=False, limit_reason=fixpoint.limit_reason)
 
-    results: list = []
+    results, reason = [], None
     for unit, ep in entries:
         reason = budget.limit_hit(0)
         if reason is None:
             result = reach.entry_view(fixpoint, ep.method_ref)
             reason = budget.limit_hit(len(result.dsg.nodes))
         if reason is not None:
-            return store, taint, SaturationTrace(
-                results, rounds, complete=False, limit_reason=reason)
+            break
         budget.states_used += len(result.dsg.nodes)
         result.trigger = TriggerContext(unit.name, unit.label(ep))
         results.append(result)
-    return store, taint, SaturationTrace(results, rounds)
+    log.info("views: %d of %d emitted, their %d nodes charged against "
+             "max-states (%d of %d used)", len(results), len(entries),
+             sum(len(r.dsg.nodes) for r in results), budget.states_used,
+             budget.max_states)
+    return store, taint, SaturationTrace(
+        results, rounds, complete=reason is None, limit_reason=reason)

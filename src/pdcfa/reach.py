@@ -22,8 +22,7 @@ start from several entry methods at once, each initial state a root with an
 empty stack; entry-point saturation makes one such app-wide run. Each entry
 point's result is then ``entry_view`` of that run's graph: the part a run
 from that entry alone would build over the same store pair, read out of the
-graph without stepping the machine (tabulation with one fact per root, as
-in Reps, Horwitz and Sagiv, POPL 1995).
+graph without stepping the machine, from one bit per root (``RootMasks``).
 """
 
 from __future__ import annotations
@@ -33,7 +32,10 @@ import copy
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 from . import machine
 from .ir import MethodRef, PopHandler, Program, Return, StmtPos, Throw
@@ -66,7 +68,6 @@ class DyckStateGraph:
     stack) that may top it: it keeps the node's pop edges of those frames."""
 
     pop_frames = None
-    _base = None  # a window's graph; a graph keeps no cycle to itself
 
     def __init__(self):
         self.nodes: dict = {}
@@ -76,13 +77,9 @@ class DyckStateGraph:
         self._sorted_out: dict = {}
         self._sorted_sum_from: dict = {}
 
-    @property
-    def graph(self) -> DyckStateGraph:
-        return self if self._base is None else self._base
-
     def window(self, nodes: dict, pop_frames: dict | None) -> DyckStateGraph:
         view = copy.copy(self)
-        view._base, view.nodes, view.pop_frames = self.graph, nodes, pop_frames
+        view.nodes, view.pop_frames = nodes, pop_frames
         return view
 
     @property
@@ -189,10 +186,12 @@ class AnalysisResult:
     applications: list  # sorted by SummaryApplication.sort_key
     config: AnalysisConfig
     trigger: TriggerContext
-    # pushdown run: push source or root -> [(frame, stack-dependent state
-    # it may top)], the frame None, for the empty stack, only from a root
-    # (what ``entry_view`` reads); None otherwise
-    tops: dict | None = None
+    # a run: what its ``RootMasks`` are made from, its roots and, pushdown,
+    # its engine's tables by state id; a view: None, its run's masks and
+    # its root's bit
+    tables: tuple | None = None
+    masks: RootMasks | None = None
+    view_bit: int | None = None
 
     def node_set(self) -> frozenset:
         return frozenset(self.dsg.nodes)
@@ -334,7 +333,7 @@ class _BaseEngine:
         finally:
             self.current_item = None
 
-    def _result(self, tops: dict | None = None) -> AnalysisResult:
+    def _result(self, tables: tuple = ()) -> AnalysisResult:
         self.store.on_read = self.store.on_grow = None
         self.taint.on_read = self.taint.on_grow = None
         self.budget.states_used += len(self.dsg.nodes)
@@ -351,7 +350,7 @@ class _BaseEngine:
             applications=self.recorder.applications(),
             config=self.cfg,
             trigger=TriggerContext("<direct>", self.entry.sig()),
-            tops=tops,
+            tables=(self.roots, *tables),
         )
 
 
@@ -381,6 +380,7 @@ class _PushdownEngine(_BaseEngine):
         self.dependent: list = []  # id -> is the statement stack dependent
         self.tops: dict = {}  # id -> {frame or None: {push source id: None}}
         self.succ: dict = {}  # id -> [id]: its no-op edges and summaries
+        self.pushes: dict = {}  # id -> [id]: its push edges
         self.pops_at: dict = {}  # (source id, frame) -> [target id]
 
     def _add_root(self, root: ControlState):
@@ -389,14 +389,11 @@ class _PushdownEngine(_BaseEngine):
 
     def _result(self) -> AnalysisResult:
         self.visit_counts = dict(zip(self.states, self.visits))
-        states, tops = self.states, {}
-        for sid, frames in self.tops.items():
-            if self.dependent[sid]:
-                for frame, sources in frames.items():
-                    for src in sources:
-                        tops.setdefault(states[src], []).append(
-                            (frame, states[sid]))
-        return super()._result(tops)
+        dependent = self.dependent
+        tops = {sid: frames for sid, frames in self.tops.items()
+                if dependent[sid]}
+        return super()._result((self.states, self.ids, self.succ,
+                                self.pushes, tops))
 
     # graph construction ---------------------------------------------------
 
@@ -465,6 +462,7 @@ class _PushdownEngine(_BaseEngine):
             if edge.kind == NOOP:
                 work = [self._add_succ(sid, dst)]
             elif edge.kind == PUSH:
+                self.pushes.setdefault(sid, []).append(dst)
                 work = [(dst, [(edge.frame, sid)])]
             else:
                 self.pops_at.setdefault((sid, edge.frame), []).append(dst)
@@ -713,43 +711,117 @@ def analyze(program: Program, entry, init_store: Store,
 def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
     """The result of a run from ``entry``, one of ``run``'s roots, alone
     over ``run``'s final store pair: a window onto ``run``'s graph, read
-    without stepping. A finite view is the part of the graph the root
-    reaches. A pushdown view's nodes are those the root reaches over no-op
-    and push edges and ε-summaries; of the pop edges it keeps those whose
-    frame may top the popping node: a push of it from a view node leads to
-    that node on a balanced path (``run.tops``).
-    """
+    without stepping from ``run.masks``, made on the first view. Of the
+    pop edges of its nodes, a pushdown view keeps those whose frame a push
+    from a view node puts on top of the popping node over a balanced
+    path."""
     root = ControlState(StmtPos(entry, 0), frame_pointer_zero(entry))
-    graph = run.dsg
-    if root not in graph.nodes:
-        raise ValueError(f"{entry.sig()} is not a root of the viewed run")
-    pushdown = run.mode == PUSHDOWN
-    nodes = {root: None}
-    tops: dict = {}  # stack-dependent node -> {frame or None: None}
-    stack = [root]
-    while stack:
-        s = stack.pop()
-        for t in (*graph._sum_from.get(s, ()), *(
-                e.dst for e in graph._out.get(s, ())
-                if not pushdown or e.kind != POP)):
-            if t not in nodes:
-                nodes[t] = None
-                stack.append(t)
-        # another root can be a view node: only this root's empty stack
-        # tops a state of this view
-        for frame, t in run.tops.get(s, ()) if pushdown else ():
-            if frame is not None or s == root:
-                tops.setdefault(t, {})[frame] = None
-    # a stack-dependent node is stepped under each frame, or empty stack,
-    # that may top it; any other node, stepped once, has none
-    visits = {s: len(tops.get(s, ())) or 1 for s in nodes}
-    return AnalysisResult(
-        mode=run.mode, entry=entry, initial_state=root,
-        dsg=graph.window(nodes, tops if pushdown else None),
-        final_store=run.final_store, final_taint=run.final_taint,
-        visit_counts=visits, complete=True, limit_reason=None,
-        applications=[a for a in run.applications if a.state in nodes],
-        config=run.config, trigger=TriggerContext("<direct>", entry.sig()))
+    if run.masks is None:
+        run.masks = RootMasks(run)
+    bit, nodes, frames, visits, apps = run.masks.view(root)
+    return replace(run, entry=entry, initial_state=root,
+                   dsg=run.dsg.window(nodes, frames), visit_counts=visits,
+                   applications=apps, tables=None, view_bit=bit,
+                   trigger=TriggerContext("<direct>", entry.sig()))
+
+
+def _spread(pairs, width: int, group=list) -> list:
+    """Per bit below ``width``, the groups of the items of ``pairs``' (item,
+    mask) whose mask holds it; the items of one mask make one ``group``."""
+    groups: dict = {}
+    for item, mask in pairs:
+        groups.setdefault(mask, []).append(item)
+    out: list = [[] for _ in range(width)]
+    for mask, items in groups.items():
+        items = group(items)
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1].append(items)
+            mask ^= low
+    return out
+
+
+class RootMasks:
+    """Which of a run's roots reach each node of its graph: one int per
+    node, bit i set for the run's i-th distinct root (tabulation with
+    bit-vector facts: Reps, Horwitz and Sagiv, POPL 1995), over no-op and
+    push edges and ε-summaries, or under finite every edge. A pushdown
+    (stack-dependent node, frame) gets the OR of the masks of the push
+    sources that put the frame there, or for the empty stack, None, the
+    bits of the roots with a balanced path to the node. Made on the run's
+    first view from ``run.tables``: its roots and, pushdown, the engine's
+    states, id map, no-op and summary and push successors and dependent
+    nodes' tops; under finite, the graph's nodes are numbered in order. A
+    root's view is what holds its bit."""
+
+    def __init__(self, run: AnalysisResult):
+        self.graph, self.applications = run.dsg, run.applications
+        roots, *tables = run.tables
+        self.pushdown = bool(tables)
+        if not tables:
+            self.states = list(self.graph.nodes)
+            ids = {s: i for i, s in enumerate(self.states)}
+            adj = [[ids[e.dst] for e in self.graph._out.get(s, ())]
+                   for s in self.states]
+            tops = {}
+        else:
+            self.states, ids, succ, pushes, tops = tables
+            adj = [succ.get(i, ()) for i in range(len(self.states))]
+            for a, targets in pushes.items():
+                adj[a] = [*adj[a], *targets]
+        self.bits = bits = {}  # root -> bit
+        for root in roots:
+            bits.setdefault(root, len(bits))
+        node = self.node = [0] * len(adj)  # id -> mask
+        for root, bit in bits.items():
+            node[ids[root]] = 1 << bit
+        again = True  # ids are in discovery order: a sweep carries most bits
+        while again:
+            again = False
+            for a, m in enumerate(node):
+                for b in adj[a] if m else ():
+                    if node[b] | m != node[b]:
+                        node[b] |= m
+                        again = again or b < a  # a swept node grew
+        rooted = {ids[root]: 1 << bit for root, bit in bits.items()}.get
+        self.frames = {t: [(f, reduce(or_, map(
+            rooted if f is None else node.__getitem__, srcs), 0))
+            for f, srcs in fs.items()] for t, fs in tops.items()}
+        width = len(bits)
+        self._node_groups = _spread(zip(self.states, node), width,
+                                    dict.fromkeys)
+        self._frame_groups = _spread((((t, f), fm) for t, fs in
+                                      self.frames.items() for f, fm in fs),
+                                     width)
+        self._app_groups = _spread(((i, node[ids[a.state]]) for i, a in
+                                    enumerate(self.applications)), width)
+
+    def view(self, root: ControlState) -> tuple:
+        """``root``'s bit and its view's nodes, pop frames (None if finite),
+        visit counts (its frames at a node, or 1) and applications."""
+        bit = self.bits.get(root)
+        if bit is None:
+            raise ValueError(f"{root.describe()} is not a root of the run")
+        nodes: dict = {}
+        for held in self._node_groups[bit]:  # a dict keeps its keys' hashes
+            nodes.update(held)
+        frames: dict = {}
+        for t, f in chain.from_iterable(self._frame_groups[bit]):
+            frames.setdefault(self.states[t], {})[f] = None
+        visits = dict.fromkeys(nodes, 1)
+        visits.update((s, len(held)) for s, held in frames.items())
+        apps = chain.from_iterable(self._app_groups[bit])
+        return (bit, nodes, frames if self.pushdown else None, visits,
+                [self.applications[i] for i in sorted(apps)])
+
+    def window(self, bits: int) -> DyckStateGraph:
+        """The views of ``bits`` read as one window onto the graph."""
+        states, node = self.states, self.node
+        frames = {states[t]: {f: None for f, fm in fs if fm & bits}
+                  for t, fs in self.frames.items() if node[t] & bits}
+        return self.graph.window(
+            {states[i]: None for i, m in enumerate(node) if m & bits},
+            frames if self.pushdown else None)
 
 
 # ---------------------------------------------------------------------------

@@ -253,29 +253,18 @@ def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:
 
 
 def _graph_union(results) -> tuple:
-    """``results``' nodes and edges, the windows onto one graph read as one.
-
-    A node's pop frames are merged into one dict per node, made when a
-    window first holds the node; the windows' own dicts are only read."""
-    union: dict = {}  # graph -> (nodes, pop frames or None)
+    """``results``' nodes and edges; the views of one run are read as one
+    window onto its graph, over the OR of their bits."""
+    graphs, views = [], {}
     for res in results:
-        dsg = res.dsg
-        nodes, frames = union.get(dsg.graph, ({}, {}))
-        nodes.update(dsg.nodes)
-        if dsg.pop_frames is None or frames is None:
-            frames = None
+        if res.view_bit is None:
+            graphs.append(res.dsg)
         else:
-            for n, top in dsg.pop_frames.items():
-                merged = frames.get(n)
-                if merged is None:
-                    frames[n] = dict(top)
-                else:
-                    merged.update(top)
-        union[dsg.graph] = nodes, frames
+            views[res.masks] = views.get(res.masks, 0) | 1 << res.view_bit
     nodes, edges = {}, {}
-    for graph, (held, frames) in union.items():
-        nodes.update(held)
-        edges.update(graph.window(held, frames).edges)
+    for dsg in graphs + [masks.window(bits) for masks, bits in views.items()]:
+        nodes.update(dsg.nodes)
+        edges.update(dsg.edges)
     return nodes, edges
 
 

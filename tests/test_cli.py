@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import logging
 import os
 import re
 import shutil
@@ -382,6 +383,33 @@ def test_dot_of_a_saturation_stopped_between_views_is_pinned(
     assert hashlib.sha256(dot).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode, limit, digests", [
+    ("pushdown", 101, (
+        "8c85e772f00726ec747c59477c8eacc0565d51e029ad072da6e6a195cdbf26cf",
+        "15d3712716223e4dcc3a415e0c83ce18265dcf6e3a561e8509d19e75b63bafc2",
+        "5483f3526470fe21996e81eb376581231f002a57805f423b4b411b9f897baad4")),
+    ("pushdown", 134, (
+        "0a0fa7aa0183393ddcb45270ccf6bb80223da6257b8c6569f063d915244481dd",
+        "2d17a6e54f1425ebb7eb830d86eab4c594c7fee627e7c78a3d91a78666e1b334",
+        "5c41e1d1ecbadbd0e52a6615b1fe6297f18c0b541198350d9755b1a013aa519f")),
+    ("finite", 145, (
+        "33bee8ad52f96a085954773e42492f9f1be3626d938f00431c60f765b6eae6f4",
+        "d569bd1b28b851f5764e854b098f9423d532297655ec9298176d2161de3e39a6",
+        "2f0fc10b407b7e110ddb730972849adc5bd812d73c87d656bcc59bf0ce782404")),
+])
+def test_reports_of_a_saturation_stopped_between_views_are_pinned(
+        bundles_dir, tmp_path, mode, limit, digests):
+    """The JSON reports of the runs whose DOT
+    ``test_dot_of_a_saturation_stopped_between_views_is_pinned`` pins: the
+    heat map counts the visits of the emitted views alone, and the flow and
+    permissions reports read those views only."""
+    code, out = _run(bundles_dir, tmp_path, "photoquote_full", "--mode",
+                     mode, "--k", "1", "--max-states", str(limit))
+    assert code == EXIT_RESOURCE_LIMIT
+    assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in REPORT_FILES[:3]) == digests
+
+
 def test_max_seconds_bounds_the_whole_saturation(bundles_dir, tmp_path,
                                                  monkeypatch):
     """The fixpoint run and each view start one second after the one
@@ -572,6 +600,34 @@ def test_log_env_var(bundles_dir, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_CLEAN
     assert (out / "flow_report.json").is_file()
+
+
+@pytest.mark.parametrize("limit, emitted, charged", [
+    (None, 6, 72), ("134", 5, 63)])
+def test_saturation_logs_the_fixpoint_run_and_the_views(
+        bundles_dir, tmp_path, caplog, limit, emitted, charged):
+    """At INFO, ``pdcfa.eps`` logs the fixpoint run's size and rounds and
+    then how many views were emitted and what they were charged against
+    ``--max-states``; a stopped run logs the views it emitted. Logging
+    moves no report byte."""
+    extra = ["--max-states", limit] if limit else []
+    _run(bundles_dir, tmp_path / "quiet", "photoquote_full", *extra)
+    caplog.set_level(logging.INFO, logger="pdcfa.eps")
+    _run(bundles_dir, tmp_path / "logged", "photoquote_full", *extra)
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "pdcfa.eps"] == [
+        "fixpoint run: 63 states, 62 edges, 6 epsilon summaries, "
+        "globalRounds 2",
+        f"views: {emitted} of 6 emitted, their {charged} nodes charged "
+        f"against max-states ({63 + charged} of {limit or 500000} used)"]
+    for name in REPORT_FILES:
+        assert ((tmp_path / "quiet" / "out" / name).read_bytes()
+                == (tmp_path / "logged" / "out" / name).read_bytes()), name
+    metas = [json.loads((tmp_path / run / "out" / "run_meta.json").read_text())
+             for run in ("quiet", "logged")]
+    for meta in metas:
+        del meta["elapsedSeconds"]
+    assert metas[0] == metas[1]
 
 
 @pytest.mark.parametrize("mode", ["pushdown", "finite"])

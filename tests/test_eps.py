@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,7 +28,7 @@ from pdcfa.machine import (
     Store,
 )
 from pdcfa.reach import AnalysisConfig
-from pdcfa.report import export_graph
+from pdcfa.report import emit_heat_map, export_graph
 from pdcfa.taint import TaintStore, TaintVal, parse_summaries, extract_findings
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -522,3 +523,137 @@ def test_reporting_runs_step_nothing_and_share_the_saturated_pair(
     for result in trace.results:
         assert result.final_store is fixpoint.final_store
         assert result.final_taint is fixpoint.final_taint
+
+
+def _reference_views(program, run, entries) -> dict:
+    """``reach.entry_view`` as it was before root masks, as a test-only
+    reference: per entry, a walk of ``run``'s graph from the entry's root
+    over no-op and push edges and ε-summaries (finite: every edge). Each
+    push from a walked node puts its frame on the stack-dependent states a
+    balanced path (no-op edges and ε-summaries) from its target reaches, and
+    the root puts the empty stack, None, on those its own balanced paths
+    reach. Returns entry -> (nodes, pop frames or None, visit counts,
+    applications)."""
+    graph, pushdown = run.dsg, run.mode == reach.PUSHDOWN
+    balanced_succ: dict = {}
+    for e in graph.edges:
+        if e.kind == reach.NOOP:
+            balanced_succ.setdefault(e.src, []).append(e.dst)
+    for a, b in graph.epsilon_summaries:
+        balanced_succ.setdefault(a, []).append(b)
+    memo: dict = {}
+
+    def balanced(q) -> list:
+        """The stack-dependent states a balanced path from ``q`` reaches."""
+        if q not in memo:
+            seen, todo = {q}, [q]
+            while todo:
+                for t in balanced_succ.get(todo.pop(), ()):
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+            memo[q] = [t for t in seen
+                       if machine.is_stack_dependent(program, t.pos)]
+        return memo[q]
+
+    views = {}
+    for entry in entries:
+        root = machine.state_at(program.starts[entry],
+                                machine.frame_pointer_zero(entry))
+        nodes, tops, stack = {root: None}, {}, [root]
+        while stack:
+            s = stack.pop()
+            for e in graph.out_edges(s):
+                if not pushdown or e.kind != reach.POP:
+                    if e.dst not in nodes:
+                        nodes[e.dst] = None
+                        stack.append(e.dst)
+                if pushdown and e.kind == reach.PUSH:
+                    for t in balanced(e.dst):
+                        tops.setdefault(t, {})[e.frame] = None
+            for t in graph.summaries_from(s):
+                if t not in nodes:
+                    nodes[t] = None
+                    stack.append(t)
+        for t in balanced(root) if pushdown else ():
+            tops.setdefault(t, {})[None] = None
+        views[entry] = (nodes, tops if pushdown else None,
+                        {s: len(tops.get(s, ())) or 1 for s in nodes},
+                        [a for a in run.applications if a.state in nodes])
+    return views
+
+
+def _mask_cases(bundles_dir, tmp_path, monkeypatch, source) -> list:
+    """(label, program, units, k, summaries) for the views-from-masks test:
+    shipped bundles at k 0-2, synth workloads at their reference k, and each
+    micro program with every method of ``Main`` an entry point, the first
+    of them declared again by a second unit."""
+    if source == "shipped":
+        cases = []
+        for name in SHIPPED:
+            bundle = load_bundle(bundles_dir / name)
+            units = discover_entry_points(bundle, bundle.program)
+            cases += [(f"{name} k={k}", bundle.program, units, k,
+                       bundle.summaries) for k in (0, 1, 2)]
+        return cases
+    if source == "micro":
+        cases = []
+        for name in sorted(MICRO):
+            program = parse_program(MICRO[name])
+            refs = sorted((m for m in program.methods
+                           if m.class_name == "Main"), key=MethodRef.sort_key)
+            declared = tuple(EntryPoint(r, "ui-handler", "layout")
+                             for r in refs)
+            units = [Unit("U", "activity", declared),
+                     Unit("V", "activity", declared[:1])]
+            cases.append((name, program, units, 0,
+                          parse_summaries(MICRO_SUMMARIES)))
+        return cases
+    bundle, units, k = _generated_bundle(tmp_path, monkeypatch, source)
+    return [(source, bundle.program, units, k, bundle.summaries)]
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+@pytest.mark.parametrize("source",
+                         ["shipped", "micro", "wide-pushdown",
+                          "finite-witness"])
+def test_views_from_root_masks_equal_the_walk_they_replace(
+        bundles_dir, tmp_path, monkeypatch, source, mode):
+    """Every view's nodes, pop frames, visit counts and applications equal
+    the reference walk's. A root that is a node of another root's view puts
+    its empty stack on its own view alone. The heat map and the DOT of the
+    first views, as a run stopped between views emits them, equal those of
+    the walk's views; an entry point declared by two units is counted
+    twice in the heat map, as two views."""
+    shadowed = 0  # empty-stack tops of a root, in another root's view
+    for label, program, units, k, summaries in _mask_cases(
+            bundles_dir, tmp_path, monkeypatch, source):
+        _s, _t, trace, calls = _saturate_recorded(
+            monkeypatch, program, units, AnalysisConfig(mode=mode, k=k),
+            summaries)
+        run, views = calls[0][1], trace.results
+        refs = _reference_views(program, run, {v.entry: None for v in views})
+        for view in views:
+            nodes, frames, visits, apps = refs[view.entry]
+            assert set(view.dsg.nodes) == set(nodes), label
+            assert view.dsg.pop_frames == frames, label
+            assert view.visit_counts == visits, label
+            assert view.applications == apps, label
+            for other in views:
+                if mode == reach.PUSHDOWN and other.entry != view.entry \
+                        and other.initial_state in nodes:
+                    shadowed += sum(
+                        None in held and None not in frames.get(t, {})
+                        for t, held in refs[other.entry][1].items())
+        for n in sorted({1, len(views) // 2, len(views)}):
+            walked = [SimpleNamespace(
+                dsg=run.dsg.window(nodes, frames), visit_counts=visits,
+                applications=apps, view_bit=None)
+                for nodes, frames, visits, apps in
+                (refs[v.entry] for v in views[:n])]
+            assert (emit_heat_map(views[:n], program, top_n=10**6)
+                    == emit_heat_map(walked, program, top_n=10**6)), label
+            assert (export_graph(views[:n], [], program)
+                    == export_graph(walked, [], program)), label
+    if mode == reach.PUSHDOWN and source == "micro":
+        assert shadowed

@@ -510,9 +510,10 @@ def _naive_closure(dsg, roots=()) -> tuple:
 
 
 def _naive_exported_tops(program, tops, balanced) -> dict:
-    """What an engine run exports as ``AnalysisResult.tops``, from
-    ``_naive_closure``'s tops and balanced sets: each push source or root
-    -> {(frame, or None from a root, stack-dependent state it tops)}."""
+    """What an engine run exports as the tops of ``AnalysisResult.tables``,
+    from ``_naive_closure``'s tops and balanced sets: each push source or
+    root -> {(frame, or None from a root, stack-dependent state it
+    tops)}."""
     want: dict = {}
     entries = [(src, frame, r) for r, pairs in tops.items()
                for frame, src in pairs]
@@ -521,6 +522,40 @@ def _naive_exported_tops(program, tops, balanced) -> dict:
     for src, frame, r in entries:
         if is_stack_dependent(program, r.pos):
             want.setdefault(src, set()).add((frame, r))
+    return want
+
+
+def _exported_tops(res) -> dict:
+    """The id-keyed tops a pushdown run exports in ``res.tables``, read as
+    ``_naive_exported_tops`` writes them."""
+    _roots, states, _ids, _succ, _pushes, tops = res.tables
+    got: dict = {}
+    for t, frames in tops.items():
+        for frame, sources in frames.items():
+            for src in sources:
+                got.setdefault(states[src], set()).add((frame, states[t]))
+    return got
+
+
+def _frame_masks(masks) -> dict:
+    """A pushdown run's frame masks (``RootMasks.frames``), each keyed by
+    its (stack-dependent state, frame or None)."""
+    return {(masks.states[t], frame): fm for t, frames in masks.frames.items()
+            for frame, fm in frames}
+
+
+def _naive_frame_masks(masks, exported) -> dict:
+    """The frame masks ``masks`` should hold for the tops ``exported``
+    (``_naive_exported_tops``): per (state, frame), the OR of the node
+    masks of the frame's push sources; for the empty stack, the OR of the
+    bits of the roots with a balanced path to the state."""
+    ids = {s: i for i, s in enumerate(masks.states)}
+    want: dict = {}
+    for src, pairs in exported.items():
+        for frame, r in pairs:
+            m = (1 << masks.bits[src] if frame is None
+                 else masks.node[ids[src]])
+            want[(r, frame)] = want.get((r, frame), 0) | m
     return want
 
 
@@ -550,7 +585,8 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
     exactly the machine's steps under the frames that fixpoint puts on top
     of each stack-dependent state. An engine run's exported tops are that
     recomputation's (frame, push source) pairs and its roots' balanced
-    sets, at stack-dependent states; views export none."""
+    sets, at stack-dependent states, and its frame masks are those pairs
+    folded; views export no tables and carry their run's masks."""
     results = []  # (label, program, result, its roots or None for a view)
     for name in BUNDLE_NAMES:
         bundle = load_bundle(bundles_dir / name)
@@ -573,12 +609,15 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
         if set(res.dsg.epsilon_summaries) != summaries:
             mismatches.append(f"{label}: summaries")
         if roots is None:
-            assert res.tops is None
-        elif ({src: set(pairs) for src, pairs in res.tops.items()}
-              != _naive_exported_tops(program, tops, balanced)
-              or any(len(set(pairs)) != len(pairs)
-                     for pairs in res.tops.values())):
-            mismatches.append(f"{label}: exported tops")
+            assert res.tables is None and res.view_bit is not None
+            assert res.masks is not None
+        else:
+            want = _naive_exported_tops(program, tops, balanced)
+            masks = reach.RootMasks(res)
+            if _exported_tops(res) != want:
+                mismatches.append(f"{label}: exported tops")
+            if _frame_masks(masks) != _naive_frame_masks(masks, want):
+                mismatches.append(f"{label}: frame masks")
         store, taint = res.final_store.copy(), res.final_taint.copy()
         pops = set()
         for r, pairs in tops.items():
