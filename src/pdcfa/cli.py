@@ -285,22 +285,30 @@ def _analyze(bundle: AppBundle, cfg: AnalysisConfig, budget: Budget,
     heat_doc = report_mod.emit_heat_map(results, bundle.program, meta)
     dot_text = report_mod.export_graph(results, findings, bundle.program)
     results = trace.results = None  # the JSON writer need not hold the views
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "flow_report.json").write_bytes(report_mod.to_json_bytes(flow_doc))
-    (outdir / "permissions_report.json").write_bytes(
-        report_mod.to_json_bytes(perm_doc))
-    (outdir / "heatmap.json").write_bytes(report_mod.to_json_bytes(heat_doc))
-    (outdir / "state_graph.dot").write_text(dot_text, encoding="utf-8")
-    run_meta = {
-        **meta,
-        "schema": "run_meta",
-        "complete": trace.complete,
-        "limitReason": trace.limit_reason,
-        "globalRounds": trace.global_rounds,
-        "findingCount": flow_doc["findingCount"],
-        "elapsedSeconds": round(time.monotonic() - t0, 3),
-    }
-    (outdir / "run_meta.json").write_bytes(report_mod.to_json_bytes(run_meta))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "flow_report.json").write_bytes(
+            report_mod.to_json_bytes(flow_doc))
+        (outdir / "permissions_report.json").write_bytes(
+            report_mod.to_json_bytes(perm_doc))
+        (outdir / "heatmap.json").write_bytes(
+            report_mod.to_json_bytes(heat_doc))
+        (outdir / "state_graph.dot").write_text(dot_text, encoding="utf-8")
+        run_meta = {
+            **meta,
+            "schema": "run_meta",
+            "complete": trace.complete,
+            "limitReason": trace.limit_reason,
+            "globalRounds": trace.global_rounds,
+            "findingCount": flow_doc["findingCount"],
+            "elapsedSeconds": round(time.monotonic() - t0, 3),
+        }
+        (outdir / "run_meta.json").write_bytes(
+            report_mod.to_json_bytes(run_meta))
+    except OSError as exc:
+        print(f"pdcfa: error: cannot write reports to {outdir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     _print_summaries(report_mod.render_flow_report_text(flow_doc),
                      report_mod.render_permissions_text(perm_doc))

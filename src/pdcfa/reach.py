@@ -62,7 +62,8 @@ class DyckStateGraph:
     """Reachable control states with stack-action edges and summaries,
     indexed by source node (``edges`` and ``epsilon_summaries`` are built
     when asked for); ``out_edges`` and ``summaries_from`` sort a node's
-    adjacency once, until the node gains an edge or summary. A ``window``
+    adjacency once, until the node gains an edge or summary. An engine's
+    graph maps each node to its id in the engine's node table. A ``window``
     onto a graph shares its indexes and sorts, and holds its own nodes and,
     unless None, each node's ``pop_frames``, the frames (None for the empty
     stack) that may top it: it keeps the node's pop edges of those frames."""
@@ -93,12 +94,6 @@ class DyckStateGraph:
     def epsilon_summaries(self) -> frozenset:
         return frozenset((a, b) for a in self.nodes
                          for b in self._sum_from.get(a, ()))
-
-    def add_node(self, s: ControlState) -> bool:
-        if s in self.nodes:
-            return False
-        self.nodes[s] = None
-        return True
 
     def add_edge(self, e: Edge) -> bool:
         if e in self._edge_set:
@@ -186,10 +181,8 @@ class AnalysisResult:
     applications: list  # sorted by SummaryApplication.sort_key
     config: AnalysisConfig
     trigger: TriggerContext
-    # a run: what its ``RootMasks`` are made from, its roots and, pushdown,
-    # its engine's tables by state id; a view: None, its run's masks and
-    # its root's bit
-    tables: tuple | None = None
+    # a complete run's masks, None if it stopped at a limit; a view carries
+    # its run's masks and its root's bit
     masks: RootMasks | None = None
     view_bit: int | None = None
 
@@ -263,6 +256,11 @@ class _BaseEngine:
     The run steps each worklist item under the store pair it grows. Readers
     tracking re-steps an item whenever an address it read grows, so the
     graph ends up holding each item's edges under the final pair.
+
+    Each control state gets a dense int id, in discovery order, when it
+    first becomes a node: the graph's node dict maps it to its id, and the
+    node table's lists and successor maps are keyed by id. ``succ`` holds
+    what a root's reach crosses besides push edges, ``pushes`` those.
     """
 
     def __init__(self, program: Program, entries: tuple, init_store: Store,
@@ -282,7 +280,10 @@ class _BaseEngine:
                       for e in entries]
         self.init_state = self.roots[0]
         self.dsg = DyckStateGraph()
-        self.visit_counts: dict = {}
+        self.states: list = []  # id -> ControlState
+        self.visits: list = []  # id -> worklist pops
+        self.succ: dict = {}  # id -> [id]
+        self.pushes: dict = {}  # id -> [id]: its push edges
         self.worklist: list = []
         self.pending: set = set()
         self.limit_reason: str | None = None
@@ -333,10 +334,24 @@ class _BaseEngine:
         finally:
             self.current_item = None
 
-    def _result(self, tables: tuple = ()) -> AnalysisResult:
+    def _ensure_node(self, state: ControlState) -> int:
+        """The id of ``state``, making it a node on first sight."""
+        sid = len(self.states)
+        known = self.dsg.nodes.setdefault(state, sid)
+        if known == sid:
+            self.states.append(state)
+            self.visits.append(0)
+            self._new_node(sid, state)
+        return known
+
+    def _result(self, tops: dict | None = None) -> AnalysisResult:
+        """The run's result; a complete run's masks are made from the node
+        table and the pushdown ``tops`` of stack-dependent nodes."""
         self.store.on_read = self.store.on_grow = None
         self.taint.on_read = self.taint.on_grow = None
         self.budget.states_used += len(self.dsg.nodes)
+        applications = self.recorder.applications()
+        complete = self.limit_reason is None
         return AnalysisResult(
             mode=self.cfg.mode,
             entry=self.entry,
@@ -344,23 +359,23 @@ class _BaseEngine:
             dsg=self.dsg,
             final_store=self.store,
             final_taint=self.taint,
-            visit_counts=dict(self.visit_counts),
-            complete=self.limit_reason is None,
+            visit_counts=dict(zip(self.states, self.visits)),
+            complete=complete,
             limit_reason=self.limit_reason,
-            applications=self.recorder.applications(),
+            applications=applications,
             config=self.cfg,
             trigger=TriggerContext("<direct>", self.entry.sig()),
-            tables=(self.roots, *tables),
+            masks=RootMasks(self, applications, tops) if complete else None,
         )
 
 
 class _PushdownEngine(_BaseEngine):
     """Dyck-state-graph construction with epsilon summarization.
 
-    Each control state gets a dense int id, in discovery order, when it
-    first becomes a node. The summary bookkeeping and the worklist items
-    ``(id, top)`` are keyed by id, so their hashing and equality are int
-    operations; the graph and the result stay keyed by ``ControlState``.
+    The summary bookkeeping and the worklist items ``(id, top)`` are keyed
+    by node id, so their hashing and equality are int operations; the graph
+    and the result stay keyed by ``ControlState``. ``succ`` holds no-op
+    edges and summaries.
 
     ``tops`` records, for each node, every frame that may be on top of its
     stack, with the push sources that put it there; a root puts the empty
@@ -374,13 +389,8 @@ class _PushdownEngine(_BaseEngine):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.ids: dict = {}  # ControlState -> id
-        self.states: list = []  # id -> ControlState
-        self.visits: list = []  # id -> worklist pops
         self.dependent: list = []  # id -> is the statement stack dependent
         self.tops: dict = {}  # id -> {frame or None: {push source id: None}}
-        self.succ: dict = {}  # id -> [id]: its no-op edges and summaries
-        self.pushes: dict = {}  # id -> [id]: its push edges
         self.pops_at: dict = {}  # (source id, frame) -> [target id]
 
     def _add_root(self, root: ControlState):
@@ -388,30 +398,17 @@ class _PushdownEngine(_BaseEngine):
         self._add_tops([(rid, [(None, rid)])])
 
     def _result(self) -> AnalysisResult:
-        self.visit_counts = dict(zip(self.states, self.visits))
         dependent = self.dependent
-        tops = {sid: frames for sid, frames in self.tops.items()
-                if dependent[sid]}
-        return super()._result((self.states, self.ids, self.succ,
-                                self.pushes, tops))
+        return super()._result({sid: frames for sid, frames
+                                in self.tops.items() if dependent[sid]})
 
     # graph construction ---------------------------------------------------
 
-    def _ensure_node(self, state: ControlState) -> int:
-        """The id of ``state``, making it a node on first sight."""
-        sid = self.ids.get(state)
-        if sid is not None:
-            return sid
-        sid = len(self.states)
-        self.ids[state] = sid
-        self.states.append(state)
-        self.visits.append(0)
-        self.dsg.add_node(state)
+    def _new_node(self, sid: int, state: ControlState):
         dep = machine.is_stack_dependent(self.program, state.pos)
         self.dependent.append(dep)
         if not dep:
             self._enqueue((sid, _HYP_ANY))
-        return sid
 
     def _add_summary(self, src, dst) -> list:
         """The work items of the summary src -> dst: none unless it is new."""
@@ -505,7 +502,6 @@ class FiniteShared:
     def __init__(self):
         self.call_edges: dict = {}  # callee fp -> {(caller_state, FunFrame): None}
         self.handler_records: dict = {}  # HandlerRecord -> None
-        self.version = 0
 
     def add_call(self, callee_fp: FramePointer, caller_state: ControlState,
                  frame: FunFrame) -> bool:
@@ -514,14 +510,12 @@ class FiniteShared:
         if key in entries:
             return False
         entries[key] = None
-        self.version += 1
         return True
 
     def add_handler(self, rec: HandlerRecord) -> bool:
         if rec in self.handler_records:
             return False
         self.handler_records[rec] = None
-        self.version += 1
         return True
 
 
@@ -530,9 +524,10 @@ class _FiniteEngine(_BaseEngine):
     flow facts allow on top of the stack (see ``_tops``): a return flows to
     every call edge recorded at its frame pointer. Worklist items, and their
     keys, are bare control states: no item needs a stack hypothesis, and no
-    item's edges depend on the run's roots. A throw links to the handlers
-    whose scope covers it (``_index``, grown with the flow facts), and their
-    growth re-steps it only when its catching frames change."""
+    item's edges depend on the run's roots. ``succ`` holds every edge but
+    pushes. A throw links to the handlers whose scope covers it (``_index``,
+    grown with the flow facts), and their growth re-steps it only when its
+    catching frames change."""
 
     def __init__(self, program, entries, init_store, init_taint, cfg,
                  summaries, shared: FiniteShared | None,
@@ -553,21 +548,23 @@ class _FiniteEngine(_BaseEngine):
         for rec in self.shared.handler_records:
             self._add_scope(rec.frame, rec.region)
 
-    def _ensure_node(self, state: ControlState):
-        if not self.dsg.add_node(state):
-            return
-        self.visit_counts.setdefault(state, 0)
+    def _new_node(self, _sid: int, state: ControlState):
         self._enqueue(state)
 
-    _add_root = _ensure_node
+    _add_root = _BaseEngine._ensure_node
 
     def _process(self, state: ControlState):
-        self.visit_counts[state] = self.visit_counts.get(state, 0) + 1
+        sid = self.dsg.nodes[state]
+        self.visits[sid] += 1
         for edge in self._stepped(state):
-            self._ensure_node(edge.dst)
-            self.dsg.add_edge(edge)
+            dst = self._ensure_node(edge.dst)
+            if not self.dsg.add_edge(edge):
+                continue
             if edge.kind == PUSH:
+                self.pushes.setdefault(sid, []).append(dst)
                 self._record_push(state, edge)
+            else:
+                self.succ.setdefault(sid, []).append(dst)
 
     def _step(self, state: ControlState) -> list:
         code = self.program.code[state.pos]
@@ -711,17 +708,15 @@ def analyze(program: Program, entry, init_store: Store,
 def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
     """The result of a run from ``entry``, one of ``run``'s roots, alone
     over ``run``'s final store pair: a window onto ``run``'s graph, read
-    without stepping from ``run.masks``, made on the first view. Of the
+    without stepping from ``run.masks``. ``run`` must be complete. Of the
     pop edges of its nodes, a pushdown view keeps those whose frame a push
     from a view node puts on top of the popping node over a balanced
     path."""
     root = ControlState(StmtPos(entry, 0), frame_pointer_zero(entry))
-    if run.masks is None:
-        run.masks = RootMasks(run)
     bit, nodes, frames, visits, apps = run.masks.view(root)
     return replace(run, entry=entry, initial_state=root,
                    dsg=run.dsg.window(nodes, frames), visit_counts=visits,
-                   applications=apps, tables=None, view_bit=bit,
+                   applications=apps, view_bit=bit,
                    trigger=TriggerContext("<direct>", entry.sig()))
 
 
@@ -744,33 +739,24 @@ def _spread(pairs, width: int, group=list) -> list:
 class RootMasks:
     """Which of a run's roots reach each node of its graph: one int per
     node, bit i set for the run's i-th distinct root (tabulation with
-    bit-vector facts: Reps, Horwitz and Sagiv, POPL 1995), over no-op and
-    push edges and ε-summaries, or under finite every edge. A pushdown
-    (stack-dependent node, frame) gets the OR of the masks of the push
-    sources that put the frame there, or for the empty stack, None, the
-    bits of the roots with a balanced path to the node. Made on the run's
-    first view from ``run.tables``: its roots and, pushdown, the engine's
-    states, id map, no-op and summary and push successors and dependent
-    nodes' tops; under finite, the graph's nodes are numbered in order. A
-    root's view is what holds its bit."""
+    bit-vector facts: Reps, Horwitz and Sagiv, POPL 1995), over the
+    engine's ``succ`` and ``pushes``: under pushdown no-op and push edges
+    and ε-summaries, under finite every edge. A pushdown (stack-dependent
+    node, frame) of ``tops`` gets the OR of the masks of the push sources
+    that put the frame there, or for the empty stack, None, the bits of
+    the roots with a balanced path to the node. Made from a complete run's
+    node table when the run ends. A root's view is what holds its bit."""
 
-    def __init__(self, run: AnalysisResult):
-        self.graph, self.applications = run.dsg, run.applications
-        roots, *tables = run.tables
-        self.pushdown = bool(tables)
-        if not tables:
-            self.states = list(self.graph.nodes)
-            ids = {s: i for i, s in enumerate(self.states)}
-            adj = [[ids[e.dst] for e in self.graph._out.get(s, ())]
-                   for s in self.states]
-            tops = {}
-        else:
-            self.states, ids, succ, pushes, tops = tables
-            adj = [succ.get(i, ()) for i in range(len(self.states))]
-            for a, targets in pushes.items():
-                adj[a] = [*adj[a], *targets]
+    def __init__(self, engine: _BaseEngine, applications: list,
+                 tops: dict | None):
+        self.graph, self.applications = engine.dsg, applications
+        self.states, ids = engine.states, engine.dsg.nodes
+        self.pushdown = tops is not None
+        adj = [engine.succ.get(i, ()) for i in range(len(self.states))]
+        for a, targets in engine.pushes.items():
+            adj[a] = [*adj[a], *targets]
         self.bits = bits = {}  # root -> bit
-        for root in roots:
+        for root in engine.roots:
             bits.setdefault(root, len(bits))
         node = self.node = [0] * len(adj)  # id -> mask
         for root, bit in bits.items():
@@ -786,7 +772,7 @@ class RootMasks:
         rooted = {ids[root]: 1 << bit for root, bit in bits.items()}.get
         self.frames = {t: [(f, reduce(or_, map(
             rooted if f is None else node.__getitem__, srcs), 0))
-            for f, srcs in fs.items()] for t, fs in tops.items()}
+            for f, srcs in fs.items()] for t, fs in (tops or {}).items()}
         width = len(bits)
         self._node_groups = _spread(zip(self.states, node), width,
                                     dict.fromkeys)

@@ -466,6 +466,17 @@ def test_internal_error_exits_four_without_reports(bundles_dir, tmp_path,
     assert err == "pdcfa: internal error: RuntimeError: broken extraction\n"
 
 
+def test_unwritable_out_exits_two(bundles_dir, tmp_path, capsys):
+    """An output directory that cannot be made is the caller's error."""
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    code = main(["--bundle", str(bundles_dir / "perm_over"),
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"pdcfa: error: cannot write reports to {out}: Not a directory\n")
+
+
 def test_nested_unknown_class_exits_two_at_parse_time(bundles_dir, tmp_path,
                                                       capsys):
     bundle = tmp_path / "ghost"

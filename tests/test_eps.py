@@ -289,9 +289,10 @@ def _sweep_reference(program, units, cfg, summaries) -> tuple:
     store, taint = Store(), TaintStore()
     shared = reach.FiniteShared() if cfg.mode == reach.FINITE else None
 
-    def size():
-        return (store.fingerprint(), taint.fingerprint(),
-                shared.version if shared is not None else 0)
+    def size():  # the flow facts only grow, and refuse duplicates
+        facts = (sum(map(len, shared.call_edges.values()))
+                 + len(shared.handler_records) if shared is not None else 0)
+        return store.fingerprint(), taint.fingerprint(), facts
 
     while True:
         before = size()
@@ -404,6 +405,33 @@ def test_saturation_equals_sweeps_on_generated_bundle(tmp_path, monkeypatch,
                                          "finite-witness")
     _check_saturation(monkeypatch, bundle.program, units,
                       AnalysisConfig(mode=mode, k=k), bundle.summaries)
+
+
+# per bench/reference.json bundle and engine: the fixpoint run's states,
+# edges, ε-summaries and worklist pops, its views' summed node count and
+# globalRounds
+FIXPOINT_WORK = {
+    ("wide-pushdown", reach.PUSHDOWN): (1588, 1972, 362, 2624, 4488, 2),
+    ("wide-pushdown", reach.FINITE): (2200, 2608, 0, 3140, 56778, 2),
+    ("finite-witness", reach.PUSHDOWN): (308, 368, 76, 476, 608, 2),
+    ("finite-witness", reach.FINITE): (400, 484, 0, 560, 1444, 2),
+}
+
+
+@pytest.mark.parametrize(("workload", "mode"), sorted(FIXPOINT_WORK))
+def test_fixpoint_run_work_is_pinned(tmp_path, monkeypatch, workload, mode):
+    """The fixpoint run's work and its views' size on the synth bundles: no
+    golden reads worklist pops, so a change to either engine's schedule
+    moves these pins on purpose or not at all."""
+    bundle, units, k = _generated_bundle(tmp_path, monkeypatch, workload)
+    _s, _t, trace, calls = _saturate_recorded(
+        monkeypatch, bundle.program, units, AnalysisConfig(mode=mode, k=k),
+        bundle.summaries)
+    dsg = calls[0][1].dsg
+    assert (len(dsg.nodes), len(dsg.edges), len(dsg.epsilon_summaries),
+            sum(calls[0][1].visit_counts.values()),
+            sum(len(view.dsg.nodes) for view in trace.results),
+            trace.global_rounds) == FIXPOINT_WORK[(workload, mode)]
 
 
 @pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])

@@ -510,10 +510,9 @@ def _naive_closure(dsg, roots=()) -> tuple:
 
 
 def _naive_exported_tops(program, tops, balanced) -> dict:
-    """What an engine run exports as the tops of ``AnalysisResult.tables``,
-    from ``_naive_closure``'s tops and balanced sets: each push source or
-    root -> {(frame, or None from a root, stack-dependent state it
-    tops)}."""
+    """What a pushdown run hands its ``RootMasks`` as tops, from
+    ``_naive_closure``'s tops and balanced sets: each push source or root
+    -> {(frame, or None from a root, stack-dependent state it tops)}."""
     want: dict = {}
     entries = [(src, frame, r) for r, pairs in tops.items()
                for frame, src in pairs]
@@ -525,10 +524,9 @@ def _naive_exported_tops(program, tops, balanced) -> dict:
     return want
 
 
-def _exported_tops(res) -> dict:
-    """The id-keyed tops a pushdown run exports in ``res.tables``, read as
+def _exported_tops(states, tops) -> dict:
+    """The id-keyed tops a pushdown run hands its ``RootMasks``, read as
     ``_naive_exported_tops`` writes them."""
-    _roots, states, _ids, _succ, _pushes, tops = res.tables
     got: dict = {}
     for t, frames in tops.items():
         for frame, sources in frames.items():
@@ -559,23 +557,32 @@ def _naive_frame_masks(masks, exported) -> dict:
     return want
 
 
-def _generated_fixpoint_runs(tmp_path, monkeypatch) -> list:
-    """The pushdown fixpoint runs of the wide-pushdown and finite-witness
-    bundles of ``bench/reference.json``."""
+def _reference_bundles(tmp_path, monkeypatch) -> list:
+    """The wide-pushdown and finite-witness bundles of
+    ``bench/reference.json``: (workload, bundle, units, k)."""
     monkeypatch.syspath_prepend(str(BENCH))
     import synth
 
     refs = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
-    runs = []
+    out = []
     for workload in ("wide-pushdown", "finite-witness"):
         ref = refs[workload]
         bundle = load_bundle(synth.generate(
             synth.Shape.parse(ref["shape"]), ref["seed"]).write(
                 tmp_path / workload))
-        units = eps.discover_entry_points(bundle, bundle.program)
-        runs.append((f"{workload} fixpoint", bundle.program, *_fixpoint_run(
-            bundle.program, units, ref["k"], bundle.summaries)))
-    return runs
+        out.append((workload, bundle,
+                    eps.discover_entry_points(bundle, bundle.program),
+                    ref["k"]))
+    return out
+
+
+def _generated_fixpoint_runs(tmp_path, monkeypatch) -> list:
+    """The pushdown fixpoint runs of the wide-pushdown and finite-witness
+    bundles of ``bench/reference.json``."""
+    return [(f"{workload} fixpoint", bundle.program, *_fixpoint_run(
+        bundle.program, units, k, bundle.summaries))
+        for workload, bundle, units, k in _reference_bundles(tmp_path,
+                                                             monkeypatch)]
 
 
 def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
@@ -586,7 +593,16 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
     of each stack-dependent state. An engine run's exported tops are that
     recomputation's (frame, push source) pairs and its roots' balanced
     sets, at stack-dependent states, and its frame masks are those pairs
-    folded; views export no tables and carry their run's masks."""
+    folded; views carry their run's masks."""
+    exported = {}  # id(run) -> the node states and tops it hands its masks
+    result = reach._BaseEngine._result
+
+    def recorded(engine, tops=None):
+        res = result(engine, tops)
+        exported[id(res)] = engine.states, tops
+        return res
+
+    monkeypatch.setattr(reach._BaseEngine, "_result", recorded)
     results = []  # (label, program, result, its roots or None for a view)
     for name in BUNDLE_NAMES:
         bundle = load_bundle(bundles_dir / name)
@@ -608,13 +624,13 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
         summaries, tops, balanced = _naive_closure(res.dsg, roots or ())
         if set(res.dsg.epsilon_summaries) != summaries:
             mismatches.append(f"{label}: summaries")
+        assert res.masks is not None
         if roots is None:
-            assert res.tables is None and res.view_bit is not None
-            assert res.masks is not None
+            assert res.view_bit is not None
         else:
             want = _naive_exported_tops(program, tops, balanced)
-            masks = reach.RootMasks(res)
-            if _exported_tops(res) != want:
+            masks = res.masks
+            if _exported_tops(*exported[id(res)]) != want:
                 mismatches.append(f"{label}: exported tops")
             if _frame_masks(masks) != _naive_frame_masks(masks, want):
                 mismatches.append(f"{label}: frame masks")
@@ -632,6 +648,33 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
     assert sum(roots is not None for *_r, roots in results) > 3 * len(
         BUNDLE_NAMES) + 2
     assert any(res.dsg.epsilon_summaries for _l, _p, res, _r in results)
+
+
+def test_finite_root_masks_equal_forward_search(bundles_dir, tmp_path,
+                                                monkeypatch):
+    """Each node's mask in a finite fixpoint run holds exactly the roots
+    that reach it by forward search over every edge: shipped bundles at k
+    0-2, the synth bundles of ``bench/reference.json`` at their k."""
+    cases = []  # (label, bundle, units, k)
+    for name in BUNDLE_NAMES:
+        bundle = load_bundle(bundles_dir / name)
+        units = eps.discover_entry_points(bundle, bundle.program)
+        cases += [(f"{name} k={k}", bundle, units, k) for k in (0, 1, 2)]
+    cases += _reference_bundles(tmp_path, monkeypatch)
+    for label, bundle, units, k in cases:
+        refs = [ep.method_ref for unit in units for ep in unit.entry_points]
+        res, _shared = _finite_fixpoint(bundle.program, refs, k,
+                                        bundle.summaries)
+        masks, succ = res.masks, {}
+        for e in res.dsg.edges:
+            succ.setdefault(e.src, set()).add(e.dst)
+        want = dict.fromkeys(res.dsg.nodes, 0)
+        for ref in refs:
+            root = ControlState(StmtPos(ref, 0), frame_pointer_zero(ref))
+            for n in _reached(root, succ):
+                want[n] |= 1 << masks.bits[root]
+        assert dict(zip(masks.states, masks.node)) == want, label
+        assert all(want.values()) and masks.frames == {}, label
 
 
 @pytest.mark.parametrize("mode", ["pushdown", "finite"])
@@ -657,8 +700,7 @@ def test_tree_breaks_ties_by_sorted_edges(mode):
     a, b, c, d = (ControlState(StmtPos(RUN, i), frame_pointer_zero(RUN))
                   for i in range(4))
     dsg = DyckStateGraph()
-    for n in (a, b, c, d):
-        dsg.add_node(n)
+    dsg.nodes.update(dict.fromkeys((a, b, c, d)))
     for src, dst in ((a, c), (a, b), (c, d), (b, d)):
         dsg.add_edge(Edge(src, NOOP, None, dst))
     res = SimpleNamespace(dsg=dsg, mode=mode)
