@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__, eps, permissions as perms_mod, report as report_mod
 from .ir import ParseError, Program, parse_program
 from .machine import INT_CONSTANT_BUDGET, MalformedState
-from .reach import AnalysisConfig, Budget, FINITE, PUSHDOWN
+from .reach import AnalysisConfig, FINITE, PUSHDOWN
 from .taint import (SummaryFormatError, SummaryTable, extract_findings,
                     parse_summaries)
 
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
         cfg = AnalysisConfig(
             mode=args.mode, k=args.k, heap_context=args.heap_context,
             max_states=args.max_states, max_seconds=args.max_seconds)
-        budget = Budget(cfg)  # the deadline counts parsing too
+        deadline = cfg.deadline()  # it counts parsing too
         bundle = load_bundle(args.bundle)
         where = report_mod.parse_predicate(args.where) if args.where else None
         predicate = report_mod.conjoin(bundle.predicates + [where])
@@ -252,8 +252,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        return _analyze(bundle, cfg, budget, predicate, units, Path(args.out),
-                        t0)
+        return _analyze(bundle, cfg, deadline, predicate, units,
+                        Path(args.out), t0)
     except MalformedState as exc:
         print(f"pdcfa: malformed program state: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -265,12 +265,12 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _analyze(bundle: AppBundle, cfg: AnalysisConfig, budget: Budget,
+def _analyze(bundle: AppBundle, cfg: AnalysisConfig, deadline: float,
              predicate, units, outdir: Path, t0: float) -> int:
     """Saturate, extract findings and write the reports; the output
     directory is made only once every report is built."""
     _store, _taint, trace = eps.saturate_app(
-        bundle.program, units, cfg, bundle.summaries, budget=budget)
+        bundle.program, units, cfg, bundle.summaries, deadline=deadline)
     results = trace.results
     findings = extract_findings(results)
     collected = perms_mod.collect_permissions(results)
@@ -283,8 +283,11 @@ def _analyze(bundle: AppBundle, cfg: AnalysisConfig, budget: Budget,
                                            bundle.program, meta)
     perm_doc = report_mod.emit_permission_report(preport, bundle.program, meta)
     heat_doc = report_mod.emit_heat_map(results, bundle.program, meta)
-    dot_text = report_mod.export_graph(results, findings, bundle.program)
-    results = trace.results = None  # the JSON writer need not hold the views
+    # the views together hold the fixpoint run's graph; a stopped run has none
+    dot_text = report_mod.export_graph(
+        [trace.fixpoint] if trace.complete else [], findings, bundle.program)
+    # the JSON writer need not hold the views or the fixpoint graph
+    results = trace.results = trace.fixpoint = None
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "flow_report.json").write_bytes(

@@ -64,11 +64,14 @@ class Unit:
 
 @dataclass
 class SaturationTrace:
-    results: list  # entry-point views (AnalysisResults), in declared order
+    fixpoint: reach.AnalysisResult  # the app-wide run
+    # its entry-point views (AnalysisResults), in declared order; none if it
+    # stopped at a limit
+    results: list
     # 2 when the fixpoint run grew the seeded store pair, 1 when it did not
     global_rounds: int
-    complete: bool = True
-    limit_reason: str | None = None
+    complete: bool  # the fixpoint run's, as is limit_reason
+    limit_reason: str | None
 
 
 def discover_entry_points(bundle, program: Program) -> list:
@@ -112,37 +115,31 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                  summaries: SummaryTable | None = None,
                  init_store: Store | None = None,
                  init_taint: TaintStore | None = None,
-                 budget: reach.Budget | None = None) -> tuple:
+                 deadline: float | None = None) -> tuple:
     """One app-wide fixpoint run, then one view of it per entry point.
 
     Returns (store, taint, trace): the saturated store pair, and each entry
     point's view, in declared order. Optional seeds support re-running
     saturation from its own output (a fixpoint check).
 
-    ``cfg.max_seconds`` and ``cfg.max_states`` bound the whole saturation:
-    the fixpoint run and the views share one deadline and one running count
-    of the states they hold. A fixpoint run that passes either ends
-    saturation with ``complete=False`` and no entry results. Each view is
-    checked against both limits before it is built and once it is: a view
-    that passes either is not emitted, and saturation ends with the views
-    before it. A caller that passes its own ``budget`` (made before parsing,
-    say) bounds its earlier work with the same deadline.
+    ``cfg.max_states`` and ``deadline`` (``cfg.deadline()``, made when the
+    run starts, if None) bound the fixpoint run, as in ``reach.analyze``; a
+    caller that makes the deadline earlier (before parsing, say) bounds its
+    earlier work with it too. A fixpoint run that stops at either limit
+    ends saturation incomplete, with no views. A complete one gets every
+    view: views build no state, so no limit applies to them.
     """
     if not units:
         raise EmptyUnit("no units declared")
-    summaries = summaries or SummaryTable([])
     store = init_store.copy() if init_store is not None else Store()
     taint = init_taint.copy() if init_taint is not None else TaintStore()
-    shared = reach.FiniteShared() if cfg.mode == reach.FINITE else None
-    if budget is None:
-        budget = reach.Budget(cfg)  # bounds the whole saturation, not one run
     entries = [(unit, ep) for unit in units for ep in unit.entry_points]
     for _unit, ep in entries:
         machine.seed_entry_bindings(program, ep.method_ref, store, taint)
     seeded = (store.fingerprint(), taint.fingerprint())
     fixpoint = reach.analyze(program,
                              tuple(ep.method_ref for _unit, ep in entries),
-                             store, taint, cfg, summaries, shared, budget)
+                             store, taint, cfg, summaries, deadline=deadline)
     store, taint = fixpoint.final_store, fixpoint.final_taint
     rounds = 1 if (store.fingerprint(), taint.fingerprint()) == seeded else 2
     if log.isEnabledFor(logging.INFO):
@@ -150,24 +147,14 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
         log.info("fixpoint run: %d states, %d edges, %d epsilon summaries, "
                  "globalRounds %d", len(dsg.nodes), len(dsg.edges),
                  len(dsg.epsilon_summaries), rounds)
+    trace = SaturationTrace(fixpoint, [], rounds, fixpoint.complete,
+                            fixpoint.limit_reason)
     if not fixpoint.complete:
-        return store, taint, SaturationTrace(
-            [], rounds, complete=False, limit_reason=fixpoint.limit_reason)
-
-    results, reason = [], None
+        return store, taint, trace
     for unit, ep in entries:
-        reason = budget.limit_hit(0)
-        if reason is None:
-            result = reach.entry_view(fixpoint, ep.method_ref)
-            reason = budget.limit_hit(len(result.dsg.nodes))
-        if reason is not None:
-            break
-        budget.states_used += len(result.dsg.nodes)
+        result = reach.entry_view(fixpoint, ep.method_ref)
         result.trigger = TriggerContext(unit.name, unit.label(ep))
-        results.append(result)
-    log.info("views: %d of %d emitted, their %d nodes charged against "
-             "max-states (%d of %d used)", len(results), len(entries),
-             sum(len(r.dsg.nodes) for r in results), budget.states_used,
-             budget.max_states)
-    return store, taint, SaturationTrace(
-        results, rounds, complete=reason is None, limit_reason=reason)
+        trace.results.append(result)
+    log.info("views: %d, %d nodes", len(trace.results),
+             sum(len(r.dsg.nodes) for r in trace.results))
+    return store, taint, trace

@@ -12,7 +12,7 @@ class PermissionReport:
     over_privileged: frozenset  # requested but never reached
     missing: frozenset  # reached but never requested
     evidence: dict  # permission -> tuple of (ControlState, line)
-    lower_bound: bool = False  # analysis hit a budget; reached is partial
+    lower_bound: bool = False  # analysis hit a limit; reached is partial
 
 
 def collect_permissions(results) -> list:

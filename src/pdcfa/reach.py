@@ -166,6 +166,11 @@ class AnalysisConfig:
     def policy(self) -> AllocPolicy:
         return AllocPolicy(self.k, self.heap_context)
 
+    def deadline(self) -> float:
+        """A deadline ``max_seconds`` from now, on the clock the engines
+        check it against."""
+        return time.monotonic() + self.max_seconds
+
 
 @dataclass
 class AnalysisResult:
@@ -182,9 +187,8 @@ class AnalysisResult:
     config: AnalysisConfig
     trigger: TriggerContext
     # a complete run's masks, None if it stopped at a limit; a view carries
-    # its run's masks and its root's bit
+    # its run's masks
     masks: RootMasks | None = None
-    view_bit: int | None = None
 
     def node_set(self) -> frozenset:
         return frozenset(self.dsg.nodes)
@@ -194,30 +198,6 @@ class AnalysisResult:
 
     def sink_applications(self) -> list:
         return [a for a in self.applications if a.sink_hits]
-
-
-class Budget:
-    """Resource limits shared by every engine run and view of one analysis.
-
-    One deadline, fixed when the budget is made, and one running count of
-    the states that finished runs and emitted views hold; a run stops once
-    that count plus its own states passes ``max_states`` or the deadline
-    passes.
-    """
-
-    def __init__(self, cfg: AnalysisConfig):
-        self.deadline = time.monotonic() + cfg.max_seconds
-        self.max_states = cfg.max_states
-        self.states_used = 0
-
-    def limit_hit(self, states: int) -> str | None:
-        """The limit passed by ``states`` more states, or by the clock now;
-        None when neither is."""
-        if self.states_used + states > self.max_states:
-            return "max-states"
-        if time.monotonic() > self.deadline:
-            return "max-seconds"
-        return None
 
 
 class _Recorder:
@@ -261,11 +241,14 @@ class _BaseEngine:
     first becomes a node: the graph's node dict maps it to its id, and the
     node table's lists and successor maps are keyed by id. ``succ`` holds
     what a root's reach crosses besides push edges, ``pushes`` those.
+
+    The run stops, incomplete, at a worklist pop once its graph holds more
+    than ``cfg.max_states`` nodes or the clock has passed ``deadline``.
     """
 
     def __init__(self, program: Program, entries: tuple, init_store: Store,
                  init_taint: TaintStore, cfg: AnalysisConfig,
-                 summaries: SummaryTable, budget: Budget | None):
+                 summaries: SummaryTable, deadline: float):
         for entry in entries:
             if entry not in program.methods:
                 raise machine.ResolveError(f"unknown entry {entry.sig()}")
@@ -274,7 +257,7 @@ class _BaseEngine:
         self.cfg = cfg
         self.policy = cfg.policy()
         self.summaries = summaries
-        self.budget = budget if budget is not None else Budget(cfg)
+        self.deadline = deadline
         self.roots = [machine.state_at(program.starts[e],
                                        frame_pointer_zero(e))
                       for e in entries]
@@ -299,8 +282,11 @@ class _BaseEngine:
         for root in self.roots:
             self._add_root(root)
         while self.worklist:
-            self.limit_reason = self.budget.limit_hit(len(self.dsg.nodes))
-            if self.limit_reason is not None:
+            if len(self.dsg.nodes) > self.cfg.max_states:
+                self.limit_reason = "max-states"
+                break
+            if time.monotonic() > self.deadline:
+                self.limit_reason = "max-seconds"
                 break
             item = self.worklist.pop()
             self.pending.discard(item)
@@ -349,7 +335,6 @@ class _BaseEngine:
         table and the pushdown ``tops`` of stack-dependent nodes."""
         self.store.on_read = self.store.on_grow = None
         self.taint.on_read = self.taint.on_grow = None
-        self.budget.states_used += len(self.dsg.nodes)
         applications = self.recorder.applications()
         complete = self.limit_reason is None
         return AnalysisResult(
@@ -530,10 +515,9 @@ class _FiniteEngine(_BaseEngine):
     catching frames change."""
 
     def __init__(self, program, entries, init_store, init_taint, cfg,
-                 summaries, shared: FiniteShared | None,
-                 budget: Budget | None):
+                 summaries, shared: FiniteShared | None, deadline: float):
         super().__init__(program, entries, init_store, init_taint, cfg,
-                         summaries, budget)
+                         summaries, deadline)
         self.shared = shared if shared is not None else FiniteShared()
         self.entry_fps = {root.fp for root in self.roots}
         self._return_deps: dict = {}  # fp -> {state: None}
@@ -684,24 +668,26 @@ def analyze(program: Program, entry, init_store: Store,
             init_taint: TaintStore, cfg: AnalysisConfig,
             summaries: SummaryTable | None = None,
             shared: FiniteShared | None = None,
-            budget: Budget | None = None) -> AnalysisResult:
+            deadline: float | None = None) -> AnalysisResult:
     """Run the engine ``cfg.mode`` names from ``entry``, a method or a
     tuple of methods.
 
     A tuple makes one run whose roots are every method's initial state; its
-    result's ``entry`` and ``initial_state`` are the first root's. Without
-    a ``budget`` the run gets its own, so ``cfg``'s limits bound this run
-    alone. ``shared`` carries the finite engine's flow facts between runs; the
-    pushdown engine needs none.
+    result's ``entry`` and ``initial_state`` are the first root's. The run
+    stops at ``cfg.max_states`` states or at ``deadline``, a reading of
+    this module's ``time.monotonic`` (``cfg.deadline()``, made now, when
+    None). ``shared`` carries the finite engine's flow facts between runs;
+    the pushdown engine needs none.
     """
     entries = entry if isinstance(entry, tuple) else (entry,)
     summaries = summaries or SummaryTable([])
+    deadline = cfg.deadline() if deadline is None else deadline
     if cfg.mode == FINITE:
         engine = _FiniteEngine(program, entries, init_store, init_taint, cfg,
-                               summaries, shared, budget)
+                               summaries, shared, deadline)
     else:
         engine = _PushdownEngine(program, entries, init_store, init_taint,
-                                 cfg, summaries, budget)
+                                 cfg, summaries, deadline)
     return engine.run()
 
 
@@ -713,10 +699,10 @@ def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
     from a view node puts on top of the popping node over a balanced
     path."""
     root = ControlState(StmtPos(entry, 0), frame_pointer_zero(entry))
-    bit, nodes, frames, visits, apps = run.masks.view(root)
+    nodes, frames, visits, apps = run.masks.view(root)
     return replace(run, entry=entry, initial_state=root,
                    dsg=run.dsg.window(nodes, frames), visit_counts=visits,
-                   applications=apps, view_bit=bit,
+                   applications=apps,
                    trigger=TriggerContext("<direct>", entry.sig()))
 
 
@@ -745,11 +731,12 @@ class RootMasks:
     node, frame) of ``tops`` gets the OR of the masks of the push sources
     that put the frame there, or for the empty stack, None, the bits of
     the roots with a balanced path to the node. Made from a complete run's
-    node table when the run ends. A root's view is what holds its bit."""
+    node table when the run ends. A root's view is what holds its bit;
+    the views of all the roots together hold the whole graph."""
 
     def __init__(self, engine: _BaseEngine, applications: list,
                  tops: dict | None):
-        self.graph, self.applications = engine.dsg, applications
+        self.applications = applications
         self.states, ids = engine.states, engine.dsg.nodes
         self.pushdown = tops is not None
         adj = [engine.succ.get(i, ()) for i in range(len(self.states))]
@@ -783,8 +770,8 @@ class RootMasks:
                                     enumerate(self.applications)), width)
 
     def view(self, root: ControlState) -> tuple:
-        """``root``'s bit and its view's nodes, pop frames (None if finite),
-        visit counts (its frames at a node, or 1) and applications."""
+        """The nodes, pop frames (None if finite), visit counts (its frames
+        at a node, or 1) and applications of ``root``'s view."""
         bit = self.bits.get(root)
         if bit is None:
             raise ValueError(f"{root.describe()} is not a root of the run")
@@ -797,17 +784,8 @@ class RootMasks:
         visits = dict.fromkeys(nodes, 1)
         visits.update((s, len(held)) for s, held in frames.items())
         apps = chain.from_iterable(self._app_groups[bit])
-        return (bit, nodes, frames if self.pushdown else None, visits,
+        return (nodes, frames if self.pushdown else None, visits,
                 [self.applications[i] for i in sorted(apps)])
-
-    def window(self, bits: int) -> DyckStateGraph:
-        """The views of ``bits`` read as one window onto the graph."""
-        states, node = self.states, self.node
-        frames = {states[t]: {f: None for f, fm in fs if fm & bits}
-                  for t, fs in self.frames.items() if node[t] & bits}
-        return self.graph.window(
-            {states[i]: None for i, m in enumerate(node) if m & bits},
-            frames if self.pushdown else None)
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:
     per_method: dict = {}
     for res in results:
         for state, count in res.visit_counts.items():
-            if count == 0:  # discovered but unprocessed (budget break)
+            if count == 0:  # discovered but unprocessed (stopped at a limit)
                 continue
             key = (state.pos.method, state.pos.index)
             per_stmt[key] = per_stmt.get(key, 0) + count
@@ -252,22 +252,6 @@ def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _graph_union(results) -> tuple:
-    """``results``' nodes and edges; the views of one run are read as one
-    window onto its graph, over the OR of their bits."""
-    graphs, views = [], {}
-    for res in results:
-        if res.view_bit is None:
-            graphs.append(res.dsg)
-        else:
-            views[res.masks] = views.get(res.masks, 0) | 1 << res.view_bit
-    nodes, edges = {}, {}
-    for dsg in graphs + [masks.window(bits) for masks, bits in views.items()]:
-        nodes.update(dsg.nodes)
-        edges.update(dsg.edges)
-    return nodes, edges
-
-
 # stack action -> DOT edge label
 _EDGE_LABELS = {NOOP: "ε", PUSH: "push", POP: "pop"}
 
@@ -284,7 +268,10 @@ def export_graph(results, findings, program) -> str:
     """The reachable control-state graph of a list of results in DOT,
     sources/sinks and witness paths highlighted; stack actions label the
     edges (push / pop / ε)."""
-    nodes, edges = _graph_union(results)
+    nodes, edges = {}, {}
+    for res in results:
+        nodes.update(res.dsg.nodes)
+        edges.update(res.dsg.edges)
     apps = [a for res in results for a in res.applications]
     source_states = {a.state for a in apps if a.source_categories}
     sink_states = {a.state for a in apps if a.sink_hits}

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import ValidationError
 
-from pdcfa import cli, reach
+from pdcfa import cli, eps, reach, report as report_mod
 from pdcfa.cli import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -26,6 +27,7 @@ from pdcfa.cli import (
     load_bundle,
     main,
 )
+from pdcfa.taint import extract_findings
 from schemas import validate_document
 
 REPORT_FILES = ("flow_report.json", "permissions_report.json",
@@ -320,7 +322,7 @@ def _assert_partial(out, reason):
     assert perm["lowerBound"] is True
 
 
-def _count_runs(monkeypatch, before_run=None):
+def _count_runs(monkeypatch):
     """Wrap the engine entry point and the entry-point view; return the
     list of the state count of each fixpoint run and view, filled in as
     they finish."""
@@ -328,8 +330,6 @@ def _count_runs(monkeypatch, before_run=None):
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            if before_run is not None:
-                before_run()
             result = fn(*args, **kwargs)
             sizes.append(len(result.dsg.nodes))
             return result
@@ -340,19 +340,81 @@ def _count_runs(monkeypatch, before_run=None):
     return sizes
 
 
-def test_max_states_bounds_the_whole_saturation(bundles_dir, tmp_path,
-                                                monkeypatch):
-    sizes = _count_runs(monkeypatch)
-    code, _ = _run(bundles_dir, tmp_path / "full", "photoquote_exception")
+EMPTY_DOT = ('digraph reachable_states {\n  rankdir=LR;\n'
+             '  node [shape=box, fontname="monospace", fontsize=9];\n}\n')
+
+
+def _assert_stopped_in_fixpoint_run(out):
+    """A run stopped inside its fixpoint run has no views: no findings and
+    an empty graph."""
+    flow = json.loads((out / "flow_report.json").read_text())
+    assert flow["findingCount"] == 0
+    assert (out / "state_graph.dot").read_text() == EMPTY_DOT
+
+
+def test_max_states_bounds_the_fixpoint_run(bundles_dir, tmp_path):
+    """photoquote_full's pushdown fixpoint run at k=1 builds 63 states: a
+    limit of 63 lets the run complete, and 62 stops it."""
+    args = ("photoquote_full", "--mode", "pushdown", "--k", "1")
+    code, _ = _run(bundles_dir, tmp_path / "fits", *args,
+                   "--max-states", "63")
     assert code == EXIT_FINDINGS
-    limit = max(sizes)  # every run fits, the runs together do not
-    assert sum(sizes) > limit
-    sizes.clear()
-    code, out = _run(bundles_dir, tmp_path, "photoquote_exception",
-                     "--max-states", str(limit))
+    code, out = _run(bundles_dir, tmp_path, *args, "--max-states", "62")
     assert code == EXIT_RESOURCE_LIMIT
     _assert_partial(out, "max-states")
-    assert sum(sizes[:-1]) <= limit < sum(sizes)
+    _assert_stopped_in_fixpoint_run(out)
+
+
+@pytest.mark.parametrize("mode, limit", [
+    ("pushdown", 101), ("pushdown", 134), ("finite", 145)])
+def test_max_states_counts_the_fixpoint_run_not_its_views(
+        bundles_dir, tmp_path, monkeypatch, mode, limit):
+    """photoquote_full's fixpoint run at k=1 (63 states pushdown, 87
+    finite) fits under ``limit``, although it and its six views hold more
+    nodes together: views build no state, so the run completes. Its DOT is
+    the unlimited run's, byte for byte, and its JSON reports are that run's
+    but for the ``maxStates`` echo."""
+    args = ("photoquote_full", "--mode", mode, "--k", "1")
+    code, full = _run(bundles_dir, tmp_path / "full", *args)
+    assert code == EXIT_FINDINGS
+    sizes = _count_runs(monkeypatch)
+    code, out = _run(bundles_dir, tmp_path, *args,
+                     "--max-states", str(limit))
+    assert code == EXIT_FINDINGS
+    assert len(sizes) == 1 + 6 and sizes[0] <= limit < sum(sizes)
+    assert ((out / "state_graph.dot").read_bytes()
+            == (full / "state_graph.dot").read_bytes())
+    for name in REPORT_FILES[:3]:
+        want = (full / name).read_bytes()
+        assert want.count(b'"maxStates": 500000,') == 1, name
+        want = want.replace(b'"maxStates": 500000,',
+                            b'"maxStates": %d,' % limit)
+        assert (out / name).read_bytes() == want, name
+    metas = [json.loads((run / "run_meta.json").read_text())
+             for run in (full, out)]
+    for meta in metas:
+        del meta["elapsedSeconds"], meta["config"]["maxStates"]
+    assert metas[0] == metas[1]
+
+
+def _stop_after_views(monkeypatch, views):
+    """Wrap ``eps.saturate_app`` so the CLI gets a saturation stopped at
+    ``max-states`` after the first ``views`` views of its complete fixpoint
+    run, as the limit left it when views were charged against it. Returns
+    a namespace that receives the program and every view of that run."""
+    seen = SimpleNamespace()
+    saturate = eps.saturate_app
+
+    def stopped(program, *args, **kwargs):
+        store, taint, trace = saturate(program, *args, **kwargs)
+        assert trace.complete
+        seen.program, seen.views = program, list(trace.results)
+        return store, taint, replace(trace, results=trace.results[:views],
+                                     complete=False,
+                                     limit_reason="max-states")
+
+    monkeypatch.setattr(eps, "saturate_app", stopped)
+    return seen
 
 
 @pytest.mark.parametrize("mode, limit, views, witness, digest", [
@@ -366,19 +428,23 @@ def test_max_states_bounds_the_whole_saturation(bundles_dir, tmp_path,
 def test_dot_of_a_saturation_stopped_between_views_is_pinned(
         bundles_dir, tmp_path, monkeypatch, mode, limit, views, witness,
         digest):
-    """The budget admits the fixpoint run and the first ``views`` of the six
-    views; the next one passes it and is not emitted. The DOT of those
-    views keeps the bytes pinned before views became windows onto the
-    fixpoint graph. In the first case some view nodes pop to nodes outside
-    every emitted view, so only the views' pop frames keep those edges out;
-    in the others a witness is highlighted."""
+    """When views were charged against ``limit``, the fixpoint run and its
+    first ``views`` views fit under it and the next did not, so saturation
+    stopped between views. The run now completes; ``export_graph`` of those
+    views, a plain union of their windows, keeps the DOT bytes the bit-OR
+    window drew then. In the first case some view nodes pop to nodes
+    outside every one of the views, so only the views' pop frames keep
+    those edges out; in the others a witness is highlighted."""
+    seen = _stop_after_views(monkeypatch, views)
     sizes = _count_runs(monkeypatch)
-    code, out = _run(bundles_dir, tmp_path, "photoquote_full", "--mode",
-                     mode, "--k", "1", "--max-states", str(limit))
+    code, _ = _run(bundles_dir, tmp_path, "photoquote_full", "--mode", mode,
+                   "--k", "1", "--max-states", str(limit))
     assert code == EXIT_RESOURCE_LIMIT
-    _assert_partial(out, "max-states")
-    assert len(sizes) == 1 + views + 1
-    dot = (out / "state_graph.dot").read_bytes()
+    assert len(sizes) == 1 + 6
+    assert sum(sizes[:1 + views]) <= limit < sum(sizes[:2 + views])
+    shown = seen.views[:views]
+    dot = report_mod.export_graph(shown, extract_findings(shown),
+                                  seen.program).encode()
     assert (b'witness="1"' in dot) is witness
     assert hashlib.sha256(dot).hexdigest() == digest
 
@@ -398,36 +464,45 @@ def test_dot_of_a_saturation_stopped_between_views_is_pinned(
         "2f0fc10b407b7e110ddb730972849adc5bd812d73c87d656bcc59bf0ce782404")),
 ])
 def test_reports_of_a_saturation_stopped_between_views_are_pinned(
-        bundles_dir, tmp_path, mode, limit, digests):
-    """The JSON reports of the runs whose DOT
-    ``test_dot_of_a_saturation_stopped_between_views_is_pinned`` pins: the
-    heat map counts the visits of the emitted views alone, and the flow and
-    permissions reports read those views only."""
+        bundles_dir, tmp_path, monkeypatch, mode, limit, digests):
+    """The JSON reports the CLI writes for the views whose DOT
+    ``test_dot_of_a_saturation_stopped_between_views_is_pinned`` pins, when
+    saturation hands it those views alone and a stop at ``max-states``:
+    the heat map counts the visits of those views only, and the flow and
+    permissions reports read those views only, as when the view charge
+    stopped these runs there."""
+    views = {101: 3, 134: 5, 145: 3}[limit]
+    _stop_after_views(monkeypatch, views)
     code, out = _run(bundles_dir, tmp_path, "photoquote_full", "--mode",
                      mode, "--k", "1", "--max-states", str(limit))
     assert code == EXIT_RESOURCE_LIMIT
+    _assert_partial(out, "max-states")
     assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                  for name in REPORT_FILES[:3]) == digests
 
 
-def test_max_seconds_bounds_the_whole_saturation(bundles_dir, tmp_path,
-                                                 monkeypatch):
-    """The fixpoint run and each view start one second after the one
-    before on a patched clock; a 2.5 s budget runs out during the third,
-    whose view is not emitted."""
+def test_max_seconds_bounds_the_fixpoint_run(bundles_dir, tmp_path,
+                                             monkeypatch):
+    """On a clock that advances one second per reading, the deadline is
+    made from one reading before parsing and checked at each worklist pop:
+    a 10 s limit passes during photoquote_full's fixpoint run, which stops
+    there with no views."""
     now = [0.0]
 
     def tick():
         now[0] += 1.0
+        return now[0]
 
-    monkeypatch.setattr(reach, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    sizes = _count_runs(monkeypatch, before_run=tick)
-    code, out = _run(bundles_dir, tmp_path, "photoquote_exception",
-                     "--max-seconds", "2.5")
+    monkeypatch.setattr(reach, "time", SimpleNamespace(monotonic=tick))
+    sizes = _count_runs(monkeypatch)
+    code, out = _run(bundles_dir, tmp_path, "photoquote_full",
+                     "--max-seconds", "10")
     assert code == EXIT_RESOURCE_LIMIT
     _assert_partial(out, "max-seconds")
-    assert len(sizes) == 3
-
+    _assert_stopped_in_fixpoint_run(out)
+    assert len(sizes) == 1 and sizes[0] < 63
+    # one reading makes the deadline, ten pass at pops, the next stops
+    assert now[0] == 12
 
 
 def test_max_seconds_counts_parsing(bundles_dir, tmp_path, monkeypatch):
@@ -613,24 +688,19 @@ def test_log_env_var(bundles_dir, tmp_path):
     assert (out / "flow_report.json").is_file()
 
 
-@pytest.mark.parametrize("limit, emitted, charged", [
-    (None, 6, 72), ("134", 5, 63)])
 def test_saturation_logs_the_fixpoint_run_and_the_views(
-        bundles_dir, tmp_path, caplog, limit, emitted, charged):
+        bundles_dir, tmp_path, caplog):
     """At INFO, ``pdcfa.eps`` logs the fixpoint run's size and rounds and
-    then how many views were emitted and what they were charged against
-    ``--max-states``; a stopped run logs the views it emitted. Logging
-    moves no report byte."""
-    extra = ["--max-states", limit] if limit else []
-    _run(bundles_dir, tmp_path / "quiet", "photoquote_full", *extra)
+    then how many views it has and their summed nodes. Logging moves no
+    report byte."""
+    _run(bundles_dir, tmp_path / "quiet", "photoquote_full")
     caplog.set_level(logging.INFO, logger="pdcfa.eps")
-    _run(bundles_dir, tmp_path / "logged", "photoquote_full", *extra)
+    _run(bundles_dir, tmp_path / "logged", "photoquote_full")
     assert [r.getMessage() for r in caplog.records
             if r.name == "pdcfa.eps"] == [
         "fixpoint run: 63 states, 62 edges, 6 epsilon summaries, "
         "globalRounds 2",
-        f"views: {emitted} of 6 emitted, their {charged} nodes charged "
-        f"against max-states ({63 + charged} of {limit or 500000} used)"]
+        "views: 6, 72 nodes"]
     for name in REPORT_FILES:
         assert ((tmp_path / "quiet" / "out" / name).read_bytes()
                 == (tmp_path / "logged" / "out" / name).read_bytes()), name

@@ -318,21 +318,32 @@ def _result_parts(result) -> tuple:
 def _saturate_recorded(monkeypatch, program, units, cfg, summaries) -> tuple:
     """Saturate, recording every engine run and view. Returns the store, the
     taint store, the trace, and each call's (bound arguments, result), the
-    fixpoint run's first."""
-    calls = []
+    fixpoint run's first; an engine run's ``shared`` argument is set to the
+    flow facts the run grew (None under pushdown)."""
+    calls, facts = [], {}
     analyze, entry_view = reach.analyze, reach.entry_view
+    result_of = reach._BaseEngine._result
+
+    def kept(engine, *args):
+        result = result_of(engine, *args)
+        facts[id(result)] = getattr(engine, "shared", None)
+        return result
 
     def recorded(fn):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
             bound = inspect.signature(fn).bind(*args, **kwargs)
+            if fn is analyze:
+                bound.arguments["shared"] = facts[id(result)]
             calls.append((bound.arguments, result))
             return result
         return wrapper
 
+    monkeypatch.setattr(reach._BaseEngine, "_result", kept)
     monkeypatch.setattr(reach, "analyze", recorded(analyze))
     monkeypatch.setattr(reach, "entry_view", recorded(entry_view))
     store, taint, trace = saturate_app(program, units, cfg, summaries)
+    monkeypatch.setattr(reach._BaseEngine, "_result", result_of)
     monkeypatch.setattr(reach, "analyze", analyze)
     monkeypatch.setattr(reach, "entry_view", entry_view)
     assert trace.complete
@@ -346,7 +357,7 @@ def _assert_views_equal_plain_runs(program, calls, cfg, summaries):
     for _args, view in views:
         plain = reach.analyze(program, view.entry, fixpoint.final_store,
                               fixpoint.final_taint, cfg, summaries,
-                              fix_args.get("shared"))
+                              fix_args["shared"])
         assert _result_parts(view) == _result_parts(plain), view.entry.sig()
 
 
@@ -650,8 +661,7 @@ def test_views_from_root_masks_equal_the_walk_they_replace(
     """Every view's nodes, pop frames, visit counts and applications equal
     the reference walk's. A root that is a node of another root's view puts
     its empty stack on its own view alone. The heat map and the DOT of the
-    first views, as a run stopped between views emits them, equal those of
-    the walk's views; an entry point declared by two units is counted
+    first views equal those of the walk's views; an entry point declared by two units is counted
     twice in the heat map, as two views."""
     shadowed = 0  # empty-stack tops of a root, in another root's view
     for label, program, units, k, summaries in _mask_cases(
@@ -676,7 +686,7 @@ def test_views_from_root_masks_equal_the_walk_they_replace(
         for n in sorted({1, len(views) // 2, len(views)}):
             walked = [SimpleNamespace(
                 dsg=run.dsg.window(nodes, frames), visit_counts=visits,
-                applications=apps, view_bit=None)
+                applications=apps)
                 for nodes, frames, visits, apps in
                 (refs[v.entry] for v in views[:n])]
             assert (emit_heat_map(views[:n], program, top_n=10**6)

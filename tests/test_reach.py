@@ -625,9 +625,7 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
         if set(res.dsg.epsilon_summaries) != summaries:
             mismatches.append(f"{label}: summaries")
         assert res.masks is not None
-        if roots is None:
-            assert res.view_bit is not None
-        else:
+        if roots is not None:
             want = _naive_exported_tops(program, tops, balanced)
             masks = res.masks
             if _exported_tops(*exported[id(res)]) != want:
