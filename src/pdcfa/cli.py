@@ -10,6 +10,7 @@ engines' invocations; every other knob is shared.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -288,27 +289,37 @@ def _analyze(bundle: AppBundle, cfg: AnalysisConfig, deadline: float,
         [trace.fixpoint] if trace.complete else [], findings, bundle.program)
     # the JSON writer need not hold the views or the fixpoint graph
     results = trace.results = trace.fixpoint = None
+    written = []  # the files this run writes to: a failed write removes them
+
+    def create(name: str):
+        written.append(outdir / name)
+        return open(written[-1], "wb")
+
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "flow_report.json").write_bytes(
-            report_mod.to_json_bytes(flow_doc))
-        (outdir / "permissions_report.json").write_bytes(
-            report_mod.to_json_bytes(perm_doc))
-        (outdir / "heatmap.json").write_bytes(
-            report_mod.to_json_bytes(heat_doc))
-        (outdir / "state_graph.dot").write_text(dot_text, encoding="utf-8")
-        run_meta = {
-            **meta,
-            "schema": "run_meta",
-            "complete": trace.complete,
-            "limitReason": trace.limit_reason,
-            "globalRounds": trace.global_rounds,
-            "findingCount": flow_doc["findingCount"],
-            "elapsedSeconds": round(time.monotonic() - t0, 3),
-        }
-        (outdir / "run_meta.json").write_bytes(
-            report_mod.to_json_bytes(run_meta))
-    except OSError as exc:
+        for name, doc in (("flow_report.json", flow_doc),
+                          ("permissions_report.json", perm_doc),
+                          ("heatmap.json", heat_doc)):
+            with create(name) as fh:
+                report_mod.to_json_bytes(doc, fh)
+        with create("state_graph.dot") as fh:
+            fh.write(dot_text.encode("utf-8"))
+        with create("run_meta.json") as fh:
+            report_mod.to_json_bytes({
+                **meta,
+                "schema": "run_meta",
+                "complete": trace.complete,
+                "limitReason": trace.limit_reason,
+                "globalRounds": trace.global_rounds,
+                "findingCount": flow_doc["findingCount"],
+                "elapsedSeconds": round(time.monotonic() - t0, 3),
+            }, fh)
+    except Exception as exc:  # the write's own error decides the exit code
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        if not isinstance(exc, OSError):
+            raise
         print(f"pdcfa: error: cannot write reports to {outdir}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE

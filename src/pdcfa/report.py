@@ -9,7 +9,9 @@ and permission gaps; the tool never rules on maliciousness by itself.
 
 from __future__ import annotations
 
-import math
+import io
+import json
+import operator
 import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -121,24 +123,18 @@ def _atom_matches(atom: PredicateAtom, f) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _state_ref(program, state) -> dict:
-    return {
-        "class": state.pos.method.class_name,
-        "method": state.pos.method.method_name,
-        "line": program.line_of(state.pos),
-    }
-
-
 def emit_flow_report(findings, predicate, program, meta=None) -> dict:
     """Findings filtered by the predicate (all pass when absent)."""
     meta = meta or {}
     kept = [f for f in findings if predicate is None or predicate.matches(f)]
-    refs: dict = {}  # state -> its _state_ref, shared by every mention
+    refs: dict = {}  # state -> its ref dict, shared by every mention
 
     def ref(state) -> dict:
         r = refs.get(state)
         if r is None:
-            r = refs[state] = _state_ref(program, state)
+            r = refs[state] = {"class": state.pos.method.class_name,
+                               "method": state.pos.method.method_name,
+                               "line": program.line_of(state.pos)}
         return r
 
     # one trigger dict per trigger and one sink dict per (state, kind,
@@ -164,7 +160,7 @@ def emit_flow_report(findings, predicate, program, meta=None) -> dict:
             "category": f.category.value,
             "source": ref(f.source_state),
             "sink": sink,
-            "witness": [ref(s) for s in f.witness],
+            "witness": _Witness(f.segments, ref),
         })
     hints = []
     if kept:
@@ -182,6 +178,50 @@ def emit_flow_report(findings, predicate, program, meta=None) -> dict:
     }
     doc.update(meta)
     return doc
+
+
+class _Witness(list):
+    """A finding's witness in the flow report: its states' refs, read from
+    its shared segments when asked for; the JSON writer writes their text.
+    Its own list storage stays empty, so every list method that reads goes
+    through ``list(self)`` (below), and every one that would write raises."""
+
+    __slots__ = ("segments", "ref")
+
+    def __init__(self, segments, ref):
+        self.segments, self.ref = segments, ref
+
+    def __iter__(self):
+        return (self.ref(s) for states, _ in self.segments for s in states)
+
+    def __len__(self):
+        return sum(len(states) for states, _ in self.segments)
+
+    def __getitem__(self, i):
+        j = i if type(i) is int else -1  # an index from the front: no join
+        for states, _ in self.segments:
+            if 0 <= j < len(states):
+                return self.ref(states[j])
+            j -= len(states)
+        return list(self)[i]
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a flow report's witness cannot be changed")
+
+
+for _name, _read in (
+        ("__contains__", operator.contains), ("__eq__", operator.eq),
+        ("__ne__", operator.ne), ("__lt__", operator.lt), ("__le__", operator.le),
+        ("__gt__", operator.gt), ("__ge__", operator.ge), ("__mul__", operator.mul),
+        ("__rmul__", operator.mul), ("__add__", operator.add),
+        ("__radd__", lambda mine, other: other + mine), ("copy", list),
+        ("__reduce_ex__", lambda mine, _protocol: (list, (mine,))),
+        ("__reversed__", reversed), ("__repr__", repr), ("count", list.count),
+        ("index", list.index)):
+    setattr(_Witness, _name, lambda w, *a, _read=_read: _read(list(w), *a))
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append",
+              "clear", "extend", "insert", "pop", "remove", "reverse", "sort"):
+    setattr(_Witness, _name, _Witness._read_only)
 
 
 def emit_permission_report(preport: PermissionReport, program,
@@ -267,44 +307,51 @@ def _dot_quote(text: str) -> str:
 def export_graph(results, findings, program) -> str:
     """The reachable control-state graph of a list of results in DOT,
     sources/sinks and witness paths highlighted; stack actions label the
-    edges (push / pop / ε)."""
-    nodes, edges = {}, {}
-    for res in results:
-        nodes.update(res.dsg.nodes)
-        edges.update(res.dsg.edges)
+    edges (push / pop / ε). One pass over the sorted nodes writes each node
+    and its sorted out-edges; each position's, frame pointer's and frame's
+    text is made once, and each witness segment's steps are read once."""
+    graphs = [res.dsg for res in results]
     apps = [a for res in results for a in res.applications]
     source_states = {a.state for a in apps if a.source_categories}
     sink_states = {a.state for a in apps if a.sink_hits}
-    witness_edges = set()
-    witness_summaries = set()
-    for f in findings:
-        for step in f.witness_steps:
-            if step.kind == "summary":
-                witness_summaries.add((step.src, step.dst))
-            else:
-                witness_edges.add((step.src, step.kind, step.frame, step.dst))
+    steps = [s for seg in {id(seg): seg for f in findings
+                           for seg in f.segments}.values() for s in seg[1]]
+    witness_edges = {(s.src, s.kind, s.frame, s.dst) for s in steps
+                     if s.kind != "summary"}
+    witness_summaries = {(s.src, s.dst) for s in steps if s.kind == "summary"}
 
-    ordered = sorted(nodes, key=ControlState.sort_key)
+    ordered = sorted({n for g in graphs for n in g.nodes},
+                     key=ControlState.sort_key)
     ids = {n: f"n{i}" for i, n in enumerate(ordered)}
+    texts: dict = {None: ""}  # StmtPos, pointer or frame -> its DOT text
     lines = ["digraph reachable_states {",
              "  rankdir=LR;",
              '  node [shape=box, fontname="monospace", fontsize=9];']
+    edge_lines = []
     for n in ordered:
-        label = _dot_quote(
-            f"{n.pos.method.class_name}.{n.pos.method.method_name}"
-            f":{program.line_of(n.pos)}\\n@{n.pos.index}"
-            f"{'+move' if n.pos.at_move else ''} {n.fp.canonical()}")
+        pos, fp = texts.get(n.pos), texts.get(n.fp)
+        if pos is None:
+            m = n.pos.method
+            pos = texts[n.pos] = _dot_quote(
+                f"{m.class_name}.{m.method_name}:{program.line_of(n.pos)}"
+                f"\\n@{n.pos.index}{'+move' if n.pos.at_move else ''}")
+        if fp is None:
+            fp = texts[n.fp] = _dot_quote(n.fp.canonical())
         fill = _NODE_FILL.get((n in source_states, n in sink_states))
         style = f', style=filled, fillcolor="{fill}"' if fill else ""
-        lines.append(f'  {ids[n]} [label="{label}"{style}];')
-    for e in sorted(edges, key=Edge.sort_key):
-        label = _EDGE_LABELS[e.kind]
-        if e.frame is not None:
-            label += f" {_dot_quote(e.frame.canonical())}"
-        attrs = [f'label="{label}"']
-        if (e.src, e.kind, e.frame, e.dst) in witness_edges:
-            attrs += ['color="red"', "penwidth=2", 'witness="1"']
-        lines.append(f"  {ids[e.src]} -> {ids[e.dst]} [{', '.join(attrs)}];")
+        lines.append(f'  {ids[n]} [label="{pos} {fp}"{style}];')
+        # each graph's out-edges are sorted, but a union's are not together
+        for e in graphs[0].out_edges(n) if len(graphs) == 1 else sorted(
+                {e: None for g in graphs if n in g.nodes
+                 for e in g.out_edges(n)}, key=Edge.sort_key):
+            frame = texts.get(e.frame)
+            if frame is None:
+                frame = texts[e.frame] = " " + _dot_quote(e.frame.canonical())
+            mark = (', color="red", penwidth=2, witness="1"'
+                    if (n, e.kind, e.frame, e.dst) in witness_edges else "")
+            edge_lines.append(f'  {ids[n]} -> {ids[e.dst]} [label='
+                              f'"{_EDGE_LABELS[e.kind]}{frame}"{mark}];')
+    lines += edge_lines
     for src, dst in sorted(witness_summaries,
                            key=lambda p: (p[0].sort_key(), p[1].sort_key())):
         if src in ids and dst in ids:
@@ -320,100 +367,91 @@ def export_graph(results, findings, program) -> str:
 # ---------------------------------------------------------------------------
 
 
-def to_json_bytes(doc) -> bytes:
+def to_json_bytes(doc, fh=None) -> bytes | None:
     """``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
-    newline, in UTF-8, byte for byte.
-
-    ``json.dumps`` cannot use its C encoder once ``indent`` is set, so this
-    writer walks the document itself: containers recursively, strings
-    through the encoder's own ``encode_basestring_ascii``, and the other
-    scalars as ``json`` spells them. What ``json.dumps`` rejects (a set, a
-    tuple key) raises the same ``TypeError``; circular documents are not
-    detected.
-
-    A dict met again at the same indent, such as a state reference shared
-    by many findings, is encoded once per call: its text is joined from
-    the chunks its first mention wrote. The memo is keyed by ``id`` and so
-    dies with the call, while the document keeps every id alive.
-    """
+    newline, in UTF-8, byte for byte: returned, or written to the binary
+    file ``fh`` about ``_CHUNK`` strings at a time. ``json.dumps`` cannot
+    use its C encoder once ``indent`` is set; this writer encodes each flat
+    dict (its values scalars or lists of scalars: a state ref, a trigger, a
+    sink) and each witness segment once per call and indent, memoised by
+    ``id``. What ``json.dumps`` rejects raises the same ``TypeError``."""
+    buf = io.BytesIO() if fh is None else fh
     out: list = []
-    _write_json(doc, out, "\n", {})
+
+    def spill(out: list, at_least: int = _CHUNK) -> None:
+        if len(out) >= at_least:
+            buf.write("".join(out).encode("utf-8"))
+            out.clear()
+
+    _write_json(doc, out, "\n", {}, spill)
     out.append("\n")
-    return "".join(out).encode("utf-8")
+    spill(out, 0)
+    return buf.getvalue() if fh is None else None
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+_CHUNK = 4096  # strings gathered before the JSON writer writes them
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        return _json_scalar(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _json_scalar(o) -> str:
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _json_float(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} "
-                    f"is not JSON serializable")
-
-
-def _write_json(o, out: list, newline: str, memo: dict) -> None:
+def _write_json(o, out: list, newline: str, memo: dict, spill) -> None:
     """Append the chunks of ``o`` to ``out``; ``newline`` is a newline
     followed by the indent of the line ``o`` starts on. ``memo`` maps the
-    (id, indent) of each dict written so far to the span of ``out`` that
-    holds its chunks, or, once it is met again, to their joined text."""
+    (id, indent) of each flat dict and witness segment written so far to
+    its text. ``spill(out)`` may write ``out`` away after a list's
+    non-scalar item, which no flat dict holds."""
     t = type(o)
     if t is str:
         out.append(_encode_str(o))
     elif t is int:
         out.append(int.__repr__(o))
+    elif t is _Witness:  # from its segments' text, made once per indent
+        inner = newline + "  "
+        refs = memo.setdefault(len(inner), {})  # state -> its ref's text
+        sep = "[" + inner
+        for seg in o.segments:
+            text = memo.get((id(seg), len(inner)))
+            if text is None:
+                for state in seg[0]:
+                    if state not in refs:
+                        chunks: list = []
+                        _write_json(o.ref(state), chunks, inner, memo, spill)
+                        refs[state] = "".join(chunks)
+                text = memo[id(seg), len(inner)] = ("," + inner).join(
+                    [refs[state] for state in seg[0]])
+            out += (sep, text)
+            sep = "," + inner
+        out.append(newline + "]" if o.segments else "[]")
     elif t is dict or (t is not list and t is not tuple
                        and isinstance(o, dict)):
-        if not o:
-            out.append("{}")
-            return
-        slot = (id(o), len(newline))
-        seen = memo.get(slot)
-        if seen is not None:
-            if type(seen) is not str:  # the second mention joins the first
-                seen = memo[slot] = "".join(out[seen[0]:seen[1]])
-            out.append(seen)
+        text = memo.get((id(o), len(newline))) if o else "{}"
+        if text is not None:
+            out.append(text)
             return
         start = len(out)
+        flat = True
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(o.items()):
-            if type(key) is not str:
-                key = _json_key(key)
-            if type(value) is str:  # the common leaf, written inline
+            if not isinstance(key, str):  # spelled, or rejected, as json does
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(f"keys must be str, int, float, bool or "
+                                    f"None, not {key.__class__.__name__}")
+                key = json.dumps(key)
+            vt = type(value)
+            if vt is str:  # the common leaves, written inline
                 out.append(f"{sep}{_encode_str(key)}: {_encode_str(value)}")
+            elif vt is int:
+                out.append(f"{sep}{_encode_str(key)}: {int.__repr__(value)}")
             else:
                 out.append(f"{sep}{_encode_str(key)}: ")
-                _write_json(value, out, inner, memo)
+                _write_json(value, out, inner, memo, spill)
+                if flat and vt not in _SCALAR_TYPES:
+                    flat = vt in (list, tuple) and all(
+                        type(v) in _SCALAR_TYPES for v in value)
             sep = "," + inner
         out.append(newline + "}")
-        memo[slot] = start, len(out)
+        if flat:
+            memo[id(o), len(newline)] = "".join(out[start:])
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -422,11 +460,15 @@ def _write_json(o, out: list, newline: str, memo: dict) -> None:
         sep = "[" + inner
         for value in o:
             out.append(sep)
-            _write_json(value, out, inner, memo)
+            _write_json(value, out, inner, memo, spill)
+            if type(value) not in _SCALAR_TYPES:
+                spill(out)
             sep = "," + inner
         out.append(newline + "]")
+    elif o is None or t is bool:
+        out.append("null" if o is None else "true" if o else "false")
     else:
-        out.append(_json_scalar(o))
+        out.append(json.dumps(o))  # spelled, or rejected, as json does
 
 
 # ---------------------------------------------------------------------------

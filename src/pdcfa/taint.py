@@ -288,10 +288,19 @@ class TaintFinding:
     sink_state: object
     sink_kind: str
     sink_line: int
-    witness: tuple  # ControlStates
     trigger: TriggerContext
     sink_permissions: tuple = ()
-    witness_steps: tuple = ()  # PathSteps backing the witness
+    # the witness's shared (states, steps) segments: source to sink, or
+    # entry to source and entry to sink
+    segments: tuple = ()
+
+    @property
+    def witness(self) -> tuple:  # ControlStates
+        return tuple(s for states, _ in self.segments for s in states)
+
+    @property
+    def witness_steps(self) -> tuple:  # PathSteps backing the witness
+        return tuple(s for _, steps in self.segments for s in steps)
 
     def sort_key(self):
         return (self.trigger.unit, self.source_line, self.sink_line,
@@ -312,8 +321,9 @@ def extract_findings(results) -> list:
     Findings with the same trigger, category, source and sink position are
     one finding; the first is kept, and no witness is searched for the
     rest. Witness paths are read from one BFS tree per (result, source
-    state), and each (result, from, to) segment is built once; both are
-    shared by every finding and dropped on return.
+    state), and each (result, from, to) segment is built once and shared
+    by every finding whose witness holds it; the trees are dropped on
+    return.
     """
     sources = []  # (category, state, line, result)
     seen_sources = set()
@@ -342,8 +352,6 @@ def extract_findings(results) -> list:
                            sink_pos)
                     if key in findings:
                         continue
-                    states, steps = _witness(src_res, src_state, res,
-                                             app.state, trees)
                     findings[key] = TaintFinding(
                         category=cat,
                         source_state=src_state,
@@ -351,10 +359,10 @@ def extract_findings(results) -> list:
                         sink_state=app.state,
                         sink_kind=kind,
                         sink_line=app.line,
-                        witness=states,
                         trigger=trigger,
                         sink_permissions=app.permissions,
-                        witness_steps=steps,
+                        segments=_witness(src_res, src_state, res,
+                                          app.state, trees),
                     )
     return sorted(findings.values(), key=lambda f: f.sort_key())
 
@@ -379,15 +387,14 @@ def _segment(res, frm, to, trees):
     return seg
 
 
-def _witness(src_res, src_state, sink_res, sink_state, trees):
+def _witness(src_res, src_state, sink_res, sink_state, trees) -> tuple:
+    """The segments of a witness: the path from source to sink, or else
+    the paths from the entries to the source and to the sink."""
     if src_res is sink_res:
-        states, steps = _segment(sink_res, src_state, sink_state, trees)
-        if states is not None:
-            return states, steps
-    head_states, head_steps = _segment(src_res, src_res.initial_state,
-                                       src_state, trees)
-    tail_states, tail_steps = _segment(sink_res, sink_res.initial_state,
-                                       sink_state, trees)
-    states = (head_states or ()) + (tail_states or ())
-    steps = (head_steps or ()) + (tail_steps or ())
-    return states, steps
+        seg = _segment(sink_res, src_state, sink_state, trees)
+        if seg[0] is not None:
+            return seg,
+    return tuple(seg for seg in (
+        _segment(src_res, src_res.initial_state, src_state, trees),
+        _segment(sink_res, sink_res.initial_state, sink_state, trees))
+        if seg[0] is not None)

@@ -339,9 +339,9 @@ def test_json_writer_matches_stdlib_on_every_shipped_report(
     docs = []
     writer = report.to_json_bytes
 
-    def recording(doc):
+    def recording(doc, *args):
         docs.append(doc)
-        return writer(doc)
+        return writer(doc, *args)
 
     monkeypatch.setattr(report, "to_json_bytes", recording)
     for bundle in sorted(p.name for p in bundles_dir.iterdir()):

@@ -249,10 +249,11 @@ def _check_witnesses_against_fresh_searches(results) -> int:
                         for app in res.sink_applications()
                         if app.state == f.sink_state
                         and (f.category, f.sink_kind) in app.sink_hits)
-        states, steps = _witness(src_res, f.source_state, sink_res,
-                                 f.sink_state, {})
-        assert f.witness == states
-        assert f.witness_steps == steps
+        segments = _witness(src_res, f.source_state, sink_res,
+                            f.sink_state, {})
+        assert f.segments == segments
+        assert f.witness == sum((states for states, _ in segments), ())
+        assert f.witness_steps == sum((steps for _, steps in segments), ())
         if src_res.mode == PUSHDOWN:
             assert replay_stack_actions(f.witness_steps)
     return len(findings)
