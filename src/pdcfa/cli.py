@@ -40,10 +40,7 @@ class BundleError(Exception):
 
 @dataclass
 class AppBundle:
-    root: Path
     manifest: dict
-    program_path: Path
-    summaries_path: Path
     program: Program
     summaries: SummaryTable
     predicates: list
@@ -177,8 +174,7 @@ def load_bundle(root) -> AppBundle:
     digests = {"programSha256": program_sha,
                "manifestSha256": manifest_sha,
                "summariesSha256": summaries_sha}
-    return AppBundle(root, manifest, program_path, summaries_path,
-                     program, summaries, predicates, digests)
+    return AppBundle(manifest, program, summaries, predicates, digests)
 
 
 def _meta(bundle: AppBundle, cfg: AnalysisConfig, predicate) -> dict:
@@ -224,8 +220,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("PDCFA_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    """The level ``PDCFA_LOG`` names; WARNING for any other value."""
+    name = os.environ.get("PDCFA_LOG", "WARNING").upper()
+    level = logging.getLevelName(name)  # a str for a name of no level
+    logging.basicConfig(level=level if type(level) is int else logging.WARNING,
                         format="%(name)s %(levelname)s %(message)s")
 
 
@@ -247,8 +245,7 @@ def main(argv=None) -> int:
         predicate = report_mod.conjoin(bundle.predicates + [where])
         units = eps.discover_entry_points(bundle, bundle.program)
     except (BundleError, ParseError, SummaryFormatError,
-            report_mod.PredicateError, eps.UnknownMethod, eps.EmptyUnit,
-            ValueError) as exc:
+            report_mod.PredicateError, eps.UnknownMethod, ValueError) as exc:
         print(f"pdcfa: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -284,9 +281,9 @@ def _analyze(bundle: AppBundle, cfg: AnalysisConfig, deadline: float,
                                            bundle.program, meta)
     perm_doc = report_mod.emit_permission_report(preport, bundle.program, meta)
     heat_doc = report_mod.emit_heat_map(results, bundle.program, meta)
-    # the views together hold the fixpoint run's graph; a stopped run has none
+    # a stopped run has no graph to draw
     dot_text = report_mod.export_graph(
-        [trace.fixpoint] if trace.complete else [], findings, bundle.program)
+        trace.fixpoint if trace.complete else None, findings, bundle.program)
     # the JSON writer need not hold the views or the fixpoint graph
     results = trace.results = trace.fixpoint = None
     written = []  # the files this run writes to: a failed write removes them

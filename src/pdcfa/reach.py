@@ -136,8 +136,6 @@ class SummaryApplication:
     state: ControlState
     line: int
     summary_key: str
-    role: str
-    sink_kind: str | None
     sink_hits: frozenset  # of (TaintVal, kind)
     permissions: tuple
     source_categories: tuple
@@ -215,8 +213,6 @@ class _Recorder:
             state=state,
             line=self.program.line_of(state.pos),
             summary_key=rec.key(),
-            role=rec.role,
-            sink_kind=rec.sink_kind,
             sink_hits=hits,
             permissions=rec.permissions,
             source_categories=rec.source_categories if rec.role == "source"
@@ -471,7 +467,6 @@ class _PushdownEngine(_BaseEngine):
 @dataclass(frozen=True)
 class HandlerRecord:
     frame: HandlerFrame
-    push_state: ControlState
     region: tuple  # (lo, hi) indexes in frame.owner's body
 
 
@@ -588,7 +583,7 @@ class _FiniteEngine(_BaseEngine):
                 self._on_shared_growth([*self._return_deps.get(fp, ())])
             return
         region = self.program.handler_spans[state.pos.method][state.pos.index]
-        if self.shared.add_handler(HandlerRecord(edge.frame, state, region)):
+        if self.shared.add_handler(HandlerRecord(edge.frame, region)):
             self._add_scope(edge.frame, region)
             self._on_shared_growth([])
 
@@ -609,8 +604,6 @@ class _FiniteEngine(_BaseEngine):
 
     def _add_scope(self, frame: HandlerFrame, region: tuple):
         """Index a handler record, next to its frame's other entries."""
-        if any(e[0] == frame and e[2:4] == region for e in self._index):
-            return
         lo, hi = region
         reachable: set = set()
         self._reach([m for idx, m in self._callees.get(frame.owner, ())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import operator
 import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -19,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .ir import StmtPos
 from .permissions import PermissionReport
-from .reach import NOOP, POP, PUSH, ControlState, Edge
+from .reach import NOOP, POP, PUSH, ControlState
 from .taint import TaintVal
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z]+)\s*\(\s*([^()]*)\s*\)\s*")
@@ -55,12 +54,14 @@ class Predicate:
 
 
 def parse_predicate(text: str) -> Predicate:
-    """Parse e.g. ``taintHas(Location) and classIs(Photo*)``."""
+    """Parse e.g. ``taintHas(Location) and classIs(Photo*)``; only an
+    ``and`` after an atom's closing parenthesis joins it to the next atom,
+    so an argument may hold the word (``classIs(com/and/Foo)``)."""
+    if not text.strip():
+        raise PredicateError("empty predicate")
     atoms = []
-    for part in re.split(r"\band\b", text):
+    for part in re.split(r"(?<=\))\s*and\b", text):
         part = part.strip()
-        if not part:
-            continue
         m = _ATOM_RE.fullmatch(part)
         if m is None:
             raise PredicateError(f"malformed predicate atom {part!r}")
@@ -82,8 +83,6 @@ def parse_predicate(text: str) -> Predicate:
         elif len(args) != 1:
             raise PredicateError(f"{name} takes one argument")
         atoms.append(PredicateAtom(name, args))
-    if not atoms:
-        raise PredicateError("empty predicate")
     return Predicate(tuple(atoms))
 
 
@@ -180,11 +179,9 @@ def emit_flow_report(findings, predicate, program, meta=None) -> dict:
     return doc
 
 
-class _Witness(list):
+class _Witness:
     """A finding's witness in the flow report: its states' refs, read from
-    its shared segments when asked for; the JSON writer writes their text.
-    Its own list storage stays empty, so every list method that reads goes
-    through ``list(self)`` (below), and every one that would write raises."""
+    its shared segments when iterated; the JSON writer writes their text."""
 
     __slots__ = ("segments", "ref")
 
@@ -196,32 +193,6 @@ class _Witness(list):
 
     def __len__(self):
         return sum(len(states) for states, _ in self.segments)
-
-    def __getitem__(self, i):
-        j = i if type(i) is int else -1  # an index from the front: no join
-        for states, _ in self.segments:
-            if 0 <= j < len(states):
-                return self.ref(states[j])
-            j -= len(states)
-        return list(self)[i]
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a flow report's witness cannot be changed")
-
-
-for _name, _read in (
-        ("__contains__", operator.contains), ("__eq__", operator.eq),
-        ("__ne__", operator.ne), ("__lt__", operator.lt), ("__le__", operator.le),
-        ("__gt__", operator.gt), ("__ge__", operator.ge), ("__mul__", operator.mul),
-        ("__rmul__", operator.mul), ("__add__", operator.add),
-        ("__radd__", lambda mine, other: other + mine), ("copy", list),
-        ("__reduce_ex__", lambda mine, _protocol: (list, (mine,))),
-        ("__reversed__", reversed), ("__repr__", repr), ("count", list.count),
-        ("index", list.index)):
-    setattr(_Witness, _name, lambda w, *a, _read=_read: _read(list(w), *a))
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append",
-              "clear", "extend", "insert", "pop", "remove", "reverse", "sort"):
-    setattr(_Witness, _name, _Witness._read_only)
 
 
 def emit_permission_report(preport: PermissionReport, program,
@@ -253,9 +224,12 @@ def emit_permission_report(preport: PermissionReport, program,
     return doc
 
 
-def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:
+_TOP_N = 50  # statements the heat map lists, the most visited first
+
+
+def emit_heat_map(results, program, meta=None) -> dict:
     """Visit counts over a list of results, aggregated per method and per
-    statement, descending."""
+    statement, descending; the ``_TOP_N`` most visited statements."""
     meta = meta or {}
     per_stmt: dict = {}
     per_method: dict = {}
@@ -281,7 +255,7 @@ def emit_heat_map(results, program, meta=None, top_n: int = 50) -> dict:
     doc = {
         "schema": "heatmap",
         "methods": methods,
-        "statements": statements[:top_n],
+        "statements": statements[:_TOP_N],
     }
     doc.update(meta)
     return doc
@@ -304,14 +278,15 @@ def _dot_quote(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_graph(results, findings, program) -> str:
-    """The reachable control-state graph of a list of results in DOT,
-    sources/sinks and witness paths highlighted; stack actions label the
-    edges (push / pop / ε). One pass over the sorted nodes writes each node
-    and its sorted out-edges; each position's, frame pointer's and frame's
-    text is made once, and each witness segment's steps are read once."""
-    graphs = [res.dsg for res in results]
-    apps = [a for res in results for a in res.applications]
+def export_graph(result, findings, program) -> str:
+    """The reachable control-state graph of ``result`` in DOT (no states for
+    None), sources/sinks and witness paths highlighted; stack actions label
+    the edges (push / pop / ε). One pass over the sorted nodes writes each
+    node and its out-edges, sorted in the graph; each position's, frame
+    pointer's and frame's text is made once, and each witness segment's
+    steps are read once."""
+    nodes = result.dsg.nodes if result is not None else ()
+    apps = result.applications if result is not None else ()
     source_states = {a.state for a in apps if a.source_categories}
     sink_states = {a.state for a in apps if a.sink_hits}
     steps = [s for seg in {id(seg): seg for f in findings
@@ -320,8 +295,7 @@ def export_graph(results, findings, program) -> str:
                      if s.kind != "summary"}
     witness_summaries = {(s.src, s.dst) for s in steps if s.kind == "summary"}
 
-    ordered = sorted({n for g in graphs for n in g.nodes},
-                     key=ControlState.sort_key)
+    ordered = sorted(nodes, key=ControlState.sort_key)
     ids = {n: f"n{i}" for i, n in enumerate(ordered)}
     texts: dict = {None: ""}  # StmtPos, pointer or frame -> its DOT text
     lines = ["digraph reachable_states {",
@@ -340,10 +314,7 @@ def export_graph(results, findings, program) -> str:
         fill = _NODE_FILL.get((n in source_states, n in sink_states))
         style = f', style=filled, fillcolor="{fill}"' if fill else ""
         lines.append(f'  {ids[n]} [label="{pos} {fp}"{style}];')
-        # each graph's out-edges are sorted, but a union's are not together
-        for e in graphs[0].out_edges(n) if len(graphs) == 1 else sorted(
-                {e: None for g in graphs if n in g.nodes
-                 for e in g.out_edges(n)}, key=Edge.sort_key):
+        for e in result.dsg.out_edges(n):
             frame = texts.get(e.frame)
             if frame is None:
                 frame = texts[e.frame] = " " + _dot_quote(e.frame.canonical())

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import ValidationError
 
-from pdcfa import cli, eps, reach, report as report_mod
+from pdcfa import cli, eps, reach
 from pdcfa.cli import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -27,7 +27,6 @@ from pdcfa.cli import (
     load_bundle,
     main,
 )
-from pdcfa.taint import extract_findings
 from schemas import validate_document
 
 REPORT_FILES = ("flow_report.json", "permissions_report.json",
@@ -400,53 +399,17 @@ def test_max_states_counts_the_fixpoint_run_not_its_views(
 def _stop_after_views(monkeypatch, views):
     """Wrap ``eps.saturate_app`` so the CLI gets a saturation stopped at
     ``max-states`` after the first ``views`` views of its complete fixpoint
-    run, as the limit left it when views were charged against it. Returns
-    a namespace that receives the program and every view of that run."""
-    seen = SimpleNamespace()
+    run, as the limit left it when views were charged against it."""
     saturate = eps.saturate_app
 
-    def stopped(program, *args, **kwargs):
-        store, taint, trace = saturate(program, *args, **kwargs)
+    def stopped(*args, **kwargs):
+        store, taint, trace = saturate(*args, **kwargs)
         assert trace.complete
-        seen.program, seen.views = program, list(trace.results)
         return store, taint, replace(trace, results=trace.results[:views],
                                      complete=False,
                                      limit_reason="max-states")
 
     monkeypatch.setattr(eps, "saturate_app", stopped)
-    return seen
-
-
-@pytest.mark.parametrize("mode, limit, views, witness, digest", [
-    ("pushdown", 101, 3, False,
-     "3a7371d235400d8bb568c57971f26fdca18995f232c3c8ac65b64a4ffed38d7a"),
-    ("pushdown", 134, 5, True,
-     "9d6c62a11172d9215ba7998c05528e8bab693492c5933a623ee2451ddbf4dbbb"),
-    ("finite", 145, 3, True,
-     "46618cf37ea4f84b82a2f718b55cc80b7aee5c1c17341322e843d3d08969b74d"),
-])
-def test_dot_of_a_saturation_stopped_between_views_is_pinned(
-        bundles_dir, tmp_path, monkeypatch, mode, limit, views, witness,
-        digest):
-    """When views were charged against ``limit``, the fixpoint run and its
-    first ``views`` views fit under it and the next did not, so saturation
-    stopped between views. The run now completes; ``export_graph`` of those
-    views, a plain union of their windows, keeps the DOT bytes the bit-OR
-    window drew then. In the first case some view nodes pop to nodes
-    outside every one of the views, so only the views' pop frames keep
-    those edges out; in the others a witness is highlighted."""
-    seen = _stop_after_views(monkeypatch, views)
-    sizes = _count_runs(monkeypatch)
-    code, _ = _run(bundles_dir, tmp_path, "photoquote_full", "--mode", mode,
-                   "--k", "1", "--max-states", str(limit))
-    assert code == EXIT_RESOURCE_LIMIT
-    assert len(sizes) == 1 + 6
-    assert sum(sizes[:1 + views]) <= limit < sum(sizes[:2 + views])
-    shown = seen.views[:views]
-    dot = report_mod.export_graph(shown, extract_findings(shown),
-                                  seen.program).encode()
-    assert (b'witness="1"' in dot) is witness
-    assert hashlib.sha256(dot).hexdigest() == digest
 
 
 @pytest.mark.parametrize("mode, limit, digests", [
@@ -465,17 +428,21 @@ def test_dot_of_a_saturation_stopped_between_views_is_pinned(
 ])
 def test_reports_of_a_saturation_stopped_between_views_are_pinned(
         bundles_dir, tmp_path, monkeypatch, mode, limit, digests):
-    """The JSON reports the CLI writes for the views whose DOT
-    ``test_dot_of_a_saturation_stopped_between_views_is_pinned`` pins, when
-    saturation hands it those views alone and a stop at ``max-states``:
-    the heat map counts the visits of those views only, and the flow and
-    permissions reports read those views only, as when the view charge
-    stopped these runs there."""
+    """When views were charged against ``limit``, the fixpoint run and its
+    first ``views`` views fit under it and the next did not, so saturation
+    stopped between views. The run now completes; when saturation hands the
+    CLI those views alone and a stop at ``max-states``, the heat map counts
+    the visits of those views only, and the flow and permissions reports
+    read those views only, as when the view charge stopped these runs
+    there."""
     views = {101: 3, 134: 5, 145: 3}[limit]
     _stop_after_views(monkeypatch, views)
+    sizes = _count_runs(monkeypatch)
     code, out = _run(bundles_dir, tmp_path, "photoquote_full", "--mode",
                      mode, "--k", "1", "--max-states", str(limit))
     assert code == EXIT_RESOURCE_LIMIT
+    assert len(sizes) == 1 + 6
+    assert sum(sizes[:1 + views]) <= limit < sum(sizes[:2 + views])
     _assert_partial(out, "max-states")
     assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                  for name in REPORT_FILES[:3]) == digests
@@ -654,6 +621,25 @@ def test_where_filter_applies(bundles_dir, tmp_path):
     assert doc["predicate"] == "sinkKindIs(network)"
 
 
+def test_predicate_arguments_may_hold_the_word_and(bundles_dir, tmp_path):
+    """In ``--where`` and in the manifest's ``predicates``, only an ``and``
+    between atoms joins them."""
+    code, out = _run(bundles_dir, tmp_path, "photoquote_exception",
+                     "--where", "classIs(com/and/Foo)")
+    assert code == EXIT_CLEAN
+    doc = json.loads((out / "flow_report.json").read_text())
+    assert doc["predicate"] == "classIs(com/and/Foo)"
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles_dir / "photoquote_exception", bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["predicates"] = ["methodIs(and)"]
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "manifest-out"
+    assert main(["--bundle", str(bundle), "--out", str(out)]) == EXIT_CLEAN
+    doc = json.loads((out / "flow_report.json").read_text())
+    assert (doc["predicate"], doc["findingCount"]) == ("methodIs(and)", 0)
+
+
 def test_permission_gap_reports(bundles_dir, tmp_path):
     _code, out = _run(bundles_dir, tmp_path, "perm_over")
     doc = json.loads((out / "permissions_report.json").read_text())
@@ -686,6 +672,31 @@ def test_log_env_var(bundles_dir, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_CLEAN
     assert (out / "flow_report.json").is_file()
+
+
+def test_log_env_var_takes_only_level_names(bundles_dir, tmp_path,
+                                            monkeypatch):
+    """``PDCFA_LOG`` sets the level it names, in any case; any other value,
+    another name in ``logging`` too, leaves WARNING and the run's verdict
+    stands."""
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig",
+                        lambda **kwargs: levels.append(kwargs["level"]))
+    for value in ("debug", "WARN", "Critical", "BASIC_FORMAT", "nonsense",
+                  "10", ""):
+        monkeypatch.setenv("PDCFA_LOG", value)
+        cli._configure_logging()
+    assert levels == [logging.DEBUG, logging.WARNING, logging.CRITICAL,
+                      logging.WARNING, logging.WARNING, logging.WARNING,
+                      logging.WARNING]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdcfa.cli",
+         "--bundle", str(bundles_dir / "perm_zero"),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PDCFA_LOG": "BASIC_FORMAT"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CLEAN, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_saturation_logs_the_fixpoint_run_and_the_views(

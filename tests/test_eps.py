@@ -19,7 +19,7 @@ from pdcfa.eps import (
     saturate_app,
 )
 from pdcfa.ir import MethodRef, parse_program
-from pdcfa import cli, machine, reach
+from pdcfa import cli, machine, reach, report
 from pdcfa.machine import (
     AbstractInt,
     AmbientSite,
@@ -468,8 +468,7 @@ def test_views_equal_plain_runs_on_generated_bundles(tmp_path, monkeypatch,
 def test_views_together_are_the_fixpoint_graph(bundles_dir, tmp_path,
                                                monkeypatch, source, mode):
     """On a complete saturation the emitted views' nodes and edges together
-    are the fixpoint run's graph, so the DOT of the views is the DOT of the
-    fixpoint run itself. A view's adjacency (``out_edges``,
+    are the fixpoint run's graph. A view's adjacency (``out_edges``,
     ``summaries_from``) holds its ``edges`` and ``epsilon_summaries``.
     Shipped bundles at k 0-2, synth bundles at their ``bench/reference.json``
     k."""
@@ -498,8 +497,6 @@ def test_views_together_are_the_fixpoint_graph(bundles_dir, tmp_path,
                 == set(fixpoint.dsg.nodes)), label
         assert (set().union(*(v.dsg.edges for v in views))
                 == set(fixpoint.dsg.edges)), label
-        assert (export_graph(views, [], bundle.program)
-                == export_graph([fixpoint], [], bundle.program)), label
 
 
 MICRO = {**{name: src for name, (src, _o, _r) in MICRO_PROGRAMS.items()},
@@ -660,9 +657,10 @@ def test_views_from_root_masks_equal_the_walk_they_replace(
         bundles_dir, tmp_path, monkeypatch, source, mode):
     """Every view's nodes, pop frames, visit counts and applications equal
     the reference walk's. A root that is a node of another root's view puts
-    its empty stack on its own view alone. The heat map and the DOT of the
-    first views equal those of the walk's views; an entry point declared by two units is counted
-    twice in the heat map, as two views."""
+    its empty stack on its own view alone. The heat map of the first views,
+    and the DOT of the first, middle and last view with that view's
+    findings, equal those of the walk's views; an entry point declared by
+    two units is counted twice in the heat map, as two views."""
     shadowed = 0  # empty-stack tops of a root, in another root's view
     for label, program, units, k, summaries in _mask_cases(
             bundles_dir, tmp_path, monkeypatch, source):
@@ -683,15 +681,17 @@ def test_views_from_root_masks_equal_the_walk_they_replace(
                     shadowed += sum(
                         None in held and None not in frames.get(t, {})
                         for t, held in refs[other.entry][1].items())
+        walked = [SimpleNamespace(
+            dsg=run.dsg.window(nodes, frames), visit_counts=visits,
+            applications=apps)
+            for nodes, frames, visits, apps in (refs[v.entry] for v in views)]
+        monkeypatch.setattr(report, "_TOP_N", 10**6)
         for n in sorted({1, len(views) // 2, len(views)}):
-            walked = [SimpleNamespace(
-                dsg=run.dsg.window(nodes, frames), visit_counts=visits,
-                applications=apps)
-                for nodes, frames, visits, apps in
-                (refs[v.entry] for v in views[:n])]
-            assert (emit_heat_map(views[:n], program, top_n=10**6)
-                    == emit_heat_map(walked, program, top_n=10**6)), label
-            assert (export_graph(views[:n], [], program)
-                    == export_graph(walked, [], program)), label
+            assert (emit_heat_map(views[:n], program)
+                    == emit_heat_map(walked[:n], program)), label
+        for i in sorted({0, len(views) // 2, len(views) - 1}):
+            found = extract_findings([views[i]])
+            assert (export_graph(views[i], found, program)
+                    == export_graph(walked[i], found, program)), (label, i)
     if mode == reach.PUSHDOWN and source == "micro":
         assert shadowed

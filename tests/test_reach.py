@@ -768,8 +768,7 @@ def _naive_throw_edges(engine, state, st):
 
     edges = {}  # one edge per frame, however many of its records catch
     for rec in sorted(engine.shared.handler_records,
-                      key=lambda r: (r.frame.sort_key(),
-                                     r.push_state.sort_key())):
+                      key=lambda r: (r.frame.sort_key(), r.region)):
         catchable = [v for v in thrown
                      if any(c == rec.frame.class_name for c in
                             program.superclass_chain(v.class_name))]

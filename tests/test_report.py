@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, RUN
+from pdcfa import report
 from pdcfa.cli import main
 from pdcfa.ir import parse_program
 from pdcfa.permissions import build_permission_report, collect_permissions
@@ -72,6 +73,20 @@ def test_predicate_errors():
         parse_predicate("")
 
 
+def test_predicate_arguments_may_hold_the_word_and():
+    """Only an ``and`` between two atoms joins them."""
+    p = parse_predicate("classIs(com/and/Foo) and methodIs(and)")
+    assert [(a.name, a.args) for a in p.atoms] == [
+        ("classIs", ("com/and/Foo",)), ("methodIs", ("and",))]
+    assert p.text() == "classIs(com/and/Foo) and methodIs(and)"
+    assert parse_predicate(p.text()) == p
+    assert parse_predicate("methodIs(and)").atoms[0].args == ("and",)
+    for text in ("methodIs(x) methodIs(y)", "methodIs(x) and",
+                 "and methodIs(x)", "methodIs(x) and and methodIs(y)"):
+        with pytest.raises(PredicateError, match="malformed predicate atom"):
+            parse_predicate(text)
+
+
 def test_predicate_filters_findings():
     program, res, findings = _findings_and_result()
     assert len(findings) == 2  # network and log sinks
@@ -110,7 +125,7 @@ def test_empty_flow_report_is_schema_valid():
 def test_flow_report_schema_and_hints():
     program, res, findings = _findings_and_result()
     doc = emit_flow_report(findings, None, program, META)
-    validate_document(doc, "flow_report")
+    validate_document(json.loads(to_json_bytes(doc)), "flow_report")
     assert doc["findingCount"] == 2
     assert any("tainted source-to-sink" in h for h in doc["verdictHints"])
     # hints never speak beyond the findings present
@@ -159,11 +174,12 @@ def test_heat_map_excludes_unreachable_method():
     assert all(m["method"] != "unreached" for m in doc["methods"])
 
 
-def test_heat_map_top_n():
+def test_heat_map_top_n(monkeypatch):
     src, _o, _r = MICRO_PROGRAMS["call_depth4"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    doc = emit_heat_map([res], program, META, top_n=3)
+    monkeypatch.setattr(report, "_TOP_N", 3)
+    doc = emit_heat_map([res], program, META)
     assert len(doc["statements"]) == 3
 
 
@@ -174,7 +190,7 @@ def test_graph_plain_when_no_findings():
     src, _o, _r = MICRO_PROGRAMS["arith_add"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    dot = export_graph([res], [], program)
+    dot = export_graph(res, [], program)
     assert dot.startswith("digraph reachable_states {")
     assert 'witness="1"' not in dot
     assert dot.count("[label=") >= len(res.dsg.nodes)
@@ -182,7 +198,7 @@ def test_graph_plain_when_no_findings():
 
 def test_graph_node_count_matches():
     program, res, findings = _findings_and_result()
-    dot = export_graph([res], findings, program)
+    dot = export_graph(res, findings, program)
     node_lines = [l for l in dot.splitlines()
                   if re.match(r"  n\d+ \[label=", l)]
     assert len(node_lines) == len(res.dsg.nodes)
@@ -190,7 +206,7 @@ def test_graph_node_count_matches():
 
 def test_graph_highlights_exactly_witness_edges():
     program, res, findings = _findings_and_result()
-    dot = export_graph([res], findings, program)
+    dot = export_graph(res, findings, program)
     highlighted = [l for l in dot.splitlines() if 'witness="1"' in l]
     expected = set()
     for f in findings:
@@ -207,7 +223,7 @@ def test_graph_highlights_exactly_witness_edges():
 
 def test_graph_marks_sources_and_sinks():
     program, res, findings = _findings_and_result()
-    dot = export_graph([res], findings, program)
+    dot = export_graph(res, findings, program)
     assert "palegreen" in dot  # source style
     assert "lightcoral" in dot or "orange" in dot  # sink style
     assert "push" in dot or "ε" in dot
@@ -247,7 +263,15 @@ def test_findings_share_one_trigger_and_one_sink_dict():
 
 
 def _stdlib_json_bytes(doc) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """``doc`` as ``json.dumps`` writes it, a flow witness as the list of its
+    refs."""
+    def witness(o):
+        if type(o) is not report._Witness:
+            raise TypeError(f"{type(o).__name__} is not JSON serializable")
+        return list(o)
+
+    return (json.dumps(doc, indent=2, sort_keys=True, default=witness)
+            + "\n").encode("utf-8")
 
 
 _FLOATS = st.floats() | st.sampled_from(
@@ -334,8 +358,6 @@ def test_json_writer_rejects_what_stdlib_rejects(doc):
 
 def test_json_writer_matches_stdlib_on_every_shipped_report(
         bundles_dir, tmp_path, monkeypatch):
-    from pdcfa import report
-
     docs = []
     writer = report.to_json_bytes
 

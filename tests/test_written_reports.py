@@ -1,20 +1,21 @@
 """The report files the CLI writes, against the documents it built.
 
 The CLI streams each JSON report to its file in chunks and writes the DOT
-as UTF-8 bytes. Each file must equal what ``to_json_bytes`` gives for the
-same document in one piece, and the DOT must equal the text
+as UTF-8 bytes. Each JSON file must equal what ``to_json_bytes`` gives
+for the same document in one piece and, parsed, validate against its
+shipped schema; the DOT must equal the text
 ``export_graph`` returned and, where one is pinned, its digest. The DOT's
 one sorted pass is checked against ``_reference_dot``, the global sort it
 replaced.
 """
 
-import copy
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from jsonschema import ValidationError
 
 from pdcfa import report
 from pdcfa.cli import EXIT_FINDINGS, EXIT_INTERNAL, EXIT_RESOURCE_LIMIT, \
@@ -23,6 +24,7 @@ from pdcfa.eps import discover_entry_points, saturate_app
 from pdcfa.reach import FINITE, PUSHDOWN, AnalysisConfig, ControlState, Edge
 from pdcfa.report import export_graph, to_json_bytes
 from pdcfa.taint import extract_findings
+from schemas import validate_document, validate_written
 from test_eps import _mask_cases
 from test_golden import FINITE_MANY_FINDINGS_PIN, PUSHDOWN_PINS
 from test_report import _aliased_docs, _stdlib_json_bytes
@@ -73,9 +75,9 @@ def _check_cli_run(monkeypatch, out: Path, argv: list,
                    pinned: dict | None = None) -> tuple:
     """Run the CLI, recording each document it hands the JSON writer and
     the DOT text it got. Every report file must equal its document written
-    in one piece, and the DOT file its text; ``pinned`` maps report files
-    to digests they must have. Returns the exit code and the documents by
-    schema."""
+    in one piece and, parsed, validate against its shipped schema; the DOT
+    file must equal its text. ``pinned`` maps report files to digests they
+    must have. Returns the exit code and the documents by schema."""
     docs, dots = {}, []
     writer, export = report.to_json_bytes, report.export_graph
 
@@ -102,6 +104,7 @@ def _check_cli_run(monkeypatch, out: Path, argv: list,
         writer(docs[schema], whole)
         assert whole.writes == 1
         assert _file_digest(out / name) == whole.sha.hexdigest(), name
+        validate_written((out / name).read_bytes(), schema)
     monkeypatch.setattr(report, "_CHUNK", chunk)
     assert (out / "state_graph.dot").read_bytes() == dots[0].encode("utf-8")
     for name, digest in (pinned or {}).items():
@@ -181,8 +184,8 @@ def test_written_reports_equal_documents_when_stopped_at_max_states(
 
 
 def _finite_witness_flow(tmp_path, monkeypatch) -> tuple:
-    """The flow document of the finite-witness reference, and its
-    findings."""
+    """The flow document of the finite-witness reference, its findings and
+    its program."""
     ref = REFERENCE["finite-witness"]
     bundle = load_bundle(_synth_bundle(tmp_path, monkeypatch, ref["shape"],
                                        ref["seed"]))
@@ -191,8 +194,9 @@ def _finite_witness_flow(tmp_path, monkeypatch) -> tuple:
         AnalysisConfig(mode=ref["mode"], k=ref["k"]), bundle.summaries)
     findings = extract_findings(trace.results)
     return report.emit_flow_report(findings, None, bundle.program,
-                                   {"inputs": {}, "config": {"k": 1}}), \
-        findings
+                                   {"toolVersion": "test", "inputs": {},
+                                    "config": {"k": 1}}), \
+        findings, bundle.program
 
 
 def test_writer_in_tiny_chunks_matches_one_piece(tmp_path, monkeypatch):
@@ -200,7 +204,7 @@ def test_writer_in_tiny_chunks_matches_one_piece(tmp_path, monkeypatch):
     so the first mention of each shared ref, trigger, sink and witness
     segment is written out before it is met again: the memo must hold
     their text, not a span of chunks already gone."""
-    doc, findings = _finite_witness_flow(tmp_path, monkeypatch)
+    doc, findings, _program = _finite_witness_flow(tmp_path, monkeypatch)
     whole = to_json_bytes(doc)
     assert whole == _stdlib_json_bytes(doc)
     for chunk in (1, 2, 3):
@@ -221,48 +225,48 @@ def test_writer_in_tiny_chunks_matches_stdlib_on_shared_objects(doc):
     assert b"".join(pieces) == _stdlib_json_bytes(doc)
 
 
-def test_flow_witness_reads_as_its_plain_list(tmp_path, monkeypatch):
-    """A flow document's witness stores no refs of its own: each list
-    method that reads must answer as the plain list of its refs would,
-    each that writes must refuse, and the witness must stay as it was."""
-    doc, findings = _finite_witness_flow(tmp_path, monkeypatch)
+def test_flow_witness_iterates_its_refs(tmp_path, monkeypatch):
+    """A flow document's witness is no list: it iterates the refs of its
+    finding's witness states, in order, and its length is their count."""
+    doc, findings, program = _finite_witness_flow(tmp_path, monkeypatch)
     witnesses = [entry["witness"] for entry in doc["findings"]]
-    assert [len(w) for w in witnesses] == [len(f.witness) for f in findings]
     assert any(len(w.segments) == 2 for w in witnesses)
-    # and each one's second segment alone, as a witness of one segment
-    witnesses += [report._Witness(w.segments[1:], w.ref) for w in witnesses]
-    other = {"class": "Absent", "method": "absent", "line": 0}
-    for w in witnesses:
-        plain = list(w)
-        n = len(plain)
-        assert n > 1 and type(w.copy()) is list
-        assert w == plain and not w != plain and w <= plain and w >= plain
-        assert not w < plain and not w > plain and w < plain + [other]
-        assert w == w and w == copy.deepcopy(w) == copy.copy(w)
-        assert [w[i] for i in range(-n, n)] == plain + plain
-        assert w[1:-1] == plain[1:-1] and w[::-1] == plain[::-1]
-        with pytest.raises(IndexError):
-            w[n]
-        assert plain[-1] in w and other not in w
-        assert w.index(plain[-1]) == plain.index(plain[-1])
-        assert w.count(plain[0]) == plain.count(plain[0])
-        assert w.count(other) == 0
-        assert list(reversed(w)) == plain[::-1]
-        assert w + [other] == plain + [other]
-        assert [other] + w == [other] + plain
-        assert w + w == plain + plain == 2 * w == w * 2
-        assert repr(w) == repr(plain) and str(w) == str(plain)
-        assert json.dumps(w) == json.dumps(plain)
-        assert json.dumps(w, indent=2) == json.dumps(plain, indent=2)
-        for change in (lambda: w.append(other), lambda: w.extend([other]),
-                       lambda: w.insert(0, other), w.pop, w.clear, w.reverse,
-                       lambda: w.remove(plain[0]), w.sort,
-                       lambda: w.__setitem__(0, other),
-                       lambda: w.__delitem__(0),
-                       lambda: w.__iadd__([other]), lambda: w.__imul__(2)):
-            with pytest.raises(TypeError):
-                change()
-        assert list(w) == plain
+    for w, f in zip(witnesses, findings, strict=True):
+        assert not isinstance(w, list)
+        assert list(w) == [{"class": s.pos.method.class_name,
+                            "method": s.pos.method.method_name,
+                            "line": program.line_of(s.pos)}
+                           for s in f.witness]
+        assert len(w) == len(f.witness)
+
+
+def test_written_validation_finds_what_plain_validation_finds(tmp_path,
+                                                             monkeypatch):
+    """``validate_written`` parses equal objects as one and checks each
+    once: a wrong value in one mention of a state ref, a trigger or a sink
+    is still found, with the message and at the path that plain validation
+    gives."""
+    doc, _findings, _program = _finite_witness_flow(tmp_path, monkeypatch)
+    data = to_json_bytes(doc)
+    validate_written(data, "flow_report")
+
+    def last_ref_at_line_1(d):  # True == 1: only its type tells them apart
+        return [ref for f in d["findings"] for ref in f["witness"]
+                if ref["line"] == 1][-1]
+
+    for held, field, value in (
+            (last_ref_at_line_1, "line", True),
+            (lambda d: d["findings"][1]["source"], "line", 1.5),
+            (lambda d: d["findings"][-1]["trigger"], "entryPoint", 3),
+            (lambda d: d["findings"][0]["sink"], "kind", "nope")):
+        broken = json.loads(data)
+        held(broken)[field] = value
+        with pytest.raises(ValidationError) as plain:
+            validate_document(broken, "flow_report")
+        with pytest.raises(ValidationError) as written:
+            validate_written(json.dumps(broken).encode(), "flow_report")
+        assert ((written.value.message, written.value.path)
+                == (plain.value.message, plain.value.path)), (field, value)
 
 
 def test_a_failed_write_removes_the_reports_it_began(bundles_dir, tmp_path,
@@ -322,15 +326,12 @@ def test_a_failed_removal_keeps_the_write_error(bundles_dir, tmp_path,
 # -- the DOT ------------------------------------------------------------------
 
 
-def _reference_dot(results, findings, program) -> str:
+def _reference_dot(result, findings, program) -> str:
     """``export_graph`` as it was before its one sorted pass: every edge
     sorted by ``Edge.sort_key``, each label formatted where it is used, and
     each finding's witness steps read one by one."""
-    nodes, edges = {}, {}
-    for res in results:
-        nodes.update(res.dsg.nodes)
-        edges.update(res.dsg.edges)
-    apps = [a for res in results for a in res.applications]
+    nodes, edges = result.dsg.nodes, result.dsg.edges
+    apps = result.applications
     source_states = {a.state for a in apps if a.source_categories}
     sink_states = {a.state for a in apps if a.sink_hits}
     witness_edges = set()
@@ -379,9 +380,10 @@ def _reference_dot(results, findings, program) -> str:
                           "finite-witness"])
 def test_dot_equals_reference_dot(bundles_dir, tmp_path, monkeypatch,
                                   source, mode):
-    """The DOT of the fixpoint graph and of the first 1, n/2 and n views,
-    with their findings, equals the reference's: shipped bundles at k 0-2,
-    every micro program, and both generated references."""
+    """The DOT of the fixpoint graph, with every finding, and of the first,
+    middle and last view, each with its own findings, equals the
+    reference's: shipped bundles at k 0-2, every micro program, and both
+    generated references."""
     highlighted = 0
     for label, program, units, k, summaries in _mask_cases(
             bundles_dir, tmp_path, monkeypatch, source):
@@ -389,13 +391,12 @@ def test_dot_equals_reference_dot(bundles_dir, tmp_path, monkeypatch,
             program, units, AnalysisConfig(mode=mode, k=k), summaries)
         views = trace.results
         findings = extract_findings(views)
-        dot = export_graph([trace.fixpoint], findings, program)
-        assert dot == _reference_dot([trace.fixpoint], findings, program), \
+        dot = export_graph(trace.fixpoint, findings, program)
+        assert dot == _reference_dot(trace.fixpoint, findings, program), \
             label
         highlighted += dot.count('witness="1"')
-        for n in sorted({1, len(views) // 2, len(views)} - {0}):
-            shown = views[:n]
-            found = extract_findings(shown)
-            assert (export_graph(shown, found, program)
-                    == _reference_dot(shown, found, program)), (label, n)
+        for i in sorted({0, len(views) // 2, len(views) - 1}):
+            found = extract_findings([views[i]])
+            assert (export_graph(views[i], found, program)
+                    == _reference_dot(views[i], found, program)), (label, i)
     assert highlighted
