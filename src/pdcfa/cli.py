@@ -17,11 +17,10 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, eps, permissions as perms_mod, report as report_mod
-from .ir import ParseError, Program, parse_program
+from .ir import ParseError, Program, parse_program, record
 from .machine import INT_CONSTANT_BUDGET, MalformedState
 from .reach import AnalysisConfig, FINITE, PUSHDOWN
 from .taint import (SummaryFormatError, SummaryTable, extract_findings,
@@ -38,7 +37,7 @@ class BundleError(Exception):
     pass
 
 
-@dataclass
+@record(mutable=True)
 class AppBundle:
     manifest: dict
     program: Program
@@ -60,7 +59,11 @@ def _read_text(path: Path) -> tuple:
     of the bytes it came from, from one read: the digest describes the
     bytes that are analysed, even if the file changes later."""
     data = path.read_bytes()
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path} is not UTF-8: {exc.reason} at byte "
+                          f"{exc.start}") from None
     return text, hashlib.sha256(data).hexdigest()
 
 

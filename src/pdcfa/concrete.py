@@ -11,8 +11,6 @@ them; their declared return abstractions become concrete stub values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import taint as taint_mod
 from .ir import (
     AssignAtomic,
@@ -42,6 +40,7 @@ from .ir import (
     This,
     Throw,
     VoidLit,
+    record,
 )
 from .machine import (
     ANY_INT,
@@ -77,63 +76,63 @@ class ConcreteError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CInt:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class CBool:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class CStr:
     value: str
 
 
-@dataclass(frozen=True)
+@record
 class CNull:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CVoid:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CObj:
     oid: int
     class_name: str
 
 
-@dataclass(frozen=True)
+@record
 class CRegAddr:
     fpid: int
     reg: str
 
 
-@dataclass(frozen=True)
+@record
 class CFieldAddr:
     oid: int
     field_name: str
 
 
-@dataclass(frozen=True)
+@record
 class CFun:
     fpid: int
     ret_pos: StmtPos
 
 
-@dataclass(frozen=True)
+@record
 class CHandle:
     class_name: str
     label: str
     owner: MethodRef
 
 
-@dataclass(frozen=True)
+@record
 class ConcreteState:
     pos: StmtPos
     fpid: int
@@ -142,7 +141,7 @@ class ConcreteState:
     kont: tuple
 
 
-@dataclass(frozen=True)
+@record
 class ConcreteSummaryApp:
     pos: StmtPos
     fpid: int
@@ -151,14 +150,18 @@ class ConcreteSummaryApp:
     line: int
 
 
-@dataclass
+@record(mutable=True)
 class ConcreteRun:
     outcome: str
     states: list
     steps: int
     fp_info: dict  # fpid -> (MethodRef, call-site history tuple)
     heap_info: dict  # oid -> (site, allocating history tuple)
-    summary_apps: list = field(default_factory=list)
+    summary_apps: list = None  # a fresh list when not given
+
+    def __post_init__(self):
+        if self.summary_apps is None:
+            self.summary_apps = []
 
     @property
     def sink_hits(self):

@@ -16,10 +16,9 @@ triggers them (``Unit.label``).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from . import machine, reach
-from .ir import MethodRef, Program
+from .ir import MethodRef, Program, record
 from .machine import Store
 from .taint import SummaryTable, TaintStore, TriggerContext
 
@@ -39,14 +38,14 @@ class EmptyUnit(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class EntryPoint:
     method_ref: MethodRef
     category: str
     registration_source: str
 
 
-@dataclass(frozen=True)
+@record
 class Unit:
     name: str
     kind: str
@@ -62,7 +61,7 @@ class Unit:
         return name
 
 
-@dataclass
+@record(mutable=True)
 class SaturationTrace:
     fixpoint: reach.AnalysisResult  # the app-wide run
     # its entry-point views (AnalysisResults), in declared order; none if it

@@ -12,7 +12,6 @@ runs. The parser itself is single-threaded.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields
 
 ROOT_CLASS = "java/lang/Object"
 
@@ -54,80 +53,121 @@ class ResolveError(Exception):
     pass
 
 
-def key_type(cls):
-    """Make ``cls`` a frozen, slotted dataclass that hashes once and builds
-    its sort key once.
+_REQUIRED = object()  # the default of a field that has none
 
-    Control states, frames and addresses are nested dataclasses used as dict
-    and set keys on every engine step; a generated ``__hash__`` rehashes the
-    whole nest on each lookup. Here the hash of the field values is computed
-    once, at construction, and ``__hash__`` returns it. The ``__init__``
-    that does so (``_key_init``, which ``dataclasses.replace`` calls too)
-    sets the slots through their descriptors, as a frozen dataclass's own
-    ``__init__`` does through ``object.__setattr__``, at about a third of
-    its cost.
 
-    The class's ``sort_key`` method builds a nested tuple from its fields'
-    keys; every report and worklist order sorts by it. It is wrapped to
-    build the tuple on the first call and keep it in a slot, so a sort reuses
-    the keys of earlier sorts. The uncached builder stays reachable as
-    ``sort_key.__wrapped__``. Neither slot takes part in equality, and a
-    ``dataclasses.replace`` copy starts with no key.
-    """
-    names = tuple(cls.__annotations__)
-    build_key = cls.sort_key
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
 
-    def __hash__(self):
-        return self._hash
 
-    def sort_key(self):
-        key = self._sort_key
-        if key is None:
-            key = build_key(self)
-            object.__setattr__(self, "_sort_key", key)
-        return key
+def _key_hash(self):
+    return self._hash
 
-    sort_key.__wrapped__ = build_key
-    cls.__annotations__["_hash"] = "int"
-    cls._hash = field(init=False, compare=False, repr=False)
-    cls.__annotations__["_sort_key"] = "tuple | None"
-    cls._sort_key = field(init=False, compare=False, repr=False, default=None)
-    cls.__hash__ = __hash__
-    cls.sort_key = sort_key
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__init__ = _key_init(cls, names)
+
+def record(cls=None, *, key=False, mutable=False, kw_only=()):
+    """Make ``cls`` a record, as ``dataclasses.dataclass`` would, for a
+    fraction of its cost to build. Its fields are its base record's, then
+    those its body annotates, with the body's values as defaults. Its
+    ``__init__`` takes them (those in ``kw_only`` by keyword only) and calls
+    any ``__post_init__``; ``__match_args__``, equality and, unless
+    ``mutable``, the hash are over the fields outside ``kw_only``. It is
+    frozen unless ``mutable``. Its ``repr``, ``__init__``, ``__eq__`` and
+    ``__hash__`` are a dataclass's; each method but ``repr`` is generated
+    when it is first called.
+
+    A ``key`` record (a control state, frame or address: a nested dict key
+    on every engine step) is slotted. It hashes its field values (the value
+    alone for one field) once, when built, and keeps its ``sort_key`` in a
+    slot once built; ``sort_key.__wrapped__`` builds it afresh."""
+    if cls is None:
+        return lambda cls: record(cls, key=key, mutable=mutable,
+                                  kw_only=kw_only)
+    own = dict(cls.__dict__)
+    specs = (*getattr(cls, "__record_fields__", ()), *(
+        (name, own.get(name, _REQUIRED), name in kw_only)
+        for name in own.get("__annotations__", ())))
+    names = tuple(spec[0] for spec in specs)
+    if key:
+        for name in (*names, "__dict__", "__weakref__"):
+            own.pop(name, None)
+        cls = type(cls.__name__, cls.__bases__,
+                   {**own, "__slots__": (*names, "_hash", "_sort_key")})
+        build_key = cls.sort_key
+
+        def sort_key(self):
+            built = self._sort_key
+            if built is None:
+                built = build_key(self)
+                object.__setattr__(self, "_sort_key", built)
+            return built
+
+        sort_key.__wrapped__ = build_key
+        cls.sort_key = sort_key
+
+    def generated(method: str):
+        def call(self, *args, **kwargs):  # replaced by its first call
+            setattr(cls, method, _generate(cls, specs, key, method))
+            return getattr(cls, method)(self, *args, **kwargs)
+        return call
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({args})"
+
+    cls.__record_fields__ = specs
+    cls.__match_args__ = tuple(name for name, _, kw in specs if not kw)
+    cls.__init__, cls.__eq__ = generated("__init__"), generated("__eq__")
+    cls.__hash__ = None if mutable else _key_hash if key \
+        else generated("__hash__")
+    cls.__repr__ = __repr__
+    if not mutable:
+        cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
 
-def _key_init(cls, names: tuple):
-    """An ``__init__`` for the key type ``cls`` whose fields are ``names``:
-    it sets each field's slot, an empty sort key, and the hash of the
-    tuple of field values (of the value alone for a one-field type)."""
-    env: dict = {}
-    params = []
-    for f in fields(cls):
-        if f.init:
-            env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
-            if f.default is MISSING:
-                params.append(f.name)
-            else:
-                env[f"_default_{f.name}"] = f.default
-                params.append(f"{f.name}=_default_{f.name}")
-    env["_set_sort_key"] = cls._sort_key.__set__
-    env["_set_hash"] = cls._hash.__set__
-    values = names[0] if len(names) == 1 else f"({', '.join(names)})"
-    source = "\n".join([
-        f"def __init__(self, {', '.join(params)}):",
-        *(f"    _set_{name}(self, {name})" for name in names),
-        "    _set_sort_key(self, None)",
-        f"    _set_hash(self, hash({values}))"])
-    exec(source, env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+def _generate(cls, specs: tuple, key: bool, method: str):
+    """A dataclass's ``method`` (``__init__``, ``__eq__`` or ``__hash__``)
+    for the record ``cls`` of fields ``specs`` (name, default, keyword-only);
+    a key record's ``__init__`` also sets the hash and no sort key."""
+    env: dict = {"_setattr": object.__setattr__}
+    compared = "(%s)" % "".join(f"{{0}}.{n}," for n in cls.__match_args__)
+    if method == "__eq__":
+        lines = ["def __eq__(self, other):",
+                 "    if other.__class__ is self.__class__:",
+                 f"        return {compared.format('self')} == "
+                 f"{compared.format('other')}",
+                 "    return NotImplemented"]
+    elif method == "__hash__":
+        lines = ["def __hash__(self):",
+                 f"    return hash({compared.format('self')})"]
+    else:
+        params = ["self"]
+        for name, default, kw in sorted(specs, key=lambda spec: spec[2]):
+            if kw and "*" not in params:
+                params.append("*")
+            if default is not _REQUIRED:
+                env[f"_default_{name}"] = default
+                name = f"{name}=_default_{name}"
+            params.append(name)
+        names = [name for name, _, _ in specs]
+        body = [f"_setattr(self, {name!r}, {name})" for name in names]
+        if key:
+            for name in (*names, "_hash", "_sort_key"):
+                env[f"_set_{name}"] = getattr(cls, name).__set__
+            hashed = names[0] if len(names) == 1 else f"({', '.join(names)})"
+            body = [*(f"_set_{name}(self, {name})" for name in names),
+                    "_set__sort_key(self, None)",
+                    f"_set__hash(self, hash({hashed}))"]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        lines = [f"def __init__({', '.join(params)}):",
+                 *(f"    {line}" for line in body or ["pass"])]
+    exec("\n".join(lines), env)
+    env[method].__qualname__ = f"{cls.__qualname__}.{method}"
+    return env[method]
 
 
-@dataclass(frozen=True)
+@record
 class SrcPos:
     line: int
     col: int
@@ -138,43 +178,43 @@ class SrcPos:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class This:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class NullLit:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class VoidLit:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Name:
     reg: str
 
 
-@dataclass(frozen=True)
+@record
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class AtomicOp:
     op: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@record
 class InstanceOf:
     exp: object
     class_name: str
@@ -183,12 +223,12 @@ class InstanceOf:
 AExp = (This, BoolLit, NullLit, VoidLit, Name, IntLit, AtomicOp, InstanceOf)
 
 
-@dataclass(frozen=True)
+@record
 class New:
     class_name: str
 
 
-@dataclass(frozen=True)
+@record
 class Invoke:
     kind: str
     method_name: str
@@ -202,85 +242,85 @@ class Invoke:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(kw_only=("pos",))
 class Stmt:
-    pos: SrcPos = field(compare=False, kw_only=True, default=SrcPos(0, 0))
+    pos: SrcPos = SrcPos(0, 0)
 
 
-@dataclass(frozen=True)
+@record
 class Label(Stmt):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Nop(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Line(Stmt):
     number: int
 
 
-@dataclass(frozen=True)
+@record
 class Goto(Stmt):
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class If(Stmt):
     cond: object
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class AssignAtomic(Stmt):
     name: str
     exp: object
 
 
-@dataclass(frozen=True)
+@record
 class AssignComplex(Stmt):
     name: str
     exp: object  # New | Invoke
 
 
-@dataclass(frozen=True)
+@record
 class FieldPut(Stmt):
     obj: object
     field_name: str
     value: object
 
 
-@dataclass(frozen=True)
+@record
 class FieldGet(Stmt):
     name: str
     obj: object
     field_name: str
 
 
-@dataclass(frozen=True)
+@record
 class PushHandler(Stmt):
     class_name: str
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class PopHandler(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Throw(Stmt):
     exp: object
 
 
-@dataclass(frozen=True)
+@record
 class Return(Stmt):
     exp: object
 
 
-@dataclass(frozen=True)
+@record
 class MoveFromRet(Stmt):
     """Machine-synthesized move of the ``ret`` register into a local.
 
@@ -296,7 +336,7 @@ class MoveFromRet(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@key_type
+@record(key=True)
 class MethodRef:
     class_name: str
     method_name: str
@@ -309,14 +349,14 @@ class MethodRef:
         return (self.class_name, self.method_name, self.param_types)
 
 
-@dataclass(frozen=True)
+@record
 class FieldDef:
     attributes: frozenset
     name: str
     field_type: str
 
 
-@dataclass(frozen=True)
+@record
 class MethodDef:
     attributes: frozenset
     name: str
@@ -332,7 +372,7 @@ class MethodDef:
         return "abstract" in self.attributes
 
 
-@dataclass(frozen=True)
+@record
 class ClassDef:
     attributes: frozenset
     name: str
@@ -341,7 +381,7 @@ class ClassDef:
     methods: tuple
 
 
-@key_type
+@record(key=True)
 class StmtPos:
     """A position in a method body.
 
@@ -358,7 +398,7 @@ class StmtPos:
         return (*self.method.sort_key(), self.index, int(self.at_move))
 
 
-@key_type
+@record(key=True)
 class HandlerFrame:
     class_name: str
     label: str

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import operator
-from dataclasses import dataclass
 
 from . import taint as taint_mod
 from .ir import (
@@ -58,7 +57,7 @@ from .ir import (
     This,
     Throw,
     VoidLit,
-    key_type,
+    record,
 )
 
 log = logging.getLogger("pdcfa.machine")
@@ -76,7 +75,7 @@ class MalformedState(Exception):
 # ---------------------------------------------------------------------------
 
 
-@key_type
+@record(key=True)
 class FramePointer:
     method: MethodRef
     context: tuple = ()  # call-site positions, length <= k
@@ -90,7 +89,7 @@ class FramePointer:
         return f"{self.method.sig()}[{ctx}]"
 
 
-@key_type
+@record(key=True)
 class AmbientSite:
     """Allocation site of a framework-supplied object (entry receiver/arg)."""
 
@@ -103,7 +102,7 @@ class AmbientSite:
         return f"<ambient:{self.class_name}>"
 
 
-@key_type
+@record(key=True)
 class ObjectPointer:
     site: object  # StmtPos | AmbientSite
     context: tuple = ()
@@ -124,7 +123,7 @@ class ObjectPointer:
         return text
 
 
-@key_type
+@record(key=True)
 class RegAddr:
     fp: FramePointer
     reg: str
@@ -148,7 +147,7 @@ def reg_addr(program: Program, fp: FramePointer, reg: str) -> RegAddr:
     return addr
 
 
-@key_type
+@record(key=True)
 class FieldAddr:
     op: ObjectPointer
     field_name: str
@@ -165,7 +164,7 @@ class FieldAddr:
 # ---------------------------------------------------------------------------
 
 
-@key_type
+@record(key=True)
 class ObjectValue:
     op: ObjectPointer
     class_name: str
@@ -177,7 +176,7 @@ class ObjectValue:
         return f"obj:{self.op.canonical()}:{self.class_name}"
 
 
-@dataclass(frozen=True)
+@record
 class AbstractInt:
     value: int | None  # None means any integer
 
@@ -188,7 +187,7 @@ class AbstractInt:
         return f"int:{'any' if self.value is None else self.value}"
 
 
-@dataclass(frozen=True)
+@record
 class AbstractString:
     value: str | None  # None means any string
 
@@ -199,7 +198,7 @@ class AbstractString:
         return f"str:{'any' if self.value is None else self.value}"
 
 
-@dataclass(frozen=True)
+@record
 class AbstractBool:
     value: bool
 
@@ -210,7 +209,7 @@ class AbstractBool:
         return f"bool:{str(self.value).lower()}"
 
 
-@dataclass(frozen=True)
+@record
 class NullVal:
     def sort_key(self):
         return (2, 0)
@@ -219,7 +218,7 @@ class NullVal:
         return "null"
 
 
-@dataclass(frozen=True)
+@record
 class VoidVal:
     def sort_key(self):
         return (2, 1)
@@ -287,7 +286,7 @@ class Store(taint_mod.MonotoneStore):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AllocPolicy:
     k: int = 1
     heap_context: bool = False
@@ -357,21 +356,15 @@ def _pair_op(program: Program, op: str, a, b) -> frozenset:
 
 
 def _abstract_eq(a, b) -> frozenset:
-    if isinstance(a, AbstractInt) and isinstance(b, AbstractInt):
-        if a.value is None or b.value is None:
+    if type(a) is not type(b):
+        return frozenset({FALSE})
+    if isinstance(a, (AbstractInt, AbstractBool, AbstractString)):
+        if a.value is None or b.value is None:  # any int or any string
             return BOTH_BOOLS
         return frozenset({AbstractBool(a.value == b.value)})
-    if isinstance(a, AbstractBool) and isinstance(b, AbstractBool):
-        return frozenset({AbstractBool(a.value == b.value)})
-    if isinstance(a, AbstractString) and isinstance(b, AbstractString):
-        if a.value is None or b.value is None:
-            return BOTH_BOOLS
-        return frozenset({AbstractBool(a.value == b.value)})
-    if isinstance(a, NullVal) and isinstance(b, NullVal):
+    if isinstance(a, (NullVal, VoidVal)):
         return frozenset({TRUE})
-    if isinstance(a, VoidVal) and isinstance(b, VoidVal):
-        return frozenset({TRUE})
-    if isinstance(a, ObjectValue) and isinstance(b, ObjectValue):
+    if isinstance(a, ObjectValue):
         # Same allocation site may or may not be the same concrete object.
         return BOTH_BOOLS if a.op == b.op else frozenset({FALSE})
     return frozenset({FALSE})
@@ -493,7 +486,7 @@ def init_object(program: Program, store: Store, op: ObjectPointer,
 # ---------------------------------------------------------------------------
 
 
-@key_type
+@record(key=True)
 class ControlState:
     pos: StmtPos
     fp: FramePointer
@@ -507,7 +500,7 @@ class ControlState:
                 f"{self.fp.canonical()}")
 
 
-@key_type
+@record(key=True)
 class FunFrame:
     fp: FramePointer
     ret_pos: StmtPos  # the MoveFromRet slot of the calling assign
@@ -525,7 +518,7 @@ PUSH = "push"
 POP = "pop"
 
 
-@key_type
+@record(key=True)
 class Edge:
     src: ControlState
     kind: str  # noop | push | pop

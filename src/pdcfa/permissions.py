@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .ir import record
 
 
-@dataclass(frozen=True)
+@record
 class PermissionReport:
     requested: frozenset
     reached: frozenset
@@ -40,10 +40,7 @@ def build_permission_report(requested, collected,
         evidence.setdefault(perm, []).append((state, line))
     reached = frozenset(evidence)
     return PermissionReport(
-        requested=requested,
-        reached=reached,
-        over_privileged=requested - reached,
-        missing=reached - requested,
+        requested=requested, reached=reached,
+        over_privileged=requested - reached, missing=reached - requested,
         evidence={p: tuple(sites) for p, sites in sorted(evidence.items())},
-        lower_bound=lower_bound,
-    )
+        lower_bound=lower_bound)

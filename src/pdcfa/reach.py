@@ -32,13 +32,13 @@ import copy
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain
 from operator import or_
 
 from . import machine
-from .ir import MethodRef, PopHandler, Program, Return, StmtPos, Throw
+from .ir import (MethodRef, PopHandler, Program, Return, StmtPos, Throw,
+                 record)
 from .machine import (
     AllocPolicy,
     ControlState,
@@ -129,7 +129,7 @@ class DyckStateGraph:
         return dsts
 
 
-@dataclass(frozen=True)
+@record
 class SummaryApplication:
     """One API summary applied at a control state (merged over revisits)."""
 
@@ -144,7 +144,7 @@ class SummaryApplication:
         return (self.state.sort_key(), self.summary_key)
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisConfig:
     mode: str = PUSHDOWN
     k: int = 1
@@ -170,7 +170,7 @@ class AnalysisConfig:
         return time.monotonic() + self.max_seconds
 
 
-@dataclass
+@record(mutable=True)
 class AnalysisResult:
     mode: str
     entry: MethodRef
@@ -210,14 +210,11 @@ class _Recorder:
         if old is not None:
             hits |= old.sink_hits
         self._apps[key] = SummaryApplication(
-            state=state,
-            line=self.program.line_of(state.pos),
-            summary_key=rec.key(),
-            sink_hits=hits,
+            state=state, line=self.program.line_of(state.pos),
+            summary_key=rec.key(), sink_hits=hits,
             permissions=rec.permissions,
             source_categories=rec.source_categories if rec.role == "source"
-            else (),
-        )
+            else ())
 
     def applications(self) -> list:
         return sorted(self._apps.values(), key=SummaryApplication.sort_key)
@@ -334,20 +331,14 @@ class _BaseEngine:
         applications = self.recorder.applications()
         complete = self.limit_reason is None
         return AnalysisResult(
-            mode=self.cfg.mode,
-            entry=self.entry,
-            initial_state=self.init_state,
-            dsg=self.dsg,
-            final_store=self.store,
-            final_taint=self.taint,
+            mode=self.cfg.mode, entry=self.entry,
+            initial_state=self.init_state, dsg=self.dsg,
+            final_store=self.store, final_taint=self.taint,
             visit_counts=dict(zip(self.states, self.visits)),
-            complete=complete,
-            limit_reason=self.limit_reason,
-            applications=applications,
-            config=self.cfg,
+            complete=complete, limit_reason=self.limit_reason,
+            applications=applications, config=self.cfg,
             trigger=TriggerContext("<direct>", self.entry.sig()),
-            masks=RootMasks(self, applications, tops) if complete else None,
-        )
+            masks=RootMasks(self, applications, tops) if complete else None)
 
 
 class _PushdownEngine(_BaseEngine):
@@ -464,7 +455,7 @@ class _PushdownEngine(_BaseEngine):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class HandlerRecord:
     frame: HandlerFrame
     region: tuple  # (lo, hi) indexes in frame.owner's body
@@ -693,10 +684,12 @@ def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
     path."""
     root = ControlState(StmtPos(entry, 0), frame_pointer_zero(entry))
     nodes, frames, visits, apps = run.masks.view(root)
-    return replace(run, entry=entry, initial_state=root,
-                   dsg=run.dsg.window(nodes, frames), visit_counts=visits,
-                   applications=apps,
-                   trigger=TriggerContext("<direct>", entry.sig()))
+    view = copy.copy(run)
+    view.entry, view.initial_state, view.dsg = \
+        entry, root, run.dsg.window(nodes, frames)
+    view.visit_counts, view.applications = visits, apps
+    view.trigger = TriggerContext("<direct>", entry.sig())
+    return view
 
 
 def _spread(pairs, width: int, group=list) -> list:
@@ -786,7 +779,7 @@ class RootMasks:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PathStep:
     kind: str  # noop | push | pop | summary
     frame: object

@@ -12,11 +12,10 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .ir import StmtPos
+from .ir import StmtPos, record
 from .permissions import PermissionReport
 from .reach import NOOP, POP, PUSH, ControlState
 from .taint import TaintVal
@@ -31,7 +30,7 @@ class PredicateError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PredicateAtom:
     name: str
     args: tuple
@@ -40,7 +39,7 @@ class PredicateAtom:
         return f"{self.name}({','.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@record
 class Predicate:
     """Conjunction of filter atoms over findings."""
 
@@ -70,9 +69,11 @@ def parse_predicate(text: str) -> Predicate:
             raise PredicateError(f"unknown predicate atom {name!r}")
         args = tuple(a.strip() for a in rawargs.split(",") if a.strip())
         if name == "lineIn":
-            if len(args) != 2:
-                raise PredicateError("lineIn takes (lo, hi)")
-            lo, hi = int(args[0]), int(args[1])
+            try:
+                lo, hi = map(int, args)
+            except ValueError:
+                raise PredicateError(f"lineIn takes two integers (lo, hi), "
+                                     f"got {part!r}") from None
             if lo > hi:
                 raise PredicateError("lineIn requires lo <= hi")
             args = (lo, hi)

@@ -8,8 +8,9 @@ propagated monotonically alongside values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
+
+from .ir import record
 
 
 class TaintVal(enum.Enum):
@@ -130,7 +131,7 @@ class TaintStore(MonotoneStore):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ApiSummary:
     """One record of the summary table.
 
@@ -274,13 +275,13 @@ def apply_summary(summary: ApiSummary, arg_vals, arg_taints):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TriggerContext:
     unit: str
     entry_point: str
 
 
-@dataclass(frozen=True)
+@record
 class TaintFinding:
     category: TaintVal
     source_state: object  # ControlState
@@ -353,17 +354,12 @@ def extract_findings(results) -> list:
                     if key in findings:
                         continue
                     findings[key] = TaintFinding(
-                        category=cat,
-                        source_state=src_state,
-                        source_line=src_line,
-                        sink_state=app.state,
-                        sink_kind=kind,
-                        sink_line=app.line,
-                        trigger=trigger,
+                        category=cat, source_state=src_state,
+                        source_line=src_line, sink_state=app.state,
+                        sink_kind=kind, sink_line=app.line, trigger=trigger,
                         sink_permissions=app.permissions,
                         segments=_witness(src_res, src_state, res,
-                                          app.state, trees),
-                    )
+                                          app.state, trees))
     return sorted(findings.values(), key=lambda f: f.sort_key())
 
 

@@ -9,7 +9,6 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -279,10 +278,71 @@ def test_a_run_imports_neither_jsonschema_nor_the_oracle(bundles_dir, tmp_path):
     assert (tmp_path / "out" / "flow_report.json").is_file()
 
 
+def test_a_run_imports_neither_dataclasses_nor_inspect():
+    """Records are built by ``ir.record``: a fresh import of the CLI, and of
+    the oracle after it, loads neither ``dataclasses`` nor the ``inspect``
+    it brings in."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "unwanted = {'dataclasses', 'inspect'}\n"
+            "print(sorted(unwanted & set(sys.modules)))\n"
+            "import pdcfa.cli\n"
+            "print(sorted(unwanted & set(sys.modules)))\n"
+            "import pdcfa.concrete\n"
+            "print(sorted(unwanted & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"], proc.stdout
+
+
 def test_bad_predicate_exit_two(bundles_dir, tmp_path):
     code, _ = _run(bundles_dir, tmp_path, "perm_over",
                    "--where", "bogus(1)")
     assert code == EXIT_USAGE
+
+
+def test_a_line_range_of_no_integers_exits_two_naming_the_atom(
+        bundles_dir, tmp_path, capsys):
+    code, _ = _run(bundles_dir, tmp_path, "perm_over",
+                   "--where", "lineIn(a, 3)")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "pdcfa: error: lineIn takes two integers (lo, hi), "
+        "got 'lineIn(a, 3)'\n")
+
+
+def test_a_manifest_line_range_of_no_integers_exits_two_naming_the_atom(
+        bundles_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles_dir / "perm_over", bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["predicates"] = ["taintHas(Location) and lineIn(1, 2, 3)"]
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["--bundle", str(bundle),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "pdcfa: error: lineIn takes two integers (lo, hi), "
+        "got 'lineIn(1, 2, 3)'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "app.sdex",
+                                  "api.summaries"])
+def test_a_bundle_file_not_in_utf8_exits_two_naming_file_and_byte(
+        bundles_dir, tmp_path, capsys, name):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles_dir / "perm_zero", bundle)
+    path = bundle / name
+    data = path.read_bytes()
+    path.write_bytes(data[:7] + b"\xff" + data[7:])
+    assert main(["--bundle", str(bundle),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"pdcfa: error: {path} is not UTF-8: invalid start byte at byte 7\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_k_exit_two(bundles_dir, tmp_path):
@@ -405,9 +465,9 @@ def _stop_after_views(monkeypatch, views):
     def stopped(*args, **kwargs):
         store, taint, trace = saturate(*args, **kwargs)
         assert trace.complete
-        return store, taint, replace(trace, results=trace.results[:views],
-                                     complete=False,
-                                     limit_reason="max-states")
+        return store, taint, eps.SaturationTrace(
+            trace.fixpoint, trace.results[:views], trace.global_rounds,
+            complete=False, limit_reason="max-states")
 
     monkeypatch.setattr(eps, "saturate_app", stopped)
 

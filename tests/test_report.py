@@ -3,7 +3,6 @@
 import json
 import math
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +23,7 @@ from pdcfa.report import (
     parse_predicate,
     to_json_bytes,
 )
-from pdcfa.taint import extract_findings, parse_summaries
+from pdcfa.taint import TaintFinding, extract_findings, parse_summaries
 from schemas import validate_document
 from soundness import analyze_seeded
 
@@ -240,10 +239,12 @@ def test_findings_share_one_trigger_and_one_sink_dict():
     program, res, findings = _findings_and_result()
     send, log = sorted(findings, key=lambda f: f.sink_line)
     assert send.trigger == log.trigger and send.sink_state != log.sink_state
+    fields = {name: getattr(send, name)
+              for name in TaintFinding.__match_args__}
     # a copy of ``send`` with another source line: same trigger, same sink
-    again = replace(send, source_line=send.source_line + 1)
+    again = TaintFinding(**fields | {"source_line": send.source_line + 1})
     # and one at the same sink state with another kind: its own sink dict
-    relabelled = replace(send, sink_kind="relabelled")
+    relabelled = TaintFinding(**fields | {"sink_kind": "relabelled"})
     doc = emit_flow_report([send, log, again, relabelled], None, program,
                            META)
     first, second, third, fourth = doc["findings"]
