@@ -60,10 +60,6 @@ def _frozen(self, name, value=None):
     raise AttributeError(f"cannot assign to or delete field {name!r}")
 
 
-def _key_hash(self):
-    return self._hash
-
-
 def record(cls=None, *, key=False, mutable=False, kw_only=()):
     """Make ``cls`` a record, as ``dataclasses.dataclass`` would, for a
     fraction of its cost to build. Its fields are its base record's, then
@@ -78,7 +74,10 @@ def record(cls=None, *, key=False, mutable=False, kw_only=()):
     A ``key`` record (a control state, frame or address: a nested dict key
     on every engine step) is slotted. It hashes its field values (the value
     alone for one field) once, when built, and keeps its ``sort_key`` in a
-    slot once built; ``sort_key.__wrapped__`` builds it afresh."""
+    slot once built; ``sort_key.__wrapped__`` builds it afresh. Its
+    ``__hash__`` is the descriptor of the ``_hash`` slot, which holds the
+    hash's C method ``__index__``: the interpreter binds and calls it for
+    every dict or set probe without running a Python frame."""
     if cls is None:
         return lambda cls: record(cls, key=key, mutable=mutable,
                                   kw_only=kw_only)
@@ -117,7 +116,7 @@ def record(cls=None, *, key=False, mutable=False, kw_only=()):
     cls.__record_fields__ = specs
     cls.__match_args__ = tuple(name for name, _, kw in specs if not kw)
     cls.__init__, cls.__eq__ = generated("__init__"), generated("__eq__")
-    cls.__hash__ = None if mutable else _key_hash if key \
+    cls.__hash__ = None if mutable else cls.__dict__["_hash"] if key \
         else generated("__hash__")
     cls.__repr__ = __repr__
     if not mutable:
@@ -128,7 +127,8 @@ def record(cls=None, *, key=False, mutable=False, kw_only=()):
 def _generate(cls, specs: tuple, key: bool, method: str):
     """A dataclass's ``method`` (``__init__``, ``__eq__`` or ``__hash__``)
     for the record ``cls`` of fields ``specs`` (name, default, keyword-only);
-    a key record's ``__init__`` also sets the hash and no sort key."""
+    a key record's ``__init__`` also sets the hash (as its bound
+    ``__index__``) and no sort key."""
     env: dict = {"_setattr": object.__setattr__}
     compared = "(%s)" % "".join(f"{{0}}.{n}," for n in cls.__match_args__)
     if method == "__eq__":
@@ -157,7 +157,7 @@ def _generate(cls, specs: tuple, key: bool, method: str):
             hashed = names[0] if len(names) == 1 else f"({', '.join(names)})"
             body = [*(f"_set_{name}(self, {name})" for name in names),
                     "_set__sort_key(self, None)",
-                    f"_set__hash(self, hash({hashed}))"]
+                    f"_set__hash(self, hash({hashed}).__index__)"]
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
         lines = [f"def __init__({', '.join(params)}):",

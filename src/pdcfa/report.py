@@ -275,6 +275,9 @@ _NODE_FILL = {(True, True): "orange", (True, False): "palegreen",
               (False, True): "lightcoral"}
 
 
+_DOT_CHUNK = 256  # lines the DOT writer joins into one chunk
+
+
 def _dot_quote(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -282,10 +285,11 @@ def _dot_quote(text: str) -> str:
 def export_graph(result, findings, program) -> str:
     """The reachable control-state graph of ``result`` in DOT (no states for
     None), sources/sinks and witness paths highlighted; stack actions label
-    the edges (push / pop / ε). One pass over the sorted nodes writes each
-    node and its out-edges, sorted in the graph; each position's, frame
-    pointer's and frame's text is made once, and each witness segment's
-    steps are read once."""
+    the edges (push / pop / ε). A pass over the sorted nodes writes each
+    node, a second pass their out-edges, sorted in the graph; the text is
+    joined from chunks of ``_DOT_CHUNK`` lines, so no list of every line is
+    held. Each position's, frame pointer's and frame's text is made once,
+    and each witness segment's steps are read once."""
     nodes = result.dsg.nodes if result is not None else ()
     apps = result.applications if result is not None else ()
     source_states = {a.state for a in apps if a.source_categories}
@@ -299,10 +303,16 @@ def export_graph(result, findings, program) -> str:
     ordered = sorted(nodes, key=ControlState.sort_key)
     ids = {n: f"n{i}" for i, n in enumerate(ordered)}
     texts: dict = {None: ""}  # StmtPos, pointer or frame -> its DOT text
-    lines = ["digraph reachable_states {",
-             "  rankdir=LR;",
-             '  node [shape=box, fontname="monospace", fontsize=9];']
-    edge_lines = []
+    chunks: list = []  # the text so far, ``_DOT_CHUNK`` lines each
+    lines = ["digraph reachable_states {\n",
+             "  rankdir=LR;\n",
+             '  node [shape=box, fontname="monospace", fontsize=9];\n']
+
+    def spill(at_least: int = _DOT_CHUNK) -> None:
+        if len(lines) >= at_least:
+            chunks.append("".join(lines))
+            lines.clear()
+
     for n in ordered:
         pos, fp = texts.get(n.pos), texts.get(n.fp)
         if pos is None:
@@ -314,24 +324,27 @@ def export_graph(result, findings, program) -> str:
             fp = texts[n.fp] = _dot_quote(n.fp.canonical())
         fill = _NODE_FILL.get((n in source_states, n in sink_states))
         style = f', style=filled, fillcolor="{fill}"' if fill else ""
-        lines.append(f'  {ids[n]} [label="{pos} {fp}"{style}];')
+        lines.append(f'  {ids[n]} [label="{pos} {fp}"{style}];\n')
+        spill()
+    for n in ordered:
         for e in result.dsg.out_edges(n):
             frame = texts.get(e.frame)
             if frame is None:
                 frame = texts[e.frame] = " " + _dot_quote(e.frame.canonical())
             mark = (', color="red", penwidth=2, witness="1"'
                     if (n, e.kind, e.frame, e.dst) in witness_edges else "")
-            edge_lines.append(f'  {ids[n]} -> {ids[e.dst]} [label='
-                              f'"{_EDGE_LABELS[e.kind]}{frame}"{mark}];')
-    lines += edge_lines
+            lines.append(f'  {ids[n]} -> {ids[e.dst]} [label='
+                         f'"{_EDGE_LABELS[e.kind]}{frame}"{mark}];\n')
+        spill()
     for src, dst in sorted(witness_summaries,
                            key=lambda p: (p[0].sort_key(), p[1].sort_key())):
         if src in ids and dst in ids:
             lines.append(f"  {ids[src]} -> {ids[dst]} "
                          '[label="ε*", style=dashed, color="red", '
-                         'penwidth=2, witness="1"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                         'penwidth=2, witness="1"];\n')
+    lines.append("}\n")
+    spill(0)
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

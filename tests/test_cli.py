@@ -1,6 +1,7 @@
 """Command-line front-end tests: exit codes, outputs, flags."""
 
 import copy
+import gc
 import hashlib
 import json
 import logging
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +30,7 @@ from pdcfa.cli import (
 )
 from schemas import validate_document
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 REPORT_FILES = ("flow_report.json", "permissions_report.json",
                 "heatmap.json", "state_graph.dot")
 
@@ -568,6 +571,21 @@ def test_internal_error_exits_four_without_reports(bundles_dir, tmp_path,
     assert err == "pdcfa: internal error: RuntimeError: broken extraction\n"
 
 
+def test_an_internal_error_after_the_dot_removes_it(bundles_dir, tmp_path,
+                                                   monkeypatch, capsys):
+    """The DOT is written before the flow report is built: an internal
+    error while building it exits 4 and removes the DOT."""
+    def broken(*args):
+        raise RuntimeError("broken report")
+
+    monkeypatch.setattr(cli.report_mod, "emit_flow_report", broken)
+    code, out = _run(bundles_dir, tmp_path, "photoquote_exception")
+    assert code == EXIT_INTERNAL
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err == "pdcfa: internal error: RuntimeError: broken report\n"
+
+
 def test_unwritable_out_exits_two(bundles_dir, tmp_path, capsys):
     """An output directory that cannot be made is the caller's error."""
     (tmp_path / "file").write_text("")
@@ -907,3 +925,89 @@ def test_input_digests_are_taken_before_a_file_changes_mid_run(
     assert main(["--bundle", str(bundle), "--out", str(out)]) == EXIT_CLEAN
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["inputs"]["programSha256"] == analysed
+
+
+def test_a_run_triggers_no_automatic_collection(tmp_path, monkeypatch):
+    """``main`` pauses automatic garbage collection for the run: on the
+    wide-pushdown bundle (synth 6x8x3x2, seed 1), where the collector used
+    to start about 56 passes, it starts none, and it is on again after."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    bundle = synth.generate(synth.Shape.parse("6x8x3x2"),
+                            1).write(tmp_path / "bundle")
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        code = main(["--bundle", str(bundle), "--out", str(tmp_path / "out")])
+    finally:
+        gc.callbacks.remove(record)
+    assert code == EXIT_FINDINGS
+    assert passes == []
+    assert gc.isenabled()
+
+
+def _failing_extraction(results):
+    raise RuntimeError("broken extraction")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("bundle, extra, exit_code", [
+    ("perm_over", (), EXIT_CLEAN),
+    ("photoquote_exception", (), EXIT_FINDINGS),
+    ("missing", (), EXIT_USAGE),
+    ("photoquote_exception", ("--max-states", "2"), EXIT_RESOURCE_LIMIT),
+    ("photoquote_exception", None, EXIT_INTERNAL),
+])
+def test_a_run_leaves_the_collector_as_it_found_it(
+        bundles_dir, tmp_path, monkeypatch, bundle, extra, exit_code,
+        enabled):
+    """On every exit code, and with the collector on or off when it is
+    called, ``main`` leaves ``gc.isenabled()`` as it was. ``extra`` None
+    makes the findings extraction fail."""
+    if extra is None:
+        monkeypatch.setattr(cli, "extract_findings", _failing_extraction)
+        extra = ()
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _ = _run(bundles_dir, tmp_path, bundle, *extra)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == exit_code
+
+
+def test_the_json_reports_are_written_once_findings_and_graph_are_freed(
+        bundles_dir, tmp_path, monkeypatch):
+    """By the first JSON write, reference counting alone (the collector is
+    paused) has freed the findings and the fixpoint graph: the run drops
+    them, and no cycle holds them."""
+    refs, alive = [], []
+    emit, export = cli.report_mod.emit_flow_report, cli.report_mod.export_graph
+    writer = cli.report_mod.to_json_bytes
+
+    def exporting(result, *args):
+        refs.append(weakref.ref(result))
+        return export(result, *args)
+
+    def emitting(findings, *args):
+        refs.extend(weakref.ref(f) for f in findings)
+        return emit(findings, *args)
+
+    def writing(doc, fh=None):
+        alive.append(sum(ref() is not None for ref in refs))
+        return writer(doc, fh)
+
+    monkeypatch.setattr(cli.report_mod, "export_graph", exporting)
+    monkeypatch.setattr(cli.report_mod, "emit_flow_report", emitting)
+    monkeypatch.setattr(cli.report_mod, "to_json_bytes", writing)
+    code, _ = _run(bundles_dir, tmp_path, "photoquote_full")
+    assert code == EXIT_FINDINGS
+    assert len(refs) > 1 and alive == [0, 0, 0, 0]

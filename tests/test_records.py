@@ -3,6 +3,7 @@ keeps the fields, ``__match_args__``, ``repr``, equality, hashing and
 frozenness it had as a ``dataclasses`` class."""
 
 import importlib
+import sys
 
 import pytest
 
@@ -229,6 +230,33 @@ def test_equality_hashing_and_frozenness(name):
         with pytest.raises(AttributeError):
             delattr(x, f)
     assert x == y
+
+
+def test_the_key_classes_are_those_with_a_hash_slot():
+    assert {name for name, cls in _records().items()
+            if "_hash" in getattr(cls, "__slots__", ())} == KEYS
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_a_key_hash_runs_no_python_frame(name):
+    """A key record's ``__hash__`` is the descriptor of its ``_hash`` slot,
+    which holds the hash's C method ``__index__``: ``hash`` and a dict or
+    set probe run no Python frame, and the hash is still that of the
+    compared fields."""
+    cls = _records()[name]
+    x = _sample(name, cls)
+    assert cls.__hash__ is cls.__dict__["_hash"]
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(
+        (event, frame.f_code.co_name)))
+    try:
+        value = hash(x)
+        assert x in {x} and {x: 1}[x] == 1
+    finally:
+        sys.setprofile(None)
+    assert [e for e in events if e[0] == "call"] == []
+    values = tuple(getattr(x, n) for n in cls.__match_args__)
+    assert value == hash(values[0] if len(values) == 1 else values)
 
 
 def test_equality_and_hashing_ignore_a_statement_position():

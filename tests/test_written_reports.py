@@ -316,7 +316,9 @@ def test_a_failed_removal_keeps_the_write_error(bundles_dir, tmp_path,
                               EXIT_USAGE)):
         out = tmp_path / str(exit_code)
         assert main([*argv, "--out", str(out)]) == exit_code
-        assert len(list(out.iterdir())) == 3  # flow, permissions, heat map
+        assert sorted(p.name for p in out.iterdir()) == [
+            "flow_report.json", "heatmap.json", "permissions_report.json",
+            "state_graph.dot"]  # the DOT is written first
     err = capsys.readouterr().err
     assert "pdcfa: internal error: RuntimeError: broken writer" in err
     assert "No space left on device" in err
