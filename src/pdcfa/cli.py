@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     found. A run frees what it drops by reference counting: on the
     wide-pushdown bundle its 56 collector passes freed 27 objects. Its
     only cycles are its ``Program``'s linked statement records and the key
-    tables they hold, which the caller's next collection frees."""
+    tables and compiled evaluators they hold, which the caller's next
+    collection frees."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -426,12 +426,15 @@ class Code:
     pops. An assign-of-invoke's ``move`` is the record of the
     ``MoveFromRet`` slot after it, and ``callees`` memoises its dispatch
     per summary table and receiver class. ``states`` holds the control
-    states at the position, by frame pointer. The machine fills
-    ``callees`` and ``states`` as analyses of the program run.
+    states at the position, by frame pointer. ``evals`` holds a (values,
+    taint) pair of closures per atomic expression the statement evaluates
+    (``machine.compile_atomic``), or None before its first step. The
+    machine fills ``callees``, ``states`` and ``evals`` as analyses of the
+    program run.
     """
 
     __slots__ = ("pos", "stmt", "next", "target", "dependent", "line",
-                 "frame", "move", "callees", "states")
+                 "frame", "move", "callees", "states", "evals")
 
     def __init__(self, pos: StmtPos, stmt, line: int):
         self.pos = pos
@@ -444,6 +447,7 @@ class Code:
         self.move: Code | None = None
         self.callees: dict | None = None
         self.states: dict = {}
+        self.evals: tuple | None = None
 
 
 class Program:
@@ -464,6 +468,9 @@ class Program:
         # up by its fields (machine.reg_addr, machine.edge_of)
         self.reg_addrs: dict = {}  # FramePointer -> {register: RegAddr}
         self.edge_table: dict = {}  # (src, kind, frame, dst) -> Edge
+        # (op, operand value sets) -> the operation's value set, read by the
+        # compiled evaluators of AtomicOp (machine.compile_atomic)
+        self.op_results: dict = {}
         self._subclass_cache: dict[tuple, bool] = {}
         for cdef in classes.values():
             for mdef in cdef.methods:

@@ -9,15 +9,17 @@ pop-handler against a hypothesis about the top frame (a frame, or an empty
 stack). Both return the Dyck state graph's edges from the stepped state,
 each labelled with its stack action (noop / push / pop), so both engines
 read one transition relation. A step reads its statement's compiled
-record (``ir.Code``), and looks the control states, register addresses and
-edges it needs up in its program's tables (``state_at``, ``reg_addr``,
-``edge_of``), so one analysis builds each of them once.
+record (``ir.Code``), evaluates its atomic expressions with the closures
+compiled onto that record on its first step (``evaluators``), and looks the
+control states, register addresses, edges and operation results it needs
+up in its program's tables (``state_at``, ``reg_addr``, ``edge_of``,
+``Program.op_results``), so one analysis builds each of them once.
 
 All step functions are pure apart from joins into the supplied stores and
-the entries they add to those tables and to the invoke memos, each equal to
-what building it afresh would give; joins are commutative and idempotent, so
-evaluating disjoint worklist items in any order (or concurrently, with
-atomic joins) yields the same fixpoint.
+the entries they add to those tables, to the invoke memos and to the
+records' evaluators, each equal to what building it afresh would give;
+joins are commutative and idempotent, so evaluating disjoint worklist items
+in any order (or concurrently, with atomic joins) yields the same fixpoint.
 """
 
 from __future__ import annotations
@@ -336,7 +338,7 @@ COMPARE_OPS = frozenset({"lt", "le", "gt", "ge"})
 LOGIC_OPS = frozenset({"and", "or", "xor"})
 
 
-def _pair_op(program: Program, op: str, a, b) -> frozenset:
+def _pair_op(op: str, a, b) -> frozenset:
     if op in ("eq", "ne"):
         res = _abstract_eq(a, b)
         if op == "ne":
@@ -383,85 +385,178 @@ def _unary_op(op: str, a) -> frozenset:
     raise AssertionError(op)
 
 
-def eval_atomic(program: Program, ae, fp: FramePointer, store: Store) -> frozenset:
-    """Evaluate an atomic expression to a value set; unbound names are empty."""
+def _op_values(op: str, *vals) -> frozenset:
+    """The value set of ``op`` over operand value sets ``vals``."""
+    if any(not v for v in vals):
+        return frozenset()
+    out: set = set()
+    if len(vals) == 1:
+        for a in vals[0]:
+            out |= _unary_op(op, a)
+    else:
+        for a in vals[0]:
+            for b in vals[1]:
+                out |= _pair_op(op, a, b)
+    return normalize_vals(out)
+
+
+_NO_TAINT: frozenset = frozenset()
+
+
+def _no_taint(fp: FramePointer, taint_store) -> frozenset:
+    """The taint of an expression that reads no register."""
+    return _NO_TAINT
+
+
+def compile_atomic(program: Program, ae) -> tuple:
+    """The (values, taint) pair of closures that evaluate ``ae``:
+    ``values(fp, store)`` is its value set, empty when a name is unbound,
+    and ``taint(fp, taint_store)`` the union of the taint of the registers
+    it reads. Each reads the addresses a walk of ``ae`` would, in the same
+    order. A literal's set is built here once; an operation's value set is
+    read from ``program.op_results`` by operator and operand sets."""
     match ae:  # the commonest forms first
         case Name(reg):
-            return store.lookup(reg_addr(program, fp, reg))
+            return _register(program, reg)
         case IntLit(n):
-            return frozenset({AbstractInt(n)})
-        case This():
-            return store.lookup(reg_addr(program, fp, "this"))
-        case BoolLit(v):
-            return frozenset({AbstractBool(v)})
-        case NullLit():
-            return frozenset({NULL})
-        case VoidLit():
-            return frozenset({VOID})
+            return _constant(frozenset({AbstractInt(n)}))
         case AtomicOp(op, args):
-            vals = [eval_atomic(program, a, fp, store) for a in args]
-            if any(not v for v in vals):
-                return frozenset()
-            out: set = set()
-            if len(vals) == 1:
-                for a in vals[0]:
-                    out |= _unary_op(op, a)
-            else:
-                for a in vals[0]:
-                    for b in vals[1]:
-                        out |= _pair_op(program, op, a, b)
-            return normalize_vals(out)
+            return _compile_op(program, op, args)
+        case This():
+            return _register(program, "this")
+        case BoolLit(v):
+            return _constant(frozenset({AbstractBool(v)}))
+        case NullLit():
+            return _constant(frozenset({NULL}))
+        case VoidLit():
+            return _constant(frozenset({VOID}))
         case InstanceOf(inner, cls):
-            vals = eval_atomic(program, inner, fp, store)
-            out = set()
-            for v in vals:
-                if isinstance(v, ObjectValue):
-                    out.add(AbstractBool(program.is_subclass(v.class_name, cls)))
-                elif isinstance(v, NullVal):
-                    out.add(FALSE)
-                elif isinstance(v, AbstractString):
-                    out.add(AbstractBool(
-                        cls in ("java/lang/Object", "java/lang/String")))
-            return frozenset(out)
+            return _compile_instance_of(program, inner, cls)
     raise TypeError(f"not an atomic expression: {ae!r}")
+
+
+def _register(program: Program, reg: str) -> tuple:
+    def values(fp, store):
+        return store.lookup(reg_addr(program, fp, reg))
+
+    def taint(fp, taint_store):
+        return taint_store.lookup(reg_addr(program, fp, reg))
+    return values, taint
+
+
+def _constant(vals: frozenset) -> tuple:
+    def values(fp, store):
+        return vals
+    return values, _no_taint
+
+
+def _compile_op(program: Program, op: str, args: tuple) -> tuple:
+    results = program.op_results
+    operands = [compile_atomic(program, a) for a in args]
+    if len(operands) == 1:
+        [(arg, taint)] = operands
+
+        def values(fp, store):
+            key = (op, arg(fp, store))
+            out = results.get(key)
+            if out is None:
+                out = results[key] = _op_values(*key)
+            return out
+        return values, taint
+    [(left, left_taint), (right, right_taint)] = operands
+
+    def values(fp, store):
+        key = (op, left(fp, store), right(fp, store))
+        out = results.get(key)
+        if out is None:
+            out = results[key] = _op_values(*key)
+        return out
+    if right_taint is _no_taint:
+        return values, left_taint
+    if left_taint is _no_taint:
+        return values, right_taint
+
+    def taint(fp, taint_store):
+        return left_taint(fp, taint_store) | right_taint(fp, taint_store)
+    return values, taint
+
+
+def _compile_instance_of(program: Program, inner, cls: str) -> tuple:
+    inner_values, taint = compile_atomic(program, inner)
+
+    def values(fp, store):
+        out = set()
+        for v in inner_values(fp, store):
+            if isinstance(v, ObjectValue):
+                out.add(AbstractBool(program.is_subclass(v.class_name, cls)))
+            elif isinstance(v, NullVal):
+                out.add(FALSE)
+            elif isinstance(v, AbstractString):
+                out.add(AbstractBool(
+                    cls in ("java/lang/Object", "java/lang/String")))
+        return frozenset(out)
+    return values, taint
+
+
+def _atomic_operands(stmt) -> tuple:
+    """The atomic expressions a step of ``stmt`` evaluates, in order."""
+    match stmt:
+        case If(exp, _) | AssignAtomic(_, exp) | Return(exp) | Throw(exp):
+            return (exp,)
+        case FieldPut(obj, _, value):
+            return (obj, value)
+        case FieldGet(_, obj, _):
+            return (obj,)
+        case AssignComplex(_, Invoke(args=args)):
+            return args
+    return ()
+
+
+def evaluators(program: Program, code: Code) -> tuple:
+    """The compiled pairs (``compile_atomic``) of the atomic expressions
+    ``code``'s statement evaluates, in order: made on the first call and
+    kept on the record."""
+    evals = code.evals
+    if evals is None:
+        evals = code.evals = tuple(compile_atomic(program, ae)
+                                   for ae in _atomic_operands(code.stmt))
+    return evals
+
+
+def eval_atomic(program: Program, ae, fp: FramePointer, store: Store) -> frozenset:
+    """Evaluate an atomic expression to a value set; unbound names are empty."""
+    return compile_atomic(program, ae)[0](fp, store)
 
 
 def eval_atomic_taint(program: Program, ae, fp: FramePointer,
                       taint_store: taint_mod.TaintStore) -> frozenset:
     """Taint carried by an atomic expression: the union over registers read."""
-    match ae:
-        case Name(reg):
-            return taint_store.lookup(reg_addr(program, fp, reg))
-        case This():
-            return taint_store.lookup(reg_addr(program, fp, "this"))
-        case AtomicOp(_, args):
-            out: frozenset = frozenset()
-            for a in args:
-                out |= eval_atomic_taint(program, a, fp, taint_store)
-            return out
-        case InstanceOf(inner, _):
-            return eval_atomic_taint(program, inner, fp, taint_store)
-        case _:
-            return frozenset()
+    return compile_atomic(program, ae)[1](fp, taint_store)
 
 
-def eval_field(program: Program, ae_o, fp: FramePointer, store: Store,
-               field_name: str) -> frozenset:
-    """Join of the field's values over every object the receiver may be."""
+def field_values(receivers, store: Store, field_name: str) -> frozenset:
+    """Join of the field's values over the objects among ``receivers``."""
     out: set = set()
-    for v in eval_atomic(program, ae_o, fp, store):
+    for v in receivers:
         if isinstance(v, ObjectValue):
             out |= store.lookup(FieldAddr(v.op, field_name))
     return normalize_vals(out)
 
 
-def eval_field_taint(program: Program, ae_o, fp: FramePointer, store: Store,
-                     taint_store: taint_mod.TaintStore, field_name: str) -> frozenset:
+def field_taint(receivers, taint_store: taint_mod.TaintStore,
+                field_name: str) -> frozenset:
     out: frozenset = frozenset()
-    for v in eval_atomic(program, ae_o, fp, store):
+    for v in receivers:
         if isinstance(v, ObjectValue):
             out |= taint_store.lookup(FieldAddr(v.op, field_name))
     return out
+
+
+def eval_field(program: Program, ae_o, fp: FramePointer, store: Store,
+               field_name: str) -> frozenset:
+    """Join of the field's values over every object the receiver may be."""
+    return field_values(eval_atomic(program, ae_o, fp, store), store,
+                        field_name)
 
 
 def init_object(program: Program, store: Store, op: ObjectPointer,
@@ -625,9 +720,9 @@ def _call(program, code, state, callee, receivers, arg_vals, arg_taints,
 def _step_invoke(program, code, state, inv: Invoke, store, taint_store,
                  summaries, policy, recorder) -> list:
     pos, fp = state.pos, state.fp
-    arg_vals = [eval_atomic(program, a, fp, store) for a in inv.args]
-    arg_taints = [eval_atomic_taint(program, a, fp, taint_store)
-                  for a in inv.args]
+    evals = evaluators(program, code)
+    arg_vals = [values(fp, store) for values, _taint in evals]
+    arg_taints = [taint(fp, taint_store) for _values, taint in evals]
     if any(not v for v in arg_vals):
         log.debug("stuck invoke at %s: unbound argument", pos)
         return []
@@ -691,8 +786,9 @@ def step_independent(program: Program, state: ControlState, store: Store,
             return [_noop(program, state, code.next)]
         case Goto(_):
             return [_noop(program, state, code.target)]
-        case If(cond, _):
-            vals = eval_atomic(program, cond, fp, store)
+        case If():
+            [(values, _taint)] = evaluators(program, code)
+            vals = values(fp, store)
             if not vals:
                 return []
             if vals == ONLY_TRUE:
@@ -701,14 +797,14 @@ def step_independent(program: Program, state: ControlState, store: Store,
                 return [_noop(program, state, code.next)]
             return [_noop(program, state, code.next),
                     _noop(program, state, code.target)]
-        case AssignAtomic(name, exp):
-            vals = eval_atomic(program, exp, fp, store)
+        case AssignAtomic(name, _):
+            [(values, taint)] = evaluators(program, code)
+            vals = values(fp, store)
             if not vals:
                 return []
             addr = reg_addr(program, fp, name)
             store.join(addr, vals)
-            taint_store.join(addr, eval_atomic_taint(program, exp, fp,
-                                                     taint_store))
+            taint_store.join(addr, taint(fp, taint_store))
             return [_noop(program, state, code.next)]
         case AssignComplex(name, New(class_name)):
             op = alloc_op(code.pos, fp, policy)
@@ -728,27 +824,28 @@ def step_independent(program: Program, state: ControlState, store: Store,
             store.join(addr, vals)
             taint_store.join(addr, taint_store.lookup(ret))
             return [_noop(program, state, code.next)]
-        case FieldPut(obj, field_name, value):
-            receivers = [v for v in eval_atomic(program, obj, fp, store)
+        case FieldPut(_, field_name, _):
+            [(obj, _obj_taint), (values, taint)] = evaluators(program, code)
+            receivers = [v for v in obj(fp, store)
                          if isinstance(v, ObjectValue)]
-            vals = eval_atomic(program, value, fp, store)
+            vals = values(fp, store)
             if not receivers or not vals:
                 return []
-            taints = eval_atomic_taint(program, value, fp, taint_store)
+            taints = taint(fp, taint_store)
             for ov in sorted(receivers, key=value_sort_key):
                 addr = FieldAddr(ov.op, field_name)
                 store.join(addr, vals)
                 taint_store.join(addr, taints)
             return [_noop(program, state, code.next)]
-        case FieldGet(name, obj, field_name):
-            vals = eval_field(program, obj, fp, store, field_name)
+        case FieldGet(name, _, field_name):
+            [(obj, _taint)] = evaluators(program, code)
+            vals = field_values(obj(fp, store), store, field_name)
             if not vals:
                 return []
             addr = reg_addr(program, fp, name)
             store.join(addr, vals)
-            taint_store.join(
-                addr, eval_field_taint(program, obj, fp, store, taint_store,
-                                       field_name))
+            taint_store.join(addr, field_taint(obj(fp, store), taint_store,
+                                               field_name))
             return [_noop(program, state, code.next)]
         case PushHandler():
             return [edge_of(program, state, PUSH, code.frame,
@@ -772,11 +869,12 @@ def step_dependent(program: Program, state: ControlState, top, store: Store,
     code = program.code[state.pos]
     fp = state.fp
     match code.stmt:
-        case Return(exp):
-            vals = eval_atomic(program, exp, fp, store)
+        case Return():
+            [(values, taint)] = evaluators(program, code)
+            vals = values(fp, store)
             if not vals:
                 return []
-            taints = eval_atomic_taint(program, exp, fp, taint_store)
+            taints = taint(fp, taint_store)
             if top is None:
                 ret = reg_addr(program, fp, RET_REG)
                 store.join(ret, vals)
@@ -790,12 +888,13 @@ def step_dependent(program: Program, state: ControlState, top, store: Store,
             taint_store.join(ret, taints)
             return [edge_of(program, state, POP, top,
                             state_at(program.code[top.ret_pos], top.fp))]
-        case Throw(exp):
-            vals = eval_atomic(program, exp, fp, store)
-            thrown = [v for v in vals if isinstance(v, ObjectValue)]
+        case Throw():
+            [(values, taint)] = evaluators(program, code)
+            thrown = [v for v in values(fp, store)
+                      if isinstance(v, ObjectValue)]
             if not thrown:
                 return []
-            taints = eval_atomic_taint(program, exp, fp, taint_store)
+            taints = taint(fp, taint_store)
             exn = reg_addr(program, fp, EXN_REG)
             if top is None:
                 store.join(exn, frozenset(thrown))

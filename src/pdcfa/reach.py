@@ -539,7 +539,7 @@ class _FiniteEngine(_BaseEngine):
     def _step(self, state: ControlState) -> list:
         code = self.program.code[state.pos]
         if isinstance(code.stmt, Throw):
-            return self._step_throw(state, code.stmt)
+            return self._step_throw(state, code)
         if isinstance(code.stmt, (Return, PopHandler)):
             return [edge for top in self._tops(state, code)
                     for edge in machine.step_dependent(
@@ -618,15 +618,15 @@ class _FiniteEngine(_BaseEngine):
                 if method in reachable
                 or (method == frame.owner and lo < idx < hi)}
 
-    def _step_throw(self, state: ControlState, st: Throw) -> list:
+    def _step_throw(self, state: ControlState, code) -> list:
         catching = self._throws[state] = self._catching(state)
         program = self.program
-        vals = machine.eval_atomic(program, st.exp, state.fp, self.store)
-        thrown = [v for v in vals if isinstance(v, machine.ObjectValue)]
+        [(values, taint)] = machine.evaluators(program, code)
+        thrown = [v for v in values(state.fp, self.store)
+                  if isinstance(v, machine.ObjectValue)]
         if not thrown:
             return []
-        taints = machine.eval_atomic_taint(program, st.exp, state.fp,
-                                           self.taint)
+        taints = taint(state.fp, self.taint)
         # without a stack the unwind may always escape
         exn = machine.reg_addr(program, state.fp, machine.EXN_REG)
         self.store.join(exn, frozenset(thrown))

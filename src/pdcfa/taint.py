@@ -56,12 +56,14 @@ class MonotoneStore:
     Lookups of absent addresses are empty. ``on_read``/``on_grow`` hooks let
     an engine track which worklist items read an address and revisit them
     when it grows. Subclasses differ only in ``_normalize``, applied to
-    every joined set.
+    every joined set. ``join`` keeps each normalised union by (old set,
+    joined set) in a table that a store and its copies share.
     """
 
     def __init__(self):
         self._data: dict = {}
         self._grows = 0  # joins that grew the store, carried over by copy()
+        self._unions: dict = {}  # (old, joined) -> normalised union
         self.on_read = None
         self.on_grow = None
 
@@ -78,7 +80,10 @@ class MonotoneStore:
         old = self._data.get(addr, frozenset())
         if values <= old:  # old is normalised, and normalising it is a no-op
             return False
-        new = self._normalize(old | values)
+        key = (old, values)
+        new = self._unions.get(key)
+        if new is None:
+            new = self._unions[key] = self._normalize(old | values)
         if new == old:
             return False
         self._data[addr] = new
@@ -94,20 +99,8 @@ class MonotoneStore:
         other = type(self)()
         other._data = dict(self._data)
         other._grows = self._grows
+        other._unions = self._unions
         return other
-
-    def join_store(self, other) -> bool:
-        grew = False
-        for addr, values in other._data.items():
-            grew |= self.join(addr, values)
-        return grew
-
-    def canonical_text(self) -> str:
-        lines = []
-        for addr in sorted(self._data, key=lambda a: a.sort_key()):
-            vals = ",".join(sorted(v.canonical() for v in self._data[addr]))
-            lines.append(f"{addr.canonical()} -> {{{vals}}}")
-        return "\n".join(lines) + "\n"
 
     def fingerprint(self) -> int:
         """The number of growing joins into this store and the stores it
@@ -118,12 +111,6 @@ class MonotoneStore:
 
 class TaintStore(MonotoneStore):
     """Addr -> set of TaintVal; a join-semilattice under pointwise union."""
-
-    def all_categories(self) -> frozenset:
-        out = set()
-        for taints in self._data.values():
-            out |= taints
-        return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

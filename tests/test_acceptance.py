@@ -22,6 +22,7 @@ from pdcfa.reach import (
 )
 from pdcfa.taint import TaintStore, TaintVal, extract_findings, parse_summaries
 from soundness import analyze_seeded, check_containment
+from stores import all_categories, canonical_text
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
 
@@ -177,8 +178,8 @@ def test_criterion_4_eps_order_insensitivity(bundles_dir):
             if not hit:
                 failures.append(
                     f"ordering {[u.name for u in perm]} lost the finding")
-            fingerprints.add(store.canonical_text() + "\x00"
-                             + taint.canonical_text())
+            fingerprints.add(canonical_text(store) + "\x00"
+                             + canonical_text(taint))
     if runs != 12:
         failures.append(f"expected 12 orderings, ran {runs}")
     if len(fingerprints) != 1:
@@ -189,8 +190,8 @@ def test_criterion_4_eps_order_insensitivity(bundles_dir):
     re_store, re_taint, re_trace = saturate_app(
         bundle.program, units, cfg, bundle.summaries,
         init_store=store, init_taint=taint)
-    if re_store.canonical_text() != store.canonical_text() \
-            or re_taint.canonical_text() != taint.canonical_text():
+    if canonical_text(re_store) != canonical_text(store) \
+            or canonical_text(re_taint) != canonical_text(taint):
         failures.append("reseeded saturation grew the store")
     if re_trace.global_rounds != 1:
         failures.append("reseeded saturation needed extra rounds")
@@ -257,7 +258,7 @@ def test_criterion_6_lattice_and_instrumentation():
                 applied = set()
                 for app in res.source_applications():
                     applied.update(app.source_categories)
-                if not res.final_taint.all_categories() <= applied:
+                if not all_categories(res.final_taint) <= applied:
                     failures.append(f"{name} ({mode}): spontaneous taint")
     finally:
         TaintStore.join = orig_join

@@ -30,6 +30,7 @@ from pdcfa.machine import (
 from pdcfa.reach import AnalysisConfig
 from pdcfa.report import emit_heat_map, export_graph
 from pdcfa.taint import TaintStore, TaintVal, parse_summaries, extract_findings
+from stores import canonical_text, join_store
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SHIPPED = sorted(p.name for p in (Path(__file__).parent / "corpus" /
@@ -180,8 +181,8 @@ def test_disjoint_units_join_of_independent_runs():
     alone_u, _t1, _ = saturate_app(program, [u], cfg, SUMMARIES)
     alone_v, _t2, _ = saturate_app(program, [v], cfg, SUMMARIES)
     merged = alone_u.copy()
-    merged.join_store(alone_v)
-    assert together.canonical_text() == merged.canonical_text()
+    join_store(merged, alone_v)
+    assert canonical_text(together) == canonical_text(merged)
 
 
 def test_saturated_store_identical_across_orderings():
@@ -192,7 +193,7 @@ def test_saturated_store_identical_across_orderings():
     texts = set()
     for perm in itertools.permutations(units):
         store, taint, _ = saturate_app(program, list(perm), cfg, SUMMARIES)
-        texts.add(store.canonical_text() + "|" + taint.canonical_text())
+        texts.add(canonical_text(store) + "|" + canonical_text(taint))
     assert len(texts) == 1
 
 
@@ -366,8 +367,8 @@ def _check_saturation(monkeypatch, program, units, cfg, summaries):
                                                     units, cfg, summaries)
     (_fix_args, fixpoint), reporting = calls[0], calls[1:]
     ref_store, ref_taint = _sweep_reference(program, units, cfg, summaries)
-    assert fixpoint.final_store.canonical_text() == ref_store.canonical_text()
-    assert fixpoint.final_taint.canonical_text() == ref_taint.canonical_text()
+    assert canonical_text(fixpoint.final_store) == canonical_text(ref_store)
+    assert canonical_text(fixpoint.final_taint) == canonical_text(ref_taint)
 
     saturated = (fixpoint.final_store.fingerprint(),
                  fixpoint.final_taint.fingerprint())
@@ -528,33 +529,47 @@ def test_views_equal_plain_runs_with_every_method_an_entry_point(
 def test_reporting_runs_step_nothing_and_share_the_saturated_pair(
         bundles_dir, monkeypatch, name, mode):
     """After the fixpoint run returns, no machine step and no expression
-    evaluation runs: each entry point's view reads the fixpoint run's graph
-    and returns its store pair itself."""
+    evaluation runs, compiled or not, and neither the operation table nor
+    the stores' join tables grow: each entry point's view reads the
+    fixpoint run's graph and returns its store pair itself."""
     bundle = load_bundle(bundles_dir / name)
-    units = discover_entry_points(bundle, bundle.program)
-    analyze, runs, late_calls = reach.analyze, [], []
+    program = bundle.program
+    units = discover_entry_points(bundle, program)
+    analyze, runs, late_calls, sizes = reach.analyze, [], [], []
 
-    def recorded(*args, **kwargs):
-        runs.append(analyze(*args, **kwargs))
-        return runs[-1]
+    def tables():
+        return (len(program.op_results), len(runs[0].final_store._unions),
+                len(runs[0].final_taint._unions))
 
-    def counted(fname):
-        fn = getattr(machine, fname)
-
+    def counted(fname, fn):
         def wrapper(*args, **kwargs):
             if runs:
                 late_calls.append(fname)
             return fn(*args, **kwargs)
         return wrapper
 
+    def recorded(*args, **kwargs):
+        runs.append(analyze(*args, **kwargs))
+        sizes.append(tables())
+        for code in program.code.values():
+            if code.evals:
+                code.evals = tuple(
+                    (counted("values", values), counted("taint", taint))
+                    for values, taint in code.evals)
+        return runs[-1]
+
     monkeypatch.setattr(reach, "analyze", recorded)
-    for fname in ("step_independent", "step_dependent", "eval_atomic"):
-        monkeypatch.setattr(machine, fname, counted(fname))
-    _s, _t, trace = saturate_app(bundle.program, units,
+    for fname in ("step_independent", "step_dependent", "eval_atomic",
+                  "eval_atomic_taint", "evaluators", "compile_atomic"):
+        monkeypatch.setattr(machine, fname,
+                            counted(fname, getattr(machine, fname)))
+    _s, _t, trace = saturate_app(program, units,
                                  AnalysisConfig(mode=mode, k=1),
                                  bundle.summaries)
     assert trace.complete and trace.results
     assert late_calls == []
+    assert any(code.evals for code in program.code.values())
+    assert sizes == [tables()]
     fixpoint = runs[0]
     for result in trace.results:
         assert result.final_store is fixpoint.final_store

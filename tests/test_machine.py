@@ -64,6 +64,7 @@ from pdcfa.machine import (
 )
 from pdcfa.reach import AnalysisConfig, ControlState, Edge
 from pdcfa.taint import SummaryTable, TaintStore, TaintVal, parse_summaries
+from stores import canonical_text, join_store
 
 EMPTY = SummaryTable([])
 
@@ -163,8 +164,7 @@ def test_binary_ops_match_the_written_table():
     for op, *cells in rows:
         assert len(cells) == len(BINARY_OP_PAIRS), op
         for (a, b), cell in zip(BINARY_OP_PAIRS, cells):
-            got = _pair_op(None, op, _abstract_operand(a),
-                           _abstract_operand(b))
+            got = _pair_op(op, _abstract_operand(a), _abstract_operand(b))
             assert got == _abstract_cell(cell), (op, a, b)
             assert all(type(v.value) is type(w.value) for v in got
                        for w in _abstract_cell(cell)), (op, a, b)
@@ -459,8 +459,8 @@ def _mk_store(content) -> Store:
 
 def _joined(a: Store, b: Store) -> str:
     out = a.copy()
-    out.join_store(b)
-    return out.canonical_text()
+    join_store(out, b)
+    return canonical_text(out)
 
 
 @settings(max_examples=150, deadline=None)
@@ -475,13 +475,13 @@ def test_store_join_commutative(ca, cb):
 def test_store_join_associative(ca, cb, cc):
     a, b, c = _mk_store(ca), _mk_store(cb), _mk_store(cc)
     left = a.copy()
-    left.join_store(b)
-    left.join_store(c)
+    join_store(left, b)
+    join_store(left, c)
     bc = b.copy()
-    bc.join_store(c)
+    join_store(bc, c)
     right = a.copy()
-    right.join_store(bc)
-    assert left.canonical_text() == right.canonical_text()
+    join_store(right, bc)
+    assert canonical_text(left) == canonical_text(right)
 
 
 @settings(max_examples=150, deadline=None)
@@ -489,8 +489,8 @@ def test_store_join_associative(ca, cb, cc):
 def test_store_join_idempotent(ca):
     a = _mk_store(ca)
     again = a.copy()
-    assert not again.join_store(a)
-    assert again.canonical_text() == a.canonical_text()
+    assert not join_store(again, a)
+    assert canonical_text(again) == canonical_text(a)
 
 
 def test_int_budget_absorbs_constants():
@@ -520,7 +520,7 @@ def test_taint_join_laws(a, b):
     s1.join(addr, tb)
     s2.join(addr, tb)
     s2.join(addr, ta)
-    assert s1.canonical_text() == s2.canonical_text()
+    assert canonical_text(s1) == canonical_text(s2)
     assert not s1.join(addr, ta)  # idempotent
 
 
@@ -535,14 +535,14 @@ def test_normalize_vals_is_idempotent(vals):
 @given(_STORE_CONTENT, st.randoms(use_true_random=False))
 def test_join_of_a_subset_returns_false_without_on_grow(content, rnd):
     store = _mk_store(content)
-    before = store.canonical_text()
+    before = canonical_text(store)
     grown = []
     store.on_grow = grown.append
     for addr, vals in store.items():
         subset = frozenset(v for v in vals if rnd.random() < 0.5)
         assert not store.join(addr, subset)
     assert grown == []
-    assert store.canonical_text() == before
+    assert canonical_text(store) == before
 
 
 @settings(max_examples=150, deadline=None)
@@ -550,12 +550,12 @@ def test_join_of_a_subset_returns_false_without_on_grow(content, rnd):
 def test_fingerprint_changes_exactly_when_a_copy_chain_grows(ca, cb, cc):
     first = _mk_store(ca)
     second = first.copy()
-    second.join_store(_mk_store(cb))
+    join_store(second, _mk_store(cb))
     third = second.copy()
-    third.join_store(_mk_store(cc))
+    join_store(third, _mk_store(cc))
     for old, new in ((first, second), (second, third), (first, third)):
         assert (new.fingerprint() == old.fingerprint()) == \
-            (new.canonical_text() == old.canonical_text())
+            (canonical_text(new) == canonical_text(old))
 
 
 def test_taint_join_of_a_subset_returns_false_without_on_grow():

@@ -42,6 +42,7 @@ from pdcfa.taint import (
     extract_findings,
     parse_summaries,
 )
+from stores import canonical_text
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -239,8 +240,8 @@ def test_fixpoint_rerun_is_stable():
     first = analyze(program, RUN, store, taint, cfg, TABLE)
     second = analyze(program, RUN, first.final_store,
                      first.final_taint, cfg, TABLE)
-    assert first.final_store.canonical_text() \
-        == second.final_store.canonical_text()
+    assert canonical_text(first.final_store) \
+        == canonical_text(second.final_store)
     assert first.node_set() == second.node_set()
 
 
@@ -251,16 +252,16 @@ def test_analyze_copies_the_callers_store_pair(mode):
     program = parse_program(src)
     cfg = AnalysisConfig(mode=mode, k=1)
     store, taint = _seeded(program, RUN, cfg)
-    before = store.canonical_text(), taint.canonical_text()
+    before = canonical_text(store), canonical_text(taint)
     res = reach.analyze(program, RUN, store, taint, cfg, TABLE)
     assert res.final_store is not store and res.final_taint is not taint
-    assert (store.canonical_text(), taint.canonical_text()) == before
-    assert res.final_store.canonical_text() != before[0]  # the copy grew
+    assert (canonical_text(store), canonical_text(taint)) == before
+    assert canonical_text(res.final_store) != before[0]  # the copy grew
 
 def test_deterministic_across_runs():
     src, _o, _r = MICRO_PROGRAMS["try_nested"]
     results = [_pushdown(src)[1] for _ in range(2)]
-    texts = [r.final_store.canonical_text() for r in results]
+    texts = [canonical_text(r.final_store) for r in results]
     assert texts[0] == texts[1]
     assert [s.sort_key() for s in results[0].dsg.nodes] \
         == [s.sort_key() for s in results[1].dsg.nodes]
@@ -786,9 +787,9 @@ def checked_throw_steps(monkeypatch):
     steps = []
     original = reach._FiniteEngine._step_throw
 
-    def step_throw(engine, state, st):
-        expected = _naive_throw_edges(engine, state, st)
-        edges = original(engine, state, st)
+    def step_throw(engine, state, code):
+        expected = _naive_throw_edges(engine, state, code.stmt)
+        edges = original(engine, state, code)
         assert edges == expected, state.describe()
         steps.append(len(edges))
         return edges
@@ -832,8 +833,8 @@ def test_throw_step_matches_naive_scan_on_synth(tmp_path, monkeypatch,
     last = {}  # throw state -> (engine, statement, edges) of its last step
     checked = reach._FiniteEngine._step_throw
 
-    def step_throw(engine, state, st):
-        last[state] = (engine, st, checked(engine, state, st))
+    def step_throw(engine, state, code):
+        last[state] = (engine, code.stmt, checked(engine, state, code))
         return last[state][2]
 
     monkeypatch.setattr(reach._FiniteEngine, "_step_throw", step_throw)
@@ -909,10 +910,10 @@ def test_throw_resteps_on_catcher_growth_reach_the_every_throw_fixpoint(
             cases, precise, every):
         assert set(res.dsg.nodes) == set(want.dsg.nodes), label
         assert set(res.dsg.edges) == set(want.dsg.edges), label
-        assert (res.final_store.canonical_text()
-                == want.final_store.canonical_text()), label
-        assert (res.final_taint.canonical_text()
-                == want.final_taint.canonical_text()), label
+        assert (canonical_text(res.final_store)
+                == canonical_text(want.final_store)), label
+        assert (canonical_text(res.final_taint)
+                == canonical_text(want.final_taint)), label
         assert shared.call_edges == want_shared.call_edges, label
         assert shared.handler_records == want_shared.handler_records, label
     assert sum(throw_steps(c[1], r) for c, (r, _s) in zip(cases, precise)) \
