@@ -286,22 +286,21 @@ def _main(argv) -> int:
 
 def _analyze(bundle: AppBundle, cfg: AnalysisConfig, deadline: float,
              predicate, units, outdir: Path, t0: float) -> int:
-    """Saturate, extract findings and write the reports. The output
-    directory is made once the findings and the heat map are built. The
-    DOT is made and written first; its text, the views and the fixpoint
-    graph are dropped before the flow and permission reports are built,
-    and the findings once the flow report holds what is written and
-    printed."""
+    """Saturate, extract findings and write the reports, each read from
+    the fixpoint run and its triggers. The output directory is made once
+    the findings and the heat map are built. The DOT is made and written
+    first; its text and the fixpoint graph are dropped before the flow and
+    permission reports are built, and the findings once the flow report
+    holds what is written and printed."""
     _store, _taint, trace = eps.saturate_app(
         bundle.program, units, cfg, bundle.summaries, deadline=deadline)
-    results = trace.results
-    findings = extract_findings(results)
-    collected = perms_mod.collect_permissions(results)
+    findings = extract_findings(trace)
+    collected = perms_mod.collect_permissions(trace)
     preport = perms_mod.build_permission_report(
         bundle.requested_permissions, collected,
         lower_bound=not trace.complete)
     meta = _meta(bundle, cfg, predicate)
-    heat_doc = report_mod.emit_heat_map(results, bundle.program, meta)
+    heat_doc = report_mod.emit_heat_map(trace, bundle.program, meta)
     written = []  # the files this run writes to: a failed write removes them
 
     def create(name: str):
@@ -314,7 +313,7 @@ def _analyze(bundle: AppBundle, cfg: AnalysisConfig, deadline: float,
             fh.write(report_mod.export_graph(
                 trace.fixpoint if trace.complete else None, findings,
                 bundle.program).encode("utf-8"))
-        results = trace.results = trace.fixpoint = None
+        trace.fixpoint = None
         flow_doc = report_mod.emit_flow_report(findings, predicate,
                                                bundle.program, meta)
         findings = None

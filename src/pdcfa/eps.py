@@ -6,11 +6,11 @@ seeded into one store pair, and one engine run has every entry's initial
 state as a root (a global store, as in Van Horn and Might, "Abstracting
 Abstract Machines", ICFP 2010). That fixpoint depends on no schedule, so
 the saturated store models every interleaving of entry points without
-enumerating orderings. Then each entry point, in declared order, gets its
-result as a view of the fixpoint run's graph (``reach.entry_view``): the
-part of it a run from that entry alone would build over the saturated pair,
-read out without stepping the machine. Findings name the entry point that
-triggers them (``Unit.label``).
+enumerating orderings. Each entry point, in declared order, is a trigger:
+the reports read its part of the fixpoint run's graph, what a run from that
+entry alone would build over the saturated pair, from the run's root masks
+(``reach.RootMasks``) without stepping the machine. Findings name the
+entry point that triggers them (``Unit.label``).
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ class Unit:
 @record(mutable=True)
 class SaturationTrace:
     fixpoint: reach.AnalysisResult  # the app-wide run
-    # its entry-point views (AnalysisResults), in declared order; none if it
-    # stopped at a limit
-    results: list
+    # (TriggerContext, entry method) per entry point, in declared order; none
+    # if the run stopped at a limit
+    triggers: list
     # 2 when the fixpoint run grew the seeded store pair, 1 when it did not
     global_rounds: int
     complete: bool  # the fixpoint run's, as is limit_reason
@@ -106,18 +106,18 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                  init_store: Store | None = None,
                  init_taint: TaintStore | None = None,
                  deadline: float | None = None) -> tuple:
-    """One app-wide fixpoint run, then one view of it per entry point.
+    """One app-wide fixpoint run, each entry point a root.
 
-    Returns (store, taint, trace): the saturated store pair, and each entry
-    point's view, in declared order. Optional seeds support re-running
-    saturation from its own output (a fixpoint check).
+    Returns (store, taint, trace): the saturated store pair, and the run
+    with each entry point's trigger, in declared order. Optional seeds
+    support re-running saturation from its own output (a fixpoint check).
 
     ``cfg.max_states`` and ``deadline`` (``cfg.deadline()``, made when the
     run starts, if None) bound the fixpoint run, as in ``reach.analyze``; a
     caller that makes the deadline earlier (before parsing, say) bounds its
     earlier work with it too. A fixpoint run that stops at either limit
-    ends saturation incomplete, with no views. A complete one gets every
-    view: views build no state, so no limit applies to them.
+    ends saturation incomplete, with no triggers: only a complete run has
+    root masks to read an entry point's part from.
     """
     if not units:
         raise EmptyUnit("no units declared")
@@ -141,10 +141,10 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                             fixpoint.limit_reason)
     if not fixpoint.complete:
         return store, taint, trace
-    for unit, ep in entries:
-        result = reach.entry_view(fixpoint, ep.method_ref)
-        result.trigger = TriggerContext(unit.name, unit.label(ep))
-        trace.results.append(result)
-    log.info("views: %d, %d nodes", len(trace.results),
-             sum(len(r.dsg.nodes) for r in trace.results))
+    trace.triggers = [(TriggerContext(unit.name, unit.label(ep)),
+                       ep.method_ref) for unit, ep in entries]
+    if log.isEnabledFor(logging.INFO):  # the parts' summed node counts
+        weight = fixpoint.masks.weigh(e for _t, e in trace.triggers)
+        log.info("views: %d, %d nodes", len(trace.triggers),
+                 sum(map(weight, fixpoint.masks.node)))
     return store, taint, trace

@@ -11,9 +11,10 @@ each labelled with its stack action (noop / push / pop), so both engines
 read one transition relation. A step reads its statement's compiled
 record (``ir.Code``), evaluates its atomic expressions with the closures
 compiled onto that record on its first step (``evaluators``), and looks the
-control states, register addresses, edges and operation results it needs
-up in its program's tables (``state_at``, ``reg_addr``, ``edge_of``,
-``Program.op_results``), so one analysis builds each of them once.
+control states, register and field addresses, edges and operation results
+it needs up in its program's tables (``state_at``, ``reg_addr``,
+``field_addr``, ``edge_of``, ``Program.op_results``), so one analysis
+builds each of them once.
 
 All step functions are pure apart from joins into the supplied stores and
 the entries they add to those tables, to the invoke memos and to the
@@ -159,6 +160,20 @@ class FieldAddr:
 
     def canonical(self) -> str:
         return f"field:{self.op.canonical()}.{self.field_name}"
+
+
+def field_addr(program: Program, op: ObjectPointer,
+               field_name: str) -> FieldAddr:
+    """The address of field ``field_name`` of the objects ``op`` allocates:
+    built the first time an analysis of ``program`` asks for it, then
+    looked up."""
+    fields = program.field_addrs.get(op)
+    if fields is None:
+        fields = program.field_addrs[op] = {}
+    addr = fields.get(field_name)
+    if addr is None:
+        addr = fields[field_name] = FieldAddr(op, field_name)
+    return addr
 
 
 # ---------------------------------------------------------------------------
@@ -534,29 +549,24 @@ def eval_atomic_taint(program: Program, ae, fp: FramePointer,
     return compile_atomic(program, ae)[1](fp, taint_store)
 
 
-def field_values(receivers, store: Store, field_name: str) -> frozenset:
+def field_values(program: Program, receivers, store: Store,
+                 field_name: str) -> frozenset:
     """Join of the field's values over the objects among ``receivers``."""
     out: set = set()
     for v in receivers:
         if isinstance(v, ObjectValue):
-            out |= store.lookup(FieldAddr(v.op, field_name))
+            out |= store.lookup(field_addr(program, v.op, field_name))
     return normalize_vals(out)
 
 
-def field_taint(receivers, taint_store: taint_mod.TaintStore,
+def field_taint(program: Program, receivers,
+                taint_store: taint_mod.TaintStore,
                 field_name: str) -> frozenset:
     out: frozenset = frozenset()
     for v in receivers:
         if isinstance(v, ObjectValue):
-            out |= taint_store.lookup(FieldAddr(v.op, field_name))
+            out |= taint_store.lookup(field_addr(program, v.op, field_name))
     return out
-
-
-def eval_field(program: Program, ae_o, fp: FramePointer, store: Store,
-               field_name: str) -> frozenset:
-    """Join of the field's values over every object the receiver may be."""
-    return field_values(eval_atomic(program, ae_o, fp, store), store,
-                        field_name)
 
 
 def init_object(program: Program, store: Store, op: ObjectPointer,
@@ -573,7 +583,7 @@ def init_object(program: Program, store: Store, op: ObjectPointer,
                 default = frozenset({AbstractInt(0)})
             else:
                 default = frozenset({NULL})
-            store.join(FieldAddr(op, fdef.name), default)
+            store.join(field_addr(program, op, fdef.name), default)
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +598,6 @@ class ControlState:
 
     def sort_key(self):
         return (self.pos.sort_key(), self.fp.sort_key())
-
-    def describe(self) -> str:
-        move = "+move" if self.pos.at_move else ""
-        return (f"{self.pos.method.sig()}@{self.pos.index}{move} "
-                f"{self.fp.canonical()}")
 
 
 @record(key=True)
@@ -833,19 +838,19 @@ def step_independent(program: Program, state: ControlState, store: Store,
                 return []
             taints = taint(fp, taint_store)
             for ov in sorted(receivers, key=value_sort_key):
-                addr = FieldAddr(ov.op, field_name)
+                addr = field_addr(program, ov.op, field_name)
                 store.join(addr, vals)
                 taint_store.join(addr, taints)
             return [_noop(program, state, code.next)]
         case FieldGet(name, _, field_name):
             [(obj, _taint)] = evaluators(program, code)
-            vals = field_values(obj(fp, store), store, field_name)
+            vals = field_values(program, obj(fp, store), store, field_name)
             if not vals:
                 return []
             addr = reg_addr(program, fp, name)
             store.join(addr, vals)
-            taint_store.join(addr, field_taint(obj(fp, store), taint_store,
-                                               field_name))
+            taint_store.join(addr, field_taint(program, obj(fp, store),
+                                               taint_store, field_name))
             return [_noop(program, state, code.next)]
         case PushHandler():
             return [edge_of(program, state, PUSH, code.frame,

@@ -15,19 +15,26 @@ class PermissionReport:
     lower_bound: bool = False  # analysis hit a limit; reached is partial
 
 
-def collect_permissions(results) -> list:
-    """Permissions attached to every summary application in a list of
-    results, paired with the applying control state."""
+def collect_permissions(trace) -> list:
+    """Permissions attached to the summary applications of a saturation
+    (``eps.SaturationTrace``), paired with the applying control state: the
+    applications of its fixpoint run in the part of a trigger's root
+    (``reach.RootMasks``), none if it has no triggers."""
+    if not trace.triggers:
+        return []
+    masks = trace.fixpoint.masks
+    weight = masks.weigh(entry for _trigger, entry in trace.triggers)
     seen = set()
     out = []
-    for res in results:
-        for app in res.applications:
-            for perm in app.permissions:
-                key = (perm, app.state)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((perm, app.state, app.line))
+    for app in trace.fixpoint.applications:
+        if not weight(masks.mask(app.state)):
+            continue
+        for perm in app.permissions:
+            key = (perm, app.state)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append((perm, app.state, app.line))
     out.sort(key=lambda p: (p[0], p[1].sort_key()))
     return out
 

@@ -19,26 +19,25 @@ Both run a worklist to a simultaneous fixpoint of the node set, edge set,
 summaries, and one global widened store pair. Worklist order is LIFO with
 deterministic tie-breaking, so results are identical across runs. A run may
 start from several entry methods at once, each initial state a root with an
-empty stack; entry-point saturation makes one such app-wide run. Each entry
-point's result is then ``entry_view`` of that run's graph: the part a run
-from that entry alone would build over the same store pair, read out of the
-graph without stepping the machine, from one bit per root (``RootMasks``).
+empty stack; entry-point saturation makes one such app-wide run. A complete
+run marks each node, and each frame that may top a stack-dependent node,
+with the roots that reach it, one bit per root (``RootMasks``). A root's
+bit marks the part of the graph a run from that root alone would build over
+the same store pair: the reports read each entry point's findings, visits
+and witnesses from it without stepping the machine.
 """
 
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 import time
 from collections import deque
 from functools import reduce
-from itertools import chain
 from operator import or_
 
 from . import machine
-from .ir import (MethodRef, PopHandler, Program, Return, StmtPos, Throw,
-                 record)
+from .ir import MethodRef, PopHandler, Program, Return, StmtPos, Throw, record
 from .machine import (
     AllocPolicy,
     ControlState,
@@ -52,7 +51,7 @@ from .machine import (
     Store,
     frame_pointer_zero,
 )
-from .taint import SummaryTable, TaintStore, TriggerContext
+from .taint import SummaryTable, TaintStore
 
 PUSHDOWN = "pushdown"
 FINITE = "finite"
@@ -63,12 +62,7 @@ class DyckStateGraph:
     indexed by source node (``edges`` and ``epsilon_summaries`` are built
     when asked for); ``out_edges`` and ``summaries_from`` sort a node's
     adjacency once, until the node gains an edge or summary. An engine's
-    graph maps each node to its id in the engine's node table. A ``window``
-    onto a graph shares its indexes and sorts, and holds its own nodes and,
-    unless None, each node's ``pop_frames``, the frames (None for the empty
-    stack) that may top it: it keeps the node's pop edges of those frames."""
-
-    pop_frames = None
+    graph maps each node to its id in the engine's node table."""
 
     def __init__(self):
         self.nodes: dict = {}
@@ -78,17 +72,9 @@ class DyckStateGraph:
         self._sorted_out: dict = {}
         self._sorted_sum_from: dict = {}
 
-    def window(self, nodes: dict, pop_frames: dict | None) -> DyckStateGraph:
-        view = copy.copy(self)
-        view.nodes, view.pop_frames = nodes, pop_frames
-        return view
-
     @property
     def edges(self) -> dict:
-        frames = self.pop_frames
-        return {e: None for s in self.nodes for e in self._out.get(s, ())
-                if frames is None or e.kind != POP
-                or e.frame in frames.get(s, ())}
+        return {e: None for s in self.nodes for e in self._out.get(s, ())}
 
     @property
     def epsilon_summaries(self) -> frozenset:
@@ -116,10 +102,7 @@ class DyckStateGraph:
         if edges is None:
             edges = self._sorted_out[s] = sorted(self._out.get(s, ()),
                                                  key=Edge.sort_key)
-        if self.pop_frames is None:
-            return edges
-        frames = self.pop_frames.get(s, ())
-        return [e for e in edges if e.kind != POP or e.frame in frames]
+        return edges
 
     def summaries_from(self, s: ControlState) -> list:
         dsts = self._sorted_sum_from.get(s)
@@ -183,19 +166,7 @@ class AnalysisResult:
     limit_reason: str | None
     applications: list  # sorted by SummaryApplication.sort_key
     config: AnalysisConfig
-    trigger: TriggerContext
-    # a complete run's masks, None if it stopped at a limit; a view carries
-    # its run's masks
-    masks: RootMasks | None = None
-
-    def node_set(self) -> frozenset:
-        return frozenset(self.dsg.nodes)
-
-    def source_applications(self) -> list:
-        return [a for a in self.applications if a.source_categories]
-
-    def sink_applications(self) -> list:
-        return [a for a in self.applications if a.sink_hits]
+    masks: RootMasks | None = None  # a complete run's, None at a limit
 
 
 class _Recorder:
@@ -246,6 +217,7 @@ class _BaseEngine:
             if entry not in program.methods:
                 raise machine.ResolveError(f"unknown entry {entry.sig()}")
         self.program = program
+        self.entries = entries
         self.entry = entries[0]
         self.cfg = cfg
         self.policy = cfg.policy()
@@ -337,8 +309,7 @@ class _BaseEngine:
             visit_counts=dict(zip(self.states, self.visits)),
             complete=complete, limit_reason=self.limit_reason,
             applications=applications, config=self.cfg,
-            trigger=TriggerContext("<direct>", self.entry.sig()),
-            masks=RootMasks(self, applications, tops) if complete else None)
+            masks=RootMasks(self, tops) if complete else None)
 
 
 class _PushdownEngine(_BaseEngine):
@@ -675,39 +646,6 @@ def analyze(program: Program, entry, init_store: Store,
     return engine.run()
 
 
-def entry_view(run: AnalysisResult, entry: MethodRef) -> AnalysisResult:
-    """The result of a run from ``entry``, one of ``run``'s roots, alone
-    over ``run``'s final store pair: a window onto ``run``'s graph, read
-    without stepping from ``run.masks``. ``run`` must be complete. Of the
-    pop edges of its nodes, a pushdown view keeps those whose frame a push
-    from a view node puts on top of the popping node over a balanced
-    path."""
-    root = ControlState(StmtPos(entry, 0), frame_pointer_zero(entry))
-    nodes, frames, visits, apps = run.masks.view(root)
-    view = copy.copy(run)
-    view.entry, view.initial_state, view.dsg = \
-        entry, root, run.dsg.window(nodes, frames)
-    view.visit_counts, view.applications = visits, apps
-    view.trigger = TriggerContext("<direct>", entry.sig())
-    return view
-
-
-def _spread(pairs, width: int, group=list) -> list:
-    """Per bit below ``width``, the groups of the items of ``pairs``' (item,
-    mask) whose mask holds it; the items of one mask make one ``group``."""
-    groups: dict = {}
-    for item, mask in pairs:
-        groups.setdefault(mask, []).append(item)
-    out: list = [[] for _ in range(width)]
-    for mask, items in groups.items():
-        items = group(items)
-        while mask:
-            low = mask & -mask
-            out[low.bit_length() - 1].append(items)
-            mask ^= low
-    return out
-
-
 class RootMasks:
     """Which of a run's roots reach each node of its graph: one int per
     node, bit i set for the run's i-th distinct root (tabulation with
@@ -717,20 +655,25 @@ class RootMasks:
     node, frame) of ``tops`` gets the OR of the masks of the push sources
     that put the frame there, or for the empty stack, None, the bits of
     the roots with a balanced path to the node. Made from a complete run's
-    node table when the run ends. A root's view is what holds its bit;
-    the views of all the roots together hold the whole graph."""
+    node table when the run ends.
 
-    def __init__(self, engine: _BaseEngine, applications: list,
-                 tops: dict | None):
-        self.applications = applications
-        self.states, ids = engine.states, engine.dsg.nodes
-        self.pushdown = tops is not None
+    A root's part of the graph is what holds its bit: the nodes whose mask
+    holds it and, of their pop edges, those whose frame's mask at the
+    popping node holds it. It is what a run from that root alone builds
+    over the run's store pair, and the parts of all the roots together are
+    the whole graph."""
+
+    def __init__(self, engine: _BaseEngine, tops: dict | None):
+        self.states, self.ids = engine.states, engine.dsg.nodes
+        ids = self.ids
         adj = [engine.succ.get(i, ()) for i in range(len(self.states))]
         for a, targets in engine.pushes.items():
             adj[a] = [*adj[a], *targets]
         self.bits = bits = {}  # root -> bit
         for root in engine.roots:
             bits.setdefault(root, len(bits))
+        self.roots = {entry: (root, bits[root])  # entry -> (root, bit)
+                      for entry, root in zip(engine.entries, engine.roots)}
         node = self.node = [0] * len(adj)  # id -> mask
         for root, bit in bits.items():
             node[ids[root]] = 1 << bit
@@ -743,35 +686,64 @@ class RootMasks:
                         node[b] |= m
                         again = again or b < a  # a swept node grew
         rooted = {ids[root]: 1 << bit for root, bit in bits.items()}.get
-        self.frames = {t: [(f, reduce(or_, map(
-            rooted if f is None else node.__getitem__, srcs), 0))
-            for f, srcs in fs.items()] for t, fs in (tops or {}).items()}
-        width = len(bits)
-        self._node_groups = _spread(zip(self.states, node), width,
-                                    dict.fromkeys)
-        self._frame_groups = _spread((((t, f), fm) for t, fs in
-                                      self.frames.items() for f, fm in fs),
-                                     width)
-        self._app_groups = _spread(((i, node[ids[a.state]]) for i, a in
-                                    enumerate(self.applications)), width)
+        self.frames = {t: {f: reduce(or_, map(  # id -> {frame: mask}
+            rooted if f is None else node.__getitem__, srcs), 0)
+            for f, srcs in fs.items()} for t, fs in (tops or {}).items()}
 
-    def view(self, root: ControlState) -> tuple:
-        """The nodes, pop frames (None if finite), visit counts (its frames
-        at a node, or 1) and applications of ``root``'s view."""
-        bit = self.bits.get(root)
-        if bit is None:
-            raise ValueError(f"{root.describe()} is not a root of the run")
-        nodes: dict = {}
-        for held in self._node_groups[bit]:  # a dict keeps its keys' hashes
-            nodes.update(held)
-        frames: dict = {}
-        for t, f in chain.from_iterable(self._frame_groups[bit]):
-            frames.setdefault(self.states[t], {})[f] = None
-        visits = dict.fromkeys(nodes, 1)
-        visits.update((s, len(held)) for s, held in frames.items())
-        apps = chain.from_iterable(self._app_groups[bit])
-        return (nodes, frames if self.pushdown else None, visits,
-                [self.applications[i] for i in sorted(apps)])
+    def mask(self, state: ControlState) -> int:
+        """The bits of the roots that reach ``state``; 0 if it is no node."""
+        sid = self.ids.get(state)
+        return 0 if sid is None else self.node[sid]
+
+    def weigh(self, entries) -> callable:
+        """A function of a mask: how many of ``entries`` (an entry may be
+        listed more than once) have their root's bit in it."""
+        counts: dict = {}
+        for entry in entries:
+            bit = self.roots[entry][1]
+            counts[bit] = counts.get(bit, 0) + 1
+        declared = sum(1 << bit for bit in counts)
+        extra = [(bit, n - 1) for bit, n in counts.items() if n > 1]
+        if not extra:
+            return lambda mask: (mask & declared).bit_count()
+
+        def weight(mask: int) -> int:
+            mask &= declared
+            return mask.bit_count() + sum(n for bit, n in extra
+                                          if mask >> bit & 1)
+        return weight
+
+    def visits(self, entries) -> list:
+        """(node, visits) for each node in the part of a root of
+        ``entries``: its visits summed over those parts (an entry counted
+        once per listing). In one part a stack-dependent node counts the
+        frames whose mask holds the part's bit, and any other node 1. The
+        frame masks of a stack-dependent node together are its mask: the
+        last push on a root's path to it put a frame there, or the path
+        is balanced and the root put the empty stack there."""
+        weight, frames, out = self.weigh(entries), self.frames, []
+        for sid, mask in enumerate(self.node):
+            held = frames.get(sid)
+            count = (weight(mask) if held is None
+                     else sum(map(weight, held.values())))
+            if count:  # the node is in some entry's part
+                out.append((self.states[sid], count))
+        return out
+
+    def out_edges(self, dsg: DyckStateGraph, bit: int):
+        """``dsg.out_edges``, of this run's graph, on the part of it that
+        the root of ``bit`` reaches: a pop edge is kept when its frame's
+        mask at the popping node holds ``bit``."""
+        out_edges, ids, frames = dsg.out_edges, self.ids, self.frames
+        b = 1 << bit
+
+        def part_out_edges(s: ControlState) -> list:
+            edges, held = out_edges(s), frames.get(ids[s])
+            if held is None:
+                return edges
+            return [e for e in edges
+                    if e.kind != POP or held.get(e.frame, 0) & b]
+        return part_out_edges
 
 
 # ---------------------------------------------------------------------------
@@ -788,49 +760,61 @@ class PathStep:
 
 
 def reconstruct_path_steps(result: AnalysisResult, frm: ControlState,
-                           to: ControlState, trees: dict | None = None
-                           ) -> list | None:
+                           to: ControlState, trees: dict | None = None,
+                           bit: int | None = None) -> list | None:
     """Shortest edge-count witness path; None when unreachable.
 
     Pushdown results respect stack balance: a path is pops of the
     pre-existing stack (with balanced segments riding epsilon summaries)
     followed by pushes; finite results use plain graph search, which is
-    exactly where their spurious flows become visible.
+    exactly where their spurious flows become visible. Given ``bit``, the
+    search keeps to the part of a complete run's graph that holds it
+    (``RootMasks``).
 
     The path is read from one BFS tree rooted at ``frm``. A caller asking
-    for many paths passes the same ``trees`` dict to every call; it keeps
-    one tree per (result, source) for as long as the caller holds it.
+    for many paths of one result passes the same ``trees`` dict to every
+    call; it keeps one tree per (bit, source) for as long as the caller
+    holds it.
     """
-    if frm not in result.dsg.nodes or to not in result.dsg.nodes:
+    if bit is None:
+        if frm not in result.dsg.nodes or to not in result.dsg.nodes:
+            return None
+    elif not (result.masks.mask(frm) & result.masks.mask(to)) >> bit & 1:
         return None
     if frm == to:
         return []
-    key = (id(result), frm)
+    key = (bit, frm)
     tree = trees.get(key) if trees is not None else None
     if tree is None:
-        tree = _Tree(result, frm)
+        tree = _Tree(result, frm, bit)
         if trees is not None:
             trees[key] = tree
     return tree.steps_to(to)
 
 
 class _Tree:
-    """The BFS tree of one (result, source state), grown only as far as the
-    paths asked of it need: the first path costs what a search for it alone
-    costs, and later paths reuse that work instead of searching again.
+    """The BFS tree of one (part of a graph, source state), grown only as
+    far as the paths asked of it need: the first path costs what a search
+    for it alone costs, and later paths reuse that work instead of
+    searching again.
 
     Keys are nodes in a plain tree and (node, phase) in a balanced one.
     """
 
-    def __init__(self, result: AnalysisResult, frm: ControlState):
+    def __init__(self, result: AnalysisResult, frm: ControlState,
+                 bit: int | None):
         self.parent: dict = {}  # key -> (previous key, step kind, frame)
         self.first: dict = {}  # node -> first key discovered for it
+        dsg = result.dsg
+        out_edges = (dsg.out_edges if bit is None
+                     else result.masks.out_edges(dsg, bit))
         if result.mode == FINITE:
             self._node_of = lambda key: key
-            self._keys = _tree_plain(result.dsg, frm, self.parent)
+            self._keys = _tree_plain(out_edges, frm, self.parent)
         else:
             self._node_of = lambda key: key[0]
-            self._keys = _tree_balanced(result.dsg, frm, self.parent)
+            self._keys = _tree_balanced(out_edges, dsg.summaries_from, frm,
+                                        self.parent)
 
     def steps_to(self, to: ControlState) -> list | None:
         node_of = self._node_of
@@ -849,8 +833,9 @@ class _Tree:
         return steps
 
 
-def _tree_plain(dsg: DyckStateGraph, frm, parent: dict):
-    """BFS over every edge from ``frm``, out-edges in sorted order.
+def _tree_plain(out_edges, frm, parent: dict):
+    """BFS over every edge from ``frm``, each node's ``out_edges`` in
+    sorted order.
 
     Fills ``parent`` with each node's (previous node, edge kind, frame) as
     first discovered, ``frm`` with None, and yields each node as it is
@@ -860,14 +845,14 @@ def _tree_plain(dsg: DyckStateGraph, frm, parent: dict):
     queue = deque([frm])
     while queue:
         node = queue.popleft()
-        for e in dsg.out_edges(node):
+        for e in out_edges(node):
             if e.dst not in parent:
                 parent[e.dst] = (node, e.kind, e.frame)
                 queue.append(e.dst)
                 yield e.dst
 
 
-def _tree_balanced(dsg: DyckStateGraph, frm, parent: dict):
+def _tree_balanced(out_edges, summaries_from, frm, parent: dict):
     """Stack-respecting BFS from ``frm`` over (node, phase) keys.
 
     Phase DOWN may pop the pre-existing stack; a push moves to phase UP,
@@ -883,35 +868,17 @@ def _tree_balanced(dsg: DyckStateGraph, frm, parent: dict):
         key = queue.popleft()
         node, phase = key
         moves = []
-        for e in dsg.out_edges(node):
+        for e in out_edges(node):
             if e.kind == NOOP:
                 moves.append(((e.dst, phase), NOOP, None))
             elif e.kind == PUSH:
                 moves.append(((e.dst, UP), PUSH, e.frame))
             elif e.kind == POP and phase == DOWN:
                 moves.append(((e.dst, DOWN), POP, e.frame))
-        for dst in dsg.summaries_from(node):
+        for dst in summaries_from(node):
             moves.append(((dst, phase), "summary", None))
         for nkey, kind, frame in moves:
             if nkey not in parent:
                 parent[nkey] = (key, kind, frame)
                 queue.append(nkey)
                 yield nkey
-
-
-def replay_stack_actions(steps) -> bool:
-    """Check a witness path replays as a legal stack evolution.
-
-    Pops against the unknown pre-existing stack (empty replay stack) are
-    allowed; a pop against a frame pushed on the path must match it.
-    """
-    stack: list = []
-    for s in steps:
-        if s.kind == PUSH:
-            stack.append(s.frame)
-        elif s.kind == POP:
-            if stack and stack[-1] != s.frame:
-                return False
-            if stack:
-                stack.pop()
-    return True

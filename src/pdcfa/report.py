@@ -228,35 +228,36 @@ def emit_permission_report(preport: PermissionReport, program,
 _TOP_N = 50  # statements the heat map lists, the most visited first
 
 
-def emit_heat_map(results, program, meta=None) -> dict:
-    """Visit counts over a list of results, aggregated per method and per
-    statement, descending; the ``_TOP_N`` most visited statements."""
+def emit_heat_map(trace, program, meta=None) -> dict:
+    """Visits of a saturation's (``eps.SaturationTrace``) triggers' parts
+    of its fixpoint run's graph (``reach.RootMasks.visits``), aggregated
+    per method and per statement, descending; the ``_TOP_N`` most visited
+    statements."""
     meta = meta or {}
     per_stmt: dict = {}
     per_method: dict = {}
-    for res in results:
-        for state, count in res.visit_counts.items():
-            if count == 0:  # discovered but unprocessed (stopped at a limit)
-                continue
-            key = (state.pos.method, state.pos.index)
-            per_stmt[key] = per_stmt.get(key, 0) + count
-            per_method[state.pos.method] = \
-                per_method.get(state.pos.method, 0) + count
+    visits = (trace.fixpoint.masks.visits(e for _t, e in trace.triggers)
+              if trace.triggers else ())
+    for state, count in visits:
+        key = (state.pos.method, state.pos.index)
+        per_stmt[key] = per_stmt.get(key, 0) + count
+        per_method[state.pos.method] = \
+            per_method.get(state.pos.method, 0) + count
     methods = [{"class": m.class_name, "method": m.method_name,
                 "visits": v}
                for m, v in sorted(per_method.items(),
                                   key=lambda kv: (-kv[1], kv[0].sort_key()))]
+    ranked = sorted(per_stmt.items(),
+                    key=lambda kv: (-kv[1], kv[0][0].sort_key(), kv[0][1]))
     statements = [{"class": m.class_name, "method": m.method_name,
                    "index": idx,
                    "line": program.line_of(StmtPos(m, idx)),
                    "visits": v}
-                  for (m, idx), v in sorted(
-                      per_stmt.items(),
-                      key=lambda kv: (-kv[1], kv[0][0].sort_key(), kv[0][1]))]
+                  for (m, idx), v in ranked[:_TOP_N]]
     doc = {
         "schema": "heatmap",
         "methods": methods,
-        "statements": statements[:_TOP_N],
+        "statements": statements,
     }
     doc.update(meta)
     return doc

@@ -286,54 +286,65 @@ class TaintFinding:
     def witness(self) -> tuple:  # ControlStates
         return tuple(s for states, _ in self.segments for s in states)
 
-    @property
-    def witness_steps(self) -> tuple:  # PathSteps backing the witness
-        return tuple(s for _, steps in self.segments for s in steps)
-
     def sort_key(self):
         return (self.trigger.unit, self.source_line, self.sink_line,
                 self.category.value, self.trigger.entry_point,
                 self.sink_state.pos.sort_key())
 
 
-def extract_findings(results) -> list:
-    """Build deduplicated, deterministically ordered findings.
+def extract_findings(trace) -> list:
+    """Build deduplicated, deterministically ordered findings of a
+    saturation (``eps.SaturationTrace``), none if it has no triggers.
 
-    ``results`` is a list of AnalysisResults, such as saturation's
-    reporting-run results. Source applications are pooled across all results so
-    that flows crossing entry points (through saturated field addresses)
-    still name their introducing source. A within-result witness is the
-    stack-respecting path from source to sink; for cross-entry flows it is
-    the entry-to-source path followed by the entry-to-sink path.
+    A trigger reads the part of the fixpoint run's graph that its entry
+    point's root reaches (``reach.RootMasks``). A source belongs to the
+    first trigger, in declared order, whose part holds it; sources are
+    pooled across triggers so that flows crossing entry points (through
+    saturated field addresses) still name their introducing source. A
+    witness of a trigger's own source is the stack-respecting path from
+    source to sink in its part; otherwise, or when that path is missing,
+    it is the path from the owner's entry to the source in the owner's
+    part followed by the path from the trigger's entry to the sink.
 
     Findings with the same trigger, category, source and sink position are
     one finding; the first is kept, and no witness is searched for the
-    rest. Witness paths are read from one BFS tree per (result, source
-    state), and each (result, from, to) segment is built once and shared
-    by every finding whose witness holds it; the trees are dropped on
-    return.
+    rest. Witness paths are read from one BFS tree per (bit, source
+    state), and each (bit, from, to) segment is built once and shared by
+    every finding whose witness holds it; the trees are dropped on return.
     """
-    sources = []  # (category, state, line, result)
+    run, triggers = trace.fixpoint, trace.triggers
+    if not triggers:
+        return []
+    masks = run.masks
+    roots = [masks.roots[entry] for _trigger, entry in triggers]
+    first: dict = {}  # bit -> the first trigger of its root
+    for i, (_root, bit) in enumerate(roots):
+        first.setdefault(bit, i)
+    declared = sum(1 << bit for bit in first)
+    sources = []  # (category, state, line, owner's index in triggers)
     seen_sources = set()
-    for res in results:
-        for app in res.source_applications():
+    sinks: dict = {}  # bit -> the sink applications of its part, in order
+    for app in run.applications:
+        mask = masks.mask(app.state) & declared
+        if app.source_categories and mask:
+            owner = min(first[bit] for bit in _bits(mask))
             for cat in app.source_categories:
-                key = (cat, app.state)
-                if key in seen_sources:
-                    continue
-                seen_sources.add(key)
-                sources.append((cat, app.state, app.line, res))
+                if (cat, app.state) not in seen_sources:
+                    seen_sources.add((cat, app.state))
+                    sources.append((cat, app.state, app.line, owner))
+        if app.sink_hits:
+            for bit in _bits(mask):
+                sinks.setdefault(bit, []).append(app)
     sources.sort(key=lambda s: (s[0].value, s[1].sort_key()))
 
     findings: dict = {}
     trees: dict = {}  # BFS trees and witness segments, see _segment
-    for res in results:
-        trigger = res.trigger
-        for app in res.sink_applications():
+    for i, (trigger, _entry) in enumerate(triggers):
+        for app in sinks.get(roots[i][1], ()):
             sink_pos = app.state.pos.sort_key()
             for cat, kind in sorted(app.sink_hits,
                                     key=lambda h: (h[0].value, h[1])):
-                for src_cat, src_state, src_line, src_res in sources:
+                for src_cat, src_state, src_line, owner in sources:
                     if src_cat is not cat:
                         continue
                     key = (trigger, cat.value, src_state.pos.sort_key(),
@@ -345,23 +356,32 @@ def extract_findings(results) -> list:
                         source_line=src_line, sink_state=app.state,
                         sink_kind=kind, sink_line=app.line, trigger=trigger,
                         sink_permissions=app.permissions,
-                        segments=_witness(src_res, src_state, res,
+                        segments=_witness(run, roots, owner, src_state, i,
                                           app.state, trees))
     return sorted(findings.values(), key=lambda f: f.sort_key())
 
 
-def _segment(res, frm, to, trees):
-    """The (states, steps) of the path from ``frm`` to ``to`` in ``res``,
-    or (None, None); each segment is searched for once and kept in
-    ``trees`` beside the BFS trees, for as long as the caller holds it."""
-    key = (id(res), frm, to)
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _segment(run, bit, frm, to, trees):
+    """The (states, steps) of the path from ``frm`` to ``to`` in the part
+    of ``run`` that holds ``bit``, or (None, None); each segment is
+    searched for once and kept in ``trees`` beside the BFS trees, for as
+    long as the caller holds it."""
+    key = (bit, frm, to)
     seg = trees.get(key)
     if seg is None:
         from . import reach
 
         # looked up on the module at call time, so wrappers installed there
         # see every witness search
-        steps = reach.reconstruct_path_steps(res, frm, to, trees)
+        steps = reach.reconstruct_path_steps(run, frm, to, trees, bit)
         if steps is None:
             seg = None, None
         else:
@@ -370,14 +390,18 @@ def _segment(res, frm, to, trees):
     return seg
 
 
-def _witness(src_res, src_state, sink_res, sink_state, trees) -> tuple:
-    """The segments of a witness: the path from source to sink, or else
-    the paths from the entries to the source and to the sink."""
-    if src_res is sink_res:
-        seg = _segment(sink_res, src_state, sink_state, trees)
+def _witness(run, roots, owner, src_state, i, sink_state, trees) -> tuple:
+    """The segments of the witness of trigger ``i``'s sink at
+    ``sink_state`` for the source at ``src_state`` of trigger ``owner``
+    (``roots`` holds each trigger's (root, bit)): the path from source to
+    sink, or else the paths from the entries to the source and to the
+    sink."""
+    (src_root, src_bit), (sink_root, sink_bit) = roots[owner], roots[i]
+    if owner == i:
+        seg = _segment(run, sink_bit, src_state, sink_state, trees)
         if seg[0] is not None:
             return seg,
     return tuple(seg for seg in (
-        _segment(src_res, src_res.initial_state, src_state, trees),
-        _segment(sink_res, sink_res.initial_state, sink_state, trees))
+        _segment(run, src_bit, src_root, src_state, trees),
+        _segment(run, sink_bit, sink_root, sink_state, trees))
         if seg[0] is not None)

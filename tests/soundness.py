@@ -13,6 +13,13 @@ from pdcfa.reach import AnalysisConfig, AnalysisResult, ControlState, analyze
 from pdcfa.taint import SummaryTable, TaintStore, parse_summaries
 
 
+def describe(state: ControlState) -> str:
+    """A control state as failure messages name it."""
+    move = "+move" if state.pos.at_move else ""
+    return (f"{state.pos.method.sig()}@{state.pos.index}{move} "
+            f"{state.fp.canonical()}")
+
+
 def analyze_seeded(program: Program, entry: MethodRef, cfg: AnalysisConfig,
                    summaries: SummaryTable | None = None) -> AnalysisResult:
     store, taint = Store(), TaintStore()
@@ -32,7 +39,7 @@ def check_containment(program: Program, run: ConcreteRun,
         acs = ControlState(state.pos, abstract_fp(run, state.fpid, policy))
         if acs not in result.dsg.nodes:
             problems.append(f"state {i}: missing control state "
-                            f"{acs.describe()}")
+                            f"{describe(acs)}")
         for addr, val in state.store.items():
             aaddr = abstract_addr(run, addr, policy)
             if not value_covered(result.final_store.lookup(aaddr), run, val,

@@ -15,14 +15,11 @@ from pdcfa.concrete import run_concrete
 from pdcfa.eps import discover_entry_points, saturate_app, Unit
 from pdcfa.ir import parse_program
 from pdcfa.machine import Store, seed_entry_bindings
-from pdcfa.reach import (
-    AnalysisConfig,
-    analyze,
-    replay_stack_actions,
-)
+from pdcfa.reach import AnalysisConfig, analyze
 from pdcfa.taint import TaintStore, TaintVal, extract_findings, parse_summaries
 from soundness import analyze_seeded, check_containment
 from stores import all_categories, canonical_text
+from views import replay_stack_actions, witness_steps
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
 
@@ -39,7 +36,7 @@ def _saturate_bundle(bundles_dir, name, mode, k):
     cfg = AnalysisConfig(mode=mode, k=k)
     store, taint, trace = saturate_app(bundle.program, units, cfg,
                                        bundle.summaries)
-    return bundle, trace, extract_findings(trace.results)
+    return bundle, trace, extract_findings(trace)
 
 
 def test_criterion_1_exception_precision(bundles_dir):
@@ -133,7 +130,7 @@ def test_criterion_3_pushdown_subset_of_finite():
         seed_entry_bindings(program, RUN, store2, taint2)
         fin = analyze(program, RUN, store2, taint2,
                       AnalysisConfig(mode="finite", k=k), TABLE)
-        return push.node_set(), fin.node_set()
+        return frozenset(push.dsg.nodes), frozenset(fin.dsg.nodes)
 
     for name, (src, _o, _r) in sorted(MICRO_PROGRAMS.items()):
         for k in (0, 1):
@@ -170,7 +167,7 @@ def test_criterion_4_eps_order_insensitivity(bundles_dir):
             store, taint, trace = saturate_app(
                 bundle.program, list(perm), cfg, bundle.summaries)
             runs += 1
-            findings = extract_findings(trace.results)
+            findings = extract_findings(trace)
             hit = any(f.category is TaintVal.LOCATION
                       and f.sink_kind == "network"
                       and f.sink_state.pos.method.method_name == "onMessage"
@@ -256,7 +253,7 @@ def test_criterion_6_lattice_and_instrumentation():
                 if not res.complete:
                     failures.append(f"{name} ({mode}): hit budget")
                 applied = set()
-                for app in res.source_applications():
+                for app in res.applications:
                     applied.update(app.source_categories)
                 if not all_categories(res.final_taint) <= applied:
                     failures.append(f"{name} ({mode}): spontaneous taint")
@@ -334,7 +331,7 @@ def test_criterion_7_determinism_and_goldens(bundles_dir, tmp_path):
         _b, _trace, findings = _saturate_bundle(bundles_dir, bundle,
                                                 "pushdown", 1)
         for f in findings:
-            if not replay_stack_actions(f.witness_steps):
+            if not replay_stack_actions(witness_steps(f)):
                 failures.append(f"{bundle}: witness replay failed")
         highlighted = dot.count('witness="1"')
         if findings and highlighted == 0:

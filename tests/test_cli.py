@@ -29,6 +29,7 @@ from pdcfa.cli import (
     main,
 )
 from schemas import validate_document
+from views import views
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 REPORT_FILES = ("flow_report.json", "permissions_report.json",
@@ -385,20 +386,25 @@ def _assert_partial(out, reason):
 
 
 def _count_runs(monkeypatch):
-    """Wrap the engine entry point and the entry-point view; return the
-    list of the state count of each fixpoint run and view, filled in as
-    they finish."""
+    """Wrap the engine entry point and saturation; return the list of the
+    state count of each fixpoint run and, after a saturation with
+    triggers, of each entry point's view (read from the run's masks),
+    filled in as they finish."""
     sizes = []
+    analyze, saturate = reach.analyze, eps.saturate_app
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            sizes.append(len(result.dsg.nodes))
-            return result
-        return wrapper
+    def counted(*args, **kwargs):
+        result = analyze(*args, **kwargs)
+        sizes.append(len(result.dsg.nodes))
+        return result
 
-    monkeypatch.setattr(reach, "analyze", counted(reach.analyze))
-    monkeypatch.setattr(reach, "entry_view", counted(reach.entry_view))
+    def viewed(*args, **kwargs):
+        store, taint, trace = saturate(*args, **kwargs)
+        sizes.extend(len(v.dsg.nodes) for v in views(trace))
+        return store, taint, trace
+
+    monkeypatch.setattr(reach, "analyze", counted)
+    monkeypatch.setattr(eps, "saturate_app", viewed)
     return sizes
 
 
@@ -459,17 +465,18 @@ def test_max_states_counts_the_fixpoint_run_not_its_views(
     assert metas[0] == metas[1]
 
 
-def _stop_after_views(monkeypatch, views):
+def _stop_after_views(monkeypatch, kept):
     """Wrap ``eps.saturate_app`` so the CLI gets a saturation stopped at
-    ``max-states`` after the first ``views`` views of its complete fixpoint
-    run, as the limit left it when views were charged against it."""
+    ``max-states`` after the first ``kept`` views of its complete fixpoint
+    run, as the limit left it when views were charged against it: a
+    trace with the first ``kept`` triggers."""
     saturate = eps.saturate_app
 
     def stopped(*args, **kwargs):
         store, taint, trace = saturate(*args, **kwargs)
         assert trace.complete
         return store, taint, eps.SaturationTrace(
-            trace.fixpoint, trace.results[:views], trace.global_rounds,
+            trace.fixpoint, trace.triggers[:kept], trace.global_rounds,
             complete=False, limit_reason="max-states")
 
     monkeypatch.setattr(eps, "saturate_app", stopped)
@@ -492,20 +499,20 @@ def _stop_after_views(monkeypatch, views):
 def test_reports_of_a_saturation_stopped_between_views_are_pinned(
         bundles_dir, tmp_path, monkeypatch, mode, limit, digests):
     """When views were charged against ``limit``, the fixpoint run and its
-    first ``views`` views fit under it and the next did not, so saturation
+    first ``kept`` views fit under it and the next did not, so saturation
     stopped between views. The run now completes; when saturation hands the
     CLI those views alone and a stop at ``max-states``, the heat map counts
     the visits of those views only, and the flow and permissions reports
     read those views only, as when the view charge stopped these runs
     there."""
-    views = {101: 3, 134: 5, 145: 3}[limit]
-    _stop_after_views(monkeypatch, views)
+    kept = {101: 3, 134: 5, 145: 3}[limit]
     sizes = _count_runs(monkeypatch)
+    _stop_after_views(monkeypatch, kept)
     code, out = _run(bundles_dir, tmp_path, "photoquote_full", "--mode",
                      mode, "--k", "1", "--max-states", str(limit))
     assert code == EXIT_RESOURCE_LIMIT
     assert len(sizes) == 1 + 6
-    assert sum(sizes[:1 + views]) <= limit < sum(sizes[:2 + views])
+    assert sum(sizes[:1 + kept]) <= limit < sum(sizes[:2 + kept])
     _assert_partial(out, "max-states")
     assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                  for name in REPORT_FILES[:3]) == digests
@@ -780,8 +787,8 @@ def test_log_env_var_takes_only_level_names(bundles_dir, tmp_path,
 def test_saturation_logs_the_fixpoint_run_and_the_views(
         bundles_dir, tmp_path, caplog):
     """At INFO, ``pdcfa.eps`` logs the fixpoint run's size and rounds and
-    then how many views it has and their summed nodes. Logging moves no
-    report byte."""
+    then how many entry-point views it has and their summed nodes, read
+    from the run's masks. Logging moves no report byte."""
     _run(bundles_dir, tmp_path / "quiet", "photoquote_full")
     caplog.set_level(logging.INFO, logger="pdcfa.eps")
     _run(bundles_dir, tmp_path / "logged", "photoquote_full")

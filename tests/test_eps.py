@@ -3,6 +3,9 @@
 import inspect
 import itertools
 import json
+from collections import Counter
+from functools import reduce
+from operator import or_
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +21,7 @@ from pdcfa.eps import (
     discover_entry_points,
     saturate_app,
 )
-from pdcfa.ir import MethodRef, parse_program
+from pdcfa.ir import MethodRef, StmtPos, parse_program
 from pdcfa import cli, machine, reach, report
 from pdcfa.machine import (
     AbstractInt,
@@ -28,9 +31,11 @@ from pdcfa.machine import (
     Store,
 )
 from pdcfa.reach import AnalysisConfig
+from pdcfa.permissions import collect_permissions
 from pdcfa.report import emit_heat_map, export_graph
 from pdcfa.taint import TaintStore, TaintVal, parse_summaries, extract_findings
 from stores import canonical_text, join_store
+from views import Window, views, walked_views, with_triggers
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SHIPPED = sorted(p.name for p in (Path(__file__).parent / "corpus" /
@@ -120,36 +125,35 @@ def test_reader_before_writer_still_sees_taint():
     cfg = AnalysisConfig(k=1)
     unit = _unit("U", "leakIt", "taintIt")
     _store, _taint, trace = saturate_app(program, [unit], cfg, SUMMARIES)
-    findings = extract_findings(trace.results)
+    findings = extract_findings(trace)
     assert any(f.category == TaintVal.LOCATION for f in findings)
     assert {f.trigger.entry_point for f in findings} == {"leakIt"}
 
 
 def test_one_fixpoint_run_then_each_entry_point_once(monkeypatch):
-    """One app-wide run with every entry point as a root, then one view of
-    it per entry point, in declared order."""
+    """One app-wide run with every entry point as a root, then one
+    trigger per entry point, in declared order."""
     program = parse_program(SHARED_FIELD)
     cfg = AnalysisConfig(k=1)
     runs: list = []
-    analyze, entry_view = reach.analyze, reach.entry_view
+    analyze = reach.analyze
 
     def counted(program, entry, *args, **kwargs):
         runs.append(tuple(e.method_name for e in entry))
         return analyze(program, entry, *args, **kwargs)
 
-    def viewed(run, entry):
-        runs.append((entry.method_name,))
-        return entry_view(run, entry)
-
     monkeypatch.setattr(reach, "analyze", counted)
-    monkeypatch.setattr(reach, "entry_view", viewed)
     units = [_unit("R", "leakIt", "writeOne"), _unit("W", "writeTwo",
                                                      "taintIt")]
     order = ("leakIt", "writeOne", "writeTwo", "taintIt")
     _s, _t, trace = saturate_app(program, units, cfg, SUMMARIES)
-    assert runs == [order] + [(m,) for m in order]
+    assert runs == [order]
+    assert [(t.unit, t.entry_point, e.method_name)
+            for t, e in trace.triggers] == [
+        ("R", "leakIt", "leakIt"), ("R", "writeOne", "writeOne"),
+        ("W", "writeTwo", "writeTwo"), ("W", "taintIt", "taintIt")]
     assert trace.global_rounds == 2
-    findings = extract_findings(trace.results)
+    findings = extract_findings(trace)
     assert {f.trigger.entry_point for f in findings} == {"leakIt"}
 
 
@@ -160,7 +164,7 @@ def test_cross_unit_flow_in_both_orders():
     reader = _unit("R", "leakIt")
     for units in ([writer, reader], [reader, writer]):
         _s, _t, trace = saturate_app(program, list(units), cfg, SUMMARIES)
-        findings = extract_findings(trace.results)
+        findings = extract_findings(trace)
         assert any(f.category == TaintVal.LOCATION
                    and f.sink_kind == "network" for f in findings), \
             [u.name for u in units]
@@ -203,11 +207,11 @@ def test_coverage_superset_of_single_entry_point():
     both = _unit("U", "taintIt", "leakIt")
     _s, _t, trace = saturate_app(program, [both], cfg, SUMMARIES)
     all_findings = {(f.category, f.sink_state.pos) for f in
-                    extract_findings(trace.results)}
+                    extract_findings(trace)}
     solo = _unit("U", "leakIt")
     _s2, _t2, solo_trace = saturate_app(program, [solo], cfg, SUMMARIES)
     solo_findings = {(f.category, f.sink_state.pos) for f in
-                     extract_findings(solo_trace.results)}
+                     extract_findings(solo_trace)}
     assert solo_findings <= all_findings
 
 
@@ -259,19 +263,49 @@ summary test/Api send role=sink:network ret=void perms=INTERNET
     cfg = AnalysisConfig(mode=mode, k=1)
     _s, _t, trace = saturate_app(parse_program(SAME_NAME), [unit], cfg,
                                  summaries)
-    assert [r.entry for r in trace.results] == list(refs)
+    assert [e for _t, e in trace.triggers] == list(refs)
     flows = {(f.category, f.sink_state.pos.method.class_name)
-             for f in extract_findings(trace.results)}
+             for f in extract_findings(trace)}
     assert flows == {(TaintVal.LOCATION, "app/A"),
                      (TaintVal.DEVICE_ID, "app/B")}
 
     _s, _t, trace = saturate_app(parse_program(SAME_NAME_SHARED_HELPER),
                                  [unit], cfg, summaries)
-    findings = extract_findings(trace.results)
+    findings = extract_findings(trace)
     assert sorted((f.trigger.unit, f.trigger.entry_point, f.category)
                   for f in findings) == [
         ("U", "app/A.onClick()", TaintVal.LOCATION),
         ("U", "app/B.onClick()", TaintVal.LOCATION)]
+
+
+LEAK = """
+(public class java/lang/String extends java/lang/Object () ())
+(public class app/A extends java/lang/Object ()
+  ((method public leak () void (throws) (limit 3)
+     (assign v (invoke-static test/Api->getSecret () ()))
+     (assign r (invoke-static test/Api->send (v) (java/lang/String)))
+     (return void))))
+"""
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+def test_an_entry_point_declared_twice_keeps_its_sources_owner(mode):
+    """Two units declare one entry method: both triggers report its flow,
+    but the source belongs to the first, so the first trigger's witness
+    runs from source to sink and the second's from the entry to the source
+    and from the entry to the sink."""
+    leak = EntryPoint(MethodRef("app/A", "leak", ()), "ui-handler",
+                      "layout")
+    units = [Unit("U", "activity", (leak,)), Unit("V", "service", (leak,))]
+    _s, _t, trace = saturate_app(parse_program(LEAK), units,
+                                 AnalysisConfig(mode=mode, k=1), SUMMARIES)
+    first, second = extract_findings(trace)
+    assert (first.trigger.unit, second.trigger.unit) == ("U", "V")
+    root = trace.fixpoint.initial_state
+    assert [(states[0], states[-1]) for states, _ in first.segments] == [
+        (first.source_state, first.sink_state)]
+    assert [(states[0], states[-1]) for states, _ in second.segments] == [
+        (root, second.source_state), (root, second.sink_state)]
 
 
 def test_empty_units_rejected():
@@ -317,12 +351,12 @@ def _result_parts(result) -> tuple:
 
 
 def _saturate_recorded(monkeypatch, program, units, cfg, summaries) -> tuple:
-    """Saturate, recording every engine run and view. Returns the store, the
-    taint store, the trace, and each call's (bound arguments, result), the
-    fixpoint run's first; an engine run's ``shared`` argument is set to the
-    flow facts the run grew (None under pushdown)."""
+    """Saturate, recording its engine run. Returns the store, the taint
+    store, the trace, and the fixpoint run's bound arguments, its
+    ``shared`` argument set to the flow facts the run grew (None under
+    pushdown)."""
     calls, facts = [], {}
-    analyze, entry_view = reach.analyze, reach.entry_view
+    analyze = reach.analyze
     result_of = reach._BaseEngine._result
 
     def kept(engine, *args):
@@ -330,32 +364,31 @@ def _saturate_recorded(monkeypatch, program, units, cfg, summaries) -> tuple:
         facts[id(result)] = getattr(engine, "shared", None)
         return result
 
-    def recorded(fn):
-        def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            bound = inspect.signature(fn).bind(*args, **kwargs)
-            if fn is analyze:
-                bound.arguments["shared"] = facts[id(result)]
-            calls.append((bound.arguments, result))
-            return result
-        return wrapper
+    def recorded(*args, **kwargs):
+        result = analyze(*args, **kwargs)
+        bound = inspect.signature(analyze).bind(*args, **kwargs)
+        bound.arguments["shared"] = facts[id(result)]
+        calls.append((bound.arguments, result))
+        return result
 
     monkeypatch.setattr(reach._BaseEngine, "_result", kept)
-    monkeypatch.setattr(reach, "analyze", recorded(analyze))
-    monkeypatch.setattr(reach, "entry_view", recorded(entry_view))
+    monkeypatch.setattr(reach, "analyze", recorded)
     store, taint, trace = saturate_app(program, units, cfg, summaries)
     monkeypatch.setattr(reach._BaseEngine, "_result", result_of)
     monkeypatch.setattr(reach, "analyze", analyze)
-    monkeypatch.setattr(reach, "entry_view", entry_view)
     assert trace.complete
-    return store, taint, trace, calls
+    (fix_args, fixpoint), = calls
+    assert trace.fixpoint is fixpoint
+    return store, taint, trace, fix_args
 
 
-def _assert_views_equal_plain_runs(program, calls, cfg, summaries):
-    """Each entry point's view equals a plain run from that entry alone over
-    the saturated pair (and, finite, the saturated flow facts)."""
-    (fix_args, fixpoint), views = calls[0], calls[1:]
-    for _args, view in views:
+def _assert_views_equal_plain_runs(program, trace, fix_args, cfg,
+                                   summaries):
+    """Each entry point's view, read from the fixpoint run's masks, equals
+    a plain run from that entry alone over the saturated pair (and, finite,
+    the saturated flow facts)."""
+    fixpoint = trace.fixpoint
+    for view in views(trace):
         plain = reach.analyze(program, view.entry, fixpoint.final_store,
                               fixpoint.final_taint, cfg, summaries,
                               fix_args["shared"])
@@ -363,9 +396,9 @@ def _assert_views_equal_plain_runs(program, calls, cfg, summaries):
 
 
 def _check_saturation(monkeypatch, program, units, cfg, summaries):
-    store, taint, trace, calls = _saturate_recorded(monkeypatch, program,
-                                                    units, cfg, summaries)
-    (_fix_args, fixpoint), reporting = calls[0], calls[1:]
+    store, taint, trace, fix_args = _saturate_recorded(
+        monkeypatch, program, units, cfg, summaries)
+    fixpoint = trace.fixpoint
     ref_store, ref_taint = _sweep_reference(program, units, cfg, summaries)
     assert canonical_text(fixpoint.final_store) == canonical_text(ref_store)
     assert canonical_text(fixpoint.final_taint) == canonical_text(ref_taint)
@@ -373,13 +406,9 @@ def _check_saturation(monkeypatch, program, units, cfg, summaries):
     saturated = (fixpoint.final_store.fingerprint(),
                  fixpoint.final_taint.fingerprint())
     assert (store.fingerprint(), taint.fingerprint()) == saturated
-    assert len(reporting) == sum(len(u.entry_points) for u in units)
-    for args, result in reporting:
-        assert args["run"] is fixpoint
-        assert (result.final_store.fingerprint(),
-                result.final_taint.fingerprint()) == saturated
-    _assert_views_equal_plain_runs(program, calls, cfg, summaries)
-    assert trace.results == [r for _a, r in reporting]
+    assert [e for _t, e in trace.triggers] == [
+        ep.method_ref for u in units for ep in u.entry_points]
+    _assert_views_equal_plain_runs(program, trace, fix_args, cfg, summaries)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -436,13 +465,13 @@ def test_fixpoint_run_work_is_pinned(tmp_path, monkeypatch, workload, mode):
     golden reads worklist pops, so a change to either engine's schedule
     moves these pins on purpose or not at all."""
     bundle, units, k = _generated_bundle(tmp_path, monkeypatch, workload)
-    _s, _t, trace, calls = _saturate_recorded(
+    _s, _t, trace, _args = _saturate_recorded(
         monkeypatch, bundle.program, units, AnalysisConfig(mode=mode, k=k),
         bundle.summaries)
-    dsg = calls[0][1].dsg
+    dsg = trace.fixpoint.dsg
     assert (len(dsg.nodes), len(dsg.edges), len(dsg.epsilon_summaries),
-            sum(calls[0][1].visit_counts.values()),
-            sum(len(view.dsg.nodes) for view in trace.results),
+            sum(trace.fixpoint.visit_counts.values()),
+            sum(len(view.dsg.nodes) for view in views(trace)),
             trace.global_rounds) == FIXPOINT_WORK[(workload, mode)]
 
 
@@ -456,10 +485,10 @@ def test_views_equal_plain_runs_on_generated_bundles(tmp_path, monkeypatch,
     same check, at every k, through ``_check_saturation``."""
     bundle, units, k = _generated_bundle(tmp_path, monkeypatch, workload)
     cfg = AnalysisConfig(mode=mode, k=k)
-    _s, _t, trace, calls = _saturate_recorded(
+    _s, _t, trace, fix_args = _saturate_recorded(
         monkeypatch, bundle.program, units, cfg, bundle.summaries)
-    assert len(trace.results) == sum(len(u.entry_points) for u in units)
-    _assert_views_equal_plain_runs(bundle.program, calls, cfg,
+    assert len(trace.triggers) == sum(len(u.entry_points) for u in units)
+    _assert_views_equal_plain_runs(bundle.program, trace, fix_args, cfg,
                                    bundle.summaries)
 
 
@@ -468,11 +497,11 @@ def test_views_equal_plain_runs_on_generated_bundles(tmp_path, monkeypatch,
                          ["shipped", "wide-pushdown", "finite-witness"])
 def test_views_together_are_the_fixpoint_graph(bundles_dir, tmp_path,
                                                monkeypatch, source, mode):
-    """On a complete saturation the emitted views' nodes and edges together
-    are the fixpoint run's graph. A view's adjacency (``out_edges``,
-    ``summaries_from``) holds its ``edges`` and ``epsilon_summaries``.
-    Shipped bundles at k 0-2, synth bundles at their ``bench/reference.json``
-    k."""
+    """On a complete saturation the views' nodes and edges, read from the
+    fixpoint run's masks, together are the fixpoint run's graph. A view's
+    adjacency (``out_edges``, ``summaries_from``) holds its ``edges`` and
+    ``epsilon_summaries``. Shipped bundles at k 0-2, synth bundles at
+    their ``bench/reference.json`` k."""
     if source == "shipped":
         cases = []
         for name in SHIPPED:
@@ -483,20 +512,19 @@ def test_views_together_are_the_fixpoint_graph(bundles_dir, tmp_path,
         bundle, units, k = _generated_bundle(tmp_path, monkeypatch, source)
         cases = [(source, bundle, units, k)]
     for label, bundle, units, k in cases:
-        _s, _t, trace, calls = _saturate_recorded(
+        _s, _t, trace, _args = _saturate_recorded(
             monkeypatch, bundle.program, units,
             AnalysisConfig(mode=mode, k=k), bundle.summaries)
-        fixpoint = calls[0][1]
-        views = trace.results
-        for view in views:
+        fixpoint, parts = trace.fixpoint, views(trace)
+        for view in parts:
             dsg = view.dsg
             assert ({e for s in dsg.nodes for e in dsg.out_edges(s)}
                     == set(dsg.edges)), label
             assert ({(s, t) for s in dsg.nodes for t in dsg.summaries_from(s)}
                     == dsg.epsilon_summaries), label
-        assert (set().union(*(v.dsg.nodes for v in views))
+        assert (set().union(*(v.dsg.nodes for v in parts))
                 == set(fixpoint.dsg.nodes)), label
-        assert (set().union(*(v.dsg.edges for v in views))
+        assert (set().union(*(v.dsg.edges for v in parts))
                 == set(fixpoint.dsg.edges)), label
 
 
@@ -519,9 +547,9 @@ def test_views_equal_plain_runs_with_every_method_an_entry_point(
                                        for r in refs))
     cfg, summaries = AnalysisConfig(mode=mode, k=0), parse_summaries(
         MICRO_SUMMARIES)
-    _s, _t, _trace, calls = _saturate_recorded(monkeypatch, program, [unit],
-                                               cfg, summaries)
-    _assert_views_equal_plain_runs(program, calls, cfg, summaries)
+    _s, _t, trace, fix_args = _saturate_recorded(monkeypatch, program,
+                                                 [unit], cfg, summaries)
+    _assert_views_equal_plain_runs(program, trace, fix_args, cfg, summaries)
 
 
 @pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
@@ -530,8 +558,9 @@ def test_reporting_runs_step_nothing_and_share_the_saturated_pair(
         bundles_dir, monkeypatch, name, mode):
     """After the fixpoint run returns, no machine step and no expression
     evaluation runs, compiled or not, and neither the operation table nor
-    the stores' join tables grow: each entry point's view reads the
-    fixpoint run's graph and returns its store pair itself."""
+    the stores' join tables grow: saturation and the findings, permissions
+    and heat map read the fixpoint run's graph and its masks, and the
+    trace holds the run's store pair itself."""
     bundle = load_bundle(bundles_dir / name)
     program = bundle.program
     units = discover_entry_points(bundle, program)
@@ -563,82 +592,51 @@ def test_reporting_runs_step_nothing_and_share_the_saturated_pair(
                   "eval_atomic_taint", "evaluators", "compile_atomic"):
         monkeypatch.setattr(machine, fname,
                             counted(fname, getattr(machine, fname)))
-    _s, _t, trace = saturate_app(program, units,
-                                 AnalysisConfig(mode=mode, k=1),
-                                 bundle.summaries)
-    assert trace.complete and trace.results
+    store, taint, trace = saturate_app(program, units,
+                                       AnalysisConfig(mode=mode, k=1),
+                                       bundle.summaries)
+    assert trace.complete and trace.triggers
+    extract_findings(trace)
+    collect_permissions(trace)
+    emit_heat_map(trace, program)
     assert late_calls == []
     assert any(code.evals for code in program.code.values())
     assert sizes == [tables()]
-    fixpoint = runs[0]
-    for result in trace.results:
-        assert result.final_store is fixpoint.final_store
-        assert result.final_taint is fixpoint.final_taint
+    assert trace.fixpoint is runs[0]
+    assert store is runs[0].final_store and taint is runs[0].final_taint
 
 
-def _reference_views(program, run, entries) -> dict:
-    """``reach.entry_view`` as it was before root masks, as a test-only
-    reference: per entry, a walk of ``run``'s graph from the entry's root
-    over no-op and push edges and ε-summaries (finite: every edge). Each
-    push from a walked node puts its frame on the stack-dependent states a
-    balanced path (no-op edges and ε-summaries) from its target reaches, and
-    the root puts the empty stack, None, on those its own balanced paths
-    reach. Returns entry -> (nodes, pop frames or None, visit counts,
-    applications)."""
-    graph, pushdown = run.dsg, run.mode == reach.PUSHDOWN
-    balanced_succ: dict = {}
-    for e in graph.edges:
-        if e.kind == reach.NOOP:
-            balanced_succ.setdefault(e.src, []).append(e.dst)
-    for a, b in graph.epsilon_summaries:
-        balanced_succ.setdefault(a, []).append(b)
-    memo: dict = {}
+def test_saturation_builds_one_analysis_result(bundles_dir, monkeypatch):
+    """A saturation, and the reports read from it, build one
+    ``AnalysisResult``, its fixpoint run's, and copy none."""
+    built = []
 
-    def balanced(q) -> list:
-        """The stack-dependent states a balanced path from ``q`` reaches."""
-        if q not in memo:
-            seen, todo = {q}, [q]
-            while todo:
-                for t in balanced_succ.get(todo.pop(), ()):
-                    if t not in seen:
-                        seen.add(t)
-                        todo.append(t)
-            memo[q] = [t for t in seen
-                       if machine.is_stack_dependent(program, t.pos)]
-        return memo[q]
+    class Counted(reach.AnalysisResult):
+        def __new__(cls, *args, **kwargs):
+            built.append(cls)
+            return super().__new__(cls)
 
-    views = {}
-    for entry in entries:
-        root = machine.state_at(program.starts[entry],
-                                machine.frame_pointer_zero(entry))
-        nodes, tops, stack = {root: None}, {}, [root]
-        while stack:
-            s = stack.pop()
-            for e in graph.out_edges(s):
-                if not pushdown or e.kind != reach.POP:
-                    if e.dst not in nodes:
-                        nodes[e.dst] = None
-                        stack.append(e.dst)
-                if pushdown and e.kind == reach.PUSH:
-                    for t in balanced(e.dst):
-                        tops.setdefault(t, {})[e.frame] = None
-            for t in graph.summaries_from(s):
-                if t not in nodes:
-                    nodes[t] = None
-                    stack.append(t)
-        for t in balanced(root) if pushdown else ():
-            tops.setdefault(t, {})[None] = None
-        views[entry] = (nodes, tops if pushdown else None,
-                        {s: len(tops.get(s, ())) or 1 for s in nodes},
-                        [a for a in run.applications if a.state in nodes])
-    return views
+    monkeypatch.setattr(reach, "AnalysisResult", Counted)
+    bundle = load_bundle(bundles_dir / "photoquote_full")
+    units = discover_entry_points(bundle, bundle.program)
+    for mode in (reach.PUSHDOWN, reach.FINITE):
+        built.clear()
+        _s, _t, trace = saturate_app(bundle.program, units,
+                                     AnalysisConfig(mode=mode, k=1),
+                                     bundle.summaries)
+        assert len(trace.triggers) == 6
+        assert extract_findings(trace) and collect_permissions(trace)
+        emit_heat_map(trace, bundle.program)
+        export_graph(trace.fixpoint, [], bundle.program)
+        assert built == [Counted], mode
+        assert type(trace.fixpoint) is Counted
 
 
 def _mask_cases(bundles_dir, tmp_path, monkeypatch, source) -> list:
-    """(label, program, units, k, summaries) for the views-from-masks test:
-    shipped bundles at k 0-2, synth workloads at their reference k, and each
-    micro program with every method of ``Main`` an entry point, the first
-    of them declared again by a second unit."""
+    """(label, program, units, k, summaries) for the views-from-masks
+    tests: shipped bundles at k 0-2, synth workloads at their reference k,
+    and each micro program with every method of ``Main`` an entry point,
+    the first of them declared again by a second unit."""
     if source == "shipped":
         cases = []
         for name in SHIPPED:
@@ -664,49 +662,118 @@ def _mask_cases(bundles_dir, tmp_path, monkeypatch, source) -> list:
     return [(source, bundle.program, units, k, bundle.summaries)]
 
 
+MASK_SOURCES = ["shipped", "micro", "wide-pushdown", "finite-witness"]
+
+
 @pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
-@pytest.mark.parametrize("source",
-                         ["shipped", "micro", "wide-pushdown",
-                          "finite-witness"])
+@pytest.mark.parametrize("source", MASK_SOURCES)
 def test_views_from_root_masks_equal_the_walk_they_replace(
         bundles_dir, tmp_path, monkeypatch, source, mode):
-    """Every view's nodes, pop frames, visit counts and applications equal
-    the reference walk's. A root that is a node of another root's view puts
-    its empty stack on its own view alone. The heat map of the first views,
-    and the DOT of the first, middle and last view with that view's
-    findings, equal those of the walk's views; an entry point declared by
-    two units is counted twice in the heat map, as two views."""
+    """Every view's nodes, pop frames, visit counts and applications, read
+    from the masks, equal the reference walk's. A root that is a node of
+    another root's view puts its empty stack on its own view alone. The
+    DOT of the first, middle and last view with that view's findings
+    equals that of the walk's view."""
     shadowed = 0  # empty-stack tops of a root, in another root's view
     for label, program, units, k, summaries in _mask_cases(
             bundles_dir, tmp_path, monkeypatch, source):
-        _s, _t, trace, calls = _saturate_recorded(
-            monkeypatch, program, units, AnalysisConfig(mode=mode, k=k),
-            summaries)
-        run, views = calls[0][1], trace.results
-        refs = _reference_views(program, run, {v.entry: None for v in views})
-        for view in views:
+        _s, _t, trace = saturate_app(
+            program, units, AnalysisConfig(mode=mode, k=k), summaries)
+        run, parts = trace.fixpoint, views(trace)
+        refs = walked_views(program, run, {v.entry: None for v in parts})
+        for view in parts:
             nodes, frames, visits, apps = refs[view.entry]
             assert set(view.dsg.nodes) == set(nodes), label
             assert view.dsg.pop_frames == frames, label
             assert view.visit_counts == visits, label
             assert view.applications == apps, label
-            for other in views:
+            for other in parts:
                 if mode == reach.PUSHDOWN and other.entry != view.entry \
                         and other.initial_state in nodes:
                     shadowed += sum(
                         None in held and None not in frames.get(t, {})
                         for t, held in refs[other.entry][1].items())
-        walked = [SimpleNamespace(
-            dsg=run.dsg.window(nodes, frames), visit_counts=visits,
-            applications=apps)
-            for nodes, frames, visits, apps in (refs[v.entry] for v in views)]
-        monkeypatch.setattr(report, "_TOP_N", 10**6)
-        for n in sorted({1, len(views) // 2, len(views)}):
-            assert (emit_heat_map(views[:n], program)
-                    == emit_heat_map(walked[:n], program)), label
-        for i in sorted({0, len(views) // 2, len(views) - 1}):
-            found = extract_findings([views[i]])
-            assert (export_graph(views[i], found, program)
-                    == export_graph(walked[i], found, program)), (label, i)
+        for i in sorted({0, len(parts) // 2, len(parts) - 1}):
+            nodes, frames, _visits, apps = refs[parts[i].entry]
+            walked = SimpleNamespace(dsg=Window(run.dsg, nodes, frames),
+                                     applications=apps)
+            found = extract_findings(with_triggers(trace,
+                                                   [trace.triggers[i]]))
+            assert (export_graph(parts[i], found, program)
+                    == export_graph(walked, found, program)), (label, i)
     if mode == reach.PUSHDOWN and source == "micro":
         assert shadowed
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+@pytest.mark.parametrize("source", MASK_SOURCES)
+def test_heat_map_equals_the_walks_summed_visits(
+        bundles_dir, tmp_path, monkeypatch, source, mode):
+    """The heat map of the first, middle and all triggers, with every
+    statement listed, sums the visit counts of those triggers' walked
+    views per method and per statement; an entry point declared by two
+    units (each micro case) is counted once per trigger. A
+    stack-dependent node's frame masks together are its mask."""
+    monkeypatch.setattr(report, "_TOP_N", 10**6)
+    doubled = 0
+    for label, program, units, k, summaries in _mask_cases(
+            bundles_dir, tmp_path, monkeypatch, source):
+        _s, _t, trace = saturate_app(
+            program, units, AnalysisConfig(mode=mode, k=k), summaries)
+        entries = [e for _t, e in trace.triggers]
+        refs = walked_views(program, trace.fixpoint, dict.fromkeys(entries))
+        doubled += len(entries) - len(set(entries))
+        masks = trace.fixpoint.masks
+        for t, held in masks.frames.items():  # each frame a part's visit
+            assert reduce(or_, held.values()) == masks.node[t], label
+        for n in sorted({1, len(entries) // 2, len(entries)}):
+            per_stmt, per_method = Counter(), Counter()
+            for entry in entries[:n]:
+                for s, count in refs[entry][2].items():
+                    per_stmt[s.pos.method, s.pos.index] += count
+                    per_method[s.pos.method] += count
+            doc = emit_heat_map(with_triggers(trace, trace.triggers[:n]),
+                                program)
+            assert sorted((d["class"], d["method"], d["index"], d["line"],
+                           d["visits"]) for d in doc["statements"]) == sorted(
+                (m.class_name, m.method_name, i,
+                 program.line_of(StmtPos(m, i)), count)
+                for (m, i), count in per_stmt.items()), (label, n)
+            assert sorted((d["class"], d["method"], d["visits"])
+                          for d in doc["methods"]) == sorted(
+                (m.class_name, m.method_name, count)
+                for m, count in per_method.items()), (label, n)
+    assert doubled or source != "micro"
+
+
+@pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
+@pytest.mark.parametrize("source", MASK_SOURCES)
+def test_witnesses_stay_inside_their_triggers_walked_views(
+        bundles_dir, tmp_path, monkeypatch, source, mode):
+    """Every witness segment keeps to the walked view it was searched in:
+    a segment to the sink to its finding's trigger's, a segment to the
+    source to the view of the source's owner, the first trigger in
+    declared order whose view holds it. Its states are nodes of that view,
+    and under pushdown each pop's frame is among the view's tops at the
+    popping state."""
+    checked = 0
+    for label, program, units, k, summaries in _mask_cases(
+            bundles_dir, tmp_path, monkeypatch, source):
+        _s, _t, trace = saturate_app(
+            program, units, AnalysisConfig(mode=mode, k=k), summaries)
+        entry_of = dict(trace.triggers)
+        refs = walked_views(program, trace.fixpoint,
+                            dict.fromkeys(entry_of.values()))
+        for f in extract_findings(trace):
+            owner = next(e for _t, e in trace.triggers
+                         if f.source_state in refs[e][0])
+            for states, steps in f.segments:
+                entry = (entry_of[f.trigger] if states[-1] == f.sink_state
+                         else owner)
+                nodes, tops, _visits, _apps = refs[entry]
+                assert set(states) <= nodes.keys(), label
+                for step in steps:
+                    if step.kind == reach.POP and tops is not None:
+                        assert step.frame in tops.get(step.src, ()), label
+                checked += 1
+    assert checked

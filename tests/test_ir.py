@@ -14,8 +14,8 @@ from pdcfa.ir import (
     ResolveError,
     Return,
     parse_program,
-    program_to_text,
 )
+from printer import program_to_text
 
 MINI = """
 (public class A extends java/lang/Object () ())

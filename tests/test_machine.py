@@ -56,7 +56,7 @@ from pdcfa.machine import (
     alloc_fp,
     alloc_op,
     eval_atomic,
-    eval_field,
+    field_values,
     frame_pointer_zero,
     normalize_vals,
     seed_entry_bindings,
@@ -65,6 +65,7 @@ from pdcfa.machine import (
 from pdcfa.reach import AnalysisConfig, ControlState, Edge
 from pdcfa.taint import SummaryTable, TaintStore, TaintVal, parse_summaries
 from stores import canonical_text, join_store
+from views import views
 
 EMPTY = SummaryTable([])
 
@@ -214,6 +215,12 @@ def test_eval_instance_of_mixed_is_both():
     store.join(RegAddr(f, "o"), {ObjectValue(op1, "B"), ObjectValue(op2, "A")})
     # B <= A holds, A <= B does not
     assert eval_atomic(p, InstanceOf(Name("o"), "B"), f, store) == {TRUE, FALSE}
+
+
+def eval_field(program, ae_o, fp, store, field_name) -> frozenset:
+    """Join of the field's values over every object the receiver may be."""
+    return field_values(program, eval_atomic(program, ae_o, fp, store),
+                        store, field_name)
 
 
 def test_eval_field_joins_over_receivers():
@@ -688,7 +695,7 @@ def test_cached_sort_key_equals_the_uncached_tuple(bundles_dir):
         _s, _t, trace = eps.saturate_app(
             bundle.program, units, AnalysisConfig(mode=mode, k=1),
             bundle.summaries)
-        for res in trace.results:
+        for res in [trace.fixpoint, *views(trace)]:
             for x in _key_instances(res):
                 assert x.sort_key() == _naive_sort_key(x), repr(x)
                 seen.add(type(x))
@@ -887,6 +894,27 @@ def test_fixpoint_run_builds_each_state_edge_and_address_once(
     assert built[RegAddr]
 
 
+def test_saturation_builds_each_field_address_once(tmp_path, monkeypatch):
+    """Field addresses are looked up in their program's table before they
+    are built: one wide-pushdown saturation, its seeded entry bindings
+    included, builds each of its three field addresses once."""
+    bundle, cfg = _wide_pushdown(tmp_path, monkeypatch)
+    FieldAddr(ObjectPointer(AmbientSite("A")), "f")  # its __init__ is made
+    built, init = [], FieldAddr.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FieldAddr, "__init__", counting)
+    units = eps.discover_entry_points(bundle, bundle.program)
+    store, _t, _trace = eps.saturate_app(bundle.program, units, cfg,
+                                         bundle.summaries)
+    assert len(set(built)) == len(built) == 3
+    assert set(built) == {a for a, _v in store.items()
+                          if isinstance(a, FieldAddr)}
+
+
 def test_separately_loaded_copies_share_no_keys(bundles_dir):
     """The key tables belong to a program, so to one analysis: analyses of
     two separately loaded copies of a bundle build equal control states
@@ -898,7 +926,7 @@ def test_separately_loaded_copies_share_no_keys(bundles_dir):
         store, _t, trace = eps.saturate_app(
             bundle.program, units, AnalysisConfig(mode="pushdown", k=1),
             bundle.summaries)
-        states = {id(s): s for res in trace.results for s in res.dsg.nodes}
+        states = {id(s): s for s in trace.fixpoint.dsg.nodes}
         regs = {id(a): a for a, _v in store.items() if isinstance(a, RegAddr)}
         held.append((states, regs))
     (states1, regs1), (states2, regs2) = held

@@ -1,10 +1,12 @@
 """Least-permissions analysis tests."""
 
+from pdcfa.eps import EntryPoint, Unit, saturate_app
 from pdcfa.ir import MethodRef, parse_program
 from pdcfa.permissions import build_permission_report, collect_permissions
 from pdcfa.reach import AnalysisConfig
 from pdcfa.taint import parse_summaries
 from soundness import analyze_seeded
+from views import direct_trace, with_triggers
 
 TABLE = parse_summaries("""
 summary net/Http open role=neutral ret=null perms=INTERNET
@@ -25,7 +27,7 @@ def test_no_api_calls_collects_nothing():
   ((method public run () int (throws) (limit 1)
      (return 0))))
 """)
-    assert collect_permissions([res]) == []
+    assert collect_permissions(direct_trace(res)) == []
 
 
 def test_reachable_api_collects_its_permission():
@@ -36,7 +38,7 @@ def test_reachable_api_collects_its_permission():
      (assign c (invoke-static net/Http->open () ()))
      (return 0))))
 """)
-    collected = collect_permissions([res])
+    collected = collect_permissions(direct_trace(res))
     assert [(p, line) for p, _s, line in collected] == [("INTERNET", 3)]
 
 
@@ -55,7 +57,7 @@ def test_api_in_unreachable_code_not_collected():
 """)
     dead = MethodRef("Main", "deadCode", ())
     assert all(s.pos.method != dead for s in res.dsg.nodes)
-    perms = {p for p, _s, _l in collect_permissions([res])}
+    perms = {p for p, _s, _l in collect_permissions(direct_trace(res))}
     assert perms == {"INTERNET"}
 
 
@@ -91,7 +93,8 @@ def test_every_reached_permission_has_evidence():
      (assign z (invoke-static tel/Sms->send () ()))
      (return 0))))
 """)
-    report = build_permission_report({"INTERNET"}, collect_permissions([res]))
+    report = build_permission_report({"INTERNET"},
+                                     collect_permissions(direct_trace(res)))
     for perm in report.reached:
         assert report.evidence[perm]
 
@@ -104,7 +107,8 @@ def _evidence():
      (assign c (invoke-static net/Http->open () ()))
      (return 0))))
 """)
-    return [(s, line) for _p, s, line in collect_permissions([res])]
+    return [(s, line)
+            for _p, s, line in collect_permissions(direct_trace(res))]
 
 
 def test_monotone_in_analysis_result():
@@ -117,10 +121,12 @@ def test_monotone_in_analysis_result():
      (assign z (invoke-static tel/Sms->send () ()))
      (return 0))))
 """
-    program = parse_program(src)
-    res_small = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    res_more = analyze_seeded(program, MethodRef("Main", "more", ()),
-                              AnalysisConfig(k=1), TABLE)
-    small = {p for p, _s, _l in collect_permissions([res_small])}
-    both = {p for p, _s, _l in collect_permissions([res_small, res_more])}
-    assert small <= both
+    unit = Unit("U", "activity", tuple(
+        EntryPoint(m, "ui-handler", "layout")
+        for m in (RUN, MethodRef("Main", "more", ()))))
+    _s, _t, trace = saturate_app(parse_program(src), [unit],
+                                 AnalysisConfig(k=1), TABLE)
+    small = {p for p, _s, _l in collect_permissions(
+        with_triggers(trace, trace.triggers[:1]))}
+    both = {p for p, _s, _l in collect_permissions(trace)}
+    assert small == {"INTERNET"} and small < both

@@ -34,7 +34,6 @@ from pdcfa.reach import (
     PathStep,
     analyze,
     reconstruct_path_steps,
-    replay_stack_actions,
 )
 from pdcfa.taint import (
     SummaryTable,
@@ -42,7 +41,9 @@ from pdcfa.taint import (
     extract_findings,
     parse_summaries,
 )
+from soundness import describe
 from stores import canonical_text
+from views import replay_stack_actions, views
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -181,7 +182,7 @@ def test_straight_line_node_sets_identical():
 """
     _p1, res_p = _pushdown(src, table=EMPTY)
     _p2, res_f = _finite(src, table=EMPTY)
-    assert res_p.node_set() == res_f.node_set()
+    assert set(res_p.dsg.nodes) == set(res_f.dsg.nodes)
 
 
 @pytest.mark.parametrize("name", sorted(MICRO_PROGRAMS))
@@ -190,7 +191,7 @@ def test_pushdown_subset_of_finite_on_corpus(name, k):
     src, _o, _r = MICRO_PROGRAMS[name]
     _p1, res_p = _pushdown(src, k=k)
     _p2, res_f = _finite(src, k=k)
-    assert res_p.node_set() <= res_f.node_set()
+    assert set(res_p.dsg.nodes) <= set(res_f.dsg.nodes)
 
 
 @pytest.mark.parametrize("name", sorted(STRICT_PROGRAMS))
@@ -198,14 +199,14 @@ def test_finite_strictly_coarser_on_merged_return_contexts(name):
     src = STRICT_PROGRAMS[name]
     _p1, res_p = _pushdown(src, k=1)
     _p2, res_f = _finite(src, k=1)
-    assert res_p.node_set() < res_f.node_set(), name
+    assert set(res_p.dsg.nodes) < set(res_f.dsg.nodes), name
 
 
 def test_nested_calls_node_superset():
     src, _o, _r = MICRO_PROGRAMS["call_depth4"]
     _p1, res_p = _pushdown(src, k=1)
     _p2, res_f = _finite(src, k=1)
-    assert res_p.node_set() <= res_f.node_set()
+    assert set(res_p.dsg.nodes) <= set(res_f.dsg.nodes)
 
 
 def test_mixed_receiver_set_dispatches_to_every_override():
@@ -242,7 +243,7 @@ def test_fixpoint_rerun_is_stable():
                      first.final_taint, cfg, TABLE)
     assert canonical_text(first.final_store) \
         == canonical_text(second.final_store)
-    assert first.node_set() == second.node_set()
+    assert set(first.dsg.nodes) == set(second.dsg.nodes)
 
 
 
@@ -343,7 +344,7 @@ def test_balanced_paths_replay():
         for node in res.dsg.nodes:
             steps = reconstruct_path_steps(res, start, node)
             if steps is not None:
-                assert replay_stack_actions(steps), (name, node.describe())
+                assert replay_stack_actions(steps), (name, describe(node))
 
 
 def test_replay_stack_actions_matches_pops_against_pushed_frames():
@@ -446,13 +447,13 @@ BUNDLE_NAMES = ("perm_over", "perm_zero", "photoquote_exception",
                 "photoquote_full", "three_unit_relay")
 
 
-def _saturated_results(bundles_dir, name, mode, k=1):
+def _saturated(bundles_dir, name, mode, k=1):
     bundle = load_bundle(bundles_dir / name)
     units = eps.discover_entry_points(bundle, bundle.program)
     _s, _t, trace = eps.saturate_app(bundle.program, units,
                                      AnalysisConfig(mode=mode, k=k),
                                      bundle.summaries)
-    return trace.results
+    return trace
 
 
 def _fixpoint_run(program, units, k, summaries) -> tuple:
@@ -540,7 +541,7 @@ def _frame_masks(masks) -> dict:
     """A pushdown run's frame masks (``RootMasks.frames``), each keyed by
     its (stack-dependent state, frame or None)."""
     return {(masks.states[t], frame): fm for t, frames in masks.frames.items()
-            for frame, fm in frames}
+            for frame, fm in frames.items()}
 
 
 def _naive_frame_masks(masks, exported) -> dict:
@@ -594,7 +595,8 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
     of each stack-dependent state. An engine run's exported tops are that
     recomputation's (frame, push source) pairs and its roots' balanced
     sets, at stack-dependent states, and its frame masks are those pairs
-    folded; views carry their run's masks."""
+    folded. The entry points' views, read from the masks, hold the same
+    summaries and pop edges over their own edges."""
     exported = {}  # id(run) -> the node states and tops it hands its masks
     result = reach._BaseEngine._result
 
@@ -610,8 +612,8 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
         units = eps.discover_entry_points(bundle, bundle.program)
         for k in (0, 1, 2):
             results += [(f"{name} k={k}", bundle.program, res, None) for res
-                        in _saturated_results(bundles_dir, name, "pushdown",
-                                              k)]
+                        in views(_saturated(bundles_dir, name, "pushdown",
+                                            k))]
             results.append((f"{name} k={k} fixpoint", bundle.program,
                             *_fixpoint_run(bundle.program, units, k,
                                            bundle.summaries)))
@@ -679,17 +681,51 @@ def test_finite_root_masks_equal_forward_search(bundles_dir, tmp_path,
 @pytest.mark.parametrize("mode", ["pushdown", "finite"])
 @pytest.mark.parametrize("name", BUNDLE_NAMES)
 def test_tree_paths_equal_per_pair_search(bundles_dir, name, mode):
-    """The path between every pair of nodes (a superset of the initial and
-    source-application states witnesses start from) equals the per-pair
-    search, with and without shared trees."""
-    trees = {}
-    for res in _saturated_results(bundles_dir, name, mode):
-        nodes = sorted(res.dsg.nodes, key=lambda n: n.sort_key())
+    """The path between every pair of nodes of each entry point's view (a
+    superset of the initial and source-application states witnesses start
+    from), searched in the fixpoint run's graph restricted to the view's
+    bit, equals the per-pair search over the view, with and without shared
+    trees; a node outside the view has no path."""
+    trace = _saturated(bundles_dir, name, mode)
+    run, trees = trace.fixpoint, {}
+    for view in views(trace):
+        nodes = sorted(view.dsg.nodes, key=lambda n: n.sort_key())
         for frm in nodes:
             for to in nodes:
-                want = _ref_path_steps(res, frm, to)
-                assert reconstruct_path_steps(res, frm, to) == want
-                assert reconstruct_path_steps(res, frm, to, trees) == want
+                want = _ref_path_steps(view, frm, to)
+                assert reconstruct_path_steps(run, frm, to,
+                                              bit=view.bit) == want
+                assert reconstruct_path_steps(run, frm, to, trees,
+                                              view.bit) == want
+        outside = [n for n in run.dsg.nodes if n not in view.dsg.nodes]
+        for to in outside[:5]:
+            assert reconstruct_path_steps(run, view.initial_state, to,
+                                          trees, view.bit) is None
+
+
+@pytest.mark.parametrize("name", ["guard_gap", "post_region",
+                                  "two_handlers"])
+def test_part_paths_equal_per_pair_search_with_every_method_an_entry(name):
+    """With every method of ``Main`` an entry point at k=0, a root's part
+    keeps only some of a shared node's pop edges, so paths between the
+    same two nodes differ across parts; each equals the per-pair search
+    over that entry point's view."""
+    program = parse_program(STRICT_PROGRAMS[name])
+    refs = sorted((m for m in program.methods if m.class_name == "Main"),
+                  key=MethodRef.sort_key)
+    unit = eps.Unit("U", "activity", tuple(
+        eps.EntryPoint(r, "ui-handler", "layout") for r in refs))
+    _s, _t, trace = eps.saturate_app(program, [unit], AnalysisConfig(k=0),
+                                     TABLE)
+    run, paths = trace.fixpoint, {}
+    for view in views(trace):
+        for frm in view.dsg.nodes:
+            for to in view.dsg.nodes:
+                got = reconstruct_path_steps(run, frm, to, bit=view.bit)
+                assert got == _ref_path_steps(view, frm, to)
+                paths.setdefault((frm, to), set()).add(
+                    None if got is None else tuple(got))
+    assert any(len(found) > 1 for found in paths.values())
 
 
 @pytest.mark.parametrize("mode", ["pushdown", "finite"])
@@ -711,21 +747,20 @@ def test_tree_breaks_ties_by_sorted_edges(mode):
 @pytest.mark.parametrize("mode", ["pushdown", "finite"])
 def test_findings_build_one_tree_per_result_and_source(bundles_dir,
                                                        monkeypatch, mode):
+    """Findings build at most one witness tree per (root's bit, source
+    state)."""
     built = []
+    init = reach._Tree.__init__
 
-    def counted(build):
-        def wrapped(dsg, frm, parent):
-            built.append((id(dsg), frm))
-            return build(dsg, frm, parent)
-        return wrapped
+    def counted(self, result, frm, bit):
+        built.append((bit, frm))
+        init(self, result, frm, bit)
 
-    monkeypatch.setattr(reach, "_tree_plain", counted(reach._tree_plain))
-    monkeypatch.setattr(reach, "_tree_balanced",
-                        counted(reach._tree_balanced))
+    monkeypatch.setattr(reach._Tree, "__init__", counted)
     for name in BUNDLE_NAMES:
-        results = _saturated_results(bundles_dir, name, mode)
+        trace = _saturated(bundles_dir, name, mode)
         built.clear()
-        findings = extract_findings(results)
+        findings = extract_findings(trace)
         assert len(built) == len(set(built)), name
         if findings:
             assert built, name
@@ -790,7 +825,7 @@ def checked_throw_steps(monkeypatch):
     def step_throw(engine, state, code):
         expected = _naive_throw_edges(engine, state, code.stmt)
         edges = original(engine, state, code)
-        assert edges == expected, state.describe()
+        assert edges == expected, describe(state)
         steps.append(len(edges))
         return edges
 
@@ -802,7 +837,7 @@ def checked_throw_steps(monkeypatch):
 def test_throw_step_matches_naive_scan_on_bundles(bundles_dir, name,
                                                   checked_throw_steps):
     for k in (0, 1, 2):
-        _saturated_results(bundles_dir, name, "finite", k)
+        _saturated(bundles_dir, name, "finite", k)
     if name.startswith("photoquote"):
         assert any(checked_throw_steps)
 
@@ -846,7 +881,7 @@ def test_throw_step_matches_naive_scan_on_synth(tmp_path, monkeypatch,
     assert throws and set(last) == throws
     for state, (_engine, st, edges) in last.items():
         assert edges == _naive_throw_edges(engine, state, st), \
-            state.describe()
+            describe(state)
     assert sum(checked_throw_steps) > 0
 
 

@@ -107,9 +107,9 @@ RECORDS = {
     "eps.Unit": (["name", "kind", "entry_points"],
         "Unit(name=1, kind=2, entry_points=3)"),
     "eps.SaturationTrace": ([
-        "fixpoint", "results", "global_rounds", "complete", "limit_reason"],
-        "SaturationTrace(fixpoint=1, results=2, global_rounds=3, complete=4, "
-        "limit_reason=5)"),
+        "fixpoint", "triggers", "global_rounds", "complete", "limit_reason"],
+        "SaturationTrace(fixpoint=1, triggers=2, global_rounds=3, "
+        "complete=4, limit_reason=5)"),
     "permissions.PermissionReport": ([
         "requested", "reached", "over_privileged", "missing", "evidence",
         "lower_bound"],
@@ -131,10 +131,10 @@ RECORDS = {
     "reach.AnalysisResult": ([
         "mode", "entry", "initial_state", "dsg", "final_store", "final_taint",
         "visit_counts", "complete", "limit_reason", "applications", "config",
-        "trigger", "masks"],
+        "masks"],
         "AnalysisResult(mode=1, entry=2, initial_state=3, dsg=4, "
         "final_store=5, final_taint=6, visit_counts=7, complete=8, "
-        "limit_reason=9, applications=10, config=11, trigger=12, masks=13)"),
+        "limit_reason=9, applications=10, config=11, masks=12)"),
     "reach.HandlerRecord": (["frame", "region"],
         "HandlerRecord(frame=1, region=2)"),
     "reach.PathStep": (["kind", "frame", "src", "dst"],

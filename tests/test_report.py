@@ -12,7 +12,7 @@ from pdcfa import report
 from pdcfa.cli import main
 from pdcfa.ir import parse_program
 from pdcfa.permissions import build_permission_report, collect_permissions
-from pdcfa.reach import AnalysisConfig, replay_stack_actions
+from pdcfa.reach import AnalysisConfig
 from pdcfa.report import (
     PredicateError,
     conjoin,
@@ -26,6 +26,7 @@ from pdcfa.report import (
 from pdcfa.taint import TaintFinding, extract_findings, parse_summaries
 from schemas import validate_document
 from soundness import analyze_seeded
+from views import direct_trace, replay_stack_actions, witness_steps
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
 
@@ -49,7 +50,7 @@ FLOWY = """
 def _findings_and_result():
     program = parse_program(FLOWY)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    return program, res, extract_findings([res])
+    return program, res, extract_findings(direct_trace(res))
 
 
 # -- predicates ---------------------------------------------------------------
@@ -133,7 +134,8 @@ def test_flow_report_schema_and_hints():
 
 def test_permission_report_schema():
     program, res, _f = _findings_and_result()
-    report = build_permission_report({"SEND_SMS"}, collect_permissions([res]))
+    report = build_permission_report({"SEND_SMS"},
+                                     collect_permissions(direct_trace(res)))
     doc = emit_permission_report(report, program, META)
     validate_document(doc, "permissions_report")
     assert doc["overPrivileged"] == ["SEND_SMS"]
@@ -144,22 +146,31 @@ def test_heat_map_straight_line_counts_once():
     src, _o, _r = MICRO_PROGRAMS["arith_add"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    doc = emit_heat_map([res], program, META)
+    doc = emit_heat_map(direct_trace(res), program, META)
     validate_document(doc, "heatmap")
     counts = {(s["method"], s["index"]): s["visits"]
               for s in doc["statements"]}
     assert all(v == 1 for v in counts.values())
 
 
-def test_heat_map_loop_body_hotter_than_exit():
-    src, _o, _r = MICRO_PROGRAMS["loop_counted"]
+def test_heat_map_counts_the_frames_topping_a_node():
+    """A node's visits are the frames that may top its stack, or 1: at k=0
+    both calls of ``inc`` return through one node under two call frames,
+    at k=1 through one node per call site, so ``inc``'s return counts 2
+    either way; an invoke counts its call and its move slot."""
+    src, _o, _r = MICRO_PROGRAMS["call_two_sites"]
     program = parse_program(src)
-    res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    doc = emit_heat_map([res], program, META)
-    by_index = {s["index"]: s["visits"] for s in doc["statements"]}
-    # body: indexes 1-3 (label, add, if); exit: index 4 (return)
-    assert by_index[2] > by_index[4]
-    assert doc["statements"][0]["visits"] == max(by_index.values())
+    docs = []
+    for k in (0, 1):
+        res = analyze_seeded(program, RUN, AnalysisConfig(k=k), TABLE)
+        returns = [s for s in res.dsg.nodes if s.pos.method.method_name
+                   == "inc"]
+        assert len(returns) == 2 - (k == 0)
+        docs.append(emit_heat_map(direct_trace(res), program, META))
+    assert docs[0] == docs[1]
+    assert [(s["method"], s["index"], s["visits"])
+            for s in docs[0]["statements"]] == [
+        ("inc", 0, 2), ("run", 0, 2), ("run", 1, 2), ("run", 2, 1)]
 
 
 def test_heat_map_excludes_unreachable_method():
@@ -169,7 +180,7 @@ def test_heat_map_excludes_unreachable_method():
      (return 1))""")
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    doc = emit_heat_map([res], program, META)
+    doc = emit_heat_map(direct_trace(res), program, META)
     assert all(m["method"] != "unreached" for m in doc["methods"])
 
 
@@ -178,7 +189,7 @@ def test_heat_map_top_n(monkeypatch):
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
     monkeypatch.setattr(report, "_TOP_N", 3)
-    doc = emit_heat_map([res], program, META)
+    doc = emit_heat_map(direct_trace(res), program, META)
     assert len(doc["statements"]) == 3
 
 
@@ -209,12 +220,12 @@ def test_graph_highlights_exactly_witness_edges():
     highlighted = [l for l in dot.splitlines() if 'witness="1"' in l]
     expected = set()
     for f in findings:
-        for s in f.witness_steps:
+        for s in witness_steps(f):
             expected.add((s.src, s.kind, s.frame, s.dst))
     assert len(highlighted) >= 1
     # every witness step of every finding replays as a legal stack action
     for f in findings:
-        assert replay_stack_actions(f.witness_steps)
+        assert replay_stack_actions(witness_steps(f))
     # highlighted edge count matches the deduplicated witness edges (plus
     # dashed summary shortcuts, none in this straight-line program)
     assert len(highlighted) == len(expected)

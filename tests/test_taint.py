@@ -5,18 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, PRELUDE, RUN
+from corpus_micro import (MICRO_PROGRAMS, MICRO_SUMMARIES, PRELUDE, RUN,
+                          STRICT_PROGRAMS)
 from pdcfa.cli import load_bundle
 from pdcfa.concrete import run_concrete
-from pdcfa.eps import discover_entry_points, saturate_app
-from pdcfa.ir import parse_program
+from pdcfa.eps import EntryPoint, Unit, discover_entry_points, saturate_app
+from pdcfa.ir import MethodRef, parse_program
 from pdcfa.machine import ANY_INT, ANY_STRING, NULL, VOID
 from pdcfa.reach import (
     FINITE,
     PUSHDOWN,
     AnalysisConfig,
     analyze,
-    replay_stack_actions,
 )
 from pdcfa.taint import (
     ApiSummary,
@@ -30,6 +30,7 @@ from pdcfa.taint import (
 )
 from soundness import analyze_seeded
 from stores import all_categories
+from views import direct_trace, replay_stack_actions, views, witness_steps
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
 
@@ -117,7 +118,7 @@ def test_no_sources_means_no_findings():
      (return 0))))
 """
     res = analyze_seeded(parse_program(src), RUN, AnalysisConfig(k=1), TABLE)
-    assert extract_findings([res]) == []
+    assert extract_findings(direct_trace(res)) == []
 
 
 def test_finding_for_direct_flow():
@@ -131,7 +132,7 @@ def test_finding_for_direct_flow():
      (return 0))))
 """
     res = analyze_seeded(parse_program(src), RUN, AnalysisConfig(k=1), TABLE)
-    findings = extract_findings([res])
+    findings = extract_findings(direct_trace(res))
     assert len(findings) == 1
     f = findings[0]
     assert f.category == TaintVal.LOCATION
@@ -160,7 +161,7 @@ def test_taint_through_catch_of_tainted_exception_register():
      (return 0))))
 """
     res = analyze_seeded(parse_program(src), RUN, AnalysisConfig(k=1), TABLE)
-    findings = extract_findings([res])
+    findings = extract_findings(direct_trace(res))
     assert any(f.category == TaintVal.LOCATION and f.sink_kind == "log"
                for f in findings)
 
@@ -171,7 +172,7 @@ def test_no_spontaneous_taint_on_corpus():
         program = parse_program(src)
         res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
         applied = set()
-        for app in res.source_applications():
+        for app in res.applications:
             applied.update(app.source_categories)
         assert all_categories(res.final_taint) <= applied, name
 
@@ -195,7 +196,7 @@ def test_explicit_flow_completeness_against_oracle():
     program = parse_program(src)
     crun = run_concrete(program, RUN, fuel=5000, summaries=TABLE)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    findings = extract_findings([res])
+    findings = extract_findings(direct_trace(res))
     for app in crun.sink_hits:
         for cat, kind in app.sink_hits:
             assert any(f.category == cat and f.sink_kind == kind
@@ -207,10 +208,10 @@ def test_witnesses_are_stack_balanced():
     src, _o, _r = MICRO_PROGRAMS["taint_chain"]
     program = parse_program(src)
     res = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
-    findings = extract_findings([res])
+    findings = extract_findings(direct_trace(res))
     assert findings
     for f in findings:
-        assert replay_stack_actions(f.witness_steps)
+        assert replay_stack_actions(witness_steps(f))
         # the source precedes the sink on the witness
         src_i = f.witness.index(f.source_state)
         snk_i = len(f.witness) - 1 - f.witness[::-1].index(f.sink_state)
@@ -225,38 +226,41 @@ SHIPPED = sorted(p.name for p in (Path(__file__).parent / "corpus" /
                  if (p / "manifest.json").is_file())
 
 
-def _saturated_results(bundle, mode, k) -> list:
+def _saturated(bundle, mode, k):
     units = discover_entry_points(bundle, bundle.program)
     _store, _taint, trace = saturate_app(
         bundle.program, units, AnalysisConfig(mode=mode, k=k),
         bundle.summaries)
-    return trace.results
+    return trace
 
 
-def _check_witnesses_against_fresh_searches(results) -> int:
+def _check_witnesses_against_fresh_searches(trace) -> int:
     """Each finding's witness is what a search for that finding alone, with
     no tree or segment shared with any other finding, gives; a second
-    extraction gives the same findings. Pushdown witnesses replay as stack
-    evolutions; finite ones are plain graph paths, which need not. Returns
-    the number of findings."""
-    findings = extract_findings(results)
-    assert findings == extract_findings(results)
+    extraction gives the same findings. The source's owner is the first
+    trigger whose view holds the source. Pushdown witnesses replay as
+    stack evolutions; finite ones are plain graph paths, which need not.
+    Returns the number of findings."""
+    findings = extract_findings(trace)
+    assert findings == extract_findings(trace)
+    parts = views(trace)
+    roots = [(v.initial_state, v.bit) for v in parts]
     for f in findings:
-        src_res = next(res for res in results
-                       for app in res.source_applications()
-                       if app.state == f.source_state
-                       and f.category in app.source_categories)
-        sink_res = next(res for res in results if res.trigger == f.trigger
-                        for app in res.sink_applications()
-                        if app.state == f.sink_state
-                        and (f.category, f.sink_kind) in app.sink_hits)
-        segments = _witness(src_res, f.source_state, sink_res,
-                            f.sink_state, {})
+        owner = next(i for i, v in enumerate(parts)
+                     for app in v.source_applications()
+                     if app.state == f.source_state
+                     and f.category in app.source_categories)
+        sink = next(i for i, v in enumerate(parts) if v.trigger == f.trigger
+                    for app in v.sink_applications()
+                    if app.state == f.sink_state
+                    and (f.category, f.sink_kind) in app.sink_hits)
+        segments = _witness(trace.fixpoint, roots, owner, f.source_state,
+                            sink, f.sink_state, {})
         assert f.segments == segments
         assert f.witness == sum((states for states, _ in segments), ())
-        assert f.witness_steps == sum((steps for _, steps in segments), ())
-        if src_res.mode == PUSHDOWN:
-            assert replay_stack_actions(f.witness_steps)
+        assert witness_steps(f) == sum((steps for _, steps in segments), ())
+        if trace.fixpoint.mode == PUSHDOWN:
+            assert replay_stack_actions(witness_steps(f))
     return len(findings)
 
 
@@ -265,8 +269,7 @@ def _check_witnesses_against_fresh_searches(results) -> int:
 def test_witnesses_equal_fresh_searches_on_shipped_bundles(bundles_dir, name,
                                                            mode):
     bundle = load_bundle(bundles_dir / name)
-    _check_witnesses_against_fresh_searches(
-        _saturated_results(bundle, mode, 1))
+    _check_witnesses_against_fresh_searches(_saturated(bundle, mode, 1))
 
 
 def test_witnesses_equal_fresh_searches_on_finite_witness_bundle(
@@ -278,23 +281,29 @@ def test_witnesses_equal_fresh_searches_on_finite_witness_bundle(
         encoding="utf-8"))["finite-witness"]
     root = synth.generate(synth.Shape.parse(ref["shape"]),
                           ref["seed"]).write(tmp_path / "bundle")
-    results = _saturated_results(load_bundle(root), ref["mode"], ref["k"])
-    assert _check_witnesses_against_fresh_searches(results) > 0
+    trace = _saturated(load_bundle(root), ref["mode"], ref["k"])
+    assert _check_witnesses_against_fresh_searches(trace) > 0
 
 
-def test_segments_are_kept_per_result(bundles_dir):
-    """One ``trees`` dict shared by a pushdown and a finite result of one
-    program, whose paths between the same two states differ, gives each
-    result its own segment."""
-    bundle = load_bundle(bundles_dir / "photoquote_exception")
-    results = [res for mode in (PUSHDOWN, FINITE)
-               for res in _saturated_results(bundle, mode, 1)]
+def test_segments_are_kept_per_bit():
+    """One ``trees`` dict shared by every entry point's part of a pushdown
+    fixpoint run gives each part its own segment: with every method of a
+    micro program an entry point, the paths between two states in several
+    parts differ across them."""
+    program = parse_program(STRICT_PROGRAMS["two_handlers"])
+    refs = sorted((m for m in program.methods if m.class_name == "Main"),
+                  key=MethodRef.sort_key)
+    unit = Unit("U", "activity", tuple(EntryPoint(r, "ui-handler", "layout")
+                                       for r in refs))
+    _s, _t, trace = saturate_app(program, [unit], AnalysisConfig(k=0), TABLE)
+    run, parts = trace.fixpoint, views(trace)
     trees: dict = {}
-    segments: dict = {}  # (from, to) -> the segments results give for it
-    for res in results:
-        frm = res.initial_state
-        for to in sorted(res.dsg.nodes, key=lambda s: s.sort_key()):
-            seg = _segment(res, frm, to, trees)
-            assert seg == _segment(res, frm, to, {})
-            segments.setdefault((frm, to), set()).add(seg)
+    segments: dict = {}  # (from, to) -> the segments parts give for it
+    for view in parts:
+        nodes = sorted(view.dsg.nodes, key=lambda s: s.sort_key())
+        for frm in nodes:
+            for to in nodes:
+                seg = _segment(run, view.bit, frm, to, trees)
+                assert seg == _segment(run, view.bit, frm, to, {})
+                segments.setdefault((frm, to), set()).add(seg)
     assert any(len(segs) > 1 for segs in segments.values())

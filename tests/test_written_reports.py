@@ -28,6 +28,7 @@ from schemas import validate_document, validate_written
 from test_eps import _mask_cases
 from test_golden import FINITE_MANY_FINDINGS_PIN, PUSHDOWN_PINS
 from test_report import _aliased_docs, _stdlib_json_bytes
+from views import views, with_triggers, witness_steps
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
@@ -192,7 +193,7 @@ def _finite_witness_flow(tmp_path, monkeypatch) -> tuple:
     _s, _t, trace = saturate_app(
         bundle.program, discover_entry_points(bundle, bundle.program),
         AnalysisConfig(mode=ref["mode"], k=ref["k"]), bundle.summaries)
-    findings = extract_findings(trace.results)
+    findings = extract_findings(trace)
     return report.emit_flow_report(findings, None, bundle.program,
                                    {"toolVersion": "test", "inputs": {},
                                     "config": {"k": 1}}), \
@@ -339,7 +340,7 @@ def _reference_dot(result, findings, program) -> str:
     witness_edges = set()
     witness_summaries = set()
     for f in findings:
-        for step in f.witness_steps:
+        for step in witness_steps(f):
             if step.kind == "summary":
                 witness_summaries.add((step.src, step.dst))
             else:
@@ -391,14 +392,15 @@ def test_dot_equals_reference_dot(bundles_dir, tmp_path, monkeypatch,
             bundles_dir, tmp_path, monkeypatch, source):
         _s, _t, trace = saturate_app(
             program, units, AnalysisConfig(mode=mode, k=k), summaries)
-        views = trace.results
-        findings = extract_findings(views)
+        parts = views(trace)
+        findings = extract_findings(trace)
         dot = export_graph(trace.fixpoint, findings, program)
         assert dot == _reference_dot(trace.fixpoint, findings, program), \
             label
         highlighted += dot.count('witness="1"')
-        for i in sorted({0, len(views) // 2, len(views) - 1}):
-            found = extract_findings([views[i]])
-            assert (export_graph(views[i], found, program)
-                    == _reference_dot(views[i], found, program)), (label, i)
+        for i in sorted({0, len(parts) // 2, len(parts) - 1}):
+            found = extract_findings(with_triggers(trace,
+                                                   [trace.triggers[i]]))
+            assert (export_graph(parts[i], found, program)
+                    == _reference_dot(parts[i], found, program)), (label, i)
     assert highlighted
