@@ -207,14 +207,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     "analysis for .sdex bundles.")
     p.add_argument("--bundle", required=True, metavar="DIR",
                    help="bundle directory (manifest.json, program, summaries)")
-    p.add_argument("--mode", choices=[PUSHDOWN, FINITE], default=PUSHDOWN,
-                   help="reachability engine (default: pushdown)")
-    p.add_argument("--k", type=int, default=1, metavar="N",
-                   help="call-site context depth, 0..4 (default: 1)")
+    d = AnalysisConfig()
+    p.add_argument("--mode", choices=[PUSHDOWN, FINITE], default=d.mode,
+                   help="reachability engine (default: %(default)s)")
+    p.add_argument("--k", type=int, default=d.k, metavar="N",
+                   help="call-site context depth, 0..4 (default: %(default)s)")
     p.add_argument("--heap-context", action="store_true",
                    help="pair allocation sites with the allocating context")
-    p.add_argument("--max-states", type=int, default=500_000, metavar="N")
-    p.add_argument("--max-seconds", type=float, default=300.0, metavar="N")
+    p.add_argument("--max-states", type=int, default=d.max_states, metavar="N",
+                   help="fixpoint run's state limit (default: %(default)s)")
+    p.add_argument("--max-seconds", type=float, default=d.max_seconds,
+                   metavar="N", help="time limit (default: %(default)s)")
     p.add_argument("--where", metavar="PRED", default=None,
                    help='finding filter, e.g. "taintHas(Location) and '
                         'classIs(Photo*)"')

@@ -19,24 +19,20 @@ def collect_permissions(trace) -> list:
     """Permissions attached to the summary applications of a saturation
     (``eps.SaturationTrace``), paired with the applying control state: the
     applications of its fixpoint run in the part of a trigger's root
-    (``reach.RootMasks``), none if it has no triggers."""
+    (``reach.RootMasks``), none if it has no triggers. They are grouped by
+    permission, each state once with its line, in the run's application
+    (state) order; only the permission names are sorted."""
     if not trace.triggers:
         return []
     masks = trace.fixpoint.masks
     weight = masks.weigh(entry for _trigger, entry in trace.triggers)
-    seen = set()
-    out = []
+    lines: dict = {}  # permission -> {state: line}
     for app in trace.fixpoint.applications:
-        if not weight(masks.mask(app.state)):
-            continue
-        for perm in app.permissions:
-            key = (perm, app.state)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((perm, app.state, app.line))
-    out.sort(key=lambda p: (p[0], p[1].sort_key()))
-    return out
+        if app.permissions and weight(masks.mask(app.state)):
+            for perm in app.permissions:
+                lines.setdefault(perm, {}).setdefault(app.state, app.line)
+    return [(perm, state, line) for perm in sorted(lines)
+            for state, line in lines[perm].items()]
 
 
 def build_permission_report(requested, collected,

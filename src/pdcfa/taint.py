@@ -306,11 +306,16 @@ def extract_findings(trace) -> list:
     it is the path from the owner's entry to the source in the owner's
     part followed by the path from the trigger's entry to the sink.
 
-    Findings with the same trigger, category, source and sink position are
-    one finding; the first is kept, and no witness is searched for the
-    rest. Witness paths are read from one BFS tree per (bit, source
-    state), and each (bit, from, to) segment is built once and shared by
-    every finding whose witness holds it; the trees are dropped on return.
+    One pass over the run's applications (sorted by state) groups sources
+    per category by position, keeping the first state, and sinks per root
+    bit by (category, position), keeping the first application and, of
+    its hits in (category, kind) order, the first kind. A trigger's
+    findings are the product of its bit's sink groups and the category's
+    source groups: one per (trigger, category, source position, sink
+    position), stably sorted by ``TaintFinding.sort_key``. Witness paths
+    are read from one BFS tree per (bit, source state), and each (bit,
+    from, to) segment is built once and shared by every finding whose
+    witness holds it; the trees are dropped on return.
     """
     run, triggers = trace.fixpoint, trace.triggers
     if not triggers:
@@ -321,44 +326,38 @@ def extract_findings(trace) -> list:
     for i, (_root, bit) in enumerate(roots):
         first.setdefault(bit, i)
     declared = sum(1 << bit for bit in first)
-    sources = []  # (category, state, line, owner's index in triggers)
-    seen_sources = set()
-    sinks: dict = {}  # bit -> the sink applications of its part, in order
+    sources: dict = {}  # category -> {position: (state, line, owner)}
+    sinks: dict = {}  # bit -> {(category, position): (application, kind)}
     for app in run.applications:
         mask = masks.mask(app.state) & declared
-        if app.source_categories and mask:
-            owner = min(first[bit] for bit in _bits(mask))
+        if not mask:
+            continue
+        pos = app.state.pos
+        if app.source_categories:
+            source = app.state, app.line, min(first[b] for b in _bits(mask))
             for cat in app.source_categories:
-                if (cat, app.state) not in seen_sources:
-                    seen_sources.add((cat, app.state))
-                    sources.append((cat, app.state, app.line, owner))
+                sources.setdefault(cat, {}).setdefault(pos, source)
         if app.sink_hits:
+            hits = sorted(app.sink_hits, key=lambda h: (h[0].value, h[1]))
             for bit in _bits(mask):
-                sinks.setdefault(bit, []).append(app)
-    sources.sort(key=lambda s: (s[0].value, s[1].sort_key()))
+                groups = sinks.setdefault(bit, {})
+                for cat, kind in hits:
+                    groups.setdefault((cat, pos), (app, kind))
 
-    findings: dict = {}
+    findings = []
     trees: dict = {}  # BFS trees and witness segments, see _segment
     for i, (trigger, _entry) in enumerate(triggers):
-        for app in sinks.get(roots[i][1], ()):
-            sink_pos = app.state.pos.sort_key()
-            for cat, kind in sorted(app.sink_hits,
-                                    key=lambda h: (h[0].value, h[1])):
-                for src_cat, src_state, src_line, owner in sources:
-                    if src_cat is not cat:
-                        continue
-                    key = (trigger, cat.value, src_state.pos.sort_key(),
-                           sink_pos)
-                    if key in findings:
-                        continue
-                    findings[key] = TaintFinding(
-                        category=cat, source_state=src_state,
-                        source_line=src_line, sink_state=app.state,
-                        sink_kind=kind, sink_line=app.line, trigger=trigger,
-                        sink_permissions=app.permissions,
-                        segments=_witness(run, roots, owner, src_state, i,
-                                          app.state, trees))
-    return sorted(findings.values(), key=lambda f: f.sort_key())
+        for (cat, _pos), (app, kind) in sinks.get(roots[i][1], {}).items():
+            for src_state, src_line, owner in sources.get(cat, {}).values():
+                findings.append(TaintFinding(
+                    category=cat, source_state=src_state,
+                    source_line=src_line, sink_state=app.state,
+                    sink_kind=kind, sink_line=app.line, trigger=trigger,
+                    sink_permissions=app.permissions,
+                    segments=_witness(run, roots, owner, src_state, i,
+                                      app.state, trees)))
+    findings.sort(key=TaintFinding.sort_key)
+    return findings
 
 
 def _bits(mask: int):

@@ -1018,3 +1018,21 @@ def test_the_json_reports_are_written_once_findings_and_graph_are_freed(
     code, _ = _run(bundles_dir, tmp_path, "photoquote_full")
     assert code == EXIT_FINDINGS
     assert len(refs) > 1 and alive == [0, 0, 0, 0]
+
+
+def test_flag_defaults_are_the_analysis_config_defaults(capsys):
+    """The parser reads its run defaults from ``AnalysisConfig`` and states
+    them in ``--help``."""
+    args = cli.build_arg_parser().parse_args(["--bundle", "b", "--out", "o"])
+    assert reach.AnalysisConfig(
+        mode=args.mode, k=args.k, heap_context=args.heap_context,
+        max_states=args.max_states,
+        max_seconds=args.max_seconds) == reach.AnalysisConfig()
+    with pytest.raises(SystemExit):
+        cli.build_arg_parser().parse_args(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    d = reach.AnalysisConfig()
+    for flag, value in (("--mode", d.mode), ("--k", d.k),
+                        ("--max-states", d.max_states),
+                        ("--max-seconds", d.max_seconds)):
+        assert re.search(rf"{flag} \S+ [^()]*\(default: {value}\)", text), flag
