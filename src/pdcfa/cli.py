@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import hashlib
 import json
@@ -69,88 +70,56 @@ def _read_text(path: Path) -> tuple:
 
 
 def check_manifest(manifest) -> None:
-    """Accept exactly what ``schemas/manifest.schema.json`` accepts: its
-    required keys and JSON types, non-empty ``units`` and ``entryPoints``,
-    and its three enums; other keys are allowed. The first violation raises
-    ``BundleError`` naming its key path, e.g.
+    """Accept exactly what ``schemas/manifest.schema.json`` accepts, by one
+    walk over that schema (``_violations``). The first violation, in the
+    schema's order, raises ``BundleError`` naming its key path, e.g.
     ``units[0].entryPoints[1].category``."""
-    _object(manifest, "", ("appName", "program", "summaries",
-                           "requestedPermissions", "units"))
-    for key in ("appName", "program", "summaries"):
-        _string(manifest, key, "")
-    for key in ("requestedPermissions", "predicates"):
-        _strings(manifest, key, "")
-    for i, unit in enumerate(_array(manifest, "units", "")):
-        at = f"units[{i}]"
-        _object(unit, at, ("name", "kind", "entryPoints"))
-        _string(unit, "name", at)
-        _enum(unit, "kind", at, eps.UNIT_KINDS)
-        for j, entry in enumerate(_array(unit, "entryPoints", at)):
-            where = f"{at}.entryPoints[{j}]"
-            _object(entry, where, ("class", "method"))
-            _string(entry, "class", where)
-            _string(entry, "method", where)
-            _strings(entry, "paramTypes", where)
-            _enum(entry, "category", where, eps.ENTRY_CATEGORIES)
-            _enum(entry, "registrationSource", where,
-                  eps.REGISTRATION_SOURCES)
+    for path, problem in _violations(manifest, _manifest_schema(), ""):
+        raise BundleError(f"manifest does not validate: "
+                          f"{path or 'top level'}: {problem}")
 
 
-# bool before int: True is an int to isinstance, a boolean to JSON
-_TYPE_NAMES = {bool: "a boolean", str: "a string", int: "an integer",
+@functools.cache
+def _manifest_schema() -> dict:
+    path = Path(__file__).parent / "schemas" / "manifest.schema.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+# JSON's names for the types json.loads makes, bool before int: True is an
+# int to isinstance, a boolean to JSON
+_JSON_NAMES = {bool: "a boolean", str: "a string", int: "an integer",
                float: "a number", list: "an array", dict: "an object"}
+# the schema ``type``s the walk reads
+_TYPES = {"string": str, "array": list, "object": dict}
 
 
-def _invalid(path: str, problem: str) -> BundleError:
-    return BundleError(
-        f"manifest does not validate: {path or 'top level'}: {problem}")
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _expect(value, kind: type, path: str) -> None:
+def _violations(value, schema: dict, path: str):
+    """(key path, problem) for each way ``value`` breaks ``schema``, which
+    may use ``type``, ``enum``, ``required``, ``properties``, ``minItems``
+    and ``items``; a value of the wrong type is not looked into."""
+    kind = _TYPES[schema["type"]] if "type" in schema else object
     if not isinstance(value, kind):
-        got = next((name for t, name in _TYPE_NAMES.items()
+        got = next((name for t, name in _JSON_NAMES.items()
                     if isinstance(value, t)), "null")
-        raise _invalid(path, f"expected {_TYPE_NAMES[kind]}, got {got}")
-
-
-def _object(value, path: str, required: tuple) -> None:
-    _expect(value, dict, path)
-    for key in required:
-        if key not in value:
-            raise _invalid(_join(path, key), "required key is missing")
-
-
-def _string(obj: dict, key: str, path: str) -> None:
-    if key in obj:
-        _expect(obj[key], str, _join(path, key))
-
-
-def _strings(obj: dict, key: str, path: str) -> None:
-    if key in obj:
-        items = obj[key]
-        _expect(items, list, _join(path, key))
-        for i, item in enumerate(items):
-            _expect(item, str, f"{_join(path, key)}[{i}]")
-
-
-def _array(obj: dict, key: str, path: str) -> list:
-    """A required array with at least one item."""
-    items = obj[key]
-    _expect(items, list, _join(path, key))
-    if not items:
-        raise _invalid(_join(path, key), "must not be empty")
-    return items
-
-
-def _enum(obj: dict, key: str, path: str, allowed: tuple) -> None:
-    if key in obj and not (isinstance(obj[key], str)
-                           and obj[key] in allowed):
-        raise _invalid(_join(path, key),
-                       f"{obj[key]!r} is not one of {', '.join(allowed)}")
+        yield path, f"expected {_JSON_NAMES[kind]}, got {got}"
+        return
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {', '.join(schema['enum'])}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield (f"{path}.{key}" if path else key,
+                       "required key is missing")
+        for key, subschema in schema.get("properties", {}).items():
+            if key in value:
+                yield from _violations(value[key], subschema,
+                                       f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, "must not be empty" if not value else \
+                f"must hold at least {schema['minItems']} items"
+        for i, item in enumerate(value if "items" in schema else ()):
+            yield from _violations(item, schema["items"], f"{path}[{i}]")
 
 
 def load_bundle(root) -> AppBundle:

@@ -22,11 +22,6 @@ from .ir import MethodRef, Program, record
 from .machine import Store
 from .taint import SummaryTable, TaintStore, TriggerContext
 
-UNIT_KINDS = ("activity", "service", "receiver", "provider", "background",
-              "other")
-ENTRY_CATEGORIES = ("lifecycle-callback", "async-operation", "ui-handler")
-REGISTRATION_SOURCES = ("manifest", "layout")
-
 log = logging.getLogger("pdcfa.eps")
 
 
@@ -77,9 +72,10 @@ def discover_entry_points(bundle, program: Program) -> list:
     """Units and entry points exactly as the bundle manifest declares them.
 
     The manifest stands in for layout/bytecode scanning; declarations are
-    validated against the parsed program, the manifest's shape and enums
-    already by ``cli.check_manifest``. Entry points of one unit may share a
-    method name, in different classes, but not repeat a method.
+    validated against the parsed program here, and the manifest's shape and
+    enums already against ``schemas/manifest.schema.json``
+    (``cli.check_manifest``). Entry points of one unit may share a method
+    name, in different classes, but not repeat a method.
     """
     units = []
     for u in bundle.manifest["units"]:

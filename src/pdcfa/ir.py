@@ -349,14 +349,15 @@ class MethodRef:
         return (self.class_name, self.method_name, self.param_types)
 
 
-@record
+@record(kw_only=("pos",))
 class FieldDef:
     attributes: frozenset
     name: str
     field_type: str
+    pos: SrcPos = SrcPos(0, 0)
 
 
-@record
+@record(kw_only=("pos",))
 class MethodDef:
     attributes: frozenset
     name: str
@@ -366,19 +367,21 @@ class MethodDef:
     limit: int
     body: tuple
     ref: MethodRef
+    pos: SrcPos = SrcPos(0, 0)
 
     @property
     def is_abstract(self) -> bool:
         return "abstract" in self.attributes
 
 
-@record
+@record(kw_only=("pos",))
 class ClassDef:
     attributes: frozenset
     name: str
     super_name: str
     fields: tuple
     methods: tuple
+    pos: SrcPos = SrcPos(0, 0)
 
 
 @record(key=True)
@@ -869,7 +872,7 @@ def _parse_field(node) -> FieldDef:
         raise ParseError("field needs a name and a type", s.line, s.col)
     return FieldDef(attrs,
                     _expect_atom(s.items[i], "field name"),
-                    _parse_type(s.items[i + 1]))
+                    _parse_type(s.items[i + 1]), pos=SrcPos(s.line, s.col))
 
 
 def _parse_method(node, class_name: str) -> MethodDef:
@@ -877,7 +880,7 @@ def _parse_method(node, class_name: str) -> MethodDef:
     if not s.items or _expect_atom(s.items[0], "method") != "method":
         raise ParseError("expected (method ...)", s.line, s.col)
     attrs, i = _parse_attrs(s.items, 1)
-    if len(s.items) - i < 4:
+    if len(s.items) - i < 5:
         raise ParseError("method needs name, params, return type, throws, limit",
                          s.line, s.col)
     name = _expect_atom(s.items[i], "method name")
@@ -892,10 +895,14 @@ def _parse_method(node, class_name: str) -> MethodDef:
     if (len(limit_node.items) != 2
             or _expect_atom(limit_node.items[0], "limit") != "limit"):
         raise ParseError("expected (limit n)", limit_node.line, limit_node.col)
-    limit = int(_expect_atom(limit_node.items[1], "limit"))
+    limit = _expect_atom(limit_node.items[1], "limit")
+    if not _INT_RE.fullmatch(limit):
+        raise ParseError(f"malformed limit {limit!r}", limit_node.items[1].line,
+                         limit_node.items[1].col)
     body = tuple(_parse_stmt(st) for st in s.items[i + 5:])
     ref = MethodRef(class_name, name, params)
-    return MethodDef(attrs, name, params, ret_type, throws, limit, body, ref)
+    return MethodDef(attrs, name, params, ret_type, throws, int(limit), body,
+                     ref, pos=SrcPos(s.line, s.col))
 
 
 def _parse_class(node) -> ClassDef:
@@ -918,7 +925,8 @@ def _parse_class(node) -> ClassDef:
                    for f in _expect_list(s.items[i + 3], "field list").items)
     methods = tuple(_parse_method(m, name)
                     for m in _expect_list(s.items[i + 4], "method list").items)
-    return ClassDef(attrs, name, super_name, fields, methods)
+    return ClassDef(attrs, name, super_name, fields, methods,
+                    pos=SrcPos(s.line, s.col))
 
 
 # ---------------------------------------------------------------------------
@@ -926,18 +934,16 @@ def _parse_class(node) -> ClassDef:
 # ---------------------------------------------------------------------------
 
 
-def _collect_names(exp, regs: set, classes: list):
-    """Registers and ``instance-of`` classes named anywhere in an atomic
-    expression, however deeply nested."""
+def _collect_classes(exp, classes: list):
+    """The ``instance-of`` classes named anywhere in an atomic expression,
+    however deeply nested."""
     match exp:
-        case Name(reg):
-            regs.add(reg)
         case AtomicOp(_, args):
             for a in args:
-                _collect_names(a, regs, classes)
+                _collect_classes(a, classes)
         case InstanceOf(inner, cls):
             classes.append(cls)
-            _collect_names(inner, regs, classes)
+            _collect_classes(inner, classes)
         case _:
             pass
 
@@ -948,48 +954,54 @@ def _validate(program: Program) -> None:
     for cdef in classes.values():
         if cdef.super_name != ROOT_CLASS and cdef.super_name not in classes:
             raise ParseError(
-                f"class {cdef.name} extends undeclared {cdef.super_name}")
+                f"class {cdef.name} extends undeclared {cdef.super_name}",
+                cdef.pos.line, cdef.pos.col)
         seen = {cdef.name}
         cur = cdef.super_name
         while cur != ROOT_CLASS:
             if cur in seen:
-                raise ParseError(f"hierarchy cycle through {cur}")
+                raise ParseError(f"hierarchy cycle through {cur}",
+                                 cdef.pos.line, cdef.pos.col)
             seen.add(cur)
             cur = classes[cur].super_name
     for cdef in classes.values():
         field_names = set()
         for fdef in cdef.fields:
             if fdef.name in field_names:
-                raise ParseError(f"duplicate field {cdef.name}.{fdef.name}")
+                raise ParseError(f"duplicate field {cdef.name}.{fdef.name}",
+                                 fdef.pos.line, fdef.pos.col)
             field_names.add(fdef.name)
             if fdef.field_type not in PRIMITIVE_TYPES \
                     and not program.is_declared(fdef.field_type):
                 raise ParseError(
                     f"field {cdef.name}.{fdef.name} has undeclared type "
-                    f"{fdef.field_type}")
+                    f"{fdef.field_type}", fdef.pos.line, fdef.pos.col)
         sigs = set()
         for mdef in cdef.methods:
             key = (mdef.name, mdef.param_types)
             if key in sigs:
                 raise ParseError(
                     f"duplicate method {cdef.name}.{mdef.name}"
-                    f"({','.join(mdef.param_types)})")
+                    f"({','.join(mdef.param_types)})",
+                    mdef.pos.line, mdef.pos.col)
             sigs.add(key)
             _validate_method(program, cdef, mdef)
 
 
 def _validate_method(program: Program, cdef: ClassDef, mdef: MethodDef) -> None:
     where = f"{cdef.name}.{mdef.name}"
+    at = mdef.pos.line, mdef.pos.col
     if not mdef.body and not mdef.is_abstract:
-        raise ParseError(f"non-abstract method {where} has an empty body")
+        raise ParseError(f"non-abstract method {where} has an empty body", *at)
     if mdef.limit < len(mdef.param_types):
-        raise ParseError(f"method {where} limit below its parameter count")
+        raise ParseError(f"method {where} limit below its parameter count", *at)
     for t in mdef.param_types:
         if t not in PRIMITIVE_TYPES and not program.is_declared(t):
-            raise ParseError(f"method {where} has undeclared parameter type {t}")
+            raise ParseError(
+                f"method {where} has undeclared parameter type {t}", *at)
     rt = mdef.return_type
     if rt != "void" and rt not in PRIMITIVE_TYPES and not program.is_declared(rt):
-        raise ParseError(f"method {where} has undeclared return type {rt}")
+        raise ParseError(f"method {where} has undeclared return type {rt}", *at)
     labels: dict = {}  # label -> index
     spans = program.handler_spans[mdef.ref]
     for i, st in enumerate(mdef.body):
@@ -1008,7 +1020,6 @@ def _validate_method(program: Program, cdef: ClassDef, mdef: MethodDef) -> None:
         return max((lo for lo, hi in spans.values() if lo < i <= hi),
                    default=None)
 
-    regs: set[str] = set()
     for i, st in enumerate(mdef.body):
         target = None
         match st:
@@ -1031,39 +1042,23 @@ def _validate_method(program: Program, cdef: ClassDef, mdef: MethodDef) -> None:
                              f"region in {where}", st.pos.line, st.pos.col)
         classes: list = []  # classes the statement names
         match st:
-            case PushHandler(cls, _):
+            case PushHandler(cls, _) | AssignComplex(_, New(cls)):
                 classes.append(cls)
-            case If(cond, _):
-                _collect_names(cond, regs, classes)
-            case AssignAtomic(name, exp):
-                regs.add(name)
-                _collect_names(exp, regs, classes)
-            case AssignComplex(name, exp):
-                regs.add(name)
-                if isinstance(exp, New):
-                    classes.append(exp.class_name)
-                else:
-                    for a in exp.args:
-                        _collect_names(a, regs, classes)
+            case AssignComplex(_, exp):
+                for a in exp.args:
+                    _collect_classes(a, classes)
             case FieldPut(obj, _, value):
-                _collect_names(obj, regs, classes)
-                _collect_names(value, regs, classes)
-            case FieldGet(name, obj, _):
-                regs.add(name)
-                _collect_names(obj, regs, classes)
-            case Throw(exp) | Return(exp):
-                _collect_names(exp, regs, classes)
-            case MoveFromRet(_):
-                raise ParseError(f"move-from-ret cannot appear in source ({where})")
+                _collect_classes(obj, classes)
+                _collect_classes(value, classes)
+            case If(exp, _) | AssignAtomic(_, exp) | FieldGet(_, exp, _) \
+                    | Throw(exp) | Return(exp):
+                _collect_classes(exp, classes)
             case _:
                 pass
         for cls in classes:
             if not program.is_declared(cls):
                 raise ParseError(f"undeclared class {cls} in {where}",
                                  st.pos.line, st.pos.col)
-    for r in regs:
-        if not _NAME_RE.fullmatch(r):
-            raise ParseError(f"ill-formed register {r!r} in {where}")
 
 
 def parse_program(text: str) -> Program:
@@ -1072,7 +1067,8 @@ def parse_program(text: str) -> Program:
     for node in _read_sexprs(text):
         cdef = _parse_class(node)
         if cdef.name in classes:
-            raise ParseError(f"duplicate class {cdef.name}")
+            raise ParseError(f"duplicate class {cdef.name}", cdef.pos.line,
+                             cdef.pos.col)
         classes[cdef.name] = cdef
     program = Program(classes)
     _validate(program)

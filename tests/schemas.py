@@ -1,8 +1,8 @@
 """JSON Schema checks of reports and manifests, for the tests.
 
 The schemas ship as package data in ``pdcfa/schemas``; the program itself
-never imports ``jsonschema`` (the CLI checks a manifest by hand,
-``cli.check_manifest``).
+never imports ``jsonschema``: ``cli.check_manifest`` checks a manifest by
+its own walk over ``manifest.schema.json``.
 """
 
 import functools

@@ -28,7 +28,7 @@ from pdcfa.cli import (
     load_bundle,
     main,
 )
-from schemas import validate_document
+from schemas import load_schema, validate_document
 from views import views
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -244,6 +244,32 @@ def test_manifest_rule(bundles_dir, rule):
             cli.check_manifest(manifest)
 
 
+# the keywords cli._violations reads, and those that only annotate a schema
+_CHECKED_KEYWORDS = {"type", "enum", "required", "properties", "minItems",
+                     "items"}
+_ANNOTATIONS = {"$schema", "title"}
+
+
+def test_the_manifest_check_reads_every_keyword_of_its_schema():
+    """A keyword or ``type`` added to the shipped manifest schema fails
+    here until ``cli._violations`` reads it, instead of being ignored."""
+    schema = load_schema("manifest")
+    assert cli._manifest_schema() == schema
+
+    def walk(schema: dict, at: str):
+        assert set(schema) <= _CHECKED_KEYWORDS | _ANNOTATIONS, at
+        if "type" in schema:
+            assert schema["type"] in cli._TYPES, at
+        assert all(type(v) is str for v in schema.get("enum", ())), at
+        assert type(schema.get("minItems", 0)) is int, at
+        for key, subschema in schema.get("properties", {}).items():
+            walk(subschema, f"{at}.{key}")
+        if "items" in schema:
+            walk(schema["items"], f"{at}[]")
+
+    walk(schema, "top level")
+
+
 def test_malformed_manifest_exits_two_naming_the_key_path(
         bundles_dir, tmp_path, capsys):
     bundle = tmp_path / "bundle"
@@ -316,6 +342,24 @@ def test_a_line_range_of_no_integers_exits_two_naming_the_atom(
     assert capsys.readouterr().err == (
         "pdcfa: error: lineIn takes two integers (lo, hi), "
         "got 'lineIn(a, 3)'\n")
+
+
+@pytest.mark.parametrize("limit", ["abc", "1.5", "1_0"])
+def test_a_limit_that_is_no_integer_exits_two_naming_the_atom(
+        bundles_dir, tmp_path, capsys, limit):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles_dir / "three_unit_relay", bundle)
+    program = bundle / "app.sdex"
+    lines = program.read_text().split("\n")
+    line = next(i for i, text in enumerate(lines, 1) if "(limit 4)" in text)
+    col = lines[line - 1].index("(limit 4)") + len("(limit ") + 1
+    lines[line - 1] = lines[line - 1].replace("(limit 4)", f"(limit {limit})")
+    program.write_text("\n".join(lines))
+    assert main(["--bundle", str(bundle),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"pdcfa: error: malformed limit {limit!r} at {line}:{col}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_manifest_line_range_of_no_integers_exits_two_naming_the_atom(

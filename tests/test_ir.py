@@ -583,3 +583,143 @@ _READER_ALPHABET = "();\n\r\t \x0b\x0c\x1c\x85 　ab0-/>$_é"
 def test_reader_matches_the_reference_on_generated_text(text):
     new, old = _read_both(text)
     assert new == old
+
+
+# -- located errors: definitions, limits, and mutated shipped programs --------
+
+# one program per definition-level error: its message, and the line:col of
+# the "(class", "(field" or "(method" it names
+DEFINITION_ERRORS = {
+    "undeclared superclass": (
+        "(public class A extends Ghost () ())",
+        "class A extends undeclared Ghost", (1, 1)),
+    "hierarchy cycle": (
+        "(public class A extends java/lang/Object () ())\n"
+        "  (public class B extends C () ())\n"
+        "(public class C extends B () ())",
+        "hierarchy cycle through B", (2, 3)),
+    "duplicate class": (
+        "(public class A extends java/lang/Object () ())\n"
+        " (public class A extends java/lang/Object () ())",
+        "duplicate class A", (2, 2)),
+    "duplicate field": (
+        "(public class A extends java/lang/Object\n"
+        "  ((field public x int)\n"
+        "   (field public x int))\n"
+        "  ())",
+        "duplicate field A.x", (3, 4)),
+    "field type": (
+        "(public class A extends java/lang/Object\n"
+        "  ((field public x Ghost))\n"
+        "  ())",
+        "field A.x has undeclared type Ghost", (2, 4)),
+    "duplicate method": (
+        "(public class A extends java/lang/Object ()\n"
+        "  ((method public m () void (throws) (limit 1) (return void))\n"
+        "   (method public m () void (throws) (limit 1) (return void))))",
+        "duplicate method A.m()", (3, 4)),
+    "parameter type": (
+        "(public class A extends java/lang/Object ()\n"
+        "  ((method public m (Ghost) void (throws) (limit 1) (return void))))",
+        "method A.m has undeclared parameter type Ghost", (2, 4)),
+    "return type": (
+        "(public class A extends java/lang/Object ()\n"
+        "  ((method public m () Ghost (throws) (limit 1) (return null))))",
+        "method A.m has undeclared return type Ghost", (2, 4)),
+    "empty body": (
+        "(public class A extends java/lang/Object ()\n"
+        "  ((method public m () void (throws) (limit 1))))",
+        "non-abstract method A.m has an empty body", (2, 4)),
+    "limit below the parameter count": (
+        "(public class A extends java/lang/Object ()\n"
+        "  ((method public m (int int) void (throws) (limit 1)\n"
+        "     (return void))))",
+        "method A.m limit below its parameter count", (2, 4)),
+}
+
+
+@pytest.mark.parametrize("error", DEFINITION_ERRORS)
+def test_a_definition_error_names_its_definition(error):
+    text, message, at = DEFINITION_ERRORS[error]
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert (exc.value.message, (exc.value.line, exc.value.col)) == (message,
+                                                                    at)
+    assert str(exc.value) == f"{message} at {at[0]}:{at[1]}"
+
+
+def test_definitions_keep_their_positions():
+    p = parse_program(DEFINITION_ERRORS["duplicate field"][0].replace(
+        "(field public x int))", "(field public y int))"))
+    cdef = p.classes["A"]
+    assert cdef.pos == ir.SrcPos(1, 1)
+    assert [f.pos for f in cdef.fields] == [ir.SrcPos(2, 4), ir.SrcPos(3, 4)]
+    m = parse_program(HIER).classes["B"].methods[0]
+    assert m.pos == ir.SrcPos(8, 4)
+
+
+LIMIT_PROGRAM = """
+(public class A extends java/lang/Object ()
+  ((method public m () void (throws) (limit {})
+     (return void))))
+"""
+
+
+@pytest.mark.parametrize("limit", ["abc", "1.5", "1_0"])
+def test_a_limit_that_is_no_integer_is_a_located_error(limit):
+    """``int()`` would raise ValueError for the first two and read the
+    third as 10."""
+    with pytest.raises(ParseError) as exc:
+        parse_program(LIMIT_PROGRAM.format(limit))
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        f"malformed limit {limit!r}", 3, 45)
+
+
+def test_a_method_without_its_limit_is_a_located_error():
+    with pytest.raises(ParseError) as exc:
+        parse_program("(public class A extends java/lang/Object ()\n"
+                      "  ((method public m () void (throws))))")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "method needs name, params, return type, throws, limit", 2, 4)
+
+
+# what an atom of a shipped program is replaced with: a name, numbers int()
+# reads differently, a list, reserved words, a class and a register-like atom
+_FUZZ_TOKENS = ("abc", "1.5", "1_0", "-1", "0", "()", "this", "null", "void",
+                "java/lang/Object", "$x")
+
+
+def _atom_spans(text: str) -> list:
+    """(offset, length) of every atom the reader finds in ``text``."""
+    starts = [0]
+    for line in text.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    spans, todo = [], ir._read_sexprs(text)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ir._Atom):
+            spans.append((starts[node.line - 1] + node.col - 1,
+                          len(node.text)))
+        else:
+            todo.extend(node.items)
+    return sorted(spans)
+
+
+SHIPPED_PROGRAMS = [(text, _atom_spans(text)) for text in (
+    path.read_text(encoding="utf-8")
+    for path in sorted(BUNDLES.glob("*/*.sdex")))]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.sampled_from(SHIPPED_PROGRAMS), st.integers(0, 10**6),
+       st.sampled_from(_FUZZ_TOKENS))
+def test_a_mutated_shipped_program_parses_or_fails_with_a_location(
+        program, which, token):
+    """One atom of a shipped program replaced: the parser accepts it or
+    raises ParseError at a line, never another exception."""
+    text, spans = program
+    start, length = spans[which % len(spans)]
+    try:
+        parse_program(text[:start] + token + text[start + length:])
+    except ParseError as exc:
+        assert exc.line > 0, str(exc)

@@ -52,14 +52,16 @@ RECORDS = {
     "ir.MethodRef": (["class_name", "method_name", "param_types"],
         "MethodRef(class_name=1, method_name=2, param_types=3)"),
     "ir.FieldDef": (["attributes", "name", "field_type"],
-        "FieldDef(attributes=1, name=2, field_type=3)"),
+        "FieldDef(attributes=1, name=2, field_type=3, "
+        "pos=SrcPos(line=0, col=0))"),
     "ir.MethodDef": ([
         "attributes", "name", "param_types", "return_type", "throws", "limit",
         "body", "ref"],
         "MethodDef(attributes=1, name=2, param_types=3, return_type=4, "
-        "throws=5, limit=6, body=7, ref=8)"),
+        "throws=5, limit=6, body=7, ref=8, pos=SrcPos(line=0, col=0))"),
     "ir.ClassDef": (["attributes", "name", "super_name", "fields", "methods"],
-        "ClassDef(attributes=1, name=2, super_name=3, fields=4, methods=5)"),
+        "ClassDef(attributes=1, name=2, super_name=3, fields=4, methods=5, "
+        "pos=SrcPos(line=0, col=0))"),
     "ir.StmtPos": (["method", "index", "at_move"],
         "StmtPos(method=1, index=2, at_move=3)"),
     "ir.HandlerFrame": (["class_name", "label", "owner"],
@@ -269,6 +271,23 @@ def test_equality_and_hashing_ignore_a_statement_position():
         assert x == y and hash(x) == hash(y), cls.__name__
         with pytest.raises(TypeError):
             cls(*args, SrcPos(3, 4))  # the position is keyword-only
+
+
+def test_equality_and_hashing_ignore_a_definition_position():
+    """A class, field or method definition keeps the position of its
+    opening parenthesis as a statement does: keyword-only, frozen, and out
+    of equality and the hash."""
+    records = _records()
+    for name in ("ir.ClassDef", "ir.FieldDef", "ir.MethodDef"):
+        cls = records[name]
+        args = range(1, len(cls.__match_args__) + 1)
+        x, y = cls(*args), cls(*args, pos=SrcPos(3, 4))
+        assert x.pos == SrcPos(0, 0) and y.pos == SrcPos(3, 4)
+        assert x == y and hash(x) == hash(y), name
+        with pytest.raises(TypeError):
+            cls(*args, SrcPos(3, 4))  # the position is keyword-only
+        with pytest.raises(AttributeError):
+            y.pos = SrcPos(5, 6)
 
 
 def test_defaults_and_post_init():
