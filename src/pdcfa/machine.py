@@ -616,12 +616,13 @@ class FunFrame:
 NOOP = "noop"
 PUSH = "push"
 POP = "pop"
+SUMMARY = "summary"  # an ε-summary crossed by a witness, in no graph
 
 
 @record(key=True)
 class Edge:
     src: ControlState
-    kind: str  # noop | push | pop
+    kind: str  # noop | push | pop | summary
     frame: object  # FunFrame | HandlerFrame | None
     dst: ControlState
 

@@ -48,6 +48,7 @@ from .machine import (
     NOOP,
     POP,
     PUSH,
+    SUMMARY,
     Store,
     frame_pointer_zero,
 )
@@ -751,25 +752,18 @@ class RootMasks:
 # ---------------------------------------------------------------------------
 
 
-@record
-class PathStep:
-    kind: str  # noop | push | pop | summary
-    frame: object
-    src: ControlState
-    dst: ControlState
-
-
 def reconstruct_path_steps(result: AnalysisResult, frm: ControlState,
                            to: ControlState, trees: dict | None = None,
                            bit: int | None = None) -> list | None:
-    """Shortest edge-count witness path; None when unreachable.
+    """The edges of a shortest witness path; None when unreachable.
 
     Pushdown results respect stack balance: a path is pops of the
-    pre-existing stack (with balanced segments riding epsilon summaries)
-    followed by pushes; finite results use plain graph search, which is
-    exactly where their spurious flows become visible. Given ``bit``, the
-    search keeps to the part of a complete run's graph that holds it
-    (``RootMasks``).
+    pre-existing stack (with balanced segments riding epsilon summaries,
+    each crossing a ``SUMMARY`` edge that is in no graph) followed by
+    pushes; finite results use plain graph search, which is exactly where
+    their spurious flows become visible. Every other edge is one that
+    ``result.dsg.out_edges`` returned. Given ``bit``, the search keeps to
+    the part of a complete run's graph that holds it (``RootMasks``).
 
     The path is read from one BFS tree rooted at ``frm``. A caller asking
     for many paths of one result passes the same ``trees`` dict to every
@@ -792,93 +786,71 @@ def reconstruct_path_steps(result: AnalysisResult, frm: ControlState,
     return tree.steps_to(to)
 
 
+_DOWN, _UP = 0, 1  # a balanced key's phase: may it still pop
+
+
 class _Tree:
     """The BFS tree of one (part of a graph, source state), grown only as
     far as the paths asked of it need: the first path costs what a search
     for it alone costs, and later paths reuse that work instead of
-    searching again.
+    searching again. Each node's out-edges are taken in sorted order.
 
-    Keys are nodes in a plain tree and (node, phase) in a balanced one.
+    A plain tree's keys are nodes. A balanced tree's are (node, phase):
+    phase ``_DOWN`` may pop the pre-existing stack; a push moves to
+    ``_UP``, where pops are only crossed by epsilon summaries. ``parent``
+    maps each key to its (previous key, edge) as first discovered, the
+    source's to None; ``first`` maps each node to the link of its first
+    key, which in a plain tree is ``parent`` itself.
     """
 
     def __init__(self, result: AnalysisResult, frm: ControlState,
                  bit: int | None):
-        self.parent: dict = {}  # key -> (previous key, step kind, frame)
-        self.first: dict = {}  # node -> first key discovered for it
         dsg = result.dsg
-        out_edges = (dsg.out_edges if bit is None
-                     else result.masks.out_edges(dsg, bit))
+        self.out_edges = (dsg.out_edges if bit is None
+                          else result.masks.out_edges(dsg, bit))
         if result.mode == FINITE:
-            self._node_of = lambda key: key
-            self._keys = _tree_plain(out_edges, frm, self.parent)
+            self.parent = self.first = {frm: None}
+            self.queue = deque([frm])
+            self.expand = self._expand_plain
         else:
-            self._node_of = lambda key: key[0]
-            self._keys = _tree_balanced(out_edges, dsg.summaries_from, frm,
-                                        self.parent)
+            self.parent, self.first = {(frm, _DOWN): None}, {frm: None}
+            self.queue = deque([(frm, _DOWN)])
+            self.expand = self._expand_balanced
+            self.summaries_from = dsg.summaries_from
 
     def steps_to(self, to: ControlState) -> list | None:
-        node_of = self._node_of
-        while to not in self.first:
-            key = next(self._keys, None)
-            if key is None:
+        """The edges of the tree's path to ``to``, grown until ``to`` is
+        discovered; None when the tree holds it nowhere."""
+        first, queue = self.first, self.queue
+        while to not in first:
+            if not queue:
                 return None
-            self.first.setdefault(node_of(key), key)
-        key = self.first[to]
-        steps = []
-        while self.parent[key] is not None:
-            prev, kind, frame = self.parent[key]
-            steps.append(PathStep(kind, frame, node_of(prev), node_of(key)))
-            key = prev
-        steps.reverse()
-        return steps
+            self.expand(queue.popleft())
+        edges, link = [], first[to]
+        while link is not None:
+            key, edge = link
+            edges.append(edge)
+            link = self.parent[key]
+        edges.reverse()
+        return edges
 
-
-def _tree_plain(out_edges, frm, parent: dict):
-    """BFS over every edge from ``frm``, each node's ``out_edges`` in
-    sorted order.
-
-    Fills ``parent`` with each node's (previous node, edge kind, frame) as
-    first discovered, ``frm`` with None, and yields each node as it is
-    discovered.
-    """
-    parent[frm] = None
-    queue = deque([frm])
-    while queue:
-        node = queue.popleft()
-        for e in out_edges(node):
+    def _expand_plain(self, node: ControlState):
+        parent, queue = self.parent, self.queue
+        for e in self.out_edges(node):
             if e.dst not in parent:
-                parent[e.dst] = (node, e.kind, e.frame)
+                parent[e.dst] = node, e
                 queue.append(e.dst)
-                yield e.dst
 
-
-def _tree_balanced(out_edges, summaries_from, frm, parent: dict):
-    """Stack-respecting BFS from ``frm`` over (node, phase) keys.
-
-    Phase DOWN may pop the pre-existing stack; a push moves to phase UP,
-    where pops are only crossed by epsilon summaries. Fills ``parent`` with
-    each key's (previous key, step kind, frame) as first discovered and
-    yields each key as it is discovered.
-    """
-    DOWN, UP = 0, 1
-    start = (frm, DOWN)
-    parent[start] = None
-    queue = deque([start])
-    while queue:
-        key = queue.popleft()
+    def _expand_balanced(self, key: tuple):
         node, phase = key
-        moves = []
-        for e in out_edges(node):
-            if e.kind == NOOP:
-                moves.append(((e.dst, phase), NOOP, None))
-            elif e.kind == PUSH:
-                moves.append(((e.dst, UP), PUSH, e.frame))
-            elif e.kind == POP and phase == DOWN:
-                moves.append(((e.dst, DOWN), POP, e.frame))
-        for dst in summaries_from(node):
-            moves.append(((dst, phase), "summary", None))
-        for nkey, kind, frame in moves:
+        moves = [((e.dst, _UP if e.kind == PUSH else phase), e)
+                 for e in self.out_edges(node)
+                 if e.kind != POP or phase == _DOWN]
+        moves += [((dst, phase), Edge(node, SUMMARY, None, dst))
+                  for dst in self.summaries_from(node)]
+        parent, first, queue = self.parent, self.first, self.queue
+        for nkey, edge in moves:
             if nkey not in parent:
-                parent[nkey] = (key, kind, frame)
+                link = parent[nkey] = key, edge
+                first.setdefault(nkey[0], link)
                 queue.append(nkey)
-                yield nkey

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .ir import StmtPos, record
 from .permissions import PermissionReport
-from .reach import NOOP, POP, PUSH, ControlState
+from .reach import NOOP, POP, PUSH, SUMMARY, ControlState, Edge
 from .taint import TaintVal
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z]+)\s*\(\s*([^()]*)\s*\)\s*")
@@ -290,16 +290,14 @@ def export_graph(result, findings, program) -> str:
     node, a second pass their out-edges, sorted in the graph; the text is
     joined from chunks of ``_DOT_CHUNK`` lines, so no list of every line is
     held. Each position's, frame pointer's and frame's text is made once,
-    and each witness segment's steps are read once."""
+    and each witness segment's edges are read once: a graph edge among
+    them is marked, and each ``SUMMARY`` edge drawn after the graph's."""
     nodes = result.dsg.nodes if result is not None else ()
     apps = result.applications if result is not None else ()
     source_states = {a.state for a in apps if a.source_categories}
     sink_states = {a.state for a in apps if a.sink_hits}
-    steps = [s for seg in {id(seg): seg for f in findings
-                           for seg in f.segments}.values() for s in seg[1]]
-    witness_edges = {(s.src, s.kind, s.frame, s.dst) for s in steps
-                     if s.kind != "summary"}
-    witness_summaries = {(s.src, s.dst) for s in steps if s.kind == "summary"}
+    witness = {e for seg in {id(seg): seg for f in findings
+                             for seg in f.segments}.values() for e in seg[1]}
 
     ordered = sorted(nodes, key=ControlState.sort_key)
     ids = {n: f"n{i}" for i, n in enumerate(ordered)}
@@ -333,14 +331,14 @@ def export_graph(result, findings, program) -> str:
             if frame is None:
                 frame = texts[e.frame] = " " + _dot_quote(e.frame.canonical())
             mark = (', color="red", penwidth=2, witness="1"'
-                    if (n, e.kind, e.frame, e.dst) in witness_edges else "")
+                    if e in witness else "")
             lines.append(f'  {ids[n]} -> {ids[e.dst]} [label='
                          f'"{_EDGE_LABELS[e.kind]}{frame}"{mark}];\n')
         spill()
-    for src, dst in sorted(witness_summaries,
-                           key=lambda p: (p[0].sort_key(), p[1].sort_key())):
-        if src in ids and dst in ids:
-            lines.append(f"  {ids[src]} -> {ids[dst]} "
+    for e in sorted((e for e in witness if e.kind == SUMMARY),
+                    key=Edge.sort_key):
+        if e.src in ids and e.dst in ids:
+            lines.append(f"  {ids[e.src]} -> {ids[e.dst]} "
                          '[label="ε*", style=dashed, color="red", '
                          'penwidth=2, witness="1"];\n')
     lines.append("}\n")
@@ -356,18 +354,24 @@ def export_graph(result, findings, program) -> str:
 def to_json_bytes(doc, fh=None) -> bytes | None:
     """``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
     newline, in UTF-8, byte for byte: returned, or written to the binary
-    file ``fh`` about ``_CHUNK`` strings at a time. ``json.dumps`` cannot
-    use its C encoder once ``indent`` is set; this writer encodes each flat
-    dict (its values scalars or lists of scalars: a state ref, a trigger, a
-    sink) and each witness segment once per call and indent, memoised by
-    ``id``. What ``json.dumps`` rejects raises the same ``TypeError``."""
+    file ``fh`` in pieces of about ``_CHUNK`` characters, so the text is
+    not held whole. ``json.dumps`` cannot use its C encoder once ``indent``
+    is set; this writer encodes each flat dict (its values scalars or lists
+    of scalars: a state ref, a trigger, a sink) and each witness segment
+    once per call and indent, memoised by ``id``. What ``json.dumps``
+    rejects raises the same ``TypeError``."""
     buf = io.BytesIO() if fh is None else fh
     out: list = []
+    size = measured = 0  # the length of the first ``measured`` strings
 
     def spill(out: list, at_least: int = _CHUNK) -> None:
-        if len(out) >= at_least:
+        nonlocal size, measured
+        size += sum(map(len, out[measured:]))
+        measured = len(out)
+        if size >= at_least:
             buf.write("".join(out).encode("utf-8"))
             out.clear()
+            size = measured = 0
 
     _write_json(doc, out, "\n", {}, spill)
     out.append("\n")
@@ -375,7 +379,7 @@ def to_json_bytes(doc, fh=None) -> bytes | None:
     return buf.getvalue() if fh is None else None
 
 
-_CHUNK = 4096  # strings gathered before the JSON writer writes them
+_CHUNK = 1 << 14  # characters gathered before the JSON writer writes them
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 

@@ -154,14 +154,15 @@ class SummaryTable:
         return None
 
 
-def _parse_categories(text: str) -> tuple:
+def _parse_categories(text: str, lineno: int) -> tuple:
     cats = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if part not in _CATEGORY_BY_NAME:
-            raise SummaryFormatError(f"unknown taint category {part!r}")
+            raise SummaryFormatError(
+                f"line {lineno}: unknown taint category {part!r}")
         cats.append(_CATEGORY_BY_NAME[part])
     return tuple(cats)
 
@@ -172,10 +173,12 @@ def parse_summaries(text: str) -> SummaryTable:
     One record per line:
     ``summary <class-pattern> <method> role=<...> ret=<...> perms=<P1,...>``
     where role is ``source:cat,...``, ``sink:kind[:cat,...]``, ``propagate``
-    or ``neutral``. Blank lines and ``#``/``;`` comments are skipped.
+    or ``neutral``. Blank lines and ``#``/``;`` comments are skipped. A
+    line ends only at ``\\n``, as in ``ir.parse_program``; any other
+    whitespace separates fields.
     """
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
@@ -201,7 +204,7 @@ def parse_summaries(text: str) -> SummaryTable:
                     if len(bits) != 2:
                         raise SummaryFormatError(
                             f"line {lineno}: source needs categories")
-                    source_cats = _parse_categories(bits[1])
+                    source_cats = _parse_categories(bits[1], lineno)
                 elif role == "sink":
                     if len(bits) not in (2, 3) or bits[1] not in SINK_KINDS:
                         raise SummaryFormatError(
@@ -209,7 +212,7 @@ def parse_summaries(text: str) -> SummaryTable:
                             f"{SINK_KINDS}")
                     sink_kind = bits[1]
                     if len(bits) == 3:
-                        sink_cats = _parse_categories(bits[2])
+                        sink_cats = _parse_categories(bits[2], lineno)
                 elif role not in ("propagate", "neutral"):
                     raise SummaryFormatError(f"line {lineno}: unknown role {role!r}")
             elif key == "ret":
@@ -278,7 +281,7 @@ class TaintFinding:
     sink_line: int
     trigger: TriggerContext
     sink_permissions: tuple = ()
-    # the witness's shared (states, steps) segments: source to sink, or
+    # the witness's shared (states, edges) segments: source to sink, or
     # entry to source and entry to sink
     segments: tuple = ()
 
@@ -345,7 +348,8 @@ def extract_findings(trace) -> list:
                     groups.setdefault((cat, pos), (app, kind))
 
     findings = []
-    trees: dict = {}  # BFS trees and witness segments, see _segment
+    trees: dict = {}  # (bit, source state) -> BFS tree, see _segment
+    segments: dict = {}  # (bit, from, to) -> witness segment
     for i, (trigger, _entry) in enumerate(triggers):
         for (cat, _pos), (app, kind) in sinks.get(roots[i][1], {}).items():
             for src_state, src_line, owner in sources.get(cat, {}).values():
@@ -355,7 +359,7 @@ def extract_findings(trace) -> list:
                     sink_kind=kind, sink_line=app.line, trigger=trigger,
                     sink_permissions=app.permissions,
                     segments=_witness(run, roots, owner, src_state, i,
-                                      app.state, trees)))
+                                      app.state, trees, segments)))
     findings.sort(key=TaintFinding.sort_key)
     return findings
 
@@ -368,28 +372,29 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _segment(run, bit, frm, to, trees):
-    """The (states, steps) of the path from ``frm`` to ``to`` in the part
+def _segment(run, bit, frm, to, trees, segments):
+    """The (states, edges) of the path from ``frm`` to ``to`` in the part
     of ``run`` that holds ``bit``, or (None, None); each segment is
-    searched for once and kept in ``trees`` beside the BFS trees, for as
-    long as the caller holds it."""
+    searched for once, in the BFS trees of ``trees``, and kept in
+    ``segments`` for as long as the caller holds it."""
     key = (bit, frm, to)
-    seg = trees.get(key)
+    seg = segments.get(key)
     if seg is None:
         from . import reach
 
         # looked up on the module at call time, so wrappers installed there
         # see every witness search
-        steps = reach.reconstruct_path_steps(run, frm, to, trees, bit)
-        if steps is None:
+        edges = reach.reconstruct_path_steps(run, frm, to, trees, bit)
+        if edges is None:
             seg = None, None
         else:
-            seg = (frm,) + tuple(s.dst for s in steps), tuple(steps)
-        trees[key] = seg
+            seg = (frm,) + tuple(e.dst for e in edges), tuple(edges)
+        segments[key] = seg
     return seg
 
 
-def _witness(run, roots, owner, src_state, i, sink_state, trees) -> tuple:
+def _witness(run, roots, owner, src_state, i, sink_state, trees,
+             segments) -> tuple:
     """The segments of the witness of trigger ``i``'s sink at
     ``sink_state`` for the source at ``src_state`` of trigger ``owner``
     (``roots`` holds each trigger's (root, bit)): the path from source to
@@ -397,10 +402,11 @@ def _witness(run, roots, owner, src_state, i, sink_state, trees) -> tuple:
     sink."""
     (src_root, src_bit), (sink_root, sink_bit) = roots[owner], roots[i]
     if owner == i:
-        seg = _segment(run, sink_bit, src_state, sink_state, trees)
+        seg = _segment(run, sink_bit, src_state, sink_state, trees,
+                       segments)
         if seg[0] is not None:
             return seg,
     return tuple(seg for seg in (
-        _segment(run, src_bit, src_root, src_state, trees),
-        _segment(run, sink_bit, sink_root, sink_state, trees))
+        _segment(run, src_bit, src_root, src_state, trees, segments),
+        _segment(run, sink_bit, sink_root, sink_state, trees, segments))
         if seg[0] is not None)

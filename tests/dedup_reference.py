@@ -41,6 +41,7 @@ def product_findings(trace) -> list:
 
     findings: dict = {}
     trees: dict = {}
+    memo: dict = {}
     for i, (trigger, _entry) in enumerate(triggers):
         for app in sinks.get(roots[i][1], ()):
             sink_pos = app.state.pos.sort_key()
@@ -59,7 +60,7 @@ def product_findings(trace) -> list:
                         sink_kind=kind, sink_line=app.line, trigger=trigger,
                         sink_permissions=app.permissions,
                         segments=_witness(run, roots, owner, src_state, i,
-                                          app.state, trees))
+                                          app.state, trees, memo))
     return sorted(findings.values(), key=lambda f: f.sort_key())
 
 

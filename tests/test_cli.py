@@ -393,6 +393,21 @@ def test_a_bundle_file_not_in_utf8_exits_two_naming_file_and_byte(
     assert not (tmp_path / "out").exists()
 
 
+def test_an_unknown_summary_category_exits_two_naming_the_line(
+        bundles_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles_dir / "perm_over", bundle)
+    summaries = bundle / "api.summaries"
+    lines = summaries.read_text().split("\n")
+    lines[1] = lines[1].replace("role=sink:sms", "role=sink:sms:Bogus")
+    summaries.write_text("\n".join(lines))
+    assert main(["--bundle", str(bundle),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "pdcfa: error: line 2: unknown taint category 'Bogus'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_k_exit_two(bundles_dir, tmp_path):
     code, _ = _run(bundles_dir, tmp_path, "perm_over", "--k", "9")
     assert code == EXIT_USAGE

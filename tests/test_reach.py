@@ -17,6 +17,7 @@ from pdcfa.machine import (
     NOOP,
     POP,
     PUSH,
+    SUMMARY,
     RegAddr,
     Store,
     VOID,
@@ -27,11 +28,12 @@ from pdcfa.machine import (
     step_dependent,
 )
 from pdcfa.reach import (
+    FINITE,
+    PUSHDOWN,
     AnalysisConfig,
     ControlState,
     DyckStateGraph,
     Edge,
-    PathStep,
     analyze,
     reconstruct_path_steps,
 )
@@ -43,7 +45,7 @@ from pdcfa.taint import (
 )
 from soundness import describe
 from stores import canonical_text
-from views import replay_stack_actions, views
+from views import replay_stack_actions, views, witness_steps
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -326,13 +328,13 @@ def test_path_through_push_and_callee_summary():
     inside = [s for s in res.dsg.nodes if s.pos.method == helper][0]
     steps_in = reconstruct_path_steps(res, res.initial_state, inside)
     assert steps_in is not None
-    assert any(s.kind == "push" for s in steps_in)
+    assert any(s.kind == PUSH for s in steps_in)
     after = [s for s in res.dsg.nodes
              if s.pos == StmtPos(RUN, 1)][0]
     steps_over = reconstruct_path_steps(res, res.initial_state, after)
     assert steps_over is not None
     kinds = [s.kind for s in steps_over]
-    assert "summary" in kinds  # the callee's balanced body is summarized
+    assert SUMMARY in kinds  # the callee's balanced body is summarized
     assert replay_stack_actions(steps_over)
 
 
@@ -357,7 +359,7 @@ def test_replay_stack_actions_matches_pops_against_pushed_frames():
     handler = HandlerFrame("Fault", "h", RUN)
 
     def path(*actions):
-        return [PathStep(kind, frame, states[i], states[i + 1])
+        return [Edge(states[i], kind, frame, states[i + 1])
                 for i, (kind, frame) in enumerate(actions)]
 
     assert replay_stack_actions(path((PUSH, call), (POP, call)))
@@ -397,7 +399,7 @@ def _ref_bfs_plain(dsg, frm, to):
         for e in sorted(dsg.out_edges(node), key=lambda e: e.sort_key()):
             if e.dst in parent:
                 continue
-            parent[e.dst] = (node, PathStep(e.kind, e.frame, node, e.dst))
+            parent[e.dst] = (node, e)
             if e.dst == to:
                 return _ref_unwind(parent, e.dst)
             queue.append(e.dst)
@@ -415,16 +417,13 @@ def _ref_bfs_balanced(dsg, frm, to):
         moves = []
         for e in sorted(dsg.out_edges(node), key=lambda e: e.sort_key()):
             if e.kind == NOOP:
-                moves.append(((e.dst, phase),
-                              PathStep(NOOP, None, node, e.dst)))
+                moves.append(((e.dst, phase), e))
             elif e.kind == PUSH:
-                moves.append(((e.dst, UP),
-                              PathStep(PUSH, e.frame, node, e.dst)))
+                moves.append(((e.dst, UP), e))
             elif e.kind == POP and phase == DOWN:
-                moves.append(((e.dst, DOWN),
-                              PathStep(POP, e.frame, node, e.dst)))
+                moves.append(((e.dst, DOWN), e))
         for dst in sorted(dsg.summaries_from(node), key=lambda s: s.sort_key()):
-            moves.append(((dst, phase), PathStep("summary", None, node, dst)))
+            moves.append(((dst, phase), Edge(node, SUMMARY, None, dst)))
         for nkey, step in moves:
             if nkey in parent:
                 continue
@@ -764,6 +763,44 @@ def test_findings_build_one_tree_per_result_and_source(bundles_dir,
         assert len(built) == len(set(built)), name
         if findings:
             assert built, name
+
+
+REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+# every configuration whose report digests tests/test_golden.py pins:
+# (shipped bundle, None) or (synth shape, seed), then mode and k
+GOLDEN = [
+    *((bundle, None, mode, int(k.removeprefix("k=")))
+      for bundle, mode, k in map(str.split, sorted(REFERENCE["corpus"]))),
+    *((REFERENCE[w]["shape"], REFERENCE[w]["seed"], REFERENCE[w]["mode"],
+       REFERENCE[w]["k"]) for w in ("finite-witness", "wide-pushdown")),
+    ("6x8x3x2", 7, PUSHDOWN, 1), ("6x8x3x2", 1, PUSHDOWN, 0),
+    ("6x8x3x2", 1, PUSHDOWN, 2), ("4x6x3x2", 1, FINITE, 1),
+]
+
+
+@pytest.mark.parametrize("name,seed,mode,k", GOLDEN)
+def test_witness_steps_are_the_graphs_own_edges(bundles_dir, tmp_path,
+                                                monkeypatch, name, seed,
+                                                mode, k):
+    """Every witness step of every finding is an edge the fixpoint run's
+    graph returns from ``out_edges`` (the very object), or a ``SUMMARY``
+    crossing of one of its epsilon summaries."""
+    if seed is not None:
+        monkeypatch.syspath_prepend(str(BENCH))
+        import synth
+
+        synth.generate(synth.Shape.parse(name), seed).write(tmp_path / name)
+        bundles_dir = tmp_path
+    trace = _saturated(bundles_dir, name, mode, k)
+    dsg = trace.fixpoint.dsg
+    steps = [s for f in extract_findings(trace) for s in witness_steps(f)]
+    for step in steps:
+        if step.kind == SUMMARY:
+            assert step.frame is None, step
+            assert step.dst in dsg.summaries_from(step.src), step
+        else:
+            assert any(e is step for e in dsg.out_edges(step.src)), step
+    assert steps or seed is None  # every synth bundle has findings
 
 
 # -- finite throw step against a naive scan -------------------------------------

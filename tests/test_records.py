@@ -139,8 +139,6 @@ RECORDS = {
         "limit_reason=9, applications=10, config=11, masks=12)"),
     "reach.HandlerRecord": (["frame", "region"],
         "HandlerRecord(frame=1, region=2)"),
-    "reach.PathStep": (["kind", "frame", "src", "dst"],
-        "PathStep(kind=1, frame=2, src=3, dst=4)"),
     "concrete.CInt": (["value"], "CInt(value=1)"),
     "concrete.CBool": (["value"], "CBool(value=1)"),
     "concrete.CStr": (["value"], "CStr(value=1)"),

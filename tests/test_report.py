@@ -1,15 +1,18 @@
 """Report emission: predicates, documents, schemas, and DOT export."""
 
+import hashlib
 import json
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpus_micro import MICRO_PROGRAMS, MICRO_SUMMARIES, RUN
-from pdcfa import report
-from pdcfa.cli import main
+from pdcfa import eps, report
+from pdcfa.cli import load_bundle, main
 from pdcfa.ir import parse_program
 from pdcfa.permissions import build_permission_report, collect_permissions
 from pdcfa.reach import AnalysisConfig
@@ -29,6 +32,7 @@ from soundness import analyze_seeded
 from views import direct_trace, replay_stack_actions, witness_steps
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 META = {"toolVersion": "test", "config": {}, "inputs": {}}
 
@@ -314,6 +318,50 @@ def test_json_writer_matches_stdlib_bytes(doc):
 @given(_SCALAR_KEYED)
 def test_json_writer_matches_stdlib_on_scalar_keys(doc):
     assert to_json_bytes(doc) == _stdlib_json_bytes(doc)
+
+
+class _DigestSink:
+    """A binary file that keeps only the SHA-256 and size of its bytes."""
+
+    def __init__(self):
+        self.digest, self.size = hashlib.sha256(), 0
+
+    def write(self, data: bytes):
+        self.digest.update(data)
+        self.size += len(data)
+
+
+def test_json_writer_holds_no_whole_text_of_a_large_report(tmp_path,
+                                                           monkeypatch):
+    """Writing the finite-witness bundle's flow report (about 490 KB, its
+    witnesses' memoised texts long strings) to a file allocates, at its
+    peak, less than the document's size: the writer spills by size, not
+    by a count of strings, and writes the same bytes."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    ref = json.loads((BENCH / "reference.json").read_text(
+        encoding="utf-8"))["finite-witness"]
+    bundle = load_bundle(synth.generate(synth.Shape.parse(ref["shape"]),
+                                        ref["seed"]).write(tmp_path / "b"))
+    units = eps.discover_entry_points(bundle, bundle.program)
+    _s, _t, trace = eps.saturate_app(
+        bundle.program, units,
+        AnalysisConfig(mode=ref["mode"], k=ref["k"]), bundle.summaries)
+    doc = emit_flow_report(extract_findings(trace), None, bundle.program,
+                           META)
+    sink = _DigestSink()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        to_json_bytes(doc, sink)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    text = to_json_bytes(doc)
+    assert sink.digest.digest() == hashlib.sha256(text).digest()
+    assert sink.size == len(text) > 400_000
+    assert peak < len(text), (peak, len(text))
 
 
 @st.composite

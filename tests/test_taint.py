@@ -61,6 +61,28 @@ def test_summary_format_errors():
         parse_summaries("summary a b role=source:NotACategory ret=void perms=")
 
 
+@pytest.mark.parametrize("role", ["source:Location,Bogus",
+                                  "sink:network:Bogus"])
+def test_an_unknown_category_names_its_line(role):
+    with pytest.raises(SummaryFormatError) as exc:
+        parse_summaries(f"# header\n\nsummary a b role={role} ret=void\n")
+    assert str(exc.value) == "line 3: unknown taint category 'Bogus'"
+
+
+def test_a_record_ends_only_at_a_newline():
+    """A form feed, NEL or line separator inside a record separates its
+    fields, as any whitespace does, and starts no new line."""
+    table = parse_summaries("summary\x0ca/B\x85get role=source:Location"
+                            "\u2028ret=any-string\n"
+                            "summary c/D\x0csend role=sink:network ret=void")
+    assert [(r.class_pattern, r.method_name, r.role)
+            for r in table.records] == [("a/B", "get", "source"),
+                                        ("c/D", "send", "sink")]
+    with pytest.raises(SummaryFormatError,
+                       match=r"^line 2: unknown role 'bogus'$"):
+        parse_summaries("# a\x0cb\u2028c\nsummary a b role=bogus ret=void")
+
+
 def test_apply_summary_source_introduces_taint():
     rec = ApiSummary("a/A", "src", "source",
                      source_categories=(TaintVal.LOCATION,),
@@ -255,7 +277,7 @@ def _check_witnesses_against_fresh_searches(trace) -> int:
                     if app.state == f.sink_state
                     and (f.category, f.sink_kind) in app.sink_hits)
         segments = _witness(trace.fixpoint, roots, owner, f.source_state,
-                            sink, f.sink_state, {})
+                            sink, f.sink_state, {}, {})
         assert f.segments == segments
         assert f.witness == sum((states for states, _ in segments), ())
         assert witness_steps(f) == sum((steps for _, steps in segments), ())
@@ -286,10 +308,10 @@ def test_witnesses_equal_fresh_searches_on_finite_witness_bundle(
 
 
 def test_segments_are_kept_per_bit():
-    """One ``trees`` dict shared by every entry point's part of a pushdown
-    fixpoint run gives each part its own segment: with every method of a
-    micro program an entry point, the paths between two states in several
-    parts differ across them."""
+    """One ``trees`` dict and one segment memo shared by every entry
+    point's part of a pushdown fixpoint run give each part its own segment:
+    with every method of a micro program an entry point, the paths between
+    two states in several parts differ across them."""
     program = parse_program(STRICT_PROGRAMS["two_handlers"])
     refs = sorted((m for m in program.methods if m.class_name == "Main"),
                   key=MethodRef.sort_key)
@@ -298,12 +320,13 @@ def test_segments_are_kept_per_bit():
     _s, _t, trace = saturate_app(program, [unit], AnalysisConfig(k=0), TABLE)
     run, parts = trace.fixpoint, views(trace)
     trees: dict = {}
+    memo: dict = {}
     segments: dict = {}  # (from, to) -> the segments parts give for it
     for view in parts:
         nodes = sorted(view.dsg.nodes, key=lambda s: s.sort_key())
         for frm in nodes:
             for to in nodes:
-                seg = _segment(run, view.bit, frm, to, trees)
-                assert seg == _segment(run, view.bit, frm, to, {})
+                seg = _segment(run, view.bit, frm, to, trees, memo)
+                assert seg == _segment(run, view.bit, frm, to, {}, {})
                 segments.setdefault((frm, to), set()).add(seg)
     assert any(len(segs) > 1 for segs in segments.values())

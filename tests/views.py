@@ -172,7 +172,8 @@ def walked_views(program, run, entries) -> dict:
 
 
 def witness_steps(finding) -> tuple:
-    """The ``reach.PathStep``s backing ``finding``'s witness."""
+    """The edges backing ``finding``'s witness: graph edges and
+    ``machine.SUMMARY`` crossings."""
     return tuple(s for _, steps in finding.segments for s in steps)
 
 
