@@ -538,17 +538,6 @@ def evaluators(program: Program, code: Code) -> tuple:
     return evals
 
 
-def eval_atomic(program: Program, ae, fp: FramePointer, store: Store) -> frozenset:
-    """Evaluate an atomic expression to a value set; unbound names are empty."""
-    return compile_atomic(program, ae)[0](fp, store)
-
-
-def eval_atomic_taint(program: Program, ae, fp: FramePointer,
-                      taint_store: taint_mod.TaintStore) -> frozenset:
-    """Taint carried by an atomic expression: the union over registers read."""
-    return compile_atomic(program, ae)[1](fp, taint_store)
-
-
 def field_values(program: Program, receivers, store: Store,
                  field_name: str) -> frozenset:
     """Join of the field's values over the objects among ``receivers``."""

@@ -98,6 +98,10 @@ class DyckStateGraph:
         self._sorted_sum_from.pop(a, None)
         return True
 
+    def edges_from(self, s: ControlState) -> list:
+        """``s``'s out-edges, unsorted."""
+        return self._out.get(s, ())
+
     def out_edges(self, s: ControlState) -> list:
         edges = self._sorted_out.get(s)
         if edges is None:

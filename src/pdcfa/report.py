@@ -14,10 +14,11 @@ import json
 import re
 from fnmatch import fnmatchcase
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import methodcaller
 
 from .ir import StmtPos, record
 from .permissions import PermissionReport
-from .reach import NOOP, POP, PUSH, SUMMARY, ControlState, Edge
+from .reach import NOOP, POP, PUSH, SUMMARY, DyckStateGraph, Edge
 from .taint import TaintVal
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z]+)\s*\(\s*([^()]*)\s*\)\s*")
@@ -283,66 +284,92 @@ def _dot_quote(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _ranked(records) -> tuple:
+    """The distinct ``records`` in ``sort_key`` order, and each one's rank
+    in it. No two distinct records share a sort key, so ranks compare as
+    their records' keys do."""
+    ordered = sorted(records, key=methodcaller("sort_key"))
+    return ordered, {r: i for i, r in enumerate(ordered)}
+
+
 def export_graph(result, findings, program) -> str:
     """The reachable control-state graph of ``result`` in DOT (no states for
     None), sources/sinks and witness paths highlighted; stack actions label
-    the edges (push / pop / ε). A pass over the sorted nodes writes each
-    node, a second pass their out-edges, sorted in the graph; the text is
-    joined from chunks of ``_DOT_CHUNK`` lines, so no list of every line is
-    held. Each position's, frame pointer's and frame's text is made once,
-    and each witness segment's edges are read once: a graph edge among
-    them is marked, and each ``SUMMARY`` edge drawn after the graph's."""
-    nodes = result.dsg.nodes if result is not None else ()
+    the edges (push / pop / ε). The nodes are drawn in
+    ``ControlState.sort_key`` order, then each node's out-edges in
+    ``Edge.sort_key`` order, compared as ints. Each distinct position and
+    frame pointer is ranked by its own sort key, and its text made, once; a
+    node sorts by one int, its position rank times the number of frame
+    pointers plus its frame pointer rank, which orders as (position rank,
+    frame pointer rank). A node's out-edges, when it has more than one,
+    sort by (stack action, frame's sort key with None first, target node's
+    index). Each frame's text is made once. The text is joined from
+    chunks of ``_DOT_CHUNK`` lines, so no list of every line is held. Each
+    witness segment's edges are read once: a graph edge among them is
+    marked, and each ``SUMMARY`` edge drawn after the graph's."""
+    dsg = result.dsg if result is not None else DyckStateGraph()
     apps = result.applications if result is not None else ()
     source_states = {a.state for a in apps if a.source_categories}
     sink_states = {a.state for a in apps if a.sink_hits}
+    styles = {n: ', style=filled, fillcolor='
+                 f'"{_NODE_FILL[n in source_states, n in sink_states]}"'
+              for n in source_states | sink_states}
     witness = {e for seg in {id(seg): seg for f in findings
                              for seg in f.segments}.values() for e in seg[1]}
 
-    ordered = sorted(nodes, key=ControlState.sort_key)
-    ids = {n: f"n{i}" for i, n in enumerate(ordered)}
-    texts: dict = {None: ""}  # StmtPos, pointer or frame -> its DOT text
+    positions, pos_ranks = _ranked({n.pos for n in dsg.nodes})
+    pointers, fp_ranks = _ranked({n.fp for n in dsg.nodes})
+    width = len(pointers)  # a node's rank: pos rank * width + fp rank
+    by_rank = {pos_ranks[n.pos] * width + fp_ranks[n.fp]: n
+               for n in dsg.nodes}
+    ranks = sorted(by_rank)
+    ordered = [by_rank[r] for r in ranks]
+    index = {n: i for i, n in enumerate(ordered)}
+    pos_texts = [_dot_quote(
+        f"{p.method.class_name}.{p.method.method_name}:{program.line_of(p)}"
+        f"\\n@{p.index}{'+move' if p.at_move else ''}") for p in positions]
+    fp_texts = [_dot_quote(fp.canonical()) for fp in pointers]
+    frame_texts: dict = {None: ""}
     chunks: list = []  # the text so far, ``_DOT_CHUNK`` lines each
     lines = ["digraph reachable_states {\n",
              "  rankdir=LR;\n",
              '  node [shape=box, fontname="monospace", fontsize=9];\n']
 
-    def spill(at_least: int = _DOT_CHUNK) -> None:
-        if len(lines) >= at_least:
-            chunks.append("".join(lines))
-            lines.clear()
+    def spill() -> None:
+        chunks.append("".join(lines))
+        lines.clear()
 
-    for n in ordered:
-        pos, fp = texts.get(n.pos), texts.get(n.fp)
-        if pos is None:
-            m = n.pos.method
-            pos = texts[n.pos] = _dot_quote(
-                f"{m.class_name}.{m.method_name}:{program.line_of(n.pos)}"
-                f"\\n@{n.pos.index}{'+move' if n.pos.at_move else ''}")
-        if fp is None:
-            fp = texts[n.fp] = _dot_quote(n.fp.canonical())
-        fill = _NODE_FILL.get((n in source_states, n in sink_states))
-        style = f', style=filled, fillcolor="{fill}"' if fill else ""
-        lines.append(f'  {ids[n]} [label="{pos} {fp}"{style}];\n')
-        spill()
-    for n in ordered:
-        for e in result.dsg.out_edges(n):
-            frame = texts.get(e.frame)
+    for i, r in enumerate(ranks):
+        pos, fp = divmod(r, width)
+        lines.append(f'  n{i} [label="{pos_texts[pos]} {fp_texts[fp]}"'
+                     f'{styles.get(ordered[i], "")}];\n')
+        if len(lines) >= _DOT_CHUNK:
+            spill()
+    for i, n in enumerate(ordered):
+        out = dsg.edges_from(n)
+        if len(out) > 1:
+            out = sorted(out, key=lambda e: (
+                e.kind, () if e.frame is None else e.frame.sort_key(),
+                index[e.dst]))
+        for e in out:
+            frame = frame_texts.get(e.frame)
             if frame is None:
-                frame = texts[e.frame] = " " + _dot_quote(e.frame.canonical())
+                frame = frame_texts[e.frame] = " " + _dot_quote(
+                    e.frame.canonical())
             mark = (', color="red", penwidth=2, witness="1"'
                     if e in witness else "")
-            lines.append(f'  {ids[n]} -> {ids[e.dst]} [label='
-                         f'"{_EDGE_LABELS[e.kind]}{frame}"{mark}];\n')
-        spill()
+            lines.append(f'  n{i} -> n{index[e.dst]} [label="'
+                         f'{_EDGE_LABELS[e.kind]}{frame}"{mark}];\n')
+        if len(lines) >= _DOT_CHUNK:
+            spill()
     for e in sorted((e for e in witness if e.kind == SUMMARY),
                     key=Edge.sort_key):
-        if e.src in ids and e.dst in ids:
-            lines.append(f"  {ids[e.src]} -> {ids[e.dst]} "
+        if e.src in index and e.dst in index:
+            lines.append(f"  n{index[e.src]} -> n{index[e.dst]} "
                          '[label="ε*", style=dashed, color="red", '
                          'penwidth=2, witness="1"];\n')
     lines.append("}\n")
-    spill(0)
+    spill()
     return "".join(chunks)
 
 
@@ -358,8 +385,13 @@ def to_json_bytes(doc, fh=None) -> bytes | None:
     not held whole. ``json.dumps`` cannot use its C encoder once ``indent``
     is set; this writer encodes each flat dict (its values scalars or lists
     of scalars: a state ref, a trigger, a sink) and each witness segment
-    once per call and indent, memoised by ``id``. What ``json.dumps``
-    rejects raises the same ``TypeError``."""
+    once per call and indent, memoised by ``id``. A flow report's finding
+    entry (a dict of exactly the keys ``category``, ``sink``, ``source``,
+    ``trigger``, ``unit`` and ``witness``, its witness a ``_Witness`` and
+    its category and unit strings) is written with one format, from the
+    memoised texts of its sink, source and trigger at its indent and its
+    witness segments' texts; any other dict takes the general path. What
+    ``json.dumps`` rejects raises the same ``TypeError``."""
     buf = io.BytesIO() if fh is None else fh
     out: list = []
     size = measured = 0  # the length of the first ``measured`` strings
@@ -381,6 +413,10 @@ def to_json_bytes(doc, fh=None) -> bytes | None:
 
 _CHUNK = 1 << 14  # characters gathered before the JSON writer writes them
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+# the keys of a flow report's finding entry, which ``_write_json`` writes
+# with one format when its witness is a ``_Witness``
+_ENTRY_KEYS = frozenset(("category", "sink", "source", "trigger", "unit",
+                         "witness"))
 
 
 def _write_json(o, out: list, newline: str, memo: dict, spill) -> None:
@@ -388,29 +424,32 @@ def _write_json(o, out: list, newline: str, memo: dict, spill) -> None:
     followed by the indent of the line ``o`` starts on. ``memo`` maps the
     (id, indent) of each flat dict and witness segment written so far to
     its text. ``spill(out)`` may write ``out`` away after a list's
-    non-scalar item, which no flat dict holds."""
+    non-scalar item, which no flat dict holds; a finding entry's parts are
+    gathered apart (``_text``), so no spill splits them."""
     t = type(o)
     if t is str:
         out.append(_encode_str(o))
     elif t is int:
         out.append(int.__repr__(o))
-    elif t is _Witness:  # from its segments' text, made once per indent
+    elif t is _Witness:
+        _write_witness(o, out, newline, memo)
+    elif t is dict and len(o) == 6 and o.keys() == _ENTRY_KEYS \
+            and type(o["witness"]) is _Witness \
+            and type(o["category"]) is str and type(o["unit"]) is str:
+        # a flow report's finding: one format over its parts' texts
         inner = newline + "  "
-        refs = memo.setdefault(len(inner), {})  # state -> its ref's text
-        sep = "[" + inner
-        for seg in o.segments:
-            text = memo.get((id(seg), len(inner)))
-            if text is None:
-                for state in seg[0]:
-                    if state not in refs:
-                        chunks: list = []
-                        _write_json(o.ref(state), chunks, inner, memo, spill)
-                        refs[state] = "".join(chunks)
-                text = memo[id(seg), len(inner)] = ("," + inner).join(
-                    [refs[state] for state in seg[0]])
-            out += (sep, text)
-            sep = "," + inner
-        out.append(newline + "]" if o.segments else "[]")
+        get, n = memo.get, len(inner)
+        sink, source, trigger = o["sink"], o["source"], o["trigger"]
+        out.append(
+            f'{{{inner}"category": {_encode_str(o["category"])},'
+            f'{inner}"sink": {get((id(sink), n)) or _text(sink, inner, memo)},'
+            f'{inner}"source": '
+            f'{get((id(source), n)) or _text(source, inner, memo)},'
+            f'{inner}"trigger": '
+            f'{get((id(trigger), n)) or _text(trigger, inner, memo)},'
+            f'{inner}"unit": {_encode_str(o["unit"])},{inner}"witness": ')
+        _write_witness(o["witness"], out, inner, memo)
+        out.append(newline + "}")
     elif t is dict or (t is not list and t is not tuple
                        and isinstance(o, dict)):
         text = memo.get((id(o), len(newline))) if o else "{}"
@@ -459,6 +498,35 @@ def _write_json(o, out: list, newline: str, memo: dict, spill) -> None:
         out.append("null" if o is None else "true" if o else "false")
     else:
         out.append(json.dumps(o))  # spelled, or rejected, as json does
+
+
+def _text(o, newline: str, memo: dict) -> str:
+    """``o``'s text, gathered apart from the written stream, which it does
+    not spill."""
+    out: list = []
+    _write_json(o, out, newline, memo, lambda out: None)
+    return "".join(out)
+
+
+def _write_witness(w: _Witness, out: list, newline: str, memo: dict) -> None:
+    """Append the text of the witness ``w`` to ``out``: its segments'
+    texts, each made once per call and indent. ``memo`` maps an indent's
+    length to its refs' texts by state, and a segment's (id, indent) to its
+    text."""
+    inner = newline + "  "
+    sep = "[" + inner
+    for seg in w.segments:
+        text = memo.get((id(seg), len(inner)))
+        if text is None:
+            refs = memo.setdefault(len(inner), {})
+            for state in seg[0]:
+                if state not in refs:
+                    refs[state] = _text(w.ref(state), inner, memo)
+            text = memo[id(seg), len(inner)] = ("," + inner).join(
+                [refs[state] for state in seg[0]])
+        out += (sep, text)
+        sep = "," + inner
+    out.append(newline + "]" if w.segments else "[]")
 
 
 # ---------------------------------------------------------------------------

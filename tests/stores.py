@@ -1,6 +1,9 @@
 """Test helpers over the value and taint stores: a store's canonical text,
-a pointwise join of one store into another, and every taint category a
-taint store holds."""
+a pointwise join of one store into another, every taint category a taint
+store holds, and an atomic expression's values and taint in a store pair.
+"""
+
+from pdcfa.machine import compile_atomic
 
 
 def canonical_text(store) -> str:
@@ -25,3 +28,16 @@ def all_categories(taint_store) -> frozenset:
     for _addr, taints in taint_store.items():
         out |= taints
     return frozenset(out)
+
+
+def eval_atomic(program, ae, fp, store) -> frozenset:
+    """An atomic expression's value set in frame ``fp`` of ``store``, from
+    its compiled pair (``machine.compile_atomic``); unbound names are
+    empty."""
+    return compile_atomic(program, ae)[0](fp, store)
+
+
+def eval_atomic_taint(program, ae, fp, taint_store) -> frozenset:
+    """The taint an atomic expression carries: the union over the registers
+    it reads."""
+    return compile_atomic(program, ae)[1](fp, taint_store)

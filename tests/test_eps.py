@@ -588,8 +588,8 @@ def test_reporting_runs_step_nothing_and_share_the_saturated_pair(
         return runs[-1]
 
     monkeypatch.setattr(reach, "analyze", recorded)
-    for fname in ("step_independent", "step_dependent", "eval_atomic",
-                  "eval_atomic_taint", "evaluators", "compile_atomic"):
+    for fname in ("step_independent", "step_dependent", "evaluators",
+                  "compile_atomic"):
         monkeypatch.setattr(machine, fname,
                             counted(fname, getattr(machine, fname)))
     store, taint, trace = saturate_app(program, units,

@@ -50,6 +50,7 @@ from pdcfa.machine import (
 )
 from pdcfa.reach import AnalysisConfig
 from pdcfa.taint import MonotoneStore, TaintStore, TaintVal, parse_summaries
+from stores import eval_atomic, eval_atomic_taint
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BUNDLES = Path(__file__).resolve().parent / "corpus" / "bundles"
@@ -223,8 +224,9 @@ def _walk(ae):
 
 
 def test_eval_atomic_is_the_compiled_pair():
-    """``eval_atomic`` and ``eval_atomic_taint`` call the compiled pair:
-    an operation they evaluate lands in the program's table."""
+    """The tests' ``eval_atomic`` and ``eval_atomic_taint`` call the
+    compiled pair: an operation they evaluate lands in the program's
+    table."""
     program = parse_program(STRICT_PROGRAMS[sorted(STRICT_PROGRAMS)[0]])
     fp = frame_pointer_zero(RUN)
     store, taint = Store(), TaintStore()
@@ -233,14 +235,14 @@ def test_eval_atomic_is_the_compiled_pair():
     taint.join(a, {TaintVal.SMS})
     exp = AtomicOp("add", (Name("a"), IntLit(3)))
     assert program.op_results == {}
-    assert machine.eval_atomic(program, exp, fp, store) == {AbstractInt(5)}
+    assert eval_atomic(program, exp, fp, store) == {AbstractInt(5)}
     assert program.op_results == {
         ("add", frozenset({AbstractInt(2)}), frozenset({AbstractInt(3)})):
         frozenset({AbstractInt(5)})}
-    assert machine.eval_atomic_taint(program, exp, fp, taint) == {
+    assert eval_atomic_taint(program, exp, fp, taint) == {
         TaintVal.SMS}
     with pytest.raises(TypeError, match="not an atomic expression"):
-        machine.eval_atomic(program, "a", fp, store)
+        eval_atomic(program, "a", fp, store)
 
 
 # -- the memoised join against a plain union and normalisation ---------------

@@ -5,9 +5,12 @@ shape at other seeds and ``k``, and one finite bundle with many findings.
 The SHA-256 digests of the shipped and benchmark bundles live in
 ``bench/reference.json``, which the benchmark checks as well; the generated
 bundles come from ``bench/synth.py``. These tests only read those files. The
-digests of the other configurations are pinned here: ``heatmap.json`` sums
-``visit_counts``, so they change with any change in the pushdown engine's
-enqueue order.
+digests of the other configurations are pinned here. ``heatmap.json`` sums
+the triggers' visits read from the fixpoint run's root masks
+(``reach.RootMasks.visits``): a node counts once for each trigger's part
+that holds it, or, at a stack-dependent node, once for each frame whose
+mask holds the part. So these digests move when the graph or its masks
+change, not with the engines' enqueue order.
 """
 
 import hashlib

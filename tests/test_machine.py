@@ -55,7 +55,6 @@ from pdcfa.machine import (
     _pair_op,
     alloc_fp,
     alloc_op,
-    eval_atomic,
     field_values,
     frame_pointer_zero,
     normalize_vals,
@@ -64,7 +63,7 @@ from pdcfa.machine import (
 )
 from pdcfa.reach import AnalysisConfig, ControlState, Edge
 from pdcfa.taint import SummaryTable, TaintStore, TaintVal, parse_summaries
-from stores import canonical_text, join_store
+from stores import canonical_text, eval_atomic, join_store
 from views import views
 
 EMPTY = SummaryTable([])

@@ -44,7 +44,7 @@ from pdcfa.taint import (
     parse_summaries,
 )
 from soundness import describe
-from stores import canonical_text
+from stores import canonical_text, eval_atomic
 from views import replay_stack_actions, views, witness_steps
 
 TABLE = parse_summaries(MICRO_SUMMARIES)
@@ -812,7 +812,7 @@ def _naive_throw_edges(engine, state, st):
     chains, its scope by walking the call graph from the calls inside its
     region."""
     program = engine.program
-    vals = machine.eval_atomic(program, st.exp, state.fp, engine.store)
+    vals = eval_atomic(program, st.exp, state.fp, engine.store)
     thrown = [v for v in vals if isinstance(v, machine.ObjectValue)]
     if not thrown:
         return []

@@ -434,3 +434,101 @@ def test_json_writer_matches_stdlib_on_every_shipped_report(
     assert len(docs) == 5 * 2 * 3 * 4
     for doc in docs:
         assert writer(doc) == _stdlib_json_bytes(doc)
+
+
+# -- the writer's finding-entry branch -----------------------------------------
+
+
+def _flow_reports(monkeypatch, argv_list) -> list:
+    """The flow report documents the CLI hands the JSON writer, one per
+    argument list."""
+    docs = []
+    writer = report.to_json_bytes
+
+    def recording(doc, *args):
+        if doc["schema"] == "flow_report":
+            docs.append(doc)
+        return writer(doc, *args)
+
+    monkeypatch.setattr(report, "to_json_bytes", recording)
+    for argv in argv_list:
+        main(argv)
+    assert len(docs) == len(argv_list)
+    return docs
+
+
+def test_json_writer_matches_stdlib_on_filtered_and_empty_flow_reports(
+        bundles_dir, tmp_path, monkeypatch):
+    """The finite-witness flow report filtered by ``--where``, and flow
+    reports with no findings (filtered to none, and a bundle with none),
+    are written as ``json.dumps`` writes them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    bundle = str(synth.generate(synth.Shape.parse("2x4x3x2"), 1).write(
+        tmp_path / "b"))
+    runs = [["--bundle", bundle, "--mode", "finite", "--where", where]
+            for where in ("sinkKindIs(network)", "unitIs(NoSuchUnit)")]
+    runs.append(["--bundle", str(bundles_dir / "perm_zero")])
+    docs = _flow_reports(monkeypatch, [
+        [*argv, "--out", str(tmp_path / str(i))]
+        for i, argv in enumerate(runs)])
+    assert [doc["findingCount"] for doc in docs] == [64, 0, 0]
+    assert docs[0]["predicate"] == "sinkKindIs(network)"
+    for doc in docs:
+        assert to_json_bytes(doc) == _stdlib_json_bytes(doc)
+
+
+def test_json_writer_writes_a_finding_entry_in_one_call(tmp_path,
+                                                       monkeypatch):
+    """Each finding entry of the finite-witness flow report costs the
+    writer one ``_write_json`` call, besides the calls that make each
+    shared part's and each state ref's text once (316 calls for 128
+    entries); the bytes are ``json.dumps``'s."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import synth
+
+    bundle = load_bundle(synth.generate(synth.Shape.parse("2x4x3x2"), 1)
+                         .write(tmp_path / "b"))
+    units = eps.discover_entry_points(bundle, bundle.program)
+    _s, _t, trace = eps.saturate_app(
+        bundle.program, units, AnalysisConfig(mode="finite", k=1),
+        bundle.summaries)
+    doc = emit_flow_report(extract_findings(trace), None, bundle.program,
+                           META)
+    entries = doc["findings"]
+    calls = 0
+    write = report._write_json
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return write(*args)
+
+    monkeypatch.setattr(report, "_write_json", counted)
+    assert to_json_bytes(doc) == _stdlib_json_bytes(doc)
+    assert len(entries) == 128
+    # an entry written key by key takes at least five calls: itself, its
+    # sink, source, trigger and witness
+    assert calls < 3 * len(entries)
+
+
+def test_json_writer_writes_look_alike_entries_as_stdlib_does():
+    """A dict that only looks like a finding entry (a list witness, a
+    seventh or a missing key, a category or unit that is no string) takes
+    the general path, and a real entry beside it the entry branch; both
+    are written as ``json.dumps`` writes them."""
+    program, res, findings = _findings_and_result()
+    entry = emit_flow_report(findings, None, program, META)["findings"][0]
+    look_alikes = [
+        {**entry, "witness": list(entry["witness"])},
+        {**entry, "note": "a seventh key"},
+        {key: v for key, v in entry.items() if key != "unit"},
+        {**entry, "category": 5},
+        {**entry, "unit": None},
+        {**entry, "sink": [entry["sink"], {"nested": [entry["source"]]}]},
+    ]
+    for alike in look_alikes:
+        doc = {"findings": [alike, entry, alike], "one": alike,
+               "entry": entry}
+        assert to_json_bytes(doc) == _stdlib_json_bytes(doc), alike.keys()

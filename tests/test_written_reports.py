@@ -330,9 +330,10 @@ def test_a_failed_removal_keeps_the_write_error(bundles_dir, tmp_path,
 
 
 def _reference_dot(result, findings, program) -> str:
-    """``export_graph`` as it was before its one sorted pass: every edge
-    sorted by ``Edge.sort_key``, each label formatted where it is used, and
-    each finding's witness steps read one by one."""
+    """``export_graph`` in its sort-key form: every node sorted by
+    ``ControlState.sort_key`` and every edge by ``Edge.sort_key`` (the
+    order ``export_graph`` compares as integer ranks), each label formatted
+    where it is used, and each finding's witness steps read one by one."""
     nodes, edges = result.dsg.nodes, result.dsg.edges
     apps = result.applications
     source_states = {a.state for a in apps if a.source_categories}
@@ -404,3 +405,38 @@ def test_dot_equals_reference_dot(bundles_dir, tmp_path, monkeypatch,
             assert (export_graph(parts[i], found, program)
                     == _reference_dot(parts[i], found, program)), (label, i)
     assert highlighted
+
+
+@pytest.mark.parametrize("heap_context", [False, True])
+@pytest.mark.parametrize("mode", [PUSHDOWN, FINITE])
+@pytest.mark.parametrize("source", ["shipped", "micro", "synth"])
+def test_ranked_dot_equals_sort_key_dot(bundles_dir, tmp_path, monkeypatch,
+                                        source, mode, heap_context):
+    """``export_graph``, which sorts nodes and edges by integer ranks,
+    writes the bytes of the sort-key reference on each graph, with every
+    finding: every shipped bundle and micro program, and synth 2x4x3x2 at
+    seeds 2-4 (whose DOTs no digest pins), at k 0-2."""
+    if source == "synth":
+        cases = []
+        for seed in (2, 3, 4):
+            bundle = load_bundle(_synth_bundle(tmp_path, monkeypatch,
+                                               "2x4x3x2", seed))
+            cases.append((f"2x4x3x2 seed {seed}", bundle.program,
+                          discover_entry_points(bundle, bundle.program),
+                          bundle.summaries))
+    else:
+        named = {}
+        for label, program, units, _k, summaries in _mask_cases(
+                bundles_dir, tmp_path, monkeypatch, source):
+            name = label.split(" k=")[0]  # a shipped bundle comes once per k
+            named[name] = (name, program, units, summaries)
+        cases = list(named.values())
+    assert len(cases) >= 3
+    for label, program, units, summaries in cases:
+        for k in (0, 1, 2):
+            cfg = AnalysisConfig(mode=mode, k=k, heap_context=heap_context)
+            _s, _t, trace = saturate_app(program, units, cfg, summaries)
+            findings = extract_findings(trace)
+            dot = export_graph(trace.fixpoint, findings, program)
+            assert dot == _reference_dot(trace.fixpoint, findings, program), \
+                (label, k)

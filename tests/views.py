@@ -46,6 +46,8 @@ class Window:
         frames = self.pop_frames.get(s, ())
         return [e for e in edges if e.kind != POP or e.frame in frames]
 
+    edges_from = out_edges
+
     def summaries_from(self, s) -> list:
         return self.graph.summaries_from(s)
 
