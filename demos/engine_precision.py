@@ -50,11 +50,11 @@ def run(mode: str):
     cfg = AnalysisConfig(mode=mode, k=1)
     store, taint = Store(), TaintStore()
     seed_entry_bindings(program, ENTRY, store, taint)
-    return program, analyze(program, ENTRY, store, taint, cfg, SUMMARIES)
+    return program, analyze(program, (ENTRY,), store, taint, cfg, SUMMARIES)
 
 
 def handler_states(program, result, label):
-    pos = program.pos_of_label(ENTRY, label)
+    pos = program.labels[(ENTRY, label)].pos
     return sorted(s.fp.canonical() for s in result.dsg.nodes if s.pos == pos)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__, eps, permissions as perms_mod, report as report_mod
 from .ir import ParseError, Program, parse_program, record
-from .machine import INT_CONSTANT_BUDGET, MalformedState
+from .machine import INT_CONSTANT_BUDGET
 from .reach import AnalysisConfig, FINITE, PUSHDOWN
 from .taint import (SummaryFormatError, SummaryTable, extract_findings,
                     parse_summaries)
@@ -234,7 +234,8 @@ def _main(argv) -> int:
             max_states=args.max_states, max_seconds=args.max_seconds)
         deadline = cfg.deadline()  # it counts parsing too
         bundle = load_bundle(args.bundle)
-        where = report_mod.parse_predicate(args.where) if args.where else None
+        where = (None if args.where is None
+                 else report_mod.parse_predicate(args.where))
         predicate = report_mod.conjoin(bundle.predicates + [where])
         units = eps.discover_entry_points(bundle, bundle.program)
     except (BundleError, ParseError, SummaryFormatError,
@@ -245,9 +246,6 @@ def _main(argv) -> int:
     try:
         return _analyze(bundle, cfg, deadline, predicate, units,
                         Path(args.out), t0)
-    except MalformedState as exc:
-        print(f"pdcfa: malformed program state: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         # a defect, not a verdict: exit 1 would read as "findings"
         logging.getLogger(__name__).debug("internal error", exc_info=True)

@@ -356,22 +356,23 @@ def run_concrete(program: Program, entry: MethodRef, args=None,
     outcome = OUT_OF_FUEL
 
     while steps < fuel:
-        st = program.stmt_at(pos)
+        code = program.code[pos]
+        st = code.stmt
         if st is None:
             raise ConcreteError(f"fell off the end of {pos.method.sig()}")
         steps += 1
-        nxt = program.advance(pos)
+        nxt = code.next.pos
         finished = False
         match st:
             case Label(_) | Nop() | Line(_):
                 pos = nxt
-            case Goto(label):
-                pos = program.pos_of_label(pos.method, label)
-            case If(cond, label):
+            case Goto():
+                pos = code.target.pos
+            case If(cond, _):
                 v = m.eval(cond, fpid)
                 if not isinstance(v, CBool):
                     raise ConcreteError(f"non-boolean branch condition {v!r}")
-                pos = program.pos_of_label(pos.method, label) if v.value else nxt
+                pos = code.target.pos if v.value else nxt
             case AssignAtomic(name, exp):
                 m.write(CRegAddr(fpid, name), m.eval(exp, fpid),
                         m.eval_taint(exp, fpid))
@@ -434,7 +435,8 @@ def run_concrete(program: Program, entry: MethodRef, args=None,
                     if isinstance(frame, CHandle) and program.is_subclass(
                             v.class_name, frame.class_name):
                         m.write(CRegAddr(fpid, "exn"), v, t)
-                        pos = program.pos_of_label(frame.owner, frame.label)
+                        pos = program.labels[(frame.owner,
+                                              frame.label)].pos
                         caught = True
                         break
                 if not caught:

@@ -99,14 +99,12 @@ def discover_entry_points(bundle, program: Program) -> list:
 
 def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
                  summaries: SummaryTable | None = None,
-                 init_store: Store | None = None,
-                 init_taint: TaintStore | None = None,
                  deadline: float | None = None) -> tuple:
-    """One app-wide fixpoint run, each entry point a root.
+    """One app-wide fixpoint run, each entry point a root, from an empty
+    store pair seeded with every entry point's bindings.
 
     Returns (store, taint, trace): the saturated store pair, and the run
-    with each entry point's trigger, in declared order. Optional seeds
-    support re-running saturation from its own output (a fixpoint check).
+    with each entry point's trigger, in declared order.
 
     ``cfg.max_states`` and ``deadline`` (``cfg.deadline()``, made when the
     run starts, if None) bound the fixpoint run, as in ``reach.analyze``; a
@@ -117,8 +115,7 @@ def saturate_app(program: Program, units, cfg: reach.AnalysisConfig,
     """
     if not units:
         raise EmptyUnit("no units declared")
-    store = init_store.copy() if init_store is not None else Store()
-    taint = init_taint.copy() if init_taint is not None else TaintStore()
+    store, taint = Store(), TaintStore()
     entries = [(unit, ep) for unit in units for ep in unit.entry_points]
     for _unit, ep in entries:
         machine.seed_entry_bindings(program, ep.method_ref, store, taint)

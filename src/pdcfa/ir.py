@@ -41,10 +41,6 @@ class ParseError(Exception):
         super().__init__(f"{message}{where}")
 
 
-class UnknownLabel(Exception):
-    pass
-
-
 class UnknownClass(Exception):
     pass
 
@@ -587,21 +583,6 @@ class Program:
             f"no method {name}({','.join(param_types)}) reachable from {start}")
 
     # -- statement addressing -------------------------------------------------
-
-    def pos_of_label(self, m: MethodRef, label: str) -> StmtPos:
-        code = self.labels.get((m, label))
-        if code is None:
-            raise UnknownLabel(f"{m.sig()}:{label}")
-        return code.pos
-
-    def stmt_at(self, pos: StmtPos):
-        """Statement at pos, or None past the end of the body; at an
-        ``at_move`` position, the MoveFromRet of the assign-of-invoke at
-        ``pos.index``."""
-        return self.code[pos].stmt
-
-    def advance(self, pos: StmtPos) -> StmtPos:
-        return self.code[pos].next.pos
 
     def line_of(self, pos: StmtPos) -> int:
         """Most recent (line n) at or before pos; falls back to source line."""

@@ -69,10 +69,6 @@ RET_REG = "ret"
 EXN_REG = "exn"
 
 
-class MalformedState(Exception):
-    """pop-handler over a call frame or an empty stack: an IR bug."""
-
-
 # ---------------------------------------------------------------------------
 # Pointers and addresses
 # ---------------------------------------------------------------------------
@@ -911,8 +907,9 @@ def step_dependent(program: Program, state: ControlState, top, store: Store,
             return edges
         case PopHandler():
             if not isinstance(top, HandlerFrame):
+                # the validator pairs each pop-handler with its push
                 what = top.canonical() if top is not None else "an empty stack"
-                raise MalformedState(
+                raise AssertionError(
                     f"pop-handler over {what} at "
                     f"{state.pos.method.sig()}@{state.pos.index}")
             return [edge_of(program, state, POP, top,

@@ -161,8 +161,6 @@ class AnalysisConfig:
 @record(mutable=True)
 class AnalysisResult:
     mode: str
-    entry: MethodRef
-    initial_state: ControlState
     dsg: DyckStateGraph
     final_store: Store
     final_taint: TaintStore
@@ -170,7 +168,6 @@ class AnalysisResult:
     complete: bool
     limit_reason: str | None
     applications: list  # sorted by SummaryApplication.sort_key
-    config: AnalysisConfig
     masks: RootMasks | None = None  # a complete run's, None at a limit
 
 
@@ -223,7 +220,6 @@ class _BaseEngine:
                 raise machine.ResolveError(f"unknown entry {entry.sig()}")
         self.program = program
         self.entries = entries
-        self.entry = entries[0]
         self.cfg = cfg
         self.policy = cfg.policy()
         self.summaries = summaries
@@ -231,7 +227,6 @@ class _BaseEngine:
         self.roots = [machine.state_at(program.starts[e],
                                        frame_pointer_zero(e))
                       for e in entries]
-        self.init_state = self.roots[0]
         self.dsg = DyckStateGraph()
         self.states: list = []  # id -> ControlState
         self.visits: list = []  # id -> worklist pops
@@ -308,12 +303,11 @@ class _BaseEngine:
         applications = self.recorder.applications()
         complete = self.limit_reason is None
         return AnalysisResult(
-            mode=self.cfg.mode, entry=self.entry,
-            initial_state=self.init_state, dsg=self.dsg,
+            mode=self.cfg.mode, dsg=self.dsg,
             final_store=self.store, final_taint=self.taint,
             visit_counts=dict(zip(self.states, self.visits)),
             complete=complete, limit_reason=self.limit_reason,
-            applications=applications, config=self.cfg,
+            applications=applications,
             masks=RootMasks(self, tops) if complete else None)
 
 
@@ -624,22 +618,20 @@ class _FiniteEngine(_BaseEngine):
 # ---------------------------------------------------------------------------
 
 
-def analyze(program: Program, entry, init_store: Store,
+def analyze(program: Program, entries: tuple, init_store: Store,
             init_taint: TaintStore, cfg: AnalysisConfig,
             summaries: SummaryTable | None = None,
             shared: FiniteShared | None = None,
             deadline: float | None = None) -> AnalysisResult:
-    """Run the engine ``cfg.mode`` names from ``entry``, a method or a
-    tuple of methods.
+    """Run the engine ``cfg.mode`` names from ``entries``, a tuple of
+    methods: one run whose roots are every method's initial state, each
+    with an empty stack, over a copy of the store pair given.
 
-    A tuple makes one run whose roots are every method's initial state; its
-    result's ``entry`` and ``initial_state`` are the first root's. The run
-    stops at ``cfg.max_states`` states or at ``deadline``, a reading of
-    this module's ``time.monotonic`` (``cfg.deadline()``, made now, when
-    None). ``shared`` carries the finite engine's flow facts between runs;
-    the pushdown engine needs none.
+    The run stops at ``cfg.max_states`` states or at ``deadline``, a
+    reading of this module's ``time.monotonic`` (``cfg.deadline()``, made
+    now, when None). ``shared`` carries the finite engine's flow facts
+    between runs; the pushdown engine needs none.
     """
-    entries = entry if isinstance(entry, tuple) else (entry,)
     summaries = summaries or SummaryTable([])
     deadline = cfg.deadline() if deadline is None else deadline
     if cfg.mode == FINITE:
@@ -757,36 +749,31 @@ class RootMasks:
 
 
 def reconstruct_path_steps(result: AnalysisResult, frm: ControlState,
-                           to: ControlState, trees: dict | None = None,
-                           bit: int | None = None) -> list | None:
-    """The edges of a shortest witness path; None when unreachable.
+                           to: ControlState, trees: dict,
+                           bit: int) -> list | None:
+    """The edges of a shortest witness path from ``frm`` to ``to`` in the
+    part of a complete run's graph that holds root ``bit``
+    (``RootMasks``); None when that part holds no such path.
 
     Pushdown results respect stack balance: a path is pops of the
     pre-existing stack (with balanced segments riding epsilon summaries,
     each crossing a ``SUMMARY`` edge that is in no graph) followed by
     pushes; finite results use plain graph search, which is exactly where
     their spurious flows become visible. Every other edge is one that
-    ``result.dsg.out_edges`` returned. Given ``bit``, the search keeps to
-    the part of a complete run's graph that holds it (``RootMasks``).
+    ``result.dsg.out_edges`` returned.
 
-    The path is read from one BFS tree rooted at ``frm``. A caller asking
-    for many paths of one result passes the same ``trees`` dict to every
-    call; it keeps one tree per (bit, source) for as long as the caller
-    holds it.
+    The path is read from one BFS tree rooted at ``frm``, kept in
+    ``trees``: a caller asking for many paths of one result passes the
+    same dict to every call, which holds one tree per (bit, source) for as
+    long as the caller holds it.
     """
-    if bit is None:
-        if frm not in result.dsg.nodes or to not in result.dsg.nodes:
-            return None
-    elif not (result.masks.mask(frm) & result.masks.mask(to)) >> bit & 1:
+    if not (result.masks.mask(frm) & result.masks.mask(to)) >> bit & 1:
         return None
     if frm == to:
         return []
-    key = (bit, frm)
-    tree = trees.get(key) if trees is not None else None
+    tree = trees.get((bit, frm))
     if tree is None:
-        tree = _Tree(result, frm, bit)
-        if trees is not None:
-            trees[key] = tree
+        tree = trees[(bit, frm)] = _Tree(result, frm, bit)
     return tree.steps_to(to)
 
 
@@ -807,11 +794,9 @@ class _Tree:
     key, which in a plain tree is ``parent`` itself.
     """
 
-    def __init__(self, result: AnalysisResult, frm: ControlState,
-                 bit: int | None):
+    def __init__(self, result: AnalysisResult, frm: ControlState, bit: int):
         dsg = result.dsg
-        self.out_edges = (dsg.out_edges if bit is None
-                          else result.masks.out_edges(dsg, bit))
+        self.out_edges = result.masks.out_edges(dsg, bit)
         if result.mode == FINITE:
             self.parent = self.first = {frm: None}
             self.queue = deque([frm])

@@ -164,6 +164,8 @@ def _parse_categories(text: str, lineno: int) -> tuple:
             raise SummaryFormatError(
                 f"line {lineno}: unknown taint category {part!r}")
         cats.append(_CATEGORY_BY_NAME[part])
+    if not cats:  # a source that taints nothing, a sink that reports nothing
+        raise SummaryFormatError(f"line {lineno}: empty category list")
     return tuple(cats)
 
 
@@ -173,9 +175,10 @@ def parse_summaries(text: str) -> SummaryTable:
     One record per line:
     ``summary <class-pattern> <method> role=<...> ret=<...> perms=<P1,...>``
     where role is ``source:cat,...``, ``sink:kind[:cat,...]``, ``propagate``
-    or ``neutral``. Blank lines and ``#``/``;`` comments are skipped. A
-    line ends only at ``\\n``, as in ``ir.parse_program``; any other
-    whitespace separates fields.
+    or ``neutral``. A field appears at most once, and a category list names
+    at least one category. Blank lines and ``#``/``;`` comments are
+    skipped. A line ends only at ``\\n``, as in ``ir.parse_program``; any
+    other whitespace separates fields.
     """
     records = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -193,10 +196,14 @@ def parse_summaries(text: str) -> SummaryTable:
         sink_cats = None
         ret = "void"
         perms: tuple = ()
+        seen = set()
         for item in parts[3:]:
             if "=" not in item:
                 raise SummaryFormatError(f"line {lineno}: malformed field {item!r}")
             key, _, value = item.partition("=")
+            if key in seen:
+                raise SummaryFormatError(f"line {lineno}: repeated field {key!r}")
+            seen.add(key)
             if key == "role":
                 bits = value.split(":")
                 role = bits[0]

@@ -8,7 +8,7 @@ from pdcfa.concrete import (
     value_covered,
 )
 from pdcfa.ir import MethodRef, Program, parse_program
-from pdcfa.machine import Store, seed_entry_bindings
+from pdcfa.machine import AllocPolicy, Store, seed_entry_bindings
 from pdcfa.reach import AnalysisConfig, AnalysisResult, ControlState, analyze
 from pdcfa.taint import SummaryTable, TaintStore, parse_summaries
 
@@ -24,16 +24,16 @@ def analyze_seeded(program: Program, entry: MethodRef, cfg: AnalysisConfig,
                    summaries: SummaryTable | None = None) -> AnalysisResult:
     store, taint = Store(), TaintStore()
     seed_entry_bindings(program, entry, store, taint)
-    return analyze(program, entry, store, taint, cfg,
+    return analyze(program, (entry,), store, taint, cfg,
                    summaries or SummaryTable([]))
 
 
 def check_containment(program: Program, run: ConcreteRun,
-                      result: AnalysisResult) -> list:
+                      result: AnalysisResult, policy: AllocPolicy) -> list:
     """Every concrete state must have an abstract control state at the same
     statement position, and every concrete binding must be covered by the
-    global abstract store. Returns a list of human-readable violations."""
-    policy = result.config.policy()
+    global abstract store, each abstracted under ``policy``, the one the
+    run was made with. Returns a list of human-readable violations."""
     problems = []
     for i, state in enumerate(run.states):
         acs = ControlState(state.pos, abstract_fp(run, state.fpid, policy))

@@ -328,10 +328,14 @@ def test_a_run_imports_neither_dataclasses_nor_inspect():
     assert proc.stdout.splitlines() == ["[]", "[]", "[]"], proc.stdout
 
 
-def test_bad_predicate_exit_two(bundles_dir, tmp_path):
-    code, _ = _run(bundles_dir, tmp_path, "perm_over",
-                   "--where", "bogus(1)")
-    assert code == EXIT_USAGE
+def test_bad_predicate_exit_two(bundles_dir, tmp_path, capsys):
+    """An unknown atom and an empty or blank ``--where`` are usage errors,
+    as an empty predicate in the manifest is."""
+    for where, error in (("bogus(1)", "unknown predicate atom 'bogus'"),
+                         ("", "empty predicate"), (" ", "empty predicate")):
+        code, _ = _run(bundles_dir, tmp_path, "perm_over", "--where", where)
+        assert code == EXIT_USAGE, repr(where)
+        assert capsys.readouterr().err == f"pdcfa: error: {error}\n"
 
 
 def test_a_line_range_of_no_integers_exits_two_naming_the_atom(

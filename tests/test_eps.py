@@ -301,7 +301,7 @@ def test_an_entry_point_declared_twice_keeps_its_sources_owner(mode):
                                  AnalysisConfig(mode=mode, k=1), SUMMARIES)
     first, second = extract_findings(trace)
     assert (first.trigger.unit, second.trigger.unit) == ("U", "V")
-    root = trace.fixpoint.initial_state
+    root = trace.fixpoint.masks.roots[leak.method_ref][0]
     assert [(states[0], states[-1]) for states, _ in first.segments] == [
         (first.source_state, first.sink_state)]
     assert [(states[0], states[-1]) for states, _ in second.segments] == [
@@ -335,7 +335,7 @@ def _sweep_reference(program, units, cfg, summaries) -> tuple:
             for ep in unit.entry_points:
                 machine.seed_entry_bindings(program, ep.method_ref, store,
                                             taint)
-                result = reach.analyze(program, ep.method_ref, store, taint,
+                result = reach.analyze(program, (ep.method_ref,), store, taint,
                                        cfg, summaries, shared)
                 store, taint = result.final_store, result.final_taint
         if size() == before:
@@ -389,7 +389,7 @@ def _assert_views_equal_plain_runs(program, trace, fix_args, cfg,
     the saturated flow facts)."""
     fixpoint = trace.fixpoint
     for view in views(trace):
-        plain = reach.analyze(program, view.entry, fixpoint.final_store,
+        plain = reach.analyze(program, (view.entry,), fixpoint.final_store,
                               fixpoint.final_taint, cfg, summaries,
                               fix_args["shared"])
         assert _result_parts(view) == _result_parts(plain), view.entry.sig()
@@ -689,7 +689,7 @@ def test_views_from_root_masks_equal_the_walk_they_replace(
             assert view.applications == apps, label
             for other in parts:
                 if mode == reach.PUSHDOWN and other.entry != view.entry \
-                        and other.initial_state in nodes:
+                        and other.root in nodes:
                     shadowed += sum(
                         None in held and None not in frames.get(t, {})
                         for t, held in refs[other.entry][1].items())

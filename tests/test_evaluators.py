@@ -153,7 +153,7 @@ def _micro_runs():
         program = parse_program(src)
         store, taint = Store(), TaintStore()
         seed_entry_bindings(program, RUN, store, taint)
-        yield program, reach.analyze(program, RUN, store, taint,
+        yield program, reach.analyze(program, (RUN,), store, taint,
                                      AnalysisConfig(k=1), TABLE)
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pdcfa import ir
+from pdcfa import eps, ir
+from pdcfa.cli import load_bundle
 from pdcfa.ir import (
     MethodRef,
     Nop,
@@ -15,6 +16,7 @@ from pdcfa.ir import (
     Return,
     parse_program,
 )
+from pdcfa.reach import FINITE, PUSHDOWN, AnalysisConfig
 from printer import program_to_text
 
 MINI = """
@@ -356,33 +358,35 @@ def _naive_frame(ref, body, i):
 def _check_records(program):
     """Every record of ``program`` against a naive reading of its method
     body: statement, successor, branch target, stack dependence, line,
-    handler frame and move slot; and the positions recorded are exactly
-    each body's indexes, one past its end, and its move slots."""
+    handler frame and move slot; each label's record is the position after
+    the label; and the positions recorded are exactly each body's indexes,
+    one past its end, and its move slots."""
     positions = set()
     for ref, mdef in program.methods.items():
         body, n = mdef.body, len(mdef.body)
         labels = {st.name: i + 1 for i, st in enumerate(body)
                   if isinstance(st, ir.Label)}
         assert program.starts[ref] is program.code[ir.StmtPos(ref, 0)]
+        for name, i in labels.items():
+            assert program.labels[(ref, name)] \
+                is program.code[ir.StmtPos(ref, i)]
         for i in range(n + 1):
             pos = ir.StmtPos(ref, i)
             positions.add(pos)
             code = program.code[pos]
             st = body[i] if i < n else None
             assert code.pos == pos and code.stmt is st
-            assert program.stmt_at(pos) is st
             assert code.line == program.line_of(pos) == _naive_line(body, i)
             assert code.dependent == isinstance(
                 st, (ir.Return, ir.Throw, ir.PopHandler))
             assert code.frame == _naive_frame(ref, body, i)
             if i < n:
-                assert code.next.pos == program.advance(pos) \
-                    == ir.StmtPos(ref, i + 1)
+                assert code.next is program.code[ir.StmtPos(ref, i + 1)]
             else:
                 assert code.next is None
             if isinstance(st, (ir.Goto, ir.If)):
-                assert code.target.pos == ir.StmtPos(ref, labels[st.label])
-                assert program.pos_of_label(ref, st.label) == code.target.pos
+                assert code.target \
+                    is program.code[ir.StmtPos(ref, labels[st.label])]
             else:
                 assert code.target is None
             invoke = isinstance(st, ir.AssignComplex) \
@@ -396,7 +400,6 @@ def _check_records(program):
             assert code.move is move and move.pos == move_pos
             assert move.stmt == ir.MoveFromRet(st.name)
             assert move.stmt.pos == st.pos
-            assert program.stmt_at(move_pos) is move.stmt
             assert move.next is code.next
             assert move.line == program.line_of(move_pos) == code.line
             assert not move.dependent
@@ -705,9 +708,10 @@ def _atom_spans(text: str) -> list:
     return sorted(spans)
 
 
-SHIPPED_PROGRAMS = [(text, _atom_spans(text)) for text in (
-    path.read_text(encoding="utf-8")
-    for path in sorted(BUNDLES.glob("*/*.sdex")))]
+# (program text, its atoms' spans, its bundle) of each shipped bundle
+SHIPPED_PROGRAMS = [(text, _atom_spans(text), load_bundle(path.parent))
+                    for path in sorted(BUNDLES.glob("*/*.sdex"))
+                    for text in [path.read_text(encoding="utf-8")]]
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -716,10 +720,23 @@ SHIPPED_PROGRAMS = [(text, _atom_spans(text)) for text in (
 def test_a_mutated_shipped_program_parses_or_fails_with_a_location(
         program, which, token):
     """One atom of a shipped program replaced: the parser accepts it or
-    raises ParseError at a line, never another exception."""
-    text, spans = program
+    raises ParseError at a line, never another exception. A mutant that
+    parses and still declares its bundle's entry points saturates under
+    both engines (k=1, a few states, the bundle's summaries) without an
+    exception: no parsed program steps a state the engines rule out, such
+    as a pop-handler over a call frame."""
+    text, spans, bundle = program
     start, length = spans[which % len(spans)]
     try:
-        parse_program(text[:start] + token + text[start + length:])
+        mutant = parse_program(text[:start] + token + text[start + length:])
     except ParseError as exc:
         assert exc.line > 0, str(exc)
+        return
+    try:
+        units = eps.discover_entry_points(bundle, mutant)
+    except eps.UnknownMethod:
+        return
+    for mode in (PUSHDOWN, FINITE):
+        eps.saturate_app(mutant, units,
+                         AnalysisConfig(mode=mode, k=1, max_states=2_000),
+                         bundle.summaries)

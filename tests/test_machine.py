@@ -42,7 +42,6 @@ from pdcfa.machine import (
     FunFrame,
     HandlerFrame,
     INT_CONSTANT_BUDGET,
-    MalformedState,
     NULL,
     ObjectPointer,
     ObjectValue,
@@ -343,7 +342,7 @@ def test_step_throw_matching_handler_by_subclass():
     store.join(RegAddr(f, "e"), {ObjectValue(op, "Fault")})
     h = HandlerFrame("java/lang/Exception", "h", run)
     (succ,) = _step(p, StmtPos(run, 1), f, h, store)
-    assert succ.dst.pos == p.pos_of_label(run, "h")
+    assert succ.dst.pos == p.labels[(run, "h")].pos
     assert succ.kind == POP and succ.frame == h
     assert store.lookup(RegAddr(f, "exn")) == {ObjectValue(op, "Fault")}
 
@@ -375,7 +374,7 @@ def test_step_throw_two_frame_unwind_matches_oracle():
     assert after_fun.kind == POP and after_fun.frame == fun
     (after_handler,) = _step(p, after_fun.dst.pos, after_fun.dst.fp, handler,
                              store)
-    assert after_handler.dst.pos == p.pos_of_label(run, "catch")
+    assert after_handler.dst.pos == p.labels[(run, "catch")].pos
     assert after_handler.kind == POP and after_handler.frame == handler
 
 
@@ -396,6 +395,9 @@ def test_step_uncatchable_class_keeps_unwinding():
 
 
 def test_step_pop_handler_over_fun_frame_is_malformed():
+    """The validator pairs each pop-handler with its push, so no parsed
+    program steps one over a call frame or an empty stack: a state built
+    by hand that does is an internal defect, an AssertionError."""
     p = parse_program("""
 (public class java/lang/Exception extends java/lang/Object () ())
 (public class Main extends java/lang/Object ()
@@ -409,9 +411,9 @@ def test_step_pop_handler_over_fun_frame_is_malformed():
     run = MethodRef("Main", "run", ())
     fun = FunFrame(frame_pointer_zero(run), StmtPos(run, 0, at_move=True))
     pos = StmtPos(run, 1)
-    with pytest.raises(MalformedState):
+    with pytest.raises(AssertionError, match="pop-handler over "):
         _step(p, pos, frame_pointer_zero(run), fun)
-    with pytest.raises(MalformedState):
+    with pytest.raises(AssertionError, match="over an empty stack"):
         _step(p, pos, frame_pointer_zero(run), None)
 
 

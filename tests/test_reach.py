@@ -62,14 +62,14 @@ def _pushdown(src, entry=RUN, k=1, table=TABLE):
     program = parse_program(src)
     cfg = AnalysisConfig(k=k)
     store, taint = _seeded(program, entry, cfg)
-    return program, analyze(program, entry, store, taint, cfg, table)
+    return program, analyze(program, (entry,), store, taint, cfg, table)
 
 
 def _finite(src, entry=RUN, k=1, table=TABLE):
     program = parse_program(src)
     cfg = AnalysisConfig(mode="finite", k=k)
     store, taint = _seeded(program, entry, cfg)
-    return program, analyze(program, entry, store, taint, cfg, table)
+    return program, analyze(program, (entry,), store, taint, cfg, table)
 
 
 @pytest.mark.parametrize("engine", [_pushdown, _finite],
@@ -142,9 +142,9 @@ def test_pushdown_separates_handlers_per_call_site():
     run = RUN
     boom = MethodRef("Main", "boom", ())
     h1_states = [s for s in res.dsg.nodes
-                 if s.pos == program.pos_of_label(run, "h1")]
+                 if s.pos == program.labels[(run, "h1")].pos]
     h2_states = [s for s in res.dsg.nodes
-                 if s.pos == program.pos_of_label(run, "h2")]
+                 if s.pos == program.labels[(run, "h2")].pos]
     assert len(h1_states) == 1 and len(h2_states) == 1
     # handler states carry the thrower's frame pointer; with k=1 the two
     # call sites give boom distinct frame pointers
@@ -164,8 +164,8 @@ def test_pushdown_separates_handlers_per_call_site():
 def test_finite_k0_merges_the_two_handlers():
     program, res = _finite(TWO_SITES_HANDLERS, k=0)
     run = RUN
-    h1 = program.pos_of_label(run, "h1")
-    h2 = program.pos_of_label(run, "h2")
+    h1 = program.labels[(run, "h1")].pos
+    h2 = program.labels[(run, "h2")].pos
     throw_edges_h1 = [e for e in res.dsg.edges if e.dst.pos == h1]
     throw_edges_h2 = [e for e in res.dsg.edges if e.dst.pos == h2]
     # the single merged throw state reaches both handlers
@@ -240,8 +240,8 @@ def test_fixpoint_rerun_is_stable():
     program = parse_program(src)
     cfg = AnalysisConfig(k=1)
     store, taint = _seeded(program, RUN, cfg)
-    first = analyze(program, RUN, store, taint, cfg, TABLE)
-    second = analyze(program, RUN, first.final_store,
+    first = analyze(program, (RUN,), store, taint, cfg, TABLE)
+    second = analyze(program, (RUN,), first.final_store,
                      first.final_taint, cfg, TABLE)
     assert canonical_text(first.final_store) \
         == canonical_text(second.final_store)
@@ -256,7 +256,7 @@ def test_analyze_copies_the_callers_store_pair(mode):
     cfg = AnalysisConfig(mode=mode, k=1)
     store, taint = _seeded(program, RUN, cfg)
     before = canonical_text(store), canonical_text(taint)
-    res = reach.analyze(program, RUN, store, taint, cfg, TABLE)
+    res = reach.analyze(program, (RUN,), store, taint, cfg, TABLE)
     assert res.final_store is not store and res.final_taint is not taint
     assert (canonical_text(store), canonical_text(taint)) == before
     assert canonical_text(res.final_store) != before[0]  # the copy grew
@@ -276,7 +276,7 @@ def test_resource_limit_flags_incomplete():
     program = parse_program(src)
     cfg = AnalysisConfig(k=1, max_states=3)
     store, taint = _seeded(program, RUN, cfg)
-    res = analyze(program, RUN, store, taint, cfg, EMPTY)
+    res = analyze(program, (RUN,), store, taint, cfg, EMPTY)
     assert not res.complete
     assert res.limit_reason == "max-states"
 
@@ -286,16 +286,16 @@ def test_resource_limit_flags_incomplete():
 
 def test_path_from_equals_to():
     _p, res = _pushdown(MICRO_PROGRAMS["arith_add"][0], table=EMPTY)
-    s = res.initial_state
-    assert reconstruct_path_steps(res, s, s) == []
+    s = res.masks.roots[RUN][0]
+    assert reconstruct_path_steps(res, s, s, {}, 0) == []
 
 
 def test_path_simple_noop_chain():
     _p, res = _pushdown(MICRO_PROGRAMS["arith_add"][0], table=EMPTY)
     nodes = sorted(res.dsg.nodes, key=lambda n: n.sort_key())
-    start = res.initial_state
+    start = res.masks.roots[RUN][0]
     end = [n for n in nodes if n.pos.index == 3][0]
-    steps = reconstruct_path_steps(res, start, end)
+    steps = reconstruct_path_steps(res, start, end, {}, 0)
     assert steps is not None
     path = [start, *(step.dst for step in steps)]
     assert path[0] == start and path[-1] == end
@@ -304,10 +304,10 @@ def test_path_simple_noop_chain():
 
 def test_path_unreachable_is_none():
     _p, res = _pushdown(MICRO_PROGRAMS["goto_skip"][0], table=EMPTY)
-    start = res.initial_state
+    start = res.masks.roots[RUN][0]
     dead = ControlState(StmtPos(RUN, 2), frame_pointer_zero(RUN))
     assert dead not in res.dsg.nodes                 # dead code never explored
-    assert reconstruct_path_steps(res, start, dead) is None
+    assert reconstruct_path_steps(res, start, dead, {}, 0) is None
 
 
 def test_path_through_push_and_callee_summary():
@@ -326,12 +326,13 @@ def test_path_through_push_and_callee_summary():
     program, res = _pushdown(src)
     helper = MethodRef("Main", "helper", ())
     inside = [s for s in res.dsg.nodes if s.pos.method == helper][0]
-    steps_in = reconstruct_path_steps(res, res.initial_state, inside)
+    start = res.masks.roots[RUN][0]
+    steps_in = reconstruct_path_steps(res, start, inside, {}, 0)
     assert steps_in is not None
     assert any(s.kind == PUSH for s in steps_in)
     after = [s for s in res.dsg.nodes
              if s.pos == StmtPos(RUN, 1)][0]
-    steps_over = reconstruct_path_steps(res, res.initial_state, after)
+    steps_over = reconstruct_path_steps(res, start, after, {}, 0)
     assert steps_over is not None
     kinds = [s.kind for s in steps_over]
     assert SUMMARY in kinds  # the callee's balanced body is summarized
@@ -342,9 +343,9 @@ def test_balanced_paths_replay():
     for name in ("try_nested", "rethrow", "call_two_sites"):
         src, _o, _r = MICRO_PROGRAMS[name]
         _p, res = _pushdown(src)
-        start = res.initial_state
+        start, trees = res.masks.roots[RUN][0], {}
         for node in res.dsg.nodes:
-            steps = reconstruct_path_steps(res, start, node)
+            steps = reconstruct_path_steps(res, start, node, trees, 0)
             if steps is not None:
                 assert replay_stack_actions(steps), (name, describe(node))
 
@@ -597,11 +598,13 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
     folded. The entry points' views, read from the masks, hold the same
     summaries and pop edges over their own edges."""
     exported = {}  # id(run) -> the node states and tops it hands its masks
+    policies = {}  # id(masks) -> the policy of the run that made them
     result = reach._BaseEngine._result
 
     def recorded(engine, tops=None):
         res = result(engine, tops)
         exported[id(res)] = engine.states, tops
+        policies[id(res.masks)] = engine.policy
         return res
 
     monkeypatch.setattr(reach._BaseEngine, "_result", recorded)
@@ -620,7 +623,7 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
     for name, src in sorted({**STRICT_PROGRAMS, **{
             n: v[0] for n, v in MICRO_PROGRAMS.items()}}.items()):
         program, res = _pushdown(src)
-        results.append((name, program, res, [res.initial_state]))
+        results.append((name, program, res, [res.masks.roots[RUN][0]]))
     mismatches = []
     for label, program, res, roots in results:
         summaries, tops, balanced = _naive_closure(res.dsg, roots or ())
@@ -641,7 +644,7 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
                 continue
             for frame in {frame for frame, _src in pairs}:
                 pops.update(step_dependent(program, r, frame, store, taint,
-                                           res.config.policy()))
+                                           policies[id(res.masks)]))
         if {e for e in res.dsg.edges if e.kind == POP} != pops:
             mismatches.append(f"{label}: pop edges")
     assert not mismatches
@@ -683,8 +686,9 @@ def test_tree_paths_equal_per_pair_search(bundles_dir, name, mode):
     """The path between every pair of nodes of each entry point's view (a
     superset of the initial and source-application states witnesses start
     from), searched in the fixpoint run's graph restricted to the view's
-    bit, equals the per-pair search over the view, with and without shared
-    trees; a node outside the view has no path."""
+    bit, equals the per-pair search over the view, with a fresh tree for
+    each pair and with trees shared across pairs; a node outside the view
+    has no path."""
     trace = _saturated(bundles_dir, name, mode)
     run, trees = trace.fixpoint, {}
     for view in views(trace):
@@ -692,13 +696,13 @@ def test_tree_paths_equal_per_pair_search(bundles_dir, name, mode):
         for frm in nodes:
             for to in nodes:
                 want = _ref_path_steps(view, frm, to)
-                assert reconstruct_path_steps(run, frm, to,
-                                              bit=view.bit) == want
+                assert reconstruct_path_steps(run, frm, to, {},
+                                              view.bit) == want
                 assert reconstruct_path_steps(run, frm, to, trees,
                                               view.bit) == want
         outside = [n for n in run.dsg.nodes if n not in view.dsg.nodes]
         for to in outside[:5]:
-            assert reconstruct_path_steps(run, view.initial_state, to,
+            assert reconstruct_path_steps(run, view.root, to,
                                           trees, view.bit) is None
 
 
@@ -720,7 +724,7 @@ def test_part_paths_equal_per_pair_search_with_every_method_an_entry(name):
     for view in views(trace):
         for frm in view.dsg.nodes:
             for to in view.dsg.nodes:
-                got = reconstruct_path_steps(run, frm, to, bit=view.bit)
+                got = reconstruct_path_steps(run, frm, to, {}, view.bit)
                 assert got == _ref_path_steps(view, frm, to)
                 paths.setdefault((frm, to), set()).add(
                     None if got is None else tuple(got))
@@ -734,11 +738,16 @@ def test_tree_breaks_ties_by_sorted_edges(mode):
     a, b, c, d = (ControlState(StmtPos(RUN, i), frame_pointer_zero(RUN))
                   for i in range(4))
     dsg = DyckStateGraph()
-    dsg.nodes.update(dict.fromkeys((a, b, c, d)))
+    dsg.nodes.update({s: i for i, s in enumerate((a, b, c, d))})
     for src, dst in ((a, c), (a, b), (c, d), (b, d)):
         dsg.add_edge(Edge(src, NOOP, None, dst))
-    res = SimpleNamespace(dsg=dsg, mode=mode)
-    steps = reconstruct_path_steps(res, a, d)
+    # the masks of a run rooted at a alone: every node holds bit 0
+    engine = SimpleNamespace(states=[a, b, c, d], dsg=dsg, pushes={},
+                             succ={0: [2, 1], 1: [3], 2: [3]}, roots=[a],
+                             entries=(RUN,))
+    res = SimpleNamespace(dsg=dsg, mode=mode,
+                          masks=reach.RootMasks(engine, None))
+    steps = reconstruct_path_steps(res, a, d, {}, 0)
     assert [s.dst for s in steps] == [b, d]
     assert steps == _ref_path_steps(res, a, d)
 
@@ -847,7 +856,7 @@ def _naive_throw_edges(engine, state, st):
                             program.superclass_chain(v.class_name))]
         if not catchable or not scope_allows(rec):
             continue
-        hpos = program.pos_of_label(rec.frame.owner, rec.frame.label)
+        hpos = program.labels[(rec.frame.owner, rec.frame.label)].pos
         edges[Edge(state, POP, rec.frame, ControlState(hpos, state.fp))] = None
     return list(edges)
 
@@ -914,7 +923,7 @@ def test_throw_step_matches_naive_scan_on_synth(tmp_path, monkeypatch,
                      bundle.summaries)
     (engine,) = {id(e): e for e, _st, _edges in last.values()}.values()
     throws = {s for s in engine.dsg.nodes
-              if isinstance(bundle.program.stmt_at(s.pos), Throw)}
+              if isinstance(bundle.program.code[s.pos].stmt, Throw)}
     assert throws and set(last) == throws
     for state, (_engine, st, edges) in last.items():
         assert edges == _naive_throw_edges(engine, state, st), \
@@ -968,7 +977,7 @@ def test_throw_resteps_on_catcher_growth_reach_the_every_throw_fixpoint(
 
     def throw_steps(program, res):
         return sum(n for s, n in res.visit_counts.items()
-                   if isinstance(program.stmt_at(s.pos), Throw))
+                   if isinstance(program.code[s.pos].stmt, Throw))
 
     precise = fixpoints()
     growth = reach._FiniteEngine._on_shared_growth

@@ -131,12 +131,11 @@ RECORDS = {
         "AnalysisConfig(mode='finite', k=2, heap_context=True, max_states=4, "
         "max_seconds=5.0)"),
     "reach.AnalysisResult": ([
-        "mode", "entry", "initial_state", "dsg", "final_store", "final_taint",
-        "visit_counts", "complete", "limit_reason", "applications", "config",
-        "masks"],
-        "AnalysisResult(mode=1, entry=2, initial_state=3, dsg=4, "
-        "final_store=5, final_taint=6, visit_counts=7, complete=8, "
-        "limit_reason=9, applications=10, config=11, masks=12)"),
+        "mode", "dsg", "final_store", "final_taint", "visit_counts",
+        "complete", "limit_reason", "applications", "masks"],
+        "AnalysisResult(mode=1, dsg=2, final_store=3, final_taint=4, "
+        "visit_counts=5, complete=6, limit_reason=7, applications=8, "
+        "masks=9)"),
     "reach.HandlerRecord": (["frame", "region"],
         "HandlerRecord(frame=1, region=2)"),
     "concrete.CInt": (["value"], "CInt(value=1)"),

@@ -18,9 +18,10 @@ def test_trace_containment(name):
     program = parse_program(src)
     crun = run_concrete(program, RUN, fuel=10_000, summaries=TABLE)
     assert crun.outcome == outcome
-    result = analyze_seeded(program, RUN, AnalysisConfig(k=1), TABLE)
+    cfg = AnalysisConfig(k=1)
+    result = analyze_seeded(program, RUN, cfg, TABLE)
     assert result.complete
-    problems = check_containment(program, crun, result)
+    problems = check_containment(program, crun, result, cfg.policy())
     assert not problems, "\n".join(problems[:10])
 
 

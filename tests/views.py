@@ -54,14 +54,15 @@ class Window:
 
 class View:
     """One trigger's view of a complete run, read like the
-    ``AnalysisResult`` of a run from its entry alone."""
+    ``AnalysisResult`` of a run from its entry alone; ``root`` is the
+    entry's initial state and ``bit`` its root's bit."""
 
     def __init__(self, run, trigger, entry, nodes, frames, visits,
                  applications):
-        self.mode, self.config, self.masks = run.mode, run.config, run.masks
+        self.mode, self.masks = run.mode, run.masks
         self.final_store, self.final_taint = run.final_store, run.final_taint
         self.trigger, self.entry = trigger, entry
-        self.initial_state, self.bit = run.masks.roots[entry]
+        self.root, self.bit = run.masks.roots[entry]
         self.dsg = Window(run.dsg, nodes, frames)
         self.visit_counts, self.applications = visits, applications
 
