@@ -7,7 +7,10 @@ only in which frames they let top the continuation stack:
 
 * ``pushdown`` keeps the stack exact: it maintains epsilon summaries so a
   pop is propagated to exactly the push sites with a balanced path to it,
-  and steps a stack-dependent state under each frame that can top it.
+  and steps a stack-dependent state under each frame that can top it. It
+  records calling contexts once per entry node (a root or a push target),
+  not once per node, and hands them only to the stack-dependent nodes
+  the entry reaches on balanced paths.
 * ``finite`` finitizes the stack in the traditional way: returns flow
   to every continuation merged at the same context key (the callee frame
   pointer), and throws link to every recorded handler whose guarded region
@@ -319,30 +322,36 @@ class _PushdownEngine(_BaseEngine):
     and the result stay keyed by ``ControlState``. ``succ`` holds no-op
     edges and summaries.
 
-    ``tops`` records, for each node, every frame that may be on top of its
-    stack, with the push sources that put it there; a root puts the empty
-    stack, None, on itself. No-op edges and ε-summaries carry these records
-    to their targets, so a node holds (f, p) exactly when a push of f from
-    p leads to it on a balanced path (the path edges of Reps, Horwitz and
-    Sagiv, POPL 1995). A stack-dependent node is stepped once per frame it
-    holds, and a pop of f from it makes a summary from each push source
-    recorded with f.
+    Calling contexts are kept per entry node, as Reps, Horwitz and Sagiv
+    (POPL 1995) key their path edges by procedure entry. An entry is a
+    root or a push target; ``contexts`` holds, per entry, each frame pushed
+    into it with the push sources that pushed it, and a root's empty stack,
+    None, from itself. ``entries_of`` holds, per node, the entries with a
+    balanced path to it (no-op edges and ε-summaries), carried along each
+    new such edge; almost every node has one. Only a stack-dependent node
+    reads its contexts: each entry lists these members, and hands each of
+    its contexts to them (``tops``) when one joins or the context is new.
+    So a node holds (f, p) in ``tops`` exactly when a push of f from p
+    leads to it on a balanced path. A stack-dependent node is stepped once
+    per frame it holds, and a pop of f from it makes a summary from each
+    push source recorded with f.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
         self.dependent: list = []  # id -> is the statement stack dependent
-        self.tops: dict = {}  # id -> {frame or None: {push source id: None}}
+        self.contexts: dict = {}  # entry id -> {frame: {source id: None}}
+        self.entries_of: dict = {}  # id -> {entry id: None}
+        self.members: dict = {}  # entry id -> [stack-dependent member id]
+        self.tops: dict = {}  # stack-dependent id -> as ``contexts``
         self.pops_at: dict = {}  # (source id, frame) -> [target id]
 
     def _add_root(self, root: ControlState):
         rid = self._ensure_node(root)
-        self._add_tops([(rid, [(None, rid)])])
+        self._add_push(None, rid, rid)
 
     def _result(self) -> AnalysisResult:
-        dependent = self.dependent
-        return super()._result({sid: frames for sid, frames
-                                in self.tops.items() if dependent[sid]})
+        return super()._result(self.tops)
 
     # graph construction ---------------------------------------------------
 
@@ -352,42 +361,65 @@ class _PushdownEngine(_BaseEngine):
         if not dep:
             self._enqueue((sid, _HYP_ANY))
 
-    def _add_summary(self, src, dst) -> list:
-        """The work items of the summary src -> dst: none unless it is new."""
-        if not self.dsg.add_summary(self.states[src], self.states[dst]):
-            return []
-        return [self._add_succ(src, dst)]
+    def _add_push(self, frame, src, entry):
+        """Record a push of ``frame`` from ``src`` into ``entry`` (a root's
+        empty stack, None, from itself): a new entry is carried to the
+        nodes it reaches, a new context of a known one to its members."""
+        contexts = self.contexts.setdefault(entry, {})
+        work = [] if contexts else [(entry, (entry,))]
+        sources = contexts.setdefault(frame, {})
+        if src in sources:
+            return
+        sources[src] = None
+        for sid in self.members.get(entry, ()):
+            self._deliver(sid, frame, src, work)
+        self._reach(work)
 
-    def _add_succ(self, a, b) -> tuple:
-        """Record the no-op edge or summary a -> b; returns the work item
-        that gives b every entry of a."""
+    def _add_summary(self, src, dst, work: list):
+        """Record the summary src -> dst, if it is new."""
+        if self.dsg.add_summary(self.states[src], self.states[dst]):
+            self._add_succ(src, dst, work)
+
+    def _add_succ(self, a, b, work: list):
+        """Record the no-op edge or summary a -> b; its work item gives b
+        every entry of a."""
         self.succ.setdefault(a, []).append(b)
-        return b, [(frame, src) for frame, sources in
-                   self.tops.get(a, {}).items() for src in sources]
+        work.append((b, tuple(self.entries_of[a])))
 
-    def _add_tops(self, work: list):
-        """Give each node of ``work``'s ``(id, [(frame, push source)])``
-        items those entries, and carry every new one on along no-op edges
-        and summaries, the summaries it makes included."""
-        dependent, pops_at = self.dependent, self.pops_at
+    def _reach(self, work: list):
+        """Give each node of ``work``'s ``(id, (entry id, ...))`` items
+        those entries, and carry every new one on along no-op edges and
+        summaries, the summaries its contexts make included."""
+        dependent, known_of = self.dependent, self.entries_of
         while work:
             sid, entries = work.pop()
-            known = self.tops.setdefault(sid, {})
-            new = []
-            for frame, src in entries:
-                sources = known.get(frame)
-                if sources is None:
-                    sources = known[frame] = {}
-                    if dependent[sid]:
-                        self._enqueue((sid, frame))
-                elif src in sources:
-                    continue
-                sources[src] = None
-                new.append((frame, src))
-                for tgt in pops_at.get((sid, frame), ()):
-                    work.extend(self._add_summary(src, tgt))
-            if new:
-                work.extend((b, new) for b in self.succ.get(sid, ()))
+            known = known_of.setdefault(sid, {})
+            new = [e for e in entries if e not in known]
+            if not new:
+                continue
+            for entry in new:
+                known[entry] = None
+                if dependent[sid]:
+                    self.members.setdefault(entry, []).append(sid)
+                    for frame, sources in self.contexts[entry].items():
+                        for src in sources:
+                            self._deliver(sid, frame, src, work)
+            work.extend((b, new) for b in self.succ.get(sid, ()))
+
+    def _deliver(self, sid, frame, src, work: list):
+        """Put ``frame``, pushed by ``src``, on top of stack-dependent
+        ``sid``: a frame new there is a worklist item, and each pop of it
+        from ``sid`` makes a summary from ``src``."""
+        frames = self.tops.setdefault(sid, {})
+        sources = frames.get(frame)
+        if sources is None:
+            sources = frames[frame] = {}
+            self._enqueue((sid, frame))
+        elif src in sources:
+            return
+        sources[src] = None
+        for tgt in self.pops_at.get((sid, frame), ()):
+            self._add_summary(src, tgt, work)
 
     # transition dispatch ---------------------------------------------------
 
@@ -398,16 +430,18 @@ class _PushdownEngine(_BaseEngine):
             dst = self._ensure_node(edge.dst)
             if not self.dsg.add_edge(edge):
                 continue
-            if edge.kind == NOOP:
-                work = [self._add_succ(sid, dst)]
-            elif edge.kind == PUSH:
+            if edge.kind == PUSH:
                 self.pushes.setdefault(sid, []).append(dst)
-                work = [(dst, [(edge.frame, sid)])]
+                self._add_push(edge.frame, sid, dst)
+                continue
+            work = []
+            if edge.kind == NOOP:
+                self._add_succ(sid, dst, work)
             else:
                 self.pops_at.setdefault((sid, edge.frame), []).append(dst)
-                work = [w for src in self.tops[sid][edge.frame]
-                         for w in self._add_summary(src, dst)]
-            self._add_tops(work)
+                for src in self.tops[sid][edge.frame]:
+                    self._add_summary(src, dst, work)
+            self._reach(work)
 
     def _step(self, item) -> list:
         sid, top = item

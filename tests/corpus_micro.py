@@ -104,6 +104,19 @@ MICRO_PROGRAMS = {
    (method public inc (int) int (throws) (limit 2)
      (return (add param0 1)))"""), "completed", 13),
 
+    # at k=1 both of mid's frames call inc from one site, so inc has one
+    # frame pointer: its return is stepped under the first mid's frame
+    # before the second mid's push reaches inc's entry
+    "late_second_caller": (_main("""
+     (assign x (invoke-static Main->mid (1) (int)))
+     (assign y (invoke-static Main->mid (10) (int)))
+     (return (add x y))""", extra="""
+   (method public mid (int) int (throws) (limit 2)
+     (assign r (invoke-static Main->inc (param0) (int)))
+     (return r))
+   (method public inc (int) int (throws) (limit 1)
+     (return (add param0 1)))"""), "completed", 13),
+
     "dispatch_override": (PRELUDE + """
 (public class A extends java/lang/Object ()
   ((method public m () int (throws) (limit 1)

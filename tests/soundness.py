@@ -4,13 +4,12 @@ from pdcfa.concrete import (
     ConcreteRun,
     abstract_addr,
     abstract_fp,
-    run_concrete,
     value_covered,
 )
-from pdcfa.ir import MethodRef, Program, parse_program
+from pdcfa.ir import MethodRef, Program
 from pdcfa.machine import AllocPolicy, Store, seed_entry_bindings
 from pdcfa.reach import AnalysisConfig, AnalysisResult, ControlState, analyze
-from pdcfa.taint import SummaryTable, TaintStore, parse_summaries
+from pdcfa.taint import SummaryTable, TaintStore
 
 
 def describe(state: ControlState) -> str:
@@ -57,12 +56,3 @@ def check_containment(program: Program, run: ConcreteRun,
                     f"state {i}: {aaddr.canonical()} lacks taint {missing}")
     return problems
 
-
-def run_both(source: str, entry: MethodRef, summaries_text: str = "",
-             fuel: int = 10_000, k: int = 1):
-    program = parse_program(source)
-    table = parse_summaries(summaries_text) if summaries_text \
-        else SummaryTable([])
-    crun = run_concrete(program, entry, fuel=fuel, summaries=table)
-    result = analyze_seeded(program, entry, AnalysisConfig(k=k), table)
-    return program, crun, result

@@ -475,6 +475,42 @@ def test_fixpoint_run_work_is_pinned(tmp_path, monkeypatch, workload, mode):
             trace.global_rounds) == FIXPOINT_WORK[(workload, mode)]
 
 
+# the wide-pushdown fixpoint run's stack-top bookkeeping: its (node, entry)
+# pairs, the nodes more than one entry reaches, its entries, and the (frame,
+# push source) records of its stack-dependent nodes
+TOPS_WORK = (1600, 8, 274, 650)
+
+
+def test_pushdown_tops_work_is_pinned(tmp_path, monkeypatch):
+    """The pushdown engine keeps calling contexts once per entry node and
+    hands them only to stack-dependent nodes, so its bookkeeping grows with
+    the states: nearly every node is reached by one entry alone."""
+    bundle, units, k = _generated_bundle(tmp_path, monkeypatch,
+                                         "wide-pushdown")
+    engines = []
+    result_of = reach._PushdownEngine._result
+
+    def kept(engine):
+        engines.append(engine)
+        return result_of(engine)
+
+    monkeypatch.setattr(reach._PushdownEngine, "_result", kept)
+    saturate_app(bundle.program, units, AnalysisConfig(k=k),
+                 bundle.summaries)
+    (engine,) = engines
+    nodes = len(engine.states)
+    reached = [len(engine.entries_of[sid]) for sid in range(nodes)]
+    shared = sum(n > 1 for n in reached)
+    records = sum(len(sources) for frames in engine.tops.values()
+                  for sources in frames.values())
+    assert (sum(reached), shared, len(engine.contexts),
+            records) == TOPS_WORK
+    assert min(reached) == 1 and shared * 100 <= nodes
+    assert sum(reached) <= nodes + 2 * shared
+    assert set(engine.tops) == {sid for sid in range(nodes)
+                                if engine.dependent[sid]}
+
+
 @pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
 @pytest.mark.parametrize("workload", ["wide-pushdown", "finite-witness"])
 def test_views_equal_plain_runs_on_generated_bundles(tmp_path, monkeypatch,

@@ -108,6 +108,56 @@ def test_call_and_return_with_one_summary():
     assert b.pos == StmtPos(RUN, 0, at_move=True)
 
 
+def test_late_caller_gets_its_own_summary_and_return(monkeypatch):
+    """``late_second_caller`` at k=1: both of mid's frames push into inc's
+    one entry state. inc's return is stepped under the first mid's frame
+    before the second mid's call pushes, and that later push still gets
+    its return edge and its ε-summary, written out here by hand."""
+    steps = []  # (state, its top or None), in the order the run steps them
+    independent = machine.step_independent
+
+    def logged_independent(program, state, *args):
+        steps.append((state, None))
+        return independent(program, state, *args)
+
+    def logged_dependent(program, state, top, *args):
+        steps.append((state, top))
+        return step_dependent(program, state, top, *args)
+
+    monkeypatch.setattr(machine, "step_independent", logged_independent)
+    monkeypatch.setattr(machine, "step_dependent", logged_dependent)
+    program, res = _pushdown(MICRO_PROGRAMS["late_second_caller"][0])
+    mid = MethodRef("Main", "mid", ("int",))
+    inc = MethodRef("Main", "inc", ("int",))
+    fp0 = frame_pointer_zero(RUN)
+    fp_a = machine.FramePointer(mid, (StmtPos(RUN, 0),))
+    fp_b = machine.FramePointer(mid, (StmtPos(RUN, 1),))
+    fp_inc = machine.FramePointer(inc, (StmtPos(mid, 0),))
+
+    def at(method, index, fp, move=False):
+        return ControlState(StmtPos(method, index, at_move=move), fp)
+
+    def returns_to(method, index, fp):
+        return FunFrame(fp, StmtPos(method, index, at_move=True))
+
+    assert set(res.dsg.epsilon_summaries) == {
+        (at(RUN, 0, fp0), at(RUN, 0, fp0, True)),
+        (at(RUN, 1, fp0), at(RUN, 1, fp0, True)),
+        (at(mid, 0, fp_a), at(mid, 0, fp_a, True)),
+        (at(mid, 0, fp_b), at(mid, 0, fp_b, True))}
+    assert {e for e in res.dsg.edges if e.kind == POP} == {
+        Edge(at(inc, 0, fp_inc), POP, returns_to(mid, 0, fp_a),
+             at(mid, 0, fp_a, True)),
+        Edge(at(inc, 0, fp_inc), POP, returns_to(mid, 0, fp_b),
+             at(mid, 0, fp_b, True)),
+        Edge(at(mid, 1, fp_a), POP, returns_to(RUN, 0, fp0),
+             at(RUN, 0, fp0, True)),
+        Edge(at(mid, 1, fp_b), POP, returns_to(RUN, 1, fp0),
+             at(RUN, 1, fp0, True))}
+    assert steps.index((at(inc, 0, fp_inc), returns_to(mid, 0, fp_a))) \
+        < steps.index((at(mid, 0, fp_b), None))
+
+
 TWO_SITES_HANDLERS = """
 (public class java/lang/Throwable extends java/lang/Object () ())
 (public class java/lang/Exception extends java/lang/Throwable () ())
