@@ -22,8 +22,12 @@ A host's speed can change by up to 1.8x between minutes, so each run also
 records the time of ``bench/calibration.py``'s ``calibrate()`` just before
 and just after it, and ``refSeconds``: its wall seconds scaled to the
 reference calibration time in ``bench/reference.json``, as ``bench/run.py``
-scales ``analysis_ref_s``. The output, ``BENCH_scaling.json`` by default,
-also holds the host and the Python version.
+scales ``analysis_ref_s``. When the host's speed changed during a run, that
+scale is off: a run whose slower calibration is more than ``SPEED_BOUND``
+(the bound ``BENCHMARK.json`` sets on ``analysis_ref_s``) above its faster
+one is recorded with ``speedChanged`` true, and its printed line says so. The
+output, ``BENCH_scaling.json`` by default, also holds the host and the
+Python version.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ REPORTS = ("flow_report.json", "permissions_report.json", "heatmap.json",
            "state_graph.dot", "run_meta.json")
 SEED, K, MAX_STATES = 1, 1, 10**9
 CAP_BYTES, TIMEOUT_S = 5 * 2**30, 900.0  # each child's address space, wall
+SPEED_BOUND = 0.25  # calibrations further apart: the speed changed
 
 
 def _host() -> dict:
@@ -115,6 +120,8 @@ def _run(bundle: Path, mode: str, out: Path, reference: float) -> dict:
     run = {"wallSeconds": round(wall, 3),
            "refSeconds": round(wall * reference / ((before + after) / 2), 3),
            "calibrationSeconds": [round(before, 5), round(after, 5)],
+           "speedChanged": (max(before, after)
+                            > (1 + SPEED_BOUND) * min(before, after)),
            "maxRssMiB": round(usage.ru_maxrss / 1024, 1),
            "exitCode": child.returncode if child.returncode >= 0 else None,
            "signal": (signal.Signals(-child.returncode).name
@@ -146,6 +153,7 @@ def main(argv=None) -> int:
            "settings": {"k": K, "seed": SEED, "maxStates": MAX_STATES,
                         "referenceCalibrationSeconds": reference,
                         "capGiB": CAP_BYTES / 2**30,
+                        "speedBound": SPEED_BOUND,
                         "timeoutSeconds": TIMEOUT_S},
            "runs": []}
     bundles: dict = {}
@@ -162,7 +170,9 @@ def main(argv=None) -> int:
                       f"{' ' + run['signal'] if run['signal'] else ''}"
                       f"{' (timeout)' if run['timedOut'] else ''}, "
                       f"{run['wallSeconds']} s ({run['refSeconds']} s at "
-                      f"reference speed), {run['maxRssMiB']} MiB, "
+                      f"reference speed"
+                      f"{', speed changed' if run['speedChanged'] else ''}"
+                      f"), {run['maxRssMiB']} MiB, "
                       f"{run['findingCount']} findings", flush=True)
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -601,7 +601,7 @@ class FunFrame:
 NOOP = "noop"
 PUSH = "push"
 POP = "pop"
-SUMMARY = "summary"  # an ε-summary crossed by a witness, in no graph
+SUMMARY = "summary"  # an ε-summary: a balanced path, push to pop
 
 
 @record(key=True)

@@ -18,16 +18,17 @@ only in which frames they let top the continuation stack:
   result. The throw rule is its own: no single top-frame hypothesis
   expresses it.
 
-Both run a worklist to a simultaneous fixpoint of the node set, edge set,
-summaries, and one global widened store pair. Worklist order is LIFO with
-deterministic tie-breaking, so results are identical across runs. A run may
-start from several entry methods at once, each initial state a root with an
-empty stack; entry-point saturation makes one such app-wide run. A complete
-run marks each node, and each frame that may top a stack-dependent node,
-with the roots that reach it, one bit per root (``RootMasks``). A root's
-bit marks the part of the graph a run from that root alone would build over
-the same store pair: the reports read each entry point's findings, visits
-and witnesses from it without stepping the machine.
+Both run a worklist to a simultaneous fixpoint of one graph (its nodes,
+edges and summaries, which are ``SUMMARY`` edges) and one global widened
+store pair. Worklist order is LIFO with deterministic tie-breaking, so
+results are identical across runs. A run may start from several entry
+methods at once, each initial state a root with an empty stack;
+entry-point saturation makes one such app-wide run. A complete run marks
+each node, and each frame that may top a stack-dependent node, with the
+roots that reach it, one bit per root (``RootMasks``). A root's bit marks
+the part of the graph a run from that root alone would build over the same
+store pair: the reports read each entry point's findings, visits and
+witnesses from it without stepping the machine.
 """
 
 from __future__ import annotations
@@ -62,62 +63,56 @@ FINITE = "finite"
 
 
 class DyckStateGraph:
-    """Reachable control states with stack-action edges and summaries,
-    indexed by source node (``edges`` and ``epsilon_summaries`` are built
-    when asked for); ``out_edges`` and ``summaries_from`` sort a node's
-    adjacency once, until the node gains an edge or summary. An engine's
-    graph maps each node to its id in the engine's node table."""
+    """A run's one node table and adjacency: ``nodes`` maps each control
+    state to its dense int id, in discovery order, ``states`` each id back,
+    and ``out[id]`` each out-edge of the node to its target's id, in
+    insertion order. ``out`` holds the machine's no-op, push and pop edges
+    and each ε-summary as a ``SUMMARY`` edge; ``edges`` leaves those out,
+    and ``epsilon_summaries`` is their (source, target) pairs. ``out_edges``
+    sorts a node's out-edges once, until it gains one; summaries sort last."""
 
     def __init__(self):
-        self.nodes: dict = {}
-        self._edge_set: dict = {}  # every edge, for add_edge alone
-        self._out: dict = {}  # src -> [edge]
-        self._sum_from: dict = {}  # a -> {b: None}, one per summary a -> b
-        self._sorted_out: dict = {}
-        self._sorted_sum_from: dict = {}
+        self.nodes: dict = {}  # state -> id
+        self.states: list = []  # id -> state
+        self.out: list = []  # id -> {edge: target id}
+        self._sorted: dict = {}  # id -> its out-edges, sorted
 
     @property
     def edges(self) -> dict:
-        return {e: None for s in self.nodes for e in self._out.get(s, ())}
+        return {e: None for out in self.out for e in out if e.kind != SUMMARY}
 
     @property
     def epsilon_summaries(self) -> frozenset:
-        return frozenset((a, b) for a in self.nodes
-                         for b in self._sum_from.get(a, ()))
+        return frozenset((e.src, e.dst) for out in self.out for e in out
+                         if e.kind == SUMMARY)
 
-    def add_edge(self, e: Edge) -> bool:
-        if e in self._edge_set:
+    def add_node(self, state: ControlState) -> int:
+        """The id of ``state``, making it a node on first sight."""
+        sid = len(self.states)
+        known = self.nodes.setdefault(state, sid)
+        if known == sid:
+            self.states.append(state)
+            self.out.append({})
+        return known
+
+    def add_edge(self, src: int, e: Edge, dst: int) -> bool:
+        """Add ``e`` from node ``src`` to node ``dst``, unless it is held."""
+        out = self.out[src]
+        if e in out:
             return False
-        self._edge_set[e] = None
-        self._out.setdefault(e.src, []).append(e)
-        self._sorted_out.pop(e.src, None)
+        out[e] = dst
         return True
 
-    def add_summary(self, a: ControlState, b: ControlState) -> bool:
-        dsts = self._sum_from.setdefault(a, {})
-        if b in dsts:
-            return False
-        dsts[b] = None
-        self._sorted_sum_from.pop(a, None)
-        return True
-
-    def edges_from(self, s: ControlState) -> list:
-        """``s``'s out-edges, unsorted."""
-        return self._out.get(s, ())
+    def edges_from(self, s: ControlState) -> dict:
+        """``s``'s out-edges, unsorted, summaries included."""
+        return self.out[self.nodes[s]]
 
     def out_edges(self, s: ControlState) -> list:
-        edges = self._sorted_out.get(s)
-        if edges is None:
-            edges = self._sorted_out[s] = sorted(self._out.get(s, ()),
-                                                 key=Edge.sort_key)
+        sid = self.nodes[s]
+        out, edges = self.out[sid], self._sorted.get(sid)
+        if edges is None or len(edges) != len(out):  # none, or it grew
+            edges = self._sorted[sid] = sorted(out, key=Edge.sort_key)
         return edges
-
-    def summaries_from(self, s: ControlState) -> list:
-        dsts = self._sorted_sum_from.get(s)
-        if dsts is None:
-            dsts = self._sorted_sum_from[s] = sorted(
-                self._sum_from.get(s, ()), key=ControlState.sort_key)
-        return dsts
 
 
 @record
@@ -206,10 +201,8 @@ class _BaseEngine:
     tracking re-steps an item whenever an address it read grows, so the
     graph ends up holding each item's edges under the final pair.
 
-    Each control state gets a dense int id, in discovery order, when it
-    first becomes a node: the graph's node dict maps it to its id, and the
-    node table's lists and successor maps are keyed by id. ``succ`` holds
-    what a root's reach crosses besides push edges, ``pushes`` those.
+    The run's graph is its node table, and the run's own lists and maps
+    are keyed by the graph's node ids.
 
     The run stops, incomplete, at a worklist pop once its graph holds more
     than ``cfg.max_states`` nodes or the clock has passed ``deadline``.
@@ -231,10 +224,7 @@ class _BaseEngine:
                                        frame_pointer_zero(e))
                       for e in entries]
         self.dsg = DyckStateGraph()
-        self.states: list = []  # id -> ControlState
         self.visits: list = []  # id -> worklist pops
-        self.succ: dict = {}  # id -> [id]
-        self.pushes: dict = {}  # id -> [id]: its push edges
         self.worklist: list = []
         self.pending: set = set()
         self.limit_reason: str | None = None
@@ -290,13 +280,11 @@ class _BaseEngine:
 
     def _ensure_node(self, state: ControlState) -> int:
         """The id of ``state``, making it a node on first sight."""
-        sid = len(self.states)
-        known = self.dsg.nodes.setdefault(state, sid)
-        if known == sid:
-            self.states.append(state)
+        sid = self.dsg.add_node(state)
+        if sid == len(self.visits):
             self.visits.append(0)
             self._new_node(sid, state)
-        return known
+        return sid
 
     def _result(self, tops: dict | None = None) -> AnalysisResult:
         """The run's result; a complete run's masks are made from the node
@@ -308,7 +296,7 @@ class _BaseEngine:
         return AnalysisResult(
             mode=self.cfg.mode, dsg=self.dsg,
             final_store=self.store, final_taint=self.taint,
-            visit_counts=dict(zip(self.states, self.visits)),
+            visit_counts=dict(zip(self.dsg.states, self.visits)),
             complete=complete, limit_reason=self.limit_reason,
             applications=applications,
             masks=RootMasks(self, tops) if complete else None)
@@ -319,8 +307,9 @@ class _PushdownEngine(_BaseEngine):
 
     The summary bookkeeping and the worklist items ``(id, top)`` are keyed
     by node id, so their hashing and equality are int operations; the graph
-    and the result stay keyed by ``ControlState``. ``succ`` holds no-op
-    edges and summaries.
+    and the result stay keyed by ``ControlState``. Each summary is added to
+    the graph as a ``SUMMARY`` edge; ``pops_at`` indexes the pop edges by
+    (source id, frame).
 
     Calling contexts are kept per entry node, as Reps, Horwitz and Sagiv
     (POPL 1995) key their path edges by procedure entry. An entry is a
@@ -376,21 +365,20 @@ class _PushdownEngine(_BaseEngine):
         self._reach(work)
 
     def _add_summary(self, src, dst, work: list):
-        """Record the summary src -> dst, if it is new."""
-        if self.dsg.add_summary(self.states[src], self.states[dst]):
-            self._add_succ(src, dst, work)
-
-    def _add_succ(self, a, b, work: list):
-        """Record the no-op edge or summary a -> b; its work item gives b
-        every entry of a."""
-        self.succ.setdefault(a, []).append(b)
-        work.append((b, tuple(self.entries_of[a])))
+        """Add the summary src -> dst to the graph, if it is new; its work
+        item gives dst every entry of src."""
+        states = self.dsg.states
+        edge = machine.edge_of(self.program, states[src], SUMMARY, None,
+                               states[dst])
+        if self.dsg.add_edge(src, edge, dst):
+            work.append((dst, tuple(self.entries_of[src])))
 
     def _reach(self, work: list):
         """Give each node of ``work``'s ``(id, (entry id, ...))`` items
         those entries, and carry every new one on along no-op edges and
         summaries, the summaries its contexts make included."""
         dependent, known_of = self.dependent, self.entries_of
+        out = self.dsg.out
         while work:
             sid, entries = work.pop()
             known = known_of.setdefault(sid, {})
@@ -404,7 +392,8 @@ class _PushdownEngine(_BaseEngine):
                     for frame, sources in self.contexts[entry].items():
                         for src in sources:
                             self._deliver(sid, frame, src, work)
-            work.extend((b, new) for b in self.succ.get(sid, ()))
+            work.extend((b, new) for e, b in out[sid].items()
+                        if e.kind == NOOP or e.kind == SUMMARY)
 
     def _deliver(self, sid, frame, src, work: list):
         """Put ``frame``, pushed by ``src``, on top of stack-dependent
@@ -428,15 +417,14 @@ class _PushdownEngine(_BaseEngine):
         self.visits[sid] += 1
         for edge in self._stepped(item):
             dst = self._ensure_node(edge.dst)
-            if not self.dsg.add_edge(edge):
+            if not self.dsg.add_edge(sid, edge, dst):
                 continue
             if edge.kind == PUSH:
-                self.pushes.setdefault(sid, []).append(dst)
                 self._add_push(edge.frame, sid, dst)
                 continue
             work = []
             if edge.kind == NOOP:
-                self._add_succ(sid, dst, work)
+                work.append((dst, tuple(self.entries_of[sid])))
             else:
                 self.pops_at.setdefault((sid, edge.frame), []).append(dst)
                 for src in self.tops[sid][edge.frame]:
@@ -445,7 +433,7 @@ class _PushdownEngine(_BaseEngine):
 
     def _step(self, item) -> list:
         sid, top = item
-        state = self.states[sid]
+        state = self.dsg.states[sid]
         if top is _HYP_ANY:
             return machine.step_independent(
                 self.program, state, self.store, self.taint, self.summaries,
@@ -499,10 +487,9 @@ class _FiniteEngine(_BaseEngine):
     flow facts allow on top of the stack (see ``_tops``): a return flows to
     every call edge recorded at its frame pointer. Worklist items, and their
     keys, are bare control states: no item needs a stack hypothesis, and no
-    item's edges depend on the run's roots. ``succ`` holds every edge but
-    pushes. A throw links to the handlers whose scope covers it (``_index``,
-    grown with the flow facts), and their growth re-steps it only when its
-    catching frames change."""
+    item's edges depend on the run's roots. A throw links to the handlers
+    whose scope covers it (``_index``, grown with the flow facts), and their
+    growth re-steps it only when its catching frames change."""
 
     def __init__(self, program, entries, init_store, init_taint, cfg,
                  summaries, shared: FiniteShared | None, deadline: float):
@@ -532,13 +519,8 @@ class _FiniteEngine(_BaseEngine):
         self.visits[sid] += 1
         for edge in self._stepped(state):
             dst = self._ensure_node(edge.dst)
-            if not self.dsg.add_edge(edge):
-                continue
-            if edge.kind == PUSH:
-                self.pushes.setdefault(sid, []).append(dst)
+            if self.dsg.add_edge(sid, edge, dst) and edge.kind == PUSH:
                 self._record_push(state, edge)
-            else:
-                self.succ.setdefault(sid, []).append(dst)
 
     def _step(self, state: ControlState) -> list:
         code = self.program.code[state.pos]
@@ -681,12 +663,12 @@ class RootMasks:
     """Which of a run's roots reach each node of its graph: one int per
     node, bit i set for the run's i-th distinct root (tabulation with
     bit-vector facts: Reps, Horwitz and Sagiv, POPL 1995), over the
-    engine's ``succ`` and ``pushes``: under pushdown no-op and push edges
-    and ε-summaries, under finite every edge. A pushdown (stack-dependent
-    node, frame) of ``tops`` gets the OR of the masks of the push sources
-    that put the frame there, or for the empty stack, None, the bits of
-    the roots with a balanced path to the node. Made from a complete run's
-    node table when the run ends.
+    graph's ``out``: under pushdown every edge but pops (no-op and push
+    edges and ε-summaries), under finite every edge. A pushdown
+    (stack-dependent node, frame) of ``tops`` gets the OR of the masks of
+    the push sources that put the frame there, or for the empty stack,
+    None, the bits of the roots with a balanced path to the node. Made
+    from a complete run's graph when the run ends.
 
     A root's part of the graph is what holds its bit: the nodes whose mask
     holds it and, of their pop edges, those whose frame's mask at the
@@ -695,11 +677,11 @@ class RootMasks:
     the whole graph."""
 
     def __init__(self, engine: _BaseEngine, tops: dict | None):
-        self.states, self.ids = engine.states, engine.dsg.nodes
-        ids = self.ids
-        adj = [engine.succ.get(i, ()) for i in range(len(self.states))]
-        for a, targets in engine.pushes.items():
-            adj[a] = [*adj[a], *targets]
+        dsg = engine.dsg
+        self.states, self.ids = dsg.states, dsg.nodes
+        ids, pushdown = self.ids, engine.cfg.mode == PUSHDOWN
+        adj = [[b for e, b in out.items() if not pushdown or e.kind != POP]
+               for out in dsg.out]
         self.bits = bits = {}  # root -> bit
         for root in engine.roots:
             bits.setdefault(root, len(bits))
@@ -791,10 +773,9 @@ def reconstruct_path_steps(result: AnalysisResult, frm: ControlState,
 
     Pushdown results respect stack balance: a path is pops of the
     pre-existing stack (with balanced segments riding epsilon summaries,
-    each crossing a ``SUMMARY`` edge that is in no graph) followed by
-    pushes; finite results use plain graph search, which is exactly where
-    their spurious flows become visible. Every other edge is one that
-    ``result.dsg.out_edges`` returned.
+    the graph's ``SUMMARY`` edges) followed by pushes; finite results use
+    plain graph search, which is exactly where their spurious flows become
+    visible. Every edge is one that ``result.dsg.out_edges`` returned.
 
     The path is read from one BFS tree rooted at ``frm``, kept in
     ``trees``: a caller asking for many paths of one result passes the
@@ -839,7 +820,6 @@ class _Tree:
             self.parent, self.first = {(frm, _DOWN): None}, {frm: None}
             self.queue = deque([(frm, _DOWN)])
             self.expand = self._expand_balanced
-            self.summaries_from = dsg.summaries_from
 
     def steps_to(self, to: ControlState) -> list | None:
         """The edges of the tree's path to ``to``, grown until ``to`` is
@@ -869,8 +849,6 @@ class _Tree:
         moves = [((e.dst, _UP if e.kind == PUSH else phase), e)
                  for e in self.out_edges(node)
                  if e.kind != POP or phase == _DOWN]
-        moves += [((dst, phase), Edge(node, SUMMARY, None, dst))
-                  for dst in self.summaries_from(node)]
         parent, first, queue = self.parent, self.first, self.queue
         for nkey, edge in moves:
             if nkey not in parent:

@@ -304,9 +304,10 @@ def export_graph(result, findings, program) -> str:
     frame pointer rank). A node's out-edges, when it has more than one,
     sort by (stack action, frame's sort key with None first, target node's
     index). Each frame's text is made once. The text is joined from
-    chunks of ``_DOT_CHUNK`` lines, so no list of every line is held. Each
-    witness segment's edges are read once: a graph edge among them is
-    marked, and each ``SUMMARY`` edge drawn after the graph's."""
+    chunks of ``_DOT_CHUNK`` lines, so no list of every line is held. The
+    graph's ``SUMMARY`` edges are not drawn. Each witness segment's edges
+    are read once: a graph edge among them is marked, and each ``SUMMARY``
+    edge among them drawn dashed after the graph's."""
     dsg = result.dsg if result is not None else DyckStateGraph()
     apps = result.applications if result is not None else ()
     source_states = {a.state for a in apps if a.source_categories}
@@ -352,6 +353,8 @@ def export_graph(result, findings, program) -> str:
                 e.kind, () if e.frame is None else e.frame.sort_key(),
                 index[e.dst]))
         for e in out:
+            if e.kind == SUMMARY:
+                continue
             frame = frame_texts.get(e.frame)
             if frame is None:
                 frame = frame_texts[e.frame] = " " + _dot_quote(

@@ -475,18 +475,18 @@ def test_fixpoint_run_work_is_pinned(tmp_path, monkeypatch, workload, mode):
             trace.global_rounds) == FIXPOINT_WORK[(workload, mode)]
 
 
-# the wide-pushdown fixpoint run's stack-top bookkeeping: its (node, entry)
-# pairs, the nodes more than one entry reaches, its entries, and the (frame,
-# push source) records of its stack-dependent nodes
+# a pushdown fixpoint run's stack-top bookkeeping: its (node, entry) pairs,
+# the nodes more than one entry reaches, its entries, and the (frame, push
+# source) records of its stack-dependent nodes; wide-pushdown's, synth
+# 2x4x3x2's (the finite-witness bundle, seed 1, k=1) and the sum over the
+# shipped bundles at k 0-2
 TOPS_WORK = (1600, 8, 274, 650)
+TOPS_WORK_BEYOND = {"2x4x3x2": (320, 8, 52, 116),
+                    "shipped": (459, 8, 80, 85)}
 
 
-def test_pushdown_tops_work_is_pinned(tmp_path, monkeypatch):
-    """The pushdown engine keeps calling contexts once per entry node and
-    hands them only to stack-dependent nodes, so its bookkeeping grows with
-    the states: nearly every node is reached by one entry alone."""
-    bundle, units, k = _generated_bundle(tmp_path, monkeypatch,
-                                         "wide-pushdown")
+def _pushdown_engines(monkeypatch) -> list:
+    """The pushdown engines whose runs end from now on, in order."""
     engines = []
     result_of = reach._PushdownEngine._result
 
@@ -495,20 +495,62 @@ def test_pushdown_tops_work_is_pinned(tmp_path, monkeypatch):
         return result_of(engine)
 
     monkeypatch.setattr(reach._PushdownEngine, "_result", kept)
+    return engines
+
+
+def _tops_work(engine) -> tuple:
+    """``engine``'s stack-top bookkeeping, as ``TOPS_WORK`` counts it, and
+    how many entries reach each node. Every node has an entry, and exactly
+    the stack-dependent nodes hold a ``tops`` table."""
+    nodes = len(engine.dsg.states)
+    reached = [len(engine.entries_of[sid]) for sid in range(nodes)]
+    records = sum(len(sources) for frames in engine.tops.values()
+                  for sources in frames.values())
+    assert min(reached) == 1
+    assert set(engine.tops) == {sid for sid in range(nodes)
+                                if engine.dependent[sid]}
+    return (sum(reached), sum(n > 1 for n in reached), len(engine.contexts),
+            records), reached
+
+
+def test_pushdown_tops_work_is_pinned(tmp_path, monkeypatch):
+    """The pushdown engine keeps calling contexts once per entry node and
+    hands them only to stack-dependent nodes, so its bookkeeping grows with
+    the states: nearly every node is reached by one entry alone."""
+    bundle, units, k = _generated_bundle(tmp_path, monkeypatch,
+                                         "wide-pushdown")
+    engines = _pushdown_engines(monkeypatch)
     saturate_app(bundle.program, units, AnalysisConfig(k=k),
                  bundle.summaries)
     (engine,) = engines
-    nodes = len(engine.states)
-    reached = [len(engine.entries_of[sid]) for sid in range(nodes)]
-    shared = sum(n > 1 for n in reached)
-    records = sum(len(sources) for frames in engine.tops.values()
-                  for sources in frames.values())
-    assert (sum(reached), shared, len(engine.contexts),
-            records) == TOPS_WORK
-    assert min(reached) == 1 and shared * 100 <= nodes
+    work, reached = _tops_work(engine)
+    nodes, shared = len(reached), work[1]
+    assert work == TOPS_WORK
+    assert shared * 100 <= nodes
     assert sum(reached) <= nodes + 2 * shared
-    assert set(engine.tops) == {sid for sid in range(nodes)
-                                if engine.dependent[sid]}
+
+
+@pytest.mark.parametrize("source", sorted(TOPS_WORK_BEYOND))
+def test_pushdown_tops_work_is_pinned_beyond_wide_pushdown(
+        bundles_dir, tmp_path, monkeypatch, source):
+    """The stack-top bookkeeping of the pushdown fixpoint run on synth
+    2x4x3x2, and summed over the 15 shipped saturations (each bundle at k
+    0-2), one engine run each."""
+    if source == "shipped":
+        cases = [(load_bundle(bundles_dir / name), k)
+                 for name in SHIPPED for k in (0, 1, 2)]
+    else:
+        bundle, _units, k = _generated_bundle(tmp_path, monkeypatch,
+                                              "finite-witness")
+        cases = [(bundle, k)]
+    engines = _pushdown_engines(monkeypatch)
+    for bundle, k in cases:
+        saturate_app(bundle.program,
+                     discover_entry_points(bundle, bundle.program),
+                     AnalysisConfig(k=k), bundle.summaries)
+    assert len(engines) == len(cases)
+    work = [_tops_work(engine)[0] for engine in engines]
+    assert tuple(map(sum, zip(*work))) == TOPS_WORK_BEYOND[source]
 
 
 @pytest.mark.parametrize("mode", [reach.PUSHDOWN, reach.FINITE])
@@ -535,9 +577,9 @@ def test_views_together_are_the_fixpoint_graph(bundles_dir, tmp_path,
                                                monkeypatch, source, mode):
     """On a complete saturation the views' nodes and edges, read from the
     fixpoint run's masks, together are the fixpoint run's graph. A view's
-    adjacency (``out_edges``, ``summaries_from``) holds its ``edges`` and
-    ``epsilon_summaries``. Shipped bundles at k 0-2, synth bundles at
-    their ``bench/reference.json`` k."""
+    adjacency (``out_edges``) holds its ``edges`` and, as ``SUMMARY``
+    edges, its ``epsilon_summaries``. Shipped bundles at k 0-2, synth
+    bundles at their ``bench/reference.json`` k."""
     if source == "shipped":
         cases = []
         for name in SHIPPED:
@@ -554,14 +596,18 @@ def test_views_together_are_the_fixpoint_graph(bundles_dir, tmp_path,
         fixpoint, parts = trace.fixpoint, views(trace)
         for view in parts:
             dsg = view.dsg
-            assert ({e for s in dsg.nodes for e in dsg.out_edges(s)}
+            out = [e for s in dsg.nodes for e in dsg.out_edges(s)]
+            assert ({e for e in out if e.kind != machine.SUMMARY}
                     == set(dsg.edges)), label
-            assert ({(s, t) for s in dsg.nodes for t in dsg.summaries_from(s)}
+            assert ({(e.src, e.dst) for e in out
+                     if e.kind == machine.SUMMARY}
                     == dsg.epsilon_summaries), label
         assert (set().union(*(v.dsg.nodes for v in parts))
                 == set(fixpoint.dsg.nodes)), label
         assert (set().union(*(v.dsg.edges for v in parts))
                 == set(fixpoint.dsg.edges)), label
+        assert (set().union(*(v.dsg.epsilon_summaries for v in parts))
+                == fixpoint.dsg.epsilon_summaries), label
 
 
 MICRO = {**{name: src for name, (src, _o, _r) in MICRO_PROGRAMS.items()},

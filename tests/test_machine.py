@@ -867,8 +867,14 @@ def test_tracer_wrappers_see_every_step_and_join(tmp_path, monkeypatch):
 def test_fixpoint_run_builds_each_state_edge_and_address_once(
         tmp_path, monkeypatch):
     """Control states, edges and register addresses are looked up before
-    they are built: no two built during the fixpoint run are equal."""
+    they are built: no two built during the fixpoint run are equal. Every
+    edge of its graph, each ε-summary's ``SUMMARY`` edge included, is built
+    once."""
     bundle, cfg = _wide_pushdown(tmp_path, monkeypatch)
+    fp = frame_pointer_zero(MethodRef("A", "m", ()))
+    state = ControlState(StmtPos(fp.method, 0), fp)  # each __init__ is made
+    Edge(state, machine.NOOP, None, state)
+    RegAddr(fp, "r")
     built: dict = {cls: [] for cls in (ControlState, Edge, RegAddr)}
     running = []
     for cls, objs in built.items():
@@ -891,7 +897,8 @@ def test_fixpoint_run_builds_each_state_edge_and_address_once(
     for cls, objs in built.items():
         assert len(set(objs)) == len(objs), cls.__name__
     assert len(built[ControlState]) == len(run.dsg.nodes) == 1588
-    assert len(built[Edge]) == len(run.dsg.edges) == 1972
+    assert (len(built[Edge]) == len(run.dsg.edges)
+            + len(run.dsg.epsilon_summaries) == 1972 + 362)
     assert built[RegAddr]
 
 

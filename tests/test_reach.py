@@ -467,14 +467,12 @@ def _ref_bfs_balanced(dsg, frm, to):
         node, phase = key
         moves = []
         for e in sorted(dsg.out_edges(node), key=lambda e: e.sort_key()):
-            if e.kind == NOOP:
+            if e.kind in (NOOP, SUMMARY):
                 moves.append(((e.dst, phase), e))
             elif e.kind == PUSH:
                 moves.append(((e.dst, UP), e))
             elif e.kind == POP and phase == DOWN:
                 moves.append(((e.dst, DOWN), e))
-        for dst in sorted(dsg.summaries_from(node), key=lambda s: s.sort_key()):
-            moves.append(((dst, phase), Edge(node, SUMMARY, None, dst)))
         for nkey, step in moves:
             if nkey in parent:
                 continue
@@ -653,7 +651,7 @@ def test_summaries_equal_naive_recomputation(bundles_dir, tmp_path,
 
     def recorded(engine, tops=None):
         res = result(engine, tops)
-        exported[id(res)] = engine.states, tops
+        exported[id(res)] = engine.dsg.states, tops
         policies[id(res.masks)] = engine.policy
         return res
 
@@ -788,13 +786,12 @@ def test_tree_breaks_ties_by_sorted_edges(mode):
     a, b, c, d = (ControlState(StmtPos(RUN, i), frame_pointer_zero(RUN))
                   for i in range(4))
     dsg = DyckStateGraph()
-    dsg.nodes.update({s: i for i, s in enumerate((a, b, c, d))})
+    ids = {s: dsg.add_node(s) for s in (a, b, c, d)}
     for src, dst in ((a, c), (a, b), (c, d), (b, d)):
-        dsg.add_edge(Edge(src, NOOP, None, dst))
+        dsg.add_edge(ids[src], Edge(src, NOOP, None, dst), ids[dst])
     # the masks of a run rooted at a alone: every node holds bit 0
-    engine = SimpleNamespace(states=[a, b, c, d], dsg=dsg, pushes={},
-                             succ={0: [2, 1], 1: [3], 2: [3]}, roots=[a],
-                             entries=(RUN,))
+    engine = SimpleNamespace(dsg=dsg, roots=[a], entries=(RUN,),
+                             cfg=AnalysisConfig(mode=mode))
     res = SimpleNamespace(dsg=dsg, mode=mode,
                           masks=reach.RootMasks(engine, None))
     steps = reconstruct_path_steps(res, a, d, {}, 0)
@@ -842,8 +839,8 @@ def test_witness_steps_are_the_graphs_own_edges(bundles_dir, tmp_path,
                                                 monkeypatch, name, seed,
                                                 mode, k):
     """Every witness step of every finding is an edge the fixpoint run's
-    graph returns from ``out_edges`` (the very object), or a ``SUMMARY``
-    crossing of one of its epsilon summaries."""
+    graph returns from ``out_edges`` (the very object); a ``SUMMARY`` step
+    is one of its epsilon summaries."""
     if seed is not None:
         monkeypatch.syspath_prepend(str(BENCH))
         import synth
@@ -856,9 +853,8 @@ def test_witness_steps_are_the_graphs_own_edges(bundles_dir, tmp_path,
     for step in steps:
         if step.kind == SUMMARY:
             assert step.frame is None, step
-            assert step.dst in dsg.summaries_from(step.src), step
-        else:
-            assert any(e is step for e in dsg.out_edges(step.src)), step
+            assert (step.src, step.dst) in dsg.epsilon_summaries, step
+        assert any(e is step for e in dsg.out_edges(step.src)), step
     assert steps or seed is None  # every synth bundle has findings
 
 
@@ -1052,18 +1048,39 @@ def test_throw_resteps_on_catcher_growth_reach_the_every_throw_fixpoint(
 
 
 def test_adjacency_is_sorted_once_and_kept_until_the_node_grows():
+    """A graph refuses an edge it holds. ``out_edges`` sorts a node's
+    ``SUMMARY`` edges after its other edges, by target, and sorts again
+    only once the node has gained an edge. ``edges`` holds no ``SUMMARY``
+    edge, and ``epsilon_summaries`` is exactly the (source, target) pairs
+    of the ``SUMMARY`` edges."""
     m = MethodRef("Main", "run", ())
     fp = frame_pointer_zero(m)
     a, b, c = (ControlState(StmtPos(m, i), fp) for i in range(3))
+    frame = FunFrame(fp, StmtPos(m, 0, at_move=True))
     dsg = DyckStateGraph()
-    dsg.add_edge(Edge(a, NOOP, None, c))
+    ia, ib, ic = map(dsg.add_node, (a, b, c))
+    assert dsg.add_node(b) == ib and dsg.states == [a, b, c]
+    assert dsg.add_edge(ia, Edge(a, SUMMARY, None, c), ic)
+    assert dsg.add_edge(ia, Edge(a, NOOP, None, c), ic)
+    assert not dsg.add_edge(ia, Edge(a, NOOP, None, c), ic)
     first = dsg.out_edges(a)
     assert dsg.out_edges(a) is first
-    dsg.add_edge(Edge(a, NOOP, None, b))
-    assert dsg.out_edges(a) == [Edge(a, NOOP, None, b),
-                                       Edge(a, NOOP, None, c)]
-    dsg.add_summary(a, c)
-    assert dsg.summaries_from(a) == [c]
-    dsg.add_summary(a, b)
-    assert dsg.summaries_from(a) == [b, c]
-    assert dsg.out_edges(b) == [] and dsg.summaries_from(b) == []
+    assert first == [Edge(a, NOOP, None, c), Edge(a, SUMMARY, None, c)]
+    assert not dsg.add_edge(ia, Edge(a, SUMMARY, None, c), ic)
+    assert dsg.out_edges(a) is first
+    assert dsg.add_edge(ia, Edge(a, SUMMARY, None, b), ib)
+    assert dsg.add_edge(ia, Edge(a, PUSH, frame, b), ib)
+    second = dsg.out_edges(a)
+    assert second == [Edge(a, NOOP, None, c), Edge(a, PUSH, frame, b),
+                      Edge(a, SUMMARY, None, b), Edge(a, SUMMARY, None, c)]
+    assert dsg.add_edge(ib, Edge(b, POP, frame, c), ic)
+    assert dsg.out_edges(a) is second
+    assert dsg.out_edges(c) == []
+    assert dsg.edges_from(a) == {Edge(a, SUMMARY, None, c): ic,
+                                 Edge(a, NOOP, None, c): ic,
+                                 Edge(a, SUMMARY, None, b): ib,
+                                 Edge(a, PUSH, frame, b): ib}
+    assert list(dsg.edges) == [Edge(a, NOOP, None, c),
+                               Edge(a, PUSH, frame, b),
+                               Edge(b, POP, frame, c)]
+    assert dsg.epsilon_summaries == {(a, c), (a, b)}

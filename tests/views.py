@@ -18,26 +18,28 @@ walk, and run the reports on one of them.
 
 from pdcfa import machine
 from pdcfa.eps import SaturationTrace
-from pdcfa.reach import NOOP, POP, PUSH, PUSHDOWN
+from pdcfa.reach import NOOP, POP, PUSH, PUSHDOWN, SUMMARY
 from pdcfa.taint import TriggerContext
 
 
 class Window:
-    """A view's graph: the run's graph restricted to the view's nodes and,
-    unless ``pop_frames`` is None (finite), to the pop edges of the frames
-    (None for the empty stack) that ``pop_frames`` lets top each node."""
+    """A view's graph: the run's graph, its ε-summaries as ``SUMMARY``
+    edges, restricted to the view's nodes and, unless ``pop_frames`` is
+    None (finite), to the pop edges of the frames (None for the empty
+    stack) that ``pop_frames`` lets top each node."""
 
     def __init__(self, graph, nodes: dict, pop_frames: dict | None):
         self.graph, self.nodes, self.pop_frames = graph, nodes, pop_frames
 
     @property
     def edges(self) -> dict:
-        return {e: None for s in self.nodes for e in self.out_edges(s)}
+        return {e: None for s in self.nodes for e in self.out_edges(s)
+                if e.kind != SUMMARY}
 
     @property
     def epsilon_summaries(self) -> frozenset:
-        return frozenset((a, b) for a in self.nodes
-                         for b in self.graph.summaries_from(a))
+        return frozenset((e.src, e.dst) for s in self.nodes
+                         for e in self.out_edges(s) if e.kind == SUMMARY)
 
     def out_edges(self, s) -> list:
         edges = self.graph.out_edges(s)
@@ -47,9 +49,6 @@ class Window:
         return [e for e in edges if e.kind != POP or e.frame in frames]
 
     edges_from = out_edges
-
-    def summaries_from(self, s) -> list:
-        return self.graph.summaries_from(s)
 
 
 class View:
@@ -119,7 +118,7 @@ def direct_trace(run) -> SaturationTrace:
 def walked_views(program, run, entries) -> dict:
     """Views as they were built before root masks, as a reference: per
     entry, a walk of ``run``'s graph from the entry's root over no-op and
-    push edges and ε-summaries (finite: every edge). Each push from a
+    push edges and ε-summaries (``SUMMARY`` edges; finite: every edge). Each push from a
     walked node puts its frame on the stack-dependent states a balanced
     path (no-op edges and ε-summaries) from its target reaches, and the
     root puts the empty stack, None, on those its own balanced paths
@@ -162,10 +161,6 @@ def walked_views(program, run, entries) -> dict:
                 if pushdown and e.kind == PUSH:
                     for t in balanced(e.dst):
                         tops.setdefault(t, {})[e.frame] = None
-            for t in graph.summaries_from(s):
-                if t not in nodes:
-                    nodes[t] = None
-                    stack.append(t)
         for t in balanced(root) if pushdown else ():
             tops.setdefault(t, {})[None] = None
         out[entry] = (nodes, tops if pushdown else None,
